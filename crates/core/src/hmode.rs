@@ -36,17 +36,17 @@ pub(crate) enum HAttempt {
 /// Reusable per-worker H-mode state (hoisted out of the per-attempt path:
 /// transaction rates make per-attempt allocation measurable).
 pub(crate) struct HScratch {
-    /// Vertices whose lock word we already subscribed (read mode).
-    subscribed: WordMap,
-    /// Vertices whose version we already bumped (write mode).
-    bumped: WordMap,
+    /// The vertices whose lock word is subscribed (in this attempt's HTM
+    /// read set); the value says whether the commit version was bumped too.
+    seen: WordMap,
 }
+
+const BUMPED: u64 = 1;
 
 impl HScratch {
     pub(crate) fn new() -> Self {
         HScratch {
-            subscribed: WordMap::with_capacity(16),
-            bumped: WordMap::with_capacity(8),
+            seen: WordMap::with_capacity(16),
         }
     }
 }
@@ -69,8 +69,7 @@ impl<'a> HModeOps<'a> {
         sched: &'a mut tufast_txn::SchedStats,
         scratch: &'a mut HScratch,
     ) -> Self {
-        scratch.subscribed.clear();
-        scratch.bumped.clear();
+        scratch.seen.clear();
         HModeOps {
             ctx,
             sys,
@@ -87,11 +86,14 @@ impl<'a> HModeOps<'a> {
         TxInterrupt::Restart
     }
 
-    /// Subscribe `v` for reading: abort if write-locked.
+    /// Subscribe `v` for reading: abort if write-locked. Both subscriptions
+    /// mark the vertex *before* touching its lock word (one probe finds or
+    /// creates the entry): every failure below ends the attempt, and the
+    /// next one starts from a cleared map.
     fn subscribe_read(&mut self, v: VertexId) -> Result<(), TxInterrupt> {
-        if self.scratch.subscribed.get(Addr(u64::from(v))).is_some()
-            || self.scratch.bumped.get(Addr(u64::from(v))).is_some()
-        {
+        // tufast-lint: allow(htm-hazard) -- the scratch map reallocates only past its high-water mark; on real RTM that would merely abort this attempt, which the H retry ladder absorbs
+        let (_, fresh) = self.scratch.seen.entry(Addr(u64::from(v)), 0);
+        if !fresh {
             return Ok(());
         }
         let lw = LockWord(
@@ -103,17 +105,18 @@ impl<'a> HModeOps<'a> {
             let code = self.ctx.abort_explicit(ABORT_LOCK_BUSY);
             return Err(self.fail(code));
         }
-        // tufast-lint: allow(htm-hazard) -- scratch WordMap is presized at construction; insert never reallocates
-        self.scratch.subscribed.insert(Addr(u64::from(v)), 1);
         Ok(())
     }
 
     /// Prepare `v` for writing: abort unless completely unlocked, then bump
     /// its commit version inside the transaction.
     fn subscribe_write(&mut self, v: VertexId) -> Result<(), TxInterrupt> {
-        if self.scratch.bumped.get(Addr(u64::from(v))).is_some() {
+        // tufast-lint: allow(htm-hazard) -- see subscribe_read: growth past the high-water mark aborts the attempt, it cannot corrupt it
+        let (bumped, _) = self.scratch.seen.entry(Addr(u64::from(v)), 0);
+        if *bumped == BUMPED {
             return Ok(());
         }
+        *bumped = BUMPED;
         let addr = self.sys.locks().addr(v);
         let lw = LockWord(self.ctx.read(addr).map_err(|c| self.fail(c))?);
         if !lw.is_free() {
@@ -122,10 +125,7 @@ impl<'a> HModeOps<'a> {
         }
         self.ctx
             .write(addr, lw.bumped().0)
-            .map_err(|c| self.fail(c))?;
-        // tufast-lint: allow(htm-hazard) -- scratch WordMap is presized at construction; insert never reallocates
-        self.scratch.bumped.insert(Addr(u64::from(v)), 1);
-        Ok(())
+            .map_err(|c| self.fail(c))
     }
 }
 

@@ -25,8 +25,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::abort::{AbortCode, HtmStateError};
 use crate::config::{AbortInjector, AbortSource, HtmConfig};
+use crate::footprint::Footprint;
 use crate::l1::L1Model;
-use crate::lineset::LineSet;
 use crate::memory::{Addr, TxMemory};
 use crate::meta;
 use crate::stats::HtmStats;
@@ -55,6 +55,8 @@ pub struct HtmCtx {
     spurious_rate: f64,
     injector: Option<AbortInjector>,
     source: Option<AbortSource>,
+    /// Whether any of the three injection hooks above is configured.
+    injecting: bool,
     /// Shared runtime switch: when false, `begin` refuses to start a
     /// transaction (models TSX being fused off / disabled by microcode).
     available: Arc<AtomicBool>,
@@ -70,11 +72,10 @@ pub struct HtmCtx {
     /// Clock value at which the last successful commit published (the
     /// commit's serialization ticket); see [`last_commit_ts`](Self::last_commit_ts).
     last_commit_ts: u64,
-    /// `(line, observed version)` in first-read order.
-    read_set: Vec<(u64, u64)>,
-    read_lines: LineSet,
+    footprint: Footprint,
     write_buf: WordMap,
-    write_lines: LineSet,
+    /// Commit scratch: `(write line, pre-lock version)` in address order.
+    locked: Vec<(u64, u64)>,
     l1: L1Model,
     stats: HtmStats,
 }
@@ -98,6 +99,9 @@ impl HtmCtx {
             spurious_rate: config.spurious_abort_rate,
             injector: config.abort_injector.clone(),
             source: config.abort_source.clone(),
+            injecting: config.abort_injector.is_some()
+                || config.abort_source.is_some()
+                || config.spurious_abort_rate > 0.0,
             available,
             op_seq: 0,
             max_nesting: config.max_nesting,
@@ -105,10 +109,9 @@ impl HtmCtx {
             depth: 0,
             start_ts: 0,
             last_commit_ts: 0,
-            read_set: Vec::with_capacity(64),
-            read_lines: LineSet::with_capacity(64),
+            footprint: Footprint::with_capacity(64),
             write_buf: WordMap::with_capacity(64),
-            write_lines: LineSet::with_capacity(64),
+            locked: Vec::with_capacity(64),
             stats: HtmStats::default(),
         }
     }
@@ -233,13 +236,10 @@ impl HtmCtx {
                 }
                 continue;
             }
-            if self.read_lines.insert(line) {
-                self.read_set.push((line, ver));
-                // Charge the capacity model once per distinct line (a line
-                // already in the write set is already resident).
-                if !self.write_lines.contains(line) && !self.charge_capacity(line) {
-                    return Err(self.abort_with(AbortCode::Capacity));
-                }
+            // Charge the capacity model once per distinct line (a line
+            // already written is already resident).
+            if self.footprint.note_read(line, ver) && !self.charge_capacity(line) {
+                return Err(self.abort_with(AbortCode::Capacity));
             }
             return Ok(val);
         }
@@ -268,10 +268,7 @@ impl HtmCtx {
             return Err(self.abort_with(AbortCode::Conflict));
         }
         self.write_buf.insert(addr, val);
-        if self.write_lines.insert(line)
-            && !self.read_lines.contains(line)
-            && !self.charge_capacity(line)
-        {
+        if self.footprint.note_write(line) && !self.charge_capacity(line) {
             return Err(self.abort_with(AbortCode::Capacity));
         }
         Ok(())
@@ -303,47 +300,29 @@ impl HtmCtx {
         }
 
         // Lock write lines in address order (no deadlock among committers).
-        let mut lines: Vec<u64> = self.write_lines.iter().collect();
-        lines.sort_unstable();
-        let mut locked: Vec<(u64, u64)> = Vec::with_capacity(lines.len());
-        for &line in &lines {
-            let mut ok = false;
-            for spin in 0..COMMIT_LOCK_SPINS {
-                match self.mem.try_lock_line(line, self.id) {
-                    Ok(old_ver) => {
-                        locked.push((line, old_ver));
-                        ok = true;
-                        break;
-                    }
-                    Err(_) => {
-                        if spin % 32 == 31 {
-                            std::thread::yield_now();
-                        } else if spin + 1 < COMMIT_LOCK_SPINS {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            if !ok {
-                self.release(&locked);
-                return Err(self.abort_with(AbortCode::Conflict));
-            }
+        self.locked.clear();
+        self.locked
+            .extend(self.footprint.writes().map(|line| (line, 0)));
+        self.locked.sort_unstable();
+        if !self
+            .mem
+            .try_lock_lines(&mut self.locked, self.id, COMMIT_LOCK_SPINS)
+        {
+            return Err(self.abort_with(AbortCode::Conflict));
         }
 
         let commit_ts = self.mem.clock_tick();
 
         // Validate the read set: every line we read must still carry the
         // version we observed, and may be locked only by us.
-        for &(line, ver) in &self.read_set {
-            let m = self
-                .mem
-                .line(line)
-                .load(std::sync::atomic::Ordering::Acquire);
-            let ok = meta::version(m) == ver && (!meta::is_locked(m) || meta::owner(m) == self.id);
-            if !ok {
-                self.release(&locked);
-                return Err(self.abort_with(AbortCode::Conflict));
-            }
+        let (mem, id) = (&self.mem, self.id);
+        let valid = self.footprint.reads().all(|(line, ver, _)| {
+            let m = mem.line(line).load(std::sync::atomic::Ordering::Acquire);
+            meta::version(m) == ver && (!meta::is_locked(m) || meta::owner(m) == id)
+        });
+        if !valid {
+            self.mem.unlock_lines(&self.locked, None);
+            return Err(self.abort_with(AbortCode::Conflict));
         }
 
         // Publish, then release at the commit timestamp.
@@ -352,9 +331,7 @@ impl HtmCtx {
                 .word(addr)
                 .store(val, std::sync::atomic::Ordering::Release);
         }
-        for &(line, _) in &locked {
-            self.mem.unlock_line(line, commit_ts);
-        }
+        self.mem.unlock_lines(&self.locked, Some(commit_ts));
         self.last_commit_ts = commit_ts;
         self.stats.commits += 1;
         self.reset();
@@ -391,6 +368,9 @@ impl HtmCtx {
     #[inline]
     fn roll_injected(&mut self) -> Option<AbortCode> {
         self.op_seq += 1;
+        if !self.injecting {
+            return None;
+        }
         if let Some(src) = &self.source {
             if let Some(code) = src.sample(self.id, self.op_seq) {
                 return Some(code);
@@ -421,17 +401,9 @@ impl HtmCtx {
 
     fn reset(&mut self) {
         self.depth = 0;
-        self.read_set.clear();
-        self.read_lines.clear();
+        self.footprint.clear();
         self.write_buf.clear();
-        self.write_lines.clear();
         self.l1.reset();
-    }
-
-    fn release(&self, locked: &[(u64, u64)]) {
-        for &(line, old_ver) in locked {
-            self.mem.unlock_line(line, old_ver);
-        }
     }
 
     /// Charge the capacity model for one distinct transactional line.
@@ -446,14 +418,13 @@ impl HtmCtx {
     /// snapshot moves forward and execution continues.
     fn extend_snapshot(&mut self) -> bool {
         let new_ts = self.mem.clock_now();
-        for &(line, ver) in &self.read_set {
-            let m = self
-                .mem
-                .line(line)
-                .load(std::sync::atomic::Ordering::Acquire);
-            if meta::is_locked(m) || meta::version(m) != ver {
-                return false;
-            }
+        let mem = &self.mem;
+        let intact = self.footprint.reads().all(|(line, ver, _)| {
+            let m = mem.line(line).load(std::sync::atomic::Ordering::Acquire);
+            !meta::is_locked(m) && meta::version(m) == ver
+        });
+        if !intact {
+            return false;
         }
         self.start_ts = new_ts;
         self.stats.extensions += 1;
@@ -466,7 +437,6 @@ impl std::fmt::Debug for HtmCtx {
         f.debug_struct("HtmCtx")
             .field("id", &self.id)
             .field("depth", &self.depth)
-            .field("reads", &self.read_set.len())
             .field("writes", &self.write_buf.len())
             .field("lines", &self.l1.lines())
             .finish()

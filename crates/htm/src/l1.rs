@@ -19,7 +19,7 @@ use crate::config::HtmConfig;
 /// Per-transaction cache-footprint tracker.
 ///
 /// The caller is responsible for feeding it each *distinct* line once
-/// (dedup via [`LineSet`](crate::LineSet)).
+/// (dedup via [`Footprint`](crate::Footprint)).
 #[derive(Debug, Clone)]
 pub struct L1Model {
     occupancy: Vec<u16>,
@@ -132,7 +132,7 @@ mod tests {
         let abort_rate = |lines_per_tx: u64, rng: &mut SmallRng| {
             let mut aborts = 0;
             let mut l1 = L1Model::new(&config);
-            let mut seen = crate::LineSet::with_capacity(lines_per_tx as usize);
+            let mut seen = std::collections::HashSet::new();
             for _ in 0..trials {
                 l1.reset();
                 seen.clear();

@@ -67,8 +67,8 @@
 mod abort;
 mod config;
 mod ctx;
+mod footprint;
 mod l1;
-mod lineset;
 mod memory;
 mod meta;
 mod runtime;
@@ -78,8 +78,8 @@ mod wordmap;
 pub use abort::{AbortCode, HtmStateError};
 pub use config::{AbortInjector, AbortSource, HtmConfig};
 pub use ctx::HtmCtx;
+pub use footprint::Footprint;
 pub use l1::L1Model;
-pub use lineset::LineSet;
 pub use memory::{
     Addr, LineState, MemRegion, MemoryLayout, PaddedRegion, TxMemory, WORDS_PER_LINE,
 };

@@ -170,6 +170,9 @@ pub struct TxMemory {
 /// lock a line. Distinct from every context id.
 const DIRECT_OWNER: u32 = meta::MAX_OWNER;
 
+/// Write sets up to this many words republish without a heap allocation.
+const REPUBLISH_INLINE: usize = 32;
+
 /// A snapshot of one line's versioned lock (advanced API; see
 /// [`TxMemory::line_state`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -258,24 +261,39 @@ impl TxMemory {
         }
     }
 
-    /// Try to write-lock `line` for context `owner`; returns the pre-lock
-    /// version on success, `None` when the line is locked by another owner.
+    /// Write-lock every line of `lines` (ascending: address order keeps
+    /// committers deadlock-free) for `owner`, recording each pre-lock version
+    /// beside its line. A line still held elsewhere after `spins` tries fails
+    /// the acquisition: the lines locked so far are released unchanged.
     ///
-    /// Advanced API (see [`line_state`](Self::line_state)): callers must
-    /// pair every successful lock with [`unlock_line_pub`](Self::unlock_line_pub)
-    /// and must not hold line locks across blocking operations.
-    #[inline]
-    pub fn try_lock_line_pub(&self, line: u64, owner: u32) -> Option<u64> {
-        self.try_lock_line(line, owner).ok()
+    /// Advanced API (see [`line_state`](Self::line_state)): pair success with
+    /// [`unlock_lines`](Self::unlock_lines); hold no line lock while blocking.
+    pub fn try_lock_lines(&self, lines: &mut [(u64, u64)], owner: u32, spins: u32) -> bool {
+        'locking: for held in 0..lines.len() {
+            for spin in 0..spins {
+                if let Ok(old_ver) = self.try_lock_line(lines[held].0, owner) {
+                    lines[held].1 = old_ver;
+                    continue 'locking;
+                }
+                if spin % 32 == 31 {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+            self.unlock_lines(&lines[..held], None);
+            return false;
+        }
+        true
     }
 
-    /// Unlock a line previously locked via
-    /// [`try_lock_line_pub`](Self::try_lock_line_pub), publishing
-    /// `new_version` (use the pre-lock version to release without change,
-    /// or a fresh [`clock_tick_pub`](Self::clock_tick_pub) after stores).
-    #[inline]
-    pub fn unlock_line_pub(&self, line: u64, new_version: u64) {
-        self.unlock_line(line, new_version);
+    /// Unlock lines locked by [`try_lock_lines`](Self::try_lock_lines),
+    /// publishing `version` (a fresh [`clock_tick_pub`](Self::clock_tick_pub)
+    /// after stores) or, with `None`, each line's pre-lock version.
+    pub fn unlock_lines(&self, lines: &[(u64, u64)], version: Option<u64>) {
+        for &(line, old_ver) in lines {
+            self.unlock_line(line, version.unwrap_or(old_ver));
+        }
     }
 
     /// Current global version clock (advanced API).
@@ -291,7 +309,7 @@ impl TxMemory {
     }
 
     /// Store to a word whose line the caller currently holds locked via
-    /// [`try_lock_line_pub`](Self::try_lock_line_pub). Storing without the
+    /// [`try_lock_lines`](Self::try_lock_lines). Storing without the
     /// lock is memory-safe but breaks the isolation protocol.
     #[inline]
     pub fn store_locked(&self, addr: Addr, val: u64) {
@@ -381,13 +399,32 @@ impl TxMemory {
     }
 
     /// [`republish_line`](Self::republish_line) for every distinct line of
-    /// `addrs` (ascending line order, duplicates coalesced).
+    /// `addrs` (ascending line order, duplicates coalesced). Runs on every
+    /// writing commit of the publish-before-ticket schedulers, so small
+    /// write sets are sorted on the stack.
     pub fn republish_lines(&self, addrs: impl Iterator<Item = Addr>) {
-        let mut lines: Vec<u64> = addrs.map(|a| a.line()).collect();
+        let mut inline = [0u64; REPUBLISH_INLINE];
+        let mut spilled = Vec::new();
+        let mut n = 0;
+        for line in addrs.map(Addr::line) {
+            match inline.get_mut(n) {
+                Some(slot) => *slot = line,
+                None => spilled.push(line),
+            }
+            n += 1;
+        }
+        let lines = if spilled.is_empty() {
+            &mut inline[..n]
+        } else {
+            spilled.extend_from_slice(&inline);
+            &mut spilled[..]
+        };
         lines.sort_unstable();
-        lines.dedup();
-        for line in lines {
-            self.republish_line(line);
+        let mut last = None;
+        for &line in lines.iter() {
+            if last.replace(line) != Some(line) {
+                self.republish_line(line);
+            }
         }
     }
 
@@ -508,6 +545,24 @@ mod tests {
         match mem.line_state(0) {
             LineState::Unlocked { version } => assert!(version > clock),
             LineState::Locked { .. } => panic!("republish must unlock"),
+        }
+    }
+
+    #[test]
+    fn republish_is_ascending_and_distinct_at_every_write_set_size() {
+        // Below, at and above the inline limit (the spill to the heap):
+        // descending addresses, two words per line.
+        for lines in [1, REPUBLISH_INLINE / 2, REPUBLISH_INLINE / 2 + 1, 100] {
+            let mem = TxMemory::with_words(100 * 8);
+            let addrs = (0..lines as u64)
+                .rev()
+                .flat_map(|l| [Addr(l * 8 + 1), Addr(l * 8)]);
+            mem.republish_lines(addrs);
+            assert_eq!(mem.clock_now(), lines as u64, "one tick per distinct line");
+            for l in 0..lines as u64 {
+                let want = LineState::Unlocked { version: l + 1 };
+                assert_eq!(mem.line_state(l), want, "{lines} lines: ascending order");
+            }
         }
     }
 

@@ -1,52 +1,341 @@
-//! Property-based tests of the HTM substrate: the transaction-local hash
-//! structures against std-collection models, and serializability of random
-//! single-threaded transaction schedules against a direct interpreter.
+//! Property-based tests of the HTM substrate: the transaction-local tables
+//! against std-collection models across thousands of clear cycles, the
+//! emulator op by op against a reference built on `std` sets, and
+//! serializability of random single-threaded transaction schedules against
+//! a direct interpreter.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-use tufast_htm::{Addr, HtmConfig, HtmRuntime, LineSet, MemoryLayout, WordMap};
+use tufast_htm::{
+    AbortCode, Addr, Footprint, HtmConfig, HtmCtx, HtmRuntime, HtmStats, MemoryLayout, WordMap,
+};
+
+/// Run one generation of map operations against the model, then compare the
+/// dense order. `kind`: 0 = get, 1 = insert, 2/3 = entry (find-or-insert).
+fn wordmap_cycle(map: &mut WordMap, ops: &[(u8, u64, u64)], stride: u64) {
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut order: Vec<u64> = Vec::new();
+    for &(kind, k, v) in ops {
+        let k = k * stride;
+        match kind {
+            0 => assert_eq!(map.get(Addr(k)), model.get(&k).copied()),
+            1 => {
+                assert_eq!(map.insert(Addr(k), v), model.insert(k, v).is_none());
+                if order.len() < model.len() {
+                    order.push(k);
+                }
+            }
+            _ => {
+                let (slot, fresh) = map.entry(Addr(k), v);
+                assert_eq!(fresh, !model.contains_key(&k));
+                let expect = *model.entry(k).or_insert(v);
+                assert_eq!(*slot, expect, "a present key keeps its value");
+                *slot ^= 1;
+                model.insert(k, expect ^ 1);
+                if fresh {
+                    order.push(k);
+                }
+            }
+        }
+    }
+    assert_eq!(map.len(), model.len());
+    let got: Vec<(u64, u64)> = map.iter().map(|(a, v)| (a.0, v)).collect();
+    let want: Vec<(u64, u64)> = order.iter().map(|k| (*k, model[k])).collect();
+    assert_eq!(got, want, "first-insertion order with last values");
+}
+
+/// Same for the footprint. `kind`: even = read at version `v`, odd = write.
+fn footprint_cycle(fp: &mut Footprint, ops: &[(u8, u64, u64)], stride: u64) {
+    let mut reads: HashMap<u64, u64> = HashMap::new();
+    let mut writes: HashSet<u64> = HashSet::new();
+    let mut order: Vec<u64> = Vec::new();
+    for &(kind, line, v) in ops {
+        let line = line * stride;
+        let known = reads.contains_key(&line) || writes.contains(&line);
+        if kind % 2 == 0 {
+            assert_eq!(fp.note_read(line, v), !known);
+            reads.entry(line).or_insert(v);
+        } else {
+            assert_eq!(fp.note_write(line), !known);
+            writes.insert(line);
+        }
+        if !known {
+            order.push(line);
+        }
+    }
+    let got: Vec<_> = fp.reads().collect();
+    let want: Vec<_> = order
+        .iter()
+        .filter_map(|l| reads.get(l).map(|&v| (*l, v, writes.contains(l))))
+        .collect();
+    assert_eq!(got, want, "first-read versions in first-touch order");
+    let got: Vec<_> = fp.writes().collect();
+    let want: Vec<_> = order
+        .iter()
+        .copied()
+        .filter(|l| writes.contains(l))
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// A trivially-correct single-threaded reference for [`HtmCtx`]: the same
+/// TL2 protocol and capacity model written over `std` collections, with a
+/// plain clock, plain per-line versions and plain words instead of the
+/// shared memory.
+struct RefHtm {
+    sets: u64,
+    ways: usize,
+    words: Vec<u64>,
+    line_ver: Vec<u64>,
+    clock: u64,
+    in_tx: bool,
+    start_ts: u64,
+    read_set: Vec<(u64, u64)>,
+    read_lines: HashSet<u64>,
+    write_lines: HashSet<u64>,
+    write_buf: HashMap<u64, u64>,
+    write_order: Vec<u64>,
+    stats: HtmStats,
+}
+
+impl RefHtm {
+    fn new(words: usize, config: &HtmConfig) -> Self {
+        RefHtm {
+            sets: config.num_sets() as u64,
+            ways: config.associativity - config.reserved_ways,
+            words: vec![0; words],
+            line_ver: vec![0; words.div_ceil(8)],
+            clock: 0,
+            in_tx: false,
+            start_ts: 0,
+            read_set: Vec::new(),
+            read_lines: HashSet::new(),
+            write_lines: HashSet::new(),
+            write_buf: HashMap::new(),
+            write_order: Vec::new(),
+            stats: HtmStats::default(),
+        }
+    }
+
+    fn begin(&mut self) {
+        self.in_tx = true;
+        self.start_ts = self.clock;
+        self.stats.begins += 1;
+    }
+
+    fn abort(&mut self, code: AbortCode) -> AbortCode {
+        match code {
+            AbortCode::Conflict => self.stats.aborts_conflict += 1,
+            AbortCode::Capacity => self.stats.aborts_capacity += 1,
+            AbortCode::Explicit(_) => self.stats.aborts_explicit += 1,
+            AbortCode::Spurious => self.stats.aborts_spurious += 1,
+        }
+        self.reset();
+        code
+    }
+
+    fn reset(&mut self) {
+        self.in_tx = false;
+        self.read_set.clear();
+        self.read_lines.clear();
+        self.write_lines.clear();
+        self.write_buf.clear();
+        self.write_order.clear();
+    }
+
+    /// Does a line new to the footprint still fit its cache set?
+    fn fits(&mut self, line: u64) -> bool {
+        let resident = |l: &&u64| **l != line && **l % self.sets == line % self.sets;
+        let in_set = self
+            .read_lines
+            .union(&self.write_lines)
+            .filter(resident)
+            .count();
+        let fits = in_set < self.ways;
+        let lines = self.read_lines.union(&self.write_lines).count() - usize::from(!fits);
+        self.stats.max_lines = self.stats.max_lines.max(lines as u32);
+        fits
+    }
+
+    fn read(&mut self, addr: u64) -> Result<u64, AbortCode> {
+        self.stats.reads += 1;
+        if let Some(&v) = self.write_buf.get(&addr) {
+            return Ok(v);
+        }
+        let line = addr / 8;
+        let ver = self.line_ver[line as usize];
+        if ver > self.start_ts {
+            let intact = |&(l, v): &(u64, u64)| self.line_ver[l as usize] == v;
+            if !self.read_set.iter().all(intact) {
+                return Err(self.abort(AbortCode::Conflict));
+            }
+            self.start_ts = self.clock;
+            self.stats.extensions += 1;
+        }
+        if self.read_lines.insert(line) {
+            self.read_set.push((line, ver));
+            if !self.write_lines.contains(&line) && !self.fits(line) {
+                return Err(self.abort(AbortCode::Capacity));
+            }
+        }
+        Ok(self.words[addr as usize])
+    }
+
+    fn write(&mut self, addr: u64, val: u64) -> Result<(), AbortCode> {
+        self.stats.writes += 1;
+        let line = addr / 8;
+        if self.write_buf.insert(addr, val).is_none() {
+            self.write_order.push(addr);
+        }
+        if self.write_lines.insert(line) && !self.read_lines.contains(&line) && !self.fits(line) {
+            return Err(self.abort(AbortCode::Capacity));
+        }
+        Ok(())
+    }
+
+    fn commit(&mut self) -> Result<(), AbortCode> {
+        if !self.write_buf.is_empty() {
+            self.clock += 1;
+            let intact = |&(l, v): &(u64, u64)| self.line_ver[l as usize] == v;
+            if !self.read_set.iter().all(intact) {
+                return Err(self.abort(AbortCode::Conflict));
+            }
+            for addr in &self.write_order {
+                self.words[*addr as usize] = self.write_buf[addr];
+            }
+            for &line in &self.write_lines {
+                self.line_ver[line as usize] = self.clock;
+            }
+        }
+        self.stats.commits += 1;
+        self.reset();
+        Ok(())
+    }
+
+    fn store_direct(&mut self, addr: u64, val: u64) {
+        self.clock += 1;
+        self.words[addr as usize] = val;
+        self.line_ver[(addr / 8) as usize] = self.clock;
+    }
+}
+
+/// Drive `ctx` and the reference in lockstep through `txns`; every op must
+/// give the same value or the same abort code (so: at the same op index).
+/// `kind`: 0–3 read, 4–5 write, 6 re-read of the last written word,
+/// 7 a direct store "from another core" in the middle of the transaction.
+fn htm_lockstep(config: HtmConfig, words: u64, txns: &[Vec<(u8, u64, u64)>]) {
+    let mut layout = MemoryLayout::new();
+    layout.alloc("arena", words);
+    let rt = HtmRuntime::new(layout, config.clone());
+    let mut ctx: HtmCtx = rt.ctx();
+    let mut model = RefHtm::new(words as usize, &config);
+    for (t, ops) in txns.iter().enumerate() {
+        ctx.begin().unwrap();
+        model.begin();
+        let mut last_written = 0;
+        for (i, &(kind, a, v)) in ops.iter().enumerate() {
+            let a = a % words;
+            let step = match kind {
+                0..=3 => ctx.read(Addr(a)) == model.read(a),
+                4 | 5 => {
+                    last_written = a;
+                    ctx.write(Addr(a), v) == model.write(a, v)
+                }
+                6 => ctx.read(Addr(last_written)) == model.read(last_written),
+                _ => {
+                    rt.memory().store_direct(Addr(a), v);
+                    model.store_direct(a, v);
+                    true
+                }
+            };
+            assert!(step, "txn {t} op {i} ({kind}, {a}) diverged");
+            assert_eq!(ctx.in_tx(), model.in_tx, "txn {t} op {i}");
+            if !ctx.in_tx() {
+                break;
+            }
+        }
+        if ctx.in_tx() {
+            assert_eq!(ctx.commit(), model.commit(), "txn {t} commit");
+        }
+        assert_eq!(ctx.stats(), &model.stats, "after txn {t}");
+    }
+    for (a, &want) in model.words.iter().enumerate() {
+        assert_eq!(rt.memory().load_direct(Addr(a as u64)), want, "word {a}");
+    }
+}
+
+/// A hub-sized generation (forces growth well past the steady state).
+fn hub_ops(n: usize) -> Vec<(u8, u64, u64)> {
+    (0..n as u64).map(|i| ((i % 4) as u8, i * 3, i)).collect()
+}
 
 proptest! {
+    /// ≥ 10 000 clear cycles over the 64 cases: mostly tiny generations,
+    /// one hub-sized one (growth, then clear-after-growth), strided keys,
+    /// and — every other case — a table that starts at the stamp limit so
+    /// the first clear crosses the wrap-around.
     #[test]
-    fn lineset_behaves_like_hashset(keys in prop::collection::vec(0u64..10_000, 0..300)) {
-        let mut set = LineSet::with_capacity(4);
-        let mut model: HashSet<u64> = HashSet::new();
-        for &k in &keys {
-            prop_assert_eq!(set.insert(k), model.insert(k));
+    fn wordmap_matches_hashmap_across_clear_cycles(
+        cycles in prop::collection::vec(
+            prop::collection::vec((0u8..4, 0u64..48, 0u64..1 << 40), 0..24), 160..320),
+        hub in (0usize..160, 200usize..2500),
+        stride_log in 0u32..7,
+        wrap in any::<bool>(),
+    ) {
+        let mut map = if wrap { WordMap::at_stamp_wrap(4) } else { WordMap::with_capacity(4) };
+        for (i, ops) in cycles.iter().enumerate() {
+            if i == hub.0 {
+                wordmap_cycle(&mut map, &hub_ops(hub.1), 1 << stride_log);
+                map.clear();
+            }
+            wordmap_cycle(&mut map, ops, 1 << stride_log);
+            map.clear();
+            prop_assert!(map.is_empty());
+            prop_assert_eq!(map.get(Addr(0)), None);
         }
-        prop_assert_eq!(set.len(), model.len());
-        for &k in &keys {
-            prop_assert!(set.contains(k));
-        }
-        let mut collected: Vec<u64> = set.iter().collect();
-        collected.sort_unstable();
-        let mut expected: Vec<u64> = model.into_iter().collect();
-        expected.sort_unstable();
-        prop_assert_eq!(collected, expected);
     }
 
     #[test]
-    fn wordmap_behaves_like_hashmap(ops in prop::collection::vec((0u64..5_000, 0u64..1_000_000), 0..300)) {
-        let mut map = WordMap::with_capacity(4);
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        let mut order: Vec<u64> = Vec::new();
-        for &(k, v) in &ops {
-            let fresh = map.insert(Addr(k), v);
-            if model.insert(k, v).is_none() {
-                order.push(k);
-                prop_assert!(fresh);
-            } else {
-                prop_assert!(!fresh);
+    fn footprint_matches_set_model_across_clear_cycles(
+        cycles in prop::collection::vec(
+            prop::collection::vec((0u8..4, 0u64..48, 0u64..1 << 48), 0..24), 160..320),
+        hub in (0usize..160, 200usize..2500),
+        stride_log in 0u32..7,
+        wrap in any::<bool>(),
+    ) {
+        let mut fp = if wrap { Footprint::at_stamp_wrap(4) } else { Footprint::with_capacity(4) };
+        for (i, ops) in cycles.iter().enumerate() {
+            if i == hub.0 {
+                footprint_cycle(&mut fp, &hub_ops(hub.1), 1 << stride_log);
+                fp.clear();
             }
+            footprint_cycle(&mut fp, ops, 1 << stride_log);
+            fp.clear();
+            prop_assert_eq!(fp.reads().count() + fp.writes().count(), 0);
         }
-        prop_assert_eq!(map.len(), model.len());
-        for (&k, &v) in &model {
-            prop_assert_eq!(map.get(Addr(k)), Some(v));
-        }
-        // Insertion order is preserved.
-        let got_order: Vec<u64> = map.iter().map(|(a, _)| a.0).collect();
-        prop_assert_eq!(got_order, order);
+    }
+
+    /// The emulator against the reference, op by op: small transactions
+    /// with one hub-sized one in between (so every table has grown before
+    /// the small ones that follow), under the tiny geometry — capacity
+    /// aborts after a handful of lines — and the default one.
+    #[test]
+    fn htm_ctx_matches_the_std_reference(
+        small in prop::collection::vec(
+            prop::collection::vec((0u8..8, 0u64..4096, 0u64..1000), 1..40), 4..40),
+        hub in prop::collection::vec((0u8..7, 0u64..8192, 0u64..1000), 300..1200),
+        hub_at in 0usize..4,
+        tiny in any::<bool>(),
+    ) {
+        let mut txns = small;
+        txns.insert(hub_at, hub);
+        let (config, words) = if tiny {
+            (HtmConfig::tiny_for_tests(), 192)
+        } else {
+            (HtmConfig::default(), 8192)
+        };
+        htm_lockstep(config, words, &txns);
     }
 
     /// Random schedules of transactional read-modify-writes interleaved

@@ -102,6 +102,11 @@ const METHOD_BAN: &[(&str, &str, &str)] = &[
         "`.insert()` may grow its table inside the transaction",
     ),
     (
+        "entry",
+        "alloc-in-htm",
+        "`.entry()` inserts when the key is absent and may grow its table inside the transaction",
+    ),
+    (
         "collect",
         "alloc-in-htm",
         "`.collect()` allocates inside the transaction",

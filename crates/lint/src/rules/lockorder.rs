@@ -10,8 +10,9 @@
 //!   per-vertex 2PL lock words (class `vertex_lock`, try-only at the
 //!   call itself; the blocking wrappers in `tpl.rs` carry
 //!   `lock-acquire(vertex_lock)` markers).
-//! * `try_lock_line(..)` — the HTM emulation's per-line commit locks
-//!   (class `htm_line_lock`, bounded-try, address-sorted).
+//! * `try_lock_line(..)` / `try_lock_lines(..)` — the HTM emulation's
+//!   per-line commit locks (class `htm_line_lock`, bounded-try,
+//!   address-sorted).
 //! * `recv.lock(..)` — a mutex, classed `mutex:<file>.<recv>`.
 //! * `// tufast-lint: lock-acquire(<class>)` — a blocking acquisition
 //!   the patterns cannot see (CAS spin loops on token words).
@@ -44,6 +45,7 @@ const TRY_PATTERNS: &[(&str, &str)] = &[
     ("try_exclusive", "vertex_lock"),
     ("try_upgrade", "vertex_lock"),
     ("try_lock_line", "htm_line_lock"),
+    ("try_lock_lines", "htm_line_lock"),
 ];
 
 /// Classes whose intra-class (self-edge) discipline is established

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use tufast_htm::{Addr, LineSet, LineState, WordMap};
+use tufast_htm::{Addr, Footprint, LineState, WordMap};
 
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
@@ -69,10 +69,9 @@ impl GraphScheduler for SoftwareTm {
             owner,
             penalty_spins: self.penalty_spins,
             start_ts: 0,
-            read_set: Vec::with_capacity(64),
-            read_lines: LineSet::with_capacity(64),
+            footprint: Footprint::with_capacity(64),
             write_buf: WordMap::with_capacity(64),
-            write_lines: LineSet::with_capacity(64),
+            locked: Vec::with_capacity(64),
             stats: SchedStats::default(),
         }
     }
@@ -90,20 +89,18 @@ pub struct StmWorker {
     owner: u32,
     penalty_spins: u32,
     start_ts: u64,
-    read_set: Vec<(u64, u64)>,
-    read_lines: LineSet,
+    footprint: Footprint,
     write_buf: WordMap,
-    write_lines: LineSet,
+    /// Commit scratch: `(write line, pre-lock version)` in address order.
+    locked: Vec<(u64, u64)>,
     stats: SchedStats,
 }
 
 impl StmWorker {
     fn begin(&mut self) {
         self.start_ts = self.sys.mem().clock_now_pub();
-        self.read_set.clear();
-        self.read_lines.clear();
+        self.footprint.clear();
         self.write_buf.clear();
-        self.write_lines.clear();
     }
 
     #[inline]
@@ -116,7 +113,7 @@ impl StmWorker {
     /// Full read-set revalidation (TinySTM's time-base extension).
     fn validate(&self) -> bool {
         let mem = self.sys.mem();
-        self.read_set.iter().all(|&(line, ver)| {
+        self.footprint.reads().all(|(line, ver, _)| {
             matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver)
         })
     }
@@ -136,42 +133,29 @@ impl StmWorker {
             obs.commit_ticketed(self.owner, || mem.clock_now_pub());
             return Ok(());
         }
-        let mut lines: Vec<u64> = self.write_lines.iter().collect();
-        lines.sort_unstable();
-        let mut locked: Vec<(u64, u64)> = Vec::with_capacity(lines.len());
-        'locking: for &line in &lines {
-            for spin in 0..COMMIT_LOCK_SPINS {
-                if let Some(old_ver) = mem.try_lock_line_pub(line, self.owner) {
-                    locked.push((line, old_ver));
-                    continue 'locking;
-                }
-                if spin % 32 == 31 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            for &(l, v) in &locked {
-                mem.unlock_line_pub(l, v);
-            }
+        self.locked.clear();
+        self.locked
+            .extend(self.footprint.writes().map(|line| (line, 0)));
+        self.locked.sort_unstable();
+        if !mem.try_lock_lines(&mut self.locked, self.owner, COMMIT_LOCK_SPINS) {
             return Err(TxInterrupt::Restart);
         }
+        let locked = &self.locked;
         let commit_ts = mem.clock_tick_pub();
-        // `locked` is sorted by line (built from sorted `lines`), so a
-        // binary search finds the pre-lock version of lines we hold.
-        let ok = self.read_set.iter().all(|&(line, ver)| {
-            match locked.binary_search_by_key(&line, |&(l, _)| l) {
+        let ok = self.footprint.reads().all(|(line, ver, written)| {
+            if written {
                 // We hold the line: compare against its pre-lock version —
                 // another transaction may have committed it between our
-                // read and our lock acquisition.
-                Ok(i) => locked[i].1 == ver,
-                Err(_) => matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver),
+                // read and our lock acquisition. (`locked` is sorted.)
+                locked
+                    .binary_search_by_key(&line, |&(l, _)| l)
+                    .is_ok_and(|i| locked[i].1 == ver)
+            } else {
+                matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver)
             }
         });
         if !ok {
-            for &(l, v) in &locked {
-                mem.unlock_line_pub(l, v);
-            }
+            mem.unlock_lines(locked, None);
             return Err(TxInterrupt::Restart);
         }
         for (addr, val) in self.write_buf.iter() {
@@ -180,9 +164,7 @@ impl StmWorker {
         // The write-path ticket is the TL2 commit timestamp itself, minted
         // above while the write lines were already locked.
         obs.commit_ticketed(self.owner, || commit_ts);
-        for &(l, _) in &locked {
-            mem.unlock_line_pub(l, commit_ts);
-        }
+        mem.unlock_lines(locked, Some(commit_ts));
         Ok(())
     }
 }
@@ -232,9 +214,7 @@ impl TxnOps for StmWorker {
                 self.start_ts = new_ts;
                 continue;
             }
-            if self.read_lines.insert(line) {
-                self.read_set.push((line, version));
-            }
+            self.footprint.note_read(line, version);
             return Ok(val);
         }
     }
@@ -248,7 +228,7 @@ impl TxnOps for StmWorker {
             return Err(TxInterrupt::Restart);
         }
         self.write_buf.insert(addr, val);
-        self.write_lines.insert(line);
+        self.footprint.note_write(line);
         Ok(())
     }
 }

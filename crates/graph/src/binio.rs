@@ -213,8 +213,9 @@ pub fn read_graph<R: Read>(reader: R) -> Result<Graph, BinError> {
         None
     };
     // In-edges are recomputed by the builder rather than trusted (the file
-    // may be hand-made; correctness beats the small rebuild cost). Their
-    // offsets are still validated so corruption is reported as such.
+    // may be hand-made; correctness beats the small rebuild cost: one
+    // O(m + n) transposition of the out-edges, no sort). Their offsets are
+    // still validated so corruption is reported as such.
     let want_in = flags & FLAG_IN_EDGES != 0;
     if want_in {
         let in_offsets = read_u64s(&mut input, num_vertices + 1)?;

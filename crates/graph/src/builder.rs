@@ -1,13 +1,22 @@
-//! Edge-list accumulation and CSR construction.
+//! Edge-list accumulation and counting-sort CSR construction.
 
-use crate::csr::{Csr, Graph, VertexId};
+use crate::csr::{counts_to_cursors, Csr, Graph, VertexId};
 
 /// Accumulates edges and builds a [`Graph`].
 ///
-/// The builder sorts edges by `(src, dst)`, removes duplicates and
-/// self-loops by default (the paper's analytics treat graphs as simple),
-/// and can symmetrise (for the undirected MIS/matching workloads) and
-/// materialise in-edges (for pull-style PageRank).
+/// The built graph has every adjacency list sorted ascending, with
+/// duplicates and self-loops removed by default (the paper's analytics
+/// treat graphs as simple); the builder can symmetrise (for the undirected
+/// MIS/matching workloads) and materialise in-edges (for pull-style
+/// PageRank).
+///
+/// [`build`](Self::build) is a counting sort, `O(m + n)` scatter plus a
+/// local sort per adjacency list, with no comparison sort over the whole
+/// edge list (DESIGN.md §4.6). Memory bound: at its peak it holds the
+/// buffered pairs, one `n + 1` offsets array and one 4-byte target per
+/// directed edge of the result (8 bytes, target and weight packed, on the
+/// weighted path); `symmetric()` mirrors while scattering rather than
+/// doubling the pairs, and the pairs are freed before in-edges are built.
 #[derive(Debug)]
 pub struct GraphBuilder {
     num_vertices: usize,
@@ -36,7 +45,8 @@ impl GraphBuilder {
         }
     }
 
-    /// Pre-size the edge buffer.
+    /// Pre-size the edge buffer (and the weight buffer, once the first
+    /// weighted edge shows the graph is weighted).
     pub fn with_edge_capacity(mut self, cap: usize) -> Self {
         self.edges.reserve(cap);
         self
@@ -61,6 +71,10 @@ impl GraphBuilder {
         );
         self.weighted = true;
         self.check(src, dst);
+        if self.weights.is_empty() {
+            // Whatever `with_edge_capacity` asked for, for weights as well.
+            self.weights.reserve(self.edges.capacity());
+        }
         self.edges.push((src, dst));
         self.weights.push(weight);
     }
@@ -108,107 +122,117 @@ impl GraphBuilder {
     /// Build the graph, consuming the builder.
     pub fn build(self) -> Graph {
         let GraphBuilder {
-            num_vertices,
-            mut edges,
-            mut weights,
+            num_vertices: n,
+            edges,
+            weights,
             weighted,
             keep_duplicates,
             keep_self_loops,
             symmetric,
             in_edges,
         } = self;
-
-        if symmetric {
-            let fwd = edges.len();
-            edges.reserve(fwd);
-            for i in 0..fwd {
-                let (s, d) = edges[i];
-                edges.push((d, s));
-            }
-            if weighted {
-                weights.reserve(fwd);
-                for i in 0..fwd {
-                    let w = weights[i];
-                    weights.push(w);
-                }
-            }
-        }
-
-        // Sort edges (carrying weights along) and clean.
-        let (out, out_weights) = build_csr(
-            num_vertices,
-            &mut edges,
-            if weighted { Some(&mut weights) } else { None },
-            keep_duplicates,
+        let arcs = Arcs {
+            edges: &edges,
+            symmetric,
             keep_self_loops,
-        );
+        };
 
-        let rev = in_edges.then(|| {
-            let mut rev_edges: Vec<(VertexId, VertexId)> =
-                out.new_edges_iter().map(|(s, d)| (d, s)).collect();
-            // Already deduped/cleaned in the forward pass.
-            let (csr, _) = build_csr(num_vertices, &mut rev_edges, None, true, true);
-            csr
-        });
-
+        let (out, out_weights) = if weighted {
+            // A slot is `target << 32 | weight`: sorting slots orders a list
+            // by target, then by weight, so the first of a run of one
+            // target carries the smallest weight — the one dedup keeps.
+            let (mut offsets, mut slots) =
+                arcs.bucket(n, |i, dst| u64::from(dst) << 32 | u64::from(weights[i]));
+            drop((edges, weights));
+            sort_and_clean(&mut offsets, &mut slots, keep_duplicates, |slot| slot >> 32);
+            let targets = slots.iter().map(|&slot| (slot >> 32) as VertexId).collect();
+            let out_weights = slots.iter().map(|&slot| slot as u32).collect();
+            (Csr::new(offsets, targets), Some(out_weights))
+        } else {
+            let (mut offsets, mut targets) = arcs.bucket(n, |_, dst| dst);
+            drop(edges);
+            sort_and_clean(&mut offsets, &mut targets, keep_duplicates, |dst| dst);
+            (Csr::new(offsets, targets), None)
+        };
+        let rev = in_edges.then(|| out.transposed());
         Graph::from_parts(out, rev, out_weights)
     }
 }
 
-impl Csr {
-    fn new_edges_iter(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.num_vertices() as VertexId)
-            .flat_map(move |v| self.neighbors(v).iter().map(move |&u| (v, u)))
+/// The directed edges a build keeps from the buffered pairs.
+struct Arcs<'a> {
+    edges: &'a [(VertexId, VertexId)],
+    symmetric: bool,
+    keep_self_loops: bool,
+}
+
+impl Arcs<'_> {
+    /// Call `f(pair index, src, dst)` for every pair that is kept and,
+    /// when symmetrising, for its mirror right after it.
+    #[inline]
+    fn for_each(&self, mut f: impl FnMut(usize, VertexId, VertexId)) {
+        for (i, &(src, dst)) in self.edges.iter().enumerate() {
+            if src == dst && !self.keep_self_loops {
+                continue;
+            }
+            f(i, src, dst);
+            if self.symmetric {
+                f(i, dst, src);
+            }
+        }
+    }
+
+    /// Counting sort by source: count, prefix-sum, scatter `slot(pair
+    /// index, dst)`. Returns the bucket offsets (`n + 1` of them) and the
+    /// slots, each bucket in input order.
+    fn bucket<T: Copy + Default>(
+        &self,
+        n: usize,
+        slot: impl Fn(usize, VertexId) -> T,
+    ) -> (Vec<u64>, Vec<T>) {
+        let mut offsets = vec![0u64; n + 1];
+        self.for_each(|_, src, _| offsets[src as usize + 1] += 1);
+        let mut slots = vec![T::default(); counts_to_cursors(&mut offsets)];
+        self.for_each(|i, src, dst| {
+            let cursor = &mut offsets[src as usize + 1];
+            slots[*cursor as usize] = slot(i, dst);
+            *cursor += 1;
+        });
+        (offsets, slots)
     }
 }
 
-fn build_csr(
-    num_vertices: usize,
-    edges: &mut Vec<(VertexId, VertexId)>,
-    mut weights: Option<&mut Vec<u32>>,
+/// Sort every bucket and, unless duplicates are kept, drop all but the
+/// first slot of each run with one `target`; the survivors are compacted
+/// to the front of `slots` and their offsets written over the bucket
+/// offsets (the write position never passes the read position).
+fn sort_and_clean<T: Copy + Ord>(
+    offsets: &mut [u64],
+    slots: &mut Vec<T>,
     keep_duplicates: bool,
-    keep_self_loops: bool,
-) -> (Csr, Option<Vec<u32>>) {
-    // Sort by (src, dst); when weighted, sort an index permutation so weights
-    // travel with their edges (smallest weight wins among duplicates, making
-    // dedup deterministic).
-    let (sorted_edges, sorted_weights): (Vec<(VertexId, VertexId)>, Option<Vec<u32>>) =
-        if let Some(w) = &mut weights {
-            let mut perm: Vec<usize> = (0..edges.len()).collect();
-            perm.sort_unstable_by_key(|&i| (edges[i], w[i]));
-            (
-                perm.iter().map(|&i| edges[i]).collect(),
-                Some(perm.iter().map(|&i| w[i]).collect()),
-            )
-        } else {
-            edges.sort_unstable();
-            (std::mem::take(edges), None)
-        };
-
-    let mut offsets = vec![0u64; num_vertices + 1];
-    let mut targets = Vec::with_capacity(sorted_edges.len());
-    let mut out_weights = sorted_weights
-        .as_ref()
-        .map(|_| Vec::with_capacity(sorted_edges.len()));
-    let mut prev: Option<(VertexId, VertexId)> = None;
-    for (i, &(s, d)) in sorted_edges.iter().enumerate() {
-        if !keep_self_loops && s == d {
-            continue;
+    target: impl Fn(T) -> T,
+) {
+    let mut start = 0usize;
+    let mut kept = 0usize;
+    for end in &mut offsets[1..] {
+        let bucket = start..*end as usize;
+        start = bucket.end;
+        slots[bucket.clone()].sort_unstable();
+        if keep_duplicates {
+            continue; // nothing dropped: bucket offsets are final
         }
-        if !keep_duplicates && prev == Some((s, d)) {
-            continue;
+        let first = kept;
+        for i in bucket {
+            if kept == first || target(slots[kept - 1]) != target(slots[i]) {
+                slots[kept] = slots[i];
+                kept += 1;
+            }
         }
-        prev = Some((s, d));
-        offsets[s as usize + 1] += 1;
-        targets.push(d);
-        if let (Some(ow), Some(sw)) = (&mut out_weights, &sorted_weights) {
-            ow.push(sw[i]);
-        }
+        *end = kept as u64;
     }
-    for i in 0..num_vertices {
-        offsets[i + 1] += offsets[i];
+    if !keep_duplicates {
+        slots.truncate(kept);
     }
-    (Csr::new(offsets, targets), out_weights)
 }
 
 #[cfg(test)]
@@ -290,6 +314,13 @@ mod tests {
         b.add_weighted_edge(0, 1, 4);
         let g = b.symmetric().build();
         assert_eq!(g.weighted_neighbors(1).collect::<Vec<_>>(), vec![(0, 4)]);
+    }
+
+    #[test]
+    fn edge_capacity_covers_weights() {
+        let mut b = GraphBuilder::new(4).with_edge_capacity(1000);
+        b.add_weighted_edge(0, 1, 5);
+        assert!(b.weights.capacity() >= 1000);
     }
 
     #[test]

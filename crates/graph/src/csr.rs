@@ -24,6 +24,27 @@ impl Csr {
         }
     }
 
+    /// The reverse adjacency, by counting sort on the target. Walking
+    /// sources in ascending order fills every in-list in ascending order
+    /// (parallel edges side by side), so nothing is sorted.
+    pub(crate) fn transposed(&self) -> Csr {
+        let n = self.num_vertices();
+        let mut offsets = vec![0u64; n + 1];
+        for &dst in self.targets.iter() {
+            offsets[dst as usize + 1] += 1;
+        }
+        counts_to_cursors(&mut offsets);
+        let mut sources = vec![0; self.targets.len()];
+        for src in 0..n as VertexId {
+            for &dst in self.neighbors(src) {
+                let cursor = &mut offsets[dst as usize + 1];
+                sources[*cursor as usize] = src;
+                *cursor += 1;
+            }
+        }
+        Csr::new(offsets, sources)
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -58,6 +79,20 @@ impl Csr {
         let v = v as usize;
         self.offsets[v] as usize..self.offsets[v + 1] as usize
     }
+}
+
+/// Second step of a counting sort whose first step counted list `v`'s
+/// entries into `offsets[v + 1]`: a shifted exclusive prefix sum, after
+/// which `offsets[v + 1]` is where list `v` starts. The scatter uses that
+/// cell as the list's write cursor, so that once the list is full the cell
+/// has become where the list ends — the finished CSR offsets, with no
+/// second cursor array. Returns the number of entries.
+pub(crate) fn counts_to_cursors(offsets: &mut [u64]) -> usize {
+    let mut total = 0u64;
+    for cursor in &mut offsets[1..] {
+        total += std::mem::replace(cursor, total);
+    }
+    total as usize
 }
 
 /// A directed graph in CSR form, with optional reverse adjacency and

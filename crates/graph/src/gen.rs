@@ -51,19 +51,17 @@ pub fn rmat_with_params(
         perm.swap(i, rng.random_range(0..=i));
     }
     let mut builder = GraphBuilder::new(n).with_edge_capacity(m);
+    // One draw per level picks the quadrant: [0, a) is (0, 0), [a, a+b) is
+    // (0, 1), [a+b, a+b+c) is (1, 0), the rest (1, 1). The quadrant is
+    // close to a coin flip no predictor learns, so select it with
+    // comparisons, not with branches.
+    let (ab, abc) = (a + b, a + b + c);
     for _ in 0..m {
         let (mut x, mut y) = (0u32, 0u32);
         for level in (0..scale).rev() {
             let r: f64 = rng.random();
-            let (dx, dy) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let dx = u32::from(r >= ab);
+            let dy = u32::from((r >= a) & (r < ab) | (r >= abc));
             x |= dx << level;
             y |= dy << level;
         }
@@ -174,27 +172,23 @@ pub fn path(n: usize) -> Graph {
 }
 
 /// Attach uniform random weights in `1..=max_weight` to an existing graph
-/// (the paper generates SSSP weights randomly). The reverse adjacency and
-/// symmetry of the input are preserved edge-by-edge via re-building.
+/// (the paper generates SSSP weights randomly). The adjacency arrays are
+/// kept as they are and one weight per edge is added, in `O(m)`; an
+/// edgeless graph stays unweighted, as the builder would leave it.
 pub fn with_random_weights(g: &Graph, max_weight: u32, seed: u64) -> Graph {
-    let mut builder = GraphBuilder::new(g.num_vertices())
-        .with_edge_capacity(g.num_edges() as usize)
-        .keep_duplicates()
-        .keep_self_loops();
-    if g.reverse().is_some() {
-        builder = builder.with_in_edges();
-    }
     // Mirror weights across symmetric pairs deterministically by hashing the
     // unordered pair, so (u,v) and (v,u) get the same weight.
     let pair_seed = seed ^ 0x9E37_79B9;
-    for (s, d) in g.edges() {
+    // `edges()` cannot tell `collect` its length; reserve it exactly.
+    let mut weights = Vec::with_capacity(g.num_edges() as usize);
+    weights.extend(g.edges().map(|(s, d)| {
         let (lo, hi) = if s < d { (s, d) } else { (d, s) };
         let h =
             (u64::from(lo) << 32 | u64::from(hi)).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ pair_seed;
-        let w = (h % u64::from(max_weight)) as u32 + 1;
-        builder.add_weighted_edge(s, d, w);
-    }
-    builder.build()
+        (h % u64::from(max_weight)) as u32 + 1
+    }));
+    let weights = (!weights.is_empty()).then_some(weights);
+    Graph::from_parts(g.forward().clone(), g.reverse().cloned(), weights)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use tufast_bench::harness::{banner, fmt_rate, parse_args, time, Table};
 use tufast_bench::json::{append_record, JsonRecord};
 use tufast_graph::durable::{self, DurableOpen};
 use tufast_graph::mutable::{MutableGraph, MutationOutcome, OverlayConfig};
-use tufast_graph::wal::{Mutation, SyncPolicy};
+use tufast_graph::wal::{Mutation, SyncPolicy, WalIoCounts};
 use tufast_graph::{gen, Graph, VertexId};
 use tufast_htm::MemoryLayout;
 use tufast_txn::{GraphScheduler, SystemConfig, TwoPhaseLocking, TxnSystem};
@@ -62,29 +62,30 @@ fn main() {
 
     let mut table = Table::new(&[
         "commit path",
+        "writes",
         "fsyncs",
         "secs",
         "mutations/s",
         "vs volatile",
     ]);
-    let mut rows: Vec<(String, u64, f64, f64)> = Vec::new();
+    let mut rows: Vec<(String, WalIoCounts, f64, f64)> = Vec::new();
     let mut graphs: Vec<Graph> = Vec::new();
 
     for mode in ["volatile", "wal-every", "wal-group"] {
         let mut best = f64::MAX;
-        let mut fsyncs = 0u64;
+        let mut io = WalIoCounts::default();
         let mut materialized = None;
         for rep in 0..REPS {
-            let (g, secs, syncs) = run_script(mode, &base, capacity, overlay, &script, rep);
+            let (g, secs, counts) = run_script(mode, &base, capacity, overlay, &script, rep);
             if secs < best {
                 best = secs;
             }
-            fsyncs = syncs;
+            io = counts;
             materialized = Some(g);
         }
         rows.push((
             mode.to_string(),
-            fsyncs,
+            io,
             best,
             script.len() as f64 / best.max(1e-9),
         ));
@@ -94,10 +95,11 @@ fn main() {
     assert!(all_equal, "commit paths must produce identical graphs");
 
     let volatile_rate = rows[0].3;
-    for (mode, fsyncs, secs, rate) in &rows {
+    for (mode, io, secs, rate) in &rows {
         table.row(&[
             mode.clone(),
-            fsyncs.to_string(),
+            io.writes.to_string(),
+            io.fsyncs.to_string(),
             format!("{secs:.4}"),
             fmt_rate(*rate),
             format!("{:.2}x", rate / volatile_rate.max(1e-9)),
@@ -115,7 +117,8 @@ fn main() {
                         1
                     },
                 )
-                .num_u("fsyncs", *fsyncs)
+                .num_u("writes", io.writes)
+                .num_u("fsyncs", io.fsyncs)
                 .num_f("secs", *secs)
                 .num_f("mutations_per_sec", *rate);
             append_record(path, &rec).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
@@ -162,7 +165,7 @@ fn mutation_script(base_nv: usize, capacity: usize, count: usize, seed: u64) -> 
 }
 
 /// Run the script through one commit path; returns (materialized graph,
-/// seconds, fsync count).
+/// seconds, the log writer's measured write and fsync counts).
 fn run_script(
     mode: &str,
     base: &Graph,
@@ -170,7 +173,7 @@ fn run_script(
     overlay: OverlayConfig,
     script: &[Mutation],
     rep: usize,
-) -> (Graph, f64, u64) {
+) -> (Graph, f64, WalIoCounts) {
     if mode == "volatile" {
         let mut layout = MemoryLayout::new();
         let mg = MutableGraph::carve(base.clone(), capacity, overlay, &mut layout);
@@ -183,7 +186,7 @@ fn run_script(
                 apply_volatile(&mg, &mut w, *m);
             }
         });
-        return (mg.materialize(sys.mem()), secs, 0);
+        return (mg.materialize(sys.mem()), secs, WalIoCounts::default());
     }
 
     let policy = match mode {
@@ -217,15 +220,10 @@ fn run_script(
         }
         dg.sync().expect("final sync"); // drain the last group
     });
-    // Every durable mutation fsyncs under EveryCommit; group commit pays
-    // one per batch plus the final drain.
-    let fsyncs = match policy {
-        SyncPolicy::EveryCommit => script.len() as u64,
-        SyncPolicy::Group { max_pending } => script.len() as u64 / u64::from(max_pending) + 1,
-    };
+    let io = dg.wal_io_counts();
     let g = dg.materialize();
     let _ = std::fs::remove_dir_all(&dir);
-    (g, secs, fsyncs)
+    (g, secs, io)
 }
 
 fn apply_volatile(mg: &MutableGraph, w: &mut impl tufast_txn::TxnWorker, m: Mutation) {

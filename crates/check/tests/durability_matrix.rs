@@ -6,12 +6,17 @@
 //! power cut, crash between the commit record turning durable and its
 //! effects applying, crash on either side of checkpoint log truncation,
 //! and checkpoints interleaved with a late crash (snapshot + replay).
+//! The group-commit cells cover the writer's staging buffer: frames
+//! acknowledged since the last sync live in process memory, so what a
+//! death leaves is the last group boundary plus whatever reached the file
+//! afterwards — the harness drops the graph after catching the crash, and
+//! the drop writes what is staged; a power cut takes that away again.
 
 #![cfg(feature = "faults")]
 
 use std::path::PathBuf;
 
-use tufast_check::durability::{run_cell, scripted_mutations, DurabilityCell};
+use tufast_check::durability::{run_cell, scripted_mutations, DurabilityCell, DurabilityOutcome};
 use tufast_graph::mutable::OverlayConfig;
 use tufast_graph::wal::SyncPolicy;
 use tufast_graph::{gen, Graph};
@@ -249,11 +254,94 @@ fn late_crash_after_checkpoints_recovers_snapshot_plus_replay() {
     assert!(out.prefix_exact());
 }
 
+/// Group commit of 7 over the 60-entry script, one seeded fault.
+fn group7_cell(tag: &str, seed: u64, fault: FaultSpec, power_cut: bool) -> DurabilityOutcome {
+    let script = scripted_mutations(BASE_NV, CAPACITY, SCRIPT_LEN, seed);
+    run_cell(
+        &temp_dir(tag),
+        &base(),
+        CAPACITY,
+        overlay(),
+        &script,
+        &DurabilityCell {
+            fault,
+            policy: SyncPolicy::Group { max_pending: 7 },
+            power_cut,
+            ..DurabilityCell::default()
+        },
+    )
+}
+
+#[test]
+fn torn_append_under_group_commit_keeps_the_staged_whole_frames() {
+    // Mutations 15 and 16 are staged when the 17th tears: the writer hands
+    // them to the file before the half frame, so the tear costs only itself.
+    let torn = FaultSpec {
+        torn_wal_at_append: 17,
+        ..wal_spec()
+    };
+    let out = group7_cell("group-torn", 0xA7, torn.clone(), false);
+    assert!(out.crashed);
+    assert_eq!(out.acked, 16);
+    assert_eq!(out.recovered_lsn, 16, "whole frames first, then the tear");
+    assert!(out.recovery.wal_truncated_bytes > 0, "the tail was torn");
+    assert!(out.prefix_exact());
+
+    // A power cut leaves what the last group sync made durable.
+    let out = group7_cell("group-torn-cut", 0xA7, torn, true);
+    assert!(out.crashed);
+    assert_eq!(out.acked, 16);
+    assert_eq!(out.recovered_lsn, 14, "the last group boundary");
+    assert!(out.prefix_exact());
+}
+
+#[test]
+fn crash_mid_commit_under_group_commit_recovers_a_group_prefix() {
+    let crash = FaultSpec {
+        crash_at_wal_commit: 23,
+        ..wal_spec()
+    };
+    // Frames 22 and 23 were staged at the death. The group-commit contract
+    // promises the boundary (21); the drop of the dead writer may add them.
+    let out = group7_cell("group-midcommit", 0xC7, crash.clone(), false);
+    assert!(out.crashed);
+    assert_eq!(out.acked, 22);
+    assert!(
+        (21..=23).contains(&out.recovered_lsn),
+        "between the last group boundary and the dying commit (got {})",
+        out.recovered_lsn
+    );
+    assert!(out.prefix_exact());
+
+    let out = group7_cell("group-midcommit-cut", 0xC7, crash, true);
+    assert!(out.crashed);
+    assert_eq!(out.recovered_lsn, 21, "exactly the last group boundary");
+    assert_eq!(out.recovery.wal_truncated_bytes, 0);
+    assert!(out.prefix_exact());
+}
+
+#[test]
+fn clean_drop_under_group_commit_writes_the_staged_tail() {
+    // 60 = 8 groups of 7 + 4: the harness drops the graph without `sync()`,
+    // and the drop must hand the last 4 frames to the file.
+    let out = group7_cell("group-clean-drop", 0xD7, wal_spec(), false);
+    assert!(!out.crashed);
+    assert_eq!(out.acked, SCRIPT_LEN);
+    assert_eq!(out.recovered_lsn, SCRIPT_LEN as u64);
+    assert_eq!(out.recovery.wal_truncated_bytes, 0);
+    assert!(out.prefix_exact());
+}
+
 #[test]
 fn fault_counters_confirm_each_seeded_site_fired() {
     // The matrix is only meaningful if the seeded faults actually fire;
     // each kind leaves a distinctive observable, so check one
-    // representative per kind.
+    // representative per kind, under per-commit and under group sync.
+    fault_sites_fire_under(SyncPolicy::EveryCommit, "every");
+    fault_sites_fire_under(SyncPolicy::Group { max_pending: 4 }, "group4");
+}
+
+fn fault_sites_fire_under(policy: SyncPolicy, sync: &str) {
     for (spec, kind, checkpoint) in [
         (
             FaultSpec {
@@ -292,14 +380,14 @@ fn fault_counters_confirm_each_seeded_site_fired() {
         let script = scripted_mutations(BASE_NV, CAPACITY, 20, 0x99);
         let label = kind.label();
         let out = run_cell(
-            &temp_dir(&format!("counter-{label}")),
+            &temp_dir(&format!("counter-{label}-{sync}")),
             &g,
             CAPACITY,
             overlay(),
             &script,
             &DurabilityCell {
                 fault: spec,
-                policy: SyncPolicy::EveryCommit,
+                policy,
                 checkpoint_every: checkpoint,
                 power_cut: kind == FaultKind::LostFsync,
             },

@@ -15,6 +15,17 @@
 //! `append → fsync policy → transactional apply`, so **log order is
 //! commit order**: the WAL always holds a frame for every mutation whose
 //! effects are visible, and recovery replays a *prefix-closed* history.
+//! "Holds" means *appended*: the writer stages frames in memory and hands
+//! them to the file in one `write` when the sync policy syncs (or its
+//! 4 KiB buffer fills), so under [`SyncPolicy::EveryCommit`] the frame is
+//! on disk before the apply, and under [`SyncPolicy::Group`] a commit
+//! acknowledged since the last sync lives in process memory — lost to a
+//! process death as well as to a power cut, which is the group-commit
+//! contract ("durable only after the next sync"). Call
+//! [`DurableGraph::sync`] before dropping a graph whose last commits must
+//! survive; the drop itself writes what is staged, best effort and without
+//! an fsync. After an I/O error the writer fails closed: every later
+//! commit, sync and checkpoint returns the error and applies nothing.
 //! Mutators serialize against each other on the lock; analytics
 //! transactions run concurrently through the schedulers as usual and
 //! serialize against the mutation's *transactional* apply (which is why
@@ -39,7 +50,9 @@ use tufast_txn::{TxnSystem, TxnWorker};
 use crate::binio;
 use crate::mutable::{MutableGraph, MutationOutcome, OverlayConfig};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotStore};
-use crate::wal::{Mutation, SyncPolicy, WalError, WalHeader, WalOpenReport, WalWriter};
+use crate::wal::{
+    Mutation, SyncPolicy, WalError, WalHeader, WalIoCounts, WalOpenReport, WalWriter,
+};
 use crate::{Graph, VertexId};
 
 /// File name of the immutable CSR base inside a durable directory.
@@ -467,6 +480,12 @@ impl DurableGraph {
         self.lock_wal().next_lsn() - 1
     }
 
+    /// Frames appended, writes issued and fsyncs executed by the log writer
+    /// since this graph was opened.
+    pub fn wal_io_counts(&self) -> WalIoCounts {
+        self.lock_wal().io_counts()
+    }
+
     /// Shared really-durable log length (see
     /// [`WalWriter::durable_len_handle`]) — the durability harness clones
     /// this to simulate power cuts.
@@ -589,6 +608,41 @@ mod tests {
         );
         assert_eq!(dg.add_vertex(&mut w).unwrap(), None, "at capacity");
         assert_eq!(dg.last_lsn(), 0, "nothing may reach the log");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn commit_after_a_log_io_error_applies_nothing() {
+        let dir = temp_dir("dev-full");
+        init_dir(&dir, &line_graph(4), 8, small_cfg()).unwrap();
+        let (dg, _) = open(&dir, SyncPolicy::EveryCommit);
+        let sched = TwoPhaseLocking::new(Arc::clone(dg.system()));
+        let mut w = sched.worker();
+        dg.add_edge(&mut w, 3, 0, 0).unwrap();
+        let before = dg.materialize();
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        let real = dg.lock_wal().replace_file(full);
+        assert!(matches!(
+            dg.add_edge(&mut w, 2, 0, 0),
+            Err(DurableError::Wal(WalError::Io(_)))
+        ));
+        // Space comes back; the failure is sticky all the same.
+        drop(dg.lock_wal().replace_file(real));
+        assert!(dg.add_edge(&mut w, 1, 3, 0).is_err());
+        assert!(dg.add_vertex(&mut w).is_err());
+        assert!(dg.sync().is_err());
+        assert!(dg.checkpoint().is_err());
+        assert_eq!(dg.materialize(), before, "a failed commit applies nothing");
+        let counts = dg.wal_io_counts();
+        assert_eq!((counts.frames, counts.writes, counts.fsyncs), (2, 1, 1));
+        drop(dg);
+        let (dg2, recovery) = open(&dir, SyncPolicy::EveryCommit);
+        assert_eq!(recovery.wal_records, 1);
+        assert_eq!(recovery.wal_truncated_bytes, 0);
+        assert_eq!(dg2.materialize(), before);
     }
 
     #[test]

@@ -30,9 +30,32 @@
 //! * **Group commit** — [`SyncPolicy::Group`] batches fsyncs; commits
 //!   acknowledged between syncs are durable only after the next sync (the
 //!   standard group-commit contract).
+//! * **Staged appends** — a frame is *appended* when it is staged, *written*
+//!   at the group boundary or when the buffer fills, *durable* after the
+//!   fsync. [`WalWriter::append`] copies the finished frame into a small
+//!   user-space buffer; the buffer reaches the file in one `write` per
+//!   group, so only whole frames in LSN order are ever written.
+//! * **Fail closed** — after any failed write, fsync or truncation the
+//!   writer refuses every later operation: a frame written behind a torn
+//!   one would be unreachable at recovery, and a retried fsync may falsely
+//!   succeed.
 //! * **Torn-tail truncation** — [`WalWriter::open`] validates every frame
 //!   (length, CRC, LSN continuity) and truncates the file at the first
 //!   invalid byte, so a crash mid-append costs exactly the torn record.
+//!
+//! What an acknowledged commit survives (recovery is prefix-closed in every
+//! cell; "since the last sync" means since the last group boundary,
+//! [`WalWriter::sync_now`] or checkpoint):
+//!
+//! | event | `EveryCommit` | `Group{n}`, one `write` per frame (before) | `Group{n}`, staged (now) |
+//! |---|---|---|---|
+//! | clean drop | every commit | every commit | every commit — `Drop` writes what is staged, without an fsync |
+//! | process death | every commit | every commit (the page cache outlives the process) | all but the commits since the last sync (at most `n - 1`) |
+//! | power cut | every commit | all but the commits since the last sync | all but the commits since the last sync |
+//!
+//! Under `Group` call [`WalWriter::sync_now`] (`DurableGraph::sync`) before
+//! dropping a writer whose commits must all survive: the drop-time write is
+//! best effort and reports no error.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -53,6 +76,10 @@ pub const HEADER_LEN: u64 = 4 + 4 + 8 + 8 + 8 + 4;
 const PAYLOAD_LEN: u32 = 1 + 4 + 4 + 4;
 /// Full frame size of one record.
 pub const FRAME_LEN: u64 = 4 + 8 + PAYLOAD_LEN as u64 + 4;
+
+/// Staging-buffer capacity: the whole frames that fit in 4 KiB (141). An
+/// unsynced run longer than this is written out a buffer at a time.
+const STAGE_CAP: usize = 4096 / FRAME_LEN as usize * FRAME_LEN as usize;
 
 /// Pseudo worker id under which WAL fault probes report injected crashes.
 const WAL_WORKER: u32 = u32::MAX - 1;
@@ -268,16 +295,38 @@ pub enum SyncPolicy {
     },
 }
 
+/// What a [`WalWriter`] has done since it was created or opened, counted
+/// where it happens.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalIoCounts {
+    /// Frames appended (staged).
+    pub frames: u64,
+    /// `write` calls that handed staged frames to the file.
+    pub writes: u64,
+    /// fsyncs really executed (a seeded lost fsync is not one).
+    pub fsyncs: u64,
+}
+
 /// Appending writer over one TFWL log file.
 ///
 /// One writer at a time (the durable-graph commit lock guarantees this);
-/// reading via [`parse_bytes`] is safe anytime.
+/// reading via [`parse_bytes`] is safe anytime. Dropping a writer hands
+/// what is staged to the file without an fsync and without reporting an
+/// error, like `BufWriter`; call [`WalWriter::sync_now`] first when the
+/// frames must survive.
 pub struct WalWriter {
     file: File,
     path: PathBuf,
     header: WalHeader,
     next_lsn: u64,
+    /// Bytes appended: what the file holds plus what is staged.
     written_len: u64,
+    /// Whole frames appended but not yet written, in LSN order. Allocated
+    /// by the first append; empty once the writer has failed.
+    staged: Vec<u8>,
+    /// Kind of the I/O error that failed the writer closed.
+    failed: Option<std::io::ErrorKind>,
+    io: WalIoCounts,
     /// Length as of the last *really executed* fsync — lags `written_len`
     /// under group commit and whenever a lost-fsync fault lied. Shared so
     /// the durability harness can simulate the power cut that exposes the
@@ -304,17 +353,32 @@ impl WalWriter {
             .open(path)?;
         file.write_all(&header.encode())?;
         file.sync_all()?;
-        Ok(WalWriter {
+        Ok(WalWriter::at(file, path, header, 1, HEADER_LEN, policy))
+    }
+
+    /// A writer over `file`, positioned at `len`, whose next frame is `next_lsn`.
+    fn at(
+        file: File,
+        path: &Path,
+        header: WalHeader,
+        next_lsn: u64,
+        len: u64,
+        policy: SyncPolicy,
+    ) -> WalWriter {
+        WalWriter {
             file,
             path: path.to_path_buf(),
             header,
-            next_lsn: 1,
-            written_len: HEADER_LEN,
-            durable_len: Arc::new(AtomicU64::new(HEADER_LEN)),
+            next_lsn,
+            written_len: len,
+            staged: Vec::new(),
+            failed: None,
+            io: WalIoCounts::default(),
+            durable_len: Arc::new(AtomicU64::new(len)),
             pending: 0,
             policy,
             faults: FaultHandle::none(),
-        })
+        }
     }
 
     /// Open an existing log: validate the header, scan and return every
@@ -334,17 +398,7 @@ impl WalWriter {
         file.seek(SeekFrom::Start(valid_len))?;
         let next_lsn = records.last().map_or(1, |r| r.lsn + 1);
         Ok((
-            WalWriter {
-                file,
-                path: path.to_path_buf(),
-                header,
-                next_lsn,
-                written_len: valid_len,
-                durable_len: Arc::new(AtomicU64::new(valid_len)),
-                pending: 0,
-                policy,
-                faults: FaultHandle::none(),
-            },
+            WalWriter::at(file, path, header, next_lsn, valid_len, policy),
             WalOpenReport {
                 header,
                 records,
@@ -368,9 +422,15 @@ impl WalWriter {
         self.next_lsn
     }
 
-    /// Bytes written so far (header included), synced or not.
+    /// Bytes appended so far (header included), whether staged, written
+    /// or synced.
     pub fn written_len(&self) -> u64 {
         self.written_len
+    }
+
+    /// Frames appended, writes issued and fsyncs executed so far.
+    pub fn io_counts(&self) -> WalIoCounts {
+        self.io
     }
 
     /// Force the next LSN (recovery sets `snapshot epoch + 1` when the
@@ -392,12 +452,15 @@ impl WalWriter {
         self.faults = faults;
     }
 
-    /// Append one mutation record (not yet synced) and return its LSN.
+    /// Append one mutation record and return its LSN. The frame is staged
+    /// in memory: it reaches the file at the next sync, or earlier when
+    /// the staging buffer is full.
     ///
-    /// A seeded torn-write fault persists only a prefix of the frame and
-    /// then dies ([`tufast_txn::InjectedCrash`]), modelling a crash
-    /// mid-`write`.
+    /// A seeded torn-write fault writes the staged whole frames, persists
+    /// only a prefix of this one and then dies
+    /// ([`tufast_txn::InjectedCrash`]), modelling a crash mid-`write`.
     pub fn append(&mut self, mutation: Mutation) -> Result<u64, WalError> {
+        self.check_open()?;
         let lsn = self.next_lsn;
         let payload = mutation.encode();
         let mut frame = [0u8; FRAME_LEN as usize];
@@ -412,16 +475,58 @@ impl WalWriter {
             // Persist a torn prefix — what a crash in the middle of
             // `write(2)` leaves behind — then die. The sync makes the torn
             // bytes themselves durable, the worst case for the reader.
-            let torn = &frame[..frame.len() / 2];
-            self.file.write_all(torn)?;
+            self.flush()?;
+            let torn = self.file.write_all(&frame[..frame.len() / 2]);
+            self.fail_closed(torn)?;
             let _ = self.file.sync_data();
             raise_injected_crash(WAL_WORKER, lsn);
         }
-        self.file.write_all(&frame)?;
+        if self.staged.len() + frame.len() > STAGE_CAP {
+            self.flush()?;
+        }
+        if self.staged.capacity() == 0 {
+            self.staged.reserve_exact(STAGE_CAP);
+        }
+        self.staged.extend_from_slice(&frame);
         self.written_len += FRAME_LEN;
         self.next_lsn += 1;
-        self.pending += 1;
+        self.pending = self.pending.saturating_add(1);
+        self.io.frames += 1;
         Ok(lsn)
+    }
+
+    /// The sticky error of a writer that has failed closed.
+    fn check_open(&self) -> Result<(), WalError> {
+        match self.failed {
+            None => Ok(()),
+            Some(kind) => Err(WalError::Io(std::io::Error::new(
+                kind,
+                "WAL writer failed closed after an earlier I/O error",
+            ))),
+        }
+    }
+
+    /// Pass an I/O result through; an error fails the writer closed and
+    /// drops what is staged, which can no longer follow the file's valid
+    /// prefix.
+    fn fail_closed<T>(&mut self, result: std::io::Result<T>) -> Result<T, WalError> {
+        result.map_err(|e| {
+            self.failed = Some(e.kind());
+            self.staged.clear();
+            WalError::Io(e)
+        })
+    }
+
+    /// Hand the staged frames to the file in one `write`.
+    fn flush(&mut self) -> Result<(), WalError> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let written = self.file.write_all(&self.staged);
+        self.fail_closed(written)?;
+        self.staged.clear();
+        self.io.writes += 1;
+        Ok(())
     }
 
     /// Make the log durable per the sync policy: every commit, or once a
@@ -433,23 +538,28 @@ impl WalWriter {
                 if self.pending >= max_pending.max(1) {
                     self.sync_now()
                 } else {
-                    Ok(())
+                    self.check_open()
                 }
             }
         }
     }
 
-    /// fsync the log now. A seeded lost-fsync fault reports success while
-    /// leaving the really-durable length behind.
+    /// Write what is staged and fsync the log now. A seeded lost-fsync
+    /// fault reports success while leaving the really-durable length
+    /// behind.
     pub fn sync_now(&mut self) -> Result<(), WalError> {
+        self.check_open()?;
         if self.pending == 0 && self.durable_len.load(Ordering::Relaxed) == self.written_len {
             return Ok(());
         }
         self.pending = 0;
+        self.flush()?;
         if self.faults.wal_lost_fsync() {
             return Ok(()); // the lie: acknowledged, not durable
         }
-        self.file.sync_data()?;
+        let synced = self.file.sync_data();
+        self.fail_closed(synced)?;
+        self.io.fsyncs += 1;
         self.durable_len.store(self.written_len, Ordering::Relaxed);
         Ok(())
     }
@@ -461,18 +571,41 @@ impl WalWriter {
     }
 
     /// Truncate the log back to its header after a covering snapshot is
-    /// durable. Probes the crash site both before and after the `set_len`,
-    /// so the durability matrix can seed a death on either side.
+    /// durable, discarding what is staged (the snapshot covers it too).
+    /// Probes the crash site both before and after the `set_len`, so the
+    /// durability matrix can seed a death on either side.
     pub fn truncate_for_checkpoint(&mut self) -> Result<(), WalError> {
+        self.check_open()?;
+        self.staged.clear();
         self.faults.wal_truncation_crash_point();
-        self.file.set_len(HEADER_LEN)?;
-        self.file.sync_all()?;
-        self.file.seek(SeekFrom::Start(HEADER_LEN))?;
+        let rewound = self
+            .file
+            .set_len(HEADER_LEN)
+            .and_then(|()| self.file.sync_all())
+            .and_then(|()| self.file.seek(SeekFrom::Start(HEADER_LEN)));
+        self.fail_closed(rewound)?;
         self.written_len = HEADER_LEN;
         self.durable_len.store(HEADER_LEN, Ordering::Relaxed);
         self.pending = 0;
         self.faults.wal_truncation_crash_point();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl WalWriter {
+    /// Swap the file under the writer (tests point it at `/dev/full` to
+    /// make the next write fail); returns the previous one.
+    pub(crate) fn replace_file(&mut self, file: File) -> File {
+        std::mem::replace(&mut self.file, file)
+    }
+}
+
+impl Drop for WalWriter {
+    /// Best effort, like `BufWriter`: write what is staged, no fsync, the
+    /// error ignored. A writer that failed closed has nothing staged.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -504,6 +637,10 @@ mod tests {
             slot_cap: 128,
             stripes: 8,
         }
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
     }
 
     fn sample(i: u32) -> Mutation {
@@ -713,9 +850,13 @@ mod tests {
             HEADER_LEN,
             "3 < max_pending: nothing synced yet"
         );
+        assert_eq!(file_len(&path), HEADER_LEN, "the 3 frames are staged");
+        assert_eq!(w.written_len(), HEADER_LEN + 3 * FRAME_LEN);
         w.append(sample(3)).unwrap();
         w.commit_sync().unwrap(); // 4th append triggers the group sync
         assert_eq!(durable.load(Ordering::Relaxed), HEADER_LEN + 4 * FRAME_LEN);
+        assert_eq!(file_len(&path), HEADER_LEN + 4 * FRAME_LEN);
+        assert_eq!(w.io_counts().writes, 1, "one write for the group of 4");
     }
 
     #[test]
@@ -736,6 +877,164 @@ mod tests {
         let (_, report) = WalWriter::open(&path, SyncPolicy::EveryCommit).unwrap();
         assert_eq!(report.records.len(), 1);
         assert_eq!(report.records[0].lsn, 6);
+    }
+
+    #[test]
+    fn full_buffer_writes_whole_frames_only() {
+        let path = temp_wal("cap");
+        let deferred = SyncPolicy::Group {
+            max_pending: u32::MAX,
+        };
+        let mut w = WalWriter::create(&path, header(), deferred).unwrap();
+        assert_eq!(w.staged.capacity(), 0, "no buffer before the first append");
+        let per_buffer = (STAGE_CAP / FRAME_LEN as usize) as u64;
+        assert_eq!(per_buffer, 141);
+        for i in 0..300u64 {
+            w.append(sample(i as u32)).unwrap();
+            w.commit_sync().unwrap();
+            let on_disk = file_len(&path) - HEADER_LEN;
+            assert_eq!(on_disk % FRAME_LEN, 0, "a split frame reached the file");
+            assert_eq!(on_disk / FRAME_LEN, i / per_buffer * per_buffer);
+            assert_eq!(w.written_len(), HEADER_LEN + (i + 1) * FRAME_LEN);
+        }
+        assert_eq!(w.staged.capacity(), STAGE_CAP, "the buffer never regrows");
+        assert_eq!(
+            w.durable_len_handle().load(Ordering::Relaxed),
+            HEADER_LEN,
+            "a full buffer is written, not synced"
+        );
+        w.sync_now().unwrap();
+        let counts = w.io_counts();
+        assert_eq!((counts.frames, counts.writes, counts.fsyncs), (300, 3, 1));
+        drop(w);
+        let (_, report) = WalWriter::open(&path, deferred).unwrap();
+        assert_eq!(report.records.len(), 300);
+        assert_eq!(report.truncated_bytes, 0);
+    }
+
+    #[test]
+    fn io_counts_are_one_write_per_group() {
+        let cases = [
+            (SyncPolicy::EveryCommit, 10u64, 10u64, 10u64),
+            (SyncPolicy::Group { max_pending: 4 }, 10, 3, 3),
+            (SyncPolicy::Group { max_pending: 4 }, 8, 2, 2),
+            (SyncPolicy::Group { max_pending: 0 }, 5, 5, 5),
+        ];
+        for (case, (policy, frames, writes, fsyncs)) in cases.into_iter().enumerate() {
+            let path = temp_wal(&format!("counts-{case}"));
+            let mut w = WalWriter::create(&path, header(), policy).unwrap();
+            for i in 0..frames {
+                w.append(sample(i as u32)).unwrap();
+                w.commit_sync().unwrap();
+            }
+            w.sync_now().unwrap(); // drain the last, partial group
+            w.sync_now().unwrap(); // nothing pending: no write, no fsync
+            let counts = w.io_counts();
+            assert_eq!(
+                (counts.frames, counts.writes, counts.fsyncs),
+                (frames, writes, fsyncs),
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pending_saturates_instead_of_wrapping() {
+        let path = temp_wal("saturate");
+        let deferred = SyncPolicy::Group {
+            max_pending: u32::MAX,
+        };
+        let mut w = WalWriter::create(&path, header(), deferred).unwrap();
+        w.pending = u32::MAX - 1;
+        w.append(sample(0)).unwrap();
+        w.append(sample(1)).unwrap(); // would wrap to 0 (panic in debug)
+        assert_eq!(w.pending, u32::MAX);
+        w.commit_sync().unwrap(); // the group of u32::MAX is full: syncs
+        assert_eq!(w.pending, 0);
+        assert_eq!(file_len(&path), HEADER_LEN + 2 * FRAME_LEN);
+    }
+
+    #[test]
+    fn checkpoint_truncation_discards_staged_frames() {
+        let path = temp_wal("ckpt-staged");
+        let mut w =
+            WalWriter::create(&path, header(), SyncPolicy::Group { max_pending: 4 }).unwrap();
+        for i in 0..6 {
+            w.append(sample(i)).unwrap();
+            w.commit_sync().unwrap();
+        }
+        assert_eq!(file_len(&path), HEADER_LEN + 4 * FRAME_LEN, "2 are staged");
+        w.truncate_for_checkpoint().unwrap();
+        assert_eq!(file_len(&path), HEADER_LEN);
+        assert_eq!(w.written_len(), HEADER_LEN);
+        assert_eq!(w.next_lsn(), 7, "LSNs keep counting across truncation");
+        w.append(sample(9)).unwrap();
+        drop(w); // the staged frames of before the checkpoint must not reappear
+        let (_, report) = WalWriter::open(&path, SyncPolicy::EveryCommit).unwrap();
+        assert_eq!(report.records.len(), 1);
+        assert_eq!(report.records[0].lsn, 7);
+        assert_eq!(report.truncated_bytes, 0);
+    }
+
+    #[test]
+    fn drop_writes_staged_frames_without_syncing() {
+        let path = temp_wal("drop");
+        let mut w =
+            WalWriter::create(&path, header(), SyncPolicy::Group { max_pending: 8 }).unwrap();
+        let durable = w.durable_len_handle();
+        for i in 0..3 {
+            w.append(sample(i)).unwrap();
+            w.commit_sync().unwrap();
+        }
+        assert_eq!(file_len(&path), HEADER_LEN);
+        drop(w);
+        assert_eq!(file_len(&path), HEADER_LEN + 3 * FRAME_LEN);
+        assert_eq!(
+            durable.load(Ordering::Relaxed),
+            HEADER_LEN,
+            "written at drop, never fsynced: a power cut still loses them"
+        );
+        let (_, report) = WalWriter::open(&path, SyncPolicy::EveryCommit).unwrap();
+        assert_eq!(report.records.len(), 3);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn io_error_fails_the_writer_closed() {
+        let path = temp_wal("dev-full");
+        let mut w =
+            WalWriter::create(&path, header(), SyncPolicy::Group { max_pending: 2 }).unwrap();
+        for i in 0..2 {
+            w.append(sample(i)).unwrap();
+            w.commit_sync().unwrap();
+        }
+        // The disk fills: every write fails with ENOSPC.
+        let full = OpenOptions::new().write(true).open("/dev/full").unwrap();
+        let real = w.replace_file(full);
+        w.append(sample(2)).unwrap(); // staged, no I/O yet
+        w.commit_sync().unwrap();
+        w.append(sample(3)).unwrap();
+        assert!(matches!(w.commit_sync(), Err(WalError::Io(_))));
+        assert!(
+            w.staged.is_empty(),
+            "a failed writer keeps nothing to flush"
+        );
+        // Space comes back; the writer must stay failed, or the next frame
+        // (LSN 5) would land behind the gap left by LSNs 3 and 4.
+        drop(w.replace_file(real));
+        let lsn = w.next_lsn();
+        assert!(matches!(w.append(sample(4)), Err(WalError::Io(_))));
+        assert!(matches!(w.commit_sync(), Err(WalError::Io(_))));
+        assert!(matches!(w.sync_now(), Err(WalError::Io(_))));
+        assert!(matches!(w.truncate_for_checkpoint(), Err(WalError::Io(_))));
+        assert_eq!(w.next_lsn(), lsn);
+        let counts = w.io_counts();
+        assert_eq!((counts.frames, counts.writes, counts.fsyncs), (4, 1, 1));
+        drop(w); // the drop writes nothing either
+        let bytes = std::fs::read(&path).unwrap();
+        let (_, records, valid) = parse_bytes(&bytes).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(valid, bytes.len() as u64, "nothing sits behind the prefix");
     }
 
     #[cfg(feature = "faults")]
@@ -771,6 +1070,38 @@ mod tests {
             );
             let (_, report) = WalWriter::open(&path, SyncPolicy::EveryCommit).unwrap();
             assert_eq!(report.records.len(), 2);
+            assert_eq!(report.truncated_bytes, FRAME_LEN / 2);
+        }
+
+        #[test]
+        fn torn_append_writes_the_staged_frames_before_the_tear() {
+            let path = temp_wal("fault-torn-staged");
+            let mut w =
+                WalWriter::create(&path, header(), SyncPolicy::Group { max_pending: 4 }).unwrap();
+            let plan = FaultPlan::new(FaultSpec {
+                torn_wal_at_append: 7,
+                ..FaultSpec::default()
+            });
+            w.set_fault_handle(FaultHandle::attached(Some(StdArc::clone(&plan)), 0));
+            for i in 0..6 {
+                w.append(sample(i)).unwrap();
+                w.commit_sync().unwrap();
+            }
+            assert_eq!(file_len(&path), HEADER_LEN + 4 * FRAME_LEN, "2 are staged");
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = w.append(sample(6));
+            }));
+            assert!(is_injected_crash(
+                died.expect_err("torn append dies").as_ref()
+            ));
+            drop(w);
+            assert_eq!(
+                file_len(&path),
+                HEADER_LEN + 6 * FRAME_LEN + FRAME_LEN / 2,
+                "whole frames in LSN order, then the half frame"
+            );
+            let (_, report) = WalWriter::open(&path, SyncPolicy::EveryCommit).unwrap();
+            assert_eq!(report.records.len(), 6);
             assert_eq!(report.truncated_bytes, FRAME_LEN / 2);
         }
 

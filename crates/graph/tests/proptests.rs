@@ -1,8 +1,22 @@
-//! Property-based tests of graph construction and generator invariants.
+//! Property-based tests of graph construction, generator and WAL-writer
+//! invariants.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
+use tufast_graph::wal::{
+    parse_bytes, Mutation, SyncPolicy, WalHeader, WalRecord, WalWriter, FRAME_LEN, HEADER_LEN,
+};
 use tufast_graph::{gen, load, GraphBuilder};
+
+/// What a process death right now would leave to recovery: the valid
+/// records of the file as it is, and whether anything sits behind them.
+fn on_disk(path: &std::path::Path) -> (Vec<WalRecord>, bool) {
+    let bytes = std::fs::read(path).unwrap();
+    let (_, records, valid) = parse_bytes(&bytes).unwrap();
+    (records, valid == bytes.len() as u64)
+}
 
 proptest! {
     /// CSR construction preserves exactly the deduplicated, loop-free edge
@@ -104,5 +118,99 @@ proptest! {
                 prop_assert_eq!(back, vec![w]);
             }
         }
+    }
+
+    /// The staged WAL writer against a `Vec<WalRecord>` model, under the
+    /// three policy shapes: whatever the sequence of appends, syncs,
+    /// checkpoint truncations and drop-and-reopens, the file always holds
+    /// whole frames forming a prefix of what was appended (so does a log
+    /// cut by a process death), all of it after a `sync_now` or a clean
+    /// drop, with dense LSNs.
+    #[test]
+    fn wal_file_is_always_a_prefix_of_the_appended_records(
+        shape in 0u32..3,
+        group in 1u32..6,
+        ops in prop::collection::vec((0u32..10, 0u32..200), 1..60),
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "tufast-wal-prop-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("graph.wal");
+        let policy = match shape {
+            0 => SyncPolicy::EveryCommit,
+            1 => SyncPolicy::Group { max_pending: group },
+            _ => SyncPolicy::Group { max_pending: u32::MAX },
+        };
+        let header = WalHeader { capacity: 64, slot_cap: 128, stripes: 8 };
+        let mut w = WalWriter::create(&path, header, policy).unwrap();
+        // Every record appended since the last truncation.
+        let mut model: Vec<WalRecord> = Vec::new();
+        let mut next_lsn = 1u64;
+        let append = |w: &mut WalWriter, model: &mut Vec<WalRecord>, next_lsn: &mut u64, x: u32| {
+            let mutation = match x % 3 {
+                0 => Mutation::AddEdge { src: x, dst: x + 1, weight: x * 7 },
+                1 => Mutation::RemoveEdge { src: x, dst: x + 2 },
+                _ => Mutation::AddVertex,
+            };
+            prop_assert_eq!(w.append(mutation).unwrap(), *next_lsn);
+            model.push(WalRecord { lsn: *next_lsn, mutation });
+            *next_lsn += 1;
+        };
+        for &(op, arg) in &ops {
+            let mut all_on_disk = false;
+            match op {
+                // A commit: append, then the policy decides.
+                0..=4 => {
+                    append(&mut w, &mut model, &mut next_lsn, arg);
+                    w.commit_sync().unwrap();
+                    all_on_disk = policy == SyncPolicy::EveryCommit;
+                }
+                // A burst of appends with no sync (can overflow the buffer).
+                5 => {
+                    for i in 0..arg {
+                        append(&mut w, &mut model, &mut next_lsn, arg + i);
+                    }
+                }
+                6 => w.commit_sync().unwrap(),
+                7 => {
+                    w.sync_now().unwrap();
+                    all_on_disk = true;
+                }
+                8 => {
+                    w.truncate_for_checkpoint().unwrap();
+                    model.clear();
+                    all_on_disk = true;
+                }
+                _ => {
+                    drop(w);
+                    let (reopened, report) = WalWriter::open(&path, policy).unwrap();
+                    prop_assert_eq!(&report.records, &model);
+                    prop_assert_eq!(report.truncated_bytes, 0);
+                    w = reopened;
+                    // As `DurableOpen::finish` does after a checkpoint
+                    // emptied the log.
+                    w.set_next_lsn(next_lsn);
+                    all_on_disk = true;
+                }
+            }
+            prop_assert_eq!(w.next_lsn(), next_lsn);
+            prop_assert_eq!(w.written_len(), HEADER_LEN + FRAME_LEN * model.len() as u64);
+            let (records, whole_frames) = on_disk(&path);
+            prop_assert!(whole_frames, "a partial frame reached the file");
+            prop_assert!(records.len() <= model.len());
+            prop_assert_eq!(&records[..], &model[..records.len()]);
+            if all_on_disk {
+                prop_assert_eq!(records.len(), model.len());
+            }
+            let first = model.first().map_or(next_lsn, |r| r.lsn);
+            prop_assert!(records.iter().enumerate().all(|(i, r)| r.lsn == first + i as u64));
+        }
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,15 +8,16 @@
 
 use std::collections::VecDeque;
 
-use tufast::par::{parallel_drain, FifoPool, PoolImpl, WorkPool};
+use tufast::par::{FifoPool, PoolImpl, WorkPool};
 use tufast::steal::StealPool;
 use tufast_graph::snapshot::{Section, Snapshot, SnapshotError, SnapshotStore};
 use tufast_graph::{Graph, VertexId};
 use tufast_htm::{MemRegion, TxMemory};
-use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
+use tufast_txn::{GraphScheduler, TxnSystem};
 
 use crate::checkpoint::{self, Checkpointable, CkptReport};
 use crate::common::read_u64_region;
+use crate::monotone::{unkeyed, MinDrain};
 
 /// Distance assigned to unreachable vertices.
 pub const UNREACHED: u64 = u64::MAX;
@@ -96,75 +97,33 @@ pub fn parallel_with_pool<S: GraphScheduler>(
     pool_impl: PoolImpl,
 ) -> Vec<u64> {
     let mem = sys.mem();
-    mem.fill_region(&space.dist, UNREACHED);
-    mem.store_direct(space.dist.addr(u64::from(source)), 0);
-
-    let dist = &space.dist;
+    init(mem, space, source);
+    let drain = MinDrain::new(mem, space.dist, |v| hops(g, v));
     match pool_impl {
         PoolImpl::Centralized => {
             let pool = FifoPool::new();
             pool.push(source);
-            drive(g, sched, dist, threads, &pool);
+            drain.run(sched, &pool, threads, unkeyed);
         }
         PoolImpl::Scalable => {
             let pool = StealPool::new(threads);
             pool.push(source);
-            drive(g, sched, dist, threads, &pool);
+            drain.run(sched, &pool, threads, unkeyed);
         }
     }
-    read_u64_region(mem, dist)
+    read_u64_region(mem, &space.dist)
 }
 
-fn drive<S: GraphScheduler, P: WorkPool>(
-    g: &Graph,
-    sched: &S,
-    dist: &MemRegion,
-    threads: usize,
-    pool: &P,
-) {
-    parallel_drain(sched, pool, threads, |worker, pool, v| {
-        relax(g, dist, worker, pool, v);
-    });
+fn init(mem: &TxMemory, space: &BfsSpace, source: VertexId) {
+    mem.fill_region(&space.dist, UNREACHED);
+    mem.store_direct(space.dist.addr(u64::from(source)), 0);
 }
 
-/// One pool item: relax `v`'s out-neighbours transactionally, re-queueing
-/// every vertex whose distance improved.
-fn relax<P: WorkPool>(
-    g: &Graph,
-    dist: &MemRegion,
-    worker: &mut impl TxnWorker,
-    pool: &P,
-    v: VertexId,
-) {
-    let degree = g.degree(v);
-    let mut improved: Vec<VertexId> = Vec::new();
-    let out = worker.execute(TxnSystem::neighborhood_hint(degree), &mut |ops| {
-        improved.clear();
-        let dv = ops.read(v, dist.addr(u64::from(v)))?;
-        if dv == UNREACHED {
-            return Ok(()); // stale token: the source value moved on
-        }
-        for &u in g.neighbors(v) {
-            let du = ops.read(u, dist.addr(u64::from(u)))?;
-            if du > dv + 1 {
-                ops.write(u, dist.addr(u64::from(u)), dv + 1)?;
-                improved.push(u);
-            }
-        }
-        Ok(())
-    });
-    if !out.committed {
-        // A job-level stop aborted the attempt: none of the writes
-        // landed, so `v` still owns its relaxations. Re-queue it so an
-        // abort snapshot's frontier keeps every outstanding relaxation
-        // owned by a queued item — that invariant is what makes resume
-        // bitwise exact.
-        pool.push(v);
-        return;
-    }
-    for &u in &improved {
-        pool.push(u);
-    }
+/// `v`'s out-edges, one hop each: the item body is
+/// [`MinDrain::item`](crate::monotone), which skips `v` while it is
+/// unreached ("stale token") or already scanned at its current distance.
+fn hops(g: &Graph, v: VertexId) -> impl Iterator<Item = (VertexId, u64)> + '_ {
+    g.neighbors(v).iter().map(|&u| (u, 1))
 }
 
 /// [`parallel`] with epoch checkpointing into `store` every `every_items`
@@ -188,23 +147,17 @@ pub fn parallel_ckpt<S: GraphScheduler>(
     resume: bool,
 ) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
     let mem = sys.mem();
-    let pool = StealPool::new(threads);
     let mut report = CkptReport::default();
-    let start_epoch = if resume {
-        let rec = checkpoint::recover(store, mem, space)?;
-        report.recoveries = 1;
-        report.snapshot_fallbacks = rec.fallbacks;
-        for &(v, _) in &rec.frontier {
-            pool.push(v);
-        }
-        rec.epoch + 1
-    } else {
-        mem.fill_region(&space.dist, UNREACHED);
-        mem.store_direct(space.dist.addr(u64::from(source)), 0);
-        pool.push(source);
-        0
-    };
-    let dist = &space.dist;
+    let (start_epoch, frontier) =
+        checkpoint::start(store, mem, space, resume, &mut report, || {
+            init(mem, space, source);
+            vec![(source, 0)]
+        })?;
+    let pool = StealPool::new(threads);
+    for &(v, _) in &frontier {
+        pool.push(v);
+    }
+    let drain = MinDrain::new(mem, space.dist, |v| hops(g, v));
     checkpoint::run_checkpointed(
         sched,
         sys,
@@ -215,11 +168,9 @@ pub fn parallel_ckpt<S: GraphScheduler>(
         every_items,
         start_epoch,
         &mut report,
-        |worker, pool, v| {
-            relax(g, dist, worker, pool, v);
-        },
+        |worker, pool, v| drain.item(worker, pool, v, &unkeyed),
     );
-    Ok((read_u64_region(mem, dist), report))
+    Ok((read_u64_region(mem, &space.dist), report))
 }
 
 #[cfg(test)]

@@ -168,6 +168,27 @@ pub fn recover(
     })
 }
 
+/// Where a `*_ckpt` run starts, as `(first epoch, frontier)`: a resume
+/// [`recover`]s both from `store` and records it in `report`; a fresh run
+/// starts at epoch 0 with the seed items `init` returns after setting the
+/// initial values.
+pub(crate) fn start(
+    store: &SnapshotStore,
+    mem: &TxMemory,
+    ckpt: &impl Checkpointable,
+    resume: bool,
+    report: &mut CkptReport,
+    init: impl FnOnce() -> Vec<(u32, u64)>,
+) -> Result<(u64, Vec<(u32, u64)>), SnapshotError> {
+    if !resume {
+        return Ok((0, init()));
+    }
+    let rec = recover(store, mem, ckpt)?;
+    report.recoveries = 1;
+    report.snapshot_fallbacks = rec.fallbacks;
+    Ok((rec.epoch + 1, rec.frontier))
+}
+
 /// Checkpoint accounting from one `*_ckpt` run, foldable into
 /// [`TuFastStats`] for the bench harness's robustness line.
 #[derive(Clone, Debug, Default)]

@@ -22,6 +22,10 @@
 //! | [`matching`] | greedy maximal matching — the paper's Fig. 1 | §II example |
 //! | [`coloring`] | greedy vertex coloring | extension |
 //!
+//! BFS, WCC and SSSP are one queue loop over a monotone-min value array and
+//! share one work-item body (the private `monotone` module), which also
+//! makes a stale pool item cost one read instead of a neighbourhood scan.
+//!
 //! [`checkpoint`] adds epoch-based checkpointing and crash recovery: BFS,
 //! WCC and SSSP ship `parallel_ckpt` variants that snapshot `(state,
 //! frontier)` into a rotating store at epoch barriers and can resume a
@@ -36,6 +40,7 @@ pub mod coloring;
 mod common;
 pub mod matching;
 pub mod mis;
+mod monotone;
 pub mod pagerank;
 pub mod sssp;
 pub mod triangle;

@@ -1,0 +1,279 @@
+//! The one work-item body behind BFS, Components and SSSP.
+//!
+//! All three are the paper's Figure 3 queue loop over a *monotone-min*
+//! value array: pop `v`, read `value[v]`, offer `value[v] + len(v, u)` to
+//! every neighbour `u`, push whatever improved. They differ only in the
+//! edge set and the edge length (1 per hop, 0 for a label, the weight for
+//! a distance) — which is what [`MinDrain::new`]'s `edges` supplies — and
+//! in whether the pool wants the new value as a key (`push`).
+//!
+//! # Item ownership and stale items
+//!
+//! Whoever lowers `value[u]` pushes `u`, so a vertex improved `k` times
+//! before it is popped sits in the pool `k` times, and `k - 1` of those
+//! items would re-scan the neighbourhood to write nothing. Each run keeps
+//! a per-vertex **scan watermark**: the smallest value at which a
+//! *committed* transaction scanned `v`'s edges (`u64::MAX`: never). An
+//! item whose first read finds `watermark[v] <= value[v]` commits with
+//! that one read. That is safe because values only decrease: a scan at
+//! `m` left every neighbour at `<= m + len`, for good, so at
+//! `value[v] >= m` a second scan cannot write; and if `value[v]` later
+//! drops below `m`, the writer's push owns that work. The watermark is
+//! recorded only after the commit, so an aborted or health-stopped attempt
+//! leaves it untouched (and re-pushes `v`); dying between the commit and
+//! the record merely costs one redundant scan. It is per run and never
+//! snapshotted — a resumed run starts with no watermarks, which is again
+//! only redundant scans (DESIGN.md §7).
+
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use tufast::par::{parallel_drain, WorkPool};
+use tufast_graph::VertexId;
+use tufast_htm::{MemRegion, TxMemory};
+use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
+
+thread_local! {
+    /// Vertices improved by the item in flight on this thread, reused
+    /// across items so a drain allocates once per worker.
+    static IMPROVED: RefCell<Vec<VertexId>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `push` for pools without keys (FIFO, stealing deques).
+pub(crate) fn unkeyed<P: WorkPool>(pool: &P, v: VertexId, _key: u64) {
+    pool.push(v);
+}
+
+/// One monotone-min run: the value region, the edges and the watermarks.
+pub(crate) struct MinDrain<'a, E> {
+    mem: &'a TxMemory,
+    value: MemRegion,
+    edges: E,
+    watermark: Vec<AtomicU64>,
+}
+
+impl<'a, E, I> MinDrain<'a, E>
+where
+    E: Fn(VertexId) -> I + Sync,
+    I: Iterator<Item = (VertexId, u64)>,
+{
+    /// `edges(v)` yields `(neighbour, edge length)`; its lower size bound
+    /// must be exact (slice iterators, zipped or chained), because it
+    /// sizes the transaction hint.
+    pub(crate) fn new(mem: &'a TxMemory, value: MemRegion, edges: E) -> Self {
+        MinDrain {
+            mem,
+            value,
+            edges,
+            watermark: (0..value.len()).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        }
+    }
+
+    /// Drain `pool` to quiescence on `threads` threads.
+    pub(crate) fn run<S: GraphScheduler, P: WorkPool>(
+        &self,
+        sched: &S,
+        pool: &P,
+        threads: usize,
+        push: impl Fn(&P, VertexId, u64) + Sync,
+    ) {
+        parallel_drain(sched, pool, threads, |worker, pool, v| {
+            self.item(worker, pool, v, &push);
+        });
+    }
+
+    /// One pool item: relax `v`'s edges in one transaction — or commit
+    /// after the first read if `v` was already scanned at this value — and
+    /// `push` every vertex whose value improved, keyed by its value now
+    /// (what this item wrote, or less if someone has improved on it since).
+    pub(crate) fn item<P: WorkPool>(
+        &self,
+        worker: &mut impl TxnWorker,
+        pool: &P,
+        v: VertexId,
+        push: &impl Fn(&P, VertexId, u64),
+    ) {
+        let addr = |u: VertexId| self.value.addr(u64::from(u));
+        let mark = &self.watermark[v as usize];
+        let hint = TxnSystem::neighborhood_hint((self.edges)(v).size_hint().0);
+        IMPROVED.with_borrow_mut(|improved| {
+            let mut seen = 0u64;
+            let mut scanned = false;
+            let out = worker.execute(hint, &mut |ops| {
+                improved.clear();
+                scanned = false;
+                let dv = ops.read(v, addr(v))?;
+                seen = dv;
+                // Also the never-reached case: `u64::MAX <= u64::MAX`.
+                // Acquire pairs with the Release below, though the skip
+                // needs only the fact that a scan at `mark` committed.
+                if mark.load(Ordering::Acquire) <= dv {
+                    return Ok(());
+                }
+                scanned = true;
+                for (u, len) in (self.edges)(v) {
+                    let cand = dv + len;
+                    if cand < ops.read(u, addr(u))? {
+                        ops.write(u, addr(u), cand)?;
+                        improved.push(u);
+                    }
+                }
+                Ok(())
+            });
+            if !out.committed {
+                // A job-level stop aborted the attempt: nothing landed, so
+                // `v` still owns its relaxations. Re-queue it (keyed by the
+                // last value observed; a stale key only affects ordering)
+                // so an abort snapshot's frontier keeps every outstanding
+                // relaxation owned by a queued item — that invariant is
+                // what makes resume bitwise exact.
+                push(pool, v, seen);
+                return;
+            }
+            if scanned {
+                mark.fetch_min(seen, Ordering::Release);
+            }
+            for &u in improved.iter() {
+                push(pool, u, self.mem.load_direct(addr(u)));
+            }
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use tufast::par::FifoPool;
+    use tufast_graph::{gen, Graph};
+    use tufast_txn::{SchedStats, TwoPhaseLocking, TxnBody, TxnHint, TxnOutcome};
+
+    const MAX: u64 = u64::MAX;
+
+    /// Hop-length edges of a directed path 0 → 1 → 2 → 3, source at 0.
+    struct Fixture {
+        g: Graph,
+        built: crate::AlgoSystem<MemRegion>,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let g = gen::path(4);
+            let built = crate::setup(&g, |layout, n| layout.alloc("value", n as u64));
+            let mem = built.sys.mem();
+            mem.fill_region(&built.space, MAX);
+            mem.store_direct(built.space.addr(0), 0);
+            Fixture { g, built }
+        }
+
+        fn drain<'a>(&'a self) -> MinDrain<'a, impl Fn(VertexId) -> HopIter<'a> + Sync> {
+            let g = &self.g;
+            MinDrain::new(self.built.sys.mem(), self.built.space, move |v| hops(g, v))
+        }
+
+        fn values(&self) -> Vec<u64> {
+            self.built.sys.mem().snapshot_region(&self.built.space)
+        }
+    }
+
+    type HopIter<'a> = Box<dyn Iterator<Item = (VertexId, u64)> + 'a>;
+
+    fn hops(g: &Graph, v: VertexId) -> HopIter<'_> {
+        Box::new(g.neighbors(v).iter().map(|&u| (u, 1)))
+    }
+
+    fn marks<E>(drain: &MinDrain<'_, E>) -> Vec<u64> {
+        let load = |m: &AtomicU64| m.load(Ordering::Acquire);
+        drain.watermark.iter().map(load).collect()
+    }
+
+    fn queued(pool: &FifoPool) -> Vec<VertexId> {
+        pool.pending_items().into_iter().map(|(v, _)| v).collect()
+    }
+
+    #[test]
+    fn scans_while_the_watermark_is_above_the_value_and_skips_once_it_is_not() {
+        let fx = Fixture::new();
+        let drain = fx.drain();
+        let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
+        let mut w = sched.worker();
+        let pool = FifoPool::new();
+
+        // Never scanned (watermark MAX > value 0): a full scan.
+        drain.item(&mut w, &pool, 0, &unkeyed);
+        assert_eq!(fx.values(), [0, 1, MAX, MAX]);
+        assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
+        assert_eq!(queued(&pool), [1]);
+        assert_eq!(w.stats().reads, 2);
+
+        // Scanned at this value: one read, one commit, nothing pushed.
+        drain.item(&mut w, &pool, 0, &unkeyed);
+        assert_eq!((w.stats().reads, w.stats().commits), (3, 2));
+        assert_eq!(queued(&pool), [1]);
+
+        // Unreached (value MAX): the same one-read exit, no watermark.
+        drain.item(&mut w, &pool, 2, &unkeyed);
+        assert_eq!((w.stats().reads, w.stats().commits), (4, 3));
+        assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
+
+        // Scan 1 at value 1, then lower it behind the watermark's back:
+        // watermark 1 > value 0 must scan again and move down with it.
+        drain.item(&mut w, &pool, 1, &unkeyed);
+        assert_eq!(fx.values(), [0, 1, 2, MAX]);
+        fx.built.sys.mem().store_direct(fx.built.space.addr(1), 0);
+        drain.item(&mut w, &pool, 1, &unkeyed);
+        assert_eq!(fx.values(), [0, 0, 1, MAX]);
+        assert_eq!(marks(&drain), [0, 0, MAX, MAX]);
+        assert_eq!(queued(&pool), [1, 2, 2]);
+    }
+
+    #[test]
+    fn a_health_stopped_item_records_nothing_and_requeues_itself() {
+        let fx = Fixture::new();
+        let drain = fx.drain();
+        fx.built.sys.health().token().cancel();
+        let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
+        let pool = FifoPool::new();
+        drain.item(&mut sched.worker(), &pool, 0, &unkeyed);
+        assert_eq!(fx.values(), [0, MAX, MAX, MAX]);
+        assert_eq!(marks(&drain), [MAX; 4]);
+        assert_eq!(queued(&pool), [0]);
+    }
+
+    /// Runs the whole body, then aborts instead of committing.
+    struct AbortAtCommit<W>(W);
+
+    impl<W: TxnWorker> TxnWorker for AbortAtCommit<W> {
+        fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
+            self.0.execute_hinted(hint, &mut |ops| {
+                body(ops)?;
+                Err(ops.user_abort())
+            })
+        }
+        fn stats(&self) -> &SchedStats {
+            self.0.stats()
+        }
+        fn take_stats(&mut self) -> SchedStats {
+            self.0.take_stats()
+        }
+    }
+
+    #[test]
+    fn a_scan_that_aborts_at_commit_records_nothing_and_requeues_itself() {
+        let fx = Fixture::new();
+        let drain = fx.drain();
+        let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
+        let mut w = AbortAtCommit(sched.worker());
+        let pool = FifoPool::new();
+        drain.item(&mut w, &pool, 0, &unkeyed);
+        assert_eq!(w.stats().writes, 1, "the body did scan and write");
+        assert_eq!(fx.values(), [0, MAX, MAX, MAX], "and was rolled back");
+        assert_eq!(marks(&drain), [MAX; 4]);
+        assert_eq!(queued(&pool), [0], "v again, not the vertex it improved");
+
+        // The re-queued item then scans for real.
+        drain.item(&mut sched.worker(), &pool, 0, &unkeyed);
+        assert_eq!(fx.values(), [0, 1, MAX, MAX]);
+        assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
+    }
+}

@@ -8,15 +8,16 @@
 //! implements them.
 
 use tufast::bucket::BucketPool;
-use tufast::par::{parallel_drain, FifoPool, PoolImpl, PriorityPool, WorkPool};
+use tufast::par::{FifoPool, PoolImpl, PriorityPool, WorkPool};
 use tufast::steal::StealPool;
 use tufast_graph::snapshot::{Section, Snapshot, SnapshotError, SnapshotStore};
 use tufast_graph::{Graph, VertexId};
 use tufast_htm::{MemRegion, TxMemory};
-use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
+use tufast_txn::{GraphScheduler, TxnSystem};
 
 use crate::checkpoint::{self, Checkpointable, CkptReport};
 use crate::common::read_u64_region;
+use crate::monotone::{unkeyed, MinDrain};
 
 /// Distance assigned to unreachable vertices.
 pub const UNREACHED: u64 = u64::MAX;
@@ -162,99 +163,43 @@ pub fn parallel_with_pool<S: GraphScheduler>(
         "SSSP needs edge weights (gen::with_random_weights)"
     );
     let mem = sys.mem();
-    mem.fill_region(&space.dist, UNREACHED);
-    mem.store_direct(space.dist.addr(u64::from(source)), 0);
-
+    init(mem, space, source);
+    let drain = MinDrain::new(mem, space.dist, |v| weighted(g, v));
     match (kind, pool_impl) {
         (QueueKind::Fifo, PoolImpl::Centralized) => {
             let pool = FifoPool::new();
             pool.push(source);
-            drive(g, sched, sys, space, threads, &pool, |pool, u, _| {
-                pool.push(u)
-            });
+            drain.run(sched, &pool, threads, unkeyed);
         }
         (QueueKind::Fifo, PoolImpl::Scalable) => {
             let pool = StealPool::new(threads);
             pool.push(source);
-            drive(g, sched, sys, space, threads, &pool, |pool, u, _| {
-                pool.push(u)
-            });
+            drain.run(sched, &pool, threads, unkeyed);
         }
         (QueueKind::Priority, PoolImpl::Centralized) => {
             let pool = PriorityPool::new();
             pool.push_with_key(source, 0);
-            drive(g, sched, sys, space, threads, &pool, |pool, u, key| {
-                pool.push_with_key(u, key)
-            });
+            drain.run(sched, &pool, threads, PriorityPool::push_with_key);
         }
         (QueueKind::Priority, PoolImpl::Scalable) => {
             let pool = BucketPool::new(pick_delta(g));
             pool.push_with_key(source, 0);
-            drive(g, sched, sys, space, threads, &pool, |pool, u, key| {
-                pool.push_with_key(u, key)
-            });
+            drain.run(sched, &pool, threads, BucketPool::push_with_key);
         }
     }
     read_u64_region(mem, &space.dist)
 }
 
-fn drive<S: GraphScheduler, P: WorkPool>(
-    g: &Graph,
-    sched: &S,
-    _sys: &TxnSystem,
-    space: &SsspSpace,
-    threads: usize,
-    pool: &P,
-    push: impl Fn(&P, VertexId, u64) + Sync,
-) {
-    let dist = &space.dist;
-    parallel_drain(sched, pool, threads, |worker, pool, v| {
-        relax(g, dist, worker, pool, v, &push);
-    });
+fn init(mem: &TxMemory, space: &SsspSpace, source: VertexId) {
+    mem.fill_region(&space.dist, UNREACHED);
+    mem.store_direct(space.dist.addr(u64::from(source)), 0);
 }
 
-/// One pool item: relax `v`'s weighted out-edges transactionally,
-/// re-queueing improved vertices through `push` (queue-discipline aware).
-fn relax<P: WorkPool>(
-    g: &Graph,
-    dist: &MemRegion,
-    worker: &mut impl TxnWorker,
-    pool: &P,
-    v: VertexId,
-    push: &(impl Fn(&P, VertexId, u64) + Sync),
-) {
-    let degree = g.degree(v);
-    let mut improved: Vec<(VertexId, u64)> = Vec::new();
-    let mut dv_key = 0u64;
-    let out = worker.execute(TxnSystem::neighborhood_hint(degree), &mut |ops| {
-        improved.clear();
-        let dv = ops.read(v, dist.addr(u64::from(v)))?;
-        if dv == UNREACHED {
-            return Ok(());
-        }
-        dv_key = dv;
-        for (u, w) in g.weighted_neighbors(v) {
-            let cand = dv + u64::from(w);
-            let du = ops.read(u, dist.addr(u64::from(u)))?;
-            if cand < du {
-                ops.write(u, dist.addr(u64::from(u)), cand)?;
-                improved.push((u, cand));
-            }
-        }
-        Ok(())
-    });
-    if !out.committed {
-        // A job-level stop aborted the attempt: nothing landed, so `v`
-        // still owns its relaxations — re-queue it (the key is the last
-        // distance the attempt observed; a stale key only affects bucket
-        // ordering) so an abort snapshot's frontier keeps every
-        // outstanding relaxation owned by a queued item.
-        push(pool, v, dv_key);
-        return;
-    }
-    for &(u, d) in &improved {
-        push(pool, u, d);
-    }
+/// `v`'s out-edges at their weights: the item body is
+/// [`MinDrain::item`](crate::monotone), which re-queues improved vertices
+/// keyed by their new distance (the keyed pools order by it).
+fn weighted(g: &Graph, v: VertexId) -> impl Iterator<Item = (VertexId, u64)> + '_ {
+    g.weighted_neighbors(v).map(|(u, w)| (u, u64::from(w)))
 }
 
 /// [`parallel`] with epoch checkpointing into `store` every `every_items`
@@ -285,26 +230,18 @@ pub fn parallel_ckpt<S: GraphScheduler>(
     );
     let mem = sys.mem();
     let mut report = CkptReport::default();
-    let mut frontier: Vec<(VertexId, u64)> = vec![(source, 0)];
-    let start_epoch = if resume {
-        let rec = checkpoint::recover(store, mem, space)?;
-        report.recoveries = 1;
-        report.snapshot_fallbacks = rec.fallbacks;
-        frontier = rec.frontier;
-        rec.epoch + 1
-    } else {
-        mem.fill_region(&space.dist, UNREACHED);
-        mem.store_direct(space.dist.addr(u64::from(source)), 0);
-        0
-    };
-    let dist = &space.dist;
+    let (start_epoch, frontier) =
+        checkpoint::start(store, mem, space, resume, &mut report, || {
+            init(mem, space, source);
+            vec![(source, 0)]
+        })?;
+    let drain = MinDrain::new(mem, space.dist, |v| weighted(g, v));
     match kind {
         QueueKind::Fifo => {
             let pool = StealPool::new(threads);
             for &(v, _) in &frontier {
                 pool.push(v);
             }
-            let push = |pool: &StealPool, u: VertexId, _key: u64| pool.push(u);
             checkpoint::run_checkpointed(
                 sched,
                 sys,
@@ -315,7 +252,7 @@ pub fn parallel_ckpt<S: GraphScheduler>(
                 every_items,
                 start_epoch,
                 &mut report,
-                |worker, pool, v| relax(g, dist, worker, pool, v, &push),
+                |worker, pool, v| drain.item(worker, pool, v, &unkeyed),
             );
         }
         QueueKind::Priority => {
@@ -323,7 +260,6 @@ pub fn parallel_ckpt<S: GraphScheduler>(
             for &(v, key) in &frontier {
                 pool.push_with_key(v, key);
             }
-            let push = |pool: &BucketPool, u: VertexId, key: u64| pool.push_with_key(u, key);
             checkpoint::run_checkpointed(
                 sched,
                 sys,
@@ -334,11 +270,11 @@ pub fn parallel_ckpt<S: GraphScheduler>(
                 every_items,
                 start_epoch,
                 &mut report,
-                |worker, pool, v| relax(g, dist, worker, pool, v, &push),
+                |worker, pool, v| drain.item(worker, pool, v, &BucketPool::push_with_key),
             );
         }
     }
-    Ok((read_u64_region(mem, dist), report))
+    Ok((read_u64_region(mem, &space.dist), report))
 }
 
 #[cfg(test)]

@@ -6,15 +6,16 @@
 //! — paper §VI-A). Labels converge to the minimum vertex id of each
 //! component: a unique fixpoint, so parallel equals sequential exactly.
 
-use tufast::par::{parallel_drain, FifoPool, PoolImpl, WorkPool};
+use tufast::par::{FifoPool, PoolImpl, WorkPool};
 use tufast::steal::StealPool;
 use tufast_graph::snapshot::{Section, Snapshot, SnapshotError, SnapshotStore};
 use tufast_graph::{Graph, VertexId};
 use tufast_htm::{MemRegion, TxMemory};
-use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
+use tufast_txn::{GraphScheduler, TxnSystem};
 
 use crate::checkpoint::{self, Checkpointable, CkptReport};
 use crate::common::read_u64_region;
+use crate::monotone::{unkeyed, MinDrain};
 
 /// Region handles for WCC.
 pub struct WccSpace {
@@ -103,88 +104,36 @@ pub fn parallel_with_pool<S: GraphScheduler>(
     pool_impl: PoolImpl,
 ) -> Vec<u64> {
     let mem = sys.mem();
-    let n = g.num_vertices();
-    for v in 0..n as u64 {
-        mem.store_direct(space.label.addr(v), v);
-    }
-    let label = &space.label;
+    let n = g.num_vertices() as VertexId;
+    init(mem, space, n);
+    let drain = MinDrain::new(mem, space.label, |v| undirected(g, v));
     match pool_impl {
         PoolImpl::Centralized => {
             let pool = FifoPool::new();
-            for v in 0..n as VertexId {
-                pool.push(v);
-            }
-            drive(g, sched, label, threads, &pool);
+            (0..n).for_each(|v| pool.push(v));
+            drain.run(sched, &pool, threads, unkeyed);
         }
         PoolImpl::Scalable => {
             let pool = StealPool::new(threads);
-            for v in 0..n as VertexId {
-                pool.push(v);
-            }
-            drive(g, sched, label, threads, &pool);
+            (0..n).for_each(|v| pool.push(v));
+            drain.run(sched, &pool, threads, unkeyed);
         }
     }
-    read_u64_region(mem, label)
+    read_u64_region(mem, &space.label)
 }
 
-fn drive<S: GraphScheduler, P: WorkPool>(
-    g: &Graph,
-    sched: &S,
-    label: &MemRegion,
-    threads: usize,
-    pool: &P,
-) {
-    parallel_drain(sched, pool, threads, |worker, pool, v| {
-        propagate(g, label, worker, pool, v);
-    });
+fn init(mem: &TxMemory, space: &WccSpace, n: VertexId) {
+    for v in 0..u64::from(n) {
+        mem.store_direct(space.label.addr(v), v);
+    }
 }
 
-/// One pool item: push `v`'s label to its undirected neighbourhood,
-/// re-queueing every vertex whose label improved.
-fn propagate<P: WorkPool>(
-    g: &Graph,
-    label: &MemRegion,
-    worker: &mut impl TxnWorker,
-    pool: &P,
-    v: VertexId,
-) {
-    let degree = g.degree(v) + g.reverse().map_or(0, |_| g.in_degree(v));
-    let mut improved: Vec<VertexId> = Vec::new();
-    let out = worker.execute(TxnSystem::neighborhood_hint(degree), &mut |ops| {
-        improved.clear();
-        let lv = ops.read(v, label.addr(u64::from(v)))?;
-        let relax = |ops: &mut dyn tufast_txn::TxnOps,
-                     u: VertexId,
-                     improved: &mut Vec<VertexId>|
-         -> Result<(), tufast_txn::TxInterrupt> {
-            let lu = ops.read(u, label.addr(u64::from(u)))?;
-            if lv < lu {
-                ops.write(u, label.addr(u64::from(u)), lv)?;
-                improved.push(u);
-            }
-            Ok(())
-        };
-        for &u in g.neighbors(v) {
-            relax(ops, u, &mut improved)?;
-        }
-        if g.reverse().is_some() {
-            for &u in g.in_neighbors(v) {
-                relax(ops, u, &mut improved)?;
-            }
-        }
-        Ok(())
-    });
-    if !out.committed {
-        // A job-level stop aborted the attempt: nothing landed, so `v`
-        // still owns its label pushes. Re-queue it so an abort snapshot's
-        // frontier keeps every outstanding propagation owned by a queued
-        // item — that invariant is what makes resume bitwise exact.
-        pool.push(v);
-        return;
-    }
-    for &u in &improved {
-        pool.push(u);
-    }
+/// `v`'s undirected neighbourhood (out-edges, then in-edges when the graph
+/// carries them) at length 0: [`MinDrain::item`](crate::monotone) then
+/// pushes `v`'s label to every neighbour holding a larger one.
+fn undirected(g: &Graph, v: VertexId) -> impl Iterator<Item = (VertexId, u64)> + '_ {
+    let ins = g.reverse().map_or(&[][..], |rev| rev.neighbors(v));
+    g.neighbors(v).iter().chain(ins).map(|&u| (u, 0))
 }
 
 /// [`parallel`] with epoch checkpointing into `store` every `every_items`
@@ -203,27 +152,18 @@ pub fn parallel_ckpt<S: GraphScheduler>(
     resume: bool,
 ) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
     let mem = sys.mem();
-    let n = g.num_vertices();
-    let pool = StealPool::new(threads);
+    let n = g.num_vertices() as VertexId;
     let mut report = CkptReport::default();
-    let start_epoch = if resume {
-        let rec = checkpoint::recover(store, mem, space)?;
-        report.recoveries = 1;
-        report.snapshot_fallbacks = rec.fallbacks;
-        for &(v, _) in &rec.frontier {
-            pool.push(v);
-        }
-        rec.epoch + 1
-    } else {
-        for v in 0..n as u64 {
-            mem.store_direct(space.label.addr(v), v);
-        }
-        for v in 0..n as VertexId {
-            pool.push(v);
-        }
-        0
-    };
-    let label = &space.label;
+    let (start_epoch, frontier) =
+        checkpoint::start(store, mem, space, resume, &mut report, || {
+            init(mem, space, n);
+            (0..n).map(|v| (v, 0)).collect()
+        })?;
+    let pool = StealPool::new(threads);
+    for &(v, _) in &frontier {
+        pool.push(v);
+    }
+    let drain = MinDrain::new(mem, space.label, |v| undirected(g, v));
     checkpoint::run_checkpointed(
         sched,
         sys,
@@ -234,11 +174,9 @@ pub fn parallel_ckpt<S: GraphScheduler>(
         every_items,
         start_epoch,
         &mut report,
-        |worker, pool, v| {
-            propagate(g, label, worker, pool, v);
-        },
+        |worker, pool, v| drain.item(worker, pool, v, &unkeyed),
     );
-    Ok((read_u64_region(mem, label), report))
+    Ok((read_u64_region(mem, &space.label), report))
 }
 
 /// Number of distinct components in a label assignment.

@@ -16,8 +16,8 @@ use tufast::TuFast;
 use tufast_algos as algos;
 use tufast_bench::datasets::{dataset, symmetric_view};
 use tufast_bench::harness::{banner, fmt_rate, parse_args, print_sched_counters, time, Table};
-use tufast_bench::json::{append_record, JsonRecord};
-use tufast_graph::{gen, Graph};
+use tufast_bench::json::{append_record, commit_id, JsonRecord};
+use tufast_graph::{gen, Graph, VertexId};
 use tufast_txn::SchedStats;
 
 /// Timed repetitions per cell; best-of to damp scheduler noise.
@@ -35,6 +35,7 @@ fn main() {
     );
     let mut table = Table::new(&["dataset", "algorithm", "centralized", "scalable", "speedup"]);
     let mut merged = SchedStats::default();
+    let commit = commit_id();
     for name in DATASETS {
         let d = dataset(name, args.scale_delta);
         let sym = symmetric_view(&d.graph);
@@ -72,6 +73,7 @@ fn main() {
                 ] {
                     let rec = JsonRecord::new()
                         .str("figure", "fig18_drivers")
+                        .str("commit", &commit)
                         .str("dataset", name)
                         .str("algorithm", algo)
                         .str("pool", pool)
@@ -98,6 +100,14 @@ fn main() {
     );
 }
 
+/// The max-out-degree vertex, lowest id on ties.
+fn hub(g: &Graph) -> VertexId {
+    (0..g.num_vertices() as VertexId)
+        .rev()
+        .max_by_key(|&v| g.degree(v))
+        .unwrap_or(0)
+}
+
 struct Cell {
     edges: u64,
     centralized_secs: f64,
@@ -118,6 +128,9 @@ fn run_cell(
     threads: usize,
     merged: &mut SchedStats,
 ) -> Cell {
+    // Vertex 0 of an R-MAT graph may have no out-edges, which would make
+    // the traversal cells time a one-vertex job.
+    let source = hub(g);
     // Setup (layout + system build) happens per rep *outside* the timed
     // section — it is identical for both pools and would only dilute the
     // dispatch-path difference this figure measures.
@@ -137,7 +150,7 @@ fn run_cell(
                             &sched,
                             &built.sys,
                             &built.space,
-                            0,
+                            source,
                             threads,
                             pool_impl,
                         )
@@ -171,7 +184,7 @@ fn run_cell(
                             &sched,
                             &built.sys,
                             &built.space,
-                            0,
+                            source,
                             threads,
                             kind,
                             pool_impl,
@@ -195,6 +208,14 @@ fn run_cell(
         r_central, r_scalable,
         "{algo}: pool implementations disagree"
     );
+    if algo != "Components" {
+        let reached = r_scalable.iter().filter(|&&d| d != u64::MAX).count();
+        assert!(
+            2 * reached >= g.num_vertices(),
+            "{algo}: source {source} reaches {reached} of {} vertices, below the 50 % guard",
+            g.num_vertices()
+        );
+    }
 
     let edges = match algo {
         "Components" => sym.num_edges(),

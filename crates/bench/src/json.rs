@@ -86,6 +86,19 @@ impl JsonRecord {
     }
 }
 
+/// The checkout a record was measured on, as `git describe --always
+/// --dirty` prints it (`"unknown"` outside a repository) — the key that
+/// makes an appended `BENCH_*.json` a per-commit trajectory.
+pub fn commit_id() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |id| id.trim().to_string())
+}
+
 /// Append `record` to the JSON array in `path`, creating the file (as a
 /// one-element array) if absent. The file stays a valid JSON document
 /// after every call, so a crashed bench run never leaves it unparsable.

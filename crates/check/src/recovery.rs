@@ -16,15 +16,17 @@
 //! previous generation (one epoch of progress lost, no wrong answers);
 //! all generations invalid → clean cold restart.
 
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use tufast::TuFast;
 use tufast_algos::checkpoint::CkptReport;
 use tufast_algos::{bfs, setup, sssp, wcc};
 use tufast_graph::snapshot::{load, SnapshotError, SnapshotStore};
-use tufast_graph::Graph;
-use tufast_txn::{is_injected_crash, FaultPlan, FaultSpec};
+use tufast_graph::{Graph, GraphBuilder};
+use tufast_txn::{is_injected_crash, FaultPlan, FaultSpec, TxnObserver, TxnSystem};
 
 /// Which checkpointed algorithm a recovery run exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,10 +114,27 @@ pub fn run_ckpt(
     resume: bool,
     plan: Option<Arc<FaultPlan>>,
 ) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
+    run_ckpt_on(algo, g, threads, store, every_items, resume, |sys| {
+        sys.set_fault_plan(plan)
+    })
+}
+
+/// [`run_ckpt`] with `prepare` applied to the fresh system before the
+/// driver starts: arm a fault plan, attach an observer, keep the cancel
+/// token.
+pub fn run_ckpt_on(
+    algo: RecoveryAlgo,
+    g: &Graph,
+    threads: usize,
+    store: &SnapshotStore,
+    every_items: u64,
+    resume: bool,
+    prepare: impl FnOnce(&Arc<TxnSystem>),
+) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
     match algo {
         RecoveryAlgo::Bfs => {
             let built = setup(g, bfs::BfsSpace::alloc);
-            built.sys.set_fault_plan(plan);
+            prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
             bfs::parallel_ckpt(
                 g,
@@ -131,7 +150,7 @@ pub fn run_ckpt(
         }
         RecoveryAlgo::Wcc => {
             let built = setup(g, wcc::WccSpace::alloc);
-            built.sys.set_fault_plan(plan);
+            prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
             wcc::parallel_ckpt(
                 g,
@@ -146,7 +165,7 @@ pub fn run_ckpt(
         }
         RecoveryAlgo::SsspFifo | RecoveryAlgo::SsspPriority => {
             let built = setup(g, sssp::SsspSpace::alloc);
-            built.sys.set_fault_plan(plan);
+            prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
             let kind = if algo == RecoveryAlgo::SsspFifo {
                 sssp::QueueKind::Fifo
@@ -165,6 +184,104 @@ pub fn run_ckpt(
                 every_items,
                 resume,
             )
+        }
+    }
+}
+
+/// A weighted two-way star on `n` vertices whose first `clique` leaves are
+/// also pairwise connected: the duplicate-heavy case for queue-driven
+/// relaxation. The hub's spokes are long and the clique's edges short, so
+/// distances (and labels) reach every clique member once per neighbour —
+/// each an improvement that queues the member again — and the hub once
+/// per leaf; every vertex has an out-edge.
+pub fn star_plus_clique(n: u32, clique: u32) -> Graph {
+    assert!(n >= 1 && clique < n);
+    let mut builder = GraphBuilder::new(n as usize);
+    for v in 1..n {
+        builder.add_weighted_edge(0, v, 1000 + v);
+        builder.add_weighted_edge(v, 0, 1 + v % 7);
+    }
+    for u in 1..=clique {
+        for v in 1..=clique {
+            if u != v {
+                builder.add_weighted_edge(u, v, 1 + (u * 31 + v * 17) % 23);
+            }
+        }
+    }
+    builder.build()
+}
+
+/// Observer that counts **stale-item skips** — committed attempts whose
+/// only operation was one read of a reached (non-`u64::MAX`) value, which
+/// on a graph where every vertex has an edge is exactly the shared item
+/// body's "already scanned at this value" exit — and runs `action` at
+/// every commit from the point where enough of them (and enough commits)
+/// have happened. With an idempotent action (cancel the job's token, arm
+/// a fault plan's crash) that stops a run *after* skips whatever the
+/// thread timing.
+pub struct StaleWatch {
+    /// Per worker: operations in the open attempt, and the value it read
+    /// if its first operation was a read.
+    open: Mutex<HashMap<u32, (u32, Option<u64>)>>,
+    skips: AtomicU64,
+    commits: AtomicU64,
+    after: (u64, u64),
+    action: Box<dyn Fn() + Send + Sync>,
+}
+
+impl StaleWatch {
+    /// Run `action` once `skips` skips and `commits` commits were seen.
+    pub fn after(skips: u64, commits: u64, action: impl Fn() + Send + Sync + 'static) -> Arc<Self> {
+        Arc::new(StaleWatch {
+            open: Mutex::default(),
+            skips: AtomicU64::new(0),
+            commits: AtomicU64::new(0),
+            after: (skips, commits),
+            action: Box::new(action),
+        })
+    }
+
+    /// Start observing `sys`.
+    pub fn attach(self: &Arc<Self>, sys: &TxnSystem) {
+        sys.set_observer(Some(Arc::clone(self) as Arc<dyn TxnObserver>));
+    }
+
+    /// Stale-item skips committed so far.
+    pub fn skips(&self) -> u64 {
+        self.skips.load(Ordering::Acquire)
+    }
+
+    fn open(&self) -> std::sync::MutexGuard<'_, HashMap<u32, (u32, Option<u64>)>> {
+        // A seeded crash unwinds through observer callbacks by design.
+        self.open.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl TxnObserver for StaleWatch {
+    fn attempt_begin(&self, worker: u32) {
+        self.open().insert(worker, (0, None));
+    }
+
+    fn op_read(&self, worker: u32, _v: u32, _addr: tufast_htm::Addr, val: u64) {
+        let mut open = self.open();
+        let (ops, first) = open.entry(worker).or_default();
+        if *ops == 0 {
+            *first = Some(val);
+        }
+        *ops += 1;
+    }
+
+    fn op_write(&self, worker: u32, _v: u32, _addr: tufast_htm::Addr, _val: u64) {
+        self.open().entry(worker).or_default().0 += 1;
+    }
+
+    fn commit(&self, worker: u32, _ticket: u64) {
+        let attempt = self.open().remove(&worker);
+        let skipped = matches!(attempt, Some((1, Some(first))) if first != u64::MAX);
+        let skips = self.skips.fetch_add(u64::from(skipped), Ordering::AcqRel) + u64::from(skipped);
+        let commits = self.commits.fetch_add(1, Ordering::AcqRel) + 1;
+        if skips >= self.after.0 && commits >= self.after.1 {
+            (self.action)();
         }
     }
 }

@@ -29,6 +29,9 @@ use tufast::{
 use tufast_algos::{bfs, setup};
 use tufast_check::dsg::check;
 use tufast_check::history::Recorder;
+use tufast_check::recovery::{
+    baseline_result, run_ckpt, run_ckpt_on, star_plus_clique, RecoveryAlgo, StaleWatch,
+};
 use tufast_graph::gen;
 use tufast_graph::snapshot::SnapshotStore;
 use tufast_htm::{MemRegion, MemoryLayout};
@@ -357,6 +360,52 @@ fn deadline_aborts_a_checkpointed_run_and_resume_is_bitwise_exact() {
     assert_eq!(report.recoveries, 1);
     assert_eq!(dist, expected, "resume from the abort snapshot diverged");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cancel_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
+    // Cancellation-is-clean against the stale-item skip (DESIGN.md §7):
+    // every checkpointed driver is cancelled mid-drain *after* items were
+    // skipped as already scanned. In-flight items re-queue themselves
+    // without touching their watermark, the final snapshot carries values
+    // and frontier but no watermarks, and a fresh system — every watermark
+    // back at "never scanned" — resumes to the exact fixpoint.
+    let g = star_plus_clique(600, 48);
+    assert!(g.vertices().all(|v| g.degree(v) > 0));
+    for algo in RecoveryAlgo::ALL {
+        let label = algo.label();
+        let baseline = baseline_result(algo, &g, THREADS);
+        let dir = temp_dir(&format!("stale-cancel-{label}"));
+        let store = SnapshotStore::open(&dir, label).unwrap();
+        // Level-order BFS improves each vertex once, so it has stale items
+        // only when threads race: it is cancelled at its 300th commit,
+        // skips or not; the others at their 20th skip.
+        let (skips, commits) = if algo == RecoveryAlgo::Bfs {
+            (0, 300)
+        } else {
+            (20, 0)
+        };
+        let mut watch = None;
+        let (_, report) = run_ckpt_on(algo, &g, THREADS, &store, 40, false, |sys| {
+            let token = sys.cancel_token().clone();
+            let w = StaleWatch::after(skips, commits, move || token.cancel());
+            w.attach(sys);
+            watch = Some(w);
+        })
+        .unwrap();
+        assert_eq!(report.aborted, Some(AbortReason::Cancelled), "{label}");
+        assert_eq!(report.final_snapshots, 1, "{label}");
+        assert!(watch.unwrap().skips() >= skips, "{label}");
+
+        let (resumed, report) = run_ckpt(algo, &g, THREADS, &store, 40, true, None).unwrap();
+        assert_eq!(report.aborted, None, "{label}");
+        assert_eq!(report.recoveries, 1, "{label}");
+        assert_eq!(
+            resumed, baseline,
+            "{label}: resume from the cancel snapshot diverged"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -6,10 +6,12 @@
 #![cfg(feature = "faults")]
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use tufast_check::recovery::{
     baseline_result, corrupt_generation, crash_and_recover, forge_write_temp_crash,
-    latest_valid_slot, run_ckpt, truncate_generation, RecoveryAlgo,
+    latest_valid_slot, run_ckpt, run_ckpt_on, star_plus_clique, truncate_generation, RecoveryAlgo,
+    StaleWatch,
 };
 use tufast_graph::snapshot::{SnapshotError, SnapshotStore};
 use tufast_graph::{gen, Graph};
@@ -104,6 +106,54 @@ fn late_crash_over_stealing_and_bucketed_drivers_resumes_exactly() {
             algo.label()
         );
         assert_eq!(out.report.recoveries, 1, "{}", algo.label());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn crash_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
+    // The scan watermarks behind the stale-item skip (DESIGN.md §7) are
+    // per run and never snapshotted. Crash a duplicate-heavy run late —
+    // after items were skipped as already scanned — and resume on a fresh
+    // system: the skipped items' work was owned by the scans that set the
+    // watermarks, those scans committed before the snapshot or their
+    // vertices are in its frontier, so starting over with no watermarks
+    // must only cost redundant scans, never a missed relaxation.
+    let g = star_plus_clique(600, 48);
+    assert!(g.vertices().all(|v| g.degree(v) > 0));
+    for algo in RecoveryAlgo::ALL {
+        let label = algo.label();
+        let baseline = baseline_result(algo, &g, THREADS);
+        let dir = temp_dir(&format!("stale-crash-{label}"));
+        let store = SnapshotStore::open(&dir, label).unwrap();
+        // Die at the 20th stale skip. Level-order BFS improves each vertex
+        // once, so it has stale items only when threads race: it dies at
+        // its 300th commit, skips or not.
+        let plan = FaultPlan::new(FaultSpec::default());
+        let (skips, commits) = if algo == RecoveryAlgo::Bfs {
+            (0, 300)
+        } else {
+            (20, 0)
+        };
+        let armed = Arc::clone(&plan);
+        let watch = StaleWatch::after(skips, commits, move || armed.arm_crash());
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_ckpt_on(algo, &g, THREADS, &store, 40, false, |sys| {
+                sys.set_fault_plan(Some(plan));
+                watch.attach(sys);
+            })
+        }));
+        let payload = crashed.expect_err("the run finished before the crash was armed");
+        assert!(is_injected_crash(payload.as_ref()), "{label}");
+        assert!(watch.skips() >= skips, "{label}");
+        let store = SnapshotStore::open(&dir, label).unwrap();
+        assert!(
+            latest_valid_slot(&store).is_some(),
+            "{label}: the crash must land after the first epoch closed"
+        );
+        let (resumed, report) = run_ckpt(algo, &g, THREADS, &store, 40, true, None).unwrap();
+        assert_eq!(resumed, baseline, "{label}: resume diverged");
+        assert_eq!(report.recoveries, 1, "{label}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -304,6 +304,16 @@ impl FaultPlan {
         self.crashed.load(Ordering::SeqCst)
     }
 
+    /// Kill the run from outside the probe counts: every worker's next
+    /// crash probe dies, exactly as after a seeded crash. Lets a harness
+    /// time process death by what the run has *done* (an observer's
+    /// count) rather than by a per-worker attempt number.
+    pub fn arm_crash(&self) {
+        if !self.crashed.swap(true, Ordering::SeqCst) {
+            self.record(FaultKind::Crash);
+        }
+    }
+
     /// The plan's spec.
     #[inline]
     pub fn spec(&self) -> &FaultSpec {

@@ -1,0 +1,166 @@
+//! Stale-work-item gate: a vertex improved `k` times sits in the pool `k`
+//! times, and all but one of those items must cost one transactional read,
+//! not a neighbourhood scan (DESIGN.md §7, "Item ownership and stale
+//! items"). Tier-1 `cargo test` runs only this umbrella crate, so the
+//! bound lives here. At one thread the counters repeat exactly — this is a
+//! count, not a timing test.
+
+#[path = "../crates/algos/tests/support/mod.rs"]
+mod support;
+
+use std::sync::{Arc, Mutex};
+
+use tufast::TuFast;
+use tufast_algos::sssp::QueueKind;
+use tufast_algos::{setup, sssp, wcc};
+use tufast_graph::{gen, Graph, GraphBuilder, VertexId};
+use tufast_txn::{
+    GraphScheduler, HealthHandle, SchedStats, TxnBody, TxnHint, TxnOutcome, TxnSystem, TxnWorker,
+};
+
+/// `TuFast`, with every worker's counters collected when the driver drops it.
+struct Counted {
+    inner: TuFast,
+    sink: Arc<Mutex<SchedStats>>,
+}
+
+struct CountedWorker {
+    inner: <TuFast as GraphScheduler>::Worker,
+    sink: Arc<Mutex<SchedStats>>,
+}
+
+impl Counted {
+    fn new(sys: &Arc<TxnSystem>) -> Self {
+        Counted {
+            inner: TuFast::new(Arc::clone(sys)),
+            sink: Arc::default(),
+        }
+    }
+
+    fn take(&self) -> SchedStats {
+        std::mem::take(&mut *self.sink.lock().unwrap())
+    }
+}
+
+impl GraphScheduler for Counted {
+    type Worker = CountedWorker;
+
+    fn worker(&self) -> CountedWorker {
+        CountedWorker {
+            inner: self.inner.worker(),
+            sink: Arc::clone(&self.sink),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+impl TxnWorker for CountedWorker {
+    fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
+        self.inner.execute_hinted(hint, body)
+    }
+
+    fn stats(&self) -> &SchedStats {
+        self.inner.stats()
+    }
+
+    fn take_stats(&mut self) -> SchedStats {
+        self.inner.take_stats()
+    }
+
+    fn health(&self) -> Option<&HealthHandle> {
+        self.inner.health()
+    }
+}
+
+impl Drop for CountedWorker {
+    fn drop(&mut self) {
+        let stats = self.inner.take_stats();
+        self.sink.lock().unwrap().merge(&stats);
+    }
+}
+
+/// The seeded inputs: a weighted R-MAT graph, its symmetric view for
+/// Components, and the max-out-degree vertex (lowest id on ties) — vertex
+/// 0 of an R-MAT graph may have no out-edges.
+fn inputs() -> (Graph, Graph, VertexId) {
+    let g = gen::with_random_weights(&gen::rmat(10, 8, 7), 100, 0x5EED);
+    let mut b = GraphBuilder::new(g.num_vertices()).symmetric();
+    for (s, d) in g.edges() {
+        b.add_edge(s, d);
+    }
+    let source = (0..g.num_vertices() as VertexId)
+        .rev()
+        .max_by_key(|&v| g.degree(v))
+        .unwrap();
+    (g, b.build(), source)
+}
+
+#[test]
+fn sssp_reads_stay_near_one_scan_per_reached_vertex() {
+    let (g, _, source) = inputs();
+    let built = setup(&g, sssp::SsspSpace::alloc);
+    let sched = Counted::new(&built.sys);
+    let dist = sssp::parallel(
+        &g,
+        &sched,
+        &built.sys,
+        &built.space,
+        source,
+        1,
+        QueueKind::Priority,
+    );
+    assert_eq!(dist, sssp::sequential(&g, source));
+    let stats = sched.take();
+
+    let reached = || {
+        g.vertices()
+            .filter(|&v| dist[v as usize] != sssp::UNREACHED)
+    };
+    assert!(
+        2 * reached().count() >= g.num_vertices(),
+        "source reaches too little"
+    );
+    let one_scan_each: u64 = reached().map(|v| g.degree(v) as u64 + 1).sum();
+    assert!(
+        stats.commits > reached().count() as u64,
+        "no vertex was queued twice: the input no longer exercises stale items"
+    );
+    // One read per item (most are stale) plus 1.5 scans per reached vertex:
+    // re-scans of a vertex whose distance really dropped, and restarts.
+    let bound = stats.commits + one_scan_each * 3 / 2;
+    assert!(
+        stats.reads <= bound,
+        "{} transactional reads for {} items over {} scan reads: above {bound}",
+        stats.reads,
+        stats.commits,
+        one_scan_each
+    );
+}
+
+/// The exact one-thread count; it was 25 764 while stale items re-scanned.
+const WCC_READS_CEILING: u64 = 13_799;
+
+#[test]
+fn wcc_reads_are_pinned() {
+    let (_, sym, _) = inputs();
+    let built = setup(&sym, wcc::WccSpace::alloc);
+    let sched = Counted::new(&built.sys);
+    let labels = wcc::parallel(&sym, &sched, &built.sys, &built.space, 1);
+    assert_eq!(labels, wcc::sequential(&sym));
+    let reads = sched.take().reads;
+    assert!(
+        reads <= WCC_READS_CEILING,
+        "{reads} transactional reads, above the pinned {WCC_READS_CEILING}"
+    );
+}
+
+#[test]
+fn every_driver_equals_sequential() {
+    let (g, sym, source) = inputs();
+    for threads in [1, 4] {
+        support::all_drivers_match_sequential(&g, &sym, source, threads);
+    }
+}

@@ -86,6 +86,15 @@ pub struct ReadersSpec {
     pub readers: usize,
     /// Declared-pure transactions per reader thread.
     pub reader_txns: usize,
+    /// Words (and vertex ids) between consecutive cells. At 1 a pair
+    /// shares one data line and one lock-word line; at 8 or more every
+    /// half-pair has its own of each, so a writer's commit is a multi-line
+    /// batch a reader can pin into the middle of.
+    pub stride: u64,
+    /// Size hint of the writer transactions. Under TuFast it picks the
+    /// mode: small hints run in H, 8192 is past H's reach (O mode), and
+    /// anything past `o_max_hint_words` goes straight to L (2PL).
+    pub writer_hint: usize,
 }
 
 impl Default for ReadersSpec {
@@ -96,6 +105,8 @@ impl Default for ReadersSpec {
             writer_txns: 120,
             readers: 2,
             reader_txns: 240,
+            stride: 1,
+            writer_hint: 6,
         }
     }
 }
@@ -172,7 +183,7 @@ impl ReadersRunner {
     /// Run one (scheduler, plan) pair and check the outcome.
     pub fn run(&self, kind: SchedulerKind, plan: &ReadersPlan) -> ReadersOutcome {
         let fault_plan = plan.faults.clone().map(FaultPlan::new);
-        let cells = self.spec.pairs * 2;
+        let cells = self.spec.pairs * 2 * self.spec.stride;
         let mut layout = MemoryLayout::new();
         let data = layout.alloc("pairs", cells);
         let htm = HtmConfig {
@@ -246,6 +257,11 @@ impl ReadersRunner {
         sys.set_observer(Some(Arc::clone(&observer) as Arc<dyn TxnObserver>));
 
         let spec = self.spec;
+        // Half `h` of pair `p`: its vertex id and its data word.
+        let cell = |p: u64, h: u64| {
+            let i = (2 * p + h) * spec.stride;
+            (i as VertexId, data.addr(i))
+        };
         // Globally unique pair stamps: pair p holds (2n, 2n + 1) for some
         // nonzero n, so `b == a + 1` never holds across two different
         // writes and read attribution in the checker is exact.
@@ -255,9 +271,10 @@ impl ReadersRunner {
         let mut seeder = sched.worker();
         for p in 0..spec.pairs {
             let s = stamp.fetch_add(1, Ordering::Relaxed) << 1;
+            let ((va, a), (vb, b)) = (cell(p, 0), cell(p, 1));
             let out = seeder.execute(4, &mut |ops| {
-                ops.write(2 * p as VertexId, data.addr(2 * p), s)?;
-                ops.write(2 * p as VertexId + 1, data.addr(2 * p + 1), s + 1)
+                ops.write(va, a, s)?;
+                ops.write(vb, b, s + 1)
             });
             assert!(out.committed, "seed transaction must commit");
         }
@@ -276,9 +293,10 @@ impl ReadersRunner {
                     for k in 0..spec.reader_txns {
                         let p = ((ti + k) % spec.pairs as usize) as u64;
                         let (mut a, mut b) = (0, 0);
+                        let ((va, wa), (vb, wb)) = (cell(p, 0), cell(p, 1));
                         let out = w.execute_hinted(TxnHint::read_only(4), &mut |ops| {
-                            a = ops.read(2 * p as VertexId, data.addr(2 * p))?;
-                            b = ops.read(2 * p as VertexId + 1, data.addr(2 * p + 1))?;
+                            a = ops.read(va, wa)?;
+                            b = ops.read(vb, wb)?;
                             Ok(())
                         });
                         assert!(out.committed, "pure reads never user-abort");
@@ -301,15 +319,16 @@ impl ReadersRunner {
                     for k in 0..spec.writer_txns {
                         let p = ((ti + k) % spec.pairs as usize) as u64;
                         let crash_here = plan.crash_writer && ti == 0 && k == spec.writer_txns / 2;
+                        let ((va, a), (vb, b)) = (cell(p, 0), cell(p, 1));
                         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            w.execute(6, &mut |ops| {
+                            w.execute(spec.writer_hint, &mut |ops| {
                                 let s = stamp.fetch_add(1, Ordering::Relaxed) << 1;
-                                ops.read(2 * p as VertexId, data.addr(2 * p))?;
-                                ops.write(2 * p as VertexId, data.addr(2 * p), s)?;
+                                ops.read(va, a)?;
+                                ops.write(va, a, s)?;
                                 if crash_here {
                                     panic!("readers probe: writer crash mid-pair");
                                 }
-                                ops.write(2 * p as VertexId + 1, data.addr(2 * p + 1), s + 1)
+                                ops.write(vb, b, s + 1)
                             });
                         }));
                         assert_eq!(
@@ -334,8 +353,8 @@ impl ReadersRunner {
         // The invariant must also hold in final memory: the crashed
         // writer's half-pair rolled back, every surviving pair is whole.
         for p in 0..spec.pairs {
-            let a = sys.mem().load_direct(data.addr(2 * p));
-            let b = sys.mem().load_direct(data.addr(2 * p + 1));
+            let a = sys.mem().load_direct(cell(p, 0).1);
+            let b = sys.mem().load_direct(cell(p, 1).1);
             assert_eq!(b, a + 1, "final memory holds a torn pair at {p}");
         }
         let expected =

@@ -27,6 +27,36 @@ fn readers_stay_consistent_under_every_scheduler_and_plan() {
     }
 }
 
+/// Commit batches that span several lines: with every half-pair on its own
+/// data line and lock-word line, each writer commit publishes (or, under
+/// 2PL, re-stamps and releases) four lines at one ticket, and a reader can
+/// pin between any two of them. O-mode and L-mode writers are picked by
+/// hint under TuFast; 2PL, OCC and TO run the same batches standalone.
+#[test]
+fn readers_pinned_inside_multi_line_batches_never_fracture() {
+    let plans = ReadersPlan::standard();
+    let quiet = plans
+        .iter()
+        .find(|p| p.name == "quiet")
+        .expect("quiet plan");
+    let rows = [
+        (SchedulerKind::TuFast, 8192),    // past H: optimistic commit batch
+        (SchedulerKind::TuFast, 1 << 20), // past O: 2PL release batch
+        (SchedulerKind::TwoPhaseLocking, 6),
+        (SchedulerKind::Occ, 6),
+        (SchedulerKind::TimestampOrdering, 6),
+        (SchedulerKind::HSync, 6),
+    ];
+    for (kind, writer_hint) in rows {
+        let runner = ReadersRunner::new(ReadersSpec {
+            stride: 8,
+            writer_hint,
+            ..ReadersSpec::default()
+        });
+        runner.run(kind, quiet).assert_consistent();
+    }
+}
+
 #[test]
 fn quiesced_pure_reads_are_free_under_every_scheduler() {
     for kind in SchedulerKind::all() {
@@ -52,6 +82,7 @@ proptest! {
             writer_txns: txns,
             readers,
             reader_txns: txns * 2,
+            ..ReadersSpec::default()
         });
         let plans = ReadersPlan::standard();
         let quiet = plans.iter().find(|p| p.name == "quiet").expect("quiet plan");

@@ -6,28 +6,27 @@
 //! commit versions recorded at first touch are validated at commit time.
 //! *Writes* are buffered in a private workspace and never enter the HTM.
 //!
-//! Commit: lock the write vertices (sorted, try-only — O mode never waits,
-//! so it can never deadlock), validate the read set (by version, or by
-//! value for the paper's literal Algorithm 2 when
+//! Commit: lock the write set's lines (address order, try-only — O mode
+//! never waits, so it can never deadlock), validate the read set (by
+//! version, or by value for the paper's literal Algorithm 2 when
 //! [`value_validation`](crate::TuFastConfig::value_validation) is set),
-//! publish, and release with a version bump.
+//! and publish data and version bumps together at the commit's ticket — the
+//! protocol of [`tufast_txn::commit`], shared with OCC and TO.
 
 use tufast_htm::{AbortCode, Addr, HtmCtx, WordMap};
+use tufast_txn::commit::WriteSet;
 use tufast_txn::{LockWord, ObsHandle, TxInterrupt, TxnOps, TxnSystem};
 
 use crate::hmode::ABORT_LOCK_BUSY;
 use crate::VertexId;
-
-/// Bounded spins per write lock at commit (O mode must not wait: waiting
-/// while other O/H transactions can abort us makes no progress).
-const COMMIT_LOCK_SPINS: u32 = 128;
 
 /// Why an O-mode attempt failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum OFailCode {
     /// An HTM piece aborted (conflict, capacity, spurious).
     Htm(AbortCode),
-    /// A subscribed vertex was write-locked, or a commit lock stayed busy.
+    /// A subscribed vertex was write-locked, or the write set could not be
+    /// locked at commit (a line stayed busy, or L mode holds a write vertex).
     LockBusy,
     /// Commit-time read validation failed.
     Validation,
@@ -37,8 +36,8 @@ pub(crate) enum OFailCode {
 pub(crate) enum OAttempt {
     /// Committed with the given totals.
     Committed {
-        /// Read+write operations performed.
-        ops: u64,
+        /// Read and write operations performed.
+        ops: OpCount,
         /// HTM pieces used.
         pieces: u32,
     },
@@ -52,12 +51,25 @@ pub(crate) enum OAttempt {
         /// The failure cause.
         code: OFailCode,
         /// Operations completed before failing (contention-monitor input).
-        ops: u64,
+        ops: OpCount,
         /// On a capacity abort: the number of operations that *did* fit in
         /// the overflowing piece — the router jumps straight to a fitting
         /// period instead of halving blindly from a far-too-large one.
         fit_period: Option<u32>,
     },
+}
+
+/// Transactional operations of one attempt, by kind.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct OpCount {
+    pub(crate) reads: u64,
+    pub(crate) writes: u64,
+}
+
+impl OpCount {
+    pub(crate) fn total(self) -> u64 {
+        self.reads + self.writes
+    }
 }
 
 /// Reusable per-worker O-mode buffers (hoisted out of the per-attempt
@@ -68,20 +80,17 @@ pub(crate) struct OScratch {
     read_seen: WordMap,
     /// `(addr, value)` pairs for value validation (paper Algorithm 2 l.45).
     read_values: Vec<(Addr, u64)>,
-    writes: WordMap,
-    write_vertices: Vec<VertexId>,
-    write_seen: WordMap,
+    writes: WriteSet,
 }
 
 impl OScratch {
-    pub(crate) fn new() -> Self {
+    /// Buffers for worker `me`.
+    pub(crate) fn new(me: u32) -> Self {
         OScratch {
             reads: Vec::with_capacity(64),
             read_seen: WordMap::with_capacity(64),
             read_values: Vec::new(),
-            writes: WordMap::with_capacity(32),
-            write_vertices: Vec::with_capacity(16),
-            write_seen: WordMap::with_capacity(16),
+            writes: WriteSet::new(me),
         }
     }
 
@@ -90,8 +99,6 @@ impl OScratch {
         self.read_seen.clear();
         self.read_values.clear();
         self.writes.clear();
-        self.write_vertices.clear();
-        self.write_seen.clear();
     }
 }
 
@@ -107,7 +114,7 @@ pub(crate) struct OModeOps<'a> {
     failure: Option<OFailCode>,
     /// `piece_ops` at the moment of failure (capacity fit estimation).
     failed_piece_ops: u32,
-    ops: u64,
+    ops: OpCount,
 }
 
 impl<'a> OModeOps<'a> {
@@ -129,7 +136,7 @@ impl<'a> OModeOps<'a> {
             scratch,
             failure: None,
             failed_piece_ops: 0,
-            ops: 0,
+            ops: OpCount::default(),
         }
     }
 
@@ -168,8 +175,8 @@ impl TxnOps for OModeOps<'_> {
     // Only `read` runs inside an HTM piece; `write` buffers privately.
     // tufast-lint: htm-scope
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        self.ops += 1;
-        if let Some(val) = self.scratch.writes.get(addr) {
+        self.ops.reads += 1;
+        if let Some(val) = self.scratch.writes.words().get(addr) {
             return Ok(val);
         }
         if !self.ctx.in_tx() {
@@ -204,12 +211,9 @@ impl TxnOps for OModeOps<'_> {
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
-        self.ops += 1;
+        self.ops.writes += 1;
         // Algorithm 2: writes go to the private workspace only.
-        self.scratch.writes.insert(addr, val);
-        if self.scratch.write_seen.insert(Addr(u64::from(v)), 1) {
-            self.scratch.write_vertices.push(v);
-        }
+        self.scratch.writes.insert(v, addr, val);
         Ok(())
     }
 }
@@ -235,7 +239,7 @@ pub(crate) fn attempt(
     if ctx.begin().is_err() {
         return OAttempt::Failed {
             code: OFailCode::Htm(AbortCode::Conflict),
-            ops: 0,
+            ops: OpCount::default(),
             fit_period: None,
         };
     }
@@ -281,17 +285,17 @@ pub(crate) fn attempt(
         reads,
         read_values,
         writes,
-        write_vertices,
         ..
     } = &mut *scratch;
+    let failed = |code| OAttempt::Failed {
+        code,
+        ops: n,
+        fit_period: None,
+    };
 
     // Close the final piece: its commit validates everything read inside it.
     if !ctx.in_tx() {
-        return OAttempt::Failed {
-            code: OFailCode::Htm(AbortCode::Conflict),
-            ops: n,
-            fit_period: None,
-        };
+        return failed(OFailCode::Htm(AbortCode::Conflict));
     }
     if let Err(code) = ctx.commit() {
         let fit_period = (code == AbortCode::Capacity).then(|| 1.max(period * 3 / 4));
@@ -302,83 +306,31 @@ pub(crate) fn attempt(
         };
     }
 
-    // Optimistic commit (outside any HTM): lock write set, validate reads,
-    // publish, release.
+    // Optimistic commit (outside any HTM): lock the write set's lines,
+    // validate reads, publish at the ticket.
     obs.pre_commit(me);
     let mem = sys.mem();
-    let locks = sys.locks();
-    write_vertices.sort_unstable();
-    let write_vertices: &[VertexId] = write_vertices;
-    let mut acquired = 0usize;
-    'locking: for (i, &v) in write_vertices.iter().enumerate() {
-        for spin in 0..COMMIT_LOCK_SPINS {
-            if locks.try_exclusive(mem, v, me).is_ok() {
-                acquired = i + 1;
-                continue 'locking;
-            }
-            if spin % 32 == 31 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        for &u in &write_vertices[..acquired] {
-            locks.unlock_exclusive(mem, u, me, false);
-        }
-        return OAttempt::Failed {
-            code: OFailCode::LockBusy,
-            ops: n,
-            fit_period: None,
-        };
-    }
-
+    let Some(held) = writes.try_lock(sys, |_| None) else {
+        return failed(OFailCode::LockBusy);
+    };
     let valid = if skip_validation {
         true
     } else if value_validation {
         // Paper Algorithm 2 line 45: the values read must still be current,
-        // and no read vertex may be locked by someone else.
-        reads.iter().all(|&(v, _)| {
-            let w = locks.peek(mem, v);
-            w.writer().is_none_or(|o| o == me)
-        }) && read_values
-            .iter()
-            .all(|&(addr, val)| mem.load_direct(addr) == val)
+        // and no read vertex may be owned by someone else.
+        held.reads_unowned(reads)
+            && read_values
+                .iter()
+                .all(|&(addr, val)| mem.load_direct(addr) == val)
     } else {
-        reads.iter().all(|&(v, ver)| {
-            let w = locks.peek(mem, v);
-            w.version() == ver && w.writer().is_none_or(|o| o == me)
-        })
+        held.reads_current(reads)
     };
     if !valid {
-        for &u in write_vertices {
-            locks.unlock_exclusive(mem, u, me, false);
-        }
-        return OAttempt::Failed {
-            code: OFailCode::Validation,
-            ops: n,
-            fit_period: None,
-        };
+        return failed(OFailCode::Validation);
     }
-
-    for (addr, val) in writes.iter() {
-        mem.store_direct(addr, val);
-    }
-    // Ticket while the write locks are still held: conflicting writers to
-    // the same vertices publish strictly before or after this point.
-    // Read-only transactions report the current clock as an upper bound.
-    if write_vertices.is_empty() {
-        obs.commit_ticketed(me, || mem.clock_now_pub());
-    } else {
-        obs.commit_ticketed(me, || mem.clock_tick_pub());
-        // Republish written lines at post-ticket versions while the write
-        // locks are still held: the publication stores above left line
-        // versions predating the ticket, which an R-mode snapshot reader
-        // pinned mid-commit could wrongly accept (see `tufast_txn::rmode`).
-        mem.republish_lines(writes.iter().map(|(a, _)| a));
-    }
-    for &v in write_vertices {
-        locks.unlock_exclusive(mem, v, me, true);
-    }
+    // Conflicting writers hold overlapping line sets, so they publish
+    // strictly before or after this commit's ticket.
+    held.commit(obs);
     OAttempt::Committed { ops: n, pieces }
 }
 
@@ -404,7 +356,7 @@ mod tests {
         value_validation: bool,
         body: &mut tufast_txn::TxnBody<'_>,
     ) -> OAttempt {
-        let mut scratch = OScratch::new();
+        let mut scratch = OScratch::new(me);
         super::attempt(
             ctx,
             sys,
@@ -432,7 +384,7 @@ mod tests {
         });
         match out {
             OAttempt::Committed { ops, pieces } => {
-                assert_eq!(ops, 33);
+                assert_eq!((ops.reads, ops.writes), (32, 1));
                 assert!(pieces >= 8, "expected ≥8 pieces at period 4, got {pieces}");
             }
             _ => panic!("expected commit"),

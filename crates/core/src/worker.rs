@@ -11,7 +11,7 @@ use tufast_txn::{
 use crate::config::TuFastConfig;
 use crate::hmode::{self, HAttempt, HScratch};
 use crate::monitor::ContentionMonitor;
-use crate::omode::{self, OAttempt, OFailCode, OScratch};
+use crate::omode::{self, OAttempt, OFailCode, OScratch, OpCount};
 use crate::stats::{ModeClass, TuFastStats};
 
 /// While H is judged futile, every `H_REPROBE_INTERVAL`-th otherwise
@@ -67,11 +67,11 @@ impl GraphScheduler for TuFast {
             faults: self.sys.fault_handle(me),
             health: self.sys.health_handle(me),
             h_skip_streak: 0,
-            ctx: self.sys.htm_ctx(),
             monitor: ContentionMonitor::new(self.config.min_period, self.config.max_period),
             l_worker,
             h_scratch: HScratch::new(),
-            o_scratch: OScratch::new(),
+            ctx: self.sys.htm_ctx(),
+            o_scratch: OScratch::new(me),
             period_cap: self.config.max_period,
             h_hint_cap: self.config.h_max_hint_words,
             sys: Arc::clone(&self.sys),
@@ -476,7 +476,7 @@ impl TxnWorker for TuFastWorker {
                 self.stats.sched.injected_faults += 1;
                 OAttempt::Failed {
                     code: OFailCode::Validation,
-                    ops: 0,
+                    ops: OpCount::default(),
                     fit_period: None,
                 }
             } else {
@@ -494,11 +494,13 @@ impl TxnWorker for TuFastWorker {
             };
             match result {
                 OAttempt::Committed { ops, pieces } => {
+                    self.stats.sched.reads += ops.reads;
+                    self.stats.sched.writes += ops.writes;
+                    let ops = ops.total();
                     self.monitor.observe(ops, 0);
                     // Slow recovery of the learned capacity cap.
                     self.period_cap =
                         (self.period_cap + self.period_cap / 16).min(self.config.max_period);
-                    self.stats.sched.reads += ops; // O-level op split is read-dominated; see DESIGN.md
                     let class = if adjusted {
                         ModeClass::OPlus
                     } else {
@@ -529,7 +531,9 @@ impl TxnWorker for TuFastWorker {
                     self.stats.sched.restarts += 1;
                     self.health.note_restart();
                     obs.abort(self.me, false);
-                    self.stats.sched.reads += ops;
+                    self.stats.sched.reads += ops.reads;
+                    self.stats.sched.writes += ops.writes;
+                    let ops = ops.total();
                     // Capacity overflow is deterministic in the piece size,
                     // not evidence of contention: jump straight to a
                     // fitting period and keep the monitor clean. Conflicts

@@ -1,0 +1,253 @@
+//! Multi-line lock batches: the set of cache lines one commit holds at once.
+//!
+//! Every committer that publishes more than one line — an [`HtmCtx`]
+//! commit, the STM, the schedulers' software commits — gathers its lines
+//! into a [`LineBatch`], locks them in ascending address order, stores, and
+//! releases them all at one clock value. Content and version therefore
+//! become visible *together*: a reader that accepts a line version `≤ t`
+//! has proof the line's content was committed at or before `t`.
+//!
+//! [`HtmCtx`]: crate::HtmCtx
+
+use std::sync::atomic::Ordering;
+
+use crate::memory::{TxMemory, DIRECT_OWNER};
+use crate::meta;
+
+/// The cache lines of one commit, gathered in any order and locked
+/// ascending (address order keeps every multi-line locker deadlock-free).
+#[derive(Debug)]
+pub struct LineBatch {
+    /// Gathered line ids; strictly ascending once locked.
+    lines: Vec<u64>,
+    /// `lines` is strictly ascending as gathered: nothing to sort.
+    ascending: bool,
+    /// How many of `lines`, from the front, are currently locked. (A locked
+    /// line's metadata keeps its pre-lock version, so none is stored here.)
+    locked: usize,
+}
+
+impl LineBatch {
+    /// An empty batch with room for `cap` lines.
+    pub fn with_capacity(cap: usize) -> Self {
+        LineBatch {
+            lines: Vec::with_capacity(cap),
+            ascending: true,
+            locked: 0,
+        }
+    }
+
+    /// Forget the gathered lines (none may still be locked).
+    #[inline]
+    pub fn clear(&mut self) {
+        debug_assert_eq!(self.locked, 0, "clearing a locked batch");
+        self.lines.clear();
+        self.ascending = true;
+    }
+
+    /// Add `line`. Ascending neighbours share lock and value lines, so a
+    /// repeat of the previous line is dropped here and an ascending run
+    /// never needs the sort.
+    #[inline]
+    pub fn push(&mut self, line: u64) {
+        match self.lines.last() {
+            Some(&last) if last == line => return,
+            Some(&last) if last > line => self.ascending = false,
+            _ => {}
+        }
+        self.lines.push(line);
+    }
+
+    /// Bring the gathered ids into strictly ascending order.
+    fn seal(&mut self) {
+        debug_assert_eq!(self.locked, 0, "re-locking a locked batch");
+        if !self.ascending {
+            self.lines.sort_unstable();
+            self.lines.dedup();
+            self.ascending = true;
+        }
+    }
+}
+
+impl TxMemory {
+    /// Write-lock every line of `batch` for `owner`, ascending. A line still
+    /// held elsewhere after `spins` tries fails the acquisition: the lines
+    /// locked so far are released unchanged and nothing is held.
+    ///
+    /// Advanced API (see [`line_state`](Self::line_state)): pair success with
+    /// [`unlock_lines`](Self::unlock_lines); hold no line lock while blocking.
+    /// Lockers outside an HTM context pass [`DIRECT_OWNER`].
+    pub fn try_lock_lines(&self, batch: &mut LineBatch, owner: u32, spins: u32) -> bool {
+        batch.seal();
+        'locking: for i in 0..batch.lines.len() {
+            for spin in 0..spins {
+                if self.try_lock_line(batch.lines[i], owner).is_ok() {
+                    batch.locked = i + 1;
+                    continue 'locking;
+                }
+                if spin % 32 == 31 {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+            self.unlock_lines(batch, None);
+            return false;
+        }
+        true
+    }
+
+    /// Write-lock every line of `batch` as a direct accessor, ascending,
+    /// waiting for each. Deadlock-free: every multi-line holder locks
+    /// ascending, and the try-only ones give up instead of waiting.
+    pub fn lock_lines(&self, batch: &mut LineBatch) {
+        batch.seal();
+        for &line in &batch.lines {
+            self.lock_line_spin(line, DIRECT_OWNER);
+        }
+        batch.locked = batch.lines.len();
+    }
+
+    /// Unlock the locked lines of `batch`, publishing `version` (a fresh
+    /// [`clock_tick_pub`](Self::clock_tick_pub) minted while they were held)
+    /// or, with `None`, each line's pre-lock version. A batch that holds
+    /// nothing is left alone.
+    pub fn unlock_lines(&self, batch: &mut LineBatch, version: Option<u64>) {
+        for &line in &batch.lines[..batch.locked] {
+            // Relaxed: nobody else writes the word of a line we hold.
+            let pre_lock = || meta::version(self.line(line).load(Ordering::Relaxed));
+            self.unlock_line(line, version.unwrap_or_else(pre_lock));
+        }
+        batch.locked = 0;
+    }
+
+    /// The pre-lock version of `line` while `owner` holds it locked.
+    #[inline]
+    pub fn held_version(&self, line: u64, owner: u32) -> Option<u64> {
+        let m = self.line(line).load(Ordering::Acquire);
+        (meta::is_locked(m) && meta::owner(m) == owner).then(|| meta::version(m))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::memory::{Addr, LineState};
+
+    fn batch_of(lines: &[u64]) -> LineBatch {
+        let mut b = LineBatch::with_capacity(4);
+        for &l in lines {
+            b.push(l);
+        }
+        b
+    }
+
+    fn versions(mem: &TxMemory, lines: std::ops::Range<u64>) -> Vec<LineState> {
+        lines.map(|l| mem.line_state(l)).collect()
+    }
+
+    #[test]
+    fn push_drops_adjacent_repeats_and_tracks_order() {
+        let b = batch_of(&[3, 3, 4, 4, 9]);
+        assert_eq!(b.lines, [3, 4, 9]);
+        assert!(b.ascending, "an ascending run needs no sort");
+        let mut b = batch_of(&[7, 2, 7, 2, 2]);
+        assert!(!b.ascending);
+        b.seal();
+        assert_eq!(b.lines, [2, 7], "sorted, non-adjacent repeats removed");
+    }
+
+    #[test]
+    fn published_batch_leaves_one_version_and_one_tick() {
+        let mem = TxMemory::with_words(8 * 8);
+        for l in 0..8 {
+            mem.store_direct(Addr(l * 8), l); // distinct versions 1..=8
+        }
+        let clock = mem.clock_now();
+        let mut b = batch_of(&[6, 1, 4, 1]);
+        assert!(mem.try_lock_lines(&mut b, DIRECT_OWNER, 4));
+        assert_eq!(b.locked, 3);
+        assert_eq!(mem.held_version(4, DIRECT_OWNER), Some(5));
+        assert_eq!(mem.held_version(4, 7), None, "someone else's");
+        assert_eq!(mem.held_version(5, DIRECT_OWNER), None, "not locked");
+        mem.store_locked(Addr(6 * 8), 66);
+        mem.store_locked(Addr(8 + 1), 11);
+        let ticket = mem.clock_tick_pub();
+        mem.unlock_lines(&mut b, Some(ticket));
+
+        assert_eq!(ticket, clock + 1);
+        assert_eq!(mem.clock_now(), clock + 1, "one tick for the whole batch");
+        for l in [1, 4, 6] {
+            let want = LineState::Unlocked { version: ticket };
+            assert_eq!(mem.line_state(l), want, "line {l} is at the ticket");
+        }
+        for l in [0, 2, 3, 5, 7] {
+            let want = LineState::Unlocked { version: l + 1 };
+            assert_eq!(mem.line_state(l), want, "line {l} was not in the batch");
+        }
+        assert_eq!(mem.load_direct(Addr(48)), 66);
+        assert_eq!(mem.load_direct(Addr(9)), 11);
+        assert_eq!(b.locked, 0);
+    }
+
+    #[test]
+    fn abandoned_batch_leaves_versions_words_and_clock_untouched() {
+        let mem = TxMemory::with_words(4 * 8);
+        for l in 0..4 {
+            mem.store_direct(Addr(l * 8), 100 + l);
+        }
+        let (clock, before) = (mem.clock_now(), versions(&mem, 0..4));
+        // A commit that locks, fails its validation and lets go.
+        let mut b = batch_of(&[2, 0, 3]);
+        assert!(mem.try_lock_lines(&mut b, DIRECT_OWNER, 4));
+        mem.unlock_lines(&mut b, None);
+        assert_eq!(versions(&mem, 0..4), before);
+        assert_eq!(mem.clock_now(), clock);
+        // A commit that finds a line busy: the locked prefix is released.
+        let mut holder = batch_of(&[2]);
+        assert!(mem.try_lock_lines(&mut holder, 7, 1));
+        let mut b = batch_of(&[0, 1, 2, 3]);
+        assert!(!mem.try_lock_lines(&mut b, DIRECT_OWNER, 4));
+        assert_eq!(b.locked, 0);
+        mem.unlock_lines(&mut holder, None);
+        assert_eq!(versions(&mem, 0..4), before);
+        assert_eq!(mem.clock_now(), clock);
+        for l in 0..4 {
+            assert_eq!(mem.load_direct(Addr(l * 8)), 100 + l);
+        }
+        // Unlocking a batch that holds nothing is a no-op.
+        mem.unlock_lines(&mut b, Some(99));
+        assert_eq!(versions(&mem, 0..4), before);
+    }
+
+    #[test]
+    fn blocking_batches_in_opposite_gather_order_never_deadlock() {
+        let mem = TxMemory::with_words(16 * 8);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let mem = &mem;
+                s.spawn(move || {
+                    let mut b = LineBatch::with_capacity(16);
+                    for _ in 0..500 {
+                        b.clear();
+                        for l in 0..16 {
+                            b.push(if t % 2 == 0 { l } else { 15 - l });
+                        }
+                        mem.lock_lines(&mut b);
+                        // Read-modify-write every line's first word under
+                        // the locks: a lost update would show below.
+                        for l in 0..16 {
+                            let a = Addr(l * 8);
+                            mem.store_locked(a, mem.load_direct(a) + 1);
+                        }
+                        let ticket = mem.clock_tick_pub();
+                        mem.unlock_lines(&mut b, Some(ticket));
+                    }
+                });
+            }
+        });
+        for l in 0..16 {
+            assert_eq!(mem.load_direct(Addr(l * 8)), 2000);
+        }
+    }
+}

@@ -24,6 +24,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::abort::{AbortCode, HtmStateError};
+use crate::batch::LineBatch;
 use crate::config::{AbortInjector, AbortSource, HtmConfig};
 use crate::footprint::Footprint;
 use crate::l1::L1Model;
@@ -74,8 +75,8 @@ pub struct HtmCtx {
     last_commit_ts: u64,
     footprint: Footprint,
     write_buf: WordMap,
-    /// Commit scratch: `(write line, pre-lock version)` in address order.
-    locked: Vec<(u64, u64)>,
+    /// Commit scratch: the write lines, locked in address order.
+    batch: LineBatch,
     l1: L1Model,
     stats: HtmStats,
 }
@@ -111,7 +112,7 @@ impl HtmCtx {
             last_commit_ts: 0,
             footprint: Footprint::with_capacity(64),
             write_buf: WordMap::with_capacity(64),
-            locked: Vec::with_capacity(64),
+            batch: LineBatch::with_capacity(64),
             stats: HtmStats::default(),
         }
     }
@@ -300,13 +301,13 @@ impl HtmCtx {
         }
 
         // Lock write lines in address order (no deadlock among committers).
-        self.locked.clear();
-        self.locked
-            .extend(self.footprint.writes().map(|line| (line, 0)));
-        self.locked.sort_unstable();
+        self.batch.clear();
+        for line in self.footprint.writes() {
+            self.batch.push(line);
+        }
         if !self
             .mem
-            .try_lock_lines(&mut self.locked, self.id, COMMIT_LOCK_SPINS)
+            .try_lock_lines(&mut self.batch, self.id, COMMIT_LOCK_SPINS)
         {
             return Err(self.abort_with(AbortCode::Conflict));
         }
@@ -321,7 +322,7 @@ impl HtmCtx {
             meta::version(m) == ver && (!meta::is_locked(m) || meta::owner(m) == id)
         });
         if !valid {
-            self.mem.unlock_lines(&self.locked, None);
+            self.mem.unlock_lines(&mut self.batch, None);
             return Err(self.abort_with(AbortCode::Conflict));
         }
 
@@ -331,7 +332,7 @@ impl HtmCtx {
                 .word(addr)
                 .store(val, std::sync::atomic::Ordering::Release);
         }
-        self.mem.unlock_lines(&self.locked, Some(commit_ts));
+        self.mem.unlock_lines(&mut self.batch, Some(commit_ts));
         self.last_commit_ts = commit_ts;
         self.stats.commits += 1;
         self.reset();

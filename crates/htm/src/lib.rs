@@ -65,6 +65,7 @@
 #![forbid(unsafe_code)]
 
 mod abort;
+mod batch;
 mod config;
 mod ctx;
 mod footprint;
@@ -76,12 +77,13 @@ mod stats;
 mod wordmap;
 
 pub use abort::{AbortCode, HtmStateError};
+pub use batch::LineBatch;
 pub use config::{AbortInjector, AbortSource, HtmConfig};
 pub use ctx::HtmCtx;
 pub use footprint::Footprint;
 pub use l1::L1Model;
 pub use memory::{
-    Addr, LineState, MemRegion, MemoryLayout, PaddedRegion, TxMemory, WORDS_PER_LINE,
+    Addr, LineState, MemRegion, MemoryLayout, PaddedRegion, TxMemory, DIRECT_OWNER, WORDS_PER_LINE,
 };
 pub use runtime::HtmRuntime;
 pub use stats::HtmStats;

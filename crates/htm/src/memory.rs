@@ -166,12 +166,10 @@ pub struct TxMemory {
     clock: AtomicU64,
 }
 
-/// Owner id used by direct (non-transactional) accessors when they briefly
-/// lock a line. Distinct from every context id.
-const DIRECT_OWNER: u32 = meta::MAX_OWNER;
-
-/// Write sets up to this many words republish without a heap allocation.
-const REPUBLISH_INLINE: usize = 32;
+/// Line-lock owner id of every locker outside an HTM context: the direct
+/// (non-transactional) accessors here and the schedulers' software commit
+/// batches. Distinct from every context id.
+pub const DIRECT_OWNER: u32 = meta::MAX_OWNER;
 
 /// A snapshot of one line's versioned lock (advanced API; see
 /// [`TxMemory::line_state`]).
@@ -261,41 +259,6 @@ impl TxMemory {
         }
     }
 
-    /// Write-lock every line of `lines` (ascending: address order keeps
-    /// committers deadlock-free) for `owner`, recording each pre-lock version
-    /// beside its line. A line still held elsewhere after `spins` tries fails
-    /// the acquisition: the lines locked so far are released unchanged.
-    ///
-    /// Advanced API (see [`line_state`](Self::line_state)): pair success with
-    /// [`unlock_lines`](Self::unlock_lines); hold no line lock while blocking.
-    pub fn try_lock_lines(&self, lines: &mut [(u64, u64)], owner: u32, spins: u32) -> bool {
-        'locking: for held in 0..lines.len() {
-            for spin in 0..spins {
-                if let Ok(old_ver) = self.try_lock_line(lines[held].0, owner) {
-                    lines[held].1 = old_ver;
-                    continue 'locking;
-                }
-                if spin % 32 == 31 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            self.unlock_lines(&lines[..held], None);
-            return false;
-        }
-        true
-    }
-
-    /// Unlock lines locked by [`try_lock_lines`](Self::try_lock_lines),
-    /// publishing `version` (a fresh [`clock_tick_pub`](Self::clock_tick_pub)
-    /// after stores) or, with `None`, each line's pre-lock version.
-    pub fn unlock_lines(&self, lines: &[(u64, u64)], version: Option<u64>) {
-        for &(line, old_ver) in lines {
-            self.unlock_line(line, version.unwrap_or(old_ver));
-        }
-    }
-
     /// Current global version clock (advanced API).
     #[inline]
     pub fn clock_now_pub(&self) -> u64 {
@@ -309,8 +272,9 @@ impl TxMemory {
     }
 
     /// Store to a word whose line the caller currently holds locked via
-    /// [`try_lock_lines`](Self::try_lock_lines). Storing without the
-    /// lock is memory-safe but breaks the isolation protocol.
+    /// [`try_lock_lines`](Self::try_lock_lines) or
+    /// [`lock_lines`](Self::lock_lines). Storing without the lock is
+    /// memory-safe but breaks the isolation protocol.
     #[inline]
     pub fn store_locked(&self, addr: Addr, val: u64) {
         debug_assert!(
@@ -352,7 +316,7 @@ impl TxMemory {
     /// which must always succeed (it models a plain coherence-arbitrated
     /// store and can never "abort").
     #[inline]
-    fn lock_line_spin(&self, line: u64, owner: u32) -> u64 {
+    pub(crate) fn lock_line_spin(&self, line: u64, owner: u32) -> u64 {
         let mut spins = 0u32;
         loop {
             match self.try_lock_line(line, owner) {
@@ -384,48 +348,6 @@ impl TxMemory {
         self.lock_line_spin(line, DIRECT_OWNER);
         self.word(addr).store(val, Ordering::Release);
         self.unlock_line(line, self.clock_tick());
-    }
-
-    /// Republish `line` at a fresh clock version without changing any data
-    /// word. Commit paths that published their writes *before* minting
-    /// their serialization ticket (in-place 2PL writes, OCC/TO/O-mode
-    /// publication stores) call this after the ticket so the line versions
-    /// a snapshot reader validates against are minted at-or-after the
-    /// writer's commit point — a reader pinned mid-commit then rejects the
-    /// line instead of accepting a half-published transaction.
-    pub fn republish_line(&self, line: u64) {
-        self.lock_line_spin(line, DIRECT_OWNER);
-        self.unlock_line(line, self.clock_tick());
-    }
-
-    /// [`republish_line`](Self::republish_line) for every distinct line of
-    /// `addrs` (ascending line order, duplicates coalesced). Runs on every
-    /// writing commit of the publish-before-ticket schedulers, so small
-    /// write sets are sorted on the stack.
-    pub fn republish_lines(&self, addrs: impl Iterator<Item = Addr>) {
-        let mut inline = [0u64; REPUBLISH_INLINE];
-        let mut spilled = Vec::new();
-        let mut n = 0;
-        for line in addrs.map(Addr::line) {
-            match inline.get_mut(n) {
-                Some(slot) => *slot = line,
-                None => spilled.push(line),
-            }
-            n += 1;
-        }
-        let lines = if spilled.is_empty() {
-            &mut inline[..n]
-        } else {
-            spilled.extend_from_slice(&inline);
-            &mut spilled[..]
-        };
-        lines.sort_unstable();
-        let mut last = None;
-        for &line in lines.iter() {
-            if last.replace(line) != Some(line) {
-                self.republish_line(line);
-            }
-        }
     }
 
     /// Non-transactional compare-and-swap with strong isolation. On success
@@ -529,41 +451,6 @@ mod tests {
         mem.store_direct(Addr(0), 7);
         assert_eq!(mem.load_direct(Addr(0)), 7);
         assert!(mem.clock_now() > before);
-    }
-
-    #[test]
-    fn republish_bumps_versions_without_touching_data() {
-        let mem = TxMemory::with_words(64);
-        mem.store_direct(Addr(0), 7);
-        mem.store_direct(Addr(9), 8); // second line
-        let clock = mem.clock_now();
-        // Addr(0) and Addr(1) share line 0: one republish, not two.
-        mem.republish_lines([Addr(0), Addr(1), Addr(9)].into_iter());
-        assert_eq!(mem.load_direct(Addr(0)), 7);
-        assert_eq!(mem.load_direct(Addr(9)), 8);
-        assert_eq!(mem.clock_now(), clock + 2);
-        match mem.line_state(0) {
-            LineState::Unlocked { version } => assert!(version > clock),
-            LineState::Locked { .. } => panic!("republish must unlock"),
-        }
-    }
-
-    #[test]
-    fn republish_is_ascending_and_distinct_at_every_write_set_size() {
-        // Below, at and above the inline limit (the spill to the heap):
-        // descending addresses, two words per line.
-        for lines in [1, REPUBLISH_INLINE / 2, REPUBLISH_INLINE / 2 + 1, 100] {
-            let mem = TxMemory::with_words(100 * 8);
-            let addrs = (0..lines as u64)
-                .rev()
-                .flat_map(|l| [Addr(l * 8 + 1), Addr(l * 8)]);
-            mem.republish_lines(addrs);
-            assert_eq!(mem.clock_now(), lines as u64, "one tick per distinct line");
-            for l in 0..lines as u64 {
-                let want = LineState::Unlocked { version: l + 1 };
-                assert_eq!(mem.line_state(l), want, "{lines} lines: ascending order");
-            }
-        }
     }
 
     #[test]

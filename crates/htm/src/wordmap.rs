@@ -139,7 +139,7 @@ impl WordMap {
     }
 
     /// Iterate buffered `(addr, value)` pairs in first-insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Addr, u64)> + Clone + '_ {
         self.entries.iter().map(|&(a, v)| (Addr(a), v))
     }
 

@@ -12,7 +12,8 @@
 //!   `lock-acquire(vertex_lock)` markers).
 //! * `try_lock_line(..)` / `try_lock_lines(..)` — the HTM emulation's
 //!   per-line commit locks (class `htm_line_lock`, bounded-try,
-//!   address-sorted).
+//!   address-sorted); the one waiting acquisition, `lock_lines` in the
+//!   in-place commit batch, carries a `lock-acquire(htm_line_lock)` marker.
 //! * `recv.lock(..)` — a mutex, classed `mutex:<file>.<recv>`.
 //! * `// tufast-lint: lock-acquire(<class>)` — a blocking acquisition
 //!   the patterns cannot see (CAS spin loops on token words).
@@ -57,12 +58,15 @@ const CLASS_NOTES: &[(&str, &str)] = &[
     (
         "vertex_lock",
         "per-vertex 2PL lock words; intra-class order unrestricted — L mode relies on runtime \
-         deadlock detection/victimization, O/TO commit paths acquire sorted and bounded-try",
+         deadlock detection/victimization; the optimistic commit paths (O mode, OCC, TO) take \
+         none and test the words under their line locks instead",
     ),
     (
         "htm_line_lock",
-        "per-line commit locks inside the HTM emulation; acquired in sorted address order, \
-         bounded-try, never held across user code",
+        "per-line commit locks of the HTM/STM commits and the schedulers' commit batches; always \
+         acquired in sorted address order, bounded-try by every optimistic committer, waited for \
+         only by the in-place (2PL / HSync-fallback) release batch, whose holder never waits for \
+         a vertex lock; never held across user code",
     ),
     (
         "serial_token",

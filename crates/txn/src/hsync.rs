@@ -15,8 +15,9 @@
 
 use std::sync::Arc;
 
-use tufast_htm::{AbortCode, Addr, HtmCtx};
+use tufast_htm::{AbortCode, Addr, HtmCtx, LineBatch};
 
+use crate::commit::release_at_ticket;
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
 use crate::obs::ObsHandle;
@@ -68,6 +69,7 @@ impl GraphScheduler for HSyncLike {
             sys: Arc::clone(&self.sys),
             retries: self.retries,
             undo: Vec::with_capacity(32),
+            batch: LineBatch::with_capacity(32),
             stats: SchedStats::default(),
         }
     }
@@ -85,6 +87,8 @@ pub struct HSyncWorker {
     health: HealthHandle,
     retries: u32,
     undo: Vec<(Addr, u64)>,
+    /// Fallback-commit scratch: the undo log's lines and the fallback word's.
+    batch: LineBatch,
     stats: SchedStats,
 }
 
@@ -241,15 +245,18 @@ impl HSyncWorker {
         match result {
             Ok(()) => {
                 obs.pre_commit(id);
-                // Ticket before releasing the global lock: no other writer
-                // can publish while we still hold it.
-                obs.commit_ticketed(id, || mem.clock_tick_pub());
-                // Republish the in-place written lines at post-ticket
-                // versions while the fallback word is still set, so a
-                // snapshot reader pinned mid-commit cannot accept the
-                // pre-ticket stores (see `rmode` module docs).
-                mem.republish_lines(self.undo.iter().map(|&(a, _)| a));
-                mem.store_direct(fallback, 0);
+                // One batch stamps the in-place written lines with the
+                // ticket and clears the fallback word at it: no other writer
+                // can publish in between, and a snapshot reader pinned
+                // mid-commit cannot accept the pre-ticket stores.
+                let ticket = release_at_ticket(
+                    mem,
+                    &mut self.batch,
+                    self.undo.iter().map(|&(addr, _)| addr),
+                    std::iter::once(fallback),
+                    |_| 0,
+                );
+                obs.commit_ticketed(id, || ticket);
                 true
             }
             Err(interrupt) => {

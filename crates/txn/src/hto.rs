@@ -11,12 +11,15 @@
 //!
 //! The HTM commit also bumps each written vertex's lock-word version
 //! *inside* the transaction, so the lock-free fallback readers (which
-//! sample the lock word around their value load) observe HTM commits.
+//! bracket their value load with the lock word's line version) and
+//! optimistic validators observe HTM commits.
 
 use std::sync::Arc;
 
-use tufast_htm::{Addr, HtmCtx, WordMap};
+use tufast_htm::{Addr, HtmCtx};
 
+use crate::buffered::{self, Buffered, Lifecycle};
+use crate::commit::WriteSet;
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
 use crate::locks::LockWord;
@@ -24,8 +27,7 @@ use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::to::{pack, to_commit_locked, to_read_fallback, unpack};
 use crate::traits::{
-    backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
-    TxnWorker,
+    GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome, TxnWorker,
 };
 use crate::VertexId;
 
@@ -53,12 +55,10 @@ impl GraphScheduler for HTimestampOrdering {
             id,
             faults: self.sys.fault_handle(id),
             health: self.sys.health_handle(id),
-            ctx: self.sys.htm_ctx(),
             sys: Arc::clone(&self.sys),
             ts: 0,
-            writes: WordMap::with_capacity(32),
-            write_vertices: Vec::with_capacity(16),
-            write_seen: WordMap::with_capacity(16),
+            ctx: self.sys.htm_ctx(),
+            writes: WriteSet::new(id),
             stats: SchedStats::default(),
         }
     }
@@ -76,9 +76,7 @@ pub struct HtoWorker {
     sys: Arc<TxnSystem>,
     ctx: HtmCtx,
     ts: u32,
-    writes: WordMap,
-    write_vertices: Vec<VertexId>,
-    write_seen: WordMap,
+    writes: WriteSet,
     stats: SchedStats,
 }
 
@@ -92,15 +90,6 @@ enum HtmTry<T> {
 }
 
 impl HtoWorker {
-    fn reset(&mut self) {
-        self.writes.clear();
-        self.write_vertices.clear();
-        self.write_seen.clear();
-        let ts = self.sys.next_ts();
-        assert!(ts < u64::from(u32::MAX), "H-TO timestamp space exhausted");
-        self.ts = ts as u32;
-    }
-
     /// `wts` check + `rts` claim + value read, atomically in one HTM txn.
     // tufast-lint: htm-scope
     fn htm_read(&mut self, v: VertexId, addr: Addr) -> HtmTry<u64> {
@@ -147,7 +136,7 @@ impl HtoWorker {
         if self.ctx.begin().is_err() {
             return HtmTry::Fallback;
         }
-        for &v in &self.write_vertices {
+        for &v in self.writes.vertices() {
             let lock_addr = self.sys.locks().addr(v);
             let lw = match self.ctx.read(lock_addr) {
                 Ok(w) => LockWord(w),
@@ -178,7 +167,7 @@ impl HtoWorker {
         // Split borrows instead of collecting the write set into a Vec:
         // the allocation would abort a real HTM transaction mid-commit.
         let ctx = &mut self.ctx;
-        for (addr, val) in self.writes.iter() {
+        for (addr, val) in self.writes.words().iter() {
             if ctx.write(addr, val).is_err() {
                 return HtmTry::Fallback;
             }
@@ -188,16 +177,28 @@ impl HtoWorker {
             Err(_) => HtmTry::Fallback,
         }
     }
+}
+
+impl Buffered for HtoWorker {
+    fn lifecycle(&mut self) -> Lifecycle<'_> {
+        Lifecycle {
+            id: self.id,
+            sys: &self.sys,
+            stats: &mut self.stats,
+            health: &self.health,
+            faults: &mut self.faults,
+        }
+    }
+
+    fn begin_attempt(&mut self) {
+        self.writes.clear();
+        let ts = self.sys.next_ts();
+        assert!(ts < u64::from(u32::MAX), "H-TO timestamp space exhausted");
+        self.ts = ts as u32;
+    }
 
     fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt> {
-        if self.faults.validation_fails()
-            || self.faults.lock_acquisition_fails()
-            || self.faults.livelock_restart()
-        {
-            self.stats.injected_faults += 1;
-            return Err(TxInterrupt::Restart);
-        }
-        if self.writes.is_empty() {
+        if self.writes.words().is_empty() {
             // Read-only: the current clock is an upper bound on every
             // writer this transaction observed.
             obs.commit_ticketed(self.id, || self.sys.mem().clock_now_pub());
@@ -215,21 +216,14 @@ impl HtoWorker {
                 HtmTry::Fallback => {}
             }
         }
-        to_commit_locked(
-            &self.sys,
-            self.id,
-            self.ts,
-            &self.writes,
-            &self.write_vertices,
-            obs,
-        )
+        to_commit_locked(&self.sys, self.id, self.ts, &mut self.writes, obs)
     }
 }
 
 impl TxnOps for HtoWorker {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
         self.stats.reads += 1;
-        if let Some(val) = self.writes.get(addr) {
+        if let Some(val) = self.writes.words().get(addr) {
             return Ok(val);
         }
         for _ in 0..HTM_OP_RETRIES {
@@ -239,7 +233,7 @@ impl TxnOps for HtoWorker {
                 HtmTry::Fallback => {}
             }
         }
-        to_read_fallback(&self.sys, self.id, self.ts, v, addr)
+        to_read_fallback(&self.sys, self.ts, v, addr)
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
@@ -248,89 +242,14 @@ impl TxnOps for HtoWorker {
         if wts > self.ts || rts > self.ts {
             return Err(TxInterrupt::Restart);
         }
-        self.writes.insert(addr, val);
-        if self.write_seen.insert(Addr(u64::from(v)), 1) {
-            self.write_vertices.push(v);
-        }
+        self.writes.insert(v, addr, val);
         Ok(())
     }
 }
 
 impl TxnWorker for HtoWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        let mut attempts = match crate::rmode::read_only_prologue(
-            &self.sys,
-            self.id,
-            &mut self.stats,
-            &self.health,
-            hint,
-            body,
-        ) {
-            Ok(out) => return out,
-            Err(prior) => prior,
-        };
-        let obs = self.sys.observer_handle();
-        let id = self.id;
-        loop {
-            // Attempt boundary: every HTM piece begins and ends inside a
-            // single op and no locks are held here, so a stopped job
-            // unwinds with nothing to release.
-            if self.health.checkpoint().is_some() {
-                self.stats.health_stops += 1;
-                return TxnOutcome {
-                    committed: false,
-                    attempts,
-                };
-            }
-            attempts += 1;
-            self.faults.preempt();
-            self.faults.stall_point();
-            self.reset();
-            obs.attempt_begin(id);
-            match obs.run_body(self, id, body) {
-                Ok(()) => {
-                    obs.pre_commit(id);
-                    match self.try_commit(&obs) {
-                        Ok(()) => {
-                            self.stats.commits += 1;
-                            self.health.note_commit();
-                            return TxnOutcome {
-                                committed: true,
-                                attempts,
-                            };
-                        }
-                        Err(_) => {
-                            self.stats.restarts += 1;
-                            self.health.note_restart();
-                            obs.abort(id, false);
-                            backoff(attempts, self.id);
-                        }
-                    }
-                }
-                Err(TxInterrupt::Restart) => {
-                    self.stats.restarts += 1;
-                    self.health.note_restart();
-                    obs.abort(id, false);
-                    backoff(attempts, self.id);
-                }
-                Err(TxInterrupt::UserAbort) => {
-                    self.stats.user_aborts += 1;
-                    obs.abort(id, true);
-                    return TxnOutcome {
-                        committed: false,
-                        attempts,
-                    };
-                }
-                Err(TxInterrupt::Panicked) => {
-                    // Writes were buffered and each HTM piece begins and
-                    // ends inside a single op, so no transaction is open
-                    // here; dropping the buffers is the rollback.
-                    self.stats.panics += 1;
-                    obs.abort(id, false);
-                    crate::obs::resume_body_panic();
-                }
-            }
-        }
+        buffered::execute(self, hint, body)
     }
 
     fn stats(&self) -> &SchedStats {

@@ -10,6 +10,9 @@
 //!   timestamp-ordering metadata, and the deadlock table.
 //! * [`VertexLocks`] — try/blocking shared & exclusive vertex locks with a
 //!   32-bit commit version per vertex, encoded in one word.
+//! * [`commit`] — the one software commit protocol: a sorted line-lock
+//!   batch that publishes data, version bumps and lock releases together at
+//!   the commit's serialization ticket.
 //! * [`deadlock`] — a wait-for table with cycle detection for writer-writer
 //!   waits and a bounded-wait fallback for reader-held locks.
 //! * Scheduler traits ([`GraphScheduler`], [`TxnWorker`], [`TxnOps`]) —
@@ -28,6 +31,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod buffered;
+pub mod commit;
 pub mod deadlock;
 pub mod faults;
 pub mod health;

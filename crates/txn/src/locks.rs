@@ -18,10 +18,12 @@
 //! transactional bumps by TuFast's H mode) — it is the per-vertex commit
 //! version that OCC-style validation checks.
 //!
-//! All mutations go through [`TxMemory`]'s strongly-isolated direct
-//! read-modify-write, which also bumps the underlying cache-line version —
-//! so acquiring any vertex lock aborts hardware transactions subscribed to
-//! it, exactly like the cache-line invalidation on real TSX.
+//! Acquisitions and single releases go through [`TxMemory`]'s
+//! strongly-isolated direct read-modify-write, which also bumps the
+//! underlying cache-line version — so acquiring any vertex lock aborts
+//! hardware transactions subscribed to it, exactly like the cache-line
+//! invalidation on real TSX. The commit batches in [`crate::commit`] change
+//! many words under their line locks and publish them at one version.
 
 use tufast_htm::{Addr, MemRegion, MemoryLayout, PaddedRegion, TxMemory};
 
@@ -75,7 +77,7 @@ impl LockWord {
     }
 
     #[inline]
-    fn with_writer(self, w: Option<u32>) -> LockWord {
+    pub(crate) fn with_writer(self, w: Option<u32>) -> LockWord {
         let enc = w.map_or(0, |id| u64::from(id) + 1);
         debug_assert!(enc <= WRITER_MASK, "worker id overflow");
         LockWord((self.0 & !(WRITER_MASK << WRITER_SHIFT)) | (enc << WRITER_SHIFT))
@@ -86,6 +88,18 @@ impl LockWord {
     #[inline]
     pub fn bumped(self) -> LockWord {
         LockWord(self.0.wrapping_add(1 << VERSION_SHIFT))
+    }
+
+    /// The word after its exclusive holder lets go; `wrote` advances the
+    /// commit version so optimistic validators notice the update.
+    #[inline]
+    pub(crate) fn released(self, wrote: bool) -> LockWord {
+        let free = self.with_writer(None);
+        if wrote {
+            free.bumped()
+        } else {
+            free
+        }
     }
 }
 
@@ -222,12 +236,7 @@ impl VertexLocks {
                 Some(owner),
                 "unlock_exclusive by non-owner on {v}"
             );
-            let released = lw.with_writer(None);
-            Some(if wrote {
-                released.bumped().0
-            } else {
-                released.0
-            })
+            Some(lw.released(wrote).0)
         });
     }
 }

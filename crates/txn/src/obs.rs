@@ -12,26 +12,29 @@
 //!
 //! ## Serialization tickets
 //!
-//! Every committing code path in this workspace publishes its writes
-//! inside a critical section (line locks, vertex write locks, or the
-//! global fallback word) and mints its ticket from the HTM clock *inside
-//! that critical section*. Conflicting writers hold disjoint critical
-//! sections, so ticket order equals publication order per address —
-//! which is what lets the checker derive WW edges from tickets alone.
-//! Read-only transactions report the clock value observed at their
-//! commit point instead; it upper-bounds their source writers' tickets.
+//! Every committing code path in this workspace holds all of its written
+//! cache lines locked (the HTM/STM commit, or a [`crate::commit`] batch)
+//! while it mints its ticket from the HTM clock, and unlocks those lines
+//! *at* the ticket. Conflicting writers hold overlapping line sets, so
+//! their critical sections are disjoint and ticket order equals
+//! publication order per address — which is what lets the checker derive
+//! WW edges from tickets alone. Read-only transactions report the clock
+//! value observed at their commit point instead; it upper-bounds their
+//! source writers' tickets.
 //!
-//! Writers that publish *before* minting the ticket (in-place 2PL, OCC,
-//! lock-based TO, the HSync fallback, O-mode optimistic commits) also
-//! *republish* every written line at fresh post-ticket clock versions
-//! before releasing their critical section
-//! ([`TxMemory::republish_line`](tufast_htm::TxMemory)). This keeps a
-//! second invariant the R-mode snapshot path depends on: a line version
-//! `≤ t` proves the line's content was published by a transaction
-//! ticketed `≤ t`. R-mode readers ([`crate::rmode`]) ticket the pinned
-//! clock value their whole read set validated against — every observed
-//! writer is ticketed at or below it, so the checker's WR attribution
-//! works unchanged.
+//! Because line versions *are* tickets, a second invariant holds by
+//! construction, and the R-mode snapshot path depends on it: a line
+//! version `≤ t` proves the line's content was published by a transaction
+//! ticketed `≤ t`. In-place writers (2PL, the HSync fallback) store at
+//! earlier versions while they run, but only under a vertex lock or the
+//! fallback word, and their commit batch re-stamps every written line with
+//! the ticket as it releases those words. R-mode readers
+//! ([`crate::rmode`]) ticket the pinned clock value their whole read set
+//! validated against — every observed writer is ticketed at or below it,
+//! so the checker's WR attribution works unchanged.
+//!
+//! The ticket is minted whether or not an observer is attached;
+//! [`ObsHandle::commit_ticketed`] merely reports it.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -156,14 +159,14 @@ impl ObsHandle {
         }
     }
 
-    /// Forward [`TxnObserver::commit`], minting the ticket only when an
-    /// observer is attached (`mint` typically ticks the HTM clock inside
-    /// the caller's commit critical section).
+    /// Forward [`TxnObserver::commit`]. `ticket` runs only when an observer
+    /// is attached: writers pass the tick their commit already minted,
+    /// read-only paths a clock read they would otherwise skip.
     #[inline]
-    pub fn commit_ticketed(&self, _worker: u32, _mint: impl FnOnce() -> u64) {
+    pub fn commit_ticketed(&self, _worker: u32, _ticket: impl FnOnce() -> u64) {
         #[cfg(feature = "observe")]
         if let Some(o) = &self.inner {
-            o.commit(_worker, _mint());
+            o.commit(_worker, _ticket());
         }
     }
 

@@ -3,28 +3,24 @@
 //! scheduler Silo optimized for main-memory database").
 //!
 //! Reads record the vertex's commit version; writes are buffered. Commit
-//! locks the write set (sorted, try-with-bounded-spin), validates that
-//! every read version is unchanged and unlocked (or locked by us),
-//! publishes, and releases with a version bump.
+//! locks the write set's lines (try-with-bounded-spin), validates that
+//! every read version is unchanged and unowned, and publishes data and
+//! version bumps together at its ticket (see [`crate::commit`]).
 
 use std::sync::Arc;
 
 use tufast_htm::{Addr, WordMap};
 
+use crate::buffered::{self, Buffered, Lifecycle};
+use crate::commit::{read_stable, WriteSet};
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
-    backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
-    TxnWorker,
+    GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome, TxnWorker,
 };
 use crate::VertexId;
-
-/// Bounded spins per write-lock during commit.
-const COMMIT_LOCK_SPINS: u32 = 128;
-/// Bounded retries of the consistent-read loop.
-const READ_RETRIES: u32 = 4096;
 
 /// The Silo-like OCC scheduler.
 pub struct Occ {
@@ -50,9 +46,7 @@ impl GraphScheduler for Occ {
             sys: Arc::clone(&self.sys),
             reads: Vec::with_capacity(32),
             read_seen: WordMap::with_capacity(32),
-            writes: WordMap::with_capacity(32),
-            write_vertices: Vec::with_capacity(16),
-            write_seen: WordMap::with_capacity(16),
+            writes: WriteSet::new(id),
             stats: SchedStats::default(),
         }
     }
@@ -71,129 +65,38 @@ pub struct OccWorker {
     /// `(vertex, version at first read)`.
     reads: Vec<(VertexId, u32)>,
     read_seen: WordMap,
-    /// Buffered writes: address → value.
-    writes: WordMap,
-    write_vertices: Vec<VertexId>,
-    write_seen: WordMap,
+    writes: WriteSet,
     stats: SchedStats,
 }
 
-impl OccWorker {
-    fn reset(&mut self) {
+impl Buffered for OccWorker {
+    fn lifecycle(&mut self) -> Lifecycle<'_> {
+        Lifecycle {
+            id: self.id,
+            sys: &self.sys,
+            stats: &mut self.stats,
+            health: &self.health,
+            faults: &mut self.faults,
+        }
+    }
+
+    fn begin_attempt(&mut self) {
         self.reads.clear();
         self.read_seen.clear();
         self.writes.clear();
-        self.write_vertices.clear();
-        self.write_seen.clear();
-    }
-
-    /// Consistent read of `(version, value)`: the vertex lock word is
-    /// sampled around the data load; a concurrent committer forces a retry.
-    fn consistent_read(&self, v: VertexId, addr: Addr) -> Result<(u32, u64), TxInterrupt> {
-        let mem = self.sys.mem();
-        let locks = self.sys.locks();
-        for attempt in 0..READ_RETRIES {
-            let w1 = locks.peek(mem, v);
-            if w1.writer().is_some_and(|o| o != self.id) {
-                // Yield regularly: on oversubscribed cores the lock holder
-                // needs CPU time to finish its commit.
-                if attempt % 32 == 31 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-                continue;
-            }
-            let val = mem.load_direct(addr);
-            let w2 = locks.peek(mem, v);
-            if w1 == w2 {
-                return Ok((w1.version(), val));
-            }
-        }
-        Err(TxInterrupt::Restart)
     }
 
     fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt> {
-        if self.faults.validation_fails()
-            || self.faults.lock_acquisition_fails()
-            || self.faults.livelock_restart()
-        {
-            self.stats.injected_faults += 1;
+        let held = self
+            .writes
+            .try_lock(&self.sys, |_| None)
+            .ok_or(TxInterrupt::Restart)?;
+        // Read-only transactions validate too, so they serialize at their
+        // commit point (Silo's read validation).
+        if !held.reads_current(&self.reads) {
             return Err(TxInterrupt::Restart);
         }
-        let mem = self.sys.mem();
-        let locks = self.sys.locks();
-
-        if self.writes.is_empty() {
-            // Read-only: still validate the read set so the transaction is
-            // serializable at its commit point (Silo's read validation).
-            for &(v, ver) in &self.reads {
-                let w = locks.peek(mem, v);
-                if w.version() != ver || w.writer().is_some() {
-                    return Err(TxInterrupt::Restart);
-                }
-            }
-            // Every source writer released (and thus ticketed) before our
-            // reads, so the current clock upper-bounds their tickets.
-            obs.commit_ticketed(self.id, || mem.clock_now_pub());
-            return Ok(());
-        }
-
-        // Phase 1: lock the write set in vertex order.
-        let mut order: Vec<VertexId> = self.write_vertices.clone();
-        order.sort_unstable();
-        let mut acquired = 0usize;
-        'locking: for (i, &v) in order.iter().enumerate() {
-            for spin in 0..COMMIT_LOCK_SPINS {
-                if locks.try_exclusive(mem, v, self.id).is_ok() {
-                    acquired = i + 1;
-                    continue 'locking;
-                }
-                if spin % 32 == 31 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            // Failed: release what we got and restart.
-            for &u in &order[..acquired] {
-                locks.unlock_exclusive(mem, u, self.id, false);
-            }
-            return Err(TxInterrupt::Restart);
-        }
-
-        // Phase 2: validate reads.
-        let mut ok = true;
-        for &(v, ver) in &self.reads {
-            let w = locks.peek(mem, v);
-            let valid = w.version() == ver && w.writer().is_none_or(|o| o == self.id);
-            if !valid {
-                ok = false;
-                break;
-            }
-        }
-        if !ok {
-            for &u in &order {
-                locks.unlock_exclusive(mem, u, self.id, false);
-            }
-            return Err(TxInterrupt::Restart);
-        }
-
-        // Phase 3: publish and release with a version bump. The ticket is
-        // minted after publication but before any lock release, so
-        // conflicting committers are ticketed in publication order.
-        for (addr, val) in self.writes.iter() {
-            mem.store_direct(addr, val);
-        }
-        obs.commit_ticketed(self.id, || mem.clock_tick_pub());
-        // Republish written lines at post-ticket versions while the write
-        // locks are still held: the publication stores above left line
-        // versions predating the ticket, which a snapshot reader pinned
-        // mid-commit could wrongly accept (see `rmode` module docs).
-        mem.republish_lines(self.writes.iter().map(|(a, _)| a));
-        for &u in &order {
-            locks.unlock_exclusive(mem, u, self.id, true);
-        }
+        held.commit(obs);
         Ok(())
     }
 }
@@ -201,101 +104,27 @@ impl OccWorker {
 impl TxnOps for OccWorker {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
         self.stats.reads += 1;
-        if let Some(val) = self.writes.get(addr) {
+        if let Some(val) = self.writes.words().get(addr) {
             return Ok(val);
         }
-        let (ver, val) = self.consistent_read(v, addr)?;
+        let mem = self.sys.mem();
+        let (word, val) = read_stable(&self.sys, v, || Ok(mem.load_direct(addr)))?;
         if self.read_seen.insert(Addr(u64::from(v)), 1) {
-            self.reads.push((v, ver));
+            self.reads.push((v, word.version()));
         }
         Ok(val)
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
         self.stats.writes += 1;
-        self.writes.insert(addr, val);
-        if self.write_seen.insert(Addr(u64::from(v)), 1) {
-            self.write_vertices.push(v);
-        }
+        self.writes.insert(v, addr, val);
         Ok(())
     }
 }
 
 impl TxnWorker for OccWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        let mut attempts = match crate::rmode::read_only_prologue(
-            &self.sys,
-            self.id,
-            &mut self.stats,
-            &self.health,
-            hint,
-            body,
-        ) {
-            Ok(out) => return out,
-            Err(prior) => prior,
-        };
-        let obs = self.sys.observer_handle();
-        let id = self.id;
-        loop {
-            // Attempt boundary: no locks held, nothing buffered that the
-            // next `reset` wouldn't drop — the clean place to stop a
-            // cancelled or past-deadline job.
-            if self.health.checkpoint().is_some() {
-                self.stats.health_stops += 1;
-                return TxnOutcome {
-                    committed: false,
-                    attempts,
-                };
-            }
-            attempts += 1;
-            self.faults.preempt();
-            self.faults.stall_point();
-            self.reset();
-            obs.attempt_begin(id);
-            match obs.run_body(self, id, body) {
-                Ok(()) => {
-                    obs.pre_commit(id);
-                    match self.try_commit(&obs) {
-                        Ok(()) => {
-                            self.stats.commits += 1;
-                            self.health.note_commit();
-                            return TxnOutcome {
-                                committed: true,
-                                attempts,
-                            };
-                        }
-                        Err(_) => {
-                            self.stats.restarts += 1;
-                            self.health.note_restart();
-                            obs.abort(id, false);
-                            backoff(attempts, self.id);
-                        }
-                    }
-                }
-                Err(TxInterrupt::Restart) => {
-                    self.stats.restarts += 1;
-                    self.health.note_restart();
-                    obs.abort(id, false);
-                    backoff(attempts, self.id);
-                }
-                Err(TxInterrupt::UserAbort) => {
-                    self.stats.user_aborts += 1;
-                    self.reset();
-                    obs.abort(id, true);
-                    return TxnOutcome {
-                        committed: false,
-                        attempts,
-                    };
-                }
-                Err(TxInterrupt::Panicked) => {
-                    // Writes were buffered; dropping them is the rollback.
-                    self.reset();
-                    self.stats.panics += 1;
-                    obs.abort(id, false);
-                    crate::obs::resume_body_panic();
-                }
-            }
-        }
+        buffered::execute(self, hint, body)
     }
 
     fn stats(&self) -> &SchedStats {

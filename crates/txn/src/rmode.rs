@@ -16,37 +16,44 @@
 //!    word must be 0 on both sides, and `addr`'s cache-line version must
 //!    be the *same* `≤ snap` value before and after. Any failed check is
 //!    either a transient writer (bounded spin, then re-pin) or a stale
-//!    snapshot (line republished past `snap` — re-pin immediately).
+//!    snapshot (line published past `snap` — re-pin immediately).
 //! 3. **Commit** by doing nothing: an accepted read set *is* the committed
 //!    state at `snap`, so the transaction serializes at its pin. The
 //!    serialization ticket reported to the observer is `snap` itself.
 //!
-//! Why this is safe against every writer in the workspace:
+//! Why this is safe against every writer in the workspace — one invariant,
+//! **publish at the ticket** (DESIGN.md §14): *a line version `≤ t` proves
+//! the line's content was committed by a transaction ticketed `≤ t`*. Every
+//! commit path holds all of its written lines locked while it mints its
+//! ticket and unlocks them *at* that ticket, so content and version appear
+//! together, and a reader pinned anywhere inside a commit finds each of its
+//! lines either locked or stamped above the pin — it re-pins instead of
+//! accepting a half-published transaction (a fractured read):
 //!
-//! * Buffered writers (OCC, TO, O-mode optimistic commit, STM, HTM
-//!   commits) publish under line locks and/or vertex write locks; the
-//!   bracket rejects reads that race the publication window.
+//! * HTM commits (H mode, O-mode pieces, H-TO, HSync's fast path), the STM
+//!   and the buffered software committers (OCC, TO, the O-mode optimistic
+//!   commit, via [`crate::commit::WriteSet::try_lock`]) buffer their writes
+//!   and store them under the line locks. The software committers acquire
+//!   no vertex lock; the mark they leave in the lock words while they hold
+//!   the lines is for each other's validation — a reader that sees it
+//!   spins, as it would on the locked line.
 //! * In-place writers (2PL, the serial fallback through 2PL, the HSync
-//!   global-fallback path) expose uncommitted values, but only while the
-//!   vertex lock (resp. fallback word) is held — the bracket refuses those
-//!   too, and rollbacks republish the line before the lock is released.
-//! * Every commit path finishes by republishing its written lines at a
-//!   clock version minted *after* its serialization ticket
-//!   ([`TxMemory::republish_line`](tufast_htm::TxMemory)). A reader pinned
-//!   anywhere inside a writer's commit therefore sees post-commit line
-//!   versions strictly above its pin and re-pins, instead of accepting a
-//!   half-published transaction (a fractured read). The HTM commit path
-//!   needs no extra republish: it already unlocks write lines at exactly
-//!   its ticket.
+//!   global-fallback path) expose uncommitted values at pre-ticket
+//!   versions, but only while the vertex lock (resp. fallback word) is held
+//!   — the bracket refuses those — and their commit
+//!   ([`crate::commit::release_at_ticket`]) re-stamps every written line
+//!   with the ticket in the same batch that releases the lock words. A
+//!   rollback restores each word with a strongly-isolated store, i.e. at a
+//!   fresh version, before the lock is released.
 //!
 //! The clock-monotonicity argument, spelled out once: a read is accepted
 //! only with line version `ver ≤ snap` on both sides of the load. Every
-//! version is a fresh clock tick, and `snap` was read before the bracket
-//! ran, so `ver ≤ snap` implies the publication happened *before* the pin.
+//! version is a clock tick, and `snap` was read before the bracket ran, so
+//! `ver ≤ snap` implies the publication happened *before* the pin.
 //! Accepted reads are thus exactly the newest publications at or below
 //! `snap` — the committed snapshot at the pin — and the writer's ticket
-//! (minted before its republished versions) is `≤ snap`, which keeps the
-//! `tufast-check` DSG edges pointed forward.
+//! (which *is* the version) is `≤ snap`, which keeps the `tufast-check`
+//! DSG edges pointed forward.
 //!
 //! Declared purity is enforced three ways: statically by `tufast-lint`'s
 //! `read-purity` rule, at runtime by demotion (a body that calls
@@ -512,7 +519,7 @@ mod tests {
                 poked = true;
                 // data lives line-aligned: addr(1) shares line 0 with
                 // addr(0) only if within the same 8-word line — use a
-                // store to addr(1) to republish its line past the pin.
+                // store to addr(1) to publish its line past the pin.
                 sys.mem().store_direct(data.addr(1), 2);
             }
             let b = ops.read(1, data.addr(1))?;
@@ -526,12 +533,43 @@ mod tests {
     }
 
     #[test]
+    fn reader_pinned_mid_batch_accepts_neither_line() {
+        // Two vertices whose data words sit on two different lines; a
+        // buffered committer holds both while a reader pins.
+        let (sys, data) = setup(16);
+        let (a0, a1) = (data.addr(0), data.addr(8));
+        let mut writes = crate::commit::WriteSet::new(5);
+        writes.insert(0, a0, 7);
+        writes.insert(8, a1, 8);
+        let held = writes.try_lock(&sys, |_| None).unwrap();
+        let mut mid = ROps {
+            sys: &sys,
+            snap: sys.read_snapshot(),
+            reads: 0,
+            wrote: false,
+        };
+        assert!(mid.snapshot_read(0, a0).is_err(), "line is locked");
+        let ticket = held.publish();
+        assert!(ticket > mid.snap);
+        // Both lines now carry the ticket: the stale pin can take neither
+        // the new pair nor a mix.
+        assert!(mid.snapshot_read(0, a0).is_err());
+        assert!(mid.snapshot_read(8, a1).is_err());
+        let mut fresh = ROps {
+            snap: sys.read_snapshot(),
+            ..mid
+        };
+        assert_eq!(fresh.snapshot_read(0, a0).unwrap(), 7);
+        assert_eq!(fresh.snapshot_read(8, a1).unwrap(), 8);
+    }
+
+    #[test]
     fn readers_race_2pl_writers_without_fractures() {
         // A writer keeps the pair (a, a+1) invariant through 2PL in-place
         // writes; concurrent snapshot readers must never observe a torn
         // pair — the in-place uncommitted values are exposed at stale
-        // line versions, so this exercises the republish-after-ticket
-        // fix and the writer-presence bracket.
+        // line versions, so this exercises the commit batch's re-stamp at
+        // the ticket and the writer-presence bracket.
         let (sys, data) = setup(16);
         let tpl = TwoPhaseLocking::new(Arc::clone(&sys));
         let rmode = ReadMode::new(Arc::clone(&sys));

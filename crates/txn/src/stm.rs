@@ -15,15 +15,15 @@
 
 use std::sync::Arc;
 
-use tufast_htm::{Addr, Footprint, LineState, WordMap};
+use tufast_htm::{Addr, Footprint, LineBatch, LineState, WordMap};
 
+use crate::buffered::{self, Buffered, Lifecycle};
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
-    backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
-    TxnWorker,
+    GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome, TxnWorker,
 };
 use crate::VertexId;
 
@@ -71,7 +71,7 @@ impl GraphScheduler for SoftwareTm {
             start_ts: 0,
             footprint: Footprint::with_capacity(64),
             write_buf: WordMap::with_capacity(64),
-            locked: Vec::with_capacity(64),
+            batch: LineBatch::with_capacity(64),
             stats: SchedStats::default(),
         }
     }
@@ -91,18 +91,12 @@ pub struct StmWorker {
     start_ts: u64,
     footprint: Footprint,
     write_buf: WordMap,
-    /// Commit scratch: `(write line, pre-lock version)` in address order.
-    locked: Vec<(u64, u64)>,
+    /// Commit scratch: the write lines, locked in address order.
+    batch: LineBatch,
     stats: SchedStats,
 }
 
 impl StmWorker {
-    fn begin(&mut self) {
-        self.start_ts = self.sys.mem().clock_now_pub();
-        self.footprint.clear();
-        self.write_buf.clear();
-    }
-
     #[inline]
     fn instrument(&self) {
         for _ in 0..self.penalty_spins {
@@ -117,15 +111,26 @@ impl StmWorker {
             matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver)
         })
     }
+}
+
+impl Buffered for StmWorker {
+    fn lifecycle(&mut self) -> Lifecycle<'_> {
+        Lifecycle {
+            id: self.owner,
+            sys: &self.sys,
+            stats: &mut self.stats,
+            health: &self.health,
+            faults: &mut self.faults,
+        }
+    }
+
+    fn begin_attempt(&mut self) {
+        self.start_ts = self.sys.mem().clock_now_pub();
+        self.footprint.clear();
+        self.write_buf.clear();
+    }
 
     fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt> {
-        if self.faults.validation_fails()
-            || self.faults.lock_acquisition_fails()
-            || self.faults.livelock_restart()
-        {
-            self.stats.injected_faults += 1;
-            return Err(TxInterrupt::Restart);
-        }
         let mem = self.sys.mem();
         if self.write_buf.is_empty() {
             // Read-only: per-read validation/extension already proved the
@@ -133,29 +138,26 @@ impl StmWorker {
             obs.commit_ticketed(self.owner, || mem.clock_now_pub());
             return Ok(());
         }
-        self.locked.clear();
-        self.locked
-            .extend(self.footprint.writes().map(|line| (line, 0)));
-        self.locked.sort_unstable();
-        if !mem.try_lock_lines(&mut self.locked, self.owner, COMMIT_LOCK_SPINS) {
+        self.batch.clear();
+        for line in self.footprint.writes() {
+            self.batch.push(line);
+        }
+        if !mem.try_lock_lines(&mut self.batch, self.owner, COMMIT_LOCK_SPINS) {
             return Err(TxInterrupt::Restart);
         }
-        let locked = &self.locked;
         let commit_ts = mem.clock_tick_pub();
         let ok = self.footprint.reads().all(|(line, ver, written)| {
             if written {
                 // We hold the line: compare against its pre-lock version —
                 // another transaction may have committed it between our
-                // read and our lock acquisition. (`locked` is sorted.)
-                locked
-                    .binary_search_by_key(&line, |&(l, _)| l)
-                    .is_ok_and(|i| locked[i].1 == ver)
+                // read and our lock acquisition.
+                mem.held_version(line, self.owner) == Some(ver)
             } else {
                 matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver)
             }
         });
         if !ok {
-            mem.unlock_lines(locked, None);
+            mem.unlock_lines(&mut self.batch, None);
             return Err(TxInterrupt::Restart);
         }
         for (addr, val) in self.write_buf.iter() {
@@ -164,7 +166,7 @@ impl StmWorker {
         // The write-path ticket is the TL2 commit timestamp itself, minted
         // above while the write lines were already locked.
         obs.commit_ticketed(self.owner, || commit_ts);
-        mem.unlock_lines(locked, Some(commit_ts));
+        mem.unlock_lines(&mut self.batch, Some(commit_ts));
         Ok(())
     }
 }
@@ -235,77 +237,7 @@ impl TxnOps for StmWorker {
 
 impl TxnWorker for StmWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        let mut attempts = match crate::rmode::read_only_prologue(
-            &self.sys,
-            self.owner,
-            &mut self.stats,
-            &self.health,
-            hint,
-            body,
-        ) {
-            Ok(out) => return out,
-            Err(prior) => prior,
-        };
-        let obs = self.sys.observer_handle();
-        let id = self.owner;
-        loop {
-            // Attempt boundary: no line is locked between attempts, so a
-            // stopped job unwinds with nothing to release.
-            if self.health.checkpoint().is_some() {
-                self.stats.health_stops += 1;
-                return TxnOutcome {
-                    committed: false,
-                    attempts,
-                };
-            }
-            attempts += 1;
-            self.faults.preempt();
-            self.faults.stall_point();
-            self.begin();
-            obs.attempt_begin(id);
-            match obs.run_body(self, id, body) {
-                Ok(()) => {
-                    obs.pre_commit(id);
-                    match self.try_commit(&obs) {
-                        Ok(()) => {
-                            self.stats.commits += 1;
-                            self.health.note_commit();
-                            return TxnOutcome {
-                                committed: true,
-                                attempts,
-                            };
-                        }
-                        Err(_) => {
-                            self.stats.restarts += 1;
-                            self.health.note_restart();
-                            obs.abort(id, false);
-                            backoff(attempts, self.owner);
-                        }
-                    }
-                }
-                Err(TxInterrupt::Restart) => {
-                    self.stats.restarts += 1;
-                    self.health.note_restart();
-                    obs.abort(id, false);
-                    backoff(attempts, self.owner);
-                }
-                Err(TxInterrupt::UserAbort) => {
-                    self.stats.user_aborts += 1;
-                    obs.abort(id, true);
-                    return TxnOutcome {
-                        committed: false,
-                        attempts,
-                    };
-                }
-                Err(TxInterrupt::Panicked) => {
-                    // Writes were buffered and no line is locked during the
-                    // body; dropping the buffers is the rollback.
-                    self.stats.panics += 1;
-                    obs.abort(id, false);
-                    crate::obs::resume_body_panic();
-                }
-            }
-        }
+        buffered::execute(self, hint, body)
     }
 
     fn stats(&self) -> &SchedStats {

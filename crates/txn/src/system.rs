@@ -291,11 +291,11 @@ impl TxnSystem {
     }
 
     /// Pin an R-mode read snapshot: the current global version-clock
-    /// value. Every write-publishing path ticks this clock inside its
-    /// commit critical section (and republishes its written lines at the
-    /// post-ticket version), so a reader that validates each read's line
-    /// version against this pin observes exactly the committed state as of
-    /// the pin — see [`crate::rmode`] for the full protocol.
+    /// value. Every write-publishing path ticks this clock once while it
+    /// holds its written lines locked and unlocks them at that tick, so a
+    /// reader that validates each read's line version against this pin
+    /// observes exactly the committed state as of the pin — see
+    /// [`crate::rmode`] for the full protocol.
     #[inline]
     pub fn read_snapshot(&self) -> u64 {
         self.mem().clock_now_pub()

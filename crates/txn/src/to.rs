@@ -5,26 +5,25 @@
 //! legal only if no later-stamped writer already committed (`wts(v) ≤ ts`),
 //! and it raises `rts(v)`; both live in one packed word so the check and
 //! the claim are a single atomic read-modify-write. Writes are buffered and
-//! applied at commit under the vertex locks after rechecking
+//! applied at commit under the line locks of the write set (data, lock words
+//! and timestamp words — see [`crate::commit`]) after rechecking
 //! `rts(v) ≤ ts ∧ wts(v) ≤ ts`. Conservative (no Thomas write rule): any
 //! violation restarts the transaction with a fresh timestamp.
 
 use std::sync::Arc;
 
-use tufast_htm::{Addr, WordMap};
+use tufast_htm::Addr;
 
+use crate::buffered::{self, Buffered, Lifecycle};
+use crate::commit::{read_stable, WriteSet};
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
-    backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
-    TxnWorker,
+    GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome, TxnWorker,
 };
 use crate::VertexId;
-
-const COMMIT_LOCK_SPINS: u32 = 128;
-const READ_RETRIES: u32 = 4096;
 
 #[inline]
 pub(crate) fn pack(wts: u32, rts: u32) -> u64 {
@@ -37,27 +36,16 @@ pub(crate) fn unpack(w: u64) -> (u32, u32) {
 }
 
 /// Lock-free timestamp-ordered read: check `wts ≤ ts`, claim `rts`, and
-/// sample the value consistently around the vertex lock word. Shared by
+/// sample the value with the vertex quiescent around both. Shared by
 /// [`TimestampOrdering`] and the H-TO fallback path.
 pub(crate) fn to_read_fallback(
     sys: &TxnSystem,
-    me: u32,
     ts: u32,
     v: VertexId,
     addr: Addr,
 ) -> Result<u64, TxInterrupt> {
     let mem = sys.mem();
-    let locks = sys.locks();
-    for attempt in 0..READ_RETRIES {
-        let w1 = locks.peek(mem, v);
-        if w1.writer().is_some_and(|o| o != me) {
-            if attempt % 32 == 31 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-            continue;
-        }
+    let (_, val) = read_stable(sys, v, || {
         let pre = mem.rmw_direct(sys.to_ts_addr(v), |w| {
             let (wts, rts) = unpack(w);
             (wts <= ts).then(|| pack(wts, rts.max(ts)))
@@ -66,82 +54,45 @@ pub(crate) fn to_read_fallback(
         if pre_wts > ts {
             return Err(TxInterrupt::Restart);
         }
-        let val = mem.load_direct(addr);
-        let w2 = locks.peek(mem, v);
-        if w1 == w2 {
-            return Ok(val);
-        }
-    }
-    Err(TxInterrupt::Restart)
+        Ok(mem.load_direct(addr))
+    })?;
+    Ok(val)
 }
 
-/// Lock-based timestamp-ordered commit: lock the write vertices in order,
-/// recheck `rts ≤ ts ∧ wts ≤ ts`, publish, advance `wts`, release. Shared
-/// by [`TimestampOrdering`] and the H-TO fallback path.
+/// Timestamp-ordered commit: lock the write set's lines (the timestamp
+/// words among them, so no reader can claim `rts` meanwhile), recheck
+/// `rts ≤ ts ∧ wts ≤ ts`, advance `wts`, publish. Shared by
+/// [`TimestampOrdering`] and the H-TO fallback path.
 pub(crate) fn to_commit_locked(
     sys: &TxnSystem,
     me: u32,
     ts: u32,
-    writes: &WordMap,
-    write_vertices: &[VertexId],
+    writes: &mut WriteSet,
     obs: &ObsHandle,
 ) -> Result<(), TxInterrupt> {
-    if writes.is_empty() {
-        // Read-only: every source writer released its locks (and was
-        // ticketed) before our consistent reads sampled its values.
-        obs.commit_ticketed(me, || sys.mem().clock_now_pub());
+    let mem = sys.mem();
+    if writes.words().is_empty() {
+        // Read-only: every source writer published (and was ticketed)
+        // before our consistent reads sampled its values.
+        obs.commit_ticketed(me, || mem.clock_now_pub());
         return Ok(());
     }
-    let mem = sys.mem();
-    let locks = sys.locks();
-    let mut order: Vec<VertexId> = write_vertices.to_vec();
-    order.sort_unstable();
-    let mut acquired = 0usize;
-    'locking: for (i, &v) in order.iter().enumerate() {
-        for spin in 0..COMMIT_LOCK_SPINS {
-            if locks.try_exclusive(mem, v, me).is_ok() {
-                acquired = i + 1;
-                continue 'locking;
-            }
-            if spin % 32 == 31 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        for &u in &order[..acquired] {
-            locks.unlock_exclusive(mem, u, me, false);
-        }
-        return Err(TxInterrupt::Restart);
-    }
-
-    let ok = order.iter().all(|&v| {
-        let (wts, rts) = unpack(mem.load_direct(sys.to_ts_addr(v)));
+    let held = writes
+        .try_lock(sys, |v| Some(sys.to_ts_addr(v)))
+        .ok_or(TxInterrupt::Restart)?;
+    let stamps = || held.vertices().iter().map(|&v| sys.to_ts_addr(v));
+    let legal = stamps().all(|a| {
+        let (wts, rts) = unpack(mem.load_direct(a));
         wts <= ts && rts <= ts
     });
-    if !ok {
-        for &u in &order {
-            locks.unlock_exclusive(mem, u, me, false);
-        }
+    if !legal {
         return Err(TxInterrupt::Restart);
     }
-
-    for (addr, val) in writes.iter() {
-        mem.store_direct(addr, val);
+    for a in stamps() {
+        let (wts, rts) = unpack(mem.load_direct(a));
+        held.store(a, pack(wts.max(ts), rts));
     }
-    // Ticket after publication, before any lock release (see obs module).
-    obs.commit_ticketed(me, || mem.clock_tick_pub());
-    // Republish written lines at post-ticket versions while the write
-    // locks are still held, so a snapshot reader pinned mid-commit cannot
-    // accept the pre-ticket publication stores (see `rmode` module docs).
-    mem.republish_lines(writes.iter().map(|(a, _)| a));
-    for &v in &order {
-        mem.rmw_direct(sys.to_ts_addr(v), |w| {
-            let (wts, rts) = unpack(w);
-            Some(pack(wts.max(ts), rts))
-        });
-        locks.unlock_exclusive(mem, v, me, true);
-    }
+    held.commit(obs);
     Ok(())
 }
 
@@ -168,9 +119,7 @@ impl GraphScheduler for TimestampOrdering {
             health: self.sys.health_handle(id),
             sys: Arc::clone(&self.sys),
             ts: 0,
-            writes: WordMap::with_capacity(32),
-            write_vertices: Vec::with_capacity(16),
-            write_seen: WordMap::with_capacity(16),
+            writes: WriteSet::new(id),
             stats: SchedStats::default(),
         }
     }
@@ -188,48 +137,40 @@ pub struct ToWorker {
     sys: Arc<TxnSystem>,
     /// This attempt's timestamp.
     ts: u32,
-    writes: WordMap,
-    write_vertices: Vec<VertexId>,
-    write_seen: WordMap,
+    writes: WriteSet,
     stats: SchedStats,
 }
 
-impl ToWorker {
-    fn reset(&mut self) {
+impl Buffered for ToWorker {
+    fn lifecycle(&mut self) -> Lifecycle<'_> {
+        Lifecycle {
+            id: self.id,
+            sys: &self.sys,
+            stats: &mut self.stats,
+            health: &self.health,
+            faults: &mut self.faults,
+        }
+    }
+
+    fn begin_attempt(&mut self) {
         self.writes.clear();
-        self.write_vertices.clear();
-        self.write_seen.clear();
         let ts = self.sys.next_ts();
         assert!(ts < u64::from(u32::MAX), "TO timestamp space exhausted");
         self.ts = ts as u32;
     }
 
     fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt> {
-        if self.faults.validation_fails()
-            || self.faults.lock_acquisition_fails()
-            || self.faults.livelock_restart()
-        {
-            self.stats.injected_faults += 1;
-            return Err(TxInterrupt::Restart);
-        }
-        to_commit_locked(
-            &self.sys,
-            self.id,
-            self.ts,
-            &self.writes,
-            &self.write_vertices,
-            obs,
-        )
+        to_commit_locked(&self.sys, self.id, self.ts, &mut self.writes, obs)
     }
 }
 
 impl TxnOps for ToWorker {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
         self.stats.reads += 1;
-        if let Some(val) = self.writes.get(addr) {
+        if let Some(val) = self.writes.words().get(addr) {
             return Ok(val);
         }
-        to_read_fallback(&self.sys, self.id, self.ts, v, addr)
+        to_read_fallback(&self.sys, self.ts, v, addr)
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
@@ -240,86 +181,14 @@ impl TxnOps for ToWorker {
         if wts > self.ts || rts > self.ts {
             return Err(TxInterrupt::Restart);
         }
-        self.writes.insert(addr, val);
-        if self.write_seen.insert(Addr(u64::from(v)), 1) {
-            self.write_vertices.push(v);
-        }
+        self.writes.insert(v, addr, val);
         Ok(())
     }
 }
 
 impl TxnWorker for ToWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        let mut attempts = match crate::rmode::read_only_prologue(
-            &self.sys,
-            self.id,
-            &mut self.stats,
-            &self.health,
-            hint,
-            body,
-        ) {
-            Ok(out) => return out,
-            Err(prior) => prior,
-        };
-        let obs = self.sys.observer_handle();
-        let id = self.id;
-        loop {
-            // Attempt boundary: no locks held, writes still buffered —
-            // the clean stop point for a cancelled/past-deadline job.
-            if self.health.checkpoint().is_some() {
-                self.stats.health_stops += 1;
-                return TxnOutcome {
-                    committed: false,
-                    attempts,
-                };
-            }
-            attempts += 1;
-            self.faults.preempt();
-            self.faults.stall_point();
-            self.reset();
-            obs.attempt_begin(id);
-            match obs.run_body(self, id, body) {
-                Ok(()) => {
-                    obs.pre_commit(id);
-                    match self.try_commit(&obs) {
-                        Ok(()) => {
-                            self.stats.commits += 1;
-                            self.health.note_commit();
-                            return TxnOutcome {
-                                committed: true,
-                                attempts,
-                            };
-                        }
-                        Err(_) => {
-                            self.stats.restarts += 1;
-                            self.health.note_restart();
-                            obs.abort(id, false);
-                            backoff(attempts, self.id);
-                        }
-                    }
-                }
-                Err(TxInterrupt::Restart) => {
-                    self.stats.restarts += 1;
-                    self.health.note_restart();
-                    obs.abort(id, false);
-                    backoff(attempts, self.id);
-                }
-                Err(TxInterrupt::UserAbort) => {
-                    self.stats.user_aborts += 1;
-                    obs.abort(id, true);
-                    return TxnOutcome {
-                        committed: false,
-                        attempts,
-                    };
-                }
-                Err(TxInterrupt::Panicked) => {
-                    // Writes were buffered; dropping them is the rollback.
-                    self.stats.panics += 1;
-                    obs.abort(id, false);
-                    crate::obs::resume_body_panic();
-                }
-            }
-        }
+        buffered::execute(self, hint, body)
     }
 
     fn stats(&self) -> &SchedStats {

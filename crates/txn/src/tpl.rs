@@ -2,7 +2,9 @@
 //! protocol of TuFast's L mode (Algorithm 3).
 //!
 //! Reads take shared vertex locks, writes take exclusive ones (in-place,
-//! with an undo log); all locks are released at commit (strictness). A
+//! with an undo log); all locks are released at commit (strictness) — the
+//! written vertices' in one line-lock batch that also stamps the written
+//! lines with the commit ticket (see [`crate::commit`]). A
 //! blocked worker registers a wait-for edge; cycles — or bounded-wait
 //! timeouts on anonymous reader-held locks — make the requester the victim:
 //! it rolls back, releases everything, and restarts.
@@ -16,11 +18,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tufast_htm::{Addr, WordMap};
+use tufast_htm::{Addr, LineBatch, WordMap};
 
+use crate::commit::release_at_ticket;
 use crate::deadlock::WaitOutcome;
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
+use crate::locks::LockWord;
+use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
     backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
@@ -28,10 +33,11 @@ use crate::traits::{
 };
 use crate::VertexId;
 
-/// Lock modes recorded in the worker's held-lock table.
+/// Lock modes recorded in the worker's held-lock table. `HELD_NONE` marks
+/// a vertex whose acquisition failed (the attempt is about to roll back).
+const HELD_NONE: u64 = 0;
 const HELD_SHARED: u64 = 1;
-const HELD_EXCL: u64 = 2;
-const HELD_EXCL_WROTE: u64 = 3;
+const HELD_WROTE: u64 = 2;
 
 /// The 2PL scheduler.
 pub struct TwoPhaseLocking {
@@ -67,8 +73,9 @@ impl GraphScheduler for TwoPhaseLocking {
             sys: Arc::clone(&self.sys),
             ordered: self.ordered,
             held: WordMap::with_capacity(32),
-            held_order: Vec::with_capacity(32),
+            wrote: Vec::with_capacity(16),
             undo: Vec::with_capacity(32),
+            batch: LineBatch::with_capacity(32),
             stats: SchedStats::default(),
         }
     }
@@ -89,39 +96,44 @@ pub struct TplWorker {
     ordered: bool,
     faults: FaultHandle,
     health: HealthHandle,
-    /// vertex id → HELD_* mode.
+    /// vertex id → HELD_* mode, in acquisition order.
     held: WordMap,
-    held_order: Vec<VertexId>,
+    /// The vertices held in `HELD_WROTE` mode.
+    wrote: Vec<VertexId>,
     undo: Vec<(Addr, u64)>,
+    /// Commit scratch: the undo log's lines and the written lock words'.
+    batch: LineBatch,
     stats: SchedStats,
+}
+
+/// The lock-acquisition half of a [`TplWorker`], split off so a `held`
+/// entry can stay borrowed across the acquisition it records.
+struct Acquire<'a> {
+    id: u32,
+    sys: &'a TxnSystem,
+    ordered: bool,
+    faults: &'a mut FaultHandle,
+    stats: &'a mut SchedStats,
 }
 
 impl TplWorker {
     #[inline]
-    fn held_mode(&self, v: VertexId) -> Option<u64> {
-        self.held.get(Addr(u64::from(v)))
+    fn split(&mut self) -> (&mut WordMap, Acquire<'_>) {
+        let acquire = Acquire {
+            id: self.id,
+            sys: &self.sys,
+            ordered: self.ordered,
+            faults: &mut self.faults,
+            stats: &mut self.stats,
+        };
+        (&mut self.held, acquire)
     }
+}
 
-    #[inline]
-    fn set_held(&mut self, v: VertexId, mode: u64) {
-        if self.held.insert(Addr(u64::from(v)), mode) {
-            self.held_order.push(v);
-        }
-    }
-
-    /// The instant an anonymous wait started — sampled only when the
-    /// configured budget has a wall-clock deadline.
-    #[inline]
-    fn wait_start(&self) -> Option<Instant> {
-        self.sys
-            .wait_table()
-            .config()
-            .deadline
-            .map(|_| Instant::now())
-    }
-
-    /// Blocking shared acquisition with deadlock handling.
-    fn acquire_shared(&mut self, v: VertexId) -> Result<(), TxInterrupt> {
+impl Acquire<'_> {
+    /// Blocking acquisition of `v` (shared or exclusive) with deadlock
+    /// handling.
+    fn acquire(&mut self, v: VertexId, exclusive: bool) -> Result<(), TxInterrupt> {
         if self.faults.lock_acquisition_fails() {
             // Injected acquisition failure: indistinguishable from a
             // bounded-wait victimization.
@@ -130,160 +142,142 @@ impl TplWorker {
         }
         let mem = self.sys.mem();
         let locks = self.sys.locks();
+        let waits = self.sys.wait_table();
         let mut anon_attempt = 0u32;
-        let started = self.wait_start();
+        // The instant the wait started — sampled only when the configured
+        // budget has a wall-clock deadline.
+        let started = waits.config().deadline.map(|_| Instant::now());
         // The bounded-wait retry below makes this a *blocking*
         // acquisition as far as lock ordering is concerned.
         // tufast-lint: lock-acquire(vertex_lock)
         loop {
-            match locks.try_shared(mem, v) {
-                Ok(_) => return Ok(()),
-                Err(pre) => {
-                    // A shared acquisition can only fail on a writer; an
-                    // anonymous (reader-held) word admits more readers. A
-                    // writerless failure here would mean lock-word
-                    // corruption, so surface it loudly.
-                    let holder = pre
-                        .writer()
-                        .expect("shared acquisition fails only on a writer");
-                    if holder == self.id {
-                        unreachable!("lock table says we already hold {v} exclusively");
-                    }
-                    if !self.ordered && self.sys.wait_table().register_and_check(self.id, holder) {
-                        self.stats.deadlock_victims += 1;
-                        return Err(TxInterrupt::Restart);
-                    }
-                    let outcome = self.sys.wait_table().bounded_anonymous_wait(
-                        self.id,
-                        anon_attempt,
-                        started,
-                    );
-                    if !self.ordered {
-                        self.sys.wait_table().clear(self.id);
-                    }
-                    if outcome == WaitOutcome::Victim {
-                        self.stats.anon_wait_victims += 1;
-                        return Err(TxInterrupt::Restart);
-                    }
-                    anon_attempt += 1;
+            let tried = if exclusive {
+                locks.try_exclusive(mem, v, self.id)
+            } else {
+                locks.try_shared(mem, v)
+            };
+            let Err(pre) = tried else { return Ok(()) };
+            // A shared acquisition fails only on a writer; an exclusive one
+            // also on readers, who are anonymous: bounded wait either way.
+            debug_assert!(exclusive || pre.writer().is_some(), "lock word {v} corrupt");
+            if let Some(holder) = pre.writer() {
+                debug_assert_ne!(holder, self.id, "re-acquisition of held vertex {v}");
+                if !self.ordered && waits.register_and_check(self.id, holder) {
+                    self.stats.deadlock_victims += 1;
+                    return Err(TxInterrupt::Restart);
                 }
             }
-        }
-    }
-
-    /// Blocking exclusive acquisition with deadlock handling.
-    fn acquire_exclusive(&mut self, v: VertexId) -> Result<(), TxInterrupt> {
-        if self.faults.lock_acquisition_fails() {
-            self.stats.injected_faults += 1;
-            return Err(TxInterrupt::Restart);
-        }
-        let mem = self.sys.mem();
-        let locks = self.sys.locks();
-        let mut anon_attempt = 0u32;
-        let started = self.wait_start();
-        // The bounded-wait retry below makes this a *blocking*
-        // acquisition as far as lock ordering is concerned.
-        // tufast-lint: lock-acquire(vertex_lock)
-        loop {
-            match locks.try_exclusive(mem, v, self.id) {
-                Ok(_) => return Ok(()),
-                Err(pre) => {
-                    if let Some(holder) = pre.writer() {
-                        debug_assert_ne!(holder, self.id, "double exclusive acquisition of {v}");
-                        if !self.ordered
-                            && self.sys.wait_table().register_and_check(self.id, holder)
-                        {
-                            self.stats.deadlock_victims += 1;
-                            return Err(TxInterrupt::Restart);
-                        }
-                    }
-                    // Readers are anonymous either way: bounded wait.
-                    let outcome = self.sys.wait_table().bounded_anonymous_wait(
-                        self.id,
-                        anon_attempt,
-                        started,
-                    );
-                    if !self.ordered {
-                        self.sys.wait_table().clear(self.id);
-                    }
-                    if outcome == WaitOutcome::Victim {
-                        self.stats.anon_wait_victims += 1;
-                        return Err(TxInterrupt::Restart);
-                    }
-                    anon_attempt += 1;
-                }
+            let outcome = waits.bounded_anonymous_wait(self.id, anon_attempt, started);
+            if !self.ordered {
+                waits.clear(self.id);
             }
+            if outcome == WaitOutcome::Victim {
+                self.stats.anon_wait_victims += 1;
+                return Err(TxInterrupt::Restart);
+            }
+            anon_attempt += 1;
         }
     }
+}
 
-    /// Undo in-place writes (reverse order) and release all locks.
+impl TplWorker {
+    /// Undo in-place writes (reverse order) and release all locks. The
+    /// versions of written vertices still bump: the data changed twice, and
+    /// optimistic readers may have seen the intermediate values.
     fn rollback(&mut self) {
         let mem = self.sys.mem();
         for &(addr, old) in self.undo.iter().rev() {
             mem.store_direct(addr, old);
         }
         self.undo.clear();
-        self.release_all(true);
+        self.release(true);
     }
 
-    /// Release all locks; `undone` tells whether exclusive writes were
-    /// rolled back (version still bumps — the data changed twice).
-    fn release_all(&mut self, undone: bool) {
+    /// Strict 2PL commit: the writes are already in place. The written
+    /// vertices' locks are released — and the written lines stamped — in
+    /// one batch at the ticket, while every other touched lock is still
+    /// held; then the shared holds go.
+    fn commit(&mut self, obs: &ObsHandle) {
+        let (mem, locks, id) = (self.sys.mem(), self.sys.locks(), self.id);
+        if self.wrote.is_empty() {
+            // Nothing to publish: the ticket is a tick of its own.
+            obs.commit_ticketed(id, || mem.clock_tick_pub());
+        } else {
+            let ticket = release_at_ticket(
+                mem,
+                &mut self.batch,
+                self.undo.iter().map(|&(addr, _)| addr),
+                self.wrote.iter().map(|&v| locks.addr(v)),
+                |w| {
+                    debug_assert_eq!(LockWord(w).writer(), Some(id), "released by non-owner");
+                    LockWord(w).released(true).0
+                },
+            );
+            obs.commit_ticketed(id, || ticket);
+        }
+        self.undo.clear();
+        self.release(false);
+    }
+
+    /// Release the holds, newest first, one `rmw_direct` each: the shared
+    /// ones, and with `written_too` (no commit batch released them) the
+    /// written ones.
+    fn release(&mut self, written_too: bool) {
         let mem = self.sys.mem();
         let locks = self.sys.locks();
-        for &v in self.held_order.iter().rev() {
-            match self
-                .held
-                .get(Addr(u64::from(v)))
-                .expect("held table out of sync")
-            {
+        for (v, mode) in self.held.iter().rev() {
+            let v = v.0 as VertexId;
+            match mode {
                 HELD_SHARED => locks.unlock_shared(mem, v),
-                HELD_EXCL => locks.unlock_exclusive(mem, v, self.id, false),
-                HELD_EXCL_WROTE => locks.unlock_exclusive(mem, v, self.id, true),
-                // An undone write still published intermediate values that
-                // optimistic readers may have seen; bump regardless.
-                _ => unreachable!("bad held mode"),
+                HELD_WROTE if written_too => locks.unlock_exclusive(mem, v, self.id, true),
+                _ => {}
             }
         }
-        let _ = undone;
         self.held.clear();
-        self.held_order.clear();
+        self.wrote.clear();
     }
 }
 
 impl TxnOps for TplWorker {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
         self.stats.reads += 1;
-        if self.held_mode(v).is_none() {
-            self.acquire_shared(v)?;
-            self.set_held(v, HELD_SHARED);
+        let (held, mut acquire) = self.split();
+        let (mode, _) = held.entry(Addr(u64::from(v)), HELD_NONE);
+        if *mode == HELD_NONE {
+            acquire.acquire(v, false)?;
+            *mode = HELD_SHARED;
         }
         Ok(self.sys.mem().load_direct(addr))
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
         self.stats.writes += 1;
-        match self.held_mode(v) {
-            Some(HELD_EXCL) | Some(HELD_EXCL_WROTE) => {}
-            Some(HELD_SHARED) => {
+        let (held, mut acquire) = self.split();
+        let (mode, _) = held.entry(Addr(u64::from(v)), HELD_NONE);
+        let first_write = *mode != HELD_WROTE;
+        match *mode {
+            HELD_WROTE => {}
+            HELD_SHARED => {
                 // Upgrade; failure risks the classic upgrade deadlock, so
                 // the requester immediately becomes the victim.
-                if !self.sys.locks().try_upgrade(self.sys.mem(), v, self.id) {
-                    self.stats.deadlock_victims += 1;
+                if !acquire
+                    .sys
+                    .locks()
+                    .try_upgrade(acquire.sys.mem(), v, acquire.id)
+                {
+                    acquire.stats.deadlock_victims += 1;
                     return Err(TxInterrupt::Restart);
                 }
-                self.set_held(v, HELD_EXCL);
             }
-            None => {
-                self.acquire_exclusive(v)?;
-                self.set_held(v, HELD_EXCL);
-            }
-            Some(_) => unreachable!("bad held mode"),
+            _ => acquire.acquire(v, true)?,
+        }
+        *mode = HELD_WROTE;
+        if first_write {
+            self.wrote.push(v);
         }
         let mem = self.sys.mem();
         self.undo.push((addr, mem.load_direct(addr)));
         mem.store_direct(addr, val);
-        self.set_held(v, HELD_EXCL_WROTE);
         Ok(())
     }
 }
@@ -319,22 +313,8 @@ impl TplWorker {
             obs.attempt_begin(id);
             match obs.run_body(self, id, body) {
                 Ok(()) => {
-                    // Strict 2PL commit: writes are already in place; drop
-                    // the undo log and release everything.
                     obs.pre_commit(id);
-                    let mem = self.sys.mem();
-                    // Ticket while every touched lock is still held: no
-                    // conflicting writer can publish between the tick and
-                    // our (already in-place) writes becoming permanent.
-                    obs.commit_ticketed(id, || mem.clock_tick_pub());
-                    // In-place stores left line versions predating the
-                    // ticket; republish them at post-ticket versions while
-                    // the locks are still held, or a snapshot reader pinned
-                    // mid-commit could accept a fractured mix of old and
-                    // new values (see `rmode` module docs).
-                    mem.republish_lines(self.undo.iter().map(|&(a, _)| a));
-                    self.undo.clear();
-                    self.release_all(false);
+                    self.commit(&obs);
                     self.stats.commits += 1;
                     self.health.note_commit();
                     self.sys.wait_table().record_commit(id);

@@ -146,7 +146,7 @@ pub struct SchedStats {
     /// A subset of `commits`.
     pub r_commits: u64,
     /// R-mode snapshot-validation retries: attempts that re-pinned their
-    /// snapshot because a read raced a concurrent writer (line republished
+    /// snapshot because a read raced a concurrent writer (line published
     /// past the pinned clock, writer mid-commit, or snapshot too old).
     /// A subset of `restarts`.
     pub r_retries: u64,

@@ -4,9 +4,10 @@
 ///
 /// The defaults follow the paper: a handful of H-mode retries (Intel's
 /// recommendation, studied in the paper's Figure 16), `period` halving with
-/// a floor of 100, and a size-hint entry rule that sends
-/// obviously-oversized transactions straight past H (and, when truly huge,
-/// straight to L).
+/// a floor of 50 operations (the paper's 100-line floor at two lines per
+/// operation, see [`min_period`](Self::min_period)), and a size-hint entry
+/// rule that sends obviously-oversized transactions straight past H (and,
+/// when truly huge, straight to L).
 #[derive(Clone, Debug)]
 pub struct TuFastConfig {
     /// H-mode attempts before proceeding to O mode (conflict aborts only —
@@ -18,9 +19,12 @@ pub struct TuFastConfig {
     /// backstop against repeated validation failures at workable periods).
     pub o_retries: u32,
     /// Stop halving `period` below this and proceed to L. The paper uses
-    /// 100 *operations*; here every operation touches ~2 cache lines (a
-    /// scattered value word plus its vertex's lock word), so 50 gives the
-    /// same ~6 KB piece footprint the paper's floor implies.
+    /// 100 *operations* of one line each; here every operation touches 2
+    /// lines in two different cache sets (a scattered value word plus its
+    /// vertex's lock word, which `MemoryLayout` starts in different sets),
+    /// so 50 gives the same 100-line, ~6 KB piece footprint the paper's
+    /// floor implies — under half of the ~120 random vertices one piece
+    /// holds, so a piece at the floor overflows only on a skewed set.
     pub min_period: u32,
     /// Upper clamp for the adaptive `period`.
     pub max_period: u32,

@@ -14,14 +14,30 @@ use std::sync::atomic::Ordering;
 use crate::memory::{TxMemory, DIRECT_OWNER};
 use crate::meta;
 
+/// Ascending runs `seal` deals an out-of-order gather into before it gives
+/// up and sorts. Commits push a few interleaved ascending sequences — an
+/// H-mode footprint is `lock[c], value[c], lock[u1], value[u1], …` over
+/// sorted neighbours `u`, a software commit its data lines and then its
+/// lock lines — and the centre `c`, out of place among the `u`, costs the
+/// third run.
+const RUNS: usize = 3;
+
+/// Gathers up to this long are sorted outright: the sort is an insertion
+/// sort at these sizes, and a 2PL commit's handful of lines must not pay
+/// for the deal.
+const SORT_UP_TO: usize = 32;
+
 /// The cache lines of one commit, gathered in any order and locked
-/// ascending (address order keeps every multi-line locker deadlock-free).
+/// ascending (address order keeps every multi-line locker deadlock-free),
+/// each line once.
 #[derive(Debug)]
 pub struct LineBatch {
     /// Gathered line ids; strictly ascending once locked.
     lines: Vec<u64>,
-    /// `lines` is strictly ascending as gathered: nothing to sort.
+    /// `lines` is strictly ascending as gathered: nothing to do.
     ascending: bool,
+    /// Scratch of `seal`: the runs `lines` is dealt into and merged from.
+    runs: Vec<u64>,
     /// How many of `lines`, from the front, are currently locked. (A locked
     /// line's metadata keeps its pre-lock version, so none is stored here.)
     locked: usize,
@@ -33,6 +49,7 @@ impl LineBatch {
         LineBatch {
             lines: Vec::with_capacity(cap),
             ascending: true,
+            runs: Vec::new(),
             locked: 0,
         }
     }
@@ -45,9 +62,15 @@ impl LineBatch {
         self.ascending = true;
     }
 
+    /// The lines currently locked, ascending, each once.
+    #[inline]
+    pub fn held(&self) -> &[u64] {
+        &self.lines[..self.locked]
+    }
+
     /// Add `line`. Ascending neighbours share lock and value lines, so a
-    /// repeat of the previous line is dropped here and an ascending run
-    /// never needs the sort.
+    /// repeat of the previous line is dropped here and an ascending gather
+    /// leaves `seal` nothing to do.
     #[inline]
     pub fn push(&mut self, line: u64) {
         match self.lines.last() {
@@ -58,13 +81,62 @@ impl LineBatch {
         self.lines.push(line);
     }
 
-    /// Bring the gathered ids into strictly ascending order.
+    /// Bring the gathered ids into strictly ascending order, each once: a
+    /// linear merge when they are a few interleaved ascending runs, a sort
+    /// when they are few or in arbitrary order.
     fn seal(&mut self) {
         debug_assert_eq!(self.locked, 0, "re-locking a locked batch");
-        if !self.ascending {
+        if self.ascending {
+            return;
+        }
+        self.ascending = true;
+        if self.lines.len() <= SORT_UP_TO || !self.merge_runs() {
             self.lines.sort_unstable();
             self.lines.dedup();
-            self.ascending = true;
+        }
+    }
+
+    /// Deal `lines`, each to the first run it extends, and merge the runs
+    /// back. `false`, with `lines` as they were, when one fits no run.
+    fn merge_runs(&mut self) -> bool {
+        let n = self.lines.len();
+        self.runs.clear();
+        self.runs.resize(RUNS * n, 0);
+        // Run `r` is `runs[r * n..][..lens[r]]`, strictly ascending; `ends[r]`
+        // is one past its last line, 0 while it is empty.
+        let (mut lens, mut ends) = ([0; RUNS], [0; RUNS]);
+        'deal: for &line in &self.lines {
+            for r in 0..RUNS {
+                if ends[r] <= line {
+                    self.runs[r * n + lens[r]] = line;
+                    lens[r] += 1;
+                    ends[r] = line + 1;
+                    continue 'deal;
+                }
+                if ends[r] == line + 1 {
+                    continue 'deal;
+                }
+            }
+            return false;
+        }
+        let mut heads: [&[u64]; RUNS] = std::array::from_fn(|r| &self.runs[r * n..][..lens[r]]);
+        let head = |run: &[u64]| run.first().copied().unwrap_or(u64::MAX);
+        self.lines.clear();
+        // Runs interleave in a few long blocks (one region's lines, then the
+        // next one's): copy from the run with the least head up to the least
+        // head of the others.
+        loop {
+            let least = (0..RUNS).min_by_key(|&r| head(heads[r])).expect("RUNS > 0");
+            let run = heads[least];
+            if run.is_empty() {
+                return true;
+            }
+            let others = (0..RUNS).filter(|&r| r != least);
+            let limit = others.map(|r| head(heads[r])).min().unwrap_or(u64::MAX);
+            let block = run.iter().take_while(|&&line| line < limit).count();
+            self.lines.extend_from_slice(&run[..block]);
+            // An empty block: the same id heads another run, once is enough.
+            heads[least] = &run[block.max(1)..];
         }
     }
 }
@@ -150,11 +222,51 @@ mod tests {
     fn push_drops_adjacent_repeats_and_tracks_order() {
         let b = batch_of(&[3, 3, 4, 4, 9]);
         assert_eq!(b.lines, [3, 4, 9]);
-        assert!(b.ascending, "an ascending run needs no sort");
+        assert!(b.ascending, "an ascending gather is left alone");
         let mut b = batch_of(&[7, 2, 7, 2, 2]);
         assert!(!b.ascending);
         b.seal();
         assert_eq!(b.lines, [2, 7], "sorted, non-adjacent repeats removed");
+        assert!(b.ascending);
+    }
+
+    #[test]
+    fn interleaved_runs_merge_and_arbitrary_order_sorts() {
+        // An H-mode footprint past the small-sort size: centre 250 among
+        // neighbours 10, 20, …, 490 (lock lines 1000 + v, value lines v).
+        let vertices = std::iter::once(250).chain((10..500).step_by(10).filter(|&v| v != 250));
+        let gather: Vec<u64> = vertices.flat_map(|v| [1000 + v, v]).collect();
+        let n = gather.len();
+        assert!(n > SORT_UP_TO);
+        let mut want = gather.clone();
+        want.sort_unstable();
+        let mut b = batch_of(&gather);
+        b.seal();
+        assert_eq!(b.lines, want);
+        assert_eq!(
+            b.runs[..3],
+            [1250, 1260, 1270],
+            "centre's lock, locks above"
+        );
+        assert_eq!(
+            b.runs[n..][..3],
+            [250, 1010, 1020],
+            "its value, locks below"
+        );
+        assert_eq!(b.runs[2 * n..][..3], [10, 20, 30], "the neighbours' values");
+
+        // The same line at the end of one run and inside another.
+        let mut b = batch_of(&[5, 9, 3, 5, 5, 9]);
+        assert!(b.merge_runs());
+        assert_eq!(b.lines, [3, 5, 9], "equal ids once");
+
+        // A fourth descent fits no run: the lines are left for the sort.
+        let descending: Vec<u64> = (0..40).rev().collect();
+        let mut b = batch_of(&descending);
+        assert!(!b.merge_runs());
+        assert_eq!(b.lines, descending);
+        b.seal();
+        assert!(b.lines.iter().copied().eq(0..40));
     }
 
     #[test]

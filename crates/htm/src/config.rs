@@ -82,9 +82,10 @@ impl std::fmt::Debug for AbortSource {
 /// Parameters of the emulated RTM implementation.
 ///
 /// The defaults model the Haswell-class L1D the paper describes: 32 KB,
-/// 8-way set-associative, 64-byte lines — 64 sets, so a transaction aborts
-/// with [`AbortCode::Capacity`](crate::AbortCode::Capacity) as soon as nine
-/// distinct transactional lines map to the same set.
+/// 8-way set-associative, 64-byte lines — 64 sets, one way of each reserved
+/// for non-transactional data, so a transaction aborts with
+/// [`AbortCode::Capacity`](crate::AbortCode::Capacity) as soon as an eighth
+/// distinct transactional line maps to a set that holds seven.
 #[derive(Clone, Debug)]
 pub struct HtmConfig {
     /// Total modelled L1 data cache size in bytes.

@@ -18,8 +18,9 @@
 //!   [`commit`](HtmCtx::commit) and [`abort_explicit`](HtmCtx::abort_explicit),
 //!   mirroring `XBEGIN`/loads/stores/`XEND`/`XABORT`.
 //! * [`L1Model`] — the capacity model. Every distinct transactional line
-//!   occupies a way in one of the 64 cache sets; the ninth line mapped to a
-//!   set raises [`AbortCode::Capacity`]. With uniformly random addresses this
+//!   occupies one of the 7 usable ways (8 less the reserved one) of one of
+//!   the 64 cache sets; the eighth line mapped to a set raises
+//!   [`AbortCode::Capacity`]. With uniformly random addresses this
 //!   model *derives* the abort-probability curve the paper measures in its
 //!   Figure 4 (≈ 23 % at 10 KB, ≈ 1.0 beyond 30 KB) instead of hard-coding it.
 //! * [`AbortCode`] — the RTM abort status: `Conflict`, `Capacity`,

@@ -79,10 +79,33 @@ impl MemRegion {
 /// Every region is aligned to a cache-line boundary so two regions never
 /// share a line (cross-region false sharing would make experiments harder to
 /// reason about; *intra*-region line sharing is deliberate and realistic).
+///
+/// Regions of at least 64 lines are also *coloured*: the k-th one starts
+/// `bitrev6(k)` lines (0, 32, 16, 48, 8, …) past a multiple of 64, so word
+/// `i` of any two of them (of any 64 in a row) maps to different sets of
+/// the default 64-set L1 geometry. Arrays indexed by the same vertex id
+/// (`value[v]`, `lock[v]`) would otherwise always share a set and a vertex
+/// would cost two of its ways — what page-aligned arrays do every 4 KiB on
+/// a real 64-set L1.
 #[derive(Debug, Default)]
 pub struct MemoryLayout {
     cursor: u64,
+    /// Coloured (large) regions allocated so far.
+    coloured: u64,
     regions: Vec<(String, MemRegion)>,
+}
+
+/// Sets of the default L1 geometry (32 KB / 8-way / 64-byte lines): the
+/// modulus the large regions of a [`MemoryLayout`] are staggered over.
+const COLOUR_SETS: u64 = 64;
+
+/// Line offset (mod `COLOUR_SETS`) of the `k`-th coloured region: the
+/// bit-reversal of `k` — distinct for any `COLOUR_SETS` consecutive regions
+/// and as far apart as possible for the first few.
+#[inline]
+fn colour(k: u64) -> u64 {
+    let bits = COLOUR_SETS.trailing_zeros();
+    (k % COLOUR_SETS).reverse_bits() >> (u64::BITS - bits)
 }
 
 impl MemoryLayout {
@@ -93,13 +116,20 @@ impl MemoryLayout {
 
     /// Allocate `len` words under `name`, returning the region handle.
     pub fn alloc(&mut self, name: &str, len: u64) -> MemRegion {
+        let lpw = WORDS_PER_LINE as u64;
+        if len.div_ceil(lpw) >= COLOUR_SETS {
+            // Skip (at most COLOUR_SETS - 1 lines) to this region's colour.
+            let line = self.cursor / lpw;
+            let skip = colour(self.coloured).wrapping_sub(line) % COLOUR_SETS;
+            self.cursor += skip * lpw;
+            self.coloured += 1;
+        }
         let region = MemRegion {
             base: self.cursor,
             len,
         };
         self.regions.push((name.to_string(), region));
         // Advance to the next line boundary.
-        let lpw = WORDS_PER_LINE as u64;
         self.cursor = (self.cursor + len).div_ceil(lpw) * lpw;
         region
     }
@@ -431,6 +461,56 @@ mod tests {
         assert_eq!(c.base().0, 24); // 10 rounds up to two lines
         assert_ne!(a.addr(2).line(), b.addr(0).line());
         assert_eq!(l.total_words(), 32);
+    }
+
+    /// Set of the default L1 geometry that word `i` of `r` maps to.
+    fn set_of(r: &MemRegion, i: u64) -> u64 {
+        r.addr(i).line() % COLOUR_SETS
+    }
+
+    #[test]
+    fn large_regions_are_staggered_across_sets() {
+        assert_eq!(
+            COLOUR_SETS as usize,
+            crate::HtmConfig::default().num_sets(),
+            "the colouring modulus is the default geometry's set count"
+        );
+        let colours: Vec<u64> = (0..8).map(colour).collect();
+        assert_eq!(colours, [0, 32, 16, 48, 8, 40, 24, 56]);
+        let mut seen: Vec<u64> = (0..COLOUR_SETS).map(colour).collect();
+        seen.sort_unstable();
+        assert!(seen.iter().copied().eq(0..COLOUR_SETS), "a permutation");
+
+        // 64 lines is large; one line less is not. Small regions in between
+        // neither take a colour nor disturb the next large one's.
+        let lpw = WORDS_PER_LINE as u64;
+        let mut l = MemoryLayout::new();
+        let a = l.alloc("a", 1000 * lpw);
+        let flag = l.alloc("flag", 1);
+        let b = l.alloc("b", COLOUR_SETS * lpw);
+        let small = l.alloc("small", COLOUR_SETS * lpw - lpw);
+        let c = l.alloc("c", 1000 * lpw + 3);
+        assert_eq!(a.base().0, 0);
+        assert_eq!(flag.base().line(), 1000, "1-line regions are packed");
+        assert_eq!(small.base().line(), b.base().line() + COLOUR_SETS);
+        assert_eq!(
+            [set_of(&a, 0), set_of(&b, 0), set_of(&c, 0)],
+            [0, 32, 16],
+            "k-th large region starts bitrev(k) lines past a 64-line boundary"
+        );
+        for (prev_end, next) in [
+            (flag.base().line() + 1, &b),
+            (small.addr(0).line() + 63, &c),
+        ] {
+            let pad = next.base().line() - prev_end;
+            assert!(pad < COLOUR_SETS, "{pad} lines of padding (4 KiB is 64)");
+        }
+        for i in (0..COLOUR_SETS * lpw).step_by(7) {
+            assert_ne!(set_of(&a, i), set_of(&b, i));
+            assert_ne!(set_of(&a, i), set_of(&c, i));
+            assert_ne!(set_of(&b, i), set_of(&c, i));
+        }
+        assert_eq!(l.total_words(), (c.base().0 + c.len()).div_ceil(lpw) * lpw);
     }
 
     #[test]

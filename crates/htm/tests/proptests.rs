@@ -1,14 +1,15 @@
 //! Property-based tests of the HTM substrate: the transaction-local tables
 //! against std-collection models across thousands of clear cycles, the
-//! emulator op by op against a reference built on `std` sets, and
-//! serializability of random single-threaded transaction schedules against
-//! a direct interpreter.
+//! line-lock batch against `sort + dedup`, the emulator op by op against a
+//! reference built on `std` sets, and serializability of random
+//! single-threaded transaction schedules against a direct interpreter.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
 use tufast_htm::{
-    AbortCode, Addr, Footprint, HtmConfig, HtmCtx, HtmRuntime, HtmStats, MemoryLayout, WordMap,
+    AbortCode, Addr, Footprint, HtmConfig, HtmCtx, HtmRuntime, HtmStats, LineBatch, LineState,
+    MemoryLayout, TxMemory, WordMap, DIRECT_OWNER,
 };
 
 /// Run one generation of map operations against the model, then compare the
@@ -77,6 +78,90 @@ fn footprint_cycle(fp: &mut Footprint, ops: &[(u8, u64, u64)], stride: u64) {
         .filter(|l| writes.contains(l))
         .collect();
     assert_eq!(got, want);
+}
+
+/// Lines of the memory the batch cycles lock.
+const BATCH_LINES: u64 = 96;
+
+/// One gather: `segments` of `(kind, start, len, step)` — ascending runs
+/// (kind 0–2), descending ones (3), repeats of one line (4), scattered
+/// lines (5) — concatenated, or dealt out round-robin when `interleave`.
+fn gather_order(segments: &[(u8, u64, usize, u64)], interleave: bool) -> Vec<u64> {
+    let runs: Vec<Vec<u64>> = segments
+        .iter()
+        .map(|&(kind, start, len, step)| {
+            (0..len as u64)
+                .map(|i| match kind {
+                    0..=2 => start + i * step,
+                    3 => start + (len as u64 - i) * step,
+                    4 => start,
+                    _ => start.wrapping_mul(i * 2 + 1).wrapping_add(i * step * 37),
+                } % BATCH_LINES)
+                .collect()
+        })
+        .collect();
+    if !interleave {
+        return runs.concat();
+    }
+    let longest = runs.iter().map(Vec::len).max().unwrap_or(0);
+    (0..longest)
+        .flat_map(|i| runs.iter().filter_map(move |r| r.get(i).copied()))
+        .collect()
+}
+
+/// Gather `order` into `batch`, lock, and release — at a fresh ticket when
+/// `publish`, else unchanged. `versions` is the model of every line's
+/// version; the locked set must be exactly `sort + dedup` of `order`.
+fn batch_cycle(
+    mem: &TxMemory,
+    batch: &mut LineBatch,
+    versions: &mut [u64],
+    order: &[u64],
+    publish: bool,
+) {
+    let mut want = order.to_vec();
+    want.sort_unstable();
+    want.dedup();
+
+    batch.clear();
+    for &line in order {
+        batch.push(line);
+    }
+    // Try-only: a line gathered twice fails here instead of waiting for
+    // itself.
+    assert!(
+        mem.try_lock_lines(batch, DIRECT_OWNER, 1),
+        "nothing else holds a line"
+    );
+    assert_eq!(batch.held(), want, "locked ascending, equal ids once");
+    for line in 0..BATCH_LINES {
+        let held = mem.held_version(line, DIRECT_OWNER);
+        let in_batch = want.binary_search(&line).is_ok();
+        assert_eq!(
+            held,
+            in_batch.then_some(versions[line as usize]),
+            "line {line}"
+        );
+    }
+
+    let clock = mem.clock_now_pub();
+    let ticket = publish.then(|| mem.clock_tick_pub());
+    mem.unlock_lines(batch, ticket);
+    assert!(batch.held().is_empty());
+    assert_eq!(mem.clock_now_pub(), clock + u64::from(publish));
+    if publish {
+        for &line in &want {
+            versions[line as usize] = clock + 1;
+        }
+    }
+    for line in 0..BATCH_LINES {
+        let version = versions[line as usize];
+        assert_eq!(
+            mem.line_state(line),
+            LineState::Unlocked { version },
+            "line {line}"
+        );
+    }
 }
 
 /// A trivially-correct single-threaded reference for [`HtmCtx`]: the same
@@ -313,6 +398,35 @@ proptest! {
             footprint_cycle(&mut fp, ops, 1 << stride_log);
             fp.clear();
             prop_assert_eq!(fp.reads().count() + fp.writes().count(), 0);
+        }
+    }
+
+    /// One reused batch through many gathers in any order — a few
+    /// interleaved ascending runs (what commits push), descending runs,
+    /// repeats, empty segments, scatter — against `sort + dedup`: the
+    /// locked set, its order, and every line's version after a published
+    /// or an abandoned round.
+    #[test]
+    fn line_batch_locks_exactly_sort_dedup(
+        cycles in prop::collection::vec(
+            (
+                prop::collection::vec((0u8..6, 0u64..BATCH_LINES, 0usize..14, 1u64..5), 0..6),
+                any::<bool>(),
+                any::<bool>(),
+            ),
+            1..40,
+        ),
+    ) {
+        let mem = TxMemory::with_words(BATCH_LINES * 8);
+        let mut versions = vec![0u64; BATCH_LINES as usize];
+        for line in (0..BATCH_LINES).step_by(3) {
+            mem.store_direct(Addr(line * 8), line);
+            versions[line as usize] = mem.clock_now_pub();
+        }
+        let mut batch = LineBatch::with_capacity(4);
+        for (segments, interleave, publish) in &cycles {
+            let order = gather_order(segments, *interleave);
+            batch_cycle(&mem, &mut batch, &mut versions, &order, *publish);
         }
     }
 

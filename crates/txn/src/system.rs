@@ -334,6 +334,74 @@ mod tests {
         assert_eq!(sys.locks().len(), 100);
     }
 
+    /// A system of `n` vertices over `user` value regions of a word each.
+    fn with_value_regions(n: usize, user: usize) -> (Arc<TxnSystem>, Vec<MemRegion>) {
+        let mut layout = MemoryLayout::new();
+        let values = (0..user)
+            .map(|k| layout.alloc(&format!("values-{k}"), n as u64))
+            .collect();
+        (TxnSystem::with_defaults(n, layout), values)
+    }
+
+    #[test]
+    fn no_two_words_of_a_vertex_share_a_cache_set() {
+        let sets = HtmConfig::default().num_sets() as u64;
+        for n in [8_192, 65_536, 10_007] {
+            for user in 1..=3 {
+                let (sys, values) = with_value_regions(n, user);
+                for v in 0..n as u32 {
+                    let words = values
+                        .iter()
+                        .map(|r| r.addr(u64::from(v)))
+                        .chain([sys.locks().addr(v), sys.to_ts_addr(v)]);
+                    let mut seen = 0u64;
+                    for addr in words {
+                        let set = 1 << (addr.line() % sets);
+                        assert_eq!(
+                            seen & set,
+                            0,
+                            "n = {n}, {user} user regions: vertex {v} has two words in one set"
+                        );
+                        seen |= set;
+                    }
+                }
+            }
+        }
+    }
+
+    /// How many random vertices (lock word + value word each) one hardware
+    /// transaction holds before `Capacity`: ~120 when a vertex's two lines
+    /// fall in different sets, 59 when they share one.
+    #[test]
+    fn a_hardware_transaction_fits_over_a_hundred_random_vertices() {
+        let n = 8_192;
+        let (sys, values) = with_value_regions(n, 1);
+        let mut ctx = sys.htm_ctx();
+        // xorshift64*: seeded, so the mean repeats exactly.
+        let mut x = 0x7117_5EED_u64;
+        let mut next = move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32 % n as u32
+        };
+        let trials = 4_000;
+        let mut fitted = 0u64;
+        for _ in 0..trials {
+            ctx.begin().expect("no transaction is open");
+            loop {
+                let v = next();
+                let (lock, value) = (sys.locks().addr(v), values[0].addr(u64::from(v)));
+                match ctx.read(lock).and_then(|_| ctx.read(value)) {
+                    Ok(_) => fitted += 1,
+                    Err(code) => break assert_eq!(code, tufast_htm::AbortCode::Capacity),
+                }
+            }
+        }
+        let mean = fitted as f64 / trials as f64;
+        assert!(mean >= 100.0, "{mean} vertices per transaction");
+    }
+
     #[test]
     fn worker_ids_are_unique_and_bounded() {
         let layout = MemoryLayout::new();

@@ -8,79 +8,12 @@
 #[path = "../crates/algos/tests/support/mod.rs"]
 mod support;
 
-use std::sync::{Arc, Mutex};
+mod counted;
 
-use tufast::TuFast;
+use counted::Counted;
 use tufast_algos::sssp::QueueKind;
 use tufast_algos::{setup, sssp, wcc};
 use tufast_graph::{gen, Graph, GraphBuilder, VertexId};
-use tufast_txn::{
-    GraphScheduler, HealthHandle, SchedStats, TxnBody, TxnHint, TxnOutcome, TxnSystem, TxnWorker,
-};
-
-/// `TuFast`, with every worker's counters collected when the driver drops it.
-struct Counted {
-    inner: TuFast,
-    sink: Arc<Mutex<SchedStats>>,
-}
-
-struct CountedWorker {
-    inner: <TuFast as GraphScheduler>::Worker,
-    sink: Arc<Mutex<SchedStats>>,
-}
-
-impl Counted {
-    fn new(sys: &Arc<TxnSystem>) -> Self {
-        Counted {
-            inner: TuFast::new(Arc::clone(sys)),
-            sink: Arc::default(),
-        }
-    }
-
-    fn take(&self) -> SchedStats {
-        std::mem::take(&mut *self.sink.lock().unwrap())
-    }
-}
-
-impl GraphScheduler for Counted {
-    type Worker = CountedWorker;
-
-    fn worker(&self) -> CountedWorker {
-        CountedWorker {
-            inner: self.inner.worker(),
-            sink: Arc::clone(&self.sink),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
-impl TxnWorker for CountedWorker {
-    fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        self.inner.execute_hinted(hint, body)
-    }
-
-    fn stats(&self) -> &SchedStats {
-        self.inner.stats()
-    }
-
-    fn take_stats(&mut self) -> SchedStats {
-        self.inner.take_stats()
-    }
-
-    fn health(&self) -> Option<&HealthHandle> {
-        self.inner.health()
-    }
-}
-
-impl Drop for CountedWorker {
-    fn drop(&mut self) {
-        let stats = self.inner.take_stats();
-        self.sink.lock().unwrap().merge(&stats);
-    }
-}
 
 /// The seeded inputs: a weighted R-MAT graph, its symmetric view for
 /// Components, and the max-out-degree vertex (lowest id on ties) — vertex
@@ -113,7 +46,7 @@ fn sssp_reads_stay_near_one_scan_per_reached_vertex() {
         QueueKind::Priority,
     );
     assert_eq!(dist, sssp::sequential(&g, source));
-    let stats = sched.take();
+    let stats = sched.take().sched;
 
     let reached = || {
         g.vertices()
@@ -150,7 +83,7 @@ fn wcc_reads_are_pinned() {
     let sched = Counted::new(&built.sys);
     let labels = wcc::parallel(&sym, &sched, &built.sys, &built.space, 1);
     assert_eq!(labels, wcc::sequential(&sym));
-    let reads = sched.take().reads;
+    let reads = sched.take().sched.reads;
     assert!(
         reads <= WCC_READS_CEILING,
         "{reads} transactional reads, above the pinned {WCC_READS_CEILING}"

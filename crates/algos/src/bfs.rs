@@ -98,7 +98,7 @@ pub fn parallel_with_pool<S: GraphScheduler>(
 ) -> Vec<u64> {
     let mem = sys.mem();
     init(mem, space, source);
-    let drain = MinDrain::new(mem, space.dist, |v| hops(g, v));
+    let drain = MinDrain::new(sys, space.dist, |v| hops(g, v));
     match pool_impl {
         PoolImpl::Centralized => {
             let pool = FifoPool::new();
@@ -157,7 +157,7 @@ pub fn parallel_ckpt<S: GraphScheduler>(
     for &(v, _) in &frontier {
         pool.push(v);
     }
-    let drain = MinDrain::new(mem, space.dist, |v| hops(g, v));
+    let drain = MinDrain::new(sys, space.dist, |v| hops(g, v));
     checkpoint::run_checkpointed(
         sched,
         sys,

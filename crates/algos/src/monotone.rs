@@ -24,19 +24,30 @@
 //! the record merely costs one redundant scan. It is per run and never
 //! snapshotted — a resumed run starts with no watermarks, which is again
 //! only redundant scans (DESIGN.md §7).
+//!
+//! # Settled neighbours
+//!
+//! A tracked read costs a lock-word subscription and two footprint
+//! inserts, and nearly all of a scan's reads find `value[u] <= value[v] +
+//! len` and write nothing. The same monotonicity lets the item rule those
+//! out *before* its transaction opens, with untracked peeks of committed
+//! values ([`TxnSystem::peek_committed`]), and walk only the rest inside
+//! it — see [`MinDrain::item`] and DESIGN.md §7, "Settled neighbours".
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tufast::par::{parallel_drain, WorkPool};
 use tufast_graph::VertexId;
-use tufast_htm::{MemRegion, TxMemory};
+use tufast_htm::MemRegion;
 use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
 
 thread_local! {
-    /// Vertices improved by the item in flight on this thread, reused
-    /// across items so a drain allocates once per worker.
-    static IMPROVED: RefCell<Vec<VertexId>> = const { RefCell::new(Vec::new()) };
+    /// Scratch of the item in flight on this thread, reused across items
+    /// so a drain allocates once per worker: the edge positions the filter
+    /// kept, and the vertices the transaction improved.
+    static SCRATCH: RefCell<(Vec<u32>, Vec<VertexId>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// `push` for pools without keys (FIFO, stealing deques).
@@ -46,7 +57,7 @@ pub(crate) fn unkeyed<P: WorkPool>(pool: &P, v: VertexId, _key: u64) {
 
 /// One monotone-min run: the value region, the edges and the watermarks.
 pub(crate) struct MinDrain<'a, E> {
-    mem: &'a TxMemory,
+    sys: &'a TxnSystem,
     value: MemRegion,
     edges: E,
     watermark: Vec<AtomicU64>,
@@ -57,12 +68,11 @@ where
     E: Fn(VertexId) -> I + Sync,
     I: Iterator<Item = (VertexId, u64)>,
 {
-    /// `edges(v)` yields `(neighbour, edge length)`; its lower size bound
-    /// must be exact (slice iterators, zipped or chained), because it
-    /// sizes the transaction hint.
-    pub(crate) fn new(mem: &'a TxMemory, value: MemRegion, edges: E) -> Self {
+    /// `edges(v)` yields `(neighbour, edge length)`, the same sequence at
+    /// every call: the filter remembers the edges it kept by position.
+    pub(crate) fn new(sys: &'a TxnSystem, value: MemRegion, edges: E) -> Self {
         MinDrain {
-            mem,
+            sys,
             value,
             edges,
             watermark: (0..value.len()).map(|_| AtomicU64::new(u64::MAX)).collect(),
@@ -86,6 +96,14 @@ where
     /// after the first read if `v` was already scanned at this value — and
     /// `push` every vertex whose value improved, keyed by its value now
     /// (what this item wrote, or less if someone has improved on it since).
+    ///
+    /// Only *candidate* edges are read inside the transaction. Before it
+    /// opens, the item peeks the committed `dv0 = value[v]` and every
+    /// neighbour ([`TxnSystem::peek_committed`]: untracked, nothing
+    /// acquired) and drops the settled ones, `value[u] <= dv0 + len`:
+    /// values only decrease and the transaction will read
+    /// `value[v] <= dv0`, so it could never write them, wherever it
+    /// serializes. A neighbour with a writer in sight stays a candidate.
     pub(crate) fn item<P: WorkPool>(
         &self,
         worker: &mut impl TxnWorker,
@@ -94,9 +112,34 @@ where
         push: &impl Fn(&P, VertexId, u64),
     ) {
         let addr = |u: VertexId| self.value.addr(u64::from(u));
+        let peek = |u: VertexId| self.sys.peek_committed(u, addr(u)).map(|(val, _)| val);
         let mark = &self.watermark[v as usize];
-        let hint = TxnSystem::neighborhood_hint((self.edges)(v).size_hint().0);
-        IMPROVED.with_borrow_mut(|improved| {
+        SCRATCH.with_borrow_mut(|(candidates, improved)| {
+            // The edges the transaction will walk: the unsettled ones at
+            // the committed `dv0` — none of them when the watermark covers
+            // `dv0` (a stale item: whatever lowers `v` after this peek
+            // pushes it again, so the item owes no more than its one
+            // read); all of them when a writer holds `v`.
+            let dv0 = peek(v);
+            let position = |at: usize| u32::try_from(at).expect("edge positions fit 32 bits");
+            candidates.clear();
+            match dv0 {
+                Some(dv0) if mark.load(Ordering::Acquire) <= dv0 => {}
+                Some(dv0) => {
+                    candidates.reserve((self.edges)(v).size_hint().0);
+                    let settled = |u, len| peek(u).is_some_and(|du| du <= dv0 + len);
+                    let kept = (self.edges)(v)
+                        .enumerate()
+                        .filter(|&(_, (u, len))| !settled(u, len));
+                    candidates.extend(kept.map(|(at, _)| position(at)));
+                }
+                None => candidates.extend((0..(self.edges)(v).count()).map(position)),
+            }
+            // Room for every write up front (exact, where `push` would
+            // double): the body never reallocates.
+            improved.clear();
+            improved.reserve(candidates.len());
+            let hint = TxnSystem::neighborhood_hint(candidates.len());
             let mut seen = 0u64;
             let mut scanned = false;
             let out = worker.execute(hint, &mut |ops| {
@@ -111,7 +154,11 @@ where
                     return Ok(());
                 }
                 scanned = true;
-                for (u, len) in (self.edges)(v) {
+                let mut edges = (self.edges)(v);
+                let mut next = 0;
+                for &at in candidates.iter() {
+                    let (u, len) = edges.nth((at - next) as usize).expect("a kept edge");
+                    next = at + 1;
                     let cand = dv + len;
                     if cand < ops.read(u, addr(u))? {
                         ops.write(u, addr(u), cand)?;
@@ -131,10 +178,15 @@ where
                 return;
             }
             if scanned {
-                mark.fetch_min(seen, Ordering::Release);
+                // The value the *whole* neighbourhood was scanned at:
+                // dropped neighbours were `<= dv0 + len` for good, and
+                // candidates are now `<= seen + len` with `seen <= dv0`.
+                // If `seen < dv0`, whoever lowered `v` pushed it, and that
+                // item finds the watermark above its value.
+                mark.fetch_min(dv0.unwrap_or(seen), Ordering::Release);
             }
             for &u in improved.iter() {
-                push(pool, u, self.mem.load_direct(addr(u)));
+                push(pool, u, self.sys.mem().load_direct(addr(u)));
             }
         });
     }
@@ -158,7 +210,11 @@ mod tests {
 
     impl Fixture {
         fn new() -> Self {
-            let g = gen::path(4);
+            Self::on(gen::path(4))
+        }
+
+        /// Every value unreached but vertex 0's, which is 0.
+        fn on(g: Graph) -> Self {
             let built = crate::setup(&g, |layout, n| layout.alloc("value", n as u64));
             let mem = built.sys.mem();
             mem.fill_region(&built.space, MAX);
@@ -168,11 +224,16 @@ mod tests {
 
         fn drain<'a>(&'a self) -> MinDrain<'a, impl Fn(VertexId) -> HopIter<'a> + Sync> {
             let g = &self.g;
-            MinDrain::new(self.built.sys.mem(), self.built.space, move |v| hops(g, v))
+            MinDrain::new(&self.built.sys, self.built.space, move |v| hops(g, v))
         }
 
         fn values(&self) -> Vec<u64> {
             self.built.sys.mem().snapshot_region(&self.built.space)
+        }
+
+        fn set(&self, v: VertexId, val: u64) {
+            let addr = self.built.space.addr(u64::from(v));
+            self.built.sys.mem().store_direct(addr, val);
         }
     }
 
@@ -220,7 +281,7 @@ mod tests {
         // watermark 1 > value 0 must scan again and move down with it.
         drain.item(&mut w, &pool, 1, &unkeyed);
         assert_eq!(fx.values(), [0, 1, 2, MAX]);
-        fx.built.sys.mem().store_direct(fx.built.space.addr(1), 0);
+        fx.set(1, 0);
         drain.item(&mut w, &pool, 1, &unkeyed);
         assert_eq!(fx.values(), [0, 0, 1, MAX]);
         assert_eq!(marks(&drain), [0, 0, MAX, MAX]);
@@ -275,5 +336,128 @@ mod tests {
         drain.item(&mut sched.worker(), &pool, 0, &unkeyed);
         assert_eq!(fx.values(), [0, 1, MAX, MAX]);
         assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
+    }
+
+    #[test]
+    fn a_settled_neighbour_is_never_read_transactionally() {
+        // Hub 0 at value 0; leaves at 1 (settled: 1 <= 0 + 1), 0 (settled),
+        // 2 and unreached (candidates).
+        let fx = Fixture::on(gen::star(5));
+        for (leaf, val) in [(1, 1), (2, 0), (3, 2)] {
+            fx.set(leaf, val);
+        }
+        let drain = fx.drain();
+        let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
+        let mut w = sched.worker();
+        let pool = FifoPool::new();
+        drain.item(&mut w, &pool, 0, &unkeyed);
+        assert_eq!(fx.values(), [0, 1, 0, 1, 1]);
+        assert_eq!(queued(&pool), [3, 4]);
+        let s = w.stats();
+        assert_eq!(
+            (s.reads, s.writes, s.commits),
+            (3, 2, 1),
+            "v and two candidates"
+        );
+        assert_eq!(
+            marks(&drain)[0],
+            0,
+            "the whole neighbourhood counts as scanned"
+        );
+
+        // Every leaf settled (fresh watermarks): still one transaction, of
+        // one read.
+        let drain = fx.drain();
+        drain.item(&mut w, &pool, 0, &unkeyed);
+        assert_eq!((w.stats().reads, w.stats().commits), (4, 2));
+        assert_eq!(marks(&drain)[0], 0);
+    }
+
+    /// Runs a hook between the item's filter and its transaction.
+    struct Before<W, F>(W, F);
+
+    impl<W: TxnWorker, F: FnMut()> TxnWorker for Before<W, F> {
+        fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
+            (self.1)();
+            self.0.execute_hinted(hint, body)
+        }
+        fn stats(&self) -> &SchedStats {
+            self.0.stats()
+        }
+        fn take_stats(&mut self) -> SchedStats {
+            self.0.take_stats()
+        }
+    }
+
+    #[test]
+    fn a_neighbour_under_an_uncommitted_in_place_write_stays_a_candidate() {
+        use std::sync::mpsc::channel;
+        let fx = Fixture::new();
+        let drain = fx.drain();
+        let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
+        let pool = FifoPool::new();
+        let (held_tx, held_rx) = channel();
+        let (finish_tx, finish_rx) = channel();
+        let (done_tx, done_rx) = channel();
+        let (fx, sched) = (&fx, &sched);
+        std::thread::scope(|s| {
+            // A 2PL writer lowers value[1] to 0 in place — settled for the
+            // item on 0, if it counted — and holds the lock until told to
+            // roll back.
+            s.spawn(move || {
+                let out = sched.worker().execute(2, &mut |ops| {
+                    ops.write(1, fx.built.space.addr(1), 0)?;
+                    held_tx.send(()).unwrap();
+                    finish_rx.recv().unwrap();
+                    Err(ops.user_abort())
+                });
+                assert!(!out.committed);
+                done_tx.send(()).unwrap();
+            });
+            held_rx.recv().unwrap();
+            assert_eq!(fx.values(), [0, 0, MAX, MAX], "exposed in place");
+            let mut w = Before(sched.worker(), || {
+                finish_tx.send(()).unwrap();
+                done_rx.recv().unwrap();
+            });
+            drain.item(&mut w, &pool, 0, &unkeyed);
+            assert_eq!(
+                w.stats().reads,
+                2,
+                "the neighbour was read in the transaction"
+            );
+        });
+        assert_eq!(
+            fx.values(),
+            [0, 1, MAX, MAX],
+            "and relaxed after the rollback"
+        );
+        assert_eq!(queued(&pool), [1]);
+    }
+
+    #[test]
+    fn a_value_lowered_after_the_peek_relaxes_lower_and_marks_the_peeked_value() {
+        let fx = Fixture::new();
+        fx.set(0, 5);
+        let drain = fx.drain();
+        let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
+        let pool = FifoPool::new();
+        // Peeked at 5, lowered to 3 before the transaction reads it.
+        let mut w = Before(sched.worker(), || fx.set(0, 3));
+        drain.item(&mut w, &pool, 0, &unkeyed);
+        assert_eq!(fx.values(), [3, 4, MAX, MAX], "offered 3 + 1, not 5 + 1");
+        assert_eq!(
+            marks(&drain)[0],
+            5,
+            "only dv0 covers the neighbours the filter dropped"
+        );
+        assert_eq!(queued(&pool), [1]);
+
+        // Whoever lowered 0 pushed it: that item finds 5 > 3 and scans —
+        // nothing left to write, so one read.
+        let mut w = sched.worker();
+        drain.item(&mut w, &pool, 0, &unkeyed);
+        assert_eq!((w.stats().reads, w.stats().writes), (1, 0));
+        assert_eq!(marks(&drain)[0], 3);
     }
 }

@@ -164,7 +164,7 @@ pub fn parallel_with_pool<S: GraphScheduler>(
     );
     let mem = sys.mem();
     init(mem, space, source);
-    let drain = MinDrain::new(mem, space.dist, |v| weighted(g, v));
+    let drain = MinDrain::new(sys, space.dist, |v| weighted(g, v));
     match (kind, pool_impl) {
         (QueueKind::Fifo, PoolImpl::Centralized) => {
             let pool = FifoPool::new();
@@ -235,7 +235,7 @@ pub fn parallel_ckpt<S: GraphScheduler>(
             init(mem, space, source);
             vec![(source, 0)]
         })?;
-    let drain = MinDrain::new(mem, space.dist, |v| weighted(g, v));
+    let drain = MinDrain::new(sys, space.dist, |v| weighted(g, v));
     match kind {
         QueueKind::Fifo => {
             let pool = StealPool::new(threads);

@@ -106,7 +106,7 @@ pub fn parallel_with_pool<S: GraphScheduler>(
     let mem = sys.mem();
     let n = g.num_vertices() as VertexId;
     init(mem, space, n);
-    let drain = MinDrain::new(mem, space.label, |v| undirected(g, v));
+    let drain = MinDrain::new(sys, space.label, |v| undirected(g, v));
     match pool_impl {
         PoolImpl::Centralized => {
             let pool = FifoPool::new();
@@ -163,7 +163,7 @@ pub fn parallel_ckpt<S: GraphScheduler>(
     for &(v, _) in &frontier {
         pool.push(v);
     }
-    let drain = MinDrain::new(mem, space.label, |v| undirected(g, v));
+    let drain = MinDrain::new(sys, space.label, |v| undirected(g, v));
     checkpoint::run_checkpointed(
         sched,
         sys,

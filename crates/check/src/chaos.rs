@@ -20,8 +20,7 @@ use std::sync::Arc;
 
 use tufast_htm::{HtmConfig, MemRegion, MemoryLayout};
 use tufast_txn::{
-    FaultPlan, FaultSpec, GraphScheduler, HSyncLike, HTimestampOrdering, Occ, SoftwareTm,
-    SystemConfig, TimestampOrdering, TwoPhaseLocking, TxnObserver, TxnSystem, TxnWorker, VertexId,
+    FaultPlan, FaultSpec, GraphScheduler, SystemConfig, TxnObserver, TxnSystem, TxnWorker, VertexId,
 };
 
 use crate::dsg::{check, CheckReport};
@@ -188,36 +187,7 @@ impl ChaosRunner {
     pub fn run(&self, kind: SchedulerKind, plan: &ChaosPlan) -> ChaosOutcome {
         let fault_plan = FaultPlan::new(plan.spec.clone());
         let (sys, data) = self.build_sys(&fault_plan, plan.htm_available);
-        let outcome = match kind {
-            SchedulerKind::TuFast => {
-                let sched = tufast::TuFast::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::TwoPhaseLocking => {
-                let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::Occ => {
-                let sched = Occ::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::TimestampOrdering => {
-                let sched = TimestampOrdering::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::SoftwareTm => {
-                let sched = SoftwareTm::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::HSync => {
-                let sched = HSyncLike::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::HTimestampOrdering => {
-                let sched = HTimestampOrdering::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-        };
+        let outcome = with_scheduler!(kind, &sys, |sched| self.drive(&sys, &sched, &data, plan));
         ChaosOutcome {
             injected: fault_plan.total_injected(),
             ..outcome
@@ -298,36 +268,9 @@ pub fn panic_probe(kind: SchedulerKind) {
     sys.set_observer(Some(Arc::clone(&observer) as Arc<dyn TxnObserver>));
 
     let peer_txns = 30u64;
-    match kind {
-        SchedulerKind::TuFast => {
-            let sched = tufast::TuFast::new(Arc::clone(&sys));
-            drive_panic_probe(&sched, &data, peer_txns)
-        }
-        SchedulerKind::TwoPhaseLocking => {
-            let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-            drive_panic_probe(&sched, &data, peer_txns)
-        }
-        SchedulerKind::Occ => {
-            let sched = Occ::new(Arc::clone(&sys));
-            drive_panic_probe(&sched, &data, peer_txns)
-        }
-        SchedulerKind::TimestampOrdering => {
-            let sched = TimestampOrdering::new(Arc::clone(&sys));
-            drive_panic_probe(&sched, &data, peer_txns)
-        }
-        SchedulerKind::SoftwareTm => {
-            let sched = SoftwareTm::new(Arc::clone(&sys));
-            drive_panic_probe(&sched, &data, peer_txns)
-        }
-        SchedulerKind::HSync => {
-            let sched = HSyncLike::new(Arc::clone(&sys));
-            drive_panic_probe(&sched, &data, peer_txns)
-        }
-        SchedulerKind::HTimestampOrdering => {
-            let sched = HTimestampOrdering::new(Arc::clone(&sys));
-            drive_panic_probe(&sched, &data, peer_txns)
-        }
-    }
+    with_scheduler!(kind, &sys, |sched| drive_panic_probe(
+        &sched, &data, peer_txns
+    ));
 
     sys.set_observer(None);
     // The panicking transaction's write must have been rolled back: the

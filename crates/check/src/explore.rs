@@ -33,10 +33,7 @@ use std::time::Duration;
 
 use tufast::{TuFast, TuFastConfig};
 use tufast_htm::{AbortInjector, Addr, HtmConfig, MemRegion, MemoryLayout};
-use tufast_txn::{
-    GraphScheduler, HSyncLike, HTimestampOrdering, Occ, SoftwareTm, SystemConfig,
-    TimestampOrdering, TwoPhaseLocking, TxnObserver, TxnSystem, TxnWorker, VertexId,
-};
+use tufast_txn::{GraphScheduler, SystemConfig, TxnObserver, TxnSystem, TxnWorker, VertexId};
 
 use crate::dsg::{check, CheckReport};
 use crate::history::Recorder;
@@ -382,36 +379,8 @@ impl Explorer {
     /// Run one (scheduler, schedule) pair and check the history.
     pub fn run(&self, kind: SchedulerKind, schedule: Schedule) -> ExploreOutcome {
         let (sys, data) = self.build_sys(&schedule);
-        match kind {
-            SchedulerKind::TuFast => {
-                let sched = TuFast::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, schedule)
-            }
-            SchedulerKind::TwoPhaseLocking => {
-                let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, schedule)
-            }
-            SchedulerKind::Occ => {
-                let sched = Occ::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, schedule)
-            }
-            SchedulerKind::TimestampOrdering => {
-                let sched = TimestampOrdering::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, schedule)
-            }
-            SchedulerKind::SoftwareTm => {
-                let sched = SoftwareTm::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, schedule)
-            }
-            SchedulerKind::HSync => {
-                let sched = HSyncLike::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, schedule)
-            }
-            SchedulerKind::HTimestampOrdering => {
-                let sched = HTimestampOrdering::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, schedule)
-            }
-        }
+        with_scheduler!(kind, &sys, |sched| self
+            .drive(&sys, &sched, &data, schedule))
     }
 
     /// Run TuFast with an explicit configuration (e.g. the

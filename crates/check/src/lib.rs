@@ -41,6 +41,47 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+/// Evaluate `$body` with `$sched` bound to `$kind`'s scheduler over `$sys`
+/// (an `&Arc<TxnSystem>`). The schedulers share no object-safe trait —
+/// `GraphScheduler::Worker` is an associated type — so every matrix
+/// dispatches by expansion.
+macro_rules! with_scheduler {
+    ($kind:expr, $sys:expr, |$sched:ident| $body:expr) => {{
+        use std::sync::Arc;
+        use $crate::explore::SchedulerKind as Kind;
+        match $kind {
+            Kind::TuFast => {
+                let $sched = tufast::TuFast::new(Arc::clone($sys));
+                $body
+            }
+            Kind::TwoPhaseLocking => {
+                let $sched = tufast_txn::TwoPhaseLocking::new(Arc::clone($sys));
+                $body
+            }
+            Kind::Occ => {
+                let $sched = tufast_txn::Occ::new(Arc::clone($sys));
+                $body
+            }
+            Kind::TimestampOrdering => {
+                let $sched = tufast_txn::TimestampOrdering::new(Arc::clone($sys));
+                $body
+            }
+            Kind::SoftwareTm => {
+                let $sched = tufast_txn::SoftwareTm::new(Arc::clone($sys));
+                $body
+            }
+            Kind::HSync => {
+                let $sched = tufast_txn::HSyncLike::new(Arc::clone($sys));
+                $body
+            }
+            Kind::HTimestampOrdering => {
+                let $sched = tufast_txn::HTimestampOrdering::new(Arc::clone($sys));
+                $body
+            }
+        }
+    }};
+}
+
 #[cfg(feature = "faults")]
 pub mod chaos;
 pub mod dsg;
@@ -63,6 +104,8 @@ pub use durability::{
 pub use explore::{ExploreOutcome, Explorer, Schedule, SchedulerKind, WorkloadSpec};
 pub use history::{History, Recorder, TxnKind, TxnRecord};
 #[cfg(feature = "faults")]
-pub use readers::{quiesced_read_probe, ReadersOutcome, ReadersPlan, ReadersRunner, ReadersSpec};
+pub use readers::{
+    peek_probe, quiesced_read_probe, ReadersOutcome, ReadersPlan, ReadersRunner, ReadersSpec,
+};
 #[cfg(feature = "faults")]
 pub use recovery::{crash_and_recover, RecoveryAlgo, RecoveryOutcome};

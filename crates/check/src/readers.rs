@@ -23,13 +23,13 @@
 //! panicked half-write must roll back without ever becoming visible to a
 //! snapshot.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tufast_htm::{HtmConfig, MemRegion, MemoryLayout};
 use tufast_txn::{
-    FaultPlan, FaultSpec, GraphScheduler, HSyncLike, HTimestampOrdering, Occ, SoftwareTm,
-    SystemConfig, TimestampOrdering, TwoPhaseLocking, TxnHint, TxnObserver, TxnSystem, TxnWorker,
+    FaultPlan, FaultSpec, GraphScheduler, SystemConfig, TxnHint, TxnObserver, TxnSystem, TxnWorker,
     VertexId,
 };
 
@@ -199,36 +199,7 @@ impl ReadersRunner {
             },
         );
         sys.set_fault_plan(fault_plan);
-        match kind {
-            SchedulerKind::TuFast => {
-                let sched = tufast::TuFast::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::TwoPhaseLocking => {
-                let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::Occ => {
-                let sched = Occ::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::TimestampOrdering => {
-                let sched = TimestampOrdering::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::SoftwareTm => {
-                let sched = SoftwareTm::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::HSync => {
-                let sched = HSyncLike::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-            SchedulerKind::HTimestampOrdering => {
-                let sched = HTimestampOrdering::new(Arc::clone(&sys));
-                self.drive(&sys, &sched, &data, plan)
-            }
-        }
+        with_scheduler!(kind, &sys, |sched| self.drive(&sys, &sched, &data, plan))
     }
 
     /// Run every scheduler under every plan; returns one outcome per pair.
@@ -395,36 +366,9 @@ pub fn quiesced_read_probe(kind: SchedulerKind) {
 
     let clock_before = sys.mem().clock_now_pub();
     let txns = 50u64;
-    let outcome = match kind {
-        SchedulerKind::TuFast => {
-            let sched = tufast::TuFast::new(Arc::clone(&sys));
-            drive_quiesced(&sched, &data, cells, txns)
-        }
-        SchedulerKind::TwoPhaseLocking => {
-            let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-            drive_quiesced(&sched, &data, cells, txns)
-        }
-        SchedulerKind::Occ => {
-            let sched = Occ::new(Arc::clone(&sys));
-            drive_quiesced(&sched, &data, cells, txns)
-        }
-        SchedulerKind::TimestampOrdering => {
-            let sched = TimestampOrdering::new(Arc::clone(&sys));
-            drive_quiesced(&sched, &data, cells, txns)
-        }
-        SchedulerKind::SoftwareTm => {
-            let sched = SoftwareTm::new(Arc::clone(&sys));
-            drive_quiesced(&sched, &data, cells, txns)
-        }
-        SchedulerKind::HSync => {
-            let sched = HSyncLike::new(Arc::clone(&sys));
-            drive_quiesced(&sched, &data, cells, txns)
-        }
-        SchedulerKind::HTimestampOrdering => {
-            let sched = HTimestampOrdering::new(Arc::clone(&sys));
-            drive_quiesced(&sched, &data, cells, txns)
-        }
-    };
+    let outcome = with_scheduler!(kind, &sys, |sched| drive_quiesced(
+        &sched, &data, cells, txns
+    ));
     let (stats, htm_ops) = outcome;
     assert_eq!(
         stats.r_commits, txns,
@@ -471,4 +415,114 @@ where
     }
     let htm = w.htm_ops();
     (w.take_stats(), htm)
+}
+
+/// Unpinned peeks ([`TxnSystem::peek_committed`]) racing writers: two
+/// writers on `kind` (every fourth transaction user-aborts after its
+/// write) plus a 2PL writer that *always* aborts, so in-place stores that
+/// roll back are in memory throughout. Every attempt stores a fresh stamp;
+/// a peek may only ever return one whose transaction committed (or the
+/// initial 0) — never an aborted attempt's, wherever the bracket landed.
+///
+/// `writer_hint` picks TuFast's mode as in [`ReadersSpec::writer_hint`].
+pub fn peek_probe(kind: SchedulerKind, writer_hint: usize) {
+    let cells = 8u64;
+    let mut layout = MemoryLayout::new();
+    let data = layout.alloc("cells", cells);
+    let sys = TxnSystem::build(cells as usize, layout, SystemConfig::default());
+    let (peeked, committed) = with_scheduler!(kind, &sys, |sched| drive_peeks(
+        &sys,
+        &sched,
+        &data,
+        writer_hint
+    ));
+    assert!(
+        peeked.len() > 1,
+        "{kind:?}: the peeks never saw a writer's value"
+    );
+    for val in peeked {
+        assert!(
+            val == 0 || committed.contains(&val),
+            "{kind:?}: peeked {val}, which no committed transaction published"
+        );
+    }
+}
+
+/// Returns the distinct values peeked and the stamps that committed.
+fn drive_peeks<S>(
+    sys: &Arc<TxnSystem>,
+    sched: &S,
+    data: &MemRegion,
+    writer_hint: usize,
+) -> (HashSet<u64>, HashSet<u64>)
+where
+    S: GraphScheduler,
+    S::Worker: Send,
+{
+    let cells = data.len();
+    let txns = 300u64;
+    let stamp = AtomicU64::new(1);
+    let aborter = tufast_txn::TwoPhaseLocking::new(Arc::clone(sys));
+    let writers_left = AtomicU64::new(3);
+    // One writer: `txns` transactions over the cells, `aborts(k)` of them
+    // user-aborted after the write; returns the stamps that committed.
+    let write = |mut w: Box<dyn TxnWorker + Send>, hint: usize, aborts: fn(u64) -> bool| {
+        let mut committed = HashSet::new();
+        for k in 0..txns {
+            let (v, addr) = ((k % cells) as VertexId, data.addr(k % cells));
+            let mut last = 0;
+            let out = w.execute(hint, &mut |ops| {
+                last = stamp.fetch_add(1, Ordering::Relaxed);
+                ops.read(v, addr)?;
+                ops.write(v, addr, last)?;
+                if aborts(k) {
+                    return Err(ops.user_abort());
+                }
+                Ok(())
+            });
+            assert_eq!(out.committed, !aborts(k));
+            if out.committed {
+                committed.insert(last);
+            }
+        }
+        writers_left.fetch_sub(1, Ordering::Release);
+        committed
+    };
+    std::thread::scope(|s| {
+        let writers = [
+            s.spawn(|| write(Box::new(sched.worker()), writer_hint, |k| k % 4 == 3)),
+            s.spawn(|| write(Box::new(sched.worker()), writer_hint, |k| k % 4 == 1)),
+            s.spawn(|| write(Box::new(aborter.worker()), 4, |_| true)),
+        ];
+        let peekers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut peeked = HashSet::new();
+                    // One more pass after the writers are done, so a run
+                    // that outpaces the peekers still sees final values.
+                    let mut last_pass = false;
+                    while !last_pass {
+                        last_pass = writers_left.load(Ordering::Acquire) == 0;
+                        for i in 0..cells {
+                            if let Some((val, _)) = sys.peek_committed(i as VertexId, data.addr(i))
+                            {
+                                peeked.insert(val);
+                            }
+                        }
+                    }
+                    peeked
+                })
+            })
+            .collect();
+        fn join<'s>(
+            sets: impl IntoIterator<Item = std::thread::ScopedJoinHandle<'s, HashSet<u64>>>,
+        ) -> HashSet<u64> {
+            let joined = sets.into_iter().map(|h| h.join());
+            joined
+                .flat_map(|set| set.expect("probe threads never panic"))
+                .collect()
+        }
+        let committed = join(writers);
+        (join(peekers), committed)
+    })
 }

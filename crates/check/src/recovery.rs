@@ -211,29 +211,43 @@ pub fn star_plus_clique(n: u32, clique: u32) -> Graph {
     builder.build()
 }
 
-/// Observer that counts **stale-item skips** — committed attempts whose
-/// only operation was one read of a reached (non-`u64::MAX`) value, which
-/// on a graph where every vertex has an edge is exactly the shared item
-/// body's "already scanned at this value" exit — and runs `action` at
-/// every commit from the point where enough of them (and enough commits)
-/// have happened. With an idempotent action (cancel the job's token, arm
-/// a fault plan's crash) that stops a run *after* skips whatever the
-/// thread timing.
+/// Observer that counts **stale-item skips** and runs `action` at every
+/// commit from the point where enough of them (and enough commits) have
+/// happened. With an idempotent action (cancel the job's token, arm a
+/// fault plan's crash) that stops a run *after* skips whatever the thread
+/// timing.
+///
+/// A one-read commit alone does not identify a skip: a scan whose
+/// neighbours are all settled also commits after reading `value[v]`. So
+/// the watch keeps its own copy of the scan watermarks — per vertex, the
+/// lowest value a committed attempt began by reading there — and a skip is
+/// a committed attempt whose only operation read a reached
+/// (non-`u64::MAX`) value at or above it: the item found `v` already
+/// scanned at that value. (A value lowered between an item's peek and its
+/// transaction puts the real watermark above what is seen here; that race
+/// can only add a skip, and the tests ask for "at least".)
 pub struct StaleWatch {
-    /// Per worker: operations in the open attempt, and the value it read
-    /// if its first operation was a read.
-    open: Mutex<HashMap<u32, (u32, Option<u64>)>>,
+    seen: Mutex<Seen>,
     skips: AtomicU64,
     commits: AtomicU64,
     after: (u64, u64),
     action: Box<dyn Fn() + Send + Sync>,
 }
 
+#[derive(Default)]
+struct Seen {
+    /// Per worker: operations in the open attempt, and the vertex and
+    /// value it read if its first operation was a read.
+    open: HashMap<u32, (u32, Option<(u32, u64)>)>,
+    /// Per vertex: the lowest first-read value of a committed attempt.
+    scanned_at: HashMap<u32, u64>,
+}
+
 impl StaleWatch {
     /// Run `action` once `skips` skips and `commits` commits were seen.
     pub fn after(skips: u64, commits: u64, action: impl Fn() + Send + Sync + 'static) -> Arc<Self> {
         Arc::new(StaleWatch {
-            open: Mutex::default(),
+            seen: Mutex::default(),
             skips: AtomicU64::new(0),
             commits: AtomicU64::new(0),
             after: (skips, commits),
@@ -251,33 +265,43 @@ impl StaleWatch {
         self.skips.load(Ordering::Acquire)
     }
 
-    fn open(&self) -> std::sync::MutexGuard<'_, HashMap<u32, (u32, Option<u64>)>> {
+    fn seen(&self) -> std::sync::MutexGuard<'_, Seen> {
         // A seeded crash unwinds through observer callbacks by design.
-        self.open.lock().unwrap_or_else(|e| e.into_inner())
+        self.seen.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl TxnObserver for StaleWatch {
     fn attempt_begin(&self, worker: u32) {
-        self.open().insert(worker, (0, None));
+        self.seen().open.insert(worker, (0, None));
     }
 
-    fn op_read(&self, worker: u32, _v: u32, _addr: tufast_htm::Addr, val: u64) {
-        let mut open = self.open();
-        let (ops, first) = open.entry(worker).or_default();
+    fn op_read(&self, worker: u32, v: u32, _addr: tufast_htm::Addr, val: u64) {
+        let mut seen = self.seen();
+        let (ops, first) = seen.open.entry(worker).or_default();
         if *ops == 0 {
-            *first = Some(val);
+            *first = Some((v, val));
         }
         *ops += 1;
     }
 
     fn op_write(&self, worker: u32, _v: u32, _addr: tufast_htm::Addr, _val: u64) {
-        self.open().entry(worker).or_default().0 += 1;
+        self.seen().open.entry(worker).or_default().0 += 1;
     }
 
     fn commit(&self, worker: u32, _ticket: u64) {
-        let attempt = self.open().remove(&worker);
-        let skipped = matches!(attempt, Some((1, Some(first))) if first != u64::MAX);
+        let skipped = {
+            let mut seen = self.seen();
+            match seen.open.remove(&worker) {
+                Some((ops, Some((v, val)))) if val != u64::MAX => {
+                    let mark = seen.scanned_at.entry(v).or_insert(u64::MAX);
+                    let covered = *mark <= val;
+                    *mark = (*mark).min(val);
+                    ops == 1 && covered
+                }
+                _ => false,
+            }
+        };
         let skips = self.skips.fetch_add(u64::from(skipped), Ordering::AcqRel) + u64::from(skipped);
         let commits = self.commits.fetch_add(1, Ordering::AcqRel) + 1;
         if skips >= self.after.0 && commits >= self.after.1 {

@@ -11,7 +11,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tufast_check::{quiesced_read_probe, ReadersPlan, ReadersRunner, ReadersSpec, SchedulerKind};
+use tufast_check::{
+    peek_probe, quiesced_read_probe, ReadersPlan, ReadersRunner, ReadersSpec, SchedulerKind,
+};
 use tufast_graph::mutable::{MutationOutcome, MUTATION_HINT};
 use tufast_graph::{GraphBuilder, MutableGraph, OverlayConfig};
 use tufast_htm::MemoryLayout;
@@ -62,6 +64,18 @@ fn quiesced_pure_reads_are_free_under_every_scheduler() {
     for kind in SchedulerKind::all() {
         quiesced_read_probe(kind);
     }
+}
+
+/// The unpinned bracket behind the settled-neighbour filter: racing every
+/// scheduler's writers (TuFast's in H, O and L mode) and an always-aborting
+/// 2PL writer, a committed peek never returns a rolled-back store.
+#[test]
+fn committed_peeks_never_see_an_aborted_write_under_any_scheduler() {
+    for kind in SchedulerKind::all() {
+        peek_probe(kind, 6);
+    }
+    peek_probe(SchedulerKind::TuFast, 8192);
+    peek_probe(SchedulerKind::TuFast, 1 << 20);
 }
 
 proptest! {

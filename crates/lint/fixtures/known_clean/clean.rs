@@ -67,6 +67,17 @@ pub fn bump(&mut self, w: &mut Worker) {
     });
 }
 
+pub fn relax_filtered(&self, sys: &TxnSystem, w: &mut Worker, v: u32, u: u32) {
+    // Peeking before the dispatch is the intended use.
+    let settled = sys.peek_committed(u, self.addr(u)).is_some();
+    w.execute(4, &mut |ops| {
+        if settled {
+            return Ok(());
+        }
+        ops.read(u, self.addr(u)).map(drop)
+    });
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

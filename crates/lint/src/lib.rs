@@ -1,7 +1,7 @@
 //! `tufast-lint`: a dependency-free static TM-safety analyzer for the
 //! TuFast workspace.
 //!
-//! Four rule families (see `rules/`):
+//! Six rule families (see `rules/`):
 //!
 //! 1. `htm-hazard` — allocation, I/O, and panics inside HTM scopes.
 //! 2. `lock-order` — the static lock-acquisition graph must be acyclic
@@ -11,6 +11,10 @@
 //!    `Relaxed` on cross-thread hand-off flags is flagged.
 //! 4. `unwind-containment` — scheduler entry points must route worker
 //!    closures through `catch_unwind`.
+//! 5. `read-purity` — bodies dispatched as `read_only` never reach
+//!    `TxnOps::write`.
+//! 6. `untracked-peek` — `peek_committed` stays outside dispatched
+//!    transaction bodies.
 //!
 //! Diagnostics diff against a committed `lint-baseline.json`; CI fails
 //! only on *new* findings, and inline
@@ -124,6 +128,7 @@ pub fn analyze(cfg: &Config, files: &[FileModel]) -> Report {
     findings.extend(rules::ordering::run(files, &cfg.ordering_scope));
     findings.extend(rules::unwind::run(files, &cfg.unwind_scope));
     findings.extend(rules::readpurity::run(files));
+    findings.extend(rules::untrackedpeek::run(files));
     let (lock_findings, lock_order) = rules::lockorder::run(files);
     findings.extend(lock_findings);
 

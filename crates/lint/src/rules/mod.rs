@@ -1,9 +1,10 @@
-//! The five rule families plus shared token-walking helpers.
+//! The six rule families plus shared token-walking helpers.
 
 pub mod htm;
 pub mod lockorder;
 pub mod ordering;
 pub mod readpurity;
+pub mod untrackedpeek;
 pub mod unwind;
 
 use crate::lexer::{Tok, Token};
@@ -25,6 +26,24 @@ pub(crate) fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
 /// True if `tokens[i]` is punctuation `c`.
 pub(crate) fn is_punct(tokens: &[Token], i: usize, c: char) -> bool {
     matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
+}
+
+/// Token range strictly inside the parens opening at `open` (which must
+/// hold `(`), clamped to `end`.
+pub(crate) fn argument_range(m: &FileModel, open: usize, end: usize) -> Option<(usize, usize)> {
+    let t = &m.tokens;
+    let mut depth = 0usize;
+    for i in open..end {
+        if is_punct(t, i, '(') {
+            depth += 1;
+        } else if is_punct(t, i, ')') {
+            depth -= 1;
+            if depth == 0 {
+                return Some((open + 1, i));
+            }
+        }
+    }
+    None
 }
 
 /// Keywords that look like `ident (` but are not calls.

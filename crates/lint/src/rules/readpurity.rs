@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::baseline::Finding;
-use crate::rules::{callee_names, ident_at, is_punct};
+use crate::rules::{argument_range, callee_names, ident_at, is_punct};
 use crate::scan::{params_contain, FileModel};
 
 pub const RULE: &str = "read-purity";
@@ -133,24 +133,6 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
         }
     }
     out
-}
-
-/// Token range strictly inside the parens opening at `open` (which must
-/// hold `(`), clamped to `end`.
-fn argument_range(m: &FileModel, open: usize, end: usize) -> Option<(usize, usize)> {
-    let t = &m.tokens;
-    let mut depth = 0usize;
-    for i in open..end {
-        if is_punct(t, i, '(') {
-            depth += 1;
-        } else if is_punct(t, i, ')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some((open + 1, i));
-            }
-        }
-    }
-    None
 }
 
 /// Whether the argument tokens declare purity: `read_only(` (the

@@ -57,6 +57,7 @@ fn known_bad_covers_every_rule_family() {
         "memory-ordering",
         "unwind-containment",
         "read-purity",
+        "untracked-peek",
         "lint-directive",
     ] {
         assert!(

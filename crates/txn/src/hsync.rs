@@ -165,7 +165,7 @@ impl HSyncWorker {
         // Subscribe the fallback lock; busy means a fallback transaction is
         // running — abort and let the caller wait it out.
         match self.ctx.read(fallback) {
-            Ok(0) => {}
+            Ok(free) if free & 1 == 0 => {}
             Ok(_) => {
                 let code = self.ctx.abort_explicit(0xF0);
                 return Err(code);
@@ -226,15 +226,23 @@ impl HSyncWorker {
         let fallback = self.sys.fallback_word();
         let id = self.ctx.id();
         let mut spins = 0u32;
+        // The word is a sequence lock: odd while held, and every hold
+        // leaves it two higher, so a reader that saw the same even value
+        // on both sides of a load knows no fallback transaction ran in
+        // between (`TxnSystem::peek_committed`).
         // tufast-lint: lock-acquire(hsync_fallback)
-        while mem.cas_direct(fallback, 0, 1).is_err() {
+        let held = loop {
+            let free = mem.load_direct(fallback) & !1;
+            if mem.cas_direct(fallback, free, free + 1).is_ok() {
+                break free + 1;
+            }
             spins += 1;
             if spins.is_multiple_of(256) {
                 std::thread::yield_now();
             } else {
                 std::hint::spin_loop();
             }
-        }
+        };
         self.undo.clear();
         let mut ops = FallbackOps {
             sys: &self.sys,
@@ -254,7 +262,7 @@ impl HSyncWorker {
                     &mut self.batch,
                     self.undo.iter().map(|&(addr, _)| addr),
                     std::iter::once(fallback),
-                    |_| 0,
+                    |_| held + 1,
                 );
                 obs.commit_ticketed(id, || ticket);
                 true
@@ -264,7 +272,7 @@ impl HSyncWorker {
                 for &(addr, old) in self.undo.iter().rev() {
                     mem.store_direct(addr, old);
                 }
-                mem.store_direct(fallback, 0);
+                mem.store_direct(fallback, held + 1);
                 if matches!(interrupt, TxInterrupt::Panicked) {
                     // The global lock is released and memory restored; the
                     // panic can now propagate without blocking peers.
@@ -425,8 +433,8 @@ mod tests {
         assert_eq!(sys.mem().load_direct(big.addr(9_999)), 9_999);
         assert_eq!(
             sys.mem().load_direct(sys.fallback_word()),
-            0,
-            "fallback lock released"
+            2,
+            "fallback lock released, one hold later"
         );
         assert!(w.stats().restarts >= 1, "capacity abort should be recorded");
     }
@@ -452,7 +460,7 @@ mod tests {
                 "write {i} not rolled back"
             );
         }
-        assert_eq!(sys.mem().load_direct(sys.fallback_word()), 0);
+        assert_eq!(sys.mem().load_direct(sys.fallback_word()), 2);
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl LockWord {
     }
 
     #[inline]
-    fn with_readers(self, r: u32) -> LockWord {
+    pub(crate) fn with_readers(self, r: u32) -> LockWord {
         debug_assert!(u64::from(r) <= READERS_MASK, "reader count overflow");
         LockWord((self.0 & !READERS_MASK) | u64::from(r))
     }

@@ -11,12 +11,13 @@
 //!    commit critical sections (line locks, vertex locks, the HSync
 //!    fallback word), so `snap` names a committed state.
 //! 2. **Read** `(v, addr)` by bracketing a plain load with plain loads of
-//!    the writer-presence metadata: the vertex lock word must be
-//!    writer-free and version-stable across the load, the HSync fallback
-//!    word must be 0 on both sides, and `addr`'s cache-line version must
-//!    be the *same* `≤ snap` value before and after. Any failed check is
-//!    either a transient writer (bounded spin, then re-pin) or a stale
-//!    snapshot (line published past `snap` — re-pin immediately).
+//!    the writer-presence metadata ([`TxnSystem::peek_committed`], the one
+//!    definition of the bracket): the vertex lock word must be writer-free
+//!    and version-stable across the load, the HSync fallback word must be
+//!    0 on both sides, and `addr`'s cache-line version must be the *same*
+//!    value before and after — and `≤ snap`. A failed bracket is a
+//!    transient writer (bounded spin, then re-pin); a line published past
+//!    `snap` is a stale snapshot (re-pin immediately).
 //! 3. **Commit** by doing nothing: an accepted read set *is* the committed
 //!    state at `snap`, so the transaction serializes at its pin. The
 //!    serialization ticket reported to the observer is `snap` itself.
@@ -63,7 +64,7 @@
 
 use std::sync::Arc;
 
-use tufast_htm::{Addr, LineState};
+use tufast_htm::Addr;
 
 use crate::health::HealthHandle;
 use crate::obs::ObsHandle;
@@ -123,45 +124,17 @@ struct ROps<'a> {
 }
 
 impl ROps<'_> {
-    /// One bracketed snapshot read; `Err(Restart)` means re-pin.
+    /// One snapshot read through the writer-presence bracket
+    /// ([`TxnSystem::peek_committed`]); `Err(Restart)` means re-pin.
     fn snapshot_read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        let mem = self.sys.mem();
-        let locks = self.sys.locks();
-        let fallback = self.sys.fallback_word();
-        let line = addr.line();
         let mut spins = 0u32;
         loop {
-            // Opening bracket: all plain loads, nothing acquired.
-            let w1 = locks.peek(mem, v);
-            let fb1 = mem.load_direct(fallback);
-            if w1.writer().is_none() && fb1 == 0 {
-                match mem.line_state(line) {
-                    LineState::Unlocked { version } if version <= self.snap => {
-                        let val = mem.load_direct(addr);
-                        // Closing bracket: the line version must not have
-                        // moved across the load, and no writer may have
-                        // appeared (reader counts changing is benign).
-                        let line_stable = matches!(
-                            mem.line_state(line),
-                            LineState::Unlocked { version: v2 } if v2 == version
-                        );
-                        let w2 = locks.peek(mem, v);
-                        let fb2 = mem.load_direct(fallback);
-                        if line_stable
-                            && w2.writer().is_none()
-                            && w2.version() == w1.version()
-                            && fb2 == 0
-                        {
-                            return Ok(val);
-                        }
-                    }
-                    LineState::Unlocked { .. } => {
-                        // Published past the pin: this snapshot can never
-                        // accept the line — re-pin immediately.
-                        return Err(TxInterrupt::Restart);
-                    }
-                    LineState::Locked { .. } => {}
-                }
+            match self.sys.peek_committed(v, addr) {
+                Some((val, version)) if version <= self.snap => return Ok(val),
+                // Published past the pin: this snapshot can never accept
+                // the line — re-pin immediately.
+                Some(_) => return Err(TxInterrupt::Restart),
+                None => {}
             }
             // A writer is visibly mid-flight: spin briefly, then re-pin.
             spins += 1;

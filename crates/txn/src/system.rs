@@ -3,12 +3,14 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tufast_htm::{Addr, HtmConfig, HtmCtx, HtmRuntime, MemRegion, MemoryLayout, TxMemory};
+use tufast_htm::{
+    Addr, HtmConfig, HtmCtx, HtmRuntime, LineState, MemRegion, MemoryLayout, TxMemory,
+};
 
 use crate::deadlock::{WaitConfig, WaitForTable};
 use crate::faults::FaultHandle;
 use crate::health::{CancelToken, HealthBoard, HealthConfig, HealthHandle, JobDeadline};
-use crate::locks::VertexLocks;
+use crate::locks::{LockWord, VertexLocks};
 use crate::obs::ObsHandle;
 use crate::VertexId;
 
@@ -277,7 +279,8 @@ impl TxnSystem {
         self.to_ts.addr(u64::from(v))
     }
 
-    /// The HSync global-fallback lock word.
+    /// The HSync global-fallback lock word, a sequence lock: odd while a
+    /// fallback transaction holds it, two higher after every hold.
     #[inline]
     pub fn fallback_word(&self) -> Addr {
         self.fallback_word
@@ -299,6 +302,45 @@ impl TxnSystem {
     #[inline]
     pub fn read_snapshot(&self) -> u64 {
         self.mem().clock_now_pub()
+    }
+
+    /// One pass of the R-mode writer-presence bracket around a plain load
+    /// of `addr` (a word of vertex `v`): the value and the version of its
+    /// cache line, or `None` whenever a writer is visible — `v`'s lock
+    /// word has a writer or moved across the load, an HSync fallback
+    /// transaction is running or ran across it, or the line is locked or
+    /// was republished across it.
+    ///
+    /// No pin, no spin, nothing acquired. By publish-at-the-ticket
+    /// ([`crate::rmode`]) a returned value was published by the committed
+    /// transaction ticketed `line_version` (or is initial state): never an
+    /// in-place writer's uncommitted store, which is exposed only while
+    /// the lock word (resp. fallback word) is held, and both leave changed
+    /// — a written vertex's commit version bumps even on rollback, the
+    /// fallback word counts its holds. The load is untracked: call it
+    /// outside transaction bodies (`tufast-lint`'s `untracked-peek`).
+    #[inline]
+    pub fn peek_committed(&self, v: VertexId, addr: Addr) -> Option<(u64, u64)> {
+        let mem = self.mem();
+        let (lock, line) = (self.locks.addr(v), addr.line());
+        // All plain loads, in this order; judged together afterwards.
+        let w1 = LockWord(mem.load_direct(lock));
+        let fb1 = mem.load_direct(self.fallback_word);
+        let before = mem.line_state(line);
+        let val = mem.load_direct(addr);
+        let after = mem.line_state(line);
+        let w2 = LockWord(mem.load_direct(lock));
+        let fb2 = mem.load_direct(self.fallback_word);
+        let LineState::Unlocked { version } = before else {
+            return None;
+        };
+        // Reader counts changing is benign; everything else must match.
+        let quiet = w1.writer().is_none()
+            && w2.with_readers(0) == w1.with_readers(0)
+            && fb1 & 1 == 0
+            && fb2 == fb1
+            && after == before;
+        quiet.then_some((val, version))
     }
 
     /// Words a transaction over a degree-`d` neighbourhood touches —
@@ -400,6 +442,73 @@ mod tests {
         }
         let mean = fitted as f64 / trials as f64;
         assert!(mean >= 100.0, "{mean} vertices per transaction");
+    }
+
+    #[test]
+    fn peek_committed_returns_the_value_and_the_version_it_was_published_at() {
+        let (sys, values) = with_value_regions(16, 1);
+        let (a0, a8) = (values[0].addr(0), values[0].addr(8));
+        assert_eq!(sys.peek_committed(0, a0), Some((0, 0)), "initial state");
+        sys.mem().store_direct(a0, 7);
+        let stamped = sys.mem().clock_now_pub();
+        assert_eq!(sys.peek_committed(0, a0), Some((7, stamped)));
+
+        // A buffered committer holds the lines: nothing to see until it
+        // publishes, and then the pair arrives at its ticket.
+        let mut writes = crate::commit::WriteSet::new(5);
+        writes.insert(0, a0, 70);
+        writes.insert(8, a8, 80);
+        let held = writes.try_lock(&sys, |_| None).unwrap();
+        assert_eq!(sys.peek_committed(0, a0), None);
+        assert_eq!(sys.peek_committed(8, a8), None);
+        let ticket = held.publish();
+        assert_eq!(sys.peek_committed(0, a0), Some((70, ticket)));
+        assert_eq!(sys.peek_committed(8, a8), Some((80, ticket)));
+    }
+
+    #[test]
+    fn peek_committed_never_sees_an_in_place_store_that_rolls_back() {
+        use crate::traits::{GraphScheduler, TxnWorker};
+        let (sys, values) = with_value_regions(8, 1);
+        let addr = values[0].addr(3);
+        sys.mem().store_direct(addr, 9);
+        let committed = sys.peek_committed(3, addr).unwrap();
+
+        // 2PL stores in place under the vertex lock; the rollback bumps the
+        // vertex's commit version and restamps the line.
+        let mut tpl = crate::tpl::TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        let out = tpl.execute(2, &mut |ops| {
+            ops.write(3, addr, 1)?;
+            assert_eq!(sys.mem().load_direct(addr), 1, "the store is in place");
+            assert_eq!(sys.peek_committed(3, addr), None);
+            Err(ops.user_abort())
+        });
+        assert!(!out.committed);
+        let (val, version) = sys.peek_committed(3, addr).unwrap();
+        assert_eq!(val, committed.0);
+        assert!(version > committed.1, "restored at a fresh version");
+
+        // The HSync fallback path stores in place under the global word
+        // (8 000 lines: past HTM capacity, so the body runs there).
+        let big = 8_000u64;
+        let mut layout = MemoryLayout::new();
+        let region = layout.alloc("big", big);
+        let sys = TxnSystem::with_defaults(1, layout);
+        let mut hsync = crate::hsync::HSyncLike::new(Arc::clone(&sys)).worker();
+        let mut peeked_in_fallback = false;
+        let out = hsync.execute(big as usize, &mut |ops| {
+            for i in 0..big {
+                ops.write(0, region.addr(i), 1)?;
+            }
+            peeked_in_fallback = true;
+            assert_eq!(sys.peek_committed(0, region.addr(0)), None);
+            Err(ops.user_abort())
+        });
+        assert!(!out.committed && peeked_in_fallback);
+        assert_eq!(sys.peek_committed(0, region.addr(0)).unwrap().0, 0);
+        // A reader whose bracket opened before the hold and closed after
+        // it sees the word moved: free again is not the same as untouched.
+        assert_eq!(sys.mem().load_direct(sys.fallback_word()), 2);
     }
 
     #[test]

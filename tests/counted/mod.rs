@@ -6,9 +6,27 @@
 use std::sync::{Arc, Mutex};
 
 use tufast::{TuFast, TuFastStats};
+use tufast_graph::{gen, Graph, GraphBuilder, VertexId};
 use tufast_txn::{
     GraphScheduler, HealthHandle, SchedStats, TxnBody, TxnHint, TxnOutcome, TxnSystem, TxnWorker,
 };
+
+/// The seeded inputs of the BFS / WCC / SSSP gates: a weighted R-MAT
+/// graph, its symmetric view for Components, and the max-out-degree vertex
+/// (lowest id on ties) — vertex 0 of an R-MAT graph may have no out-edges.
+#[allow(dead_code)] // `capacity_gate` counts PageRank on its own graph
+pub fn seeded_inputs() -> (Graph, Graph, VertexId) {
+    let g = gen::with_random_weights(&gen::rmat(10, 8, 7), 100, 0x5EED);
+    let mut b = GraphBuilder::new(g.num_vertices()).symmetric();
+    for (s, d) in g.edges() {
+        b.add_edge(s, d);
+    }
+    let source = (0..g.num_vertices() as VertexId)
+        .rev()
+        .max_by_key(|&v| g.degree(v))
+        .unwrap();
+    (g, b.build(), source)
+}
 
 pub struct Counted {
     inner: TuFast,

@@ -8,16 +8,15 @@
 
 use std::collections::VecDeque;
 
-use tufast::par::{FifoPool, PoolImpl, WorkPool};
+use tufast::par::WorkPool;
 use tufast::steal::StealPool;
-use tufast_graph::snapshot::{Section, Snapshot, SnapshotError, SnapshotStore};
+use tufast_graph::snapshot::{Section, Snapshot, SnapshotError};
 use tufast_graph::{Graph, VertexId};
 use tufast_htm::{MemRegion, TxMemory};
 use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::checkpoint::{self, Checkpointable, CkptReport};
-use crate::common::read_u64_region;
-use crate::monotone::{unkeyed, MinDrain};
+use crate::checkpoint::{self, Checkpointable, Ckpt, CkptReport};
+use crate::monotone;
 
 /// Distance assigned to unreachable vertices.
 pub const UNREACHED: u64 = u64::MAX;
@@ -71,9 +70,11 @@ pub fn sequential(g: &Graph, source: VertexId) -> Vec<u64> {
     dist
 }
 
-/// Transactional BFS on any scheduler. Returns the distance array.
-/// Runs on the default (work-stealing) pool; see [`parallel_with_pool`]
-/// to pick the implementation explicitly.
+/// Transactional BFS on any scheduler, on the default (work-stealing)
+/// pool. Returns the distance array.
+///
+/// # Panics
+/// If `source` is not a vertex of a non-empty `g`.
 pub fn parallel<S: GraphScheduler>(
     g: &Graph,
     sched: &S,
@@ -82,95 +83,36 @@ pub fn parallel<S: GraphScheduler>(
     source: VertexId,
     threads: usize,
 ) -> Vec<u64> {
-    parallel_with_pool(g, sched, sys, space, source, threads, PoolImpl::default())
-}
-
-/// [`parallel`] with an explicit work-pool implementation — the bench
-/// harness runs both to record the centralized-vs-stealing head-to-head.
-pub fn parallel_with_pool<S: GraphScheduler>(
-    g: &Graph,
-    sched: &S,
-    sys: &TxnSystem,
-    space: &BfsSpace,
-    source: VertexId,
-    threads: usize,
-    pool_impl: PoolImpl,
-) -> Vec<u64> {
-    let mem = sys.mem();
-    init(mem, space, source);
-    let drain = MinDrain::new(sys, space.dist, |v| hops(g, v));
-    match pool_impl {
-        PoolImpl::Centralized => {
-            let pool = FifoPool::new();
-            pool.push(source);
-            drain.run(sched, &pool, threads, unkeyed);
-        }
-        PoolImpl::Scalable => {
-            let pool = StealPool::new(threads);
-            pool.push(source);
-            drain.run(sched, &pool, threads, unkeyed);
-        }
-    }
-    read_u64_region(mem, &space.dist)
-}
-
-fn init(mem: &TxMemory, space: &BfsSpace, source: VertexId) {
-    mem.fill_region(&space.dist, UNREACHED);
-    mem.store_direct(space.dist.addr(u64::from(source)), 0);
-}
-
-/// `v`'s out-edges, one hop each: the item body is
-/// [`MinDrain::item`](crate::monotone), which skips `v` while it is
-/// unreached ("stale token") or already scanned at its current distance.
-fn hops(g: &Graph, v: VertexId) -> impl Iterator<Item = (VertexId, u64)> + '_ {
-    g.neighbors(v).iter().map(|&u| (u, 1))
-}
-
-/// [`parallel`] with epoch checkpointing into `store` every `every_items`
-/// processed pool items (see [`checkpoint`](crate::checkpoint)).
-///
-/// With `resume` set, the latest valid snapshot (written by a previous —
-/// possibly crashed — run of the *same algorithm over the same graph*)
-/// seeds the distances and the frontier, and the run continues from the
-/// epoch after it. Distances are unique fixpoints, so the recovered result
-/// is bitwise identical to an uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_ckpt<S: GraphScheduler>(
-    g: &Graph,
-    sched: &S,
-    sys: &TxnSystem,
-    space: &BfsSpace,
-    source: VertexId,
-    threads: usize,
-    store: &SnapshotStore,
-    every_items: u64,
-    resume: bool,
-) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
-    let mem = sys.mem();
-    let mut report = CkptReport::default();
-    let (start_epoch, frontier) =
-        checkpoint::start(store, mem, space, resume, &mut report, || {
-            init(mem, space, source);
-            vec![(source, 0)]
-        })?;
     let pool = StealPool::new(threads);
-    for &(v, _) in &frontier {
-        pool.push(v);
-    }
-    let drain = MinDrain::new(sys, space.dist, |v| hops(g, v));
-    checkpoint::run_checkpointed(
-        sched,
-        sys,
-        &pool,
-        threads,
-        store,
-        space,
-        every_items,
-        start_epoch,
-        &mut report,
-        |worker, pool, v| drain.item(worker, pool, v, &unkeyed),
-    );
-    Ok((read_u64_region(mem, &space.dist), report))
+    parallel_on(g, sched, sys, space, source, threads, &pool, None)
+        .expect("only a resume reads a snapshot")
+        .0
+}
+
+/// [`parallel`] on the caller's (empty) `pool`, checkpointing as `ckpt`
+/// says (see [`checkpoint`](crate::checkpoint)). Distances are unique
+/// fixpoints, so every pool — and a run resumed from a snapshot — returns
+/// bitwise the same array. Only a resume can fail.
+///
+/// # Panics
+/// If `source` is not a vertex of a non-empty `g`.
+#[allow(clippy::too_many_arguments)]
+pub fn parallel_on<S: GraphScheduler, P: WorkPool>(
+    g: &Graph,
+    sched: &S,
+    sys: &TxnSystem,
+    space: &BfsSpace,
+    source: VertexId,
+    threads: usize,
+    pool: &P,
+    ckpt: Option<Ckpt<'_>>,
+) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
+    // `v`'s out-edges, one hop each.
+    let hops = |v| g.neighbors(v).iter().map(|&u| (u, 1));
+    let seed = [(source, 0)];
+    monotone::run(
+        sched, sys, space, space.dist, hops, pool, threads, ckpt, seed,
+    )
 }
 
 #[cfg(test)]
@@ -220,15 +162,22 @@ mod tests {
     }
 
     #[test]
-    fn both_pool_impls_agree() {
-        let g = gen::rmat(9, 8, 21);
-        let expected = sequential(&g, 0);
+    fn empty_graph_returns_an_empty_vector_like_sequential() {
+        let g = tufast_graph::GraphBuilder::new(0).build();
         let built = crate::setup(&g, BfsSpace::alloc);
         let tufast = TuFast::new(Arc::clone(&built.sys));
-        for pool_impl in [PoolImpl::Centralized, PoolImpl::Scalable] {
-            let got = parallel_with_pool(&g, &tufast, &built.sys, &built.space, 0, 4, pool_impl);
-            assert_eq!(got, expected, "{pool_impl:?}");
-        }
+        let got = parallel(&g, &tufast, &built.sys, &built.space, 3, 2);
+        assert_eq!(got, sequential(&g, 3));
+        assert!(got.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "seed vertex 7 is out of range: the graph has 3 vertices")]
+    fn out_of_range_source_is_rejected_on_the_calling_thread() {
+        let g = gen::path(3);
+        let built = crate::setup(&g, BfsSpace::alloc);
+        let tufast = TuFast::new(Arc::clone(&built.sys));
+        parallel(&g, &tufast, &built.sys, &built.space, 7, 2);
     }
 
     #[test]

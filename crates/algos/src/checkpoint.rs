@@ -8,17 +8,17 @@
 //! section, so a resumed run continues *mid-algorithm* instead of
 //! restarting.
 //!
-//! The `*_ckpt` entry points in [`bfs`](crate::bfs), [`wcc`](crate::wcc)
-//! and [`sssp`](crate::sssp) wire this into
+//! Handing a [`Ckpt`] to the `parallel_on` driver of [`bfs`](crate::bfs),
+//! [`wcc`](crate::wcc) or [`sssp`](crate::sssp) wires this into
 //! [`parallel_drain_epochs`](tufast::epoch::parallel_drain_epochs): every
-//! epoch the coordinator quiesces the run and [`run_checkpointed`] writes
-//! `(state, frontier)` into a rotating [`SnapshotStore`]. Those three
-//! algorithms converge to *unique* fixpoints under monotone relaxation, so
-//! crash → recover → finish produces bitwise the same answer as an
-//! uninterrupted run (the `tufast-check` recovery matrix proves it).
-//! PageRank is [`Checkpointable`] too, but floating-point accumulation
-//! order makes its fixpoint tolerance-exact rather than bitwise, so it has
-//! no `_ckpt` driver.
+//! epoch the coordinator quiesces the run and `(state, frontier)` is
+//! written into a rotating [`SnapshotStore`]. Those three algorithms
+//! converge to *unique* fixpoints under monotone relaxation, so crash →
+//! recover → finish produces bitwise the same answer as an uninterrupted
+//! run (the `tufast-check` recovery matrix proves it). PageRank is
+//! [`Checkpointable`] too, but floating-point accumulation order makes its
+//! fixpoint tolerance-exact rather than bitwise, so no driver checkpoints
+//! it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -168,28 +168,21 @@ pub fn recover(
     })
 }
 
-/// Where a `*_ckpt` run starts, as `(first epoch, frontier)`: a resume
-/// [`recover`]s both from `store` and records it in `report`; a fresh run
-/// starts at epoch 0 with the seed items `init` returns after setting the
-/// initial values.
-pub(crate) fn start(
-    store: &SnapshotStore,
-    mem: &TxMemory,
-    ckpt: &impl Checkpointable,
-    resume: bool,
-    report: &mut CkptReport,
-    init: impl FnOnce() -> Vec<(u32, u64)>,
-) -> Result<(u64, Vec<(u32, u64)>), SnapshotError> {
-    if !resume {
-        return Ok((0, init()));
-    }
-    let rec = recover(store, mem, ckpt)?;
-    report.recoveries = 1;
-    report.snapshot_fallbacks = rec.fallbacks;
-    Ok((rec.epoch + 1, rec.frontier))
+/// How a `parallel_on` run checkpoints.
+#[derive(Clone, Copy)]
+pub struct Ckpt<'a> {
+    /// Where the snapshots go, and where a resume reads the latest from.
+    pub store: &'a SnapshotStore,
+    /// Pool items between two snapshots; 0 writes none until a health stop
+    /// (cancel, deadline, shed) leaves its final one.
+    pub every_items: u64,
+    /// Start from the latest valid snapshot in `store` — written by a
+    /// previous, possibly crashed, run of the *same algorithm over the same
+    /// graph* — instead of from the initial values.
+    pub resume: bool,
 }
 
-/// Checkpoint accounting from one `*_ckpt` run, foldable into
+/// Checkpoint accounting from one `parallel_on` run, foldable into
 /// [`TuFastStats`] for the bench harness's robustness line.
 #[derive(Clone, Debug, Default)]
 pub struct CkptReport {
@@ -248,14 +241,13 @@ impl CkptReport {
 /// recorded in `report.aborted` / `report.items_done` — so `resume` on a
 /// later run continues from exactly where the cancelled run let go.
 #[allow(clippy::too_many_arguments)]
-pub fn run_checkpointed<S, P, F>(
+pub(crate) fn run_checkpointed<S, P, F>(
     sched: &S,
     sys: &TxnSystem,
     pool: &P,
     threads: usize,
-    store: &SnapshotStore,
-    ckpt: &(impl Checkpointable + Sync),
-    every_items: u64,
+    ckpt: Ckpt<'_>,
+    state: &(impl Checkpointable + Sync),
     start_epoch: u64,
     report: &mut CkptReport,
     f: F,
@@ -265,46 +257,44 @@ pub fn run_checkpointed<S, P, F>(
     F: Fn(&mut S::Worker, &P, u32) + Sync,
 {
     let mem = sys.mem();
+    // Called only under quiescence: by the epoch's coordinator, and after
+    // the join.
+    let write = |epoch: u64| {
+        let mut sections = state.capture(mem);
+        sections.push(frontier_section(&pool.pending_items()));
+        ckpt.store.write(&Snapshot {
+            algo: state.tag().to_string(),
+            epoch,
+            sections,
+        })
+    };
     let written = AtomicU64::new(0);
     let failures = AtomicU64::new(0);
     // last epoch + 1; 0 means "none written yet".
     let last = AtomicU64::new(0);
-    let items = AtomicU64::new(0);
-    parallel_drain_epochs(
+    let (_, items) = parallel_drain_epochs(
         sched,
         sys,
         pool,
         threads,
-        every_items,
+        ckpt.every_items,
         start_epoch,
-        |epoch| {
-            let mut sections = ckpt.capture(mem);
-            sections.push(frontier_section(&pool.pending_items()));
-            let snap = Snapshot {
-                algo: ckpt.tag().to_string(),
-                epoch,
-                sections,
-            };
-            match store.write(&snap) {
-                Ok(_) => {
-                    // Relaxed: the final reads below happen after the
-                    // drain's thread join, which already orders them.
-                    written.fetch_add(1, Ordering::Relaxed);
-                    last.store(epoch + 1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                }
+        |epoch| match write(epoch) {
+            Ok(_) => {
+                // Relaxed: the final reads below happen after the
+                // drain's thread join, which already orders them.
+                written.fetch_add(1, Ordering::Relaxed);
+                last.store(epoch + 1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                failures.fetch_add(1, Ordering::Relaxed);
             }
         },
-        |worker, pool, v| {
-            f(worker, pool, v);
-            items.fetch_add(1, Ordering::Relaxed);
-        },
+        f,
     );
     report.checkpoints_written += written.load(Ordering::Relaxed);
     report.checkpoint_failures += failures.load(Ordering::Relaxed);
-    report.items_done += items.load(Ordering::Relaxed);
+    report.items_done += items;
     if let Some(epoch) = last.load(Ordering::Relaxed).checked_sub(1) {
         report.last_epoch = Some(epoch);
     }
@@ -316,14 +306,7 @@ pub fn run_checkpointed<S, P, F>(
         report.aborted = Some(reason);
         sys.health().note_job_outcome(reason);
         let final_epoch = last.load(Ordering::Relaxed).max(start_epoch);
-        let mut sections = ckpt.capture(mem);
-        sections.push(frontier_section(&pool.pending_items()));
-        let snap = Snapshot {
-            algo: ckpt.tag().to_string(),
-            epoch: final_epoch,
-            sections,
-        };
-        match store.write(&snap) {
+        match write(final_epoch) {
             Ok(_) => {
                 report.final_snapshots += 1;
                 report.last_epoch = Some(final_epoch);
@@ -338,6 +321,25 @@ mod tests {
     use super::*;
     use crate::bfs::BfsSpace;
     use tufast_graph::gen;
+
+    /// Snapshot `built`'s distances and `frontier` under `tag`.
+    fn write_bfs(
+        store: &SnapshotStore,
+        built: &crate::AlgoSystem<BfsSpace>,
+        tag: &str,
+        epoch: u64,
+        frontier: &[(u32, u64)],
+    ) {
+        let mut sections = built.space.capture(built.sys.mem());
+        sections.push(frontier_section(frontier));
+        let algo = tag.into();
+        let snap = Snapshot {
+            algo,
+            epoch,
+            sections,
+        };
+        store.write(&snap).unwrap();
+    }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tufast-ckpt-{tag}-{}", std::process::id()));
@@ -432,15 +434,7 @@ mod tests {
         }
         let dir = temp_dir("roundtrip");
         let store = SnapshotStore::open(&dir, "bfs").unwrap();
-        let mut sections = built.space.capture(mem);
-        sections.push(frontier_section(&[(5, 0), (9, 1)]));
-        store
-            .write(&Snapshot {
-                algo: built.space.tag().into(),
-                epoch: 4,
-                sections,
-            })
-            .unwrap();
+        write_bfs(&store, &built, "bfs", 4, &[(5, 0), (9, 1)]);
 
         // "Crash": rebuild the system from scratch, then recover.
         let rebuilt = crate::setup(&g, BfsSpace::alloc);
@@ -460,6 +454,7 @@ mod tests {
     #[test]
     fn cancelled_run_snapshots_partial_progress_and_resumes() {
         use std::sync::Arc;
+        use tufast::steal::StealPool;
         use tufast_txn::{AbortReason, TwoPhaseLocking};
         let g = gen::grid2d(12, 12);
         let expected = crate::bfs::sequential(&g, 0);
@@ -468,21 +463,20 @@ mod tests {
 
         // Cancel before the drain starts: the workers unwind at their first
         // health checkpoint and the run still leaves a durable snapshot.
+        // BFS from 0 on a 2PL scheduler over `built`, into the store.
+        let run = |built: &crate::AlgoSystem<BfsSpace>, resume| {
+            let sched = TwoPhaseLocking::new(Arc::clone(&built.sys));
+            let (sys, space, pool) = (&built.sys, &built.space, StealPool::new(2));
+            let ckpt = Ckpt {
+                store: &store,
+                every_items: 16,
+                resume,
+            };
+            crate::bfs::parallel_on(&g, &sched, sys, space, 0, 2, &pool, Some(ckpt)).unwrap()
+        };
         let built = crate::setup(&g, BfsSpace::alloc);
         built.sys.health().token().cancel();
-        let sched = TwoPhaseLocking::new(Arc::clone(&built.sys));
-        let (_, report) = crate::bfs::parallel_ckpt(
-            &g,
-            &sched,
-            &built.sys,
-            &built.space,
-            0,
-            2,
-            &store,
-            16,
-            false,
-        )
-        .unwrap();
+        let (_, report) = run(&built, false);
         assert_eq!(report.aborted, Some(AbortReason::Cancelled));
         assert_eq!(report.final_snapshots, 1);
         let aborted = report.job_aborted().expect("typed abort");
@@ -492,20 +486,7 @@ mod tests {
 
         // Resume on a rebuilt system with a live token: the run picks up
         // the final snapshot's frontier and reaches the exact fixpoint.
-        let rebuilt = crate::setup(&g, BfsSpace::alloc);
-        let sched = TwoPhaseLocking::new(Arc::clone(&rebuilt.sys));
-        let (dist, report) = crate::bfs::parallel_ckpt(
-            &g,
-            &sched,
-            &rebuilt.sys,
-            &rebuilt.space,
-            0,
-            2,
-            &store,
-            16,
-            true,
-        )
-        .unwrap();
+        let (dist, report) = run(&crate::setup(&g, BfsSpace::alloc), true);
         assert_eq!(report.aborted, None);
         assert_eq!(report.recoveries, 1);
         assert_eq!(dist, expected);
@@ -518,19 +499,51 @@ mod tests {
         let built = crate::setup(&g, BfsSpace::alloc);
         let dir = temp_dir("wrong-tag");
         let store = SnapshotStore::open(&dir, "x").unwrap();
-        let mut sections = built.space.capture(built.sys.mem());
-        sections.push(frontier_section(&[]));
-        store
-            .write(&Snapshot {
-                algo: "wcc".into(),
-                epoch: 0,
-                sections,
-            })
-            .unwrap();
+        write_bfs(&store, &built, "wcc", 0, &[]);
         assert!(matches!(
             recover(&store, built.sys.mem(), &built.space),
             Err(SnapshotError::Format(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumed_frontier_vertex_out_of_range_is_a_format_error() {
+        use std::sync::Arc;
+        use tufast::steal::StealPool;
+        use tufast_txn::TwoPhaseLocking;
+        let g = gen::grid2d(4, 4);
+        let built = crate::setup(&g, BfsSpace::alloc);
+        let dir = temp_dir("frontier-range");
+        let store = SnapshotStore::open(&dir, "bfs").unwrap();
+        write_bfs(&store, &built, "bfs", 0, &[(3, 0), (16, 0)]);
+        let sched = TwoPhaseLocking::new(Arc::clone(&built.sys));
+        let pool = StealPool::new(2);
+        let ckpt = Ckpt {
+            store: &store,
+            every_items: 16,
+            resume: true,
+        };
+        let resumed = crate::bfs::parallel_on(
+            &g,
+            &sched,
+            &built.sys,
+            &built.space,
+            0,
+            2,
+            &pool,
+            Some(ckpt),
+        );
+        match resumed {
+            Err(SnapshotError::Format(why)) => {
+                assert!(
+                    why.contains("vertex 16") && why.contains("16 vertices"),
+                    "{why}"
+                );
+            }
+            other => panic!("expected a format error, got {:?}", other.map(|(d, _)| d)),
+        }
+        assert_eq!(pool.pending(), 0, "nothing was queued");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -541,15 +554,7 @@ mod tests {
         let from = crate::setup(&small, BfsSpace::alloc);
         let dir = temp_dir("wrong-size");
         let store = SnapshotStore::open(&dir, "bfs").unwrap();
-        let mut sections = from.space.capture(from.sys.mem());
-        sections.push(frontier_section(&[]));
-        store
-            .write(&Snapshot {
-                algo: from.space.tag().into(),
-                epoch: 0,
-                sections,
-            })
-            .unwrap();
+        write_bfs(&store, &from, "bfs", 0, &[]);
         let to = crate::setup(&big, BfsSpace::alloc);
         assert!(matches!(
             recover(&store, to.sys.mem(), &to.space),

@@ -23,11 +23,15 @@
 //! | [`coloring`] | greedy vertex coloring | extension |
 //!
 //! BFS, WCC and SSSP are one queue loop over a monotone-min value array and
-//! share one work-item body (the private `monotone` module), which also
-//! makes a stale pool item cost one read instead of a neighbourhood scan.
+//! share one driver and one work-item body (the private `monotone` module),
+//! which also makes a stale pool item cost one read instead of a
+//! neighbourhood scan. Each has `parallel` (default pool) and `parallel_on`,
+//! which drains the [`WorkPool`](tufast::par::WorkPool) the caller built —
+//! the scheduling queue is the only difference between Bellman-Ford and
+//! SPFA (paper Figure 3).
 //!
-//! [`checkpoint`] adds epoch-based checkpointing and crash recovery: BFS,
-//! WCC and SSSP ship `parallel_ckpt` variants that snapshot `(state,
+//! [`checkpoint`] adds epoch-based checkpointing and crash recovery: given
+//! a [`Ckpt`](checkpoint::Ckpt), `parallel_on` snapshots `(state,
 //! frontier)` into a rotating store at epoch barriers and can resume a
 //! crashed run mid-algorithm, bitwise-identically.
 

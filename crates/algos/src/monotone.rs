@@ -1,11 +1,13 @@
-//! The one work-item body behind BFS, Components and SSSP.
+//! The one driver and the one work-item body behind BFS, Components and
+//! SSSP.
 //!
 //! All three are the paper's Figure 3 queue loop over a *monotone-min*
 //! value array: pop `v`, read `value[v]`, offer `value[v] + len(v, u)` to
 //! every neighbour `u`, push whatever improved. They differ only in the
-//! edge set and the edge length (1 per hop, 0 for a label, the weight for
-//! a distance) — which is what [`MinDrain::new`]'s `edges` supplies — and
-//! in whether the pool wants the new value as a key (`push`).
+//! initial values and in the edge set and edge length (1 per hop, 0 for a
+//! label, the weight for a distance) — [`run`]'s `seeds` and `edges`. The
+//! scheduling queue is the caller's: [`run`] drains whatever [`WorkPool`]
+//! it is handed, keyed by the values pushed, checkpointing if asked to.
 //!
 //! # Item ownership and stale items
 //!
@@ -38,9 +40,12 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tufast::par::{parallel_drain, WorkPool};
+use tufast_graph::snapshot::SnapshotError;
 use tufast_graph::VertexId;
 use tufast_htm::MemRegion;
 use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
+
+use crate::checkpoint::{self, Checkpointable, Ckpt, CkptReport};
 
 thread_local! {
     /// Scratch of the item in flight on this thread, reused across items
@@ -50,9 +55,102 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// `push` for pools without keys (FIFO, stealing deques).
-pub(crate) fn unkeyed<P: WorkPool>(pool: &P, v: VertexId, _key: u64) {
-    pool.push(v);
+/// Run one monotone-min job to its fixpoint on `pool` and read `value`
+/// back.
+///
+/// A fresh run starts each `(vertex, value)` of `seeds` — in ascending
+/// vertex order — at its value and queues it, and every other vertex at
+/// `u64::MAX`; with `ckpt.resume` the values and the queue come from the
+/// latest valid snapshot of `state` instead. Either
+/// way `pool` is drained through [`MinDrain::item`], quiescing every
+/// `ckpt.every_items` items to snapshot `(state, frontier)` when there is
+/// a `ckpt`. Only a resume can fail.
+///
+/// # Panics
+/// If a seed is not a vertex of the `value` region, or below its predecessor.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<S, P, E, I>(
+    sched: &S,
+    sys: &TxnSystem,
+    state: &(impl Checkpointable + Sync),
+    value: MemRegion,
+    edges: E,
+    pool: &P,
+    threads: usize,
+    ckpt: Option<Ckpt<'_>>,
+    seeds: impl IntoIterator<Item = (VertexId, u64)>,
+) -> Result<(Vec<u64>, CkptReport), SnapshotError>
+where
+    S: GraphScheduler,
+    P: WorkPool,
+    E: Fn(VertexId) -> I + Sync,
+    I: Iterator<Item = (VertexId, u64)>,
+{
+    let mem = sys.mem();
+    let n = value.len();
+    let mut report = CkptReport::default();
+    if n == 0 {
+        return Ok((Vec::new(), report));
+    }
+    // `MemRegion::addr` and the watermarks index by vertex unchecked (in
+    // release) or on a worker thread: every queued vertex is checked here.
+    let start_epoch = match ckpt.filter(|c| c.resume) {
+        Some(c) => {
+            let rec = checkpoint::recover(c.store, mem, state)?;
+            if let Some(&(v, _)) = rec.frontier.iter().find(|&&(v, _)| u64::from(v) >= n) {
+                return Err(SnapshotError::Format(format!(
+                    "frontier vertex {v} is out of range: the graph has {n} vertices"
+                )));
+            }
+            report.recoveries = 1;
+            report.snapshot_fallbacks = rec.fallbacks;
+            // Consumed here: a frontier kept alive across the drain would
+            // sit in the heap beside the watermarks.
+            for (v, key) in rec.frontier {
+                pool.push_keyed(v, key);
+            }
+            rec.epoch + 1
+        }
+        None => {
+            // One direct store per word (each is three atomic RMWs): the
+            // seeds ascend, and every vertex between two of them is unseeded.
+            let unseeded = |from: u64, to: u64| {
+                (from..to).for_each(|u| mem.store_direct(value.addr(u), u64::MAX));
+            };
+            let mut next = 0;
+            for (v, val) in seeds {
+                let at = u64::from(v);
+                assert!(
+                    (next..n).contains(&at),
+                    "seed vertex {v} is out of range: the graph has {n} vertices, \
+                     and seeds ascend from {next}"
+                );
+                unseeded(next, at);
+                mem.store_direct(value.addr(at), val);
+                pool.push_keyed(v, val);
+                next = at + 1;
+            }
+            unseeded(next, n);
+            0
+        }
+    };
+    let drain = MinDrain::new(sys, value, edges);
+    let item = |worker: &mut S::Worker, pool: &P, v| drain.item(worker, pool, v);
+    match ckpt {
+        Some(c) => checkpoint::run_checkpointed(
+            sched,
+            sys,
+            pool,
+            threads,
+            c,
+            state,
+            start_epoch,
+            &mut report,
+            item,
+        ),
+        None => drop(parallel_drain(sched, pool, threads, item)),
+    }
+    Ok((mem.snapshot_region(&value), report))
 }
 
 /// One monotone-min run: the value region, the edges and the watermarks.
@@ -79,22 +177,9 @@ where
         }
     }
 
-    /// Drain `pool` to quiescence on `threads` threads.
-    pub(crate) fn run<S: GraphScheduler, P: WorkPool>(
-        &self,
-        sched: &S,
-        pool: &P,
-        threads: usize,
-        push: impl Fn(&P, VertexId, u64) + Sync,
-    ) {
-        parallel_drain(sched, pool, threads, |worker, pool, v| {
-            self.item(worker, pool, v, &push);
-        });
-    }
-
     /// One pool item: relax `v`'s edges in one transaction — or commit
     /// after the first read if `v` was already scanned at this value — and
-    /// `push` every vertex whose value improved, keyed by its value now
+    /// push every vertex whose value improved, keyed by its value now
     /// (what this item wrote, or less if someone has improved on it since).
     ///
     /// Only *candidate* edges are read inside the transaction. Before it
@@ -104,13 +189,7 @@ where
     /// values only decrease and the transaction will read
     /// `value[v] <= dv0`, so it could never write them, wherever it
     /// serializes. A neighbour with a writer in sight stays a candidate.
-    pub(crate) fn item<P: WorkPool>(
-        &self,
-        worker: &mut impl TxnWorker,
-        pool: &P,
-        v: VertexId,
-        push: &impl Fn(&P, VertexId, u64),
-    ) {
+    pub(crate) fn item(&self, worker: &mut impl TxnWorker, pool: &impl WorkPool, v: VertexId) {
         let addr = |u: VertexId| self.value.addr(u64::from(u));
         let peek = |u: VertexId| self.sys.peek_committed(u, addr(u)).map(|(val, _)| val);
         let mark = &self.watermark[v as usize];
@@ -174,7 +253,7 @@ where
                 // so an abort snapshot's frontier keeps every outstanding
                 // relaxation owned by a queued item — that invariant is
                 // what makes resume bitwise exact.
-                push(pool, v, seen);
+                pool.push_keyed(v, seen);
                 return;
             }
             if scanned {
@@ -186,7 +265,7 @@ where
                 mark.fetch_min(dv0.unwrap_or(seen), Ordering::Release);
             }
             for &u in improved.iter() {
-                push(pool, u, self.sys.mem().load_direct(addr(u)));
+                pool.push_keyed(u, self.sys.mem().load_direct(addr(u)));
             }
         });
     }
@@ -261,28 +340,28 @@ mod tests {
         let pool = FifoPool::new();
 
         // Never scanned (watermark MAX > value 0): a full scan.
-        drain.item(&mut w, &pool, 0, &unkeyed);
+        drain.item(&mut w, &pool, 0);
         assert_eq!(fx.values(), [0, 1, MAX, MAX]);
         assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
         assert_eq!(queued(&pool), [1]);
         assert_eq!(w.stats().reads, 2);
 
         // Scanned at this value: one read, one commit, nothing pushed.
-        drain.item(&mut w, &pool, 0, &unkeyed);
+        drain.item(&mut w, &pool, 0);
         assert_eq!((w.stats().reads, w.stats().commits), (3, 2));
         assert_eq!(queued(&pool), [1]);
 
         // Unreached (value MAX): the same one-read exit, no watermark.
-        drain.item(&mut w, &pool, 2, &unkeyed);
+        drain.item(&mut w, &pool, 2);
         assert_eq!((w.stats().reads, w.stats().commits), (4, 3));
         assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
 
         // Scan 1 at value 1, then lower it behind the watermark's back:
         // watermark 1 > value 0 must scan again and move down with it.
-        drain.item(&mut w, &pool, 1, &unkeyed);
+        drain.item(&mut w, &pool, 1);
         assert_eq!(fx.values(), [0, 1, 2, MAX]);
         fx.set(1, 0);
-        drain.item(&mut w, &pool, 1, &unkeyed);
+        drain.item(&mut w, &pool, 1);
         assert_eq!(fx.values(), [0, 0, 1, MAX]);
         assert_eq!(marks(&drain), [0, 0, MAX, MAX]);
         assert_eq!(queued(&pool), [1, 2, 2]);
@@ -295,7 +374,7 @@ mod tests {
         fx.built.sys.health().token().cancel();
         let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
         let pool = FifoPool::new();
-        drain.item(&mut sched.worker(), &pool, 0, &unkeyed);
+        drain.item(&mut sched.worker(), &pool, 0);
         assert_eq!(fx.values(), [0, MAX, MAX, MAX]);
         assert_eq!(marks(&drain), [MAX; 4]);
         assert_eq!(queued(&pool), [0]);
@@ -326,14 +405,14 @@ mod tests {
         let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
         let mut w = AbortAtCommit(sched.worker());
         let pool = FifoPool::new();
-        drain.item(&mut w, &pool, 0, &unkeyed);
+        drain.item(&mut w, &pool, 0);
         assert_eq!(w.stats().writes, 1, "the body did scan and write");
         assert_eq!(fx.values(), [0, MAX, MAX, MAX], "and was rolled back");
         assert_eq!(marks(&drain), [MAX; 4]);
         assert_eq!(queued(&pool), [0], "v again, not the vertex it improved");
 
         // The re-queued item then scans for real.
-        drain.item(&mut sched.worker(), &pool, 0, &unkeyed);
+        drain.item(&mut sched.worker(), &pool, 0);
         assert_eq!(fx.values(), [0, 1, MAX, MAX]);
         assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
     }
@@ -350,7 +429,7 @@ mod tests {
         let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
         let mut w = sched.worker();
         let pool = FifoPool::new();
-        drain.item(&mut w, &pool, 0, &unkeyed);
+        drain.item(&mut w, &pool, 0);
         assert_eq!(fx.values(), [0, 1, 0, 1, 1]);
         assert_eq!(queued(&pool), [3, 4]);
         let s = w.stats();
@@ -368,7 +447,7 @@ mod tests {
         // Every leaf settled (fresh watermarks): still one transaction, of
         // one read.
         let drain = fx.drain();
-        drain.item(&mut w, &pool, 0, &unkeyed);
+        drain.item(&mut w, &pool, 0);
         assert_eq!((w.stats().reads, w.stats().commits), (4, 2));
         assert_eq!(marks(&drain)[0], 0);
     }
@@ -420,7 +499,7 @@ mod tests {
                 finish_tx.send(()).unwrap();
                 done_rx.recv().unwrap();
             });
-            drain.item(&mut w, &pool, 0, &unkeyed);
+            drain.item(&mut w, &pool, 0);
             assert_eq!(
                 w.stats().reads,
                 2,
@@ -444,7 +523,7 @@ mod tests {
         let pool = FifoPool::new();
         // Peeked at 5, lowered to 3 before the transaction reads it.
         let mut w = Before(sched.worker(), || fx.set(0, 3));
-        drain.item(&mut w, &pool, 0, &unkeyed);
+        drain.item(&mut w, &pool, 0);
         assert_eq!(fx.values(), [3, 4, MAX, MAX], "offered 3 + 1, not 5 + 1");
         assert_eq!(
             marks(&drain)[0],
@@ -456,7 +535,7 @@ mod tests {
         // Whoever lowered 0 pushed it: that item finds 5 > 3 and scans —
         // nothing left to write, so one read.
         let mut w = sched.worker();
-        drain.item(&mut w, &pool, 0, &unkeyed);
+        drain.item(&mut w, &pool, 0);
         assert_eq!((w.stats().reads, w.stats().writes), (1, 0));
         assert_eq!(marks(&drain)[0], 3);
     }

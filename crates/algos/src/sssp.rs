@@ -8,21 +8,21 @@
 //! implements them.
 
 use tufast::bucket::BucketPool;
-use tufast::par::{FifoPool, PoolImpl, PriorityPool, WorkPool};
+use tufast::par::WorkPool;
 use tufast::steal::StealPool;
-use tufast_graph::snapshot::{Section, Snapshot, SnapshotError, SnapshotStore};
+use tufast_graph::snapshot::{Section, Snapshot, SnapshotError};
 use tufast_graph::{Graph, VertexId};
 use tufast_htm::{MemRegion, TxMemory};
 use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::checkpoint::{self, Checkpointable, CkptReport};
-use crate::common::read_u64_region;
-use crate::monotone::{unkeyed, MinDrain};
+use crate::checkpoint::{self, Checkpointable, Ckpt, CkptReport};
+use crate::monotone;
 
 /// Distance assigned to unreachable vertices.
 pub const UNREACHED: u64 = u64::MAX;
 
-/// Queue discipline selecting between the paper's two algorithms.
+/// Queue discipline selecting between the paper's two algorithms on
+/// [`parallel`]'s default pools.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueKind {
     /// FIFO — Bellman-Ford with a queue.
@@ -113,12 +113,19 @@ fn pick_delta(g: &Graph) -> u64 {
     }
 }
 
-/// Transactional SSSP on any scheduler with the chosen queue discipline.
-/// Runs on the default (work-stealing / bucketed) pools; see
-/// [`parallel_with_pool`].
+/// The default priority pool for `g`: delta-stepping buckets at the width
+/// its weights and degrees call for.
+pub fn bucket_pool(g: &Graph) -> BucketPool {
+    BucketPool::new(pick_delta(g))
+}
+
+/// Transactional SSSP on any scheduler with the chosen queue discipline,
+/// on the default pools: work-stealing deques for [`QueueKind::Fifo`],
+/// [`bucket_pool`] for [`QueueKind::Priority`].
 ///
 /// # Panics
-/// If `g` has no edge weights.
+/// If `g` has no edge weights, or `source` is not a vertex of a non-empty
+/// `g`.
 pub fn parallel<S: GraphScheduler>(
     g: &Graph,
     sched: &S,
@@ -128,153 +135,53 @@ pub fn parallel<S: GraphScheduler>(
     threads: usize,
     kind: QueueKind,
 ) -> Vec<u64> {
-    parallel_with_pool(
-        g,
-        sched,
-        sys,
-        space,
-        source,
-        threads,
-        kind,
-        PoolImpl::default(),
-    )
-}
-
-/// [`parallel`] with an explicit work-pool implementation: `Centralized`
-/// maps to `FifoPool`/`PriorityPool` (shared queue / global mutex heap),
-/// `Scalable` to `StealPool`/`BucketPool` (stealing deques / delta
-/// buckets). The bench harness runs both to record the head-to-head.
-///
-/// # Panics
-/// If `g` has no edge weights.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_with_pool<S: GraphScheduler>(
-    g: &Graph,
-    sched: &S,
-    sys: &TxnSystem,
-    space: &SsspSpace,
-    source: VertexId,
-    threads: usize,
-    kind: QueueKind,
-    pool_impl: PoolImpl,
-) -> Vec<u64> {
-    assert!(
-        g.has_weights(),
-        "SSSP needs edge weights (gen::with_random_weights)"
-    );
-    let mem = sys.mem();
-    init(mem, space, source);
-    let drain = MinDrain::new(sys, space.dist, |v| weighted(g, v));
-    match (kind, pool_impl) {
-        (QueueKind::Fifo, PoolImpl::Centralized) => {
-            let pool = FifoPool::new();
-            pool.push(source);
-            drain.run(sched, &pool, threads, unkeyed);
-        }
-        (QueueKind::Fifo, PoolImpl::Scalable) => {
-            let pool = StealPool::new(threads);
-            pool.push(source);
-            drain.run(sched, &pool, threads, unkeyed);
-        }
-        (QueueKind::Priority, PoolImpl::Centralized) => {
-            let pool = PriorityPool::new();
-            pool.push_with_key(source, 0);
-            drain.run(sched, &pool, threads, PriorityPool::push_with_key);
-        }
-        (QueueKind::Priority, PoolImpl::Scalable) => {
-            let pool = BucketPool::new(pick_delta(g));
-            pool.push_with_key(source, 0);
-            drain.run(sched, &pool, threads, BucketPool::push_with_key);
-        }
-    }
-    read_u64_region(mem, &space.dist)
-}
-
-fn init(mem: &TxMemory, space: &SsspSpace, source: VertexId) {
-    mem.fill_region(&space.dist, UNREACHED);
-    mem.store_direct(space.dist.addr(u64::from(source)), 0);
-}
-
-/// `v`'s out-edges at their weights: the item body is
-/// [`MinDrain::item`](crate::monotone), which re-queues improved vertices
-/// keyed by their new distance (the keyed pools order by it).
-fn weighted(g: &Graph, v: VertexId) -> impl Iterator<Item = (VertexId, u64)> + '_ {
-    g.weighted_neighbors(v).map(|(u, w)| (u, u64::from(w)))
-}
-
-/// [`parallel`] with epoch checkpointing into `store` every `every_items`
-/// processed pool items; `resume` continues a crashed run from its latest
-/// valid snapshot (the priority queue's keys are part of the frontier
-/// section, so SPFA resumes with its ordering intact). Distances are
-/// unique fixpoints, so the recovered result is bitwise identical to an
-/// uninterrupted run.
-///
-/// # Panics
-/// If `g` has no edge weights.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_ckpt<S: GraphScheduler>(
-    g: &Graph,
-    sched: &S,
-    sys: &TxnSystem,
-    space: &SsspSpace,
-    source: VertexId,
-    threads: usize,
-    kind: QueueKind,
-    store: &SnapshotStore,
-    every_items: u64,
-    resume: bool,
-) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
-    assert!(
-        g.has_weights(),
-        "SSSP needs edge weights (gen::with_random_weights)"
-    );
-    let mem = sys.mem();
-    let mut report = CkptReport::default();
-    let (start_epoch, frontier) =
-        checkpoint::start(store, mem, space, resume, &mut report, || {
-            init(mem, space, source);
-            vec![(source, 0)]
-        })?;
-    let drain = MinDrain::new(sys, space.dist, |v| weighted(g, v));
     match kind {
         QueueKind::Fifo => {
             let pool = StealPool::new(threads);
-            for &(v, _) in &frontier {
-                pool.push(v);
-            }
-            checkpoint::run_checkpointed(
-                sched,
-                sys,
-                &pool,
-                threads,
-                store,
-                space,
-                every_items,
-                start_epoch,
-                &mut report,
-                |worker, pool, v| drain.item(worker, pool, v, &unkeyed),
-            );
+            parallel_on(g, sched, sys, space, source, threads, &pool, None)
         }
         QueueKind::Priority => {
-            let pool = BucketPool::new(pick_delta(g));
-            for &(v, key) in &frontier {
-                pool.push_with_key(v, key);
-            }
-            checkpoint::run_checkpointed(
-                sched,
-                sys,
-                &pool,
-                threads,
-                store,
-                space,
-                every_items,
-                start_epoch,
-                &mut report,
-                |worker, pool, v| drain.item(worker, pool, v, &BucketPool::push_with_key),
-            );
+            let pool = bucket_pool(g);
+            parallel_on(g, sched, sys, space, source, threads, &pool, None)
         }
     }
-    Ok((read_u64_region(mem, &space.dist), report))
+    .expect("only a resume reads a snapshot")
+    .0
+}
+
+/// [`parallel`] on the caller's (empty) `pool`, checkpointing as `ckpt`
+/// says (see [`checkpoint`](crate::checkpoint)). The pool *is* the
+/// algorithm (paper Figure 3): any FIFO-class pool runs Bellman-Ford, any
+/// keyed one — it receives every vertex with its tentative distance as the
+/// key, and the keys ride in the snapshot's frontier — runs SPFA.
+/// Distances are unique fixpoints, so every pool, and a run resumed from a
+/// snapshot, returns bitwise the same array. Only a resume can fail.
+///
+/// # Panics
+/// If `g` has no edge weights, or `source` is not a vertex of a non-empty
+/// `g`.
+#[allow(clippy::too_many_arguments)]
+pub fn parallel_on<S: GraphScheduler, P: WorkPool>(
+    g: &Graph,
+    sched: &S,
+    sys: &TxnSystem,
+    space: &SsspSpace,
+    source: VertexId,
+    threads: usize,
+    pool: &P,
+    ckpt: Option<Ckpt<'_>>,
+) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
+    // The empty graph has no weights to ask for, and `sequential` none.
+    assert!(
+        g.has_weights() || g.num_vertices() == 0,
+        "SSSP needs edge weights (gen::with_random_weights)"
+    );
+    // `v`'s out-edges at their weights.
+    let weighted = |v| g.weighted_neighbors(v).map(|(u, w)| (u, u64::from(w)));
+    let seed = [(source, 0)];
+    monotone::run(
+        sched, sys, space, space.dist, weighted, pool, threads, ckpt, seed,
+    )
 }
 
 #[cfg(test)]
@@ -347,26 +254,13 @@ mod tests {
     }
 
     #[test]
-    fn all_pool_impls_reach_the_same_fixpoint() {
-        let g = gen::with_random_weights(&gen::rmat(9, 8, 17), 100, 29);
-        let expected = sequential(&g, 0);
+    fn empty_graph_returns_an_empty_vector_like_sequential() {
+        let g = tufast_graph::GraphBuilder::new(0).build();
         let built = crate::setup(&g, SsspSpace::alloc);
         let tufast = TuFast::new(Arc::clone(&built.sys));
-        for kind in [QueueKind::Fifo, QueueKind::Priority] {
-            for pool_impl in [PoolImpl::Centralized, PoolImpl::Scalable] {
-                let got = parallel_with_pool(
-                    &g,
-                    &tufast,
-                    &built.sys,
-                    &built.space,
-                    0,
-                    4,
-                    kind,
-                    pool_impl,
-                );
-                assert_eq!(got, expected, "{kind:?}/{pool_impl:?}");
-            }
-        }
+        let got = parallel(&g, &tufast, &built.sys, &built.space, 0, 2, QueueKind::Fifo);
+        assert_eq!(got, sequential(&g, 0));
+        assert!(got.is_empty());
     }
 
     #[test]

@@ -6,16 +6,15 @@
 //! — paper §VI-A). Labels converge to the minimum vertex id of each
 //! component: a unique fixpoint, so parallel equals sequential exactly.
 
-use tufast::par::{FifoPool, PoolImpl, WorkPool};
+use tufast::par::WorkPool;
 use tufast::steal::StealPool;
-use tufast_graph::snapshot::{Section, Snapshot, SnapshotError, SnapshotStore};
+use tufast_graph::snapshot::{Section, Snapshot, SnapshotError};
 use tufast_graph::{Graph, VertexId};
 use tufast_htm::{MemRegion, TxMemory};
 use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::checkpoint::{self, Checkpointable, CkptReport};
-use crate::common::read_u64_region;
-use crate::monotone::{unkeyed, MinDrain};
+use crate::checkpoint::{self, Checkpointable, Ckpt, CkptReport};
+use crate::monotone;
 
 /// Region handles for WCC.
 pub struct WccSpace {
@@ -80,9 +79,9 @@ pub fn sequential(g: &Graph) -> Vec<u64> {
     label
 }
 
-/// Transactional WCC on any scheduler. For directed graphs, build with
-/// in-edges so weak connectivity is visible. Runs on the default
-/// (work-stealing) pool; see [`parallel_with_pool`].
+/// Transactional WCC on any scheduler, on the default (work-stealing)
+/// pool. For directed graphs, build with in-edges so weak connectivity is
+/// visible.
 pub fn parallel<S: GraphScheduler>(
     g: &Graph,
     sched: &S,
@@ -90,93 +89,44 @@ pub fn parallel<S: GraphScheduler>(
     space: &WccSpace,
     threads: usize,
 ) -> Vec<u64> {
-    parallel_with_pool(g, sched, sys, space, threads, PoolImpl::default())
-}
-
-/// [`parallel`] with an explicit work-pool implementation — the bench
-/// harness runs both to record the centralized-vs-stealing head-to-head.
-pub fn parallel_with_pool<S: GraphScheduler>(
-    g: &Graph,
-    sched: &S,
-    sys: &TxnSystem,
-    space: &WccSpace,
-    threads: usize,
-    pool_impl: PoolImpl,
-) -> Vec<u64> {
-    let mem = sys.mem();
-    let n = g.num_vertices() as VertexId;
-    init(mem, space, n);
-    let drain = MinDrain::new(sys, space.label, |v| undirected(g, v));
-    match pool_impl {
-        PoolImpl::Centralized => {
-            let pool = FifoPool::new();
-            (0..n).for_each(|v| pool.push(v));
-            drain.run(sched, &pool, threads, unkeyed);
-        }
-        PoolImpl::Scalable => {
-            let pool = StealPool::new(threads);
-            (0..n).for_each(|v| pool.push(v));
-            drain.run(sched, &pool, threads, unkeyed);
-        }
-    }
-    read_u64_region(mem, &space.label)
-}
-
-fn init(mem: &TxMemory, space: &WccSpace, n: VertexId) {
-    for v in 0..u64::from(n) {
-        mem.store_direct(space.label.addr(v), v);
-    }
-}
-
-/// `v`'s undirected neighbourhood (out-edges, then in-edges when the graph
-/// carries them) at length 0: [`MinDrain::item`](crate::monotone) then
-/// pushes `v`'s label to every neighbour holding a larger one.
-fn undirected(g: &Graph, v: VertexId) -> impl Iterator<Item = (VertexId, u64)> + '_ {
-    let ins = g.reverse().map_or(&[][..], |rev| rev.neighbors(v));
-    g.neighbors(v).iter().chain(ins).map(|&u| (u, 0))
-}
-
-/// [`parallel`] with epoch checkpointing into `store` every `every_items`
-/// processed pool items; `resume` continues a crashed run from its latest
-/// valid snapshot. Labels converge to the unique per-component minimum, so
-/// the recovered result is bitwise identical to an uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_ckpt<S: GraphScheduler>(
-    g: &Graph,
-    sched: &S,
-    sys: &TxnSystem,
-    space: &WccSpace,
-    threads: usize,
-    store: &SnapshotStore,
-    every_items: u64,
-    resume: bool,
-) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
-    let mem = sys.mem();
-    let n = g.num_vertices() as VertexId;
-    let mut report = CkptReport::default();
-    let (start_epoch, frontier) =
-        checkpoint::start(store, mem, space, resume, &mut report, || {
-            init(mem, space, n);
-            (0..n).map(|v| (v, 0)).collect()
-        })?;
     let pool = StealPool::new(threads);
-    for &(v, _) in &frontier {
-        pool.push(v);
-    }
-    let drain = MinDrain::new(sys, space.label, |v| undirected(g, v));
-    checkpoint::run_checkpointed(
+    parallel_on(g, sched, sys, space, threads, &pool, None)
+        .expect("only a resume reads a snapshot")
+        .0
+}
+
+/// [`parallel`] on the caller's (empty) `pool`, checkpointing as `ckpt`
+/// says (see [`checkpoint`](crate::checkpoint)). Labels converge to the
+/// unique per-component minimum, so every pool — and a run resumed from a
+/// snapshot — returns bitwise the same array. Only a resume can fail.
+pub fn parallel_on<S: GraphScheduler, P: WorkPool>(
+    g: &Graph,
+    sched: &S,
+    sys: &TxnSystem,
+    space: &WccSpace,
+    threads: usize,
+    pool: &P,
+    ckpt: Option<Ckpt<'_>>,
+) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
+    // `v`'s undirected neighbourhood (out-edges, then in-edges when the
+    // graph carries them) at length 0: a label travels unchanged.
+    let undirected = |v| {
+        let ins = g.reverse().map_or(&[][..], |rev| rev.neighbors(v));
+        g.neighbors(v).iter().chain(ins).map(|&u| (u, 0))
+    };
+    // Every vertex starts active, labelled with its own id.
+    let own_ids = (0..g.num_vertices() as VertexId).map(|v| (v, u64::from(v)));
+    monotone::run(
         sched,
         sys,
-        &pool,
-        threads,
-        store,
         space,
-        every_items,
-        start_epoch,
-        &mut report,
-        |worker, pool, v| drain.item(worker, pool, v, &unkeyed),
-    );
-    Ok((read_u64_region(mem, &space.label), report))
+        space.label,
+        undirected,
+        pool,
+        threads,
+        ckpt,
+        own_ids,
+    )
 }
 
 /// Number of distinct components in a label assignment.
@@ -242,18 +192,6 @@ mod tests {
             b.with_in_edges().build()
         };
         check(&built_with_in);
-    }
-
-    #[test]
-    fn both_pool_impls_agree() {
-        let g = gen::grid2d(11, 7);
-        let expected = sequential(&g);
-        let built = crate::setup(&g, WccSpace::alloc);
-        let tufast = TuFast::new(Arc::clone(&built.sys));
-        for pool_impl in [PoolImpl::Centralized, PoolImpl::Scalable] {
-            let got = parallel_with_pool(&g, &tufast, &built.sys, &built.space, 4, pool_impl);
-            assert_eq!(got, expected, "{pool_impl:?}");
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 
-use tufast::par::PoolImpl;
-use tufast::TuFast;
+use tufast::par::{FifoPool, PriorityPool, WorkPool};
+use tufast::{StealPool, TuFast};
 use tufast_algos as algos;
 use tufast_bench::datasets::{dataset, symmetric_view};
 use tufast_bench::harness::{banner, fmt_rate, parse_args, print_sched_counters, time, Table};
@@ -118,6 +118,64 @@ struct Cell {
     scalable_counters: SchedStats,
 }
 
+/// Best-of-REPS timing of `algo` on pools from `new_pool`, with the last
+/// result and the pools' counters.
+///
+/// Setup (layout + system build) happens per rep *outside* the timed
+/// section — it is identical for both pools and would only dilute the
+/// dispatch-path difference this figure measures. The pool is built
+/// inside it, as the library's own drivers build theirs.
+fn best_of<P: WorkPool>(
+    algo: &str,
+    (g, sym, weighted): (&Graph, &Graph, &Graph),
+    source: VertexId,
+    threads: usize,
+    new_pool: impl Fn() -> P,
+) -> (Vec<u64>, f64, SchedStats) {
+    let mut best = f64::MAX;
+    let mut out = Vec::new();
+    let mut counters = SchedStats::default();
+    for _ in 0..REPS {
+        let _ = tufast::take_sched_counters(); // clear residue
+        let (result, secs) = match algo {
+            "BFS" => {
+                let b = algos::setup(g, algos::bfs::BfsSpace::alloc);
+                let sched = TuFast::new(Arc::clone(&b.sys));
+                let (sys, space) = (&b.sys, &b.space);
+                time(|| {
+                    let pool = new_pool();
+                    algos::bfs::parallel_on(g, &sched, sys, space, source, threads, &pool, None)
+                })
+            }
+            "Components" => {
+                let b = algos::setup(sym, algos::wcc::WccSpace::alloc);
+                let sched = TuFast::new(Arc::clone(&b.sys));
+                let (sys, space) = (&b.sys, &b.space);
+                time(|| {
+                    let pool = new_pool();
+                    algos::wcc::parallel_on(sym, &sched, sys, space, threads, &pool, None)
+                })
+            }
+            "SSSP-fifo" | "SSSP-delta" => {
+                let b = algos::setup(weighted, algos::sssp::SsspSpace::alloc);
+                let sched = TuFast::new(Arc::clone(&b.sys));
+                let (g, sys, space) = (weighted, &b.sys, &b.space);
+                time(|| {
+                    let pool = new_pool();
+                    algos::sssp::parallel_on(g, &sched, sys, space, source, threads, &pool, None)
+                })
+            }
+            other => panic!("unknown algorithm {other}"),
+        };
+        tufast::take_sched_counters().fold_into(&mut counters);
+        if secs < best {
+            best = secs;
+        }
+        out = result.expect("only a resume can fail").0;
+    }
+    (out, best, counters)
+}
+
 /// Run one `(algorithm, pool)` matrix cell: both pool implementations,
 /// bitwise cross-check, best-of-REPS timing each.
 fn run_cell(
@@ -131,79 +189,20 @@ fn run_cell(
     // Vertex 0 of an R-MAT graph may have no out-edges, which would make
     // the traversal cells time a one-vertex job.
     let source = hub(g);
-    // Setup (layout + system build) happens per rep *outside* the timed
-    // section — it is identical for both pools and would only dilute the
-    // dispatch-path difference this figure measures.
-    let run = |pool_impl: PoolImpl| -> (Vec<u64>, f64, SchedStats) {
-        let mut best = f64::MAX;
-        let mut out = Vec::new();
-        let mut counters = SchedStats::default();
-        for _ in 0..REPS {
-            let _ = tufast::take_sched_counters(); // clear residue
-            let (result, secs) = match algo {
-                "BFS" => {
-                    let built = algos::setup(g, algos::bfs::BfsSpace::alloc);
-                    let sched = TuFast::new(Arc::clone(&built.sys));
-                    time(|| {
-                        algos::bfs::parallel_with_pool(
-                            g,
-                            &sched,
-                            &built.sys,
-                            &built.space,
-                            source,
-                            threads,
-                            pool_impl,
-                        )
-                    })
-                }
-                "Components" => {
-                    let built = algos::setup(sym, algos::wcc::WccSpace::alloc);
-                    let sched = TuFast::new(Arc::clone(&built.sys));
-                    time(|| {
-                        algos::wcc::parallel_with_pool(
-                            sym,
-                            &sched,
-                            &built.sys,
-                            &built.space,
-                            threads,
-                            pool_impl,
-                        )
-                    })
-                }
-                "SSSP-fifo" | "SSSP-delta" => {
-                    let kind = if algo == "SSSP-fifo" {
-                        algos::sssp::QueueKind::Fifo
-                    } else {
-                        algos::sssp::QueueKind::Priority
-                    };
-                    let built = algos::setup(weighted, algos::sssp::SsspSpace::alloc);
-                    let sched = TuFast::new(Arc::clone(&built.sys));
-                    time(|| {
-                        algos::sssp::parallel_with_pool(
-                            weighted,
-                            &sched,
-                            &built.sys,
-                            &built.space,
-                            source,
-                            threads,
-                            kind,
-                            pool_impl,
-                        )
-                    })
-                }
-                other => panic!("unknown algorithm {other}"),
-            };
-            tufast::take_sched_counters().fold_into(&mut counters);
-            if secs < best {
-                best = secs;
-            }
-            out = result;
-        }
-        (out, best, counters)
-    };
-
-    let (r_central, t_central, c_central) = run(PoolImpl::Centralized);
-    let (r_scalable, t_scalable, c_scalable) = run(PoolImpl::Scalable);
+    let graphs = (g, sym, weighted);
+    let ((r_central, t_central, c_central), (r_scalable, t_scalable, c_scalable)) =
+        if algo == "SSSP-delta" {
+            let buckets = || algos::sssp::bucket_pool(weighted);
+            (
+                best_of(algo, graphs, source, threads, PriorityPool::new),
+                best_of(algo, graphs, source, threads, buckets),
+            )
+        } else {
+            (
+                best_of(algo, graphs, source, threads, FifoPool::new),
+                best_of(algo, graphs, source, threads, || StealPool::new(threads)),
+            )
+        };
     assert_eq!(
         r_central, r_scalable,
         "{algo}: pool implementations disagree"

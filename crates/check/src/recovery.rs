@@ -21,8 +21,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tufast::TuFast;
-use tufast_algos::checkpoint::CkptReport;
+use tufast::{StealPool, TuFast};
+use tufast_algos::checkpoint::{Ckpt, CkptReport};
 use tufast_algos::{bfs, setup, sssp, wcc};
 use tufast_graph::snapshot::{load, SnapshotError, SnapshotStore};
 use tufast_graph::{Graph, GraphBuilder};
@@ -79,32 +79,12 @@ pub struct RecoveryOutcome {
 
 /// Run `algo` over `g` once without checkpointing or faults.
 pub fn baseline_result(algo: RecoveryAlgo, g: &Graph, threads: usize) -> Vec<u64> {
-    match algo {
-        RecoveryAlgo::Bfs => {
-            let built = setup(g, bfs::BfsSpace::alloc);
-            let sched = TuFast::new(Arc::clone(&built.sys));
-            bfs::parallel(g, &sched, &built.sys, &built.space, 0, threads)
-        }
-        RecoveryAlgo::Wcc => {
-            let built = setup(g, wcc::WccSpace::alloc);
-            let sched = TuFast::new(Arc::clone(&built.sys));
-            wcc::parallel(g, &sched, &built.sys, &built.space, threads)
-        }
-        RecoveryAlgo::SsspFifo | RecoveryAlgo::SsspPriority => {
-            let built = setup(g, sssp::SsspSpace::alloc);
-            let sched = TuFast::new(Arc::clone(&built.sys));
-            let kind = if algo == RecoveryAlgo::SsspFifo {
-                sssp::QueueKind::Fifo
-            } else {
-                sssp::QueueKind::Priority
-            };
-            sssp::parallel(g, &sched, &built.sys, &built.space, 0, threads, kind)
-        }
-    }
+    let (result, _) = run_on(algo, g, threads, None, |_| {}).expect("only a resume can fail");
+    result
 }
 
 /// Build a fresh system for `algo` over `g` (optionally under a fault
-/// plan) and run its checkpointed driver.
+/// plan) and run it checkpointed.
 pub fn run_ckpt(
     algo: RecoveryAlgo,
     g: &Graph,
@@ -114,76 +94,59 @@ pub fn run_ckpt(
     resume: bool,
     plan: Option<Arc<FaultPlan>>,
 ) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
-    run_ckpt_on(algo, g, threads, store, every_items, resume, |sys| {
-        sys.set_fault_plan(plan)
-    })
+    let ckpt = Ckpt {
+        store,
+        every_items,
+        resume,
+    };
+    run_on(algo, g, threads, Some(ckpt), |sys| sys.set_fault_plan(plan))
 }
 
-/// [`run_ckpt`] with `prepare` applied to the fresh system before the
-/// driver starts: arm a fault plan, attach an observer, keep the cancel
-/// token.
-pub fn run_ckpt_on(
+/// Build a fresh system for `algo` over `g`, apply `prepare` to it (arm a
+/// fault plan, attach an observer, keep the cancel token) and run the
+/// algorithm's one driver on its default pool, checkpointing as `ckpt`
+/// says.
+pub fn run_on(
     algo: RecoveryAlgo,
     g: &Graph,
     threads: usize,
-    store: &SnapshotStore,
-    every_items: u64,
-    resume: bool,
+    ckpt: Option<Ckpt<'_>>,
     prepare: impl FnOnce(&Arc<TxnSystem>),
 ) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
+    let steal = || StealPool::new(threads);
     match algo {
         RecoveryAlgo::Bfs => {
             let built = setup(g, bfs::BfsSpace::alloc);
             prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
-            bfs::parallel_ckpt(
+            bfs::parallel_on(
                 g,
                 &sched,
                 &built.sys,
                 &built.space,
                 0,
                 threads,
-                store,
-                every_items,
-                resume,
+                &steal(),
+                ckpt,
             )
         }
         RecoveryAlgo::Wcc => {
             let built = setup(g, wcc::WccSpace::alloc);
             prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
-            wcc::parallel_ckpt(
-                g,
-                &sched,
-                &built.sys,
-                &built.space,
-                threads,
-                store,
-                every_items,
-                resume,
-            )
+            wcc::parallel_on(g, &sched, &built.sys, &built.space, threads, &steal(), ckpt)
         }
         RecoveryAlgo::SsspFifo | RecoveryAlgo::SsspPriority => {
             let built = setup(g, sssp::SsspSpace::alloc);
             prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
-            let kind = if algo == RecoveryAlgo::SsspFifo {
-                sssp::QueueKind::Fifo
+            let (sys, space) = (&built.sys, &built.space);
+            if algo == RecoveryAlgo::SsspFifo {
+                sssp::parallel_on(g, &sched, sys, space, 0, threads, &steal(), ckpt)
             } else {
-                sssp::QueueKind::Priority
-            };
-            sssp::parallel_ckpt(
-                g,
-                &sched,
-                &built.sys,
-                &built.space,
-                0,
-                threads,
-                kind,
-                store,
-                every_items,
-                resume,
-            )
+                let buckets = sssp::bucket_pool(g);
+                sssp::parallel_on(g, &sched, sys, space, 0, threads, &buckets, ckpt)
+            }
         }
     }
 }

@@ -24,13 +24,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tufast::{
-    AdmissionConfig, AdmissionGate, ShedPolicy, TuFast, Watchdog, WatchdogConfig, WatchdogReport,
+    AdmissionConfig, AdmissionGate, ShedPolicy, StealPool, TuFast, Watchdog, WatchdogConfig,
+    WatchdogReport,
 };
+use tufast_algos::checkpoint::Ckpt;
 use tufast_algos::{bfs, setup};
 use tufast_check::dsg::check;
 use tufast_check::history::Recorder;
 use tufast_check::recovery::{
-    baseline_result, run_ckpt, run_ckpt_on, star_plus_clique, RecoveryAlgo, StaleWatch,
+    baseline_result, run_ckpt, run_on, star_plus_clique, RecoveryAlgo, StaleWatch,
 };
 use tufast_graph::gen;
 use tufast_graph::snapshot::SnapshotStore;
@@ -318,18 +320,15 @@ fn deadline_aborts_a_checkpointed_run_and_resume_is_bitwise_exact() {
         .sys
         .begin_job(Some(JobDeadline(Duration::from_millis(4))));
     let sched = TuFast::new(Arc::clone(&built.sys));
-    let (_, report) = bfs::parallel_ckpt(
-        &g,
-        &sched,
-        &built.sys,
-        &built.space,
-        0,
-        THREADS,
-        &store,
-        16,
-        false,
-    )
-    .unwrap();
+    let ckpt = Ckpt {
+        store: &store,
+        every_items: 16,
+        resume: false,
+    };
+    let pool = StealPool::new(THREADS);
+    let (sys, space) = (&built.sys, &built.space);
+    let (_, report) =
+        bfs::parallel_on(&g, &sched, sys, space, 0, THREADS, &pool, Some(ckpt)).unwrap();
     assert_eq!(
         report.aborted,
         Some(AbortReason::Deadline),
@@ -342,20 +341,7 @@ fn deadline_aborts_a_checkpointed_run_and_resume_is_bitwise_exact() {
     assert_eq!(built.sys.health().counters().deadline_aborts, 1);
 
     // The "process" is gone; rebuild without a deadline and resume.
-    let rebuilt = setup(&g, bfs::BfsSpace::alloc);
-    let sched = TuFast::new(Arc::clone(&rebuilt.sys));
-    let (dist, report) = bfs::parallel_ckpt(
-        &g,
-        &sched,
-        &rebuilt.sys,
-        &rebuilt.space,
-        0,
-        THREADS,
-        &store,
-        16,
-        true,
-    )
-    .unwrap();
+    let (dist, report) = run_ckpt(RecoveryAlgo::Bfs, &g, THREADS, &store, 16, true, None).unwrap();
     assert_eq!(report.aborted, None);
     assert_eq!(report.recoveries, 1);
     assert_eq!(dist, expected, "resume from the abort snapshot diverged");
@@ -386,7 +372,12 @@ fn cancel_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
             (20, 0)
         };
         let mut watch = None;
-        let (_, report) = run_ckpt_on(algo, &g, THREADS, &store, 40, false, |sys| {
+        let ckpt = Ckpt {
+            store: &store,
+            every_items: 40,
+            resume: false,
+        };
+        let (_, report) = run_on(algo, &g, THREADS, Some(ckpt), |sys| {
             let token = sys.cancel_token().clone();
             let w = StaleWatch::after(skips, commits, move || token.cancel());
             w.attach(sys);

@@ -8,9 +8,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use tufast_algos::checkpoint::Ckpt;
 use tufast_check::recovery::{
     baseline_result, corrupt_generation, crash_and_recover, forge_write_temp_crash,
-    latest_valid_slot, run_ckpt, run_ckpt_on, star_plus_clique, truncate_generation, RecoveryAlgo,
+    latest_valid_slot, run_ckpt, run_on, star_plus_clique, truncate_generation, RecoveryAlgo,
     StaleWatch,
 };
 use tufast_graph::snapshot::{SnapshotError, SnapshotStore};
@@ -138,7 +139,12 @@ fn crash_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
         let armed = Arc::clone(&plan);
         let watch = StaleWatch::after(skips, commits, move || armed.arm_crash());
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_ckpt_on(algo, &g, THREADS, &store, 40, false, |sys| {
+            let ckpt = Ckpt {
+                store: &store,
+                every_items: 40,
+                resume: false,
+            };
+            run_on(algo, &g, THREADS, Some(ckpt), |sys| {
                 sys.set_fault_plan(Some(plan));
                 watch.attach(sys);
             })

@@ -167,6 +167,10 @@ impl WorkPool for BucketPool {
         self.push_with_key(v, key);
     }
 
+    fn push_keyed(&self, v: u32, key: u64) {
+        self.push_with_key(v, key);
+    }
+
     fn pop(&self) -> Option<u32> {
         // `hi` only ever grows, so a stale read can at worst hide bands
         // pushed after this pop began — the retrying drain loop absorbs

@@ -3,9 +3,10 @@
 //!
 //! ## Protocol
 //!
-//! [`parallel_drain_epochs`] runs the same loop as
-//! [`parallel_drain`](crate::par::parallel_drain), but counts processed
-//! items. When the count crosses the epoch target, the thread that crossed
+//! [`parallel_drain_epochs`] runs the loop of
+//! [`parallel_drain`](crate::par::parallel_drain) with an [`Epochs`]
+//! barrier that counts processed items. When the count crosses the epoch
+//! target, the thread that crossed
 //! it elects itself *coordinator* (a CAS on the pause flag — exactly one
 //! winner). The protocol then proceeds in a strict order:
 //!
@@ -35,16 +36,17 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
+use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::par::{fold_sched_counters, idle_backoff, DoneGuard, WorkPool};
+use crate::par::{drain, WorkPool};
 
 /// The serial-token value reserved for the epoch coordinator. Worker
 /// claims are `worker_id + 1`, far below this.
 pub const COORDINATOR_CLAIM: u64 = u64::MAX;
 
-/// Shared state of one epoch-checkpointed drain.
-struct EpochBarrier {
+/// Shared state of one epoch-checkpointed drain: the barrier, and the
+/// system and hook its coordinator checkpoints with.
+pub(crate) struct Epochs<'a> {
     /// Set by the coordinator-elect; peers park while it is up.
     pause: AtomicBool,
     /// Peers currently parked at the barrier.
@@ -58,11 +60,13 @@ struct EpochBarrier {
     /// The epoch now accumulating. Snapshots are stamped with the epoch
     /// they close.
     epoch: AtomicU64,
+    sys: &'a TxnSystem,
+    checkpoint: &'a (dyn Fn(u64) + Sync),
 }
 
 /// Decrements the live-thread count on drop, so a panicking worker cannot
 /// strand the coordinator waiting for it to park.
-struct ActiveGuard<'a>(&'a AtomicUsize);
+pub(crate) struct ActiveGuard<'a>(&'a AtomicUsize);
 
 impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
@@ -72,21 +76,35 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-impl EpochBarrier {
-    fn new(threads: usize, every_items: u64, start_epoch: u64) -> Self {
-        EpochBarrier {
+impl<'a> Epochs<'a> {
+    fn new(
+        threads: usize,
+        every_items: u64,
+        start_epoch: u64,
+        sys: &'a TxnSystem,
+        checkpoint: &'a (dyn Fn(u64) + Sync),
+    ) -> Self {
+        Epochs {
             pause: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
             active: AtomicUsize::new(threads),
             items_done: AtomicU64::new(0),
             next_target: AtomicU64::new(every_items),
             epoch: AtomicU64::new(start_epoch),
+            sys,
+            checkpoint,
         }
+    }
+
+    /// One of the `threads` workers starts draining; it stops counting as
+    /// live when the guard drops.
+    pub(crate) fn enter(&self) -> ActiveGuard<'_> {
+        ActiveGuard(&self.active)
     }
 
     /// Park until the coordinator reopens the world. Called only between
     /// items, holding nothing.
-    fn park_if_paused(&self) {
+    pub(crate) fn park_if_paused(&self) {
         // This check runs once per drained item: Acquire/Release is all
         // the hand-off needs, and it keeps SeqCst fences off the hot
         // path. The Release increment publishes this peer's finished
@@ -109,19 +127,16 @@ impl EpochBarrier {
         self.parked.fetch_sub(1, Ordering::Release);
     }
 
-    /// After finishing an item: close the epoch if this item crossed the
-    /// target and no other thread got there first.
-    fn maybe_coordinate(&self, sys: &TxnSystem, checkpoint: &(impl Fn(u64) + Sync)) {
+    /// After finishing an item: count it, and close the epoch if this
+    /// item crossed the target and no other thread got there first.
+    pub(crate) fn maybe_coordinate(&self) {
         // Relaxed is enough for the counters: they only decide *when* to
         // try closing an epoch, and the pause CAS is the real gate. A
         // stale `next_target` in a losing thread at worst delays its
         // next attempt by one item.
-        let every = self.next_target.load(Ordering::Relaxed);
-        if every == 0 {
-            return;
-        }
         let done = self.items_done.fetch_add(1, Ordering::Relaxed) + 1;
-        if done < every {
+        let every = self.next_target.load(Ordering::Relaxed);
+        if every == 0 || done < every {
             return;
         }
         // Elect exactly one coordinator; losers just park at the barrier.
@@ -149,8 +164,8 @@ impl EpochBarrier {
         }
         // 2. Take the serial token (an in-flight serial fallback finishes
         //    first; nothing new can start while we hold it).
-        let token = sys.serial_token();
-        let mem = sys.mem();
+        let token = self.sys.serial_token();
+        let mem = self.sys.mem();
         // tufast-lint: lock-acquire(serial_token)
         while mem.cas_direct(token, 0, COORDINATOR_CLAIM).is_err() {
             std::hint::spin_loop();
@@ -160,7 +175,7 @@ impl EpochBarrier {
         //    coordinators are serialized by the pause CAS above, so
         //    Relaxed suffices; the Release un-pause publishes both.
         let epoch = self.epoch.load(Ordering::Relaxed);
-        checkpoint(epoch);
+        (self.checkpoint)(epoch);
         // 4. Reopen the world.
         mem.store_direct(token, 0);
         self.epoch.store(epoch + 1, Ordering::Relaxed);
@@ -176,8 +191,9 @@ impl EpochBarrier {
 /// [`parallel_drain`](crate::par::parallel_drain) with epoch-based
 /// checkpointing: every `every_items` fully-processed items, all threads
 /// quiesce and `checkpoint(epoch)` runs while nothing is in flight.
+/// Returns the workers and the number of items they processed.
 ///
-/// * `every_items == 0` disables checkpointing entirely (plain drain).
+/// * `every_items == 0` never checkpoints (the items are still counted).
 /// * `start_epoch` numbers the first snapshot — a recovered run passes
 ///   `recovered_epoch + 1` so generations keep advancing.
 /// * `checkpoint` runs on whichever worker thread closed the epoch, with
@@ -197,7 +213,7 @@ pub fn parallel_drain_epochs<S, P, F, C>(
     start_epoch: u64,
     checkpoint: C,
     f: F,
-) -> Vec<S::Worker>
+) -> (Vec<S::Worker>, u64)
 where
     S: GraphScheduler,
     P: WorkPool,
@@ -205,72 +221,10 @@ where
     C: Fn(u64) + Sync,
 {
     let threads = threads.max(1);
-    let barrier = EpochBarrier::new(threads, every_items, start_epoch);
-    let barrier = &barrier;
-    let f = &f;
-    let checkpoint = &checkpoint;
-    let workers = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let mut worker = sched.worker();
-                s.spawn(move || {
-                    let _active = ActiveGuard(&barrier.active);
-                    let mut idle = 0u32;
-                    loop {
-                        // Job-level stop (cancel / deadline / shed),
-                        // checked between items while holding nothing. The
-                        // exit runs through the ActiveGuard drop, so a
-                        // coordinator waiting for `parked == active - 1`
-                        // observes the departure instead of hanging.
-                        if worker.health().is_some_and(|h| h.checkpoint().is_some()) {
-                            pool.interrupt();
-                            break;
-                        }
-                        barrier.park_if_paused();
-                        match pool.pop() {
-                            Some(v) => {
-                                idle = 0;
-                                if let Some(h) = worker.health() {
-                                    h.set_idle(false);
-                                }
-                                let guard = DoneGuard(pool);
-                                f(&mut worker, pool, v);
-                                drop(guard);
-                                barrier.maybe_coordinate(sys, checkpoint);
-                            }
-                            None => {
-                                if pool.quiescent() {
-                                    break;
-                                }
-                                // Parked-idle is legitimate quiet, not a
-                                // stall — tell the watchdog before waiting.
-                                if let Some(h) = worker.health() {
-                                    h.set_idle(true);
-                                }
-                                // The pool park is bounded (timed), so a
-                                // worker parked here still reaches
-                                // `park_if_paused` within PARK_TIMEOUT
-                                // when a coordinator raises the pause flag
-                                // — the barrier never waits on a wakeup.
-                                idle_backoff(pool, &mut idle);
-                            }
-                        }
-                    }
-                    if let Some(h) = worker.health() {
-                        h.set_idle(true);
-                    }
-                    worker
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Re-raise a worker panic with its original payload.
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    fold_sched_counters(&pool.counters());
-    workers
+    let epochs = Epochs::new(threads, every_items, start_epoch, sys, &checkpoint);
+    let workers = drain(sched, pool, threads, Some(&epochs), f);
+    // The join ordered every worker's count before this read.
+    (workers, epochs.items_done.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]
@@ -287,8 +241,9 @@ mod tests {
         (TxnSystem::with_defaults(vertices, layout), data)
     }
 
-    #[test]
-    fn checkpoints_fire_and_result_matches_plain_drain() {
+    /// Drain 400 tokens on 4 threads, an epoch every `every` items from
+    /// `start`; the epochs the hook saw close.
+    fn epochs_closed(every: u64, start: u64) -> Vec<u64> {
         let (sys, data) = system(8, 1);
         let sched = TwoPhaseLocking::new(Arc::clone(&sys));
         let pool = FifoPool::new();
@@ -296,13 +251,13 @@ mod tests {
             pool.push(v);
         }
         let epochs = std::sync::Mutex::new(Vec::new());
-        parallel_drain_epochs(
+        let (_, items) = parallel_drain_epochs(
             &sched,
             &sys,
             &pool,
             4,
-            50,
-            7,
+            every,
+            start,
             |epoch| {
                 // Under quiescence the serial token is ours.
                 assert_eq!(sys.mem().load_direct(sys.serial_token()), COORDINATOR_CLAIM);
@@ -316,8 +271,14 @@ mod tests {
             },
         );
         assert_eq!(sys.mem().load_direct(data.addr(0)), 400);
+        assert_eq!(items, 400, "every item is counted, whatever the interval");
         assert_eq!(sys.mem().load_direct(sys.serial_token()), 0);
-        let epochs = epochs.into_inner().unwrap();
+        epochs.into_inner().unwrap()
+    }
+
+    #[test]
+    fn checkpoints_fire_and_result_matches_plain_drain() {
+        let epochs = epochs_closed(50, 7);
         assert!(!epochs.is_empty(), "at least one epoch must close");
         // Epochs number consecutively from start_epoch.
         let expect: Vec<u64> = (7..7 + epochs.len() as u64).collect();
@@ -326,32 +287,7 @@ mod tests {
 
     #[test]
     fn zero_interval_never_checkpoints() {
-        let (sys, data) = system(8, 1);
-        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-        let pool = FifoPool::new();
-        for v in 0..100u32 {
-            pool.push(v);
-        }
-        let fired = AtomicUsize::new(0);
-        parallel_drain_epochs(
-            &sched,
-            &sys,
-            &pool,
-            4,
-            0,
-            0,
-            |_| {
-                fired.fetch_add(1, Ordering::SeqCst);
-            },
-            |w, _pool, _v| {
-                w.execute(2, &mut |ops| {
-                    let x = ops.read(0, data.addr(0))?;
-                    ops.write(0, data.addr(0), x + 1)
-                });
-            },
-        );
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-        assert_eq!(sys.mem().load_direct(data.addr(0)), 100);
+        assert_eq!(epochs_closed(0, 0), []);
     }
 
     #[test]
@@ -386,38 +322,5 @@ mod tests {
         );
         assert_eq!(pool.pending(), 0);
         assert_eq!(sys.mem().load_direct(data.addr(0)), 65);
-    }
-
-    #[test]
-    fn worker_panic_propagates_without_hanging_the_barrier() {
-        let (sys, data) = system(8, 1);
-        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-        let pool = FifoPool::new();
-        for v in 0..200u32 {
-            pool.push(v);
-        }
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_drain_epochs(
-                &sched,
-                &sys,
-                &pool,
-                4,
-                10,
-                0,
-                |_| {},
-                |w, _pool, v| {
-                    if v == 137 {
-                        panic!("injected worker death");
-                    }
-                    w.execute(2, &mut |ops| {
-                        let x = ops.read(0, data.addr(0))?;
-                        ops.write(0, data.addr(0), x + 1)
-                    });
-                },
-            );
-        }));
-        assert!(caught.is_err(), "the worker panic must re-raise");
-        // Token not leaked by the dying run.
-        assert_eq!(sys.mem().load_direct(sys.serial_token()), 0);
     }
 }

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crossbeam::queue::SegQueue;
 use tufast_txn::{GraphScheduler, TxnWorker};
 
+use crate::epoch::Epochs;
 use crate::pad::CachePadded;
 
 /// Floor for guided self-scheduling chunks: below this the fetch_add
@@ -135,27 +136,17 @@ pub fn take_sched_counters() -> PoolCounters {
     }
 }
 
-/// Which work-distribution implementation a drain driver should build.
-///
-/// The algorithm drivers default to [`Scalable`](PoolImpl::Scalable); the
-/// bench harness runs both so every PR's JSON records the head-to-head.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PoolImpl {
-    /// One shared queue / mutexed heap — the pre-work-stealing baseline,
-    /// kept as the benchmark comparison point.
-    Centralized,
-    /// Per-worker stealing deques ([`StealPool`](crate::steal::StealPool))
-    /// and delta buckets ([`BucketPool`](crate::bucket::BucketPool)).
-    #[default]
-    Scalable,
-}
-
 /// A concurrent work pool with quiescence detection: the processing loop
 /// ends only when the queue is empty *and* no in-flight task might push
 /// more (the asynchronous-algorithm driver behind BFS/SSSP/components).
 pub trait WorkPool: Sync {
     /// Add one unit of work.
     fn push(&self, v: u32);
+    /// Add one unit of work whose priority is `key` (smaller = sooner).
+    /// Pools without an order ignore the key.
+    fn push_keyed(&self, v: u32, _key: u64) {
+        self.push(v);
+    }
     /// Take one unit, or `None` if currently empty.
     fn pop(&self) -> Option<u32>;
     /// Units pushed but not yet fully processed (racy estimate; fine for
@@ -320,6 +311,10 @@ impl WorkPool for PriorityPool {
         self.push_with_key(v, key);
     }
 
+    fn push_keyed(&self, v: u32, key: u64) {
+        self.push_with_key(v, key);
+    }
+
     fn pop(&self) -> Option<u32> {
         self.heap.lock().pop().map(|std::cmp::Reverse((_, v))| v)
     }
@@ -353,7 +348,7 @@ const IDLE_YIELDS: u32 = 48;
 /// yield for the default), so termination and the epoch barrier are never
 /// gated on a wakeup actually arriving.
 #[inline]
-pub(crate) fn idle_backoff<P: WorkPool>(pool: &P, idle: &mut u32) {
+fn idle_backoff<P: WorkPool>(pool: &P, idle: &mut u32) {
     *idle = idle.saturating_add(1);
     if *idle <= IDLE_SPINS {
         std::hint::spin_loop();
@@ -373,13 +368,36 @@ where
     P: WorkPool,
     F: Fn(&mut S::Worker, &P, u32) + Sync,
 {
-    let threads = threads.max(1);
+    drain(sched, pool, threads.max(1), None, f)
+}
+
+/// The one loop that pops a [`WorkPool`] on behalf of scheduler workers:
+/// [`parallel_drain`] runs it bare,
+/// [`parallel_drain_epochs`](crate::epoch::parallel_drain_epochs) with an
+/// epoch barrier (`epochs`, sized for `threads` workers) that every worker
+/// joins on entry, parks at between items and reports each finished item to.
+pub(crate) fn drain<S, P, F>(
+    sched: &S,
+    pool: &P,
+    threads: usize,
+    epochs: Option<&Epochs<'_>>,
+    f: F,
+) -> Vec<S::Worker>
+where
+    S: GraphScheduler,
+    P: WorkPool,
+    F: Fn(&mut S::Worker, &P, u32) + Sync,
+{
     let f = &f;
     let workers = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let mut worker = sched.worker();
                 s.spawn(move || {
+                    // Dropped on every exit, a panic included, so a
+                    // coordinator waiting for `parked == active - 1`
+                    // observes the departure instead of hanging.
+                    let _active = epochs.map(Epochs::enter);
                     let mut idle = 0u32;
                     loop {
                         // Dequeue boundary: heartbeat for the watchdog and
@@ -389,6 +407,9 @@ where
                         if worker.health().is_some_and(|h| h.checkpoint().is_some()) {
                             pool.interrupt();
                             break;
+                        }
+                        if let Some(epochs) = epochs {
+                            epochs.park_if_paused();
                         }
                         match pool.pop() {
                             Some(v) => {
@@ -403,6 +424,9 @@ where
                                 let guard = DoneGuard(pool);
                                 f(&mut worker, pool, v);
                                 drop(guard);
+                                if let Some(epochs) = epochs {
+                                    epochs.maybe_coordinate();
+                                }
                             }
                             None => {
                                 if pool.quiescent() {
@@ -413,6 +437,11 @@ where
                                 if let Some(h) = worker.health() {
                                     h.set_idle(true);
                                 }
+                                // The pool park is bounded (timed), so a
+                                // worker parked here still reaches
+                                // `park_if_paused` within PARK_TIMEOUT
+                                // when a coordinator raises the pause flag
+                                // — the barrier never waits on a wakeup.
                                 idle_backoff(pool, &mut idle);
                             }
                         }
@@ -436,7 +465,7 @@ where
 
 /// Calls [`WorkPool::done`] on drop so the in-flight count stays accurate
 /// across unwinding.
-pub(crate) struct DoneGuard<'a, P: WorkPool>(pub(crate) &'a P);
+struct DoneGuard<'a, P: WorkPool>(&'a P);
 
 impl<P: WorkPool> Drop for DoneGuard<'_, P> {
     fn drop(&mut self) {
@@ -448,6 +477,7 @@ impl<P: WorkPool> Drop for DoneGuard<'_, P> {
 mod tests {
     use super::*;
     use crate::bucket::BucketPool;
+    use crate::epoch::parallel_drain_epochs;
     use crate::steal::StealPool;
     use std::sync::Arc;
     use tufast_htm::MemoryLayout;
@@ -490,29 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_pool_drains_with_repushes() {
-        // Start with one token that spawns a bounded tree of work.
-        let (sys, data) = system(8, 1);
-        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-        let pool = FifoPool::new();
-        pool.push(0);
-        parallel_drain(&sched, &pool, 4, |w, pool, v| {
-            w.execute(2, &mut |ops| {
-                let x = ops.read(0, data.addr(0))?;
-                ops.write(0, data.addr(0), x + 1)
-            });
-            // Each token < 100 spawns two children, capped.
-            if v < 100 {
-                pool.push(v * 2 + 101);
-                pool.push(v * 2 + 102);
-            }
-        });
-        assert_eq!(pool.pending(), 0);
-        // Tokens processed: 1 root + 2 children.
-        assert_eq!(sys.mem().load_direct(data.addr(0)), 3);
-    }
-
-    #[test]
     fn priority_pool_orders_by_key() {
         let pool = PriorityPool::new();
         pool.push_with_key(30, 30);
@@ -524,79 +531,149 @@ mod tests {
         assert_eq!(pool.pop(), None);
     }
 
+    /// The two public faces of the one drain loop, as test inputs: bare,
+    /// and under an epoch barrier that closes every 10 items.
+    #[derive(Clone, Copy, Debug)]
+    enum Drain {
+        Plain,
+        Epochs,
+    }
+
+    const BOTH_DRAINS: [Drain; 2] = [Drain::Plain, Drain::Epochs];
+
+    impl Drain {
+        /// The number of items the barrier counted, if there was one.
+        fn run<S, P, F>(
+            self,
+            sched: &S,
+            sys: &TxnSystem,
+            pool: &P,
+            threads: usize,
+            f: F,
+        ) -> Option<u64>
+        where
+            S: GraphScheduler,
+            P: WorkPool,
+            F: Fn(&mut S::Worker, &P, u32) + Sync,
+        {
+            match self {
+                Drain::Plain => {
+                    parallel_drain(sched, pool, threads, f);
+                    None
+                }
+                Drain::Epochs => {
+                    Some(parallel_drain_epochs(sched, sys, pool, threads, 10, 0, |_| {}, f).1)
+                }
+            }
+        }
+    }
+
+    /// Seed a pool with `0..seeds` and drain it on `threads` threads under
+    /// both drains, one increment of `data[0]` per item; a seed below
+    /// `fanout` pushes two more items. Every item must count exactly once.
+    fn counts_every_token_exactly_once<P: WorkPool>(
+        new_pool: impl Fn() -> P,
+        threads: usize,
+        seeds: u32,
+        fanout: u32,
+    ) {
+        for drain in BOTH_DRAINS {
+            let (sys, data) = system(8, 1);
+            let sched = TwoPhaseLocking::new(Arc::clone(&sys));
+            let pool = new_pool();
+            for v in 0..seeds {
+                pool.push_keyed(v, u64::from(v % 37));
+            }
+            let counted = drain.run(&sched, &sys, &pool, threads, |w, pool, v| {
+                w.execute(2, &mut |ops| {
+                    let x = ops.read(0, data.addr(0))?;
+                    ops.write(0, data.addr(0), x + 1)
+                });
+                if v < fanout {
+                    pool.push(seeds + 2 * v);
+                    pool.push(seeds + 2 * v + 1);
+                }
+            });
+            let count = sys.mem().load_direct(data.addr(0));
+            assert_eq!(count, u64::from(seeds + 2 * fanout), "{drain:?}");
+            assert_eq!(counted.unwrap_or(count), count, "{drain:?}");
+            // Exact for every pool: the striped double-fold, not a racy sum.
+            assert!(pool.quiescent(), "{drain:?}");
+        }
+    }
+
     #[test]
     fn drain_counts_every_token_exactly_once() {
-        let (sys, data) = system(8, 1);
-        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-        let pool = FifoPool::new();
-        for v in 0..500u32 {
-            pool.push(v);
-        }
-        parallel_drain(&sched, &pool, 6, |w, _pool, _v| {
-            w.execute(2, &mut |ops| {
-                let x = ops.read(0, data.addr(0))?;
-                ops.write(0, data.addr(0), x + 1)
-            });
-        });
-        assert_eq!(sys.mem().load_direct(data.addr(0)), 500);
+        counts_every_token_exactly_once(FifoPool::new, 6, 500, 0);
+        counts_every_token_exactly_once(|| StealPool::new(6), 6, 500, 0);
+        counts_every_token_exactly_once(PriorityPool::new, 4, 300, 0);
+        counts_every_token_exactly_once(|| BucketPool::new(4), 4, 300, 0);
     }
 
     #[test]
-    fn drain_counts_every_token_exactly_once_under_stealing() {
-        let (sys, data) = system(8, 1);
-        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-        let pool = StealPool::new(6);
-        for v in 0..500u32 {
-            pool.push(v);
-        }
-        parallel_drain(&sched, &pool, 6, |w, _pool, _v| {
-            w.execute(2, &mut |ops| {
-                let x = ops.read(0, data.addr(0))?;
-                ops.write(0, data.addr(0), x + 1)
-            });
-        });
-        assert_eq!(sys.mem().load_direct(data.addr(0)), 500);
-        assert!(pool.quiescent());
+    fn drain_with_repushes_reaches_quiescence() {
+        // Re-pushes land in the workers' own deques.
+        counts_every_token_exactly_once(FifoPool::new, 4, 120, 100);
+        counts_every_token_exactly_once(|| StealPool::new(4), 4, 120, 100);
     }
 
     #[test]
-    fn steal_pool_drains_with_repushes_to_quiescence() {
-        // Re-pushes land in per-worker deques; quiescence must still be
-        // exact (the striped double-fold, not a racy sum).
-        let (sys, data) = system(8, 1);
-        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-        let pool = StealPool::new(4);
-        pool.push(0);
-        parallel_drain(&sched, &pool, 4, |w, pool, v| {
-            w.execute(2, &mut |ops| {
-                let x = ops.read(0, data.addr(0))?;
-                ops.write(0, data.addr(0), x + 1)
-            });
-            if v < 200 {
-                pool.push(v * 2 + 201);
-                pool.push(v * 2 + 202);
+    fn worker_panic_propagates_without_hanging_the_barrier() {
+        for drain in BOTH_DRAINS {
+            let (sys, data) = system(8, 1);
+            let sched = TwoPhaseLocking::new(Arc::clone(&sys));
+            let pool = FifoPool::new();
+            for v in 0..200u32 {
+                pool.push(v);
             }
-        });
-        assert!(pool.quiescent());
-        assert_eq!(sys.mem().load_direct(data.addr(0)), 3);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drain.run(&sched, &sys, &pool, 4, |w, _pool, v| {
+                    if v == 137 {
+                        panic!("injected worker death");
+                    }
+                    w.execute(2, &mut |ops| {
+                        let x = ops.read(0, data.addr(0))?;
+                        ops.write(0, data.addr(0), x + 1)
+                    });
+                });
+            }));
+            assert!(caught.is_err(), "{drain:?}: the worker panic must re-raise");
+            // The dead worker's item still counted as done, so the
+            // survivors drained the rest instead of waiting on it forever.
+            assert_eq!(pool.pending(), 0, "{drain:?}");
+            assert_eq!(sys.mem().load_direct(data.addr(0)), 199, "{drain:?}");
+            // Token not leaked by the dying run.
+            assert_eq!(sys.mem().load_direct(sys.serial_token()), 0, "{drain:?}");
+        }
     }
 
     #[test]
-    fn drain_works_over_bucket_pool() {
-        let (sys, data) = system(8, 1);
-        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-        let pool = BucketPool::new(4);
-        for v in 0..300u32 {
-            pool.push_with_key(v, u64::from(v % 37));
-        }
-        parallel_drain(&sched, &pool, 4, |w, _pool, _v| {
-            w.execute(2, &mut |ops| {
-                let x = ops.read(0, data.addr(0))?;
-                ops.write(0, data.addr(0), x + 1)
+    fn health_stop_mid_drain_returns_and_loses_no_item() {
+        for drain in BOTH_DRAINS {
+            let (sys, _) = system(8, 1);
+            let sched = TwoPhaseLocking::new(Arc::clone(&sys));
+            // A parking pool: idle workers must be interrupted, not left
+            // to sleep out their timeout one after another.
+            let pool = StealPool::new(4);
+            for v in 0..2000u32 {
+                pool.push(v);
+            }
+            let processed = AtomicU64::new(0);
+            let counted = drain.run(&sched, &sys, &pool, 4, |_w, _pool, v| {
+                if v == 20 {
+                    sys.cancel_token().cancel();
+                }
+                processed.fetch_add(1, Ordering::Relaxed);
             });
-        });
-        assert_eq!(sys.mem().load_direct(data.addr(0)), 300);
-        assert!(pool.quiescent());
+            // Every worker stopped at its next dequeue boundary: what was
+            // not processed is still queued, nothing is in flight.
+            let processed = processed.load(Ordering::Relaxed);
+            assert!(processed < 2000, "{drain:?}: the stop was ignored");
+            assert_eq!(counted.unwrap_or(processed), processed, "{drain:?}");
+            let queued = pool.pending_items().len() as u64;
+            assert_eq!(processed + queued, 2000, "{drain:?}");
+            assert_eq!(pool.pending() as u64, queued, "{drain:?}");
+        }
     }
 
     #[test]

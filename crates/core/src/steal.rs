@@ -8,15 +8,14 @@
 //! with the layout Galois-style runtimes use:
 //!
 //! * **[`StealDeque`]** — a bounded Chase–Lev deque per worker. The owner
-//!   pushes (and may pop) at the bottom; thieves steal from the top
-//!   (FIFO: the oldest, coldest work migrates). Implemented in-repo on
+//!   pushes at the bottom; everyone, the owner included, takes from the
+//!   top (FIFO: the oldest, coldest work migrates). Implemented in-repo on
 //!   plain atomics — the vendored `crossbeam` is a mutex stub, and the
 //!   items are `u32` vertex ids, so every slot can be an `AtomicU32` and
-//!   the whole structure stays within `#![forbid(unsafe_code)]`. The
-//!   [`StealPool`] drains even its *own* deque from the FIFO end:
-//!   frontier algorithms re-relax heavily under LIFO (depth-first)
-//!   order, and the wavefront order is worth far more than the saved
-//!   CAS (see DESIGN.md §7).
+//!   the whole structure stays within `#![forbid(unsafe_code)]`. There
+//!   is no LIFO owner pop: frontier algorithms re-relax heavily under
+//!   LIFO (depth-first) order, and the wavefront order is worth far
+//!   more than the saved CAS (see DESIGN.md §7).
 //! * **[`StripedPending`]** — per-worker `(pushed, done)` monotonic
 //!   counter cells, folded only on the idle path. Replaces the single
 //!   `SeqCst` hot word the old pools bumped twice per item. The
@@ -52,8 +51,8 @@ pub enum Steal {
 
 /// A bounded Chase–Lev work-stealing deque over `u32` items.
 ///
-/// Single owner, many thieves. The owner calls [`push`](Self::push) and
-/// [`pop`](Self::pop) (bottom end, LIFO); any thread may call
+/// Single owner, many thieves. The owner calls [`push`](Self::push)
+/// (bottom end); any thread, the owner included, may call
 /// [`steal`](Self::steal) (top end, FIFO). The buffer is fixed-capacity:
 /// a full deque rejects the push and the caller overflows into a shared
 /// injector instead of growing (growth is the one part of Chase–Lev that
@@ -61,9 +60,7 @@ pub enum Steal {
 /// case a worker is 8K items ahead of every thief).
 ///
 /// Memory-ordering discipline follows Lê/Pop/Cohen/Nardelli, "Correct and
-/// Efficient Work-Stealing for Weak Memory Models" (PPoPP '13); the
-/// indices are monotone `i64`s so an empty owner-side pop may briefly take
-/// `bottom` below `top` without underflow.
+/// Efficient Work-Stealing for Weak Memory Models" (PPoPP '13).
 #[derive(Debug)]
 pub struct StealDeque {
     /// Thieves' end: advanced only by successful CAS.
@@ -116,54 +113,28 @@ impl StealDeque {
         Ok(())
     }
 
-    /// Owner: pop the most recently pushed item (LIFO — cache-hot work).
-    pub fn pop(&self) -> Option<u32> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        // The SeqCst fence orders the speculative bottom decrement before
-        // the top read: either a concurrent thief sees the decrement and
-        // gives up, or we see its CAS — never both taking the last item.
-        // tufast-lint: allow(memory-ordering) -- Chase-Lev owner/thief fence; Acquire/Release cannot order a store before a load
-        std::sync::atomic::fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t > b {
-            // Deque was empty; restore bottom.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        let v = self.buf[(b & self.mask) as usize].load(Ordering::Relaxed);
-        if t == b {
-            // Last item: race the thieves for it via the top CAS.
-            let won = self
-                .top
-                // tufast-lint: allow(memory-ordering) -- last-item race with thieves must totally order against the steal CAS
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return won.then_some(v);
-        }
-        Some(v)
-    }
-
-    /// Thief: steal the oldest item (FIFO — cold work migrates).
+    /// Take the oldest item (FIFO — cold work migrates). The only way out
+    /// of the deque, for thieves and the owner alike.
     pub fn steal(&self) -> Steal {
         let t = self.top.load(Ordering::Acquire);
-        // Order the top read before the bottom read (pairs with the fence
-        // in `pop`), so a racing owner pop is always detected.
-        // tufast-lint: allow(memory-ordering) -- pairs with the SeqCst fence in pop; the classic Chase-Lev correctness argument needs it
+        // Order the top read before the bottom read. In Chase–Lev this
+        // pairs with the fence of the LIFO owner pop, which this deque no
+        // longer has; the orderings stay as proven until a weak-memory
+        // check (ROADMAP item 5) shows what push / steal alone needs.
+        // tufast-lint: allow(memory-ordering) -- the Chase-Lev steal fence, kept until a weak-memory check proves the downgrade
         std::sync::atomic::fence(Ordering::SeqCst);
         let b = self.bottom.load(Ordering::Acquire);
         if t >= b {
             return Steal::Empty;
         }
         let v = self.buf[(t & self.mask) as usize].load(Ordering::Relaxed);
-        // The CAS is the linearization point: it fails whenever the owner
-        // or another thief consumed index `t` first, which also rejects
+        // The CAS is the linearization point: it fails whenever another
+        // taker consumed index `t` first, which also rejects
         // any stale slot read (the slot can only be recycled after `top`
         // has moved past `t`).
         if self
             .top
-            // tufast-lint: allow(memory-ordering) -- the linearization point of steal; totally ordered with pop's last-item CAS
+            // tufast-lint: allow(memory-ordering) -- the linearization point of steal; takers of one index must be totally ordered
             .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
         {
@@ -648,29 +619,19 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn deque_owner_is_lifo() {
-        let d = StealDeque::with_capacity(8);
-        d.push(1).unwrap();
-        d.push(2).unwrap();
-        d.push(3).unwrap();
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.pop(), Some(3));
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), Some(1));
-        assert_eq!(d.pop(), None);
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn deque_thief_is_fifo() {
+    fn deque_is_fifo_for_owner_and_thief_alike() {
         let d = StealDeque::with_capacity(8);
         for v in [1, 2, 3] {
             d.push(v).unwrap();
         }
+        assert_eq!(d.len(), 3);
         assert_eq!(d.steal(), Steal::Success(1));
         assert_eq!(d.steal(), Steal::Success(2));
-        assert_eq!(d.pop(), Some(3));
+        d.push(4).unwrap();
+        assert_eq!(d.steal(), Steal::Success(3));
+        assert_eq!(d.steal(), Steal::Success(4));
         assert_eq!(d.steal(), Steal::Empty);
+        assert!(d.is_empty());
     }
 
     #[test]
@@ -686,10 +647,11 @@ mod tests {
 
     #[test]
     fn deque_concurrent_steals_lose_nothing() {
-        // Hammer the owner-pop vs thief-steal race on the last item.
+        // The owner pushes and takes from the same end as three thieves:
+        // every index is raced for, the last item included.
         let d = Arc::new(StealDeque::with_capacity(1024));
         let total: u32 = 10_000;
-        let popped = std::thread::scope(|s| {
+        let taken = std::thread::scope(|s| {
             let thieves: Vec<_> = (0..3)
                 .map(|_| {
                     let d = Arc::clone(&d);
@@ -710,27 +672,28 @@ mod tests {
                 })
                 .collect();
             let mut own = Vec::new();
+            let take = |own: &mut Vec<u32>| {
+                if let Steal::Success(x) = d.steal() {
+                    own.push(x);
+                }
+            };
             for v in 0..total {
                 while d.push(v).is_err() {
-                    if let Some(x) = d.pop() {
-                        own.push(x);
-                    }
+                    take(&mut own);
                 }
                 if v % 3 == 0 {
-                    if let Some(x) = d.pop() {
-                        own.push(x);
-                    }
+                    take(&mut own);
                 }
             }
-            while let Some(x) = d.pop() {
-                own.push(x);
+            while !d.is_empty() {
+                take(&mut own);
             }
             for t in thieves {
                 own.extend(t.join().unwrap());
             }
             own
         });
-        let mut all = popped;
+        let mut all = taken;
         all.sort_unstable();
         let expect: Vec<u32> = (0..total).collect();
         assert_eq!(all, expect, "items lost or duplicated");

@@ -11,8 +11,9 @@ use tufast::par::WorkPool;
 use tufast::steal::{Steal, StealDeque, StealPool};
 
 proptest! {
-    /// Owner pushes/pops racing concurrent thieves: every pushed item
-    /// comes out exactly once, across owner pops and steals combined.
+    /// The owner pushes and takes from the steal end, racing concurrent
+    /// thieves: every pushed item comes out exactly once, across the
+    /// owner's takes and the thieves' combined.
     #[test]
     fn deque_never_loses_or_duplicates(
         total in 1usize..2000,
@@ -46,22 +47,24 @@ proptest! {
                 })
                 .collect();
             let mut own = Vec::new();
+            // The owner's pop, as `StealPool::pop` does it.
+            let take = |own: &mut Vec<u32>| {
+                if let Steal::Success(x) = d.steal() {
+                    own.push(x);
+                }
+            };
             for v in 0..total as u32 {
                 // A full ring spills nothing here: the owner drains
                 // instead, like the pool's overflow path would.
                 while d.push(v).is_err() {
-                    if let Some(x) = d.pop() {
-                        own.push(x);
-                    }
+                    take(&mut own);
                 }
                 if v % pop_stride == 0 {
-                    if let Some(x) = d.pop() {
-                        own.push(x);
-                    }
+                    take(&mut own);
                 }
             }
-            while let Some(x) = d.pop() {
-                own.push(x);
+            while !d.is_empty() {
+                take(&mut own);
             }
             // Thieves only exit on Empty *after* seeing the stop flag, so
             // anything still in the deque at this point gets stolen.

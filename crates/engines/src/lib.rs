@@ -10,9 +10,6 @@
 //! * [`polymer`] — the Polymer stand-in: the same frontier model with
 //!   static owner-computes partitioning (the NUMA effect itself is not
 //!   reproducible on one socket; see DESIGN.md §2).
-//! * [`pregel`] — vertex-centric message passing with supersteps and
-//!   vote-to-halt, including the paper's Figure 2 "four-way handshake"
-//!   maximal matching.
 //! * [`galois`] — speculative worklist execution with neighbourhood
 //!   locking (CAS ownership), the Galois stand-in.
 //! * [`gas`] — partitioned gather-apply-scatter over a *simulated* cluster
@@ -21,7 +18,7 @@
 //! * [`ooc`] — shard-sweep out-of-core execution with an analytic disk
 //!   cost model, the GraphChi stand-in.
 //!
-//! Shared-memory engines ([`ligra`], [`pregel`], [`galois`]) are measured
+//! Shared-memory engines ([`ligra`], [`polymer`], [`galois`]) are measured
 //! in wall-clock time like TuFast; the simulated engines ([`gas`], [`ooc`])
 //! report [`SimCost`] (compute measured, communication/I-O charged
 //! analytically), as documented per experiment in EXPERIMENTS.md.
@@ -35,6 +32,5 @@ pub mod gas;
 pub mod ligra;
 pub mod ooc;
 pub mod polymer;
-pub mod pregel;
 
 pub use common::SimCost;

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use tufast_suite::algos::{self, setup};
-use tufast_suite::engines::{galois, gas, ligra, ooc, polymer, pregel};
+use tufast_suite::engines::{galois, gas, ligra, ooc, polymer};
 use tufast_suite::graph::{gen, Graph, GraphBuilder};
 use tufast_suite::tufast::TuFast;
 
@@ -29,7 +29,6 @@ fn bfs_agrees_across_all_engines() {
     assert_eq!(tm, ligra::bfs(&g, 0, THREADS));
     assert_eq!(tm, polymer::bfs(&g, 0, THREADS));
     assert_eq!(tm, galois::bfs(&g, 0, THREADS));
-    assert_eq!(tm, pregel::bfs(&g, 0, THREADS));
     let cluster = gas::GasCluster::new(&g, gas::ClusterConfig::default());
     assert_eq!(tm, cluster.bfs(0, THREADS).0);
     let engine = ooc::OocEngine::new(&g, ooc::DiskConfig::default());
@@ -45,7 +44,6 @@ fn wcc_agrees_across_all_engines() {
     assert_eq!(tm, ligra::wcc(&g, THREADS));
     assert_eq!(tm, polymer::wcc(&g, THREADS));
     assert_eq!(tm, galois::wcc(&g, THREADS));
-    assert_eq!(tm, pregel::wcc(&g, THREADS));
 }
 
 #[test]
@@ -89,7 +87,6 @@ fn pagerank_fixpoints_agree_within_tolerance() {
     let others = [
         polymer::pagerank(&g, 0.85, 1e-13, 2000, THREADS),
         galois::pagerank(&g, 0.85, 1e-12, THREADS),
-        pregel::pagerank(&g, 0.85, 300, THREADS),
     ];
     for v in 0..g.num_vertices() {
         assert!(

@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use tufast_htm::{HtmConfig, MemRegion, MemoryLayout};
 use tufast_txn::{
-    FaultPlan, FaultSpec, GraphScheduler, SystemConfig, TxnHint, TxnObserver, TxnSystem, TxnWorker,
-    VertexId,
+    Declared, FaultPlan, FaultSpec, GraphScheduler, SystemConfig, TxnHint, TxnObserver, TxnSystem,
+    TxnWorker, VertexId,
 };
 
 use crate::dsg::{check, CheckReport};
@@ -420,9 +420,12 @@ where
 /// Unpinned peeks ([`TxnSystem::peek_committed`]) racing writers: two
 /// writers on `kind` (every fourth transaction user-aborts after its
 /// write) plus a 2PL writer that *always* aborts, so in-place stores that
-/// roll back are in memory throughout. Every attempt stores a fresh stamp;
-/// a peek may only ever return one whose transaction committed (or the
-/// initial 0) — never an aborted attempt's, wherever the bracket landed.
+/// roll back are in memory throughout, plus a 2PL writer that declares its
+/// vertex and aborts every other transaction, whose buffered store must
+/// reach memory only with the commits in between. Every attempt stores a
+/// fresh stamp; a peek may only ever return one whose transaction committed
+/// (or the initial 0) — never an aborted attempt's, wherever the bracket
+/// landed.
 ///
 /// `writer_hint` picks TuFast's mode as in [`ReadersSpec::writer_hint`].
 pub fn peek_probe(kind: SchedulerKind, writer_hint: usize) {
@@ -463,15 +466,16 @@ where
     let txns = 300u64;
     let stamp = AtomicU64::new(1);
     let aborter = tufast_txn::TwoPhaseLocking::new(Arc::clone(sys));
-    let writers_left = AtomicU64::new(3);
-    // One writer: `txns` transactions over the cells, `aborts(k)` of them
-    // user-aborted after the write; returns the stamps that committed.
-    let write = |mut w: Box<dyn TxnWorker + Send>, hint: usize, aborts: fn(u64) -> bool| {
+    let writers_left = AtomicU64::new(4);
+    // One writer: `txns` transactions over the cells (under size hint
+    // `hint`, or with the vertex declared), `aborts(k)` of them user-aborted
+    // after the write; returns the stamps that committed.
+    let write = |mut w: Box<dyn TxnWorker + Send>, hint: Option<usize>, aborts: fn(u64) -> bool| {
         let mut committed = HashSet::new();
         for k in 0..txns {
             let (v, addr) = ((k % cells) as VertexId, data.addr(k % cells));
             let mut last = 0;
-            let out = w.execute(hint, &mut |ops| {
+            let body = &mut |ops: &mut dyn tufast_txn::TxnOps| {
                 last = stamp.fetch_add(1, Ordering::Relaxed);
                 ops.read(v, addr)?;
                 ops.write(v, addr, last)?;
@@ -479,7 +483,11 @@ where
                     return Err(ops.user_abort());
                 }
                 Ok(())
-            });
+            };
+            let out = match hint {
+                Some(hint) => w.execute(hint, body),
+                None => w.execute_declared(&[Declared::write(v)], body),
+            };
             assert_eq!(out.committed, !aborts(k));
             if out.committed {
                 committed.insert(last);
@@ -490,9 +498,10 @@ where
     };
     std::thread::scope(|s| {
         let writers = [
-            s.spawn(|| write(Box::new(sched.worker()), writer_hint, |k| k % 4 == 3)),
-            s.spawn(|| write(Box::new(sched.worker()), writer_hint, |k| k % 4 == 1)),
-            s.spawn(|| write(Box::new(aborter.worker()), 4, |_| true)),
+            s.spawn(|| write(Box::new(sched.worker()), Some(writer_hint), |k| k % 4 == 3)),
+            s.spawn(|| write(Box::new(sched.worker()), Some(writer_hint), |k| k % 4 == 1)),
+            s.spawn(|| write(Box::new(aborter.worker()), Some(4), |_| true)),
+            s.spawn(|| write(Box::new(aborter.worker()), None, |k| k % 2 == 0)),
         ];
         let peekers: Vec<_> = (0..2)
             .map(|_| {

@@ -44,13 +44,6 @@ pub struct TuFastConfig {
     /// line 45) instead of by per-vertex version. Version validation is the
     /// default: it is immune to ABA. The ablation bench compares both.
     pub value_validation: bool,
-    /// Use ordered-acquisition deadlock *prevention* instead of detection
-    /// in L mode (paper §IV-E: "the user assigns a global order … and
-    /// deadlock will not occur. In this case, user can choose to disable
-    /// the deadlock detection"). Only sound when transaction bodies touch
-    /// vertices in ascending id order — true for the iterate-my-neighbours
-    /// pattern over sorted adjacency.
-    pub ordered_l_mode: bool,
     /// L-mode attempts before the router escalates to the global
     /// serial-fallback token (a stop-the-world single-writer commit that
     /// guarantees liveness even under adversarial fault injection). High
@@ -79,7 +72,6 @@ impl Default for TuFastConfig {
             adaptive_period: true,
             static_period: 1000,
             value_validation: false,
-            ordered_l_mode: false,
             l_attempt_budget: 64,
             test_skip_o_validation: false,
         }

@@ -55,12 +55,7 @@ impl GraphScheduler for TuFast {
     type Worker = TuFastWorker;
 
     fn worker(&self) -> TuFastWorker {
-        let l_sched = if self.config.ordered_l_mode {
-            TwoPhaseLocking::new_ordered(Arc::clone(&self.sys))
-        } else {
-            TwoPhaseLocking::new(Arc::clone(&self.sys))
-        };
-        let l_worker = l_sched.worker();
+        let l_worker = TwoPhaseLocking::new(Arc::clone(&self.sys)).worker();
         let me = self.sys.new_worker_id();
         TuFastWorker {
             me,

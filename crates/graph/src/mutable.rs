@@ -34,14 +34,16 @@
 use std::collections::HashMap;
 
 use tufast_htm::{MemRegion, MemoryLayout, TxMemory};
-use tufast_txn::{TxInterrupt, TxnOps, TxnWorker};
+use tufast_txn::{Declared, TxInterrupt, TxnOps, TxnWorker};
 
 use crate::snapshot::{Section, Snapshot};
 use crate::wal::Mutation;
 use crate::{Graph, GraphBuilder, VertexId};
 
-/// Size hint for one mutation transaction (`BEGIN(SIZE)`): meta + stripe
-/// count + head + two slot words, with headroom for the retry-prone path.
+/// Size hint (`BEGIN(SIZE)`) for a transaction over one vertex's overlay
+/// words — meta + stripe count + head + two slot words, with headroom. The
+/// mutations themselves declare their vertices instead
+/// ([`TxnWorker::execute_declared`]).
 pub const MUTATION_HINT: usize = 8;
 
 /// Geometry of the delta overlay.
@@ -283,6 +285,29 @@ impl MutableGraph {
         self.run(worker, Mutation::AddVertex).1
     }
 
+    /// Every vertex tag `mutation`'s body can touch, known before `BEGIN`
+    /// (a tag may repeat; its strongest mode counts): the live count under
+    /// tag 0, written only by `add_vertex`, and for an edge the stripe's
+    /// count word and `src`'s chain words. A `src` past the capacity has no
+    /// lock word — and the body rejects it on the live count alone, before
+    /// it gets to either.
+    fn footprint(&self, mutation: Mutation) -> [Declared; 3] {
+        match mutation {
+            Mutation::AddVertex => [Declared::write(0); 3],
+            Mutation::AddEdge { src, .. } | Mutation::RemoveEdge { src, .. }
+                if (src as usize) < self.capacity =>
+            {
+                let stripe_tag = self.stripe_of(src) as VertexId;
+                [
+                    Declared::read(0),
+                    Declared::write(stripe_tag),
+                    Declared::write(src),
+                ]
+            }
+            _ => [Declared::read(0); 3],
+        }
+    }
+
     fn run<W: TxnWorker>(
         &self,
         worker: &mut W,
@@ -290,7 +315,13 @@ impl MutableGraph {
     ) -> (MutationOutcome, Option<VertexId>) {
         let mut result = MutationOutcome::Applied;
         let mut new_id = None;
-        let outcome = worker.execute(MUTATION_HINT, &mut |ops| {
+        let footprint = self.footprint(mutation);
+        let outcome = worker.execute_declared(&footprint, &mut |ops| {
+            #[cfg(debug_assertions)]
+            let ops = &mut Covered {
+                ops,
+                footprint: &footprint,
+            };
             (result, new_id) = match mutation {
                 Mutation::AddVertex => self.txn_add_vertex(ops)?,
                 m => (self.txn_apply(ops, m)?, None),
@@ -482,6 +513,34 @@ impl TxnOps for DirectOps<'_> {
     fn write(&mut self, _v: VertexId, addr: tufast_htm::Addr, val: u64) -> Result<(), TxInterrupt> {
         self.0.store_direct(addr, val);
         Ok(())
+    }
+}
+
+/// Debug builds hold every mutation body to the footprint it declared,
+/// under whichever scheduler runs it: a strayed body is still serializable
+/// (it reruns incrementally under 2PL), but it has lost what declaring buys.
+#[cfg(debug_assertions)]
+struct Covered<'a> {
+    ops: &'a mut dyn TxnOps,
+    footprint: &'a [Declared],
+}
+
+#[cfg(debug_assertions)]
+impl TxnOps for Covered<'_> {
+    fn read(&mut self, v: VertexId, addr: tufast_htm::Addr) -> Result<u64, TxInterrupt> {
+        let covers = |d: &Declared| d.v == v;
+        debug_assert!(self.footprint.iter().any(covers), "undeclared read of {v}");
+        self.ops.read(v, addr)
+    }
+
+    fn write(&mut self, v: VertexId, addr: tufast_htm::Addr, val: u64) -> Result<(), TxInterrupt> {
+        let covers = |d: &Declared| d.v == v && d.write;
+        debug_assert!(self.footprint.iter().any(covers), "undeclared write of {v}");
+        self.ops.write(v, addr, val)
+    }
+
+    fn user_abort(&mut self) -> TxInterrupt {
+        self.ops.user_abort()
     }
 }
 
@@ -751,6 +810,192 @@ mod tests {
             sections,
         };
         assert!(mg.restore_sections(&mem, &snap).is_err());
+    }
+
+    use std::sync::Arc;
+    use tufast_htm::LineState;
+    use tufast_txn::{GraphScheduler, TwoPhaseLocking, TxnSystem};
+
+    /// An overlay of 4 stripes over `line_graph(6)`, growable to `capacity`,
+    /// and a system with exactly `capacity` lock words.
+    fn setup_sys(capacity: usize, slot_cap: u64) -> (MutableGraph, Arc<TxnSystem>) {
+        let mut layout = MemoryLayout::new();
+        let config = OverlayConfig {
+            slot_cap,
+            stripes: 4,
+        };
+        let mg = MutableGraph::carve(line_graph(6), capacity, config, &mut layout);
+        let sys = TxnSystem::with_defaults(capacity, layout);
+        mg.init(sys.mem());
+        (mg, sys)
+    }
+
+    fn all_free(sys: &TxnSystem) -> bool {
+        (0..sys.num_vertices() as VertexId).all(|v| sys.locks().peek(sys.mem(), v).is_free())
+    }
+
+    /// Every overlay line's state, region by region.
+    fn overlay_lines(mg: &MutableGraph, mem: &TxMemory) -> Vec<LineState> {
+        let lines = |r: &MemRegion| r.base().line()..=r.addr(r.len() - 1).line();
+        mg.named_regions()
+            .iter()
+            .flat_map(|(_, r)| lines(r))
+            .map(|l| mem.line_state(l))
+            .collect()
+    }
+
+    #[test]
+    fn footprints_name_the_three_tags_or_only_the_live_count() {
+        let (mg, _sys) = setup_sys(8, 64);
+        let (r, w) = (Declared::read, Declared::write);
+        let of = |m| mg.footprint(m);
+        let add = |src| Mutation::AddEdge {
+            src,
+            dst: 1,
+            weight: 0,
+        };
+        assert_eq!(of(add(6)), [r(0), w(2), w(6)]);
+        assert_eq!(of(add(2)), [r(0), w(2), w(2)], "src is its stripe tag");
+        assert_eq!(of(add(0)), [r(0), w(0), w(0)], "all three coincide");
+        assert_eq!(of(add(4)), [r(0), w(0), w(4)], "the stripe tag is 0");
+        assert_eq!(
+            of(Mutation::RemoveEdge { src: 7, dst: 0 }),
+            [r(0), w(3), w(7)]
+        );
+        assert_eq!(of(Mutation::AddVertex), [w(0); 3]);
+        // No lock word past the capacity: the live count alone decides.
+        for src in [8, 9, u32::MAX - 1, u32::MAX] {
+            assert_eq!(of(add(src)), [r(0); 3]);
+            assert_eq!(of(Mutation::RemoveEdge { src, dst: 0 }), [r(0); 3]);
+        }
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_rejected_without_touching_a_lock_word_of_theirs() {
+        let (mg, sys) = setup_sys(8, 64);
+        let mem = sys.mem();
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        let (words, lines) = (mg.capture_sections(mem), overlay_lines(&mg, mem));
+        // `src` at and far past the capacity (in a debug build an index into
+        // the lock array that far out panics), `src` and `dst` past the
+        // live count but inside the capacity.
+        for (src, dst) in [(8, 0), (u32::MAX - 1, 0), (6, 0), (0, 6), (0, u32::MAX)] {
+            let clock = mem.clock_now_pub();
+            assert_eq!(
+                mg.add_edge(&mut w, src, dst, 1),
+                MutationOutcome::OutOfBounds
+            );
+            assert_eq!(
+                mg.remove_edge(&mut w, src, dst),
+                MutationOutcome::OutOfBounds
+            );
+            assert_eq!(mem.clock_now_pub(), clock + 4, "two ticks a rejection");
+        }
+        assert_eq!(mg.capture_sections(mem), words);
+        assert_eq!(overlay_lines(&mg, mem), lines, "no data line was stamped");
+        assert!(all_free(&sys));
+        assert_eq!((w.stats().commits, w.stats().restarts), (10, 0));
+    }
+
+    #[test]
+    fn a_full_stripe_commits_read_only() {
+        let (mg, sys) = setup_sys(8, 4); // one slot a stripe
+        let (mem, locks) = (sys.mem(), sys.locks());
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        assert_eq!(mg.add_edge(&mut w, 1, 3, 0), MutationOutcome::Applied);
+        let (words, lines) = (mg.capture_sections(mem), overlay_lines(&mg, mem));
+        let versions = |vs: [VertexId; 3]| vs.map(|v| locks.peek(mem, v).version());
+        let bumped = versions([0, 1, 5]);
+        let clock = mem.clock_now_pub();
+        assert_eq!(mg.add_edge(&mut w, 5, 3, 0), MutationOutcome::OverlayFull);
+        assert_eq!(mem.clock_now_pub(), clock + 2);
+        assert_eq!(mg.capture_sections(mem), words);
+        assert_eq!(overlay_lines(&mg, mem), lines, "no data line was stamped");
+        assert_eq!(versions([0, 1, 5]), bumped, "nothing was written");
+        for v in [0, 1, 5] {
+            let released = LineState::Unlocked { version: clock + 2 };
+            assert_eq!(mem.line_state(locks.addr(v).line()), released);
+        }
+        assert!(all_free(&sys));
+    }
+
+    #[test]
+    fn coinciding_vertices_are_held_once_and_bump_once() {
+        // src == stripe tag; src == 0 (and so is its tag); tag 0, src not.
+        for (src, written) in [(2, vec![2]), (0, vec![0]), (4, vec![0, 4])] {
+            let (mg, sys) = setup_sys(8, 64);
+            let (mem, locks) = (sys.mem(), sys.locks());
+            let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+            let clock = mem.clock_now_pub();
+            assert_eq!(mg.add_edge(&mut w, src, 5, 9), MutationOutcome::Applied);
+            assert_eq!(mem.clock_now_pub(), clock + 2, "src {src}");
+            assert!(all_free(&sys), "src {src}");
+            for v in 0..8 {
+                let want = u32::from(written.contains(&v));
+                assert_eq!(locks.peek(mem, v).version(), want, "src {src}, vertex {v}");
+            }
+            assert!(mg.materialize(mem).neighbors(src).contains(&5));
+            assert_eq!((w.stats().commits, w.stats().restarts), (1, 0));
+        }
+    }
+
+    /// A seeded 70/25/5 add-edge / remove-edge / add-vertex script (some of
+    /// it out of bounds), as the benchmark's `mut-*` workloads draw it.
+    fn script(seed: u64, len: usize) -> Vec<Mutation> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                let (src, dst) = (rng.random_range(0..14u32), rng.random_range(0..14u32));
+                match rng.random_range(0..100u32) {
+                    0..70 => Mutation::AddEdge {
+                        src,
+                        dst,
+                        weight: rng.random_range(0..50u32),
+                    },
+                    70..95 => Mutation::RemoveEdge { src, dst },
+                    _ => Mutation::AddVertex,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn declared_and_incremental_mutations_leave_identical_memory_and_counts() {
+        for seed in [3, 0x7117, 99] {
+            let script = script(seed, 400);
+            // Small enough that stripes fill up before the script ends.
+            let (declared, sys_d) = setup_sys(12, 256);
+            let (plain, sys_p) = setup_sys(12, 256);
+            let mut wd = TwoPhaseLocking::new(Arc::clone(&sys_d)).worker();
+            let mut wp = TwoPhaseLocking::new(Arc::clone(&sys_p)).worker();
+            let mut outcomes = [0usize; 3];
+            for &m in &script {
+                let got = declared.run(&mut wd, m).0;
+                let mut want = MutationOutcome::Applied;
+                let out = wp.execute(MUTATION_HINT, &mut |ops| {
+                    want = plain.txn_apply(ops, m)?;
+                    Ok(())
+                });
+                assert!(out.committed);
+                assert_eq!(got, want, "seed {seed}: {m:?}");
+                outcomes[got as usize] += 1;
+            }
+            assert!(outcomes.iter().all(|&n| n > 0), "seed {seed}: {outcomes:?}");
+            let (mem_d, mem_p) = (sys_d.mem(), sys_p.mem());
+            assert_eq!(
+                declared.capture_sections(mem_d),
+                plain.capture_sections(mem_p)
+            );
+            assert_eq!(declared.materialize(mem_d), plain.materialize(mem_p));
+            let (sd, sp) = (wd.stats(), wp.stats());
+            assert_eq!(
+                (sd.reads, sd.writes, sd.commits, sd.restarts),
+                (sp.reads, sp.writes, sp.commits, 0),
+                "seed {seed}"
+            );
+            assert!(all_free(&sys_d));
+        }
     }
 
     #[test]

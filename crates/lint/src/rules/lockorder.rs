@@ -8,12 +8,14 @@
 //!
 //! * `try_shared(..)` / `try_exclusive(..)` / `try_upgrade(..)` — the
 //!   per-vertex 2PL lock words (class `vertex_lock`, try-only at the
-//!   call itself; the blocking wrappers in `tpl.rs` carry
+//!   call itself; the blocking wrappers in `tpl.rs` — the incremental
+//!   acquisition and the declared path's wait — carry
 //!   `lock-acquire(vertex_lock)` markers).
 //! * `try_lock_line(..)` / `try_lock_lines(..)` — the HTM emulation's
 //!   per-line commit locks (class `htm_line_lock`, bounded-try,
-//!   address-sorted); the one waiting acquisition, `lock_lines` in the
-//!   in-place commit batch, carries a `lock-acquire(htm_line_lock)` marker.
+//!   address-sorted); the waiting acquisitions — `lock_lines` in the
+//!   in-place commit batch and in 2PL's declared acquire and release —
+//!   carry `lock-acquire(htm_line_lock)` markers.
 //! * `recv.lock(..)` — a mutex, classed `mutex:<file>.<recv>`.
 //! * `// tufast-lint: lock-acquire(<class>)` — a blocking acquisition
 //!   the patterns cannot see (CAS spin loops on token words).
@@ -57,16 +59,19 @@ const SELF_ORDERED: &[&str] = &["vertex_lock", "htm_line_lock"];
 const CLASS_NOTES: &[(&str, &str)] = &[
     (
         "vertex_lock",
-        "per-vertex 2PL lock words; intra-class order unrestricted — L mode relies on runtime \
-         deadlock detection/victimization; the optimistic commit paths (O mode, OCC, TO) take \
-         none and test the words under their line locks instead",
+        "per-vertex 2PL lock words; incremental acquisitions take them in any order and rely on \
+         runtime deadlock detection/victimization; declared acquisitions (2PL execute_declared) \
+         are all-or-nothing under their sorted line locks and wait with nothing held, so they \
+         close no cycle; the optimistic commit paths (O mode, OCC, TO) take none and test the \
+         words under their line locks instead",
     ),
     (
         "htm_line_lock",
         "per-line commit locks of the HTM/STM commits and the schedulers' commit batches; always \
          acquired in sorted address order, bounded-try by every optimistic committer, waited for \
-         only by the in-place (2PL / HSync-fallback) release batch, whose holder never waits for \
-         a vertex lock; never held across user code",
+         only by the in-place (2PL / HSync-fallback) release batch and by 2PL's declared acquire \
+         and release batches, whose holders never wait for a vertex lock (a declared acquire \
+         that finds one busy lets its lines go first); never held across user code",
     ),
     (
         "serial_token",

@@ -8,11 +8,12 @@
 //! under-count what the hardware holds. Filter first, then dispatch
 //! (`tufast-algos`' `MinDrain::item`).
 //!
-//! A dispatch site is a call `execute(...)`, `execute_hinted(...)` or
-//! `execute_bounded(...)`; the pass flags any `peek_committed(` inside its
-//! argument range — which includes the body closure (the same range walk
-//! as `read-purity`). Direct calls only; `#[cfg(test)]` code is exempt
-//! (tests peek mid-body to observe an open writer).
+//! A dispatch site is a call `execute(...)`, `execute_hinted(...)`,
+//! `execute_bounded(...)` or `execute_declared(...)`; the pass flags any
+//! `peek_committed(` inside its argument range — which includes the body
+//! closure (the same range walk as `read-purity`). Direct calls only;
+//! `#[cfg(test)]` code is exempt (tests peek mid-body to observe an open
+//! writer).
 
 use crate::baseline::Finding;
 use crate::rules::{argument_range, ident_at, is_ident, is_punct};
@@ -20,7 +21,12 @@ use crate::scan::FileModel;
 
 pub const RULE: &str = "untracked-peek";
 
-const DISPATCHES: &[&str] = &["execute", "execute_hinted", "execute_bounded"];
+const DISPATCHES: &[&str] = &[
+    "execute",
+    "execute_hinted",
+    "execute_bounded",
+    "execute_declared",
+];
 
 pub fn run(files: &[FileModel]) -> Vec<Finding> {
     let mut out = Vec::new();

@@ -4,8 +4,9 @@
 //! guarantee that a panicking body cannot strand locks, tokens, or pool
 //! bookkeeping.
 //!
-//! Entry points are `execute`/`execute_bounded`/`execute_hinted`
-//! functions taking a `TxnBody`, anything named `parallel_*`, and fns
+//! Entry points are `execute`/`execute_bounded`/`execute_hinted`/
+//! `execute_declared` functions taking a `TxnBody`, anything named
+//! `parallel_*`, and fns
 //! carrying a
 //! `// tufast-lint: unwind-entry` marker. Containment is checked over a
 //! name-based transitive call graph: an entry is contained when its body
@@ -85,9 +86,10 @@ pub fn run(files: &[FileModel], scope: &[String]) -> Vec<Finding> {
             if f.in_test || f.body.is_none() {
                 continue;
             }
-            let scheduler_entry =
-                (f.name == "execute" || f.name == "execute_bounded" || f.name == "execute_hinted")
-                    && params_contain(m, f, "TxnBody");
+            let scheduler_entry = matches!(
+                f.name.as_str(),
+                "execute" | "execute_bounded" | "execute_hinted" | "execute_declared"
+            ) && params_contain(m, f, "TxnBody");
             let drain_entry = f.name.starts_with("parallel_");
             if !(scheduler_entry || drain_entry || f.unwind_entry) {
                 continue;

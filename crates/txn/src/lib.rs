@@ -68,8 +68,8 @@ pub use system::{SystemConfig, TxnSystem};
 pub use to::TimestampOrdering;
 pub use tpl::TwoPhaseLocking;
 pub use traits::{
-    backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
-    TxnWorker,
+    backoff, Declared, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps,
+    TxnOutcome, TxnWorker,
 };
 
 /// Vertex identifier, re-exported for convenience (same as `tufast-graph`).

@@ -9,18 +9,32 @@
 //! timeouts on anonymous reader-held locks — make the requester the victim:
 //! it rolls back, releases everything, and restarts.
 //!
-//! With [`ordered`](TwoPhaseLocking::new_ordered), deadlock *prevention*
-//! replaces detection (paper §IV-E): the caller promises that bodies
-//! acquire vertices in ascending id order (natural for "iterate my
-//! neighbours" transactions over sorted adjacency), so no cycle can form
-//! and the wait-for bookkeeping is skipped.
+//! A transaction that *declares* its vertices
+//! ([`execute_declared`](TxnWorker::execute_declared)) gets the paper's
+//! other form of L mode, deadlock *prevention* by ordered acquisition
+//! (§IV-E), as the commit protocol run twice on one [`LineBatch`]:
+//!
+//! ```text
+//! acquire  lock the declared lock-word lines ascending → test every word
+//!          → busy: unlock at the old versions, wait holding nothing, again
+//!          → free: store the held words, tick, unlock at the tick
+//! body     read = own buffered write, else a plain load; write = buffered
+//! release  lock the buffered words' data lines + the lock-word lines
+//!          → store the data → mint the ticket → store the released words
+//!          → unlock everything at the ticket
+//! ```
+//!
+//! All vertices or none, and nothing held while waiting: no cycle can form,
+//! so this path has no wait-for edge, no victim and no undo log, and two
+//! clock ticks whatever the footprint. A body that strays from its
+//! footprint releases everything unpublished and reruns incrementally.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use tufast_htm::{Addr, LineBatch, WordMap};
+use tufast_htm::{Addr, LineBatch, TxMemory, WordMap};
 
-use crate::commit::release_at_ticket;
+use crate::commit::{relax, release_at_ticket};
 use crate::deadlock::WaitOutcome;
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
@@ -28,8 +42,8 @@ use crate::locks::LockWord;
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
-    backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
-    TxnWorker,
+    backoff, Declared, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps,
+    TxnOutcome, TxnWorker,
 };
 use crate::VertexId;
 
@@ -39,25 +53,21 @@ const HELD_NONE: u64 = 0;
 const HELD_SHARED: u64 = 1;
 const HELD_WROTE: u64 = 2;
 
+/// Turns a declared acquisition waits on a busy vertex before it probes the
+/// job's health and tries again: a job that is cancelled while a peer sits
+/// on a vertex unwinds from the wait, where nothing is held.
+const WAIT_PROBE_TURNS: u32 = 1024;
+
 /// The 2PL scheduler.
 pub struct TwoPhaseLocking {
     sys: Arc<TxnSystem>,
-    ordered: bool,
 }
 
 impl TwoPhaseLocking {
-    /// 2PL with deadlock detection.
+    /// 2PL with deadlock detection (and deadlock prevention for declared
+    /// footprints).
     pub fn new(sys: Arc<TxnSystem>) -> Self {
-        TwoPhaseLocking {
-            sys,
-            ordered: false,
-        }
-    }
-
-    /// 2PL with ordered-acquisition deadlock *prevention*. Correct only for
-    /// bodies that touch vertices in ascending id order.
-    pub fn new_ordered(sys: Arc<TxnSystem>) -> Self {
-        TwoPhaseLocking { sys, ordered: true }
+        TwoPhaseLocking { sys }
     }
 }
 
@@ -71,21 +81,18 @@ impl GraphScheduler for TwoPhaseLocking {
             faults: self.sys.fault_handle(id),
             health: self.sys.health_handle(id),
             sys: Arc::clone(&self.sys),
-            ordered: self.ordered,
             held: WordMap::with_capacity(32),
             wrote: Vec::with_capacity(16),
             undo: Vec::with_capacity(32),
+            declared: Vec::with_capacity(8),
+            buffered: WordMap::with_capacity(16),
             batch: LineBatch::with_capacity(32),
             stats: SchedStats::default(),
         }
     }
 
     fn name(&self) -> &'static str {
-        if self.ordered {
-            "2PL-ordered"
-        } else {
-            "2PL"
-        }
+        "2PL"
     }
 }
 
@@ -93,7 +100,6 @@ impl GraphScheduler for TwoPhaseLocking {
 pub struct TplWorker {
     id: u32,
     sys: Arc<TxnSystem>,
-    ordered: bool,
     faults: FaultHandle,
     health: HealthHandle,
     /// vertex id → HELD_* mode, in acquisition order.
@@ -101,7 +107,11 @@ pub struct TplWorker {
     /// The vertices held in `HELD_WROTE` mode.
     wrote: Vec<VertexId>,
     undo: Vec<(Addr, u64)>,
-    /// Commit scratch: the undo log's lines and the written lock words'.
+    /// A declared transaction's footprint: ascending, a vertex once.
+    declared: Vec<Slot>,
+    /// A declared transaction's writes, unpublished until its release.
+    buffered: WordMap,
+    /// Batch scratch: the lines of a commit, or of a declared acquisition.
     batch: LineBatch,
     stats: SchedStats,
 }
@@ -111,7 +121,6 @@ pub struct TplWorker {
 struct Acquire<'a> {
     id: u32,
     sys: &'a TxnSystem,
-    ordered: bool,
     faults: &'a mut FaultHandle,
     stats: &'a mut SchedStats,
 }
@@ -122,7 +131,6 @@ impl TplWorker {
         let acquire = Acquire {
             id: self.id,
             sys: &self.sys,
-            ordered: self.ordered,
             faults: &mut self.faults,
             stats: &mut self.stats,
         };
@@ -162,15 +170,13 @@ impl Acquire<'_> {
             debug_assert!(exclusive || pre.writer().is_some(), "lock word {v} corrupt");
             if let Some(holder) = pre.writer() {
                 debug_assert_ne!(holder, self.id, "re-acquisition of held vertex {v}");
-                if !self.ordered && waits.register_and_check(self.id, holder) {
+                if waits.register_and_check(self.id, holder) {
                     self.stats.deadlock_victims += 1;
                     return Err(TxInterrupt::Restart);
                 }
             }
             let outcome = waits.bounded_anonymous_wait(self.id, anon_attempt, started);
-            if !self.ordered {
-                waits.clear(self.id);
-            }
+            waits.clear(self.id);
             if outcome == WaitOutcome::Victim {
                 self.stats.anon_wait_victims += 1;
                 return Err(TxInterrupt::Restart);
@@ -359,6 +365,212 @@ impl TplWorker {
     }
 }
 
+/// One vertex of a normalised declared footprint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slot {
+    v: VertexId,
+    /// Held exclusively (else shared).
+    write: bool,
+    /// The body wrote a word of `v`: the release bumps its commit version.
+    wrote: bool,
+}
+
+impl Slot {
+    /// Whether a vertex whose lock word reads `word` can be taken in this
+    /// slot's mode.
+    #[inline]
+    fn grantable(self, word: LockWord) -> bool {
+        if self.write {
+            word.is_free()
+        } else {
+            word.shared_compatible()
+        }
+    }
+}
+
+/// What a declared body runs against: its held vertices, plain memory and
+/// the write buffer. The vertex locks make every load stable, and nothing
+/// it writes is in memory before the release publishes it.
+struct DeclaredOps<'a> {
+    mem: &'a TxMemory,
+    declared: &'a mut [Slot],
+    buffered: &'a mut WordMap,
+    stats: &'a mut SchedStats,
+}
+
+impl DeclaredOps<'_> {
+    #[inline]
+    fn slot(&mut self, v: VertexId) -> Option<&mut Slot> {
+        let at = self.declared.binary_search_by_key(&v, |slot| slot.v).ok()?;
+        Some(&mut self.declared[at])
+    }
+}
+
+/// An access the footprint does not cover ends the attempt: the caller
+/// releases everything and reruns the body incrementally.
+impl TxnOps for DeclaredOps<'_> {
+    fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
+        self.stats.reads += 1;
+        if self.slot(v).is_none() {
+            return Err(TxInterrupt::Restart);
+        }
+        Ok(match self.buffered.get(addr) {
+            Some(own) => own,
+            None => self.mem.load_direct(addr),
+        })
+    }
+
+    fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
+        self.stats.writes += 1;
+        match self.slot(v) {
+            Some(slot) if slot.write => slot.wrote = true,
+            _ => return Err(TxInterrupt::Restart),
+        }
+        self.buffered.insert(addr, val);
+        Ok(())
+    }
+}
+
+impl TplWorker {
+    /// Normalise `footprint` into `self.declared`: ascending, a vertex
+    /// once, exclusive if any of its entries says so. `false` when it names
+    /// a vertex that has no lock word.
+    fn declare(&mut self, footprint: &[Declared]) -> bool {
+        self.declared.clear();
+        self.declared.extend(footprint.iter().map(|d| Slot {
+            v: d.v,
+            write: d.write,
+            wrote: false,
+        }));
+        self.declared.sort_unstable_by_key(|slot| slot.v);
+        self.declared.dedup_by(|later, first| {
+            let same = later.v == first.v;
+            first.write |= same && later.write;
+            same
+        });
+        let covered = self.sys.locks().len();
+        self.declared
+            .last()
+            .is_none_or(|slot| u64::from(slot.v) < covered)
+    }
+
+    /// Gather the declared vertices' lock-word lines (ascending already).
+    fn gather_lock_lines(&mut self) {
+        let locks = self.sys.locks();
+        for slot in &self.declared {
+            self.batch.push(locks.addr(slot.v).line());
+        }
+    }
+
+    /// One all-or-nothing try at the declared vertices, under their
+    /// lock-word lines: a busy one is returned with nothing changed (the
+    /// lines go back at their old versions, tickless); else every word is
+    /// held and the lines are republished at one tick, which aborts the
+    /// hardware transactions subscribed to them as an acquisition must.
+    fn try_acquire(&mut self) -> Result<(), Slot> {
+        self.batch.clear();
+        self.gather_lock_lines();
+        let (mem, locks) = (self.sys.mem(), self.sys.locks());
+        // tufast-lint: lock-acquire(htm_line_lock)
+        mem.lock_lines(&mut self.batch);
+        if let Some(&busy) = self
+            .declared
+            .iter()
+            .find(|slot| !slot.grantable(locks.peek(mem, slot.v)))
+        {
+            mem.unlock_lines(&mut self.batch, None);
+            return Err(busy);
+        }
+        for slot in &self.declared {
+            let word = locks.peek(mem, slot.v);
+            let held = if slot.write {
+                word.with_writer(Some(self.id))
+            } else {
+                word.with_readers(word.readers() + 1)
+            };
+            mem.store_locked(locks.addr(slot.v), held.0);
+        }
+        let tick = mem.clock_tick_pub();
+        mem.unlock_lines(&mut self.batch, Some(tick));
+        Ok(())
+    }
+
+    /// Wait a bounded while, holding nothing, for `busy` to look grantable
+    /// (`None`: an injected failure, gone after a turn). Whoever holds it
+    /// can always finish — no waiter here holds anything it could need — so
+    /// the wait registers no wait-for edge and picks no victim.
+    fn await_grantable(&self, busy: Option<Slot>) {
+        let (mem, locks) = (self.sys.mem(), self.sys.locks());
+        // tufast-lint: lock-acquire(vertex_lock)
+        for turn in 0..WAIT_PROBE_TURNS {
+            relax(turn);
+            if busy.is_none_or(|slot| slot.grantable(locks.peek(mem, slot.v))) {
+                return;
+            }
+        }
+    }
+
+    /// Acquire every declared vertex or, when the job stops first, none.
+    fn acquire_declared(&mut self) -> bool {
+        loop {
+            let busy = if self.faults.lock_acquisition_fails() {
+                self.stats.injected_faults += 1;
+                None
+            } else {
+                match self.try_acquire() {
+                    Ok(()) => return true,
+                    Err(busy) => Some(busy),
+                }
+            };
+            self.await_grantable(busy);
+            // Nothing is held between tries: a stopped job unwinds here.
+            if self.health.checkpoint().is_some() {
+                return false;
+            }
+        }
+    }
+
+    /// Release every declared vertex in one waiting batch at a fresh
+    /// ticket, which is returned. With `publish` the batch also covers the
+    /// buffered words' lines: they are stored first and stamped with the
+    /// same ticket, and the vertices written bump their commit versions.
+    /// Without it nothing but the holds changes.
+    ///
+    /// Waits for its lines as [`release_at_ticket`] does, and for the same
+    /// reason cannot deadlock.
+    fn release_declared(&mut self, publish: bool) -> u64 {
+        self.batch.clear();
+        if publish {
+            for (addr, _) in self.buffered.iter() {
+                self.batch.push(addr.line());
+            }
+        }
+        self.gather_lock_lines();
+        let (mem, locks) = (self.sys.mem(), self.sys.locks());
+        // tufast-lint: lock-acquire(htm_line_lock)
+        mem.lock_lines(&mut self.batch);
+        if publish {
+            for (addr, val) in self.buffered.iter() {
+                mem.store_locked(addr, val);
+            }
+        }
+        let ticket = mem.clock_tick_pub();
+        for slot in &self.declared {
+            let word = locks.peek(mem, slot.v);
+            let released = if slot.write {
+                debug_assert_eq!(word.writer(), Some(self.id), "released by non-owner");
+                word.released(publish && slot.wrote)
+            } else {
+                debug_assert!(word.readers() > 0, "no shared hold on {}", slot.v);
+                word.with_readers(word.readers().saturating_sub(1))
+            };
+            mem.store_locked(locks.addr(slot.v), released.0);
+        }
+        mem.unlock_lines(&mut self.batch, Some(ticket));
+        ticket
+    }
+}
+
 impl TxnWorker for TplWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
         let prior = match crate::rmode::read_only_prologue(
@@ -376,6 +588,78 @@ impl TxnWorker for TplWorker {
         TxnOutcome {
             committed: out.committed,
             attempts: out.attempts + prior,
+        }
+    }
+
+    fn execute_declared(&mut self, footprint: &[Declared], body: &mut TxnBody<'_>) -> TxnOutcome {
+        if !self.declare(footprint) {
+            return self.execute_bounded(u32::MAX, body);
+        }
+        let obs = self.sys.observer_handle();
+        let id = self.id;
+        let stopped = TxnOutcome {
+            committed: false,
+            attempts: 0,
+        };
+        // The one attempt boundary of this path: nothing is held yet.
+        if self.health.checkpoint().is_some() {
+            self.stats.health_stops += 1;
+            return stopped;
+        }
+        self.faults.preempt();
+        self.faults.stall_point();
+        if !self.acquire_declared() {
+            self.stats.health_stops += 1;
+            return stopped;
+        }
+        obs.attempt_begin(id);
+        self.buffered.clear();
+        let mut ops = DeclaredOps {
+            mem: self.sys.mem(),
+            declared: &mut self.declared,
+            buffered: &mut self.buffered,
+            stats: &mut self.stats,
+        };
+        let result = obs.run_body(&mut ops, id, body);
+        if result.is_ok() {
+            obs.pre_commit(id);
+        }
+        let ticket = self.release_declared(result.is_ok());
+        match result {
+            Ok(()) => {
+                obs.commit_ticketed(id, || ticket);
+                self.stats.commits += 1;
+                self.health.note_commit();
+                TxnOutcome {
+                    committed: true,
+                    attempts: 1,
+                }
+            }
+            Err(TxInterrupt::Restart) => {
+                // The body strayed from its footprint; nothing it did was
+                // published. Run it again the incremental way.
+                self.stats.restarts += 1;
+                self.health.note_restart();
+                obs.abort(id, false);
+                let out = self.execute_bounded(u32::MAX, body);
+                TxnOutcome {
+                    committed: out.committed,
+                    attempts: out.attempts + 1,
+                }
+            }
+            Err(TxInterrupt::UserAbort) => {
+                self.stats.user_aborts += 1;
+                obs.abort(id, true);
+                TxnOutcome {
+                    committed: false,
+                    attempts: 1,
+                }
+            }
+            Err(TxInterrupt::Panicked) => {
+                self.stats.panics += 1;
+                obs.abort(id, false);
+                crate::obs::resume_body_panic();
+            }
         }
     }
 
@@ -664,30 +948,305 @@ mod tests {
         assert!(out.committed);
     }
 
+    /// `w`'s declared footprint as normalised: `(vertex, exclusive)`.
+    fn normalised(w: &mut TplWorker, footprint: &[Declared]) -> Vec<(VertexId, bool)> {
+        assert!(w.declare(footprint));
+        w.declared.iter().map(|s| (s.v, s.write)).collect()
+    }
+
+    fn all_free(sys: &TxnSystem, n: u32) -> bool {
+        (0..n).all(|v| sys.locks().peek(sys.mem(), v).is_free())
+    }
+
     #[test]
-    fn ordered_mode_commits_under_contention() {
+    fn footprints_normalise_to_one_ascending_slot_a_vertex_strongest_mode() {
+        let (sys, _) = bank(8);
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        let (r, x) = (Declared::read, Declared::write);
+        assert_eq!(
+            normalised(&mut w, &[r(5), x(2), r(7), x(5), r(2)]),
+            [(2, true), (5, true), (7, false)]
+        );
+        // The mutation footprints whose vertices coincide.
+        assert_eq!(normalised(&mut w, &[r(0), x(0), x(0)]), [(0, true)]);
+        assert_eq!(
+            normalised(&mut w, &[r(0), x(3), x(0)]),
+            [(0, true), (3, true)]
+        );
+        assert_eq!(
+            normalised(&mut w, &[r(0), x(0), x(6)]),
+            [(0, true), (6, true)]
+        );
+        assert_eq!(normalised(&mut w, &[]), []);
+        // A vertex without a lock word is no footprint at all.
+        assert!(!w.declare(&[r(0), x(8)]));
+        assert!(!w.declare(&[x(u32::MAX)]));
+    }
+
+    #[test]
+    fn declared_transfer_holds_its_vertices_and_publishes_at_two_ticks() {
         let (sys, acc) = bank(4);
-        let sched = Arc::new(TwoPhaseLocking::new_ordered(Arc::clone(&sys)));
+        let (mem, locks) = (sys.mem(), sys.locks());
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        let id = w.id;
+        let clock = mem.clock_now_pub();
+        let footprint = [Declared::write(2), Declared::read(3), Declared::write(0)];
+        let out = w.execute_declared(&footprint, &mut |ops| {
+            // All three are held before the first access, in their modes.
+            assert_eq!(locks.peek(mem, 0).writer(), Some(id));
+            assert_eq!(locks.peek(mem, 2).writer(), Some(id));
+            assert_eq!(locks.peek(mem, 3).readers(), 1);
+            assert!(locks.peek(mem, 1).is_free(), "undeclared neighbour");
+            let (a, b) = (ops.read(0, acc.addr(0))?, ops.read(2, acc.addr(2))?);
+            ops.read(3, acc.addr(3))?;
+            ops.write(0, acc.addr(0), a - 30)?;
+            assert_eq!(ops.read(0, acc.addr(0))?, 70, "own write");
+            assert_eq!(mem.load_direct(acc.addr(0)), 100, "still buffered");
+            ops.write(2, acc.addr(2), b + 30)
+        });
+        assert_eq!((out.committed, out.attempts), (true, 1));
+        assert_eq!(mem.clock_now_pub(), clock + 2, "acquire + release");
+        assert_eq!(mem.load_direct(acc.addr(0)), 70);
+        assert_eq!(mem.load_direct(acc.addr(2)), 130);
+        assert!(all_free(&sys, 4));
+        let versions: Vec<u32> = (0..4).map(|v| locks.peek(mem, v).version()).collect();
+        assert_eq!(versions, [1, 0, 1, 0], "written vertices bump once");
+        let stats = w.stats();
+        assert_eq!((stats.commits, stats.reads, stats.writes), (1, 4, 2));
+        assert_eq!(stats.restarts, 0);
+    }
+
+    #[test]
+    fn stray_accesses_fall_back_commit_once_and_leak_nothing() {
+        // An undeclared read, and a write to a read-declared vertex.
+        type Body<'a> =
+            &'a dyn Fn(&mut dyn TxnOps, &tufast_htm::MemRegion) -> Result<(), TxInterrupt>;
+        let undeclared_read: Body<'_> = &|ops, acc| {
+            let x = ops.read(0, acc.addr(0))?;
+            let y = ops.read(3, acc.addr(3))?;
+            ops.write(0, acc.addr(0), x + y)
+        };
+        let under_declared_write: Body<'_> = &|ops, acc| {
+            let x = ops.read(0, acc.addr(0))?;
+            ops.write(0, acc.addr(0), x + 100)?;
+            ops.write(1, acc.addr(1), x)
+        };
+        for body in [undeclared_read, under_declared_write] {
+            let (sys, acc) = bank(4);
+            let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+            let mut runs = 0;
+            let footprint = [Declared::write(0), Declared::read(1)];
+            let out = w.execute_declared(&footprint, &mut |ops| {
+                runs += 1;
+                body(ops, &acc)
+            });
+            assert_eq!((out.committed, out.attempts, runs), (true, 2, 2));
+            let got = [0, 1].map(|i| sys.mem().load_direct(acc.addr(i)));
+            assert_eq!(got, [200, 100], "applied exactly once");
+            assert_eq!((w.stats().commits, w.stats().restarts), (1, 1));
+            assert!(all_free(&sys, 4));
+        }
+    }
+
+    #[test]
+    fn declared_user_abort_and_panic_publish_nothing_and_free_every_lock() {
+        let (sys, acc) = bank(2);
+        let mem = sys.mem();
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        let footprint = [Declared::write(0), Declared::read(1)];
+        let line = acc.addr(0).line();
+        let stamped = mem.line_state(line);
+
+        let out = w.execute_declared(&footprint, &mut |ops| {
+            ops.write(0, acc.addr(0), 1)?;
+            Err(ops.user_abort())
+        });
+        assert_eq!((out.committed, out.attempts), (false, 1));
+        assert_eq!(w.stats().user_aborts, 1);
+
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.execute_declared(&footprint, &mut |ops| {
+                ops.write(0, acc.addr(0), 2)?;
+                panic!("body bug");
+            })
+        }));
+        assert!(caught.is_err(), "the panic must still surface");
+        assert_eq!(w.stats().panics, 1);
+
+        assert_eq!(mem.load_direct(acc.addr(0)), 100);
+        assert_eq!(mem.line_state(line), stamped, "the data line never moved");
+        assert!(all_free(&sys, 2));
+        assert_eq!(sys.locks().peek(mem, 0).version(), 0, "nothing was written");
+        // The worker remains usable, declared or not.
+        let out = w.execute_declared(&footprint, &mut |ops| ops.write(0, acc.addr(0), 7));
+        assert!(out.committed);
+        assert_eq!(mem.load_direct(acc.addr(0)), 7);
+    }
+
+    #[test]
+    fn declared_acquisition_waits_holding_nothing_until_the_holder_lets_go() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (sys, acc) = bank(3);
+        let (mem, locks) = (sys.mem(), sys.locks());
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        // A reader on 2 blocks only the exclusive request for it.
+        locks.try_shared(mem, 2).unwrap();
+        let released = AtomicBool::new(false);
         std::thread::scope(|s| {
-            for _ in 0..4 {
+            s.spawn(|| {
+                let footprint = [Declared::write(0), Declared::write(2)];
+                let out = w.execute_declared(&footprint, &mut |ops| {
+                    assert!(released.load(Ordering::Acquire), "ran under the reader");
+                    ops.write(0, acc.addr(0), 1)?;
+                    ops.write(2, acc.addr(2), 1)
+                });
+                assert!(out.committed);
+            });
+            // While it waits it holds neither vertex: 0 stays grantable.
+            for _ in 0..200 {
+                locks.try_exclusive(mem, 0, 99).expect("waiter holds 0");
+                locks.unlock_exclusive(mem, 0, 99, false);
+                std::thread::yield_now();
+            }
+            released.store(true, Ordering::Release);
+            locks.unlock_shared(mem, 2);
+        });
+        assert_eq!(mem.load_direct(acc.addr(2)), 1);
+        assert!(all_free(&sys, 3));
+        assert_eq!(w.stats().deadlock_victims + w.stats().anon_wait_victims, 0);
+    }
+
+    #[test]
+    fn opposite_textual_orders_never_deadlock() {
+        // {a, b} against {b, a}: the classic cycle, impossible here by
+        // construction — so no victim is ever chosen.
+        let (sys, acc) = bank(2);
+        let sched = Arc::new(TwoPhaseLocking::new(Arc::clone(&sys)));
+        let victims = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let (sched, victims) = (Arc::clone(&sched), &victims);
+                s.spawn(move || {
+                    let mut w = sched.worker();
+                    let (x, y) = if t % 2 == 0 { (0u32, 1u32) } else { (1, 0) };
+                    let footprint = [Declared::write(x), Declared::write(y)];
+                    for _ in 0..300 {
+                        let out = w.execute_declared(&footprint, &mut |ops| {
+                            let a = ops.read(x, acc.addr(u64::from(x)))?;
+                            ops.write(x, acc.addr(u64::from(x)), a.wrapping_add(1))?;
+                            let b = ops.read(y, acc.addr(u64::from(y)))?;
+                            ops.write(y, acc.addr(u64::from(y)), b.wrapping_sub(1))
+                        });
+                        assert_eq!((out.committed, out.attempts), (true, 1));
+                    }
+                    let stats = w.take_stats();
+                    let n = stats.deadlock_victims + stats.anon_wait_victims + stats.restarts;
+                    victims.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+                });
+            }
+        });
+        let (a, b) = (
+            sys.mem().load_direct(acc.addr(0)),
+            sys.mem().load_direct(acc.addr(1)),
+        );
+        assert_eq!(a.wrapping_add(b), 200);
+        assert_eq!(victims.into_inner(), 0);
+        assert!(all_free(&sys, 2));
+    }
+
+    #[test]
+    fn declared_and_incremental_transfers_share_the_lock_words() {
+        let n = 8;
+        let (sys, acc) = bank(n);
+        let sched = Arc::new(TwoPhaseLocking::new(Arc::clone(&sys)));
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
                 let sched = Arc::clone(&sched);
                 s.spawn(move || {
                     let mut w = sched.worker();
-                    for _ in 0..200 {
-                        // Ascending-order access, as the mode requires.
-                        w.execute(8, &mut |ops| {
-                            for v in 0..4u32 {
-                                let x = ops.read(v, acc.addr(u64::from(v)))?;
-                                ops.write(v, acc.addr(u64::from(v)), x + 1)?;
-                            }
-                            Ok(())
-                        });
+                    for i in 0..300u64 {
+                        let from = ((t + i) % n as u64) as VertexId;
+                        let to = ((t + i * 7 + 1) % n as u64) as VertexId;
+                        if from == to {
+                            continue;
+                        }
+                        let body = &mut |ops: &mut dyn TxnOps| {
+                            let a = ops.read(from, acc.addr(u64::from(from)))?;
+                            let b = ops.read(to, acc.addr(u64::from(to)))?;
+                            ops.write(from, acc.addr(u64::from(from)), a.wrapping_sub(1))?;
+                            ops.write(to, acc.addr(u64::from(to)), b.wrapping_add(1))
+                        };
+                        let out = if t % 2 == 0 {
+                            w.execute_declared(&[Declared::write(from), Declared::write(to)], body)
+                        } else {
+                            w.execute(4, body)
+                        };
+                        assert!(out.committed);
                     }
                 });
             }
         });
-        for v in 0..4u64 {
-            assert_eq!(sys.mem().load_direct(acc.addr(v)), 100 + 800);
+        let total: u64 = (0..n as u64)
+            .map(|i| sys.mem().load_direct(acc.addr(i)))
+            .sum();
+        assert_eq!(total, 100 * n as u64);
+        assert!(all_free(&sys, n as u32));
+    }
+
+    #[test]
+    fn a_stopped_job_unwinds_from_the_declared_wait() {
+        let (sys, acc) = bank(1);
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        let id = w.id;
+        // Nobody will ever release vertex 0; the cancel is the only way out.
+        sys.locks().try_exclusive(sys.mem(), 0, 99).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let out = w.execute_declared(&[Declared::read(0)], &mut |ops| {
+                    ops.read(0, acc.addr(0)).map(drop)
+                });
+                assert_eq!((out.committed, out.attempts), (false, 0));
+            });
+            // Past its entry checkpoint (one beat), it can only be waiting.
+            while sys.health().view(id).beat == 0 {
+                std::thread::yield_now();
+            }
+            sys.cancel_token().cancel();
+        });
+        assert_eq!(w.stats().health_stops, 1);
+        let word = sys.locks().peek(sys.mem(), 0);
+        assert_eq!((word.writer(), word.readers()), (Some(99), 0), "untouched");
+    }
+
+    #[cfg(feature = "faults")]
+    #[test]
+    fn injected_lock_failures_read_as_busy_on_the_declared_path() {
+        use crate::faults::{FaultPlan, FaultSpec};
+        let (sys, acc) = bank(2);
+        sys.set_fault_plan(Some(FaultPlan::new(FaultSpec {
+            seed: 7,
+            lock_fail_permille: 700,
+            lock_stall_permille: 300,
+            lock_stall_spins: 16,
+            ..FaultSpec::default()
+        })));
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        let footprint = [Declared::write(0), Declared::write(1)];
+        for _ in 0..50 {
+            let out = w.execute_declared(&footprint, &mut |ops| {
+                let a = ops.read(0, acc.addr(0))?;
+                ops.write(0, acc.addr(0), a + 1)?;
+                ops.write(1, acc.addr(1), a + 1)
+            });
+            assert_eq!(
+                (out.committed, out.attempts),
+                (true, 1),
+                "busy, not a restart"
+            );
         }
+        assert!(w.stats().injected_faults > 50, "the plan fired");
+        assert_eq!(w.stats().restarts, 0);
+        assert_eq!(sys.mem().load_direct(acc.addr(1)), 150);
+        assert!(all_free(&sys, 2));
     }
 }

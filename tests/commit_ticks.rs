@@ -4,10 +4,17 @@
 //! with. (Before the commit batch each written vertex cost up to four
 //! ticks: lock, store, republish, unlock.) No observer is installed here:
 //! the tick is part of the protocol, not of the instrumentation.
+//!
+//! A transaction that declares its vertices to 2PL pays a second tick, for
+//! taking them all at once, and no more: a graph mutation moves the clock
+//! by exactly two (11 for an edge, 4 for a vertex, 2 for a rejection when
+//! each lock and each in-place store ticked).
 
 use std::sync::Arc;
 
-use tufast_suite::htm::{LineState, MemRegion, MemoryLayout};
+use tufast_suite::graph::mutable::MutationOutcome;
+use tufast_suite::graph::{GraphBuilder, MutableGraph, OverlayConfig};
+use tufast_suite::htm::{Addr, LineState, MemRegion, MemoryLayout};
 use tufast_suite::tufast::{ModeClass, TuFast};
 use tufast_suite::txn::{
     GraphScheduler, Occ, TimestampOrdering, TwoPhaseLocking, TxnSystem, TxnWorker, VertexId,
@@ -122,4 +129,123 @@ fn two_phase_commit_phase_ticks_once_for_five_written_vertices() {
     assert_eq!(body_end, 2 * VERTICES.len() as u64, "lock + store each");
     assert_eq!(sys.mem().clock_now_pub() - body_end, 1);
     assert_published_at(&sys, &data, sys.mem().clock_now_pub());
+}
+
+#[test]
+fn declared_mutations_tick_twice_and_publish_at_the_ticket() {
+    let mut layout = MemoryLayout::new();
+    let overlay = OverlayConfig {
+        slot_cap: 64,
+        stripes: 8,
+    };
+    let mg = MutableGraph::carve(GraphBuilder::new(40).build(), 64, overlay, &mut layout);
+    let sys = TxnSystem::with_defaults(64, layout);
+    let (mem, locks) = (sys.mem(), sys.locks());
+    mg.init(mem);
+    let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+
+    let words = || mg.overlay_word_range().map(Addr);
+    let lines = || mg.overlay_word_range().step_by(8).map(|a| Addr(a).line());
+    let versions = || (0..64).map(|v| locks.peek(mem, v).version());
+    // One mutation: the outcome wanted, the overlay words it changes, the
+    // vertices it declares and, of those, the ones it writes. Vertex 33 is
+    // on stripe 1 (its first delta links to nothing: that slot word stays
+    // 0); 63 is past the 40 (then 41) live vertices.
+    type Worker = <TwoPhaseLocking as GraphScheduler>::Worker;
+    type Apply = fn(&MutableGraph, &mut Worker) -> MutationOutcome;
+    type Case<'a> = (
+        &'a str,
+        Apply,
+        MutationOutcome,
+        usize,
+        &'a [VertexId],
+        &'a [VertexId],
+    );
+    let (applied, rejected) = (MutationOutcome::Applied, MutationOutcome::OutOfBounds);
+    let cases: [Case<'_>; 4] = [
+        (
+            "add_edge",
+            |mg, w| mg.add_edge(w, 33, 5, 7),
+            applied,
+            3,
+            &[0, 1, 33],
+            &[1, 33],
+        ),
+        (
+            "remove_edge",
+            |mg, w| mg.remove_edge(w, 33, 5),
+            applied,
+            4,
+            &[0, 1, 33],
+            &[1, 33],
+        ),
+        (
+            "add_vertex",
+            |mg, w| {
+                assert_eq!(mg.add_vertex(w), Some(40));
+                MutationOutcome::Applied
+            },
+            applied,
+            1,
+            &[0],
+            &[0],
+        ),
+        (
+            "rejected",
+            |mg, w| mg.add_edge(w, 63, 0, 1),
+            rejected,
+            0,
+            &[0, 7, 63],
+            &[],
+        ),
+    ];
+    for (name, apply, want, changed, declared, written) in cases {
+        let clock = mem.clock_now_pub();
+        let was: Vec<_> = words().map(|a| mem.load_direct(a)).collect();
+        let stamped: Vec<_> = lines().map(|l| mem.line_state(l)).collect();
+        let bumped: Vec<u32> = versions().collect();
+        let got = apply(&mg, &mut w);
+        assert_eq!(got, want, "{name}");
+        let ticket = mem.clock_now_pub();
+        assert_eq!(
+            ticket - clock,
+            2,
+            "{name}: one tick to acquire, one to release"
+        );
+        let at_ticket = LineState::Unlocked { version: ticket };
+
+        // Every written data line is at the ticket; no other one moved.
+        let now = words().map(|a| mem.load_direct(a));
+        let dirty: Vec<u64> = (words().zip(now).zip(&was))
+            .filter(|((_, now), was)| now != *was)
+            .map(|((addr, _), _)| addr.line())
+            .collect();
+        assert_eq!(dirty.len(), changed, "{name}: words written");
+        for (line, before) in lines().zip(stamped) {
+            let want = if dirty.contains(&line) {
+                at_ticket
+            } else {
+                before
+            };
+            assert_eq!(mem.line_state(line), want, "{name}: overlay line {line}");
+        }
+        // Every declared vertex was released at the ticket, the written ones
+        // one commit version on; every lock word is free.
+        for &v in declared {
+            assert_eq!(
+                mem.line_state(locks.addr(v).line()),
+                at_ticket,
+                "{name}: vertex {v}"
+            );
+        }
+        for (v, (now, before)) in versions().zip(bumped).enumerate() {
+            let wrote = written.contains(&(v as VertexId));
+            assert_eq!(now, before + u32::from(wrote), "{name}: vertex {v}");
+            assert!(
+                locks.peek(mem, v as VertexId).is_free(),
+                "{name}: vertex {v}"
+            );
+        }
+    }
+    assert_eq!((w.stats().commits, w.stats().restarts), (4, 0));
 }

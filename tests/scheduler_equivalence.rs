@@ -11,8 +11,8 @@ use tufast_suite::graph::{gen, Graph, GraphBuilder};
 use tufast_suite::htm::MemoryLayout;
 use tufast_suite::tufast::TuFast;
 use tufast_suite::txn::{
-    GraphScheduler, HSyncLike, HTimestampOrdering, Occ, SoftwareTm, TimestampOrdering,
-    TwoPhaseLocking, TxnSystem,
+    Declared, GraphScheduler, HSyncLike, HTimestampOrdering, Occ, SoftwareTm, TimestampOrdering,
+    TwoPhaseLocking, TxnBody, TxnSystem, TxnWorker,
 };
 
 const THREADS: usize = 4;
@@ -51,14 +51,6 @@ macro_rules! for_all_schedulers {
         let expected = $expected;
         check_one("TuFast", g, $alloc, TuFast::new, $run, &expected);
         check_one("2PL", g, $alloc, TwoPhaseLocking::new, $run, &expected);
-        check_one(
-            "2PL-ordered",
-            g,
-            $alloc,
-            TwoPhaseLocking::new_ordered,
-            $run,
-            &expected,
-        );
         check_one("OCC", g, $alloc, Occ::new, $run, &expected);
         check_one("TO", g, $alloc, TimestampOrdering::new, $run, &expected);
         check_one(
@@ -166,4 +158,149 @@ fn matching_is_valid_under_every_scheduler() {
     check_matching("STM", &g, |sys| SoftwareTm::with_penalty(sys, 0));
     check_matching("HSync", &g, HSyncLike::new);
     check_matching("H-TO", &g, HTimestampOrdering::new);
+}
+
+/// The declared-footprint row: 2PL's `execute_declared` runs the same
+/// bodies as `execute` — bank transfers and "give every neighbour one unit"
+/// neighbourhoods, both commutative, so the final memory is one value
+/// whatever the interleaving — and every other scheduler takes the default
+/// (the footprint ignored). All of them must land on the sequential result.
+#[test]
+fn declared_footprints_give_the_results_of_execute() {
+    let g = symmetric_rmat(8, 4, 41);
+    let n = g.num_vertices();
+    let transfers = 600;
+    // Sequential reference: `transfers` bank moves, then one neighbourhood
+    // hand-out from every vertex.
+    let (from, to) = (
+        |i: usize| (i * 7 % n) as u32,
+        |i: usize| (i * 13 + 1) as u32 % n as u32,
+    );
+    let mut expected = vec![1_000u64; n];
+    for i in (0..transfers).filter(|&i| from(i) != to(i)) {
+        expected[from(i) as usize] -= 1;
+        expected[to(i) as usize] += 1;
+    }
+    for c in 0..n as u32 {
+        for &u in g.neighbors(c).iter().filter(|&&u| u != c) {
+            expected[c as usize] -= 1;
+            expected[u as usize] += 1;
+        }
+    }
+
+    fn check<S: GraphScheduler>(
+        name: &str,
+        declared: bool,
+        g: &Graph,
+        expected: &[u64],
+        endpoints: (impl Fn(usize) -> u32 + Sync, impl Fn(usize) -> u32 + Sync),
+        transfers: usize,
+        ctor: impl FnOnce(Arc<TxnSystem>) -> S,
+    ) {
+        let n = g.num_vertices();
+        let mut layout = MemoryLayout::new();
+        let acc = layout.alloc("accounts", n as u64);
+        let sys = TxnSystem::with_defaults(n, layout);
+        for v in 0..n as u64 {
+            sys.mem().store_direct(acc.addr(v), 1_000);
+        }
+        let sched = ctor(Arc::clone(&sys));
+        let word = |v: u32| acc.addr(u64::from(v));
+        let run = |w: &mut S::Worker, footprint: &[Declared], body: &mut TxnBody<'_>| {
+            let out = if declared {
+                w.execute_declared(footprint, body)
+            } else {
+                w.execute(2 * footprint.len(), body)
+            };
+            assert!(out.committed, "{name}");
+        };
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (sched, endpoints, run) = (&sched, &endpoints, &run);
+                s.spawn(move || {
+                    let mut w = sched.worker();
+                    let mut footprint = Vec::new();
+                    for i in (t..transfers).step_by(THREADS) {
+                        let (a, b) = (endpoints.0(i), endpoints.1(i));
+                        if a == b {
+                            continue;
+                        }
+                        // Declared in textual order: b may be below a.
+                        run(
+                            &mut w,
+                            &[Declared::write(a), Declared::write(b)],
+                            &mut |ops| {
+                                let (x, y) = (ops.read(a, word(a))?, ops.read(b, word(b))?);
+                                ops.write(a, word(a), x - 1)?;
+                                ops.write(b, word(b), y + 1)
+                            },
+                        );
+                    }
+                    for c in (t as u32..n as u32).step_by(THREADS) {
+                        let others = || g.neighbors(c).iter().copied().filter(move |&u| u != c);
+                        footprint.clear();
+                        footprint.extend(others().map(Declared::write));
+                        footprint.push(Declared::write(c));
+                        run(&mut w, &footprint, &mut |ops| {
+                            let mut left = ops.read(c, word(c))?;
+                            for u in others() {
+                                let x = ops.read(u, word(u))?;
+                                ops.write(u, word(u), x + 1)?;
+                                left -= 1;
+                            }
+                            ops.write(c, word(c), left)
+                        });
+                    }
+                });
+            }
+        });
+        let got: Vec<u64> = (0..n as u64)
+            .map(|v| sys.mem().load_direct(acc.addr(v)))
+            .collect();
+        assert_eq!(got, expected, "scheduler {name} diverged");
+        for v in 0..n as u32 {
+            assert!(
+                sys.locks().peek(sys.mem(), v).is_free(),
+                "{name}: lock {v} leaked"
+            );
+        }
+    }
+
+    check(
+        "2PL-declared",
+        true,
+        &g,
+        &expected,
+        (from, to),
+        transfers,
+        TwoPhaseLocking::new,
+    );
+    check(
+        "2PL",
+        false,
+        &g,
+        &expected,
+        (from, to),
+        transfers,
+        TwoPhaseLocking::new,
+    );
+    check(
+        "TuFast",
+        true,
+        &g,
+        &expected,
+        (from, to),
+        transfers,
+        TuFast::new,
+    );
+    check("OCC", true, &g, &expected, (from, to), transfers, Occ::new);
+    check(
+        "HSync",
+        true,
+        &g,
+        &expected,
+        (from, to),
+        transfers,
+        HSyncLike::new,
+    );
 }

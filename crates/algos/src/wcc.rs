@@ -58,20 +58,10 @@ pub fn sequential(g: &Graph) -> Vec<u64> {
         label[start as usize] = u64::from(start);
         queue.push_back(start);
         while let Some(v) = queue.pop_front() {
-            let push = |u: VertexId,
-                        label: &mut Vec<u64>,
-                        queue: &mut std::collections::VecDeque<VertexId>| {
+            for u in g.undirected(v) {
                 if label[u as usize] == u64::MAX {
                     label[u as usize] = u64::from(start);
                     queue.push_back(u);
-                }
-            };
-            for &u in g.neighbors(v) {
-                push(u, &mut label, &mut queue);
-            }
-            if g.reverse().is_some() {
-                for &u in g.in_neighbors(v) {
-                    push(u, &mut label, &mut queue);
                 }
             }
         }
@@ -108,12 +98,9 @@ pub fn parallel_on<S: GraphScheduler, P: WorkPool>(
     pool: &P,
     ckpt: Option<Ckpt<'_>>,
 ) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
-    // `v`'s undirected neighbourhood (out-edges, then in-edges when the
-    // graph carries them) at length 0: a label travels unchanged.
-    let undirected = |v| {
-        let ins = g.reverse().map_or(&[][..], |rev| rev.neighbors(v));
-        g.neighbors(v).iter().chain(ins).map(|&u| (u, 0))
-    };
+    // `v`'s undirected neighbourhood at length 0: a label travels
+    // unchanged.
+    let undirected = |v| g.undirected(v).map(|u| (u, 0));
     // Every vertex starts active, labelled with its own id.
     let own_ids = (0..g.num_vertices() as VertexId).map(|v| (v, u64::from(v)));
     monotone::run(

@@ -417,15 +417,15 @@ where
     (w.take_stats(), htm)
 }
 
-/// Unpinned peeks ([`TxnSystem::peek_committed`]) racing writers: two
-/// writers on `kind` (every fourth transaction user-aborts after its
-/// write) plus a 2PL writer that *always* aborts, so in-place stores that
-/// roll back are in memory throughout, plus a 2PL writer that declares its
-/// vertex and aborts every other transaction, whose buffered store must
-/// reach memory only with the commits in between. Every attempt stores a
-/// fresh stamp; a peek may only ever return one whose transaction committed
-/// (or the initial 0) — never an aborted attempt's, wherever the bracket
-/// landed.
+/// Unpinned peek passes ([`TxnSystem::peek_pass`], every cell in each)
+/// racing writers: two writers on `kind` (every fourth transaction
+/// user-aborts after its write) plus a 2PL writer that *always* aborts, so
+/// in-place stores that roll back are in memory throughout, plus a 2PL
+/// writer that declares its vertex and aborts every other transaction,
+/// whose buffered store must reach memory only with the commits in
+/// between. Every attempt stores a fresh stamp; a pass that finishes quiet may only ever have returned
+/// stamps whose transaction committed (or the initial 0) — never an aborted
+/// attempt's, wherever its brackets landed.
 ///
 /// `writer_hint` picks TuFast's mode as in [`ReadersSpec::writer_hint`].
 pub fn peek_probe(kind: SchedulerKind, writer_hint: usize) {
@@ -437,26 +437,62 @@ pub fn peek_probe(kind: SchedulerKind, writer_hint: usize) {
         &sys,
         &sched,
         &data,
-        writer_hint
+        writer_hint,
+        &[]
     ));
+    assert_only_committed(&format!("{kind:?}"), &peeked, &committed);
+}
+
+/// [`peek_probe`] for the check a pass makes once, at its close: two HSync
+/// writers whose bodies also store to 600 ballast lines — past HTM
+/// capacity, so every one of them runs on the fallback path, in place
+/// under the global word with no vertex lock held — one aborting every
+/// other transaction, one all of them. Nothing a peek looks at per vertex
+/// gives such a store away while it waits to be rolled back; only the
+/// fallback word does, and a pass reads it when it opens and when it
+/// [finishes](tufast_txn::PeekPass::finish).
+pub fn fallback_peek_probe() {
+    let (cells, ballast_lines) = (8u64, 600u64);
+    let htm = HtmConfig::default();
+    assert!(ballast_lines as usize > htm.max_lines());
+    let words_per_line = (htm.line_bytes / 8) as u64;
+    let mut layout = MemoryLayout::new();
+    let data = layout.alloc("cells", cells);
+    let ballast = layout.alloc("ballast", ballast_lines * words_per_line);
+    let ballast: Vec<_> = (0..ballast_lines)
+        .map(|line| ballast.addr(line * words_per_line))
+        .collect();
+    let sys = TxnSystem::build(cells as usize, layout, SystemConfig::default());
+    let sched = tufast_txn::HSyncLike::new(Arc::clone(&sys));
+    let hint = 2 * ballast.len();
+    let (peeked, committed) = drive_peeks(&sys, &sched, &data, hint, &ballast);
+    assert_only_committed("HSync fallback", &peeked, &committed);
+}
+
+fn assert_only_committed(who: &str, peeked: &HashSet<u64>, committed: &HashSet<u64>) {
     assert!(
         peeked.len() > 1,
-        "{kind:?}: the peeks never saw a writer's value"
+        "{who}: the peeks never saw a writer's value"
     );
     for val in peeked {
         assert!(
-            val == 0 || committed.contains(&val),
-            "{kind:?}: peeked {val}, which no committed transaction published"
+            *val == 0 || committed.contains(val),
+            "{who}: peeked {val}, which no committed transaction published"
         );
     }
 }
 
-/// Returns the distinct values peeked and the stamps that committed.
+/// Returns the distinct values peeked and the stamps that committed. A
+/// non-empty `ballast` is stored to by every writer after its cell, and
+/// swaps the 2PL writers for two more on `sched` (the ballast is there to
+/// reach HSync's fallback path, which honours no vertex lock and so can
+/// share cells only with its own kind).
 fn drive_peeks<S>(
     sys: &Arc<TxnSystem>,
     sched: &S,
     data: &MemRegion,
     writer_hint: usize,
+    ballast: &[tufast_htm::Addr],
 ) -> (HashSet<u64>, HashSet<u64>)
 where
     S: GraphScheduler,
@@ -466,7 +502,7 @@ where
     let txns = 300u64;
     let stamp = AtomicU64::new(1);
     let aborter = tufast_txn::TwoPhaseLocking::new(Arc::clone(sys));
-    let writers_left = AtomicU64::new(4);
+    let writers_left = AtomicU64::new(if ballast.is_empty() { 4 } else { 2 });
     // One writer: `txns` transactions over the cells (under size hint
     // `hint`, or with the vertex declared), `aborts(k)` of them user-aborted
     // after the write; returns the stamps that committed.
@@ -479,6 +515,9 @@ where
                 last = stamp.fetch_add(1, Ordering::Relaxed);
                 ops.read(v, addr)?;
                 ops.write(v, addr, last)?;
+                for &line in ballast {
+                    ops.write(v, line, last)?;
+                }
                 if aborts(k) {
                     return Err(ops.user_abort());
                 }
@@ -497,12 +536,18 @@ where
         committed
     };
     std::thread::scope(|s| {
-        let writers = [
-            s.spawn(|| write(Box::new(sched.worker()), Some(writer_hint), |k| k % 4 == 3)),
-            s.spawn(|| write(Box::new(sched.worker()), Some(writer_hint), |k| k % 4 == 1)),
-            s.spawn(|| write(Box::new(aborter.worker()), Some(4), |_| true)),
-            s.spawn(|| write(Box::new(aborter.worker()), None, |k| k % 2 == 0)),
-        ];
+        let on_sched =
+            |aborts| s.spawn(move || write(Box::new(sched.worker()), Some(writer_hint), aborts));
+        let writers = if ballast.is_empty() {
+            vec![
+                on_sched(|k| k % 4 == 3),
+                on_sched(|k| k % 4 == 1),
+                s.spawn(|| write(Box::new(aborter.worker()), Some(4), |_| true)),
+                s.spawn(|| write(Box::new(aborter.worker()), None, |k| k % 2 == 0)),
+            ]
+        } else {
+            vec![on_sched(|k| k % 2 == 1), on_sched(|_| true)]
+        };
         let peekers: Vec<_> = (0..2)
             .map(|_| {
                 s.spawn(|| {
@@ -510,13 +555,21 @@ where
                     // One more pass after the writers are done, so a run
                     // that outpaces the peekers still sees final values.
                     let mut last_pass = false;
+                    let mut provisional = Vec::new();
                     while !last_pass {
                         last_pass = writers_left.load(Ordering::Acquire) == 0;
-                        for i in 0..cells {
-                            if let Some((val, _)) = sys.peek_committed(i as VertexId, data.addr(i))
-                            {
-                                peeked.insert(val);
-                            }
+                        // One pass over every cell, as an item peeks a
+                        // whole neighbourhood: nothing counts until the
+                        // pass has finished quiet.
+                        let pass = sys.peek_pass();
+                        provisional.clear();
+                        provisional.extend(
+                            (0..cells)
+                                .filter_map(|i| pass.peek_committed(i as VertexId, data.addr(i)))
+                                .map(|(val, _)| val),
+                        );
+                        if pass.finish() {
+                            peeked.extend(provisional.iter().copied());
                         }
                     }
                     peeked

@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tufast_check::{
-    peek_probe, quiesced_read_probe, ReadersPlan, ReadersRunner, ReadersSpec, SchedulerKind,
+    fallback_peek_probe, peek_probe, quiesced_read_probe, ReadersPlan, ReadersRunner, ReadersSpec,
+    SchedulerKind,
 };
 use tufast_graph::mutable::{MutationOutcome, MUTATION_HINT};
 use tufast_graph::{GraphBuilder, MutableGraph, OverlayConfig};
@@ -66,9 +67,10 @@ fn quiesced_pure_reads_are_free_under_every_scheduler() {
     }
 }
 
-/// The unpinned bracket behind the settled-neighbour filter: racing every
-/// scheduler's writers (TuFast's in H, O and L mode) and an always-aborting
-/// 2PL writer, a committed peek never returns a rolled-back store.
+/// The unpinned bracket behind the settled-neighbour filter, in passes over
+/// a whole neighbourhood: racing every scheduler's writers (TuFast's in H,
+/// O and L mode), an always-aborting 2PL writer and HSync's fallback path,
+/// a pass that finishes quiet never returned a rolled-back store.
 #[test]
 fn committed_peeks_never_see_an_aborted_write_under_any_scheduler() {
     for kind in SchedulerKind::all() {
@@ -76,6 +78,7 @@ fn committed_peeks_never_see_an_aborted_write_under_any_scheduler() {
     }
     peek_probe(SchedulerKind::TuFast, 8192);
     peek_probe(SchedulerKind::TuFast, 1 << 20);
+    fallback_peek_probe();
 }
 
 proptest! {

@@ -69,12 +69,35 @@ pub fn edge_map(
     threads: usize,
     update: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Frontier {
+    let out_edges = |v| g.neighbors(v).iter().copied();
+    edge_map_over(g, frontier, threads, out_edges, update)
+}
+
+/// [`edge_map`] over the undirected view ([`Graph::undirected`]): every
+/// edge at the frontier, whichever way it points, each adjacency entry
+/// once.
+pub fn edge_map_undirected(
+    g: &Graph,
+    frontier: &Frontier,
+    threads: usize,
+    update: impl Fn(VertexId, VertexId) -> bool + Sync,
+) -> Frontier {
+    edge_map_over(g, frontier, threads, |v| g.undirected(v), update)
+}
+
+fn edge_map_over<I: Iterator<Item = VertexId>>(
+    g: &Graph,
+    frontier: &Frontier,
+    threads: usize,
+    edges: impl Fn(VertexId) -> I + Sync,
+    update: impl Fn(VertexId, VertexId) -> bool + Sync,
+) -> Frontier {
     let n = g.num_vertices();
     let activated: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let dense = frontier.len() > n / DENSE_FRACTION;
     let body = |v: &VertexId| {
         let v = *v;
-        for &u in g.neighbors(v) {
+        for u in edges(v) {
             if update(v, u) {
                 activated[u as usize].store(true, Ordering::Relaxed);
             }
@@ -189,41 +212,9 @@ pub fn wcc(g: &Graph, threads: usize) -> Vec<u64> {
         atomic_min(&label[dst as usize], ls)
     };
     while !frontier.is_empty() {
-        let forward = edge_map(g, &frontier, threads, push);
-        let mut members = forward.members().to_vec();
-        if g.reverse().is_some() {
-            // Propagate along in-edges too (weak connectivity): one
-            // edge_map over the reversed adjacency.
-            let backward = edge_map_reverse(g, &frontier, threads, push);
-            members.extend_from_slice(backward.members());
-            members.sort_unstable();
-            members.dedup();
-        }
-        frontier = Frontier::from_vec(members);
+        frontier = edge_map_undirected(g, &frontier, threads, push);
     }
     label.into_iter().map(|l| l.into_inner()).collect()
-}
-
-fn edge_map_reverse(
-    g: &Graph,
-    frontier: &Frontier,
-    threads: usize,
-    update: impl Fn(VertexId, VertexId) -> bool + Sync,
-) -> Frontier {
-    let n = g.num_vertices();
-    let activated: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    par_for_slice(threads, frontier.members(), |&v| {
-        for &u in g.in_neighbors(v) {
-            if update(v, u) {
-                activated[u as usize].store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    Frontier::from_vec(
-        (0..n as VertexId)
-            .filter(|&v| activated[v as usize].load(Ordering::Relaxed))
-            .collect(),
-    )
 }
 
 /// Bellman-Ford over frontiers (the BSP shape the paper contrasts with

@@ -214,17 +214,20 @@ pub fn read_graph<R: Read>(reader: R) -> Result<Graph, BinError> {
     };
     // In-edges are recomputed by the builder rather than trusted (the file
     // may be hand-made; correctness beats the small rebuild cost: one
-    // O(m + n) transposition of the out-edges, no sort). Their offsets are
-    // still validated so corruption is reported as such.
+    // O(m + n) transposition of the out-edges, no sort — and a transpose
+    // equal to the out-edges is dropped again, `Graph::from_parts`). Their
+    // offsets are still validated, end included: a transpose has as many
+    // edges as the header says, so corruption is reported as such.
     let want_in = flags & FLAG_IN_EDGES != 0;
     if want_in {
         let in_offsets = read_u64s(&mut input, num_vertices + 1)?;
-        if in_offsets.first() != Some(&0) || in_offsets.windows(2).any(|w| w[0] > w[1]) {
+        if in_offsets.first() != Some(&0)
+            || in_offsets.last() != Some(&num_edges)
+            || in_offsets.windows(2).any(|w| w[0] > w[1])
+        {
             return Err(BinError::Format("non-monotonic in-offsets".into()));
         }
-        let in_edges = usize::try_from(*in_offsets.last().unwrap_or(&0))
-            .map_err(|_| BinError::Format("in-edge count is not addressable".into()))?;
-        let _ = read_u32s(&mut input, in_edges)?;
+        let _ = read_u32s(&mut input, num_edges_len)?;
     }
 
     let mut builder = GraphBuilder::new(num_vertices)
@@ -362,6 +365,28 @@ mod tests {
         buf.extend_from_slice(&1u64.to_le_bytes()); // decreasing
         let err = read_graph(buf.as_slice()).unwrap_err();
         assert!(matches!(err, BinError::Format(_)));
+    }
+
+    #[test]
+    fn rejects_in_offsets_that_end_off_the_edge_count() {
+        // 0 → 1 with in-edges, then the last in-offset (the 8 bytes before
+        // the one in-target) rewritten: still monotonic, no longer a
+        // transpose of one edge. One in-target more keeps a reader that
+        // believes the offset from failing at end-of-file instead.
+        let mut b = crate::GraphBuilder::new(2);
+        b.add_edge(0, 1);
+        let mut good = Vec::new();
+        write_graph(&b.with_in_edges().build(), &mut good).unwrap();
+        assert!(read_graph(good.as_slice()).is_ok());
+        let last = good.len() - 12..good.len() - 4;
+        assert_eq!(good[last.clone()], 1u64.to_le_bytes());
+        for wrong in [0u64, 2] {
+            let mut buf = good.clone();
+            buf[last.clone()].copy_from_slice(&wrong.to_le_bytes());
+            buf.extend_from_slice(&0u32.to_le_bytes());
+            let err = read_graph(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, BinError::Format(_)), "last = {wrong}: {err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Edge-list accumulation and counting-sort CSR construction.
 
-use crate::csr::{counts_to_cursors, Csr, Graph, VertexId};
+use crate::csr::{counts_to_cursors, Csr, Graph, Reverse, VertexId};
 
 /// Accumulates edges and builds a [`Graph`].
 ///
@@ -17,6 +17,8 @@ use crate::csr::{counts_to_cursors, Csr, Graph, VertexId};
 /// directed edge of the result (8 bytes, target and weight packed, on the
 /// weighted path); `symmetric()` mirrors while scattering rather than
 /// doubling the pairs, and the pairs are freed before in-edges are built.
+/// `symmetric().with_in_edges()` builds and holds one CSR: the graph is its
+/// own transpose ([`Graph::reverse_is_forward`]).
 #[derive(Debug)]
 pub struct GraphBuilder {
     num_vertices: usize,
@@ -154,7 +156,13 @@ impl GraphBuilder {
             sort_and_clean(&mut offsets, &mut targets, keep_duplicates, |dst| dst);
             (Csr::new(offsets, targets), None)
         };
-        let rev = in_edges.then(|| out.transposed());
+        // A symmetrised adjacency is its own transpose (sorted lists, each
+        // arc beside its mirror): nothing to build, nothing to store.
+        let rev = match (in_edges, symmetric) {
+            (false, _) => Reverse::Absent,
+            (true, true) => Reverse::Forward,
+            (true, false) => Reverse::Stored(out.transposed()),
+        };
         Graph::from_parts(out, rev, out_weights)
     }
 }

@@ -95,23 +95,48 @@ pub(crate) fn counts_to_cursors(offsets: &mut [u64]) -> usize {
     total as usize
 }
 
+/// The reverse adjacency of a [`Graph`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Reverse {
+    /// Built without in-edges.
+    Absent,
+    /// The graph equals its transpose (every undirected input): the
+    /// forward arrays answer for both directions and no copy is held.
+    Forward,
+    /// A transpose that differs from the forward adjacency.
+    Stored(Csr),
+}
+
 /// A directed graph in CSR form, with optional reverse adjacency and
 /// optional `u32` edge weights (aligned with the out-edge array).
 ///
 /// Equality is structural over every array — the durability matrix in
-/// `tufast-check` relies on it to prove recovery is *bitwise* exact.
+/// `tufast-check` relies on it to prove recovery is *bitwise* exact. It
+/// can stay derived because the form is canonical: a reverse adjacency
+/// equal to the forward one is never stored ([`Graph::from_parts`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     out: Csr,
-    rev: Option<Csr>,
+    rev: Reverse,
     weights: Option<Box<[u32]>>,
 }
 
 impl Graph {
-    pub(crate) fn from_parts(out: Csr, rev: Option<Csr>, weights: Option<Vec<u32>>) -> Self {
+    /// Every producer ends here, so every graph is canonical: a stored
+    /// reverse equal to `out` is dropped for [`Reverse::Forward`] (the
+    /// comparison leaves at the first differing offset or target).
+    pub(crate) fn from_parts(out: Csr, rev: Reverse, weights: Option<Vec<u32>>) -> Self {
         if let Some(w) = &weights {
             assert_eq!(w.len() as u64, out.num_edges(), "one weight per out-edge");
         }
+        let rev = match rev {
+            Reverse::Stored(rev) if rev == out => Reverse::Forward,
+            Reverse::Forward => {
+                debug_assert!(out.transposed() == out, "not its own transpose");
+                Reverse::Forward
+            }
+            other => other,
+        };
         Graph {
             out,
             rev,
@@ -190,7 +215,37 @@ impl Graph {
     /// The reverse adjacency, if materialised.
     #[inline]
     pub fn reverse(&self) -> Option<&Csr> {
-        self.rev.as_ref()
+        match &self.rev {
+            Reverse::Absent => None,
+            Reverse::Forward => Some(&self.out),
+            Reverse::Stored(rev) => Some(rev),
+        }
+    }
+
+    /// Whether the graph carries in-edges and equals its transpose, so
+    /// that [`reverse`](Self::reverse) *is* [`forward`](Self::forward):
+    /// every in-list is the out-list of the same vertex.
+    #[inline]
+    pub fn reverse_is_forward(&self) -> bool {
+        matches!(self.rev, Reverse::Forward)
+    }
+
+    /// `v`'s neighbours in the undirected view, each adjacency entry
+    /// once: the out-edges, then the in-edges when the graph stores a
+    /// transpose of its own. A symmetric graph's out-list already is that
+    /// neighbourhood, with or without in-edges.
+    #[inline]
+    pub fn undirected(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        let ins = match &self.rev {
+            Reverse::Stored(rev) => rev.neighbors(v),
+            Reverse::Absent | Reverse::Forward => &[],
+        };
+        self.out.neighbors(v).iter().chain(ins).copied()
+    }
+
+    /// The reverse adjacency as [`from_parts`](Self::from_parts) takes it.
+    pub(crate) fn reverse_parts(&self) -> &Reverse {
+        &self.rev
     }
 
     /// The forward adjacency.
@@ -232,8 +287,7 @@ impl Graph {
     }
 
     fn rev(&self) -> &Csr {
-        self.rev
-            .as_ref()
+        self.reverse()
             .expect("graph built without in-edges; use GraphBuilder::with_in_edges")
     }
 }

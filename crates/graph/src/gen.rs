@@ -173,8 +173,9 @@ pub fn path(n: usize) -> Graph {
 
 /// Attach uniform random weights in `1..=max_weight` to an existing graph
 /// (the paper generates SSSP weights randomly). The adjacency arrays are
-/// kept as they are and one weight per edge is added, in `O(m)`; an
-/// edgeless graph stays unweighted, as the builder would leave it.
+/// kept as they are — a symmetric graph's one CSR stays one — and one
+/// weight per edge is added, in `O(m)`; an edgeless graph stays
+/// unweighted, as the builder would leave it.
 pub fn with_random_weights(g: &Graph, max_weight: u32, seed: u64) -> Graph {
     // Mirror weights across symmetric pairs deterministically by hashing the
     // unordered pair, so (u,v) and (v,u) get the same weight.
@@ -188,7 +189,7 @@ pub fn with_random_weights(g: &Graph, max_weight: u32, seed: u64) -> Graph {
         (h % u64::from(max_weight)) as u32 + 1
     }));
     let weights = (!weights.is_empty()).then_some(weights);
-    Graph::from_parts(g.forward().clone(), g.reverse().cloned(), weights)
+    Graph::from_parts(g.forward().clone(), g.reverse_parts().clone(), weights)
 }
 
 #[cfg(test)]
@@ -259,6 +260,25 @@ mod tests {
         let g = path(5);
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.neighbors(2), &[3]);
+    }
+
+    #[test]
+    fn random_weights_keep_the_reverse_as_it_was() {
+        let rebuilt = |g: &Graph, symmetric: bool| {
+            let mut b = GraphBuilder::new(g.num_vertices()).with_in_edges();
+            g.edges().for_each(|(s, d)| b.add_edge(s, d));
+            if symmetric { b.symmetric() } else { b }.build()
+        };
+        let sym = rebuilt(&rmat(6, 4, 3), true);
+        let weighted = with_random_weights(&sym, 10, 1);
+        assert!(sym.reverse_is_forward() && weighted.reverse_is_forward());
+        assert_eq!(weighted.reverse(), Some(weighted.forward()));
+
+        let directed = rebuilt(&path(4), false);
+        let weighted = with_random_weights(&directed, 10, 1);
+        assert!(!weighted.reverse_is_forward());
+        assert_eq!(weighted.reverse(), directed.reverse());
+        assert!(with_random_weights(&path(4), 10, 1).reverse().is_none());
     }
 
     #[test]

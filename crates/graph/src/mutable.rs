@@ -599,6 +599,30 @@ mod tests {
     }
 
     #[test]
+    fn materialize_shares_the_reverse_only_while_the_graph_is_symmetric() {
+        let base = {
+            let mut b = GraphBuilder::new(4);
+            b.add_edge(0, 1);
+            b.add_edge(1, 2);
+            b.symmetric().with_in_edges().build()
+        };
+        let (mg, mem) = setup(base.clone(), 8);
+        assert_eq!(mg.materialize(&mem), base);
+        assert!(mg.materialize(&mem).reverse_is_forward());
+        let add = |src, dst| {
+            let weight = 0;
+            mg.apply_direct(&mem, Mutation::AddEdge { src, dst, weight })
+        };
+        assert_eq!(add(2, 3), MutationOutcome::Applied);
+        let g = mg.materialize(&mem);
+        assert!(!g.reverse_is_forward(), "2 → 3 has no mirror");
+        assert_eq!(g.in_neighbors(3), &[2]);
+        assert_eq!(g.in_neighbors(2), &[1]);
+        assert_eq!(add(3, 2), MutationOutcome::Applied);
+        assert!(mg.materialize(&mem).reverse_is_forward());
+    }
+
+    #[test]
     fn newest_op_wins_per_edge() {
         let (mg, mem) = setup(line_graph(3), 8);
         // remove then re-add 0→1; add then remove 2→0.

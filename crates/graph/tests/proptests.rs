@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use tufast_graph::wal::{
     parse_bytes, Mutation, SyncPolicy, WalHeader, WalRecord, WalWriter, FRAME_LEN, HEADER_LEN,
 };
-use tufast_graph::{gen, load, GraphBuilder};
+use tufast_graph::{binio, gen, load, GraphBuilder};
 
 /// What a process death right now would leave to recovery: the valid
 /// records of the file as it is, and whether anything sits behind them.
@@ -58,6 +58,63 @@ proptest! {
             .collect();
         back.sort_unstable();
         prop_assert_eq!(forward, back);
+    }
+
+    /// A symmetric graph is its own transpose and stores it once: the
+    /// shortcut build equals, array for array, what a plain builder makes
+    /// of both directions, survives a TFG1 round trip, and no graph with
+    /// an unmirrored arc claims it.
+    #[test]
+    fn symmetric_graph_is_its_own_transpose(
+        edges in prop::collection::vec((0u32..24, 0u32..24, 1u32..9), 0..160),
+        weighted in any::<bool>(),
+        keep_duplicates in any::<bool>(),
+        keep_self_loops in any::<bool>(),
+    ) {
+        let builder = || {
+            let mut b = GraphBuilder::new(24).with_in_edges();
+            if keep_duplicates {
+                b = b.keep_duplicates();
+            }
+            if keep_self_loops {
+                b = b.keep_self_loops();
+            }
+            b
+        };
+        let add = |b: &mut GraphBuilder, s, d, w| match weighted {
+            true => b.add_weighted_edge(s, d, w),
+            false => b.add_edge(s, d),
+        };
+        let (mut directed, mut both_ways) = (builder(), builder());
+        let mut shortcut = builder().symmetric();
+        for &(s, d, w) in &edges {
+            add(&mut directed, s, d, w);
+            add(&mut shortcut, s, d, w);
+            add(&mut both_ways, s, d, w);
+            add(&mut both_ways, d, s, w);
+        }
+        let (sym, plain) = (shortcut.build(), both_ways.build());
+        prop_assert!(sym.reverse_is_forward() && plain.reverse_is_forward());
+        prop_assert_eq!(&sym, &plain);
+        prop_assert_eq!(sym.reverse(), Some(sym.forward()));
+        for v in sym.vertices() {
+            prop_assert_eq!(sym.in_neighbors(v), sym.neighbors(v));
+            prop_assert!(sym.undirected(v).eq(sym.neighbors(v).iter().copied()));
+        }
+
+        let mut file = Vec::new();
+        binio::write_graph(&sym, &mut file).unwrap();
+        let back = binio::read_graph(file.as_slice()).unwrap();
+        prop_assert!(back.reverse_is_forward());
+        prop_assert_eq!(&back, &sym);
+
+        // The flag is a fact about the arcs, however the graph was made.
+        let directed = directed.build();
+        let mut arcs: Vec<_> = directed.edges().collect();
+        let mut mirrored: Vec<_> = arcs.iter().map(|&(s, d)| (d, s)).collect();
+        arcs.sort_unstable();
+        mirrored.sort_unstable();
+        prop_assert_eq!(directed.reverse_is_forward(), arcs == mirrored);
     }
 
     /// Symmetric graphs are actually symmetric.

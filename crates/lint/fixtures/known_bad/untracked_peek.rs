@@ -19,3 +19,18 @@ pub fn probe(&self, sys: &TxnSystem, w: &mut Worker, v: u32) {
         ops.read(v, self.addr(v)).map(|_| drop(seen))
     });
 }
+
+pub fn relax_all(&self, sys: &TxnSystem, w: &mut Worker, v: u32, us: &[u32]) {
+    // A pass opened before the dispatch and peeked from inside it is no
+    // better: each of its loads is as untracked as a single peek's.
+    let pass = sys.peek_pass();
+    w.execute_hinted(TxnHint::sized(2 * us.len()), &mut |ops| {
+        let dv = ops.read(v, self.addr(v))?;
+        for &u in us {
+            if pass.peek_committed(u, self.addr(u)).is_none() {
+                ops.write(u, self.addr(u), dv)?;
+            }
+        }
+        Ok(())
+    });
+}

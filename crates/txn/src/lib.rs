@@ -64,7 +64,7 @@ pub use obs::{ObsHandle, TxnObserver};
 pub use occ::Occ;
 pub use rmode::{read_only_prologue, run_read_only, RRun, RWorker, ReadMode, R_DEMOTE_ATTEMPTS};
 pub use stm::SoftwareTm;
-pub use system::{SystemConfig, TxnSystem};
+pub use system::{PeekPass, SystemConfig, TxnSystem};
 pub use to::TimestampOrdering;
 pub use tpl::TwoPhaseLocking;
 pub use traits::{

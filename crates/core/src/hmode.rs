@@ -13,7 +13,10 @@
 //! H-mode commits without H ever taking a lock.
 
 use tufast_htm::{AbortCode, Addr, HtmCtx, WordMap};
-use tufast_txn::{LockWord, ObsHandle, TxInterrupt, TxnOps, TxnSystem};
+use tufast_txn::{
+    hardware_attempt, HtmBodyOps, Lifecycle, LockWord, ObsHandle, TxInterrupt, TxnOps, TxnSystem,
+    Verdict,
+};
 
 use crate::VertexId;
 
@@ -21,16 +24,13 @@ use crate::VertexId;
 pub(crate) const ABORT_LOCK_BUSY: u8 = 0xB0;
 
 /// Result of one H-mode attempt.
-pub(crate) enum HAttempt {
-    /// Committed; carries the operation count of the successful execution.
-    Committed { ops: u64 },
-    /// The body called `user_abort`.
-    UserAborted,
-    /// HTM abort (subscription failures arrive as `Explicit(ABORT_LOCK_BUSY)`).
-    Aborted(AbortCode),
-    /// The body panicked; the hardware transaction was aborted (so nothing
-    /// speculative survives) and the caller must re-raise the panic.
-    Panicked,
+pub(crate) struct HAttempt {
+    /// How the attempt ended; `Err` is an HTM abort (subscription failures
+    /// arrive as `Explicit(ABORT_LOCK_BUSY)`). Nothing speculative survives
+    /// any ending but `Committed`.
+    pub(crate) end: Result<Verdict, AbortCode>,
+    /// Operations the body performed.
+    pub(crate) ops: u64,
 }
 
 /// Reusable per-worker H-mode state (hoisted out of the per-attempt path:
@@ -152,57 +152,33 @@ impl TxnOps for HModeOps<'_> {
     }
 }
 
+impl HtmBodyOps for HModeOps<'_> {
+    fn ctx(&mut self) -> &mut HtmCtx {
+        self.ctx
+    }
+
+    fn last_abort(&self) -> Option<AbortCode> {
+        self.last_abort
+    }
+}
+
 /// Run one H-mode attempt of `body`.
 pub(crate) fn attempt(
     ctx: &mut HtmCtx,
-    sys: &TxnSystem,
-    me: u32,
-    sched: &mut tufast_txn::SchedStats,
+    lc: &mut Lifecycle,
     scratch: &mut HScratch,
     body: &mut tufast_txn::TxnBody<'_>,
     obs: &ObsHandle,
 ) -> HAttempt {
     if ctx.begin().is_err() {
-        return HAttempt::Aborted(AbortCode::Conflict);
+        return HAttempt {
+            end: Err(AbortCode::Conflict),
+            ops: 0,
+        };
     }
-    let mut ops = HModeOps::new(ctx, sys, sched, scratch);
-    match obs.run_body(&mut ops, me, body) {
-        Ok(()) => {
-            let (n, last) = (ops.ops, ops.last_abort);
-            if !ctx.in_tx() {
-                return HAttempt::Aborted(last.unwrap_or(AbortCode::Conflict));
-            }
-            obs.pre_commit(me);
-            match ctx.commit() {
-                Ok(()) => {
-                    // Ticket: the commit timestamp the HTM minted while the
-                    // written lines (incl. bumped lock words) were locked.
-                    obs.commit_ticketed(me, || ctx.last_commit_ts());
-                    HAttempt::Committed { ops: n }
-                }
-                Err(code) => HAttempt::Aborted(code),
-            }
-        }
-        Err(TxInterrupt::Restart) => {
-            let code = ops.last_abort.unwrap_or(AbortCode::Conflict);
-            if ctx.in_tx() {
-                ctx.abort_explicit(0xB1);
-            }
-            HAttempt::Aborted(code)
-        }
-        Err(TxInterrupt::UserAbort) => {
-            if ctx.in_tx() {
-                ctx.abort_explicit(0xBF);
-            }
-            HAttempt::UserAborted
-        }
-        Err(TxInterrupt::Panicked) => {
-            if ctx.in_tx() {
-                ctx.abort_explicit(0xBE);
-            }
-            HAttempt::Panicked
-        }
-    }
+    let mut ops = HModeOps::new(ctx, &lc.sys, &mut lc.stats, scratch);
+    let end = hardware_attempt(&mut ops, lc.id, 0xB0, body, obs);
+    HAttempt { end, ops: ops.ops }
 }
 
 #[cfg(test)]
@@ -218,23 +194,15 @@ mod tests {
         (sys, data)
     }
 
-    /// Test shim: run an attempt with a throwaway stats sink.
+    /// Test shim: run an attempt with a throwaway lifecycle.
     fn attempt(
         ctx: &mut tufast_htm::HtmCtx,
-        sys: &TxnSystem,
+        sys: &Arc<TxnSystem>,
         body: &mut tufast_txn::TxnBody<'_>,
     ) -> HAttempt {
-        let mut sched = tufast_txn::SchedStats::default();
+        let mut lc = Lifecycle::new(sys, 0);
         let mut scratch = HScratch::new();
-        super::attempt(
-            ctx,
-            sys,
-            0,
-            &mut sched,
-            &mut scratch,
-            body,
-            &ObsHandle::none(),
-        )
+        super::attempt(ctx, &mut lc, &mut scratch, body, &ObsHandle::none())
     }
 
     #[test]
@@ -245,7 +213,7 @@ mod tests {
             let x = ops.read(0, data.addr(0))?; // read vertex 0
             ops.write(1, data.addr(1), x + 7) // write vertex 1
         });
-        assert!(matches!(out, HAttempt::Committed { ops: 2 }));
+        assert_eq!((out.end, out.ops), (Ok(Verdict::Committed), 2));
         assert_eq!(sys.mem().load_direct(data.addr(1)), 7);
         assert_eq!(
             sys.locks().peek(sys.mem(), 0).version(),
@@ -268,13 +236,7 @@ mod tests {
             ops.read(0, data.addr(0))?;
             Ok(())
         });
-        match out {
-            HAttempt::Aborted(AbortCode::Explicit(code)) => assert_eq!(code, ABORT_LOCK_BUSY),
-            other => panic!(
-                "expected lock-busy abort, got {:?}",
-                matches!(other, HAttempt::Committed { .. })
-            ),
-        }
+        assert_eq!(out.end, Err(AbortCode::Explicit(ABORT_LOCK_BUSY)));
     }
 
     #[test]
@@ -287,13 +249,10 @@ mod tests {
             ops.read(0, data.addr(0))?;
             Ok(())
         });
-        assert!(matches!(out, HAttempt::Committed { .. }));
+        assert_eq!(out.end, Ok(Verdict::Committed));
         // Writing it is not.
         let out = attempt(&mut ctx, &sys, &mut |ops| ops.write(0, data.addr(0), 1));
-        assert!(matches!(
-            out,
-            HAttempt::Aborted(AbortCode::Explicit(ABORT_LOCK_BUSY))
-        ));
+        assert_eq!(out.end, Err(AbortCode::Explicit(ABORT_LOCK_BUSY)));
     }
 
     #[test]
@@ -314,10 +273,7 @@ mod tests {
             ops.read(1, data.addr(8))?;
             Ok(())
         });
-        assert!(
-            matches!(out, HAttempt::Aborted(_)),
-            "stale subscription must doom the commit"
-        );
+        assert!(out.end.is_err(), "stale subscription must doom the commit");
     }
 
     #[test]
@@ -328,7 +284,7 @@ mod tests {
             ops.write(0, data.addr(0), 42)?;
             Err(ops.user_abort())
         });
-        assert!(matches!(out, HAttempt::UserAborted));
+        assert_eq!(out.end, Ok(Verdict::UserAbort));
         assert_eq!(sys.mem().load_direct(data.addr(0)), 0);
         assert_eq!(sys.locks().peek(sys.mem(), 0).version(), 0);
     }
@@ -345,7 +301,7 @@ mod tests {
             }
             Ok(())
         });
-        assert!(matches!(out, HAttempt::Aborted(AbortCode::Capacity)));
+        assert_eq!(out.end, Err(AbortCode::Capacity));
     }
 
     #[test]
@@ -362,7 +318,7 @@ mod tests {
                             let x = ops.read(0, data.addr(0))?;
                             ops.write(0, data.addr(0), x + 1)
                         });
-                        if matches!(out, HAttempt::Committed { .. }) {
+                        if out.end == Ok(Verdict::Committed) {
                             committed += 1;
                         }
                     }

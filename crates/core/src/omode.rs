@@ -15,7 +15,7 @@
 
 use tufast_htm::{AbortCode, Addr, HtmCtx, WordMap};
 use tufast_txn::commit::WriteSet;
-use tufast_txn::{LockWord, ObsHandle, TxInterrupt, TxnOps, TxnSystem};
+use tufast_txn::{LockWord, ObsHandle, TxInterrupt, TxnOps, TxnSystem, Verdict};
 
 use crate::hmode::ABORT_LOCK_BUSY;
 use crate::VertexId;
@@ -33,30 +33,46 @@ pub(crate) enum OFailCode {
 }
 
 /// Result of one O-mode attempt.
-pub(crate) enum OAttempt {
-    /// Committed with the given totals.
-    Committed {
-        /// Read and write operations performed.
-        ops: OpCount,
-        /// HTM pieces used.
-        pieces: u32,
-    },
-    /// The body called `user_abort`.
-    UserAborted,
-    /// The body panicked; every open HTM piece was aborted and the
-    /// workspace discarded. The caller must re-raise the panic.
-    Panicked,
-    /// Attempt failed; the router halves `period` and retries.
-    Failed {
-        /// The failure cause.
-        code: OFailCode,
-        /// Operations completed before failing (contention-monitor input).
-        ops: OpCount,
-        /// On a capacity abort: the number of operations that *did* fit in
-        /// the overflowing piece — the router jumps straight to a fitting
-        /// period instead of halving blindly from a far-too-large one.
-        fit_period: Option<u32>,
-    },
+pub(crate) struct OAttempt {
+    /// `Committed`; `Restart` (the router shrinks `period` and retries);
+    /// `UserAbort`; or `Panicked`. Whatever did not commit left no HTM
+    /// piece open and nothing but a workspace to discard.
+    pub(crate) verdict: Verdict,
+    /// Operations completed (contention-monitor input).
+    pub(crate) ops: OpCount,
+    /// HTM pieces a committed attempt used (the router ignores it; the
+    /// rollover tests below do not).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) pieces: u32,
+    /// Why a `Restart`.
+    pub(crate) code: Option<OFailCode>,
+    /// On a capacity abort: the number of operations that *did* fit in
+    /// the overflowing piece — the router jumps straight to a fitting
+    /// period instead of halving blindly from a far-too-large one.
+    pub(crate) fit_period: Option<u32>,
+}
+
+impl OAttempt {
+    fn ended(verdict: Verdict, ops: OpCount) -> Self {
+        OAttempt {
+            verdict,
+            ops,
+            pieces: 0,
+            code: None,
+            fit_period: None,
+        }
+    }
+
+    /// A failed attempt: the router restarts it.
+    pub(crate) fn failed(code: OFailCode, ops: OpCount, fit_period: Option<u32>) -> Self {
+        OAttempt {
+            verdict: Verdict::Restart,
+            ops,
+            pieces: 0,
+            code: Some(code),
+            fit_period,
+        }
+    }
 }
 
 /// Transactional operations of one attempt, by kind.
@@ -237,61 +253,37 @@ pub(crate) fn attempt(
     obs: &ObsHandle,
 ) -> OAttempt {
     if ctx.begin().is_err() {
-        return OAttempt::Failed {
-            code: OFailCode::Htm(AbortCode::Conflict),
-            ops: OpCount::default(),
-            fit_period: None,
-        };
+        let code = OFailCode::Htm(AbortCode::Conflict);
+        return OAttempt::failed(code, OpCount::default(), None);
     }
     let mut ops = OModeOps::new(ctx, sys, period, value_validation, scratch);
-    match obs.run_body(&mut ops, me, body) {
-        Ok(()) => {}
-        Err(TxInterrupt::Restart) => {
-            let (code, n) = (ops.failure.unwrap_or(OFailCode::Validation), ops.ops);
-            let fit_period = match code {
-                OFailCode::Htm(AbortCode::Capacity) => Some((ops.failed_piece_ops * 3 / 4).max(1)),
-                _ => None,
-            };
-            if ctx.in_tx() {
-                ctx.abort_explicit(0xC1);
-            }
-            return OAttempt::Failed {
-                code,
-                ops: n,
-                fit_period,
-            };
+    let result = obs.run_body(&mut ops, me, body);
+    let n = ops.ops;
+    if let Err(interrupt) = result {
+        let code = ops.failure.unwrap_or(OFailCode::Validation);
+        let fit_period = (code == OFailCode::Htm(AbortCode::Capacity))
+            .then(|| (ops.failed_piece_ops * 3 / 4).max(1));
+        if ctx.in_tx() {
+            ctx.abort_explicit(match interrupt {
+                TxInterrupt::Restart => 0xC1,
+                TxInterrupt::UserAbort => 0xCF,
+                TxInterrupt::Panicked => 0xCE,
+            });
         }
-        Err(TxInterrupt::UserAbort) => {
-            if ctx.in_tx() {
-                ctx.abort_explicit(0xCF);
-            }
-            return OAttempt::UserAborted;
-        }
-        Err(TxInterrupt::Panicked) => {
-            if ctx.in_tx() {
-                ctx.abort_explicit(0xCE);
-            }
-            return OAttempt::Panicked;
-        }
+        return match interrupt {
+            TxInterrupt::Restart => OAttempt::failed(code, n, fit_period),
+            ended => OAttempt::ended(ended.into(), n),
+        };
     }
 
-    let OModeOps {
-        pieces,
-        ops: n,
-        value_validation,
-        ..
-    } = ops;
+    let (value_validation, pieces) = (ops.value_validation, ops.pieces);
     let OScratch {
         reads,
         read_values,
         writes,
         ..
     } = &mut *scratch;
-    let failed = |code| OAttempt::Failed {
-        code,
-        ops: n,
-        fit_period: None,
-    };
+    let failed = |code| OAttempt::failed(code, n, None);
 
     // Close the final piece: its commit validates everything read inside it.
     if !ctx.in_tx() {
@@ -299,11 +291,7 @@ pub(crate) fn attempt(
     }
     if let Err(code) = ctx.commit() {
         let fit_period = (code == AbortCode::Capacity).then(|| 1.max(period * 3 / 4));
-        return OAttempt::Failed {
-            code: OFailCode::Htm(code),
-            ops: n,
-            fit_period,
-        };
+        return OAttempt::failed(OFailCode::Htm(code), n, fit_period);
     }
 
     // Optimistic commit (outside any HTM): lock the write set's lines,
@@ -331,7 +319,10 @@ pub(crate) fn attempt(
     // Conflicting writers hold overlapping line sets, so they publish
     // strictly before or after this commit's ticket.
     held.commit(obs);
-    OAttempt::Committed { ops: n, pieces }
+    OAttempt {
+        pieces,
+        ..OAttempt::ended(Verdict::Committed, n)
+    }
 }
 
 #[cfg(test)]
@@ -382,13 +373,10 @@ mod tests {
             }
             ops.write(0, data.addr(0), sum + 1)
         });
-        match out {
-            OAttempt::Committed { ops, pieces } => {
-                assert_eq!((ops.reads, ops.writes), (32, 1));
-                assert!(pieces >= 8, "expected ≥8 pieces at period 4, got {pieces}");
-            }
-            _ => panic!("expected commit"),
-        }
+        assert_eq!(out.verdict, Verdict::Committed);
+        assert_eq!((out.ops.reads, out.ops.writes), (32, 1));
+        let pieces = out.pieces;
+        assert!(pieces >= 8, "expected ≥8 pieces at period 4, got {pieces}");
         assert_eq!(sys.mem().load_direct(data.addr(0)), 1);
         assert_eq!(sys.locks().peek(sys.mem(), 0).version(), 1);
     }
@@ -409,8 +397,9 @@ mod tests {
             }
             ops.write(0, big.addr(0), sum + 5)
         });
-        assert!(
-            matches!(out, OAttempt::Committed { .. }),
+        assert_eq!(
+            out.verdict,
+            Verdict::Committed,
             "10k-line txn must fit in 256-op pieces"
         );
     }
@@ -428,14 +417,8 @@ mod tests {
             }
             Ok(())
         });
-        match out {
-            OAttempt::Failed {
-                code: OFailCode::Htm(AbortCode::Capacity),
-                ..
-            } => {}
-            OAttempt::Failed { code, .. } => panic!("wrong failure {code:?}"),
-            _ => panic!("expected capacity failure"),
-        }
+        assert_eq!(out.verdict, Verdict::Restart);
+        assert_eq!(out.code, Some(OFailCode::Htm(AbortCode::Capacity)));
     }
 
     #[test]
@@ -454,7 +437,7 @@ mod tests {
             ops.write(1, data.addr(1), x + 1)
         });
         // First run is clean (nothing actually poisoned memory mid-piece).
-        assert!(matches!(out, OAttempt::Committed { .. }));
+        assert_eq!(out.verdict, Verdict::Committed);
 
         // Now interleave: read in attempt, then an external writer bumps
         // vertex 0 *between the final piece commit and validation* — easiest
@@ -472,8 +455,9 @@ mod tests {
             ops.read(1, data.addr(1))?; // forces rollover at period 1
             ops.write(1, data.addr(1), x)
         });
-        assert!(
-            matches!(out, OAttempt::Failed { .. }),
+        assert_eq!(
+            out.verdict,
+            Verdict::Restart,
             "update to a read vertex between pieces must fail the attempt"
         );
     }
@@ -487,13 +471,7 @@ mod tests {
             ops.read(1, data.addr(1))?;
             Ok(())
         });
-        assert!(matches!(
-            out,
-            OAttempt::Failed {
-                code: OFailCode::LockBusy,
-                ..
-            }
-        ));
+        assert_eq!(out.code, Some(OFailCode::LockBusy));
     }
 
     #[test]
@@ -504,7 +482,7 @@ mod tests {
             ops.write(0, data.addr(0), 9)?;
             Err(ops.user_abort())
         });
-        assert!(matches!(out, OAttempt::UserAborted));
+        assert_eq!(out.verdict, Verdict::UserAbort);
         assert_eq!(sys.mem().load_direct(data.addr(0)), 0);
     }
 
@@ -528,8 +506,9 @@ mod tests {
             ops.read(1, data.addr(8))?; // rollover
             ops.write(1, data.addr(8), x + 1)
         });
-        assert!(
-            matches!(out, OAttempt::Committed { .. }),
+        assert_eq!(
+            out.verdict,
+            Verdict::Committed,
             "ABA is invisible to value validation"
         );
     }
@@ -549,7 +528,7 @@ mod tests {
                             let x = ops.read(0, data.addr(0))?;
                             ops.write(0, data.addr(0), x + 1)
                         });
-                        if matches!(out, OAttempt::Committed { .. }) {
+                        if out.verdict == Verdict::Committed {
                             committed += 1;
                         }
                     }

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use tufast_htm::AbortCode;
 use tufast_txn::{
-    FaultHandle, GraphScheduler, HealthHandle, RRun, SchedStats, TwoPhaseLocking, TxnBody, TxnHint,
-    TxnOutcome, TxnSystem, TxnWorker,
+    GraphScheduler, HealthHandle, Lifecycle, SchedStats, TwoPhaseLocking, TxnBody, TxnHint,
+    TxnOutcome, TxnSystem, TxnWorker, Verdict,
 };
 
 use crate::config::TuFastConfig;
@@ -58,9 +58,7 @@ impl GraphScheduler for TuFast {
         let l_worker = TwoPhaseLocking::new(Arc::clone(&self.sys)).worker();
         let me = self.sys.new_worker_id();
         TuFastWorker {
-            me,
-            faults: self.sys.fault_handle(me),
-            health: self.sys.health_handle(me),
+            lc: Lifecycle::new(&self.sys, me),
             h_skip_streak: 0,
             monitor: ContentionMonitor::new(self.config.min_period, self.config.max_period),
             l_worker,
@@ -69,7 +67,6 @@ impl GraphScheduler for TuFast {
             o_scratch: OScratch::new(me),
             period_cap: self.config.max_period,
             h_hint_cap: self.config.h_max_hint_words,
-            sys: Arc::clone(&self.sys),
             config: self.config.clone(),
             stats: TuFastStats::default(),
         }
@@ -83,11 +80,10 @@ impl GraphScheduler for TuFast {
 /// Per-thread TuFast execution state: an HTM context, a contention monitor,
 /// and an embedded L-mode (2PL) worker.
 pub struct TuFastWorker {
-    sys: Arc<TxnSystem>,
+    /// Identity, system, health and fault probes, and the scheduler
+    /// counters (`stats.sched` stays empty until a take folds them in).
+    lc: Lifecycle,
     config: TuFastConfig,
-    me: u32,
-    faults: FaultHandle,
-    health: HealthHandle,
     /// Consecutive H-eligible transactions skipped in degraded mode
     /// (drives the periodic reprobe).
     h_skip_streak: u32,
@@ -107,16 +103,24 @@ pub struct TuFastWorker {
     stats: TuFastStats,
 }
 
+impl AsMut<Lifecycle> for TuFastWorker {
+    #[inline]
+    fn as_mut(&mut self) -> &mut Lifecycle {
+        &mut self.lc
+    }
+}
+
 impl TuFastWorker {
     /// Full TuFast statistics (mode breakdown, HTM counters, period trace),
     /// taking and resetting them.
     pub fn take_tufast_stats(&mut self) -> TuFastStats {
         let mut out = std::mem::take(&mut self.stats);
+        out.sched = std::mem::take(&mut self.lc.stats);
         out.htm = self.ctx.take_stats();
         // Drain the system-wide health counters with take-semantics: the
         // first worker drained gets them, every later drain sees zero, so
         // merging per-worker stats stays additive.
-        let health = self.sys.health().take_counters();
+        let health = self.lc.sys.health().take_counters();
         out.watchdog_escalations = health.watchdog_escalations;
         out.jobs_cancelled = health.jobs_cancelled;
         out.jobs_shed = health.jobs_shed;
@@ -160,6 +164,16 @@ impl TuFastWorker {
         attempts_so_far: u32,
         body: &mut TxnBody<'_>,
     ) -> TxnOutcome {
+        // The H and O rungs probe this worker's health at every attempt
+        // boundary; the embedded 2PL worker probes its own. Beat (and obey)
+        // ours once more where the body changes hands, so a worker whose
+        // transactions all route straight to L is not read as stalled.
+        if self.lc.stop_requested() {
+            return TxnOutcome {
+                committed: false,
+                attempts: attempts_so_far,
+            };
+        }
         let out = self
             .l_worker
             .execute_bounded(self.config.l_attempt_budget, body);
@@ -171,7 +185,7 @@ impl TuFastWorker {
         // A health stop (cancel / deadline / shed) is a clean rollback, not
         // a liveness failure: it must NOT escalate to the serial token.
         let health_stopped = delta.health_stops > 0;
-        self.stats.sched.merge(&delta);
+        self.lc.stats.merge(&delta);
         if out.committed {
             self.stats.modes.record(class, ops);
         }
@@ -203,9 +217,9 @@ impl TuFastWorker {
         attempts_so_far: u32,
         body: &mut TxnBody<'_>,
     ) -> TxnOutcome {
-        let token = self.sys.serial_token();
-        let mem = self.sys.mem();
-        let claim = u64::from(self.me) + 1;
+        let token = self.lc.sys.serial_token();
+        let mem = self.lc.sys.mem();
+        let claim = u64::from(self.lc.id) + 1;
         let mut spins = 0u32;
         // tufast-lint: lock-acquire(serial_token)
         while mem.cas_direct(token, 0, claim).is_err() {
@@ -231,13 +245,13 @@ impl TuFastWorker {
             Ok(out) => out,
             Err(payload) => {
                 let delta = self.l_worker.take_stats();
-                self.stats.sched.merge(&delta);
+                self.lc.stats.merge(&delta);
                 std::panic::resume_unwind(payload);
             }
         };
         let delta = self.l_worker.take_stats();
         let ops = delta.reads + delta.writes;
-        self.stats.sched.merge(&delta);
+        self.lc.stats.merge(&delta);
         if out.committed {
             self.stats.serial_commits += 1;
             self.stats.modes.record(class, ops);
@@ -251,9 +265,7 @@ impl TuFastWorker {
 
 impl TxnWorker for TuFastWorker {
     fn execute_hinted(&mut self, txn_hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        let obs = self.sys.observer_handle();
         let hint = txn_hint.size.max(1);
-        let mut attempts = 0u32;
 
         // ---- R mode (before everything, including the serial gate):
         // declared-pure bodies pin a snapshot and read with no locks, no
@@ -261,50 +273,30 @@ impl TxnWorker for TuFastWorker {
         // nothing and the serial-fallback writer publishes through the
         // embedded 2PL worker's vertex locks — which the snapshot bracket
         // already rejects — so they need not wait out the drain.
-        if txn_hint.read_only {
-            let reads_before = self.stats.sched.reads;
-            match tufast_txn::run_read_only(
-                &self.sys,
-                self.me,
-                &mut self.stats.sched,
-                &self.health,
-                tufast_txn::R_DEMOTE_ATTEMPTS,
-                body,
-            ) {
-                RRun::Committed { attempts } => {
-                    let ops = self.stats.sched.reads - reads_before;
+        let reads_before = self.lc.stats.reads;
+        let mut attempts = match tufast_txn::read_only_prologue(&mut self.lc, txn_hint, body) {
+            Ok(out) => {
+                if out.committed {
+                    let ops = self.lc.stats.reads - reads_before;
                     self.stats.modes.record(ModeClass::R, ops);
-                    return TxnOutcome {
-                        committed: true,
-                        attempts,
-                    };
                 }
-                RRun::UserAborted { attempts } | RRun::HealthStopped { attempts } => {
-                    return TxnOutcome {
-                        committed: false,
-                        attempts,
-                    };
-                }
-                // Purity violation or writer-storm starvation: carry the
-                // spent attempts into the ordinary H→O→L ladder below.
-                RRun::Demoted {
-                    attempts: spent, ..
-                } => attempts = spent,
+                return out;
             }
-        }
-
+            // Purity violation or writer-storm starvation: carry the
+            // spent attempts into the ordinary H→O→L ladder below.
+            Err(spent) => spent,
+        };
         // Stop-the-world gate: while a serial-fallback holder is
         // committing, newly arriving transactions pause here (holding
         // nothing), so the system drains towards a single writer.
-        let token = self.sys.serial_token();
+        let token = self.lc.sys.serial_token();
         let mut gate_spins = 0u32;
-        while self.sys.mem().load_direct(token) != 0 {
+        while self.lc.sys.mem().load_direct(token) != 0 {
             gate_spins = gate_spins.wrapping_add(1);
             if gate_spins.is_multiple_of(256) {
                 // The holder may itself be health-stopped; a cancelled job
                 // must not wait out the drain. Nothing is held here.
-                if self.health.checkpoint().is_some() {
-                    self.stats.sched.health_stops += 1;
+                if self.lc.stop_requested() {
                     return TxnOutcome {
                         committed: false,
                         attempts,
@@ -316,32 +308,17 @@ impl TxnWorker for TuFastWorker {
             }
         }
 
-        // Job-level stop (cancel / deadline / shed): bail before doing any
-        // work. Every later mode loop re-probes at its own attempt
-        // boundaries; the L path probes inside the embedded 2PL worker.
-        if self.health.checkpoint().is_some() {
-            self.stats.sched.health_stops += 1;
-            return TxnOutcome {
-                committed: false,
-                attempts,
-            };
-        }
-
         // Watchdog escalation rung 3: collapse to the single-writer serial
         // path so a livelocked mix drains behind the global token.
-        if self.health.board().force_serial() {
+        if self.lc.health.board().force_serial() {
             return self.serial_commit(hint, ModeClass::L, attempts, body);
         }
 
-        // Injected scheduling delay (no-op without the `faults` feature).
-        self.faults.preempt();
         // Seeded crash site: with a crash plan armed, the run dies here —
         // at a transaction boundary, holding no locks — modelling process
-        // death for crash-recovery testing.
-        self.faults.crash_point();
-        // Seeded stall site: a wedged worker spins here with no heartbeats,
-        // which is exactly what the watchdog's stall detector looks for.
-        self.faults.stall_point();
+        // death for crash-recovery testing. (The preemption and stall
+        // sites are probed at every attempt boundary, by the skeleton.)
+        self.lc.faults.crash_point();
 
         // Entry decision (Figure 10): size hints beyond O-mode reach go
         // straight to L mode. (The embedded 2PL worker carries its own
@@ -353,7 +330,7 @@ impl TxnWorker for TuFastWorker {
         // Runtime degradation: with the HTM switch off, both H and O (its
         // pieces are hardware transactions too) are unusable — go straight
         // to L instead of burning doomed begin() calls.
-        if !self.sys.htm().htm_available() {
+        if !self.lc.sys.htm().htm_available() {
             self.stats.htm_off_txns += 1;
             return self.run_l(hint, ModeClass::L, attempts, body);
         }
@@ -369,200 +346,127 @@ impl TxnWorker for TuFastWorker {
             if degraded {
                 self.stats.degraded_h_skips += 1;
             } else {
-                let mut tries = 0;
-                while tries < self.config.h_retries {
-                    // Attempt boundary: the previous hardware transaction
-                    // aborted (or none ran yet), so nothing is open or held.
-                    if self.health.checkpoint().is_some() {
-                        self.stats.sched.health_stops += 1;
-                        return TxnOutcome {
-                            committed: false,
-                            attempts,
-                        };
-                    }
-                    tries += 1;
-                    attempts += 1;
-                    obs.attempt_begin(self.me);
-                    match hmode::attempt(
-                        &mut self.ctx,
-                        &self.sys,
-                        self.me,
-                        &mut self.stats.sched,
-                        &mut self.h_scratch,
-                        body,
-                        &obs,
-                    ) {
-                        HAttempt::Committed { ops } => {
-                            self.monitor.observe_h(true);
-                            self.stats.modes.record(ModeClass::H, ops);
-                            self.stats.sched.commits += 1;
-                            self.health.note_commit();
+                // At every attempt boundary of this rung the previous
+                // hardware transaction aborted (or none ran yet), so
+                // nothing is open or held.
+                let h_retries = self.config.h_retries;
+                let end = Lifecycle::rung(self, h_retries, &mut attempts, |w, obs| {
+                    let HAttempt { end, ops } =
+                        hmode::attempt(&mut w.ctx, &mut w.lc, &mut w.h_scratch, body, obs);
+                    match end {
+                        Ok(Verdict::Committed) => {
+                            w.monitor.observe_h(true);
+                            w.stats.modes.record(ModeClass::H, ops);
                             // Slow recovery of the learned H bound.
-                            if hint * 2 > self.h_hint_cap {
-                                self.h_hint_cap = (self.h_hint_cap + self.h_hint_cap / 16)
-                                    .min(self.config.h_max_hint_words);
+                            if hint * 2 > w.h_hint_cap {
+                                w.h_hint_cap = (w.h_hint_cap + w.h_hint_cap / 16)
+                                    .min(w.config.h_max_hint_words);
                             }
-                            return TxnOutcome {
-                                committed: true,
-                                attempts,
-                            };
+                            Verdict::Committed
                         }
-                        HAttempt::UserAborted => {
-                            self.stats.sched.user_aborts += 1;
-                            obs.abort(self.me, true);
-                            return TxnOutcome {
-                                committed: false,
-                                attempts,
-                            };
+                        Ok(ended) => ended,
+                        Err(AbortCode::Capacity) => {
+                            // Deterministic on retry: proceed to O now,
+                            // and skip H for future hints this large.
+                            w.h_hint_cap = (hint * 3 / 4).max(64);
+                            Verdict::Leave
                         }
-                        HAttempt::Aborted(code) => {
-                            self.stats.sched.restarts += 1;
-                            self.health.note_restart();
-                            obs.abort(self.me, false);
-                            if code == AbortCode::Capacity {
-                                // Deterministic on retry: proceed to O now,
-                                // and skip H for future hints this large.
-                                self.h_hint_cap = (hint * 3 / 4).max(64);
-                                break;
-                            }
-                            tufast_txn::backoff(tries, self.me);
-                        }
-                        HAttempt::Panicked => {
-                            // hmode already aborted the hardware txn; count
-                            // and re-raise the user's panic payload.
-                            self.stats.sched.panics += 1;
-                            obs.abort(self.me, false);
-                            tufast_txn::obs::resume_body_panic();
-                        }
+                        Err(_) => Verdict::Restart,
                     }
+                });
+                if let Some(out) = end.settled(attempts) {
+                    return out;
                 }
                 // Fell through to O/L: this H entry failed.
                 self.monitor.observe_h(false);
             }
         }
 
-        // ---- O mode with period halving.
-        let initial_period = self.current_period();
-        self.stats.period_sum += u64::from(initial_period);
+        // ---- O mode with period halving: a rung of `o_retries` attempts
+        // that an attempt leaves once `period` falls below the floor. At
+        // every attempt boundary the previous O attempt rolled back every
+        // piece, so nothing is held.
+        let mut period = self.current_period();
+        self.stats.period_sum += u64::from(period);
         self.stats.period_samples += 1;
-        let mut period = initial_period;
         let mut adjusted = false;
-        let mut o_tries = 0;
-        while o_tries < self.config.o_retries && period >= self.config.min_period {
-            // Attempt boundary: the previous O attempt either committed
-            // (returned) or rolled back every piece, so nothing is held.
-            if self.health.checkpoint().is_some() {
-                self.stats.sched.health_stops += 1;
-                return TxnOutcome {
-                    committed: false,
-                    attempts,
-                };
-            }
-            o_tries += 1;
-            attempts += 1;
-            obs.attempt_begin(self.me);
+        let o_budget = if period >= self.config.min_period {
+            self.config.o_retries
+        } else {
+            0
+        };
+        let end = Lifecycle::rung(self, o_budget, &mut attempts, |w, obs| {
             // Injected O-mode failure (validation / commit-lock), decided
             // here at the router so `omode` stays fault-agnostic; HTM-level
             // faults inside pieces flow through the real abort paths.
-            let injected = self.faults.validation_fails()
-                || self.faults.lock_acquisition_fails()
-                || self.faults.livelock_restart();
-            let result = if injected {
-                self.stats.sched.injected_faults += 1;
-                OAttempt::Failed {
-                    code: OFailCode::Validation,
-                    ops: OpCount::default(),
-                    fit_period: None,
-                }
+            let out = if w.lc.commit_fails_injected() {
+                OAttempt::failed(OFailCode::Validation, OpCount::default(), None)
             } else {
                 omode::attempt(
-                    &mut self.ctx,
-                    &self.sys,
-                    self.me,
+                    &mut w.ctx,
+                    &w.lc.sys,
+                    w.lc.id,
                     period,
-                    self.config.value_validation,
-                    self.config.test_skip_o_validation,
-                    &mut self.o_scratch,
+                    w.config.value_validation,
+                    w.config.test_skip_o_validation,
+                    &mut w.o_scratch,
                     body,
-                    &obs,
+                    obs,
                 )
             };
-            match result {
-                OAttempt::Committed { ops, pieces } => {
-                    self.stats.sched.reads += ops.reads;
-                    self.stats.sched.writes += ops.writes;
-                    let ops = ops.total();
-                    self.monitor.observe(ops, 0);
+            w.lc.stats.reads += out.ops.reads;
+            w.lc.stats.writes += out.ops.writes;
+            let ops = out.ops.total();
+            match out.verdict {
+                Verdict::Committed => {
+                    w.monitor.observe(ops, 0);
                     // Slow recovery of the learned capacity cap.
-                    self.period_cap =
-                        (self.period_cap + self.period_cap / 16).min(self.config.max_period);
+                    w.period_cap = (w.period_cap + w.period_cap / 16).min(w.config.max_period);
                     let class = if adjusted {
                         ModeClass::OPlus
                     } else {
                         ModeClass::O
                     };
-                    self.stats.modes.record(class, ops);
-                    self.stats.sched.commits += 1;
-                    self.health.note_commit();
-                    let _ = pieces;
-                    return TxnOutcome {
-                        committed: true,
-                        attempts,
-                    };
+                    w.stats.modes.record(class, ops);
+                    Verdict::Committed
                 }
-                OAttempt::UserAborted => {
-                    self.stats.sched.user_aborts += 1;
-                    obs.abort(self.me, true);
-                    return TxnOutcome {
-                        committed: false,
-                        attempts,
-                    };
-                }
-                OAttempt::Failed {
-                    code,
-                    ops,
-                    fit_period,
-                } => {
-                    self.stats.sched.restarts += 1;
-                    self.health.note_restart();
-                    obs.abort(self.me, false);
-                    self.stats.sched.reads += ops.reads;
-                    self.stats.sched.writes += ops.writes;
-                    let ops = ops.total();
+                Verdict::Restart => {
                     // Capacity overflow is deterministic in the piece size,
                     // not evidence of contention: jump straight to a
                     // fitting period and keep the monitor clean. Conflicts
                     // feed the monitor and halve the period (paper §IV-D).
-                    match fit_period {
+                    match out.fit_period {
                         Some(fit) => {
                             // Deterministic overflow: adopt the fitting
-                            // period even below the floor — the loop guard
-                            // then proceeds to L, as the paper prescribes,
+                            // period even below the floor — the rung is
+                            // then left for L, as the paper prescribes,
                             // instead of re-running a doomed piece size.
                             period = period.min(fit);
-                            self.period_cap = period.max(self.config.min_period);
+                            w.period_cap = period.max(w.config.min_period);
                         }
                         None => {
                             let contention_abort = matches!(
-                                code,
-                                OFailCode::Htm(_) | OFailCode::LockBusy | OFailCode::Validation
+                                out.code,
+                                Some(
+                                    OFailCode::Htm(_) | OFailCode::LockBusy | OFailCode::Validation
+                                )
                             );
-                            self.monitor
-                                .observe(ops.max(1), u64::from(contention_abort));
+                            w.monitor.observe(ops.max(1), u64::from(contention_abort));
                             period /= 2;
                         }
                     }
                     adjusted = true;
-                    tufast_txn::backoff(o_tries, self.me);
+                    if period >= w.config.min_period {
+                        Verdict::Restart
+                    } else {
+                        Verdict::Leave
+                    }
                 }
-                OAttempt::Panicked => {
-                    // omode already aborted the open hardware piece and
-                    // dropped its write buffer; count and re-raise.
-                    self.stats.sched.panics += 1;
-                    obs.abort(self.me, false);
-                    tufast_txn::obs::resume_body_panic();
-                }
+                ended => ended,
             }
+        });
+        if let Some(out) = end.settled(attempts) {
+            return out;
         }
 
         // ---- L mode (after O gave up).
@@ -570,11 +474,11 @@ impl TxnWorker for TuFastWorker {
     }
 
     fn stats(&self) -> &SchedStats {
-        &self.stats.sched
+        &self.lc.stats
     }
 
     fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.stats).sched
+        std::mem::take(&mut self.lc.stats)
     }
 
     fn htm_ops(&self) -> u64 {
@@ -585,7 +489,7 @@ impl TxnWorker for TuFastWorker {
     }
 
     fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.health)
+        Some(&self.lc.health)
     }
 }
 
@@ -615,6 +519,20 @@ mod tests {
         let stats = w.take_tufast_stats();
         assert_eq!(stats.modes.txns(ModeClass::H), 1);
         assert_eq!(stats.modes.total_txns(), 1);
+    }
+
+    #[test]
+    fn taking_the_scheduler_counters_keeps_the_mode_breakdown() {
+        let (sys, data) = setup(4, 32);
+        let mut w = TuFast::new(Arc::clone(&sys)).worker();
+        assert!(
+            w.execute(4, &mut |ops| ops.write(0, data.addr(0), 1))
+                .committed
+        );
+        assert_eq!(w.take_stats().commits, 1);
+        let stats = w.take_tufast_stats();
+        assert_eq!(stats.modes.txns(ModeClass::H), 1);
+        assert_eq!(stats.sched.commits, 0, "already taken");
     }
 
     #[test]

@@ -532,21 +532,12 @@ impl FaultHandle {
         {
             if let Some(plan) = self.active_plan() {
                 self.seq += 1;
-                let spec = plan.spec();
-                if spec.lock_stall_permille > 0
-                    && permille_roll(spec.seed, SITE_LOCK_STALL, self.worker, self.seq)
-                        < spec.lock_stall_permille
-                {
-                    plan.record(FaultKind::LockStall);
+                let (spec, seq) = (plan.spec(), self.seq);
+                let (stalls, fails) = (spec.lock_stall_permille, spec.lock_fail_permille);
+                if self.fires(SITE_LOCK_STALL, stalls, seq, FaultKind::LockStall) {
                     stall(spec.lock_stall_spins);
                 }
-                if spec.lock_fail_permille > 0
-                    && permille_roll(spec.seed, SITE_LOCK_FAIL, self.worker, self.seq)
-                        < spec.lock_fail_permille
-                {
-                    plan.record(FaultKind::LockFail);
-                    return true;
-                }
+                return self.fires(SITE_LOCK_FAIL, fails, seq, FaultKind::LockFail);
             }
         }
         false
@@ -560,14 +551,8 @@ impl FaultHandle {
         {
             if let Some(plan) = self.active_plan() {
                 self.seq += 1;
-                let spec = plan.spec();
-                if spec.validation_fail_permille > 0
-                    && permille_roll(spec.seed, SITE_VALIDATION, self.worker, self.seq)
-                        < spec.validation_fail_permille
-                {
-                    plan.record(FaultKind::ValidationFail);
-                    return true;
-                }
+                let rate = plan.spec().validation_fail_permille;
+                return self.fires(SITE_VALIDATION, rate, self.seq, FaultKind::ValidationFail);
             }
         }
         false
@@ -581,12 +566,8 @@ impl FaultHandle {
         {
             if let Some(plan) = self.active_plan() {
                 self.seq += 1;
-                let spec = plan.spec();
-                if spec.preempt_permille > 0
-                    && permille_roll(spec.seed, SITE_PREEMPT, self.worker, self.seq)
-                        < spec.preempt_permille
-                {
-                    plan.record(FaultKind::Preempt);
+                let (spec, seq) = (plan.spec(), self.seq);
+                if self.fires(SITE_PREEMPT, spec.preempt_permille, seq, FaultKind::Preempt) {
                     stall(spec.preempt_spins);
                     std::thread::yield_now();
                 }
@@ -676,14 +657,8 @@ impl FaultHandle {
         {
             if let Some(plan) = self.active_plan() {
                 self.seq += 1;
-                let spec = plan.spec();
-                if spec.livelock_permille > 0
-                    && permille_roll(spec.seed, SITE_LIVELOCK, self.worker, self.seq)
-                        < spec.livelock_permille
-                {
-                    plan.record(FaultKind::Livelock);
-                    return true;
-                }
+                let rate = plan.spec().livelock_permille;
+                return self.fires(SITE_LIVELOCK, rate, self.seq, FaultKind::Livelock);
             }
         }
         false
@@ -724,14 +699,8 @@ impl FaultHandle {
         {
             if let Some(plan) = self.active_plan() {
                 self.wal_syncs += 1;
-                let spec = plan.spec();
-                if spec.lost_fsync_permille > 0
-                    && permille_roll(spec.seed, SITE_WAL_SYNC, self.worker, self.wal_syncs)
-                        < spec.lost_fsync_permille
-                {
-                    plan.record(FaultKind::LostFsync);
-                    return true;
-                }
+                let rate = plan.spec().lost_fsync_permille;
+                return self.fires(SITE_WAL_SYNC, rate, self.wal_syncs, FaultKind::LostFsync);
             }
         }
         false
@@ -784,6 +753,21 @@ impl FaultHandle {
                 }
             }
         }
+    }
+
+    /// One seeded decision at permille `rate` for `site` at this worker's
+    /// `seq`-th probe of it; a hit is recorded on the plan as `kind`.
+    #[cfg(feature = "faults")]
+    #[inline]
+    fn fires(&self, site: u64, rate: u32, seq: u64, kind: FaultKind) -> bool {
+        let Some(plan) = &self.inner else {
+            return false;
+        };
+        let hit = rate > 0 && permille_roll(plan.spec().seed, site, self.worker, seq) < rate;
+        if hit {
+            plan.record(kind);
+        }
+        hit
     }
 
     #[cfg(feature = "faults")]

@@ -18,13 +18,12 @@ use std::sync::Arc;
 use tufast_htm::{AbortCode, Addr, HtmCtx, LineBatch};
 
 use crate::commit::release_at_ticket;
-use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
+use crate::lifecycle::{hardware_attempt, HtmBodyOps, Lifecycle, Verdict};
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
-    backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
-    TxnWorker,
+    GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome, TxnWorker,
 };
 use crate::VertexId;
 
@@ -60,17 +59,12 @@ impl GraphScheduler for HSyncLike {
 
     fn worker(&self) -> HSyncWorker {
         let ctx = self.sys.htm_ctx();
-        let faults = self.sys.fault_handle(ctx.id());
-        let health = self.sys.health_handle(ctx.id());
         HSyncWorker {
+            lc: Lifecycle::new(&self.sys, ctx.id()),
             ctx,
-            faults,
-            health,
-            sys: Arc::clone(&self.sys),
             retries: self.retries,
             undo: Vec::with_capacity(32),
             batch: LineBatch::with_capacity(32),
-            stats: SchedStats::default(),
         }
     }
 
@@ -81,15 +75,20 @@ impl GraphScheduler for HSyncLike {
 
 /// Per-thread HSync state.
 pub struct HSyncWorker {
-    sys: Arc<TxnSystem>,
+    /// `lc.id` is the hardware context's id.
+    lc: Lifecycle,
     ctx: HtmCtx,
-    faults: FaultHandle,
-    health: HealthHandle,
     retries: u32,
     undo: Vec<(Addr, u64)>,
     /// Fallback-commit scratch: the undo log's lines and the fallback word's.
     batch: LineBatch,
-    stats: SchedStats,
+}
+
+impl AsMut<Lifecycle> for HSyncWorker {
+    #[inline]
+    fn as_mut(&mut self) -> &mut Lifecycle {
+        &mut self.lc
+    }
 }
 
 /// Speculative ops: everything inside one HTM transaction.
@@ -126,6 +125,16 @@ impl TxnOps for HtmOps<'_> {
     }
 }
 
+impl HtmBodyOps for HtmOps<'_> {
+    fn ctx(&mut self) -> &mut HtmCtx {
+        self.ctx
+    }
+
+    fn last_abort(&self) -> Option<AbortCode> {
+        self.last_abort
+    }
+}
+
 /// Fallback ops: in-place under the global lock, with an undo log so a
 /// user abort can roll back.
 struct FallbackOps<'a> {
@@ -150,81 +159,39 @@ impl TxnOps for FallbackOps<'_> {
 }
 
 impl HSyncWorker {
-    /// One speculative attempt. `Ok(true)` = committed, `Ok(false)` = user
-    /// abort, `Err(code)` = HTM abort.
+    /// One speculative attempt. A capacity abort is deterministic, and so is
+    /// a hardware path switched off at runtime: both leave the rung for the
+    /// global fallback instead of using up the remaining retries.
     // tufast-lint: htm-scope
-    fn htm_attempt(&mut self, body: &mut TxnBody<'_>, obs: &ObsHandle) -> Result<bool, AbortCode> {
-        let fallback = self.sys.fallback_word();
-        let id = self.ctx.id();
+    fn htm_attempt(&mut self, body: &mut TxnBody<'_>, obs: &ObsHandle) -> Verdict {
         if self.ctx.begin().is_err() {
-            // HTM switched off at runtime: report a capacity abort so the
-            // caller skips the remaining speculative retries and goes
-            // straight to the global fallback.
-            return Err(AbortCode::Capacity);
+            return Verdict::Leave;
         }
         // Subscribe the fallback lock; busy means a fallback transaction is
         // running — abort and let the caller wait it out.
-        match self.ctx.read(fallback) {
-            Ok(free) if free & 1 == 0 => {}
-            Ok(_) => {
-                let code = self.ctx.abort_explicit(0xF0);
-                return Err(code);
-            }
-            Err(code) => return Err(code),
-        }
+        let subscribed = match self.ctx.read(self.lc.sys.fallback_word()) {
+            Ok(free) if free & 1 == 0 => Ok(()),
+            Ok(_) => Err(self.ctx.abort_explicit(0xF0)),
+            Err(code) => Err(code),
+        };
         let mut ops = HtmOps {
             ctx: &mut self.ctx,
-            stats: &mut self.stats,
+            stats: &mut self.lc.stats,
             last_abort: None,
         };
-        match obs.run_body(&mut ops, id, body) {
-            Ok(()) => {
-                let ops_abort = ops.last_abort;
-                if !self.ctx.in_tx() {
-                    // Aborted mid-body but the body returned Ok anyway.
-                    return Err(ops_abort.unwrap_or(AbortCode::Conflict));
-                }
-                obs.pre_commit(id);
-                match self.ctx.commit() {
-                    Ok(()) => {
-                        // HTM-path ticket: the commit timestamp the context
-                        // minted while its write lines were locked.
-                        obs.commit_ticketed(id, || self.ctx.last_commit_ts());
-                        Ok(true)
-                    }
-                    Err(code) => Err(ops_abort.unwrap_or(code)),
-                }
-            }
-            Err(TxInterrupt::Restart) => {
-                let code = ops.last_abort.unwrap_or(AbortCode::Conflict);
-                if self.ctx.in_tx() {
-                    self.ctx.abort_explicit(0xF1);
-                }
-                Err(code)
-            }
-            Err(TxInterrupt::UserAbort) => {
-                if self.ctx.in_tx() {
-                    self.ctx.abort_explicit(0xFF);
-                }
-                Ok(false)
-            }
-            Err(TxInterrupt::Panicked) => {
-                // Speculative writes vanish with the abort; nothing to undo.
-                if self.ctx.in_tx() {
-                    self.ctx.abort_explicit(0xFE);
-                }
-                self.stats.panics += 1;
-                obs.abort(id, false);
-                crate::obs::resume_body_panic();
-            }
+        match subscribed.and_then(|()| hardware_attempt(&mut ops, self.lc.id, 0xF0, body, obs)) {
+            Ok(verdict) => verdict,
+            Err(AbortCode::Capacity) => Verdict::Leave,
+            Err(_) => Verdict::Restart,
         }
     }
 
-    /// Serialise under the global fallback lock.
-    fn fallback_attempt(&mut self, body: &mut TxnBody<'_>, obs: &ObsHandle) -> bool {
-        let mem = self.sys.mem();
-        let fallback = self.sys.fallback_word();
-        let id = self.ctx.id();
+    /// Serialise under the global fallback lock, which admits no conflicts:
+    /// the attempt restarts only if the body itself asks to.
+    fn fallback_attempt(&mut self, body: &mut TxnBody<'_>, obs: &ObsHandle) -> Verdict {
+        let mem = self.lc.sys.mem();
+        let fallback = self.lc.sys.fallback_word();
+        let id = self.lc.id;
         let mut spins = 0u32;
         // The word is a sequence lock: odd while held, and every hold
         // leaves it two higher, so a reader that saw the same even value
@@ -245,133 +212,65 @@ impl HSyncWorker {
         };
         self.undo.clear();
         let mut ops = FallbackOps {
-            sys: &self.sys,
+            sys: &self.lc.sys,
             undo: &mut self.undo,
-            stats: &mut self.stats,
+            stats: &mut self.lc.stats,
         };
         let result = obs.run_body(&mut ops, id, body);
-        match result {
-            Ok(()) => {
-                obs.pre_commit(id);
-                // One batch stamps the in-place written lines with the
-                // ticket and clears the fallback word at it: no other writer
-                // can publish in between, and a snapshot reader pinned
-                // mid-commit cannot accept the pre-ticket stores.
-                let ticket = release_at_ticket(
-                    mem,
-                    &mut self.batch,
-                    self.undo.iter().map(|&(addr, _)| addr),
-                    std::iter::once(fallback),
-                    |_| held + 1,
-                );
-                obs.commit_ticketed(id, || ticket);
-                true
+        if result.is_ok() {
+            obs.pre_commit(id);
+            // One batch stamps the in-place written lines with the
+            // ticket and clears the fallback word at it: no other writer
+            // can publish in between, and a snapshot reader pinned
+            // mid-commit cannot accept the pre-ticket stores.
+            let ticket = release_at_ticket(
+                mem,
+                &mut self.batch,
+                self.undo.iter().map(|&(addr, _)| addr),
+                std::iter::once(fallback),
+                |_| held + 1,
+            );
+            obs.commit_ticketed(id, || ticket);
+        } else {
+            // Roll back in-place writes, newest first, then release: with
+            // the global lock free and memory restored, a panic can
+            // propagate without blocking peers.
+            for &(addr, old) in self.undo.iter().rev() {
+                mem.store_direct(addr, old);
             }
-            Err(interrupt) => {
-                // Roll back in-place writes, newest first, then release.
-                for &(addr, old) in self.undo.iter().rev() {
-                    mem.store_direct(addr, old);
-                }
-                mem.store_direct(fallback, held + 1);
-                if matches!(interrupt, TxInterrupt::Panicked) {
-                    // The global lock is released and memory restored; the
-                    // panic can now propagate without blocking peers.
-                    self.stats.panics += 1;
-                    obs.abort(id, false);
-                    crate::obs::resume_body_panic();
-                }
-                false
-            }
+            mem.store_direct(fallback, held + 1);
         }
+        result.into()
     }
 }
 
 impl TxnWorker for HSyncWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        let mut attempts = match crate::rmode::read_only_prologue(
-            &self.sys,
-            self.ctx.id(),
-            &mut self.stats,
-            &self.health,
-            hint,
-            body,
-        ) {
+        let mut attempts = match crate::rmode::read_only_prologue(&mut self.lc, hint, body) {
             Ok(out) => return out,
             Err(prior) => prior,
         };
-        let obs = self.sys.observer_handle();
-        let id = self.ctx.id();
-        let mut htm_tries = 0u32;
-        loop {
-            // Attempt boundary: neither the fallback lock nor an HTM
-            // transaction is held here — the clean stop point.
-            if self.health.checkpoint().is_some() {
-                self.stats.health_stops += 1;
-                return TxnOutcome {
-                    committed: false,
-                    attempts,
-                };
-            }
-            attempts += 1;
-            self.faults.preempt();
-            self.faults.stall_point();
-            if htm_tries < self.retries {
-                htm_tries += 1;
-                obs.attempt_begin(id);
-                match self.htm_attempt(body, &obs) {
-                    Ok(true) => {
-                        self.stats.commits += 1;
-                        self.health.note_commit();
-                        return TxnOutcome {
-                            committed: true,
-                            attempts,
-                        };
-                    }
-                    Ok(false) => {
-                        self.stats.user_aborts += 1;
-                        obs.abort(id, true);
-                        return TxnOutcome {
-                            committed: false,
-                            attempts,
-                        };
-                    }
-                    Err(code) => {
-                        self.stats.restarts += 1;
-                        self.health.note_restart();
-                        obs.abort(id, false);
-                        if code == AbortCode::Capacity {
-                            // Deterministic: skip the remaining retries.
-                            htm_tries = self.retries;
-                        }
-                        backoff(htm_tries, self.ctx.id());
-                    }
-                }
-            } else {
-                // Fallback path. A `false` here is a user abort (the global
-                // lock admits no conflicts).
-                obs.attempt_begin(id);
-                let committed = self.fallback_attempt(body, &obs);
-                if committed {
-                    self.stats.commits += 1;
-                    self.health.note_commit();
-                } else {
-                    self.stats.user_aborts += 1;
-                    obs.abort(id, true);
-                }
-                return TxnOutcome {
-                    committed,
-                    attempts,
-                };
-            }
+        // At every attempt boundary of both rungs neither the fallback lock
+        // nor a hardware transaction is held.
+        let retries = self.retries;
+        let end = Lifecycle::rung(self, retries, &mut attempts, |w, obs| {
+            w.htm_attempt(body, obs)
+        });
+        if let Some(out) = end.settled(attempts) {
+            return out;
         }
+        Lifecycle::rung(self, u32::MAX, &mut attempts, |w, obs| {
+            w.fallback_attempt(body, obs)
+        })
+        .outcome(attempts)
     }
 
     fn stats(&self) -> &SchedStats {
-        &self.stats
+        &self.lc.stats
     }
 
     fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.lc.stats)
     }
 
     fn htm_ops(&self) -> u64 {
@@ -380,7 +279,7 @@ impl TxnWorker for HSyncWorker {
     }
 
     fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.health)
+        Some(&self.lc.health)
     }
 }
 

@@ -18,10 +18,9 @@ use std::sync::Arc;
 
 use tufast_htm::{Addr, HtmCtx};
 
-use crate::buffered::{self, Buffered, Lifecycle};
 use crate::commit::WriteSet;
-use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
+use crate::lifecycle::{execute_buffered, Buffered, Lifecycle};
 use crate::locks::LockWord;
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
@@ -52,14 +51,10 @@ impl GraphScheduler for HTimestampOrdering {
     fn worker(&self) -> HtoWorker {
         let id = self.sys.new_worker_id();
         HtoWorker {
-            id,
-            faults: self.sys.fault_handle(id),
-            health: self.sys.health_handle(id),
-            sys: Arc::clone(&self.sys),
+            lc: Lifecycle::new(&self.sys, id),
             ts: 0,
             ctx: self.sys.htm_ctx(),
             writes: WriteSet::new(id),
-            stats: SchedStats::default(),
         }
     }
 
@@ -70,14 +65,10 @@ impl GraphScheduler for HTimestampOrdering {
 
 /// Per-thread H-TO state.
 pub struct HtoWorker {
-    id: u32,
-    faults: FaultHandle,
-    health: HealthHandle,
-    sys: Arc<TxnSystem>,
+    lc: Lifecycle,
     ctx: HtmCtx,
     ts: u32,
     writes: WriteSet,
-    stats: SchedStats,
 }
 
 /// Outcome of one HTM-accelerated attempt.
@@ -93,8 +84,8 @@ impl HtoWorker {
     /// `wts` check + `rts` claim + value read, atomically in one HTM txn.
     // tufast-lint: htm-scope
     fn htm_read(&mut self, v: VertexId, addr: Addr) -> HtmTry<u64> {
-        let lock_addr = self.sys.locks().addr(v);
-        let ts_addr = self.sys.to_ts_addr(v);
+        let lock_addr = self.lc.sys.locks().addr(v);
+        let ts_addr = self.lc.sys.to_ts_addr(v);
         if self.ctx.begin().is_err() {
             return HtmTry::Fallback;
         }
@@ -137,7 +128,7 @@ impl HtoWorker {
             return HtmTry::Fallback;
         }
         for &v in self.writes.vertices() {
-            let lock_addr = self.sys.locks().addr(v);
+            let lock_addr = self.lc.sys.locks().addr(v);
             let lw = match self.ctx.read(lock_addr) {
                 Ok(w) => LockWord(w),
                 Err(_) => return HtmTry::Fallback,
@@ -146,7 +137,7 @@ impl HtoWorker {
                 self.ctx.abort_explicit(0xA2);
                 return HtmTry::Fallback;
             }
-            let ts_addr = self.sys.to_ts_addr(v);
+            let ts_addr = self.lc.sys.to_ts_addr(v);
             let tsw = match self.ctx.read(ts_addr) {
                 Ok(w) => w,
                 Err(_) => return HtmTry::Fallback,
@@ -179,20 +170,17 @@ impl HtoWorker {
     }
 }
 
-impl Buffered for HtoWorker {
-    fn lifecycle(&mut self) -> Lifecycle<'_> {
-        Lifecycle {
-            id: self.id,
-            sys: &self.sys,
-            stats: &mut self.stats,
-            health: &self.health,
-            faults: &mut self.faults,
-        }
+impl AsMut<Lifecycle> for HtoWorker {
+    #[inline]
+    fn as_mut(&mut self) -> &mut Lifecycle {
+        &mut self.lc
     }
+}
 
+impl Buffered for HtoWorker {
     fn begin_attempt(&mut self) {
         self.writes.clear();
-        let ts = self.sys.next_ts();
+        let ts = self.lc.sys.next_ts();
         assert!(ts < u64::from(u32::MAX), "H-TO timestamp space exhausted");
         self.ts = ts as u32;
     }
@@ -201,7 +189,7 @@ impl Buffered for HtoWorker {
         if self.writes.words().is_empty() {
             // Read-only: the current clock is an upper bound on every
             // writer this transaction observed.
-            obs.commit_ticketed(self.id, || self.sys.mem().clock_now_pub());
+            obs.commit_ticketed(self.lc.id, || self.lc.sys.mem().clock_now_pub());
             return Ok(());
         }
         for _ in 0..HTM_OP_RETRIES {
@@ -209,20 +197,20 @@ impl Buffered for HtoWorker {
                 HtmTry::Done(()) => {
                     // HTM-path ticket: the commit timestamp minted while the
                     // written lines were still locked inside the HTM commit.
-                    obs.commit_ticketed(self.id, || self.ctx.last_commit_ts());
+                    obs.commit_ticketed(self.lc.id, || self.ctx.last_commit_ts());
                     return Ok(());
                 }
                 HtmTry::TsViolation => return Err(TxInterrupt::Restart),
                 HtmTry::Fallback => {}
             }
         }
-        to_commit_locked(&self.sys, self.id, self.ts, &mut self.writes, obs)
+        to_commit_locked(&self.lc.sys, self.lc.id, self.ts, &mut self.writes, obs)
     }
 }
 
 impl TxnOps for HtoWorker {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        self.stats.reads += 1;
+        self.lc.stats.reads += 1;
         if let Some(val) = self.writes.words().get(addr) {
             return Ok(val);
         }
@@ -233,12 +221,12 @@ impl TxnOps for HtoWorker {
                 HtmTry::Fallback => {}
             }
         }
-        to_read_fallback(&self.sys, self.ts, v, addr)
+        to_read_fallback(&self.lc.sys, self.ts, v, addr)
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
-        self.stats.writes += 1;
-        let (wts, rts) = unpack(self.sys.mem().load_direct(self.sys.to_ts_addr(v)));
+        self.lc.stats.writes += 1;
+        let (wts, rts) = unpack(self.lc.sys.mem().load_direct(self.lc.sys.to_ts_addr(v)));
         if wts > self.ts || rts > self.ts {
             return Err(TxInterrupt::Restart);
         }
@@ -249,15 +237,15 @@ impl TxnOps for HtoWorker {
 
 impl TxnWorker for HtoWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        buffered::execute(self, hint, body)
+        execute_buffered(self, hint, body)
     }
 
     fn stats(&self) -> &SchedStats {
-        &self.stats
+        &self.lc.stats
     }
 
     fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.lc.stats)
     }
 
     fn htm_ops(&self) -> u64 {
@@ -266,7 +254,7 @@ impl TxnWorker for HtoWorker {
     }
 
     fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.health)
+        Some(&self.lc.health)
     }
 }
 

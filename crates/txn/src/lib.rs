@@ -19,6 +19,10 @@
 //!   every scheduler (including TuFast itself, in the `tufast` crate) runs
 //!   the *same* transaction bodies, so throughput comparisons are
 //!   apples-to-apples.
+//! * [`Lifecycle`] — the one attempt lifecycle: every scheduler (and every
+//!   rung of TuFast's H→O→L ladder) runs its attempts through
+//!   [`Lifecycle::rung`], the only place that counts commits, restarts,
+//!   user aborts, panics and health stops.
 //! * [`rmode`] — the R-mode snapshot-read fast path: declared-pure bodies
 //!   ([`TxnHint::read_only`]) read a pinned epoch of the version clock with
 //!   no locks, no read-set logging and no hardware transaction, on every
@@ -31,13 +35,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod buffered;
 pub mod commit;
 pub mod deadlock;
 pub mod faults;
 pub mod health;
 mod hsync;
 mod hto;
+mod lifecycle;
 mod locks;
 pub mod obs;
 mod occ;
@@ -59,10 +63,11 @@ pub use health::{
 };
 pub use hsync::HSyncLike;
 pub use hto::HTimestampOrdering;
+pub use lifecycle::{hardware_attempt, HtmBodyOps, Lifecycle, RungEnd, Verdict};
 pub use locks::{LockWord, VertexLocks};
 pub use obs::{ObsHandle, TxnObserver};
 pub use occ::Occ;
-pub use rmode::{read_only_prologue, run_read_only, RRun, RWorker, ReadMode, R_DEMOTE_ATTEMPTS};
+pub use rmode::{read_only_prologue, RWorker, ReadMode, R_DEMOTE_ATTEMPTS};
 pub use stm::SoftwareTm;
 pub use system::{PeekPass, SystemConfig, TxnSystem};
 pub use to::TimestampOrdering;

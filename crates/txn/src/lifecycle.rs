@@ -1,0 +1,485 @@
+//! The one attempt lifecycle: every scheduler, and every rung of TuFast's
+//! H→O→L ladder, runs its attempts through [`Lifecycle::rung`].
+//!
+//! The schedulers differ in how an attempt reads, writes, commits and rolls
+//! back. They do not differ in what brackets an attempt — stop at a health
+//! checkpoint, probe the attempt-boundary fault sites, count the attempt,
+//! tell the observer — or in what follows its verdict: commits, restarts,
+//! user aborts, panics and health stops are counted, reported and backed
+//! off from (or re-raised) here and nowhere else.
+
+use std::sync::Arc;
+
+use tufast_htm::{AbortCode, HtmCtx};
+
+use crate::faults::FaultHandle;
+use crate::health::HealthHandle;
+use crate::obs::ObsHandle;
+use crate::system::TxnSystem;
+use crate::traits::{backoff, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome};
+
+/// How one attempt ended, as the attempt's own closure reports it: by then
+/// it has rolled its protocol back (or published at its ticket).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Published, and the commit ticket reported to the observer.
+    Committed,
+    /// Rolled back; run the body again if the rung's budget allows.
+    Restart,
+    /// Rolled back, and another attempt on this rung cannot do better (a
+    /// capacity abort, a period below the floor, a write under a read-only
+    /// declaration): count the restart and leave the rung.
+    Leave,
+    /// The body called [`TxnOps::user_abort`]; rolled back, not retried.
+    UserAbort,
+    /// The body panicked; rolled back. The skeleton re-raises the payload.
+    Panicked,
+    /// The job stopped while the attempt waited — holding nothing, the body
+    /// not yet run — and the wait counted the stop through
+    /// [`Lifecycle::stop_requested`].
+    Stopped,
+}
+
+impl From<TxInterrupt> for Verdict {
+    #[inline]
+    fn from(interrupt: TxInterrupt) -> Verdict {
+        match interrupt {
+            TxInterrupt::Restart => Verdict::Restart,
+            TxInterrupt::UserAbort => Verdict::UserAbort,
+            TxInterrupt::Panicked => Verdict::Panicked,
+        }
+    }
+}
+
+impl From<Result<(), TxInterrupt>> for Verdict {
+    #[inline]
+    fn from(result: Result<(), TxInterrupt>) -> Verdict {
+        result.map_or_else(Verdict::from, |()| Verdict::Committed)
+    }
+}
+
+/// How a rung of attempts ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RungEnd {
+    /// An attempt committed.
+    Committed,
+    /// An attempt user-aborted.
+    UserAborted,
+    /// The job's cancel token latched at an attempt boundary.
+    Stopped,
+    /// The budget ran out, or an attempt left the rung: nothing is held,
+    /// nothing is published, and the caller moves to its next rung.
+    Exhausted,
+}
+
+impl RungEnd {
+    /// The transaction's outcome after its last rung.
+    #[inline]
+    pub fn outcome(self, attempts: u32) -> TxnOutcome {
+        TxnOutcome {
+            committed: self == RungEnd::Committed,
+            attempts,
+        }
+    }
+
+    /// The transaction's outcome if this rung settled it; `None` sends the
+    /// caller to its next rung.
+    #[inline]
+    pub fn settled(self, attempts: u32) -> Option<TxnOutcome> {
+        (self != RungEnd::Exhausted).then(|| self.outcome(attempts))
+    }
+}
+
+/// A worker's lifecycle state: who it is, and everything an attempt
+/// boundary touches. Every scheduler worker owns one and lends it to
+/// [`Lifecycle::rung`] through `AsMut`.
+pub struct Lifecycle {
+    /// The worker id (lock owner, wait-table slot, heartbeat slot).
+    pub id: u32,
+    /// The shared system.
+    pub sys: Arc<TxnSystem>,
+    /// The worker's counters. `commits`, `restarts`, `user_aborts`,
+    /// `panics` and `health_stops` move in this module only.
+    pub stats: SchedStats,
+    /// The worker's health probe.
+    pub health: HealthHandle,
+    /// The worker's fault-injection probe.
+    pub faults: FaultHandle,
+}
+
+impl AsMut<Lifecycle> for Lifecycle {
+    #[inline]
+    fn as_mut(&mut self) -> &mut Lifecycle {
+        self
+    }
+}
+
+impl Lifecycle {
+    /// The lifecycle of worker `id` on `sys`.
+    pub fn new(sys: &Arc<TxnSystem>, id: u32) -> Lifecycle {
+        Lifecycle {
+            id,
+            sys: Arc::clone(sys),
+            stats: SchedStats::default(),
+            health: sys.health_handle(id),
+            faults: sys.fault_handle(id),
+        }
+    }
+
+    /// Probe the job's health at a point where nothing is held; a stop is
+    /// counted here, and the caller unwinds.
+    #[inline]
+    pub fn stop_requested(&mut self) -> bool {
+        let stop = self.health.checkpoint().is_some();
+        if stop {
+            self.stats.health_stops += 1;
+        }
+        stop
+    }
+
+    /// Probe the three fault sites of an optimistic commit (validation,
+    /// commit-lock acquisition, livelock); `true` — counted — means the
+    /// commit must report failure without running.
+    #[inline]
+    pub fn commit_fails_injected(&mut self) -> bool {
+        let injected = self.faults.validation_fails()
+            || self.faults.lock_acquisition_fails()
+            || self.faults.livelock_restart();
+        if injected {
+            self.stats.injected_faults += 1;
+        }
+        injected
+    }
+
+    /// Run one rung of at most `budget` attempts for the worker `w`.
+    ///
+    /// Each attempt: health checkpoint → count it (in `attempts`, which
+    /// runs across a transaction's rungs) → `preempt` / `stall_point` →
+    /// `attempt_begin` → `run_once`, which runs the body through
+    /// [`ObsHandle::run_body`], commits or rolls its own protocol back, and
+    /// says how it went. Everything a [`Verdict`] implies for the counters,
+    /// the health board, the observer, the backoff and a parked panic
+    /// happens here; `run_once` holds nothing when it returns.
+    ///
+    /// Always inlined: a rung is its caller's retry loop, and the router's
+    /// H rung measurably suffers (`txn-rw`, `pagerank`) when the compiler
+    /// outlines it.
+    #[inline(always)]
+    pub fn rung<W: AsMut<Lifecycle>>(
+        w: &mut W,
+        budget: u32,
+        attempts: &mut u32,
+        mut run_once: impl FnMut(&mut W, &ObsHandle) -> Verdict,
+    ) -> RungEnd {
+        let obs = w.as_mut().sys.observer_handle();
+        let mut tries = 0u32;
+        while tries < budget {
+            let lc = w.as_mut();
+            if lc.stop_requested() {
+                return RungEnd::Stopped;
+            }
+            tries += 1;
+            *attempts += 1;
+            lc.faults.preempt();
+            lc.faults.stall_point();
+            let id = lc.id;
+            obs.attempt_begin(id);
+            let verdict = run_once(w, &obs);
+            let lc = w.as_mut();
+            match verdict {
+                Verdict::Committed => {
+                    lc.stats.commits += 1;
+                    lc.health.note_commit();
+                    return RungEnd::Committed;
+                }
+                Verdict::Restart | Verdict::Leave => {
+                    lc.stats.restarts += 1;
+                    lc.health.note_restart();
+                    obs.abort(id, false);
+                    if verdict == Verdict::Leave {
+                        break;
+                    }
+                    if tries < budget {
+                        backoff(tries, id);
+                    }
+                }
+                Verdict::UserAbort => {
+                    lc.stats.user_aborts += 1;
+                    obs.abort(id, true);
+                    return RungEnd::UserAborted;
+                }
+                Verdict::Panicked => {
+                    lc.stats.panics += 1;
+                    obs.abort(id, false);
+                    crate::obs::resume_body_panic();
+                }
+                Verdict::Stopped => {
+                    // The body never ran: not an execution to report.
+                    *attempts -= 1;
+                    obs.abort(id, false);
+                    return RungEnd::Stopped;
+                }
+            }
+        }
+        RungEnd::Exhausted
+    }
+}
+
+/// What a buffered-write scheduler (OCC, TO, H-TO, STM) supplies to
+/// [`execute_buffered`]: its reads and writes, and these two steps.
+pub(crate) trait Buffered: TxnOps + AsMut<Lifecycle> {
+    /// Drop the previous attempt's buffers and start a fresh attempt.
+    fn begin_attempt(&mut self);
+    /// The protocol's commit; `Err` restarts the transaction.
+    fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt>;
+}
+
+/// Run `body` to an outcome on a buffered-write scheduler: the R-mode
+/// prologue for declared-pure bodies, then one unbounded rung. Writes are
+/// buffered and nothing is held between attempts, so dropping the buffers
+/// (`begin_attempt`) is the whole rollback — also for a panicking body.
+pub(crate) fn execute_buffered<W: Buffered>(
+    w: &mut W,
+    hint: TxnHint,
+    body: &mut TxnBody<'_>,
+) -> TxnOutcome {
+    let mut attempts = match crate::rmode::read_only_prologue(w.as_mut(), hint, body) {
+        Ok(out) => return out,
+        Err(prior) => prior,
+    };
+    Lifecycle::rung(w, u32::MAX, &mut attempts, |w, obs| {
+        w.begin_attempt();
+        let id = w.as_mut().id;
+        obs.run_body(w, id, body)
+            .and_then(|()| {
+                obs.pre_commit(id);
+                if w.as_mut().commit_fails_injected() {
+                    return Err(TxInterrupt::Restart);
+                }
+                w.try_commit(obs)
+            })
+            .into()
+    })
+    .outcome(attempts)
+}
+
+/// The operations of an attempt that runs the whole body inside one
+/// hardware transaction (TuFast's H mode, HSync's fast path).
+pub trait HtmBodyOps: TxnOps {
+    /// The hardware context the attempt runs in.
+    fn ctx(&mut self) -> &mut HtmCtx;
+    /// The abort code of the operation that failed, if one did.
+    fn last_abort(&self) -> Option<AbortCode>;
+}
+
+/// Run `body` against `ops`, whose hardware transaction is already open,
+/// and close it: commit (reporting the HTM's commit timestamp as the
+/// ticket) or abort explicitly (`xabort | 0x1` on a restart, `| 0xF` on a
+/// user abort, `| 0xE` on a panic). `Err(code)` is a hardware abort —
+/// nothing speculative survives any non-committed ending.
+// tufast-lint: htm-scope
+#[inline]
+pub fn hardware_attempt<O: HtmBodyOps>(
+    ops: &mut O,
+    id: u32,
+    xabort: u8,
+    body: &mut TxnBody<'_>,
+    obs: &ObsHandle,
+) -> Result<Verdict, AbortCode> {
+    let result = obs.run_body(ops, id, body);
+    let last = ops.last_abort();
+    let ctx = ops.ctx();
+    match result {
+        Ok(()) => {
+            if !ctx.in_tx() {
+                // Aborted mid-body, but the body returned `Ok` anyway.
+                return Err(last.unwrap_or(AbortCode::Conflict));
+            }
+            obs.pre_commit(id);
+            ctx.commit()?;
+            // The ticket: the commit timestamp the context minted while
+            // its written lines were locked.
+            obs.commit_ticketed(id, || ctx.last_commit_ts());
+            Ok(Verdict::Committed)
+        }
+        Err(interrupt) => {
+            if ctx.in_tx() {
+                ctx.abort_explicit(match interrupt {
+                    TxInterrupt::Restart => xabort | 0x1,
+                    TxInterrupt::UserAbort => xabort | 0xF,
+                    TxInterrupt::Panicked => xabort | 0xE,
+                });
+            }
+            match interrupt {
+                TxInterrupt::Restart => Err(last.unwrap_or(AbortCode::Conflict)),
+                ended => Ok(ended.into()),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tufast_htm::{Addr, MemoryLayout};
+
+    fn lifecycle() -> Lifecycle {
+        let sys = TxnSystem::with_defaults(1, MemoryLayout::new());
+        let id = sys.new_worker_id();
+        Lifecycle::new(&sys, id)
+    }
+
+    /// Run one rung whose attempts end as `script` says, in order.
+    fn scripted(lc: &mut Lifecycle, budget: u32, script: &[Verdict]) -> (RungEnd, u32, usize) {
+        let (mut attempts, mut calls) = (0, 0);
+        let end = Lifecycle::rung(lc, budget, &mut attempts, |_, _| {
+            calls += 1;
+            script[calls - 1]
+        });
+        (end, attempts, calls)
+    }
+
+    #[test]
+    fn every_verdict_moves_exactly_its_own_counters_once() {
+        let one = |f: fn(&mut SchedStats)| {
+            let mut s = SchedStats::default();
+            f(&mut s);
+            s
+        };
+        let table = [
+            (
+                Verdict::Committed,
+                RungEnd::Committed,
+                1,
+                one(|s| s.commits = 1),
+            ),
+            (
+                Verdict::Restart,
+                RungEnd::Exhausted,
+                1,
+                one(|s| s.restarts = 1),
+            ),
+            (
+                Verdict::Leave,
+                RungEnd::Exhausted,
+                1,
+                one(|s| s.restarts = 1),
+            ),
+            (
+                Verdict::UserAbort,
+                RungEnd::UserAborted,
+                1,
+                one(|s| s.user_aborts = 1),
+            ),
+            // The wait that found the job stopped counted it; the skeleton
+            // only takes the attempt back.
+            (Verdict::Stopped, RungEnd::Stopped, 0, SchedStats::default()),
+        ];
+        for (verdict, end, attempts, stats) in table {
+            let mut lc = lifecycle();
+            assert_eq!(
+                scripted(&mut lc, 1, &[verdict]),
+                (end, attempts, 1),
+                "{verdict:?}"
+            );
+            assert_eq!(lc.stats, stats, "{verdict:?}");
+            let beat = lc.sys.health().view(lc.id);
+            assert_eq!(
+                (beat.commits, beat.restarts),
+                (stats.commits, stats.restarts),
+                "{verdict:?} on the health board"
+            );
+        }
+    }
+
+    #[test]
+    fn a_latched_token_stops_before_the_attempt_runs() {
+        let mut lc = lifecycle();
+        lc.sys.cancel_token().cancel();
+        assert_eq!(scripted(&mut lc, 3, &[]), (RungEnd::Stopped, 0, 0));
+        let stopped = SchedStats {
+            health_stops: 1,
+            ..SchedStats::default()
+        };
+        assert_eq!(lc.stats, stopped);
+    }
+
+    #[test]
+    fn a_budget_of_restarts_ends_exhausted_with_nothing_counted_twice() {
+        let mut lc = lifecycle();
+        let k = 4;
+        assert_eq!(
+            scripted(&mut lc, k, &[Verdict::Restart; 4]),
+            (RungEnd::Exhausted, k, k as usize)
+        );
+        let restarted = SchedStats {
+            restarts: u64::from(k),
+            ..SchedStats::default()
+        };
+        assert_eq!(lc.stats, restarted);
+        // The next rung of the same transaction keeps counting its attempts.
+        let mut attempts = k;
+        let end = Lifecycle::rung(&mut lc, 1, &mut attempts, |_, _| Verdict::Committed);
+        assert_eq!((end, attempts), (RungEnd::Committed, k + 1));
+        assert_eq!(end.settled(attempts), Some(end.outcome(attempts)));
+        assert_eq!(RungEnd::Exhausted.settled(attempts), None);
+    }
+
+    #[test]
+    fn leave_counts_the_restart_and_leaves_the_rung() {
+        let mut lc = lifecycle();
+        let script = [Verdict::Restart, Verdict::Leave, Verdict::Committed];
+        assert_eq!(scripted(&mut lc, 8, &script), (RungEnd::Exhausted, 2, 2));
+        assert_eq!((lc.stats.restarts, lc.stats.commits), (2, 0));
+    }
+
+    struct NoOps;
+
+    impl TxnOps for NoOps {
+        fn read(&mut self, _v: u32, _addr: Addr) -> Result<u64, TxInterrupt> {
+            Ok(0)
+        }
+
+        fn write(&mut self, _v: u32, _addr: Addr, _val: u64) -> Result<(), TxInterrupt> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicked_verdict_counts_reports_and_reraises_the_payload() {
+        #[cfg(feature = "observe")]
+        #[derive(Default)]
+        struct Aborts(std::sync::atomic::AtomicU32);
+        #[cfg(feature = "observe")]
+        impl crate::obs::TxnObserver for Aborts {
+            fn abort(&self, _worker: u32, user: bool) {
+                assert!(!user);
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+
+        let mut lc = lifecycle();
+        #[cfg(feature = "observe")]
+        let aborts = Arc::new(Aborts::default());
+        #[cfg(feature = "observe")]
+        lc.sys.set_observer(Some(aborts.clone()));
+        let mut attempts = 0;
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            Lifecycle::rung(&mut lc, 8, &mut attempts, |lc, obs| {
+                obs.run_body(&mut NoOps, lc.id, &mut |_| panic!("boom"))
+                    .into()
+            })
+        }))
+        .expect_err("the body's panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(attempts, 1);
+        let panicked = SchedStats {
+            panics: 1,
+            ..SchedStats::default()
+        };
+        assert_eq!(lc.stats, panicked);
+        #[cfg(feature = "observe")]
+        assert_eq!(aborts.0.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+}

@@ -56,11 +56,12 @@ thread_local! {
 /// Re-raise the transaction-body panic caught by the current thread's
 /// most recent [`ObsHandle::run_body`] call.
 ///
-/// Schedulers call this *after* rolling the panicked attempt back (locks
-/// released, HTM state reset, stats recorded): the original payload then
-/// propagates on the calling thread exactly as an uncontained panic
-/// would, but without wedging any peer.
-pub fn resume_body_panic() -> ! {
+/// [`Lifecycle::rung`](crate::lifecycle::Lifecycle::rung), its one caller,
+/// gets here *after* the attempt's closure rolled the panicked attempt
+/// back (locks released, HTM state reset) and the panic was counted: the
+/// original payload then propagates on the calling thread exactly as an
+/// uncontained panic would, but without wedging any peer.
+pub(crate) fn resume_body_panic() -> ! {
     let payload = CAUGHT_PANIC.with(|p| p.borrow_mut().take());
     match payload {
         Some(p) => resume_unwind(p),
@@ -181,8 +182,8 @@ impl ObsHandle {
 
     /// Run `body` against `inner`, interposing the observer's per-op
     /// hooks when one is attached, and containing body panics: a panic
-    /// unwinds no further than this frame, its payload is parked for
-    /// [`resume_body_panic`], and the caller sees
+    /// unwinds no further than this frame, its payload is parked for the
+    /// attempt skeleton to re-raise, and the caller sees
     /// [`TxInterrupt::Panicked`] — so it can roll the attempt back
     /// (releasing every lock and HTM resource) before the panic
     /// propagates.

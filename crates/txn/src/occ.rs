@@ -11,10 +11,9 @@ use std::sync::Arc;
 
 use tufast_htm::{Addr, WordMap};
 
-use crate::buffered::{self, Buffered, Lifecycle};
 use crate::commit::{read_stable, WriteSet};
-use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
+use crate::lifecycle::{execute_buffered, Buffered, Lifecycle};
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
@@ -40,14 +39,10 @@ impl GraphScheduler for Occ {
     fn worker(&self) -> OccWorker {
         let id = self.sys.new_worker_id();
         OccWorker {
-            id,
-            faults: self.sys.fault_handle(id),
-            health: self.sys.health_handle(id),
-            sys: Arc::clone(&self.sys),
+            lc: Lifecycle::new(&self.sys, id),
             reads: Vec::with_capacity(32),
             read_seen: WordMap::with_capacity(32),
             writes: WriteSet::new(id),
-            stats: SchedStats::default(),
         }
     }
 
@@ -58,28 +53,21 @@ impl GraphScheduler for Occ {
 
 /// Per-thread OCC state.
 pub struct OccWorker {
-    id: u32,
-    faults: FaultHandle,
-    health: HealthHandle,
-    sys: Arc<TxnSystem>,
+    lc: Lifecycle,
     /// `(vertex, version at first read)`.
     reads: Vec<(VertexId, u32)>,
     read_seen: WordMap,
     writes: WriteSet,
-    stats: SchedStats,
+}
+
+impl AsMut<Lifecycle> for OccWorker {
+    #[inline]
+    fn as_mut(&mut self) -> &mut Lifecycle {
+        &mut self.lc
+    }
 }
 
 impl Buffered for OccWorker {
-    fn lifecycle(&mut self) -> Lifecycle<'_> {
-        Lifecycle {
-            id: self.id,
-            sys: &self.sys,
-            stats: &mut self.stats,
-            health: &self.health,
-            faults: &mut self.faults,
-        }
-    }
-
     fn begin_attempt(&mut self) {
         self.reads.clear();
         self.read_seen.clear();
@@ -89,7 +77,7 @@ impl Buffered for OccWorker {
     fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt> {
         let held = self
             .writes
-            .try_lock(&self.sys, |_| None)
+            .try_lock(&self.lc.sys, |_| None)
             .ok_or(TxInterrupt::Restart)?;
         // Read-only transactions validate too, so they serialize at their
         // commit point (Silo's read validation).
@@ -103,12 +91,12 @@ impl Buffered for OccWorker {
 
 impl TxnOps for OccWorker {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        self.stats.reads += 1;
+        self.lc.stats.reads += 1;
         if let Some(val) = self.writes.words().get(addr) {
             return Ok(val);
         }
-        let mem = self.sys.mem();
-        let (word, val) = read_stable(&self.sys, v, || Ok(mem.load_direct(addr)))?;
+        let mem = self.lc.sys.mem();
+        let (word, val) = read_stable(&self.lc.sys, v, || Ok(mem.load_direct(addr)))?;
         if self.read_seen.insert(Addr(u64::from(v)), 1) {
             self.reads.push((v, word.version()));
         }
@@ -116,7 +104,7 @@ impl TxnOps for OccWorker {
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
-        self.stats.writes += 1;
+        self.lc.stats.writes += 1;
         self.writes.insert(v, addr, val);
         Ok(())
     }
@@ -124,19 +112,19 @@ impl TxnOps for OccWorker {
 
 impl TxnWorker for OccWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        buffered::execute(self, hint, body)
+        execute_buffered(self, hint, body)
     }
 
     fn stats(&self) -> &SchedStats {
-        &self.stats
+        &self.lc.stats
     }
 
     fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.lc.stats)
     }
 
     fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.health)
+        Some(&self.lc.health)
     }
 }
 

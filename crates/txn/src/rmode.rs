@@ -67,11 +67,10 @@ use std::sync::Arc;
 use tufast_htm::Addr;
 
 use crate::health::HealthHandle;
-use crate::obs::ObsHandle;
+use crate::lifecycle::{Lifecycle, RungEnd, Verdict};
 use crate::system::TxnSystem;
 use crate::traits::{
-    backoff, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
-    TxnWorker,
+    GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome, TxnWorker,
 };
 use crate::VertexId;
 
@@ -84,35 +83,6 @@ const R_READ_SPINS: u32 = 128;
 /// scheduler: a reader starved by a write storm demotes to the host
 /// scheduler's ordinary (lock-based) path, which owns a liveness ladder.
 pub const R_DEMOTE_ATTEMPTS: u32 = 64;
-
-/// Outcome of [`run_read_only`]: what the host scheduler should do next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RRun {
-    /// The body committed on the snapshot-read path.
-    Committed {
-        /// Body executions (1 = first pin sufficed).
-        attempts: u32,
-    },
-    /// The body called [`TxnOps::user_abort`]; nothing to roll back.
-    UserAborted {
-        /// Body executions.
-        attempts: u32,
-    },
-    /// The job's cancel token latched at an attempt boundary.
-    HealthStopped {
-        /// Body executions.
-        attempts: u32,
-    },
-    /// The body must re-run on the host scheduler's ordinary path: it
-    /// either called [`TxnOps::write`] despite the `read_only` declaration
-    /// (`wrote`), or exhausted `max_attempts` re-pins under writer churn.
-    Demoted {
-        /// Body executions spent on the R path (fold into the outcome).
-        attempts: u32,
-        /// The demotion was a declared-purity violation, not starvation.
-        wrote: bool,
-    },
-}
 
 /// [`TxnOps`] for one R-mode attempt: validated snapshot reads, and a
 /// write path that only records the purity violation.
@@ -165,91 +135,49 @@ impl TxnOps for ROps<'_> {
     }
 }
 
-/// Run `body` on the snapshot-read path until it commits, user-aborts, is
-/// health-stopped, or must be demoted. Shared by every scheduler's
-/// [`TxnWorker::execute_hinted`] `read_only` prologue and by the
-/// standalone [`ReadMode`] scheduler.
+/// Run `body` on the snapshot-read path: one rung of at most `budget`
+/// pins. `Exhausted` means the body must re-run on the host scheduler's
+/// ordinary path — it called [`TxnOps::write`] despite the `read_only`
+/// declaration, or used up its re-pins under writer churn. Shared by every
+/// scheduler's [`TxnWorker::execute_hinted`] `read_only` prologue and by
+/// the standalone [`ReadMode`] scheduler.
 ///
 /// Holds nothing, ever: every exit (including panic re-raise) leaves no
 /// lock, token, or hardware transaction behind.
-pub fn run_read_only(
-    sys: &TxnSystem,
-    id: u32,
-    stats: &mut SchedStats,
-    health: &HealthHandle,
-    max_attempts: u32,
+fn run_read_only(
+    lc: &mut Lifecycle,
+    budget: u32,
+    attempts: &mut u32,
     body: &mut TxnBody<'_>,
-) -> RRun {
-    let obs: ObsHandle = sys.observer_handle();
-    let mut attempts = 0u32;
-    loop {
-        // Attempt boundary: nothing is held, so a stopped job just leaves.
-        if health.checkpoint().is_some() {
-            stats.health_stops += 1;
-            return RRun::HealthStopped { attempts };
-        }
-        attempts += 1;
-        obs.attempt_begin(id);
+) -> RungEnd {
+    Lifecycle::rung(lc, budget, attempts, |lc, obs| {
         let mut ops = ROps {
-            sys,
-            snap: sys.read_snapshot(),
+            sys: &lc.sys,
+            snap: lc.sys.read_snapshot(),
             reads: 0,
             wrote: false,
         };
-        let res = obs.run_body(&mut ops, id, body);
+        let res = obs.run_body(&mut ops, lc.id, body);
         let (reads, wrote, snap) = (ops.reads, ops.wrote, ops.snap);
-        stats.reads += reads;
+        lc.stats.reads += reads;
         match res {
-            Ok(()) if !wrote => {
-                // Every read validated against `snap`: serialize there.
-                obs.commit_ticketed(id, || snap);
-                stats.commits += 1;
-                stats.r_commits += 1;
-                health.note_commit();
-                return RRun::Committed { attempts };
-            }
-            // A body that swallowed the write's interrupt still violated
-            // the declaration; its reads may also be fractured now, so
-            // nothing it produced is usable. Demote.
+            // A write — also one whose interrupt the body swallowed —
+            // violated the declaration, and the reads around it may be
+            // fractured: nothing this attempt produced is usable.
+            Ok(()) | Err(TxInterrupt::Restart) if wrote => Verdict::Leave,
             Ok(()) => {
-                obs.abort(id, false);
-                return RRun::Demoted {
-                    attempts,
-                    wrote: true,
-                };
-            }
-            Err(TxInterrupt::Restart) if wrote => {
-                obs.abort(id, false);
-                return RRun::Demoted {
-                    attempts,
-                    wrote: true,
-                };
+                // Every read validated against `snap`: serialize there.
+                obs.commit_ticketed(lc.id, || snap);
+                lc.stats.r_commits += 1;
+                Verdict::Committed
             }
             Err(TxInterrupt::Restart) => {
-                stats.restarts += 1;
-                stats.r_retries += 1;
-                health.note_restart();
-                obs.abort(id, false);
-                if attempts >= max_attempts {
-                    return RRun::Demoted {
-                        attempts,
-                        wrote: false,
-                    };
-                }
-                backoff(attempts, id);
+                lc.stats.r_retries += 1;
+                Verdict::Restart
             }
-            Err(TxInterrupt::UserAbort) => {
-                stats.user_aborts += 1;
-                obs.abort(id, true);
-                return RRun::UserAborted { attempts };
-            }
-            Err(TxInterrupt::Panicked) => {
-                stats.panics += 1;
-                obs.abort(id, false);
-                crate::obs::resume_body_panic();
-            }
+            Err(ended) => ended.into(),
         }
-    }
+    })
 }
 
 /// The shared `read_only` prologue for every read/write scheduler's
@@ -258,31 +186,22 @@ pub fn run_read_only(
 ///
 /// `Ok(outcome)` means the R path finished the transaction (committed,
 /// user-aborted, or health-stopped) — return it as-is. `Err(attempts)`
-/// means the body must run on the scheduler's ordinary path; fold
-/// `attempts` (0 when the hint was not `read_only`) into the final
-/// outcome so demoted R attempts stay visible.
+/// means the body must run on the scheduler's ordinary path; carry
+/// `attempts` (0 when the hint was not `read_only`) into its first rung so
+/// demoted R attempts stay visible.
+#[inline]
 pub fn read_only_prologue(
-    sys: &TxnSystem,
-    id: u32,
-    stats: &mut SchedStats,
-    health: &HealthHandle,
+    lc: &mut Lifecycle,
     hint: TxnHint,
     body: &mut TxnBody<'_>,
 ) -> Result<TxnOutcome, u32> {
     if !hint.read_only {
         return Err(0);
     }
-    match run_read_only(sys, id, stats, health, R_DEMOTE_ATTEMPTS, body) {
-        RRun::Committed { attempts } => Ok(TxnOutcome {
-            committed: true,
-            attempts,
-        }),
-        RRun::UserAborted { attempts } | RRun::HealthStopped { attempts } => Ok(TxnOutcome {
-            committed: false,
-            attempts,
-        }),
-        RRun::Demoted { attempts, .. } => Err(attempts),
-    }
+    let mut attempts = 0;
+    run_read_only(lc, R_DEMOTE_ATTEMPTS, &mut attempts, body)
+        .settled(attempts)
+        .ok_or(attempts)
 }
 
 /// The standalone R-mode scheduler: every transaction runs on the
@@ -307,12 +226,8 @@ impl GraphScheduler for ReadMode {
     type Worker = RWorker;
 
     fn worker(&self) -> RWorker {
-        let id = self.sys.new_worker_id();
         RWorker {
-            id,
-            health: self.sys.health_handle(id),
-            sys: Arc::clone(&self.sys),
-            stats: SchedStats::default(),
+            lc: Lifecycle::new(&self.sys, self.sys.new_worker_id()),
         }
     }
 
@@ -323,50 +238,34 @@ impl GraphScheduler for ReadMode {
 
 /// Per-thread R-mode execution: see [`ReadMode`].
 pub struct RWorker {
-    id: u32,
-    health: HealthHandle,
-    sys: Arc<TxnSystem>,
-    stats: SchedStats,
+    lc: Lifecycle,
 }
 
 impl TxnWorker for RWorker {
     fn execute_hinted(&mut self, _hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
         // No demotion budget: a pure reader under writer churn keeps
         // re-pinning (with backoff) — it can never deadlock anyone.
-        match run_read_only(
-            &self.sys,
-            self.id,
-            &mut self.stats,
-            &self.health,
-            u32::MAX,
-            body,
-        ) {
-            RRun::Committed { attempts } => TxnOutcome {
-                committed: true,
-                attempts,
-            },
-            RRun::UserAborted { attempts } | RRun::HealthStopped { attempts } => TxnOutcome {
-                committed: false,
-                attempts,
-            },
-            RRun::Demoted { .. } => panic!(
-                "transaction body wrote under the standalone R-mode scheduler; \
-                 declared-pure bodies must not call TxnOps::write — use a \
-                 read/write scheduler with TxnHint::read_only for mixed bodies"
-            ),
-        }
+        let mut attempts = 0;
+        let end = run_read_only(&mut self.lc, u32::MAX, &mut attempts, body);
+        assert!(
+            end != RungEnd::Exhausted,
+            "transaction body wrote under the standalone R-mode scheduler; \
+             declared-pure bodies must not call TxnOps::write — use a \
+             read/write scheduler with TxnHint::read_only for mixed bodies"
+        );
+        end.outcome(attempts)
     }
 
     fn stats(&self) -> &SchedStats {
-        &self.stats
+        &self.lc.stats
     }
 
     fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.lc.stats)
     }
 
     fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.health)
+        Some(&self.lc.health)
     }
 }
 

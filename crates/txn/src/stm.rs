@@ -17,9 +17,8 @@ use std::sync::Arc;
 
 use tufast_htm::{Addr, Footprint, LineBatch, LineState, WordMap};
 
-use crate::buffered::{self, Buffered, Lifecycle};
-use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
+use crate::lifecycle::{execute_buffered, Buffered, Lifecycle};
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
@@ -63,16 +62,12 @@ impl GraphScheduler for SoftwareTm {
         // the same id space as every other line locker.
         let owner = self.sys.htm_ctx().id();
         StmWorker {
-            faults: self.sys.fault_handle(owner),
-            health: self.sys.health_handle(owner),
-            sys: Arc::clone(&self.sys),
-            owner,
+            lc: Lifecycle::new(&self.sys, owner),
             penalty_spins: self.penalty_spins,
             start_ts: 0,
             footprint: Footprint::with_capacity(64),
             write_buf: WordMap::with_capacity(64),
             batch: LineBatch::with_capacity(64),
-            stats: SchedStats::default(),
         }
     }
 
@@ -83,17 +78,14 @@ impl GraphScheduler for SoftwareTm {
 
 /// Per-thread STM state.
 pub struct StmWorker {
-    faults: FaultHandle,
-    health: HealthHandle,
-    sys: Arc<TxnSystem>,
-    owner: u32,
+    /// `lc.id` is also the line-lock owner id.
+    lc: Lifecycle,
     penalty_spins: u32,
     start_ts: u64,
     footprint: Footprint,
     write_buf: WordMap,
     /// Commit scratch: the write lines, locked in address order.
     batch: LineBatch,
-    stats: SchedStats,
 }
 
 impl StmWorker {
@@ -106,43 +98,40 @@ impl StmWorker {
 
     /// Full read-set revalidation (TinySTM's time-base extension).
     fn validate(&self) -> bool {
-        let mem = self.sys.mem();
+        let mem = self.lc.sys.mem();
         self.footprint.reads().all(|(line, ver, _)| {
             matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver)
         })
     }
 }
 
-impl Buffered for StmWorker {
-    fn lifecycle(&mut self) -> Lifecycle<'_> {
-        Lifecycle {
-            id: self.owner,
-            sys: &self.sys,
-            stats: &mut self.stats,
-            health: &self.health,
-            faults: &mut self.faults,
-        }
+impl AsMut<Lifecycle> for StmWorker {
+    #[inline]
+    fn as_mut(&mut self) -> &mut Lifecycle {
+        &mut self.lc
     }
+}
 
+impl Buffered for StmWorker {
     fn begin_attempt(&mut self) {
-        self.start_ts = self.sys.mem().clock_now_pub();
+        self.start_ts = self.lc.sys.mem().clock_now_pub();
         self.footprint.clear();
         self.write_buf.clear();
     }
 
     fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt> {
-        let mem = self.sys.mem();
+        let mem = self.lc.sys.mem();
         if self.write_buf.is_empty() {
             // Read-only: per-read validation/extension already proved the
             // snapshot; the current clock bounds source tickets from above.
-            obs.commit_ticketed(self.owner, || mem.clock_now_pub());
+            obs.commit_ticketed(self.lc.id, || mem.clock_now_pub());
             return Ok(());
         }
         self.batch.clear();
         for line in self.footprint.writes() {
             self.batch.push(line);
         }
-        if !mem.try_lock_lines(&mut self.batch, self.owner, COMMIT_LOCK_SPINS) {
+        if !mem.try_lock_lines(&mut self.batch, self.lc.id, COMMIT_LOCK_SPINS) {
             return Err(TxInterrupt::Restart);
         }
         let commit_ts = mem.clock_tick_pub();
@@ -151,7 +140,7 @@ impl Buffered for StmWorker {
                 // We hold the line: compare against its pre-lock version —
                 // another transaction may have committed it between our
                 // read and our lock acquisition.
-                mem.held_version(line, self.owner) == Some(ver)
+                mem.held_version(line, self.lc.id) == Some(ver)
             } else {
                 matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver)
             }
@@ -165,7 +154,7 @@ impl Buffered for StmWorker {
         }
         // The write-path ticket is the TL2 commit timestamp itself, minted
         // above while the write lines were already locked.
-        obs.commit_ticketed(self.owner, || commit_ts);
+        obs.commit_ticketed(self.lc.id, || commit_ts);
         mem.unlock_lines(&mut self.batch, Some(commit_ts));
         Ok(())
     }
@@ -173,12 +162,12 @@ impl Buffered for StmWorker {
 
 impl TxnOps for StmWorker {
     fn read(&mut self, _v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        self.stats.reads += 1;
+        self.lc.stats.reads += 1;
         self.instrument();
         if let Some(val) = self.write_buf.get(addr) {
             return Ok(val);
         }
-        let mem = self.sys.mem();
+        let mem = self.lc.sys.mem();
         let line = addr.line();
         let mut races = 0;
         loop {
@@ -222,10 +211,10 @@ impl TxnOps for StmWorker {
     }
 
     fn write(&mut self, _v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
-        self.stats.writes += 1;
+        self.lc.stats.writes += 1;
         self.instrument();
         let line = addr.line();
-        if matches!(self.sys.mem().line_state(line), LineState::Locked { owner } if owner != self.owner)
+        if matches!(self.lc.sys.mem().line_state(line), LineState::Locked { owner } if owner != self.lc.id)
         {
             return Err(TxInterrupt::Restart);
         }
@@ -237,19 +226,19 @@ impl TxnOps for StmWorker {
 
 impl TxnWorker for StmWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        buffered::execute(self, hint, body)
+        execute_buffered(self, hint, body)
     }
 
     fn stats(&self) -> &SchedStats {
-        &self.stats
+        &self.lc.stats
     }
 
     fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.lc.stats)
     }
 
     fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.health)
+        Some(&self.lc.health)
     }
 }
 

@@ -14,10 +14,9 @@ use std::sync::Arc;
 
 use tufast_htm::Addr;
 
-use crate::buffered::{self, Buffered, Lifecycle};
 use crate::commit::{read_stable, WriteSet};
-use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
+use crate::lifecycle::{execute_buffered, Buffered, Lifecycle};
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
@@ -114,13 +113,9 @@ impl GraphScheduler for TimestampOrdering {
     fn worker(&self) -> ToWorker {
         let id = self.sys.new_worker_id();
         ToWorker {
-            id,
-            faults: self.sys.fault_handle(id),
-            health: self.sys.health_handle(id),
-            sys: Arc::clone(&self.sys),
+            lc: Lifecycle::new(&self.sys, id),
             ts: 0,
             writes: WriteSet::new(id),
-            stats: SchedStats::default(),
         }
     }
 
@@ -131,53 +126,46 @@ impl GraphScheduler for TimestampOrdering {
 
 /// Per-thread TO state.
 pub struct ToWorker {
-    id: u32,
-    faults: FaultHandle,
-    health: HealthHandle,
-    sys: Arc<TxnSystem>,
+    lc: Lifecycle,
     /// This attempt's timestamp.
     ts: u32,
     writes: WriteSet,
-    stats: SchedStats,
+}
+
+impl AsMut<Lifecycle> for ToWorker {
+    #[inline]
+    fn as_mut(&mut self) -> &mut Lifecycle {
+        &mut self.lc
+    }
 }
 
 impl Buffered for ToWorker {
-    fn lifecycle(&mut self) -> Lifecycle<'_> {
-        Lifecycle {
-            id: self.id,
-            sys: &self.sys,
-            stats: &mut self.stats,
-            health: &self.health,
-            faults: &mut self.faults,
-        }
-    }
-
     fn begin_attempt(&mut self) {
         self.writes.clear();
-        let ts = self.sys.next_ts();
+        let ts = self.lc.sys.next_ts();
         assert!(ts < u64::from(u32::MAX), "TO timestamp space exhausted");
         self.ts = ts as u32;
     }
 
     fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt> {
-        to_commit_locked(&self.sys, self.id, self.ts, &mut self.writes, obs)
+        to_commit_locked(&self.lc.sys, self.lc.id, self.ts, &mut self.writes, obs)
     }
 }
 
 impl TxnOps for ToWorker {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        self.stats.reads += 1;
+        self.lc.stats.reads += 1;
         if let Some(val) = self.writes.words().get(addr) {
             return Ok(val);
         }
-        to_read_fallback(&self.sys, self.ts, v, addr)
+        to_read_fallback(&self.lc.sys, self.ts, v, addr)
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
-        self.stats.writes += 1;
+        self.lc.stats.writes += 1;
         // Early sanity check (non-binding; the commit recheck is the
         // authoritative one): restart immediately if already illegal.
-        let (wts, rts) = unpack(self.sys.mem().load_direct(self.sys.to_ts_addr(v)));
+        let (wts, rts) = unpack(self.lc.sys.mem().load_direct(self.lc.sys.to_ts_addr(v)));
         if wts > self.ts || rts > self.ts {
             return Err(TxInterrupt::Restart);
         }
@@ -188,19 +176,19 @@ impl TxnOps for ToWorker {
 
 impl TxnWorker for ToWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        buffered::execute(self, hint, body)
+        execute_buffered(self, hint, body)
     }
 
     fn stats(&self) -> &SchedStats {
-        &self.stats
+        &self.lc.stats
     }
 
     fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.lc.stats)
     }
 
     fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.health)
+        Some(&self.lc.health)
     }
 }
 

@@ -36,14 +36,14 @@ use tufast_htm::{Addr, LineBatch, TxMemory, WordMap};
 
 use crate::commit::{relax, release_at_ticket};
 use crate::deadlock::WaitOutcome;
-use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
+use crate::lifecycle::{Lifecycle, Verdict};
 use crate::locks::LockWord;
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
-    backoff, Declared, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps,
-    TxnOutcome, TxnWorker,
+    Declared, GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome,
+    TxnWorker,
 };
 use crate::VertexId;
 
@@ -75,19 +75,14 @@ impl GraphScheduler for TwoPhaseLocking {
     type Worker = TplWorker;
 
     fn worker(&self) -> TplWorker {
-        let id = self.sys.new_worker_id();
         TplWorker {
-            id,
-            faults: self.sys.fault_handle(id),
-            health: self.sys.health_handle(id),
-            sys: Arc::clone(&self.sys),
+            lc: Lifecycle::new(&self.sys, self.sys.new_worker_id()),
             held: WordMap::with_capacity(32),
             wrote: Vec::with_capacity(16),
             undo: Vec::with_capacity(32),
             declared: Vec::with_capacity(8),
             buffered: WordMap::with_capacity(16),
             batch: LineBatch::with_capacity(32),
-            stats: SchedStats::default(),
         }
     }
 
@@ -98,10 +93,7 @@ impl GraphScheduler for TwoPhaseLocking {
 
 /// Per-thread 2PL execution state.
 pub struct TplWorker {
-    id: u32,
-    sys: Arc<TxnSystem>,
-    faults: FaultHandle,
-    health: HealthHandle,
+    lc: Lifecycle,
     /// vertex id → HELD_* mode, in acquisition order.
     held: WordMap,
     /// The vertices held in `HELD_WROTE` mode.
@@ -113,76 +105,59 @@ pub struct TplWorker {
     buffered: WordMap,
     /// Batch scratch: the lines of a commit, or of a declared acquisition.
     batch: LineBatch,
-    stats: SchedStats,
 }
 
-/// The lock-acquisition half of a [`TplWorker`], split off so a `held`
-/// entry can stay borrowed across the acquisition it records.
-struct Acquire<'a> {
-    id: u32,
-    sys: &'a TxnSystem,
-    faults: &'a mut FaultHandle,
-    stats: &'a mut SchedStats,
-}
-
-impl TplWorker {
+impl AsMut<Lifecycle> for TplWorker {
     #[inline]
-    fn split(&mut self) -> (&mut WordMap, Acquire<'_>) {
-        let acquire = Acquire {
-            id: self.id,
-            sys: &self.sys,
-            faults: &mut self.faults,
-            stats: &mut self.stats,
-        };
-        (&mut self.held, acquire)
+    fn as_mut(&mut self) -> &mut Lifecycle {
+        &mut self.lc
     }
 }
 
-impl Acquire<'_> {
-    /// Blocking acquisition of `v` (shared or exclusive) with deadlock
-    /// handling.
-    fn acquire(&mut self, v: VertexId, exclusive: bool) -> Result<(), TxInterrupt> {
-        if self.faults.lock_acquisition_fails() {
-            // Injected acquisition failure: indistinguishable from a
-            // bounded-wait victimization.
-            self.stats.injected_faults += 1;
-            return Err(TxInterrupt::Restart);
-        }
-        let mem = self.sys.mem();
-        let locks = self.sys.locks();
-        let waits = self.sys.wait_table();
-        let mut anon_attempt = 0u32;
-        // The instant the wait started — sampled only when the configured
-        // budget has a wall-clock deadline.
-        let started = waits.config().deadline.map(|_| Instant::now());
-        // The bounded-wait retry below makes this a *blocking*
-        // acquisition as far as lock ordering is concerned.
-        // tufast-lint: lock-acquire(vertex_lock)
-        loop {
-            let tried = if exclusive {
-                locks.try_exclusive(mem, v, self.id)
-            } else {
-                locks.try_shared(mem, v)
-            };
-            let Err(pre) = tried else { return Ok(()) };
-            // A shared acquisition fails only on a writer; an exclusive one
-            // also on readers, who are anonymous: bounded wait either way.
-            debug_assert!(exclusive || pre.writer().is_some(), "lock word {v} corrupt");
-            if let Some(holder) = pre.writer() {
-                debug_assert_ne!(holder, self.id, "re-acquisition of held vertex {v}");
-                if waits.register_and_check(self.id, holder) {
-                    self.stats.deadlock_victims += 1;
-                    return Err(TxInterrupt::Restart);
-                }
-            }
-            let outcome = waits.bounded_anonymous_wait(self.id, anon_attempt, started);
-            waits.clear(self.id);
-            if outcome == WaitOutcome::Victim {
-                self.stats.anon_wait_victims += 1;
+/// Blocking acquisition of `v` (shared or exclusive) with deadlock handling.
+/// Takes the worker's [`Lifecycle`] alone, so a `held` entry can stay
+/// borrowed across the acquisition it records.
+fn acquire(lc: &mut Lifecycle, v: VertexId, exclusive: bool) -> Result<(), TxInterrupt> {
+    if lc.faults.lock_acquisition_fails() {
+        // Injected acquisition failure: indistinguishable from a
+        // bounded-wait victimization.
+        lc.stats.injected_faults += 1;
+        return Err(TxInterrupt::Restart);
+    }
+    let mem = lc.sys.mem();
+    let locks = lc.sys.locks();
+    let waits = lc.sys.wait_table();
+    let mut anon_attempt = 0u32;
+    // The instant the wait started — sampled only when the configured
+    // budget has a wall-clock deadline.
+    let started = waits.config().deadline.map(|_| Instant::now());
+    // The bounded-wait retry below makes this a *blocking*
+    // acquisition as far as lock ordering is concerned.
+    // tufast-lint: lock-acquire(vertex_lock)
+    loop {
+        let tried = if exclusive {
+            locks.try_exclusive(mem, v, lc.id)
+        } else {
+            locks.try_shared(mem, v)
+        };
+        let Err(pre) = tried else { return Ok(()) };
+        // A shared acquisition fails only on a writer; an exclusive one
+        // also on readers, who are anonymous: bounded wait either way.
+        debug_assert!(exclusive || pre.writer().is_some(), "lock word {v} corrupt");
+        if let Some(holder) = pre.writer() {
+            debug_assert_ne!(holder, lc.id, "re-acquisition of held vertex {v}");
+            if waits.register_and_check(lc.id, holder) {
+                lc.stats.deadlock_victims += 1;
                 return Err(TxInterrupt::Restart);
             }
-            anon_attempt += 1;
         }
+        let outcome = waits.bounded_anonymous_wait(lc.id, anon_attempt, started);
+        waits.clear(lc.id);
+        if outcome == WaitOutcome::Victim {
+            lc.stats.anon_wait_victims += 1;
+            return Err(TxInterrupt::Restart);
+        }
+        anon_attempt += 1;
     }
 }
 
@@ -191,7 +166,7 @@ impl TplWorker {
     /// versions of written vertices still bump: the data changed twice, and
     /// optimistic readers may have seen the intermediate values.
     fn rollback(&mut self) {
-        let mem = self.sys.mem();
+        let mem = self.lc.sys.mem();
         for &(addr, old) in self.undo.iter().rev() {
             mem.store_direct(addr, old);
         }
@@ -204,7 +179,7 @@ impl TplWorker {
     /// one batch at the ticket, while every other touched lock is still
     /// held; then the shared holds go.
     fn commit(&mut self, obs: &ObsHandle) {
-        let (mem, locks, id) = (self.sys.mem(), self.sys.locks(), self.id);
+        let (mem, locks, id) = (self.lc.sys.mem(), self.lc.sys.locks(), self.lc.id);
         if self.wrote.is_empty() {
             // Nothing to publish: the ticket is a tick of its own.
             obs.commit_ticketed(id, || mem.clock_tick_pub());
@@ -229,13 +204,13 @@ impl TplWorker {
     /// ones, and with `written_too` (no commit batch released them) the
     /// written ones.
     fn release(&mut self, written_too: bool) {
-        let mem = self.sys.mem();
-        let locks = self.sys.locks();
+        let mem = self.lc.sys.mem();
+        let locks = self.lc.sys.locks();
         for (v, mode) in self.held.iter().rev() {
             let v = v.0 as VertexId;
             match mode {
                 HELD_SHARED => locks.unlock_shared(mem, v),
-                HELD_WROTE if written_too => locks.unlock_exclusive(mem, v, self.id, true),
+                HELD_WROTE if written_too => locks.unlock_exclusive(mem, v, self.lc.id, true),
                 _ => {}
             }
         }
@@ -246,42 +221,37 @@ impl TplWorker {
 
 impl TxnOps for TplWorker {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        self.stats.reads += 1;
-        let (held, mut acquire) = self.split();
-        let (mode, _) = held.entry(Addr(u64::from(v)), HELD_NONE);
+        self.lc.stats.reads += 1;
+        let (mode, _) = self.held.entry(Addr(u64::from(v)), HELD_NONE);
         if *mode == HELD_NONE {
-            acquire.acquire(v, false)?;
+            acquire(&mut self.lc, v, false)?;
             *mode = HELD_SHARED;
         }
-        Ok(self.sys.mem().load_direct(addr))
+        Ok(self.lc.sys.mem().load_direct(addr))
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
-        self.stats.writes += 1;
-        let (held, mut acquire) = self.split();
-        let (mode, _) = held.entry(Addr(u64::from(v)), HELD_NONE);
+        self.lc.stats.writes += 1;
+        let lc = &mut self.lc;
+        let (mode, _) = self.held.entry(Addr(u64::from(v)), HELD_NONE);
         let first_write = *mode != HELD_WROTE;
         match *mode {
             HELD_WROTE => {}
             HELD_SHARED => {
                 // Upgrade; failure risks the classic upgrade deadlock, so
                 // the requester immediately becomes the victim.
-                if !acquire
-                    .sys
-                    .locks()
-                    .try_upgrade(acquire.sys.mem(), v, acquire.id)
-                {
-                    acquire.stats.deadlock_victims += 1;
+                if !lc.sys.locks().try_upgrade(lc.sys.mem(), v, lc.id) {
+                    lc.stats.deadlock_victims += 1;
                     return Err(TxInterrupt::Restart);
                 }
             }
-            _ => acquire.acquire(v, true)?,
+            _ => acquire(lc, v, true)?,
         }
         *mode = HELD_WROTE;
         if first_write {
             self.wrote.push(v);
         }
-        let mem = self.sys.mem();
+        let mem = self.lc.sys.mem();
         self.undo.push((addr, mem.load_direct(addr)));
         mem.store_direct(addr, val);
         Ok(())
@@ -293,7 +263,7 @@ impl TplWorker {
     /// TuFast serial-fallback path exempts its stop-the-world commit so
     /// the liveness backstop cannot itself be sabotaged.
     pub fn set_fault_exempt(&mut self, exempt: bool) {
-        self.faults.set_exempt(exempt);
+        self.lc.faults.set_exempt(exempt);
     }
 
     /// [`execute`](TxnWorker::execute) with an attempt budget: gives up
@@ -302,66 +272,36 @@ impl TplWorker {
     /// retrying forever. The TuFast router uses this to bound its L-mode
     /// phase before escalating to the global serial-fallback token.
     pub fn execute_bounded(&mut self, max_attempts: u32, body: &mut TxnBody<'_>) -> TxnOutcome {
-        let obs = self.sys.observer_handle();
-        let id = self.id;
-        let mut attempts = 0u32;
-        loop {
-            // Attempt boundary: the previous attempt rolled back and
-            // released every lock, so a stopped job unwinds cleanly here.
-            if self.health.checkpoint().is_some() {
-                self.stats.health_stops += 1;
-                return TxnOutcome {
-                    committed: false,
-                    attempts,
-                };
-            }
-            attempts += 1;
-            obs.attempt_begin(id);
-            match obs.run_body(self, id, body) {
+        self.incremental(max_attempts.max(1), 0, body)
+    }
+
+    /// The incremental rung: up to `budget` attempts that discover their
+    /// locks one access at a time, after `attempts` earlier body executions
+    /// of the same transaction. An attempt that ends without committing
+    /// undoes its in-place writes and releases every lock, so each attempt
+    /// boundary — and a panic re-raised from one — holds nothing.
+    fn incremental(
+        &mut self,
+        budget: u32,
+        mut attempts: u32,
+        body: &mut TxnBody<'_>,
+    ) -> TxnOutcome {
+        Lifecycle::rung(self, budget, &mut attempts, |w, obs| {
+            let id = w.lc.id;
+            match obs.run_body(w, id, body) {
                 Ok(()) => {
                     obs.pre_commit(id);
-                    self.commit(&obs);
-                    self.stats.commits += 1;
-                    self.health.note_commit();
-                    self.sys.wait_table().record_commit(id);
-                    return TxnOutcome {
-                        committed: true,
-                        attempts,
-                    };
+                    w.commit(obs);
+                    w.lc.sys.wait_table().record_commit(id);
+                    Verdict::Committed
                 }
-                Err(TxInterrupt::Restart) => {
-                    self.rollback();
-                    self.stats.restarts += 1;
-                    self.health.note_restart();
-                    obs.abort(id, false);
-                    if attempts >= max_attempts {
-                        return TxnOutcome {
-                            committed: false,
-                            attempts,
-                        };
-                    }
-                    backoff(attempts, self.id);
-                }
-                Err(TxInterrupt::UserAbort) => {
-                    self.rollback();
-                    self.stats.user_aborts += 1;
-                    obs.abort(id, true);
-                    return TxnOutcome {
-                        committed: false,
-                        attempts,
-                    };
-                }
-                Err(TxInterrupt::Panicked) => {
-                    // The body panicked mid-transaction: undo its in-place
-                    // writes and release every lock, then let the panic
-                    // continue on this thread. Peers are unaffected.
-                    self.rollback();
-                    self.stats.panics += 1;
-                    obs.abort(id, false);
-                    crate::obs::resume_body_panic();
+                Err(interrupt) => {
+                    w.rollback();
+                    interrupt.into()
                 }
             }
-        }
+        })
+        .outcome(attempts)
     }
 }
 
@@ -448,7 +388,7 @@ impl TplWorker {
             first.write |= same && later.write;
             same
         });
-        let covered = self.sys.locks().len();
+        let covered = self.lc.sys.locks().len();
         self.declared
             .last()
             .is_none_or(|slot| u64::from(slot.v) < covered)
@@ -456,7 +396,7 @@ impl TplWorker {
 
     /// Gather the declared vertices' lock-word lines (ascending already).
     fn gather_lock_lines(&mut self) {
-        let locks = self.sys.locks();
+        let locks = self.lc.sys.locks();
         for slot in &self.declared {
             self.batch.push(locks.addr(slot.v).line());
         }
@@ -470,7 +410,7 @@ impl TplWorker {
     fn try_acquire(&mut self) -> Result<(), Slot> {
         self.batch.clear();
         self.gather_lock_lines();
-        let (mem, locks) = (self.sys.mem(), self.sys.locks());
+        let (mem, locks) = (self.lc.sys.mem(), self.lc.sys.locks());
         // tufast-lint: lock-acquire(htm_line_lock)
         mem.lock_lines(&mut self.batch);
         if let Some(&busy) = self
@@ -484,7 +424,7 @@ impl TplWorker {
         for slot in &self.declared {
             let word = locks.peek(mem, slot.v);
             let held = if slot.write {
-                word.with_writer(Some(self.id))
+                word.with_writer(Some(self.lc.id))
             } else {
                 word.with_readers(word.readers() + 1)
             };
@@ -500,7 +440,7 @@ impl TplWorker {
     /// can always finish — no waiter here holds anything it could need — so
     /// the wait registers no wait-for edge and picks no victim.
     fn await_grantable(&self, busy: Option<Slot>) {
-        let (mem, locks) = (self.sys.mem(), self.sys.locks());
+        let (mem, locks) = (self.lc.sys.mem(), self.lc.sys.locks());
         // tufast-lint: lock-acquire(vertex_lock)
         for turn in 0..WAIT_PROBE_TURNS {
             relax(turn);
@@ -513,8 +453,8 @@ impl TplWorker {
     /// Acquire every declared vertex or, when the job stops first, none.
     fn acquire_declared(&mut self) -> bool {
         loop {
-            let busy = if self.faults.lock_acquisition_fails() {
-                self.stats.injected_faults += 1;
+            let busy = if self.lc.faults.lock_acquisition_fails() {
+                self.lc.stats.injected_faults += 1;
                 None
             } else {
                 match self.try_acquire() {
@@ -524,7 +464,7 @@ impl TplWorker {
             };
             self.await_grantable(busy);
             // Nothing is held between tries: a stopped job unwinds here.
-            if self.health.checkpoint().is_some() {
+            if self.lc.stop_requested() {
                 return false;
             }
         }
@@ -546,7 +486,7 @@ impl TplWorker {
             }
         }
         self.gather_lock_lines();
-        let (mem, locks) = (self.sys.mem(), self.sys.locks());
+        let (mem, locks) = (self.lc.sys.mem(), self.lc.sys.locks());
         // tufast-lint: lock-acquire(htm_line_lock)
         mem.lock_lines(&mut self.batch);
         if publish {
@@ -558,7 +498,7 @@ impl TplWorker {
         for slot in &self.declared {
             let word = locks.peek(mem, slot.v);
             let released = if slot.write {
-                debug_assert_eq!(word.writer(), Some(self.id), "released by non-owner");
+                debug_assert_eq!(word.writer(), Some(self.lc.id), "released by non-owner");
                 word.released(publish && slot.wrote)
             } else {
                 debug_assert!(word.readers() > 0, "no shared hold on {}", slot.v);
@@ -573,106 +513,58 @@ impl TplWorker {
 
 impl TxnWorker for TplWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        let prior = match crate::rmode::read_only_prologue(
-            &self.sys,
-            self.id,
-            &mut self.stats,
-            &self.health,
-            hint,
-            body,
-        ) {
-            Ok(out) => return out,
-            Err(prior) => prior,
-        };
-        let out = self.execute_bounded(u32::MAX, body);
-        TxnOutcome {
-            committed: out.committed,
-            attempts: out.attempts + prior,
+        match crate::rmode::read_only_prologue(&mut self.lc, hint, body) {
+            Ok(out) => out,
+            Err(prior) => self.incremental(u32::MAX, prior, body),
         }
     }
 
     fn execute_declared(&mut self, footprint: &[Declared], body: &mut TxnBody<'_>) -> TxnOutcome {
-        if !self.declare(footprint) {
-            return self.execute_bounded(u32::MAX, body);
-        }
-        let obs = self.sys.observer_handle();
-        let id = self.id;
-        let stopped = TxnOutcome {
-            committed: false,
-            attempts: 0,
-        };
-        // The one attempt boundary of this path: nothing is held yet.
-        if self.health.checkpoint().is_some() {
-            self.stats.health_stops += 1;
-            return stopped;
-        }
-        self.faults.preempt();
-        self.faults.stall_point();
-        if !self.acquire_declared() {
-            self.stats.health_stops += 1;
-            return stopped;
-        }
-        obs.attempt_begin(id);
-        self.buffered.clear();
-        let mut ops = DeclaredOps {
-            mem: self.sys.mem(),
-            declared: &mut self.declared,
-            buffered: &mut self.buffered,
-            stats: &mut self.stats,
-        };
-        let result = obs.run_body(&mut ops, id, body);
-        if result.is_ok() {
-            obs.pre_commit(id);
-        }
-        let ticket = self.release_declared(result.is_ok());
-        match result {
-            Ok(()) => {
-                obs.commit_ticketed(id, || ticket);
-                self.stats.commits += 1;
-                self.health.note_commit();
-                TxnOutcome {
-                    committed: true,
-                    attempts: 1,
+        let mut attempts = 0;
+        if self.declare(footprint) {
+            // A rung of one: acquire, run the body on plain loads and
+            // buffered stores, release.
+            let end = Lifecycle::rung(self, 1, &mut attempts, |w, obs| {
+                if !w.acquire_declared() {
+                    return Verdict::Stopped;
                 }
-            }
-            Err(TxInterrupt::Restart) => {
-                // The body strayed from its footprint; nothing it did was
-                // published. Run it again the incremental way.
-                self.stats.restarts += 1;
-                self.health.note_restart();
-                obs.abort(id, false);
-                let out = self.execute_bounded(u32::MAX, body);
-                TxnOutcome {
-                    committed: out.committed,
-                    attempts: out.attempts + 1,
+                let id = w.lc.id;
+                w.buffered.clear();
+                let mut ops = DeclaredOps {
+                    mem: w.lc.sys.mem(),
+                    declared: &mut w.declared,
+                    buffered: &mut w.buffered,
+                    stats: &mut w.lc.stats,
+                };
+                let result = obs.run_body(&mut ops, id, body);
+                if result.is_ok() {
+                    obs.pre_commit(id);
                 }
-            }
-            Err(TxInterrupt::UserAbort) => {
-                self.stats.user_aborts += 1;
-                obs.abort(id, true);
-                TxnOutcome {
-                    committed: false,
-                    attempts: 1,
+                let ticket = w.release_declared(result.is_ok());
+                if result.is_ok() {
+                    obs.commit_ticketed(id, || ticket);
                 }
+                result.into()
+            });
+            if let Some(out) = end.settled(attempts) {
+                return out;
             }
-            Err(TxInterrupt::Panicked) => {
-                self.stats.panics += 1;
-                obs.abort(id, false);
-                crate::obs::resume_body_panic();
-            }
+            // The body strayed from its footprint; nothing it did was
+            // published. Run it again the incremental way.
         }
+        self.incremental(u32::MAX, attempts, body)
     }
 
     fn stats(&self) -> &SchedStats {
-        &self.stats
+        &self.lc.stats
     }
 
     fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.lc.stats)
     }
 
     fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.health)
+        Some(&self.lc.health)
     }
 }
 
@@ -988,7 +880,7 @@ mod tests {
         let (sys, acc) = bank(4);
         let (mem, locks) = (sys.mem(), sys.locks());
         let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
-        let id = w.id;
+        let id = w.lc.id;
         let clock = mem.clock_now_pub();
         let footprint = [Declared::write(2), Declared::read(3), Declared::write(0)];
         let out = w.execute_declared(&footprint, &mut |ops| {
@@ -1197,7 +1089,7 @@ mod tests {
     fn a_stopped_job_unwinds_from_the_declared_wait() {
         let (sys, acc) = bank(1);
         let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
-        let id = w.id;
+        let id = w.lc.id;
         // Nobody will ever release vertex 0; the cancel is the only way out.
         sys.locks().try_exclusive(sys.mem(), 0, 99).unwrap();
         std::thread::scope(|s| {
@@ -1216,6 +1108,29 @@ mod tests {
         assert_eq!(w.stats().health_stops, 1);
         let word = sys.locks().peek(sys.mem(), 0);
         assert_eq!((word.writer(), word.readers()), (Some(99), 0), "untouched");
+    }
+
+    #[cfg(feature = "faults")]
+    #[test]
+    fn incremental_attempts_probe_the_preempt_site() {
+        use crate::faults::{FaultKind, FaultPlan, FaultSpec};
+        let (sys, acc) = bank(1);
+        let plan = FaultPlan::new(FaultSpec {
+            seed: 7,
+            preempt_permille: 1000,
+            preempt_spins: 1,
+            ..FaultSpec::default()
+        });
+        sys.set_fault_plan(Some(Arc::clone(&plan)));
+        let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+        for _ in 0..10 {
+            let out = w.execute(2, &mut |ops| {
+                let a = ops.read(0, acc.addr(0))?;
+                ops.write(0, acc.addr(0), a + 1)
+            });
+            assert!(out.committed);
+        }
+        assert!(plan.injected(FaultKind::Preempt) >= 10, "one an attempt");
     }
 
     #[cfg(feature = "faults")]

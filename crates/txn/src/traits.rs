@@ -26,10 +26,10 @@ pub enum TxInterrupt {
     /// The body panicked. Produced only by the panic-containment layer in
     /// [`ObsHandle::run_body`](crate::obs::ObsHandle::run_body), never by
     /// bodies themselves: the scheduler rolls back (releasing every lock
-    /// and HTM resource), records the panic, and re-raises the original
-    /// payload via [`resume_body_panic`](crate::obs::resume_body_panic)
-    /// so peers keep committing while the panic still surfaces on the
-    /// calling thread.
+    /// and HTM resource) and the attempt skeleton
+    /// ([`Lifecycle::rung`](crate::Lifecycle::rung)) records the panic and
+    /// re-raises the original payload, so peers keep committing while the
+    /// panic still surfaces on the calling thread.
     Panicked,
 }
 

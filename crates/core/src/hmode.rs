@@ -11,8 +11,15 @@
 //! For every vertex it writes, H mode also *bumps the vertex's commit
 //! version transactionally*, so optimistic validators (O mode, OCC) observe
 //! H-mode commits without H ever taking a lock.
+//!
+//! A vertex's lock word is read once per attempt. Writing a vertex the
+//! attempt already read tests and bumps the word `subscribe_read` loaded,
+//! as RTM would reload a read-set line from L1. If another thread changed
+//! the word meanwhile the attempt is already doomed: its line stays in the
+//! footprint at the version first read, so the next snapshot extension or
+//! the commit validation aborts it.
 
-use tufast_htm::{AbortCode, Addr, HtmCtx, WordMap};
+use tufast_htm::{AbortCode, Addr, HtmCtx, IdTable};
 use tufast_txn::{
     hardware_attempt, HtmBodyOps, Lifecycle, LockWord, ObsHandle, TxInterrupt, TxnOps, TxnSystem,
     Verdict,
@@ -22,6 +29,12 @@ use crate::VertexId;
 
 /// `XABORT` code raised when a subscribed vertex lock is busy.
 pub(crate) const ABORT_LOCK_BUSY: u8 = 0xB0;
+
+/// Vertex-table value of a vertex whose commit version this attempt has
+/// bumped; any other value is the lock word `subscribe_read` loaded. A
+/// word H mode subscribed never has a writer, and this one's writer field
+/// is all ones, so the two never collide.
+const BUMPED: u64 = u64::MAX;
 
 /// Result of one H-mode attempt.
 pub(crate) struct HAttempt {
@@ -33,30 +46,14 @@ pub(crate) struct HAttempt {
     pub(crate) ops: u64,
 }
 
-/// Reusable per-worker H-mode state (hoisted out of the per-attempt path:
-/// transaction rates make per-attempt allocation measurable).
-pub(crate) struct HScratch {
-    /// The vertices whose lock word is subscribed (in this attempt's HTM
-    /// read set); the value says whether the commit version was bumped too.
-    seen: WordMap,
-}
-
-const BUMPED: u64 = 1;
-
-impl HScratch {
-    pub(crate) fn new() -> Self {
-        HScratch {
-            seen: WordMap::with_capacity(16),
-        }
-    }
-}
-
 /// Transactional ops for one H-mode attempt.
 pub(crate) struct HModeOps<'a> {
     ctx: &'a mut HtmCtx,
     sys: &'a TxnSystem,
     sched: &'a mut tufast_txn::SchedStats,
-    scratch: &'a mut HScratch,
+    /// The vertices whose lock word this attempt subscribed (it is in the
+    /// HTM read set), each with the word loaded or [`BUMPED`].
+    seen: &'a mut IdTable,
     last_abort: Option<AbortCode>,
     ops: u64,
 }
@@ -67,14 +64,14 @@ impl<'a> HModeOps<'a> {
         ctx: &'a mut HtmCtx,
         sys: &'a TxnSystem,
         sched: &'a mut tufast_txn::SchedStats,
-        scratch: &'a mut HScratch,
+        seen: &'a mut IdTable,
     ) -> Self {
-        scratch.seen.clear();
+        seen.clear();
         HModeOps {
             ctx,
             sys,
             sched,
-            scratch,
+            seen,
             last_abort: None,
             ops: 0,
         }
@@ -86,14 +83,12 @@ impl<'a> HModeOps<'a> {
         TxInterrupt::Restart
     }
 
-    /// Subscribe `v` for reading: abort if write-locked. Both subscriptions
-    /// mark the vertex *before* touching its lock word (one probe finds or
-    /// creates the entry): every failure below ends the attempt, and the
-    /// next one starts from a cleared map.
+    /// Subscribe `v` for reading: abort if write-locked, else keep the
+    /// word. Every failure in either subscription ends the attempt, and the
+    /// next one starts from a cleared table.
     fn subscribe_read(&mut self, v: VertexId) -> Result<(), TxInterrupt> {
-        // tufast-lint: allow(htm-hazard) -- the scratch map reallocates only past its high-water mark; on real RTM that would merely abort this attempt, which the H retry ladder absorbs
-        let (_, fresh) = self.scratch.seen.entry(Addr(u64::from(v)), 0);
-        if !fresh {
+        let key = u64::from(v);
+        if self.seen.get(key).is_some() {
             return Ok(());
         }
         let lw = LockWord(
@@ -105,20 +100,27 @@ impl<'a> HModeOps<'a> {
             let code = self.ctx.abort_explicit(ABORT_LOCK_BUSY);
             return Err(self.fail(code));
         }
+        // tufast-lint: allow(htm-hazard) -- the vertex table reallocates only past its high-water mark; on real RTM that would merely abort this attempt, which the H retry ladder absorbs
+        self.seen.insert(key, lw.0);
         Ok(())
     }
 
     /// Prepare `v` for writing: abort unless completely unlocked, then bump
-    /// its commit version inside the transaction.
+    /// its commit version inside the transaction. A vertex already read is
+    /// tested on the word its subscription loaded.
     fn subscribe_write(&mut self, v: VertexId) -> Result<(), TxInterrupt> {
         // tufast-lint: allow(htm-hazard) -- see subscribe_read: growth past the high-water mark aborts the attempt, it cannot corrupt it
-        let (bumped, _) = self.scratch.seen.entry(Addr(u64::from(v)), 0);
-        if *bumped == BUMPED {
+        let (word, fresh) = self.seen.entry(u64::from(v), BUMPED);
+        let loaded = std::mem::replace(word, BUMPED);
+        if !fresh && loaded == BUMPED {
             return Ok(());
         }
-        *bumped = BUMPED;
         let addr = self.sys.locks().addr(v);
-        let lw = LockWord(self.ctx.read(addr).map_err(|c| self.fail(c))?);
+        let lw = if fresh {
+            LockWord(self.ctx.read(addr).map_err(|c| self.fail(c))?)
+        } else {
+            LockWord(loaded)
+        };
         if !lw.is_free() {
             let code = self.ctx.abort_explicit(ABORT_LOCK_BUSY);
             return Err(self.fail(code));
@@ -162,11 +164,12 @@ impl HtmBodyOps for HModeOps<'_> {
     }
 }
 
-/// Run one H-mode attempt of `body`.
+/// Run one H-mode attempt of `body`; `vertices` is the worker's vertex
+/// table, cleared here.
 pub(crate) fn attempt(
     ctx: &mut HtmCtx,
     lc: &mut Lifecycle,
-    scratch: &mut HScratch,
+    vertices: &mut IdTable,
     body: &mut tufast_txn::TxnBody<'_>,
     obs: &ObsHandle,
 ) -> HAttempt {
@@ -176,7 +179,7 @@ pub(crate) fn attempt(
             ops: 0,
         };
     }
-    let mut ops = HModeOps::new(ctx, &lc.sys, &mut lc.stats, scratch);
+    let mut ops = HModeOps::new(ctx, &lc.sys, &mut lc.stats, vertices);
     let end = hardware_attempt(&mut ops, lc.id, 0xB0, body, obs);
     HAttempt { end, ops: ops.ops }
 }
@@ -201,8 +204,13 @@ mod tests {
         body: &mut tufast_txn::TxnBody<'_>,
     ) -> HAttempt {
         let mut lc = Lifecycle::new(sys, 0);
-        let mut scratch = HScratch::new();
-        super::attempt(ctx, &mut lc, &mut scratch, body, &ObsHandle::none())
+        super::attempt(
+            ctx,
+            &mut lc,
+            &mut IdTable::default(),
+            body,
+            &ObsHandle::none(),
+        )
     }
 
     #[test]
@@ -250,9 +258,75 @@ mod tests {
             Ok(())
         });
         assert_eq!(out.end, Ok(Verdict::Committed));
-        // Writing it is not.
+        // Writing it is not, read first or not: the write tests the word
+        // the read loaded.
         let out = attempt(&mut ctx, &sys, &mut |ops| ops.write(0, data.addr(0), 1));
         assert_eq!(out.end, Err(AbortCode::Explicit(ABORT_LOCK_BUSY)));
+        let out = attempt(&mut ctx, &sys, &mut |ops| {
+            let x = ops.read(0, data.addr(0))?;
+            ops.write(0, data.addr(0), x + 1)
+        });
+        assert_eq!(out.end, Err(AbortCode::Explicit(ABORT_LOCK_BUSY)));
+    }
+
+    #[test]
+    fn a_vertex_read_then_written_loads_its_lock_word_once() {
+        let k = 5u32;
+        let (sys, data) = setup(k as usize, 64);
+        let mut ctx = sys.htm_ctx();
+        let out = attempt(&mut ctx, &sys, &mut |ops| {
+            let mut xs = [0; 5];
+            for v in 0..k {
+                xs[v as usize] = ops.read(v, data.addr(u64::from(v) * 8))?;
+            }
+            for v in 0..k {
+                ops.write(v, data.addr(u64::from(v) * 8), xs[v as usize] + 1)?;
+            }
+            Ok(())
+        });
+        assert_eq!(out.end, Ok(Verdict::Committed));
+        // Lock word and value once each, read and written.
+        let stats = ctx.stats();
+        assert_eq!(
+            (stats.reads, stats.writes),
+            (2 * u64::from(k), 2 * u64::from(k))
+        );
+        for v in 0..k {
+            assert_eq!(sys.mem().load_direct(data.addr(u64::from(v) * 8)), 1);
+            assert_eq!(sys.locks().peek(sys.mem(), v), LockWord(1 << 32));
+        }
+    }
+
+    #[test]
+    fn a_write_on_a_word_loaded_before_a_foreign_commit_never_commits() {
+        let (sys, data) = setup(2, 16);
+        let mut ctx = sys.htm_ctx();
+        let mut lc = Lifecycle::new(&sys, 0);
+        // One table across both attempts: the retry must not reuse the
+        // stale word the first one loaded.
+        let mut vertices = IdTable::default();
+        let mut interfered = false;
+        let body: &mut tufast_txn::TxnBody<'_> = &mut |ops| {
+            let x = ops.read(0, data.addr(0))?;
+            if !interfered {
+                interfered = true;
+                // An L-mode writer commits vertex 0 between the read and
+                // the write.
+                sys.locks().try_exclusive(sys.mem(), 0, 88).unwrap();
+                sys.mem().store_direct(data.addr(0), 999);
+                sys.locks().unlock_exclusive(sys.mem(), 0, 88, true);
+            }
+            ops.write(0, data.addr(0), x + 1)
+        };
+        let mut run = |body: &mut tufast_txn::TxnBody<'_>| {
+            super::attempt(&mut ctx, &mut lc, &mut vertices, body, &ObsHandle::none()).end
+        };
+        assert!(run(body).is_err(), "the stale word must doom the attempt");
+        assert_eq!(sys.mem().load_direct(data.addr(0)), 999);
+        assert_eq!(sys.locks().peek(sys.mem(), 0), LockWord(1 << 32));
+        assert_eq!(run(body), Ok(Verdict::Committed));
+        assert_eq!(sys.mem().load_direct(data.addr(0)), 1000);
+        assert_eq!(sys.locks().peek(sys.mem(), 0), LockWord(2 << 32));
     }
 
     #[test]

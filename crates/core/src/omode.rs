@@ -13,7 +13,7 @@
 //! and publish data and version bumps together at the commit's ticket — the
 //! protocol of [`tufast_txn::commit`], shared with OCC and TO.
 
-use tufast_htm::{AbortCode, Addr, HtmCtx, WordMap};
+use tufast_htm::{AbortCode, Addr, HtmCtx, IdTable};
 use tufast_txn::commit::WriteSet;
 use tufast_txn::{LockWord, ObsHandle, TxInterrupt, TxnOps, TxnSystem, Verdict};
 
@@ -93,7 +93,6 @@ impl OpCount {
 pub(crate) struct OScratch {
     /// `(vertex, version at first touch)`.
     reads: Vec<(VertexId, u32)>,
-    read_seen: WordMap,
     /// `(addr, value)` pairs for value validation (paper Algorithm 2 l.45).
     read_values: Vec<(Addr, u64)>,
     writes: WriteSet,
@@ -104,7 +103,6 @@ impl OScratch {
     pub(crate) fn new(me: u32) -> Self {
         OScratch {
             reads: Vec::with_capacity(64),
-            read_seen: WordMap::with_capacity(64),
             read_values: Vec::new(),
             writes: WriteSet::new(me),
         }
@@ -112,7 +110,6 @@ impl OScratch {
 
     fn clear(&mut self) {
         self.reads.clear();
-        self.read_seen.clear();
         self.read_values.clear();
         self.writes.clear();
     }
@@ -127,6 +124,8 @@ pub(crate) struct OModeOps<'a> {
     pieces: u32,
     value_validation: bool,
     scratch: &'a mut OScratch,
+    /// The vertices read so far (each is in `scratch.reads`).
+    seen: &'a mut IdTable,
     failure: Option<OFailCode>,
     /// `piece_ops` at the moment of failure (capacity fit estimation).
     failed_piece_ops: u32,
@@ -140,8 +139,10 @@ impl<'a> OModeOps<'a> {
         period: u32,
         value_validation: bool,
         scratch: &'a mut OScratch,
+        seen: &'a mut IdTable,
     ) -> Self {
         scratch.clear();
+        seen.clear();
         OModeOps {
             ctx,
             sys,
@@ -150,6 +151,7 @@ impl<'a> OModeOps<'a> {
             pieces: 1,
             value_validation,
             scratch,
+            seen,
             failure: None,
             failed_piece_ops: 0,
             ops: OpCount::default(),
@@ -200,8 +202,8 @@ impl TxnOps for OModeOps<'_> {
         }
         self.maybe_rollover()?;
         self.piece_ops += 1;
-        // tufast-lint: allow(htm-hazard) -- read_seen is presized; growth would merely abort the piece, which the O retry ladder absorbs
-        if self.scratch.read_seen.insert(Addr(u64::from(v)), 1) {
+        // tufast-lint: allow(htm-hazard) -- the vertex table reallocates only past its high-water mark; growth would merely abort the piece, which the O retry ladder absorbs
+        if self.seen.insert(u64::from(v), 0) {
             // First touch: subscribe the lock word in this piece and record
             // the commit version for end-of-transaction validation.
             let lw = match self.ctx.read(self.sys.locks().addr(v)) {
@@ -234,7 +236,8 @@ impl TxnOps for OModeOps<'_> {
     }
 }
 
-/// Run one O-mode attempt of `body` with the given HTM `period`.
+/// Run one O-mode attempt of `body` with the given HTM `period`;
+/// `vertices` is the worker's vertex table, cleared here.
 ///
 /// `skip_validation` disables commit-time read validation. It exists ONLY
 /// so the correctness tooling (`tufast-check`) can seed a known
@@ -249,6 +252,7 @@ pub(crate) fn attempt(
     value_validation: bool,
     skip_validation: bool,
     scratch: &mut OScratch,
+    vertices: &mut IdTable,
     body: &mut tufast_txn::TxnBody<'_>,
     obs: &ObsHandle,
 ) -> OAttempt {
@@ -256,7 +260,7 @@ pub(crate) fn attempt(
         let code = OFailCode::Htm(AbortCode::Conflict);
         return OAttempt::failed(code, OpCount::default(), None);
     }
-    let mut ops = OModeOps::new(ctx, sys, period, value_validation, scratch);
+    let mut ops = OModeOps::new(ctx, sys, period, value_validation, scratch, vertices);
     let result = obs.run_body(&mut ops, me, body);
     let n = ops.ops;
     if let Err(interrupt) = result {
@@ -356,6 +360,7 @@ mod tests {
             value_validation,
             false,
             &mut scratch,
+            &mut IdTable::default(),
             body,
             &ObsHandle::none(),
         )

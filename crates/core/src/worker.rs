@@ -2,14 +2,14 @@
 
 use std::sync::Arc;
 
-use tufast_htm::AbortCode;
+use tufast_htm::{AbortCode, IdTable};
 use tufast_txn::{
     GraphScheduler, HealthHandle, Lifecycle, SchedStats, TwoPhaseLocking, TxnBody, TxnHint,
     TxnOutcome, TxnSystem, TxnWorker, Verdict,
 };
 
 use crate::config::TuFastConfig;
-use crate::hmode::{self, HAttempt, HScratch};
+use crate::hmode::{self, HAttempt};
 use crate::monitor::ContentionMonitor;
 use crate::omode::{self, OAttempt, OFailCode, OScratch, OpCount};
 use crate::stats::{ModeClass, TuFastStats};
@@ -62,7 +62,7 @@ impl GraphScheduler for TuFast {
             h_skip_streak: 0,
             monitor: ContentionMonitor::new(self.config.min_period, self.config.max_period),
             l_worker,
-            h_scratch: HScratch::new(),
+            vertices: IdTable::default(),
             ctx: self.sys.htm_ctx(),
             o_scratch: OScratch::new(me),
             period_cap: self.config.max_period,
@@ -90,7 +90,9 @@ pub struct TuFastWorker {
     ctx: tufast_htm::HtmCtx,
     monitor: ContentionMonitor,
     l_worker: <TwoPhaseLocking as GraphScheduler>::Worker,
-    h_scratch: HScratch,
+    /// The vertices the current H or O attempt has touched. The two modes
+    /// never overlap an attempt, and each clears the table at begin.
+    vertices: IdTable,
     o_scratch: OScratch,
     /// Learned upper bound on `period` from observed capacity overflows
     /// (piece footprints depend on the workload's line locality, which the
@@ -352,7 +354,7 @@ impl TxnWorker for TuFastWorker {
                 let h_retries = self.config.h_retries;
                 let end = Lifecycle::rung(self, h_retries, &mut attempts, |w, obs| {
                     let HAttempt { end, ops } =
-                        hmode::attempt(&mut w.ctx, &mut w.lc, &mut w.h_scratch, body, obs);
+                        hmode::attempt(&mut w.ctx, &mut w.lc, &mut w.vertices, body, obs);
                     match end {
                         Ok(Verdict::Committed) => {
                             w.monitor.observe_h(true);
@@ -410,6 +412,7 @@ impl TxnWorker for TuFastWorker {
                     w.config.value_validation,
                     w.config.test_skip_o_validation,
                     &mut w.o_scratch,
+                    &mut w.vertices,
                     body,
                     obs,
                 )

@@ -239,7 +239,7 @@ impl HtmCtx {
             }
             // Charge the capacity model once per distinct line (a line
             // already written is already resident).
-            if self.footprint.note_read(line, ver) && !self.charge_capacity(line) {
+            if self.footprint.note_read(line, ver) && !self.l1.touch_new_line(line) {
                 return Err(self.abort_with(AbortCode::Capacity));
             }
             return Ok(val);
@@ -269,7 +269,7 @@ impl HtmCtx {
             return Err(self.abort_with(AbortCode::Conflict));
         }
         self.write_buf.insert(addr, val);
-        if self.footprint.note_write(line) && !self.charge_capacity(line) {
+        if self.footprint.note_write(line) && !self.l1.touch_new_line(line) {
             return Err(self.abort_with(AbortCode::Capacity));
         }
         Ok(())
@@ -400,19 +400,15 @@ impl HtmCtx {
         code
     }
 
+    /// End the transaction. Every commit and abort comes here, and the
+    /// line count only grows within a transaction, so this is where its
+    /// peak is taken.
     fn reset(&mut self) {
         self.depth = 0;
+        self.stats.max_lines = self.stats.max_lines.max(self.l1.lines());
         self.footprint.clear();
         self.write_buf.clear();
         self.l1.reset();
-    }
-
-    /// Charge the capacity model for one distinct transactional line.
-    #[inline]
-    fn charge_capacity(&mut self, line: u64) -> bool {
-        let fits = self.l1.touch_new_line(line);
-        self.stats.max_lines = self.stats.max_lines.max(self.l1.lines());
-        fits
     }
 
     /// Revalidate the read set against the current clock; on success the

@@ -3,13 +3,13 @@
 //! written, or both.
 //!
 //! One table where the TL2 bookkeeping used to keep three (read list,
-//! read-line set, write-line set): an access makes a single probe, a line
+//! read-line set, write-line set): an access makes a single lookup, a line
 //! is due its capacity charge exactly when its entry is created, and
 //! validation, extension and commit walk the dense entries. Built on
-//! [`WordMap`], so a reset costs O(1) whatever an earlier hub grew it to.
+//! [`IdTable`], indexed by line number: an access is one indexed load, and
+//! a reset costs O(1) whatever an earlier hub grew it to.
 
-use crate::memory::Addr;
-use crate::wordmap::WordMap;
+use crate::idtable::IdTable;
 
 const READ: u64 = 1;
 const WRITE: u64 = 2;
@@ -19,18 +19,18 @@ const FLAG_BITS: u32 = 2;
 
 /// Line → `{observed version, READ | WRITE}` for one transaction.
 #[derive(Debug)]
-pub struct Footprint(WordMap);
+pub struct Footprint(IdTable);
 
 impl Footprint {
-    /// Create a footprint with room for `cap` lines before rehash.
+    /// Create a footprint with room for `cap` lines before it reallocates.
     pub fn with_capacity(cap: usize) -> Self {
-        Footprint(WordMap::with_capacity(cap))
+        Footprint(IdTable::with_capacity(cap))
     }
 
-    /// Test support: see [`WordMap::at_stamp_wrap`].
+    /// Test support: see [`IdTable::at_stamp_wrap`].
     #[doc(hidden)]
     pub fn at_stamp_wrap(cap: usize) -> Self {
-        Footprint(WordMap::at_stamp_wrap(cap))
+        Footprint(IdTable::at_stamp_wrap(cap))
     }
 
     /// Forget every line, keeping the allocation (O(1)).
@@ -45,7 +45,7 @@ impl Footprint {
     #[inline]
     pub fn note_read(&mut self, line: u64, version: u64) -> bool {
         debug_assert!(version < 1 << (64 - FLAG_BITS));
-        let (entry, fresh) = self.0.entry(Addr(line), version << FLAG_BITS | READ);
+        let (entry, fresh) = self.0.entry(line, version << FLAG_BITS | READ);
         if *entry & READ == 0 {
             // Written earlier, read only now: the version bits are still 0.
             *entry |= version << FLAG_BITS | READ;
@@ -57,7 +57,7 @@ impl Footprint {
     /// footprint.
     #[inline]
     pub fn note_write(&mut self, line: u64) -> bool {
-        let (entry, fresh) = self.0.entry(Addr(line), WRITE);
+        let (entry, fresh) = self.0.entry(line, WRITE);
         *entry |= WRITE;
         fresh
     }
@@ -68,7 +68,7 @@ impl Footprint {
         self.0
             .iter()
             .filter(|&(_, e)| e & READ != 0)
-            .map(|(line, e)| (line.0, e >> FLAG_BITS, e & WRITE != 0))
+            .map(|(line, e)| (line, e >> FLAG_BITS, e & WRITE != 0))
     }
 
     /// Every line written, in first-touch order.
@@ -76,7 +76,7 @@ impl Footprint {
         self.0
             .iter()
             .filter(|&(_, e)| e & WRITE != 0)
-            .map(|(line, _)| line.0)
+            .map(|(line, _)| line)
     }
 }
 

@@ -70,6 +70,7 @@ mod batch;
 mod config;
 mod ctx;
 mod footprint;
+mod idtable;
 mod l1;
 mod memory;
 mod meta;
@@ -82,6 +83,7 @@ pub use batch::LineBatch;
 pub use config::{AbortInjector, AbortSource, HtmConfig};
 pub use ctx::HtmCtx;
 pub use footprint::Footprint;
+pub use idtable::IdTable;
 pub use l1::L1Model;
 pub use memory::{
     Addr, LineState, MemRegion, MemoryLayout, PaddedRegion, TxMemory, DIRECT_OWNER, WORDS_PER_LINE,

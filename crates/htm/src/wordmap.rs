@@ -1,7 +1,8 @@
 //! An open-addressed map from word address to buffered value, preserving
-//! insertion order — the transaction write buffer, and the index under every
-//! other transaction-local table ([`Footprint`](crate::Footprint), the
-//! schedulers' seen-sets).
+//! insertion order — the transaction write buffers, and the vertex sets off
+//! the hot paths (2PL's held set, OCC's read set, `WriteSet`'s seen-set). A
+//! table keyed by a line or a vertex id on a hot path is an
+//! [`IdTable`](crate::IdTable).
 //!
 //! Requirements that rule out `HashMap`: clearing between transactions that
 //! costs nothing, order-preserving iteration (writes are applied in program
@@ -10,8 +11,8 @@
 use crate::memory::Addr;
 
 /// Stamp floors past this trigger the one real wipe (see [`WordMap::clear`]).
-/// A table holds at most 2^30 entries, so `base + len + 1` never overflows.
-const WRAP_LIMIT: u32 = u32::MAX / 2;
+/// A table holds at most 2^31 entries, so `base + len` never overflows.
+pub(crate) const WRAP_LIMIT: u32 = u32::MAX / 2;
 
 /// Write buffer: address → value with insertion-order iteration.
 #[derive(Debug)]

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
 use tufast_htm::{
-    AbortCode, Addr, Footprint, HtmConfig, HtmCtx, HtmRuntime, HtmStats, LineBatch, LineState,
-    MemoryLayout, TxMemory, WordMap, DIRECT_OWNER,
+    AbortCode, Addr, Footprint, HtmConfig, HtmCtx, HtmRuntime, HtmStats, IdTable, LineBatch,
+    LineState, MemoryLayout, TxMemory, WordMap, DIRECT_OWNER,
 };
 
 /// Run one generation of map operations against the model, then compare the
@@ -44,6 +44,38 @@ fn wordmap_cycle(map: &mut WordMap, ops: &[(u8, u64, u64)], stride: u64) {
     let got: Vec<(u64, u64)> = map.iter().map(|(a, v)| (a.0, v)).collect();
     let want: Vec<(u64, u64)> = order.iter().map(|k| (*k, model[k])).collect();
     assert_eq!(got, want, "first-insertion order with last values");
+}
+
+/// Same for the dense-id table, with the ids as given.
+fn idtable_cycle(table: &mut IdTable, ops: &[(u8, u64, u64)]) {
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut order: Vec<u64> = Vec::new();
+    for &(kind, id, v) in ops {
+        match kind {
+            0 => assert_eq!(table.get(id), model.get(&id).copied()),
+            1 => {
+                assert_eq!(table.insert(id, v), model.insert(id, v).is_none());
+                if order.len() < model.len() {
+                    order.push(id);
+                }
+            }
+            _ => {
+                let (slot, fresh) = table.entry(id, v);
+                assert_eq!(fresh, !model.contains_key(&id));
+                let expect = *model.entry(id).or_insert(v);
+                assert_eq!(*slot, expect, "a present id keeps its value");
+                *slot ^= 1;
+                model.insert(id, expect ^ 1);
+                if fresh {
+                    order.push(id);
+                }
+            }
+        }
+    }
+    assert_eq!(table.len(), model.len());
+    let got: Vec<(u64, u64)> = table.iter().collect();
+    let want: Vec<(u64, u64)> = order.iter().map(|id| (*id, model[id])).collect();
+    assert_eq!(got, want, "first-touch order with last values");
 }
 
 /// Same for the footprint. `kind`: even = read at version `v`, odd = write.
@@ -378,6 +410,31 @@ proptest! {
             map.clear();
             prop_assert!(map.is_empty());
             prop_assert_eq!(map.get(Addr(0)), None);
+        }
+    }
+
+    /// The same ≥ 10 240 clear cycles, hub-sized generation and forced
+    /// wrap-around for the dense-id table. Ids are `k << shift` over twelve
+    /// scales, so the slot array grows step by step under live entries and
+    /// above stale stamps of earlier generations.
+    #[test]
+    fn idtable_matches_hashmap_across_clear_cycles(
+        cycles in prop::collection::vec(
+            prop::collection::vec((0u8..4, 0u64..48, 0u32..12, 0u64..1 << 40), 0..24), 160..320),
+        hub in (0usize..160, 200usize..2500),
+        wrap in any::<bool>(),
+    ) {
+        let mut table = if wrap { IdTable::at_stamp_wrap(4) } else { IdTable::with_capacity(4) };
+        for (i, ops) in cycles.iter().enumerate() {
+            if i == hub.0 {
+                idtable_cycle(&mut table, &hub_ops(hub.1));
+                table.clear();
+            }
+            let ops: Vec<_> = ops.iter().map(|&(kind, k, shift, v)| (kind, k << shift, v)).collect();
+            idtable_cycle(&mut table, &ops);
+            table.clear();
+            prop_assert!(table.is_empty());
+            prop_assert_eq!(table.get(0), None);
         }
     }
 

@@ -24,7 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tufast::epoch::parallel_drain_epochs;
 use tufast::par::WorkPool;
-use tufast::TuFastStats;
 use tufast_graph::snapshot::{Section, Snapshot, SnapshotError, SnapshotStore};
 use tufast_htm::{MemRegion, TxMemory};
 use tufast_txn::{AbortReason, GraphScheduler, JobAborted, TxnSystem};
@@ -182,8 +181,8 @@ pub struct Ckpt<'a> {
     pub resume: bool,
 }
 
-/// Checkpoint accounting from one `parallel_on` run, foldable into
-/// [`TuFastStats`] for the bench harness's robustness line.
+/// Checkpoint accounting from one `parallel_on` run: the only home of the
+/// checkpoint and recovery counters.
 #[derive(Clone, Debug, Default)]
 pub struct CkptReport {
     /// Snapshots durably written.
@@ -209,13 +208,6 @@ pub struct CkptReport {
 }
 
 impl CkptReport {
-    /// Fold the checkpoint counters into a stats bundle.
-    pub fn fold_into(&self, stats: &mut TuFastStats) {
-        stats.checkpoints_written += self.checkpoints_written;
-        stats.recoveries += self.recoveries;
-        stats.snapshot_fallbacks += self.snapshot_fallbacks;
-    }
-
     /// The typed abort error, when the health subsystem stopped this run.
     /// Callers that want `Result`-style handling match on this; the `Ok`
     /// payload still carries the partial state and this report.

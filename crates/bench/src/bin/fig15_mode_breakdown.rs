@@ -8,11 +8,13 @@
 
 use std::sync::Arc;
 
-use tufast::{ModeClass, TuFast};
+use tufast::{ModeClass, TuFast, TuFastStats};
 use tufast_bench::datasets::dataset;
-use tufast_bench::harness::{banner, parse_args, print_robustness, Table};
+use tufast_bench::harness::{banner, parse_args, print_counters, Table};
 use tufast_bench::json::{append_record, JsonRecord};
 use tufast_bench::workloads::{run_micro, setup_micro, uniform_picker, MicroWorkload};
+use tufast_htm::HtmStats;
+use tufast_txn::{HealthCounters, SchedStats};
 
 fn main() {
     let args = parse_args();
@@ -35,7 +37,7 @@ fn main() {
             workload,
             uniform_picker(d.graph.num_vertices()),
         );
-        let mut stats = tufast::TuFastStats::default();
+        let mut stats = TuFastStats::default();
         for w in &mut workers {
             stats.merge(&w.take_tufast_stats());
         }
@@ -63,24 +65,19 @@ fn main() {
             ]);
         }
         table.print();
-        println!(
-            "  HTM aborts: conflict={} capacity={} explicit={} spurious={}; restarts={}",
-            stats.htm.aborts_conflict,
-            stats.htm.aborts_capacity,
-            stats.htm.aborts_explicit,
-            stats.htm.aborts_spurious,
-            stats.sched.restarts,
-        );
-        print_robustness(&stats);
+        let health = sys.health().counters();
+        print_counters("htm", HtmStats::NAMES, stats.htm.values());
+        print_counters("txn", SchedStats::NAMES, stats.sched.values());
+        print_counters("tufast", TuFastStats::NAMES, stats.values());
+        print_counters("health", HealthCounters::NAMES, health.values());
         if let Some(path) = &args.json {
             let rec = JsonRecord::new()
                 .str("figure", "fig15_mode_breakdown")
                 .str("workload", workload.label())
                 .num_u("threads", args.threads as u64)
-                .num_u("commits", result.stats.commits)
-                .num_u("restarts", stats.sched.restarts)
-                .num_u("serial_commits", stats.serial_commits)
-                .with_health(&stats);
+                .counters(SchedStats::NAMES, stats.sched.values())
+                .counters(TuFastStats::NAMES, stats.values())
+                .counters(HealthCounters::NAMES, health.values());
             append_record(path, &rec).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         }
     }

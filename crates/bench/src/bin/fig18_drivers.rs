@@ -12,13 +12,12 @@
 use std::sync::Arc;
 
 use tufast::par::{FifoPool, PriorityPool, WorkPool};
-use tufast::{StealPool, TuFast};
+use tufast::{PoolCounters, StealPool, TuFast};
 use tufast_algos as algos;
 use tufast_bench::datasets::{dataset, symmetric_view};
-use tufast_bench::harness::{banner, fmt_rate, parse_args, print_sched_counters, time, Table};
+use tufast_bench::harness::{banner, fmt_rate, parse_args, print_counters, time, Table};
 use tufast_bench::json::{append_record, commit_id, JsonRecord};
 use tufast_graph::{gen, Graph, VertexId};
-use tufast_txn::SchedStats;
 
 /// Timed repetitions per cell; best-of to damp scheduler noise.
 const REPS: usize = 5;
@@ -34,7 +33,7 @@ fn main() {
         "stealing FIFO driver and bucketed SSSP each beat the centralized baseline",
     );
     let mut table = Table::new(&["dataset", "algorithm", "centralized", "scalable", "speedup"]);
-    let mut merged = SchedStats::default();
+    let mut merged = PoolCounters::default();
     let commit = commit_id();
     for name in DATASETS {
         let d = dataset(name, args.scale_delta);
@@ -81,10 +80,7 @@ fn main() {
                         .num_u("edges", row.edges)
                         .num_f("secs", secs)
                         .num_f("edges_per_sec", eps)
-                        .num_u("steals", counters.steals)
-                        .num_u("steal_fails", counters.steal_fails)
-                        .num_u("bucket_advances", counters.bucket_advances)
-                        .num_u("parked_wakeups", counters.parked_wakeups);
+                        .counters(PoolCounters::NAMES, counters.values());
                     append_record(path, &rec)
                         .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
                 }
@@ -93,7 +89,7 @@ fn main() {
     }
     println!();
     table.print();
-    print_sched_counters(&merged);
+    print_counters("scheduling", PoolCounters::NAMES, merged.values());
     println!(
         "\n(best of {REPS} reps per cell; {} threads; scale {})",
         args.threads, args.scale_delta
@@ -112,10 +108,10 @@ struct Cell {
     edges: u64,
     centralized_secs: f64,
     centralized_eps: f64,
-    centralized_counters: SchedStats,
+    centralized_counters: PoolCounters,
     scalable_secs: f64,
     scalable_eps: f64,
-    scalable_counters: SchedStats,
+    scalable_counters: PoolCounters,
 }
 
 /// Best-of-REPS timing of `algo` on pools from `new_pool`, with the last
@@ -131,10 +127,10 @@ fn best_of<P: WorkPool>(
     source: VertexId,
     threads: usize,
     new_pool: impl Fn() -> P,
-) -> (Vec<u64>, f64, SchedStats) {
+) -> (Vec<u64>, f64, PoolCounters) {
     let mut best = f64::MAX;
     let mut out = Vec::new();
-    let mut counters = SchedStats::default();
+    let mut counters = PoolCounters::default();
     for _ in 0..REPS {
         let _ = tufast::take_sched_counters(); // clear residue
         let (result, secs) = match algo {
@@ -167,7 +163,7 @@ fn best_of<P: WorkPool>(
             }
             other => panic!("unknown algorithm {other}"),
         };
-        tufast::take_sched_counters().fold_into(&mut counters);
+        counters.merge(&tufast::take_sched_counters());
         if secs < best {
             best = secs;
         }
@@ -184,7 +180,7 @@ fn run_cell(
     sym: &Graph,
     weighted: &Graph,
     threads: usize,
-    merged: &mut SchedStats,
+    merged: &mut PoolCounters,
 ) -> Cell {
     // Vertex 0 of an R-MAT graph may have no out-edges, which would make
     // the traversal cells time a one-vertex job.

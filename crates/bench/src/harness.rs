@@ -142,49 +142,15 @@ pub fn fmt_rate(per_sec: f64) -> String {
     }
 }
 
-/// Print a TuFast run's robustness and degradation counters: the
-/// liveness ladder's serial fallbacks, degraded-mode routing decisions,
-/// contained body panics, injected-fault totals (nonzero only when a
-/// fault plan is active under the `faults` feature), and checkpoint /
-/// recovery counters (nonzero only for checkpointed drivers).
-pub fn print_robustness(stats: &tufast::TuFastStats) {
-    println!(
-        "  robustness: serial-fallback commits={} degraded-H skips={} HTM-off txns={}",
-        stats.serial_commits, stats.degraded_h_skips, stats.htm_off_txns,
-    );
-    println!(
-        "  faults: injected={} contained panics={} deadlock victims={} wait-budget victims={}",
-        stats.sched.injected_faults,
-        stats.sched.panics,
-        stats.sched.deadlock_victims,
-        stats.sched.anon_wait_victims,
-    );
-    println!(
-        "  r-mode: pure-read commits={} snapshot retries={}",
-        stats.sched.r_commits, stats.sched.r_retries,
-    );
-    println!(
-        "  checkpointing: checkpoints written={} recoveries={} snapshot fallbacks={}",
-        stats.checkpoints_written, stats.recoveries, stats.snapshot_fallbacks,
-    );
-    println!(
-        "  health: watchdog escalations={} cancelled={} shed={} deadline aborts={} health stops={}",
-        stats.watchdog_escalations,
-        stats.jobs_cancelled,
-        stats.jobs_shed,
-        stats.deadline_aborts,
-        stats.sched.health_stops,
-    );
-    print_sched_counters(&stats.sched);
-}
-
-/// Print the work-distribution counters (nonzero only for runs driven
-/// through the stealing/bucketed pools).
-pub fn print_sched_counters(sched: &tufast_txn::SchedStats) {
-    println!(
-        "  scheduling: steals={} steal-fails={} bucket-advances={} parked-wakeups={}",
-        sched.steals, sched.steal_fails, sched.bucket_advances, sched.parked_wakeups,
-    );
+/// Print one declared counter struct as `  label: name=value …`, every
+/// counter in declaration order: pass the struct's `NAMES` and `values()`.
+pub fn print_counters<const N: usize>(label: &str, names: [&str; N], values: [u64; N]) {
+    let parts: Vec<String> = names
+        .iter()
+        .zip(values)
+        .map(|(name, v)| format!("{name}={v}"))
+        .collect();
+    println!("  {label}: {}", parts.join(" "));
 }
 
 /// Print a fault plan's per-kind injection counters — for chaos-mode

@@ -62,17 +62,14 @@ impl JsonRecord {
         self.raw(key, rendered)
     }
 
-    /// Add the runtime-health counters (DESIGN.md §12) from a merged
-    /// [`tufast::TuFastStats`]: watchdog escalations, cancelled / shed /
-    /// deadline-aborted jobs, and attempt-boundary health stops. All zero
-    /// on a healthy run, so their trajectory across PRs flags runs that
-    /// only finished because the watchdog or a deadline intervened.
-    pub fn with_health(self, stats: &tufast::TuFastStats) -> Self {
-        self.num_u("watchdog_escalations", stats.watchdog_escalations)
-            .num_u("jobs_cancelled", stats.jobs_cancelled)
-            .num_u("jobs_shed", stats.jobs_shed)
-            .num_u("deadline_aborts", stats.deadline_aborts)
-            .num_u("health_stops", stats.sched.health_stops)
+    /// Add one declared counter struct as unsigned fields keyed by counter
+    /// name, in declaration order: pass the struct's `NAMES` and
+    /// `values()`.
+    pub fn counters<const N: usize>(self, names: [&str; N], values: [u64; N]) -> Self {
+        names
+            .iter()
+            .zip(values)
+            .fold(self, |rec, (name, v)| rec.num_u(name, v))
     }
 
     /// Render as a single-line JSON object.
@@ -151,6 +148,24 @@ mod tests {
         assert!(s.contains("\"throughput\": 1234.5"));
         assert!(s.contains("\"bad\": null"));
         assert!(s.contains("a\\\"b\\\\c\\n"));
+    }
+
+    #[test]
+    fn counters_are_keyed_by_name_in_declaration_order() {
+        let pool = tufast::PoolCounters {
+            steals: 1,
+            steal_fails: 2,
+            bucket_advances: 3,
+            parked_wakeups: 4,
+        };
+        let r = JsonRecord::new()
+            .str("pool", "steal")
+            .counters(tufast::PoolCounters::NAMES, pool.values());
+        assert_eq!(
+            r.render(),
+            "{\"pool\": \"steal\", \"steals\": 1, \"steal_fails\": 2, \
+             \"bucket_advances\": 3, \"parked_wakeups\": 4}"
+        );
     }
 
     #[test]

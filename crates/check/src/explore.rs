@@ -10,7 +10,7 @@
 //! - [`Schedule::Seeded`] — the next thread is drawn from a seeded
 //!   xorshift generator, so any seed replays its interleaving;
 //! - [`Schedule::AbortEveryNth`] — round-robin stepping plus a
-//!   deterministic [`AbortInjector`] that spuriously aborts every `n`-th
+//!   deterministic [`AbortSource`] that spuriously aborts every `n`-th
 //!   HTM operation of every context, exercising the abort/retry paths at
 //!   every possible point;
 //! - [`Schedule::Free`] — no gating, plain concurrency (stress mode).
@@ -32,7 +32,7 @@ use std::thread::ThreadId;
 use std::time::Duration;
 
 use tufast::{TuFast, TuFastConfig};
-use tufast_htm::{AbortInjector, Addr, HtmConfig, MemRegion, MemoryLayout};
+use tufast_htm::{AbortCode, AbortSource, Addr, HtmConfig, MemRegion, MemoryLayout};
 use tufast_txn::{GraphScheduler, SystemConfig, TxnObserver, TxnSystem, TxnWorker, VertexId};
 
 use crate::dsg::{check, CheckReport};
@@ -350,8 +350,11 @@ impl Explorer {
         let mut layout = MemoryLayout::new();
         let data = layout.alloc("cells", self.spec.cells);
         let htm = HtmConfig {
-            abort_injector: match schedule {
-                Schedule::AbortEveryNth(n) => Some(AbortInjector::every_nth(*n)),
+            abort_source: match *schedule {
+                // Sequence numbers start at 1, so `n = 0` never fires.
+                Schedule::AbortEveryNth(n) => Some(AbortSource::new(move |_, seq| {
+                    seq.is_multiple_of(n).then_some(AbortCode::Spurious)
+                })),
                 _ => None,
             },
             ..HtmConfig::default()

@@ -156,9 +156,8 @@ fn run_watchdog(sys: &TxnSystem, config: &WatchdogConfig, stop: &AtomicBool) -> 
             RUNG_VICTIMS => {
                 // Rung 2: break wait cycles — every bounded lock wait
                 // victimizes immediately instead of spinning out its
-                // budget. Mirrored into the wait-for table, which is what
-                // the 2PL waiters actually consult.
-                board.set_force_victims(true);
+                // budget. The flag lives on the wait-for table, which is
+                // what the 2PL waiters consult.
                 sys.wait_table().set_force_victims(true);
             }
             RUNG_SERIAL => {
@@ -450,7 +449,6 @@ mod tests {
         assert!(report.stall_scans >= 4);
         let board = sys.health();
         assert!(board.backoff_boost() > 0);
-        assert!(board.force_victims());
         assert!(sys.wait_table().force_victims());
         assert!(board.force_serial());
         assert_eq!(sys.cancel_token().reason(), Some(AbortReason::Cancelled));
@@ -594,6 +592,39 @@ mod tests {
             assert!(!b.serial());
         });
         assert_eq!(sys.health().counters().jobs_shed, 0);
+    }
+
+    #[test]
+    fn taking_worker_stats_leaves_job_outcomes_on_the_board() {
+        use crate::TuFast;
+        use tufast_txn::{GraphScheduler, HealthCounters};
+
+        let sys = tiny_system(4);
+        let gate = AdmissionGate::new(
+            AdmissionConfig {
+                max_concurrent: 1,
+                queue_deadline: Some(Duration::ZERO),
+                policy: ShedPolicy::Reject,
+            },
+            Arc::clone(sys.health()),
+        );
+        let _running = gate.admit().expect("budgeted slot");
+        assert!(gate.admit().is_err(), "over budget must shed");
+        sys.health().note_escalation();
+        let outcomes = sys.health().counters();
+        assert_eq!(
+            outcomes,
+            HealthCounters {
+                watchdog_escalations: 1,
+                jobs_shed: 1,
+                ..Default::default()
+            }
+        );
+        let tufast = TuFast::new(Arc::clone(&sys));
+        let (mut a, mut b) = (tufast.worker(), tufast.worker());
+        let _ = a.take_tufast_stats();
+        let _ = b.take_tufast_stats();
+        assert_eq!(sys.health().counters(), outcomes);
     }
 
     #[test]

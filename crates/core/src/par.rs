@@ -5,6 +5,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam::queue::SegQueue;
+use tufast_htm::AtomicCounters;
 use tufast_txn::{GraphScheduler, TxnWorker};
 
 use crate::epoch::Epochs;
@@ -69,36 +70,21 @@ where
     })
 }
 
-/// Scheduler-internal event counters a [`WorkPool`] can expose; folded
-/// into `SchedStats` by the drain drivers and printed by the bench
-/// harness. All zeros for pools without the corresponding machinery.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolCounters {
-    /// Items migrated between workers by successful steals.
-    pub steals: u64,
-    /// Steal attempts that lost a race (`Retry` outcomes).
-    pub steal_fails: u64,
-    /// Lazy cursor advances past drained priority buckets.
-    pub bucket_advances: u64,
-    /// Completed parked waits of idle workers.
-    pub parked_wakeups: u64,
-}
-
-impl PoolCounters {
-    /// Accumulate `other` into `self`.
-    pub fn merge(&mut self, other: &PoolCounters) {
-        self.steals += other.steals;
-        self.steal_fails += other.steal_fails;
-        self.bucket_advances += other.bucket_advances;
-        self.parked_wakeups += other.parked_wakeups;
-    }
-
-    /// Fold these counters into a stats record for harness reporting.
-    pub fn fold_into(&self, stats: &mut tufast_txn::SchedStats) {
-        stats.steals += self.steals;
-        stats.steal_fails += self.steal_fails;
-        stats.bucket_advances += self.bucket_advances;
-        stats.parked_wakeups += self.parked_wakeups;
+tufast_htm::counters! {
+    /// Scheduler-internal event counters a [`WorkPool`] can expose; summed
+    /// into a process-wide accumulator by the drain drivers and harvested by
+    /// [`take_sched_counters`]. All zeros for pools without the
+    /// corresponding machinery.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct PoolCounters {
+        /// Items migrated between workers by successful steals.
+        pub steals: u64,
+        /// Steal attempts that lost a race (`Retry` outcomes).
+        pub steal_fails: u64,
+        /// Lazy cursor advances past drained priority buckets.
+        pub bucket_advances: u64,
+        /// Completed parked waits of idle workers.
+        pub parked_wakeups: u64,
     }
 }
 
@@ -106,34 +92,19 @@ impl PoolCounters {
 /// harvested by [`take_sched_counters`]. A global (rather than a return
 /// value) because the drains' signatures return workers, and the bench
 /// harness aggregates across many independent drain calls anyway.
-static DRIVER_STEALS: AtomicU64 = AtomicU64::new(0);
-static DRIVER_STEAL_FAILS: AtomicU64 = AtomicU64::new(0);
-static DRIVER_BUCKET_ADVANCES: AtomicU64 = AtomicU64::new(0);
-static DRIVER_PARKED_WAKEUPS: AtomicU64 = AtomicU64::new(0);
+static DRIVER: AtomicCounters<{ PoolCounters::N }> = AtomicCounters::new();
 
 /// Fold one pool's counters into the process-wide accumulator. Called by
 /// the drain drivers after the workers join; public so external drivers
 /// composing their own loops can participate.
 pub fn fold_sched_counters(c: &PoolCounters) {
-    if *c == PoolCounters::default() {
-        return;
-    }
-    DRIVER_STEALS.fetch_add(c.steals, Ordering::Relaxed);
-    DRIVER_STEAL_FAILS.fetch_add(c.steal_fails, Ordering::Relaxed);
-    DRIVER_BUCKET_ADVANCES.fetch_add(c.bucket_advances, Ordering::Relaxed);
-    DRIVER_PARKED_WAKEUPS.fetch_add(c.parked_wakeups, Ordering::Relaxed);
+    DRIVER.add(c.values());
 }
 
 /// Drain and reset the process-wide scheduler counters accumulated by the
-/// drain drivers since the last call. The bench binaries call this after a
-/// run and fold the result into the run's `SchedStats`.
+/// drain drivers since the last call.
 pub fn take_sched_counters() -> PoolCounters {
-    PoolCounters {
-        steals: DRIVER_STEALS.swap(0, Ordering::Relaxed),
-        steal_fails: DRIVER_STEAL_FAILS.swap(0, Ordering::Relaxed),
-        bucket_advances: DRIVER_BUCKET_ADVANCES.swap(0, Ordering::Relaxed),
-        parked_wakeups: DRIVER_PARKED_WAKEUPS.swap(0, Ordering::Relaxed),
-    }
+    PoolCounters::from_values(DRIVER.take())
 }
 
 /// A concurrent work pool with quiescence detection: the processing loop
@@ -695,5 +666,31 @@ mod tests {
         assert_eq!(got.bucket_advances, 2);
         assert_eq!(got.parked_wakeups, 5);
         assert_eq!(take_sched_counters(), PoolCounters::default());
+    }
+
+    #[test]
+    fn pool_counters_merge_sums_every_field_in_declaration_order() {
+        let a = PoolCounters {
+            steals: 1,
+            steal_fails: 2,
+            bucket_advances: 3,
+            parked_wakeups: 4,
+        };
+        let mut m = a;
+        m.merge(&PoolCounters::from_values(a.values().map(|v| v * 100)));
+        assert_eq!(
+            m,
+            PoolCounters {
+                steals: 101,
+                steal_fails: 202,
+                bucket_advances: 303,
+                parked_wakeups: 404,
+            }
+        );
+        assert_eq!(
+            PoolCounters::NAMES,
+            ["steals", "steal_fails", "bucket_advances", "parked_wakeups"]
+        );
+        assert_eq!(a.values(), [1, 2, 3, 4]);
     }
 }

@@ -102,48 +102,35 @@ impl ModeBreakdown {
     }
 }
 
-/// Everything a TuFast worker counts: the cross-scheduler
-/// [`SchedStats`](tufast_txn::SchedStats), the Figure 15 breakdown, and the
-/// emulated-HTM counters.
-#[derive(Clone, Debug, Default)]
-pub struct TuFastStats {
-    /// Cross-scheduler counters (commits, restarts, reads, writes…).
-    pub sched: tufast_txn::SchedStats,
-    /// Per-mode commit accounting.
-    pub modes: ModeBreakdown,
-    /// Emulated-HTM counters (aborts by cause, extensions…).
-    pub htm: tufast_htm::HtmStats,
-    /// `period` values chosen at O-mode entry (sum and count, for the
-    /// adaptive-period trace of Figure 17).
-    pub period_sum: u64,
-    /// Number of O-mode entries contributing to `period_sum`.
-    pub period_samples: u64,
-    /// Transactions committed via the global serial-fallback token (the
-    /// stop-the-world single-writer backstop after the L attempt budget).
-    pub serial_commits: u64,
-    /// H-mode entries skipped because the contention monitor judged H
-    /// futile (persistent capacity/spurious failure — degraded mode).
-    pub degraded_h_skips: u64,
-    /// Transactions routed straight to L because the runtime HTM switch
-    /// was off at entry.
-    pub htm_off_txns: u64,
-    /// Epoch snapshots successfully written by the checkpointed drivers.
-    pub checkpoints_written: u64,
-    /// Successful recoveries: runs resumed from a loaded snapshot.
-    pub recoveries: u64,
-    /// Recoveries that fell back past a corrupt/torn latest generation to
-    /// the previous one.
-    pub snapshot_fallbacks: u64,
-    /// Watchdog escalation-ladder steps taken (backoff boost, forced
-    /// deadlock victims, forced serial fallback, job cancel).
-    pub watchdog_escalations: u64,
-    /// Jobs stopped by an explicit [`CancelToken`](tufast_txn::CancelToken)
-    /// cancellation.
-    pub jobs_cancelled: u64,
-    /// Jobs rejected or redirected by admission control under overload.
-    pub jobs_shed: u64,
-    /// Jobs stopped because their wall-clock deadline expired.
-    pub deadline_aborts: u64,
+tufast_htm::counters! {
+    /// Everything a TuFast worker counts: the cross-scheduler
+    /// [`SchedStats`](tufast_txn::SchedStats), the Figure 15 breakdown, the
+    /// emulated-HTM counters, and the router's own counters below.
+    #[derive(Clone, Debug, Default)]
+    pub struct TuFastStats {
+        nested {
+            /// Cross-scheduler counters (commits, restarts, reads, writes…).
+            pub sched: tufast_txn::SchedStats,
+            /// Per-mode commit accounting.
+            pub modes: ModeBreakdown,
+            /// Emulated-HTM counters (aborts by cause, extensions…).
+            pub htm: tufast_htm::HtmStats,
+        }
+        /// `period` values chosen at O-mode entry (sum and count, for the
+        /// adaptive-period trace of Figure 17).
+        pub period_sum: u64,
+        /// Number of O-mode entries contributing to `period_sum`.
+        pub period_samples: u64,
+        /// Transactions committed via the global serial-fallback token (the
+        /// stop-the-world single-writer backstop after the L attempt budget).
+        pub serial_commits: u64,
+        /// H-mode entries skipped because the contention monitor judged H
+        /// futile (persistent capacity/spurious failure — degraded mode).
+        pub degraded_h_skips: u64,
+        /// Transactions routed straight to L because the runtime HTM switch
+        /// was off at entry.
+        pub htm_off_txns: u64,
+    }
 }
 
 impl TuFastStats {
@@ -154,25 +141,6 @@ impl TuFastStats {
         } else {
             self.period_sum as f64 / self.period_samples as f64
         }
-    }
-
-    /// Fold another worker's stats into this one.
-    pub fn merge(&mut self, other: &TuFastStats) {
-        self.sched.merge(&other.sched);
-        self.modes.merge(&other.modes);
-        self.htm.merge(&other.htm);
-        self.period_sum += other.period_sum;
-        self.period_samples += other.period_samples;
-        self.serial_commits += other.serial_commits;
-        self.degraded_h_skips += other.degraded_h_skips;
-        self.htm_off_txns += other.htm_off_txns;
-        self.checkpoints_written += other.checkpoints_written;
-        self.recoveries += other.recoveries;
-        self.snapshot_fallbacks += other.snapshot_fallbacks;
-        self.watchdog_escalations += other.watchdog_escalations;
-        self.jobs_cancelled += other.jobs_cancelled;
-        self.jobs_shed += other.jobs_shed;
-        self.deadline_aborts += other.deadline_aborts;
     }
 }
 
@@ -202,6 +170,43 @@ mod tests {
     fn labels_match_paper_legend() {
         let labels: Vec<&str> = ModeClass::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels, vec!["H", "O", "O+", "O2L", "L", "R"]);
+    }
+
+    #[test]
+    fn merge_sums_scalars_and_merges_nested() {
+        let mut a = TuFastStats {
+            period_sum: 1,
+            period_samples: 2,
+            serial_commits: 3,
+            degraded_h_skips: 4,
+            htm_off_txns: 5,
+            ..Default::default()
+        };
+        a.sched.commits = 6;
+        a.modes.record(ModeClass::O, 7);
+        a.htm.max_lines = 8;
+        let mut m = a.clone();
+        m.merge(&a);
+        assert_eq!(m.values(), [2, 4, 6, 8, 10]);
+        assert_eq!(m.sched.commits, 12);
+        assert_eq!(
+            (m.modes.txns(ModeClass::O), m.modes.ops(ModeClass::O)),
+            (2, 14)
+        );
+        assert_eq!(m.htm.max_lines, 8);
+        assert_eq!(
+            TuFastStats::NAMES,
+            [
+                "period_sum",
+                "period_samples",
+                "serial_commits",
+                "degraded_h_skips",
+                "htm_off_txns",
+            ]
+        );
+        let back = TuFastStats::from_values(a.values());
+        assert_eq!(back.values(), a.values());
+        assert_eq!(back.sched, tufast_txn::SchedStats::default());
     }
 
     #[test]

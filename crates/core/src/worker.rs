@@ -114,19 +114,12 @@ impl AsMut<Lifecycle> for TuFastWorker {
 
 impl TuFastWorker {
     /// Full TuFast statistics (mode breakdown, HTM counters, period trace),
-    /// taking and resetting them.
+    /// taking and resetting them. Job outcomes are the system's, not the
+    /// worker's: read them from `sys.health().counters()`.
     pub fn take_tufast_stats(&mut self) -> TuFastStats {
         let mut out = std::mem::take(&mut self.stats);
         out.sched = std::mem::take(&mut self.lc.stats);
         out.htm = self.ctx.take_stats();
-        // Drain the system-wide health counters with take-semantics: the
-        // first worker drained gets them, every later drain sees zero, so
-        // merging per-worker stats stays additive.
-        let health = self.lc.sys.health().take_counters();
-        out.watchdog_escalations = health.watchdog_escalations;
-        out.jobs_cancelled = health.jobs_cancelled;
-        out.jobs_shed = health.jobs_shed;
-        out.deadline_aborts = health.deadline_aborts;
         out
     }
 

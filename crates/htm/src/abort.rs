@@ -30,8 +30,8 @@ pub enum AbortCode {
     /// (a set exceeded its associativity). Deterministic: retrying the same
     /// transaction will abort again.
     Capacity,
-    /// An environmental abort (interrupt, fault). Injected at the configured
-    /// [`spurious_abort_rate`](crate::HtmConfig::spurious_abort_rate).
+    /// An environmental abort (interrupt, fault). Delivered only by a
+    /// configured [`AbortSource`](crate::AbortSource).
     Spurious,
 }
 

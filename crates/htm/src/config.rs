@@ -4,55 +4,19 @@ use std::sync::Arc;
 
 use crate::abort::AbortCode;
 
-/// Deterministic abort-injection hook, consulted once per transactional
+/// Deterministic abort injection: the emulator's one hook for aborts the
+/// memory model does not produce itself, consulted once per transactional
 /// operation (read or write).
 ///
-/// The closure receives the context id and that context's global
-/// operation sequence number and returns `true` to force a
-/// [`Spurious`](crate::AbortCode::Spurious) abort at exactly that point.
-/// Unlike [`HtmConfig::spurious_abort_rate`] (a per-op coin flip), an
-/// injector makes abort placement a pure function of (context, op) — the
-/// schedule explorer in `tufast-check` uses it to enumerate adversarial
-/// "abort at every Nth op" schedules reproducibly.
-#[derive(Clone)]
-pub struct AbortInjector(Arc<dyn Fn(u32, u64) -> bool + Send + Sync>);
-
-impl AbortInjector {
-    /// Wrap a decision function `f(ctx_id, op_seq) -> abort?`.
-    pub fn new(f: impl Fn(u32, u64) -> bool + Send + Sync + 'static) -> Self {
-        AbortInjector(Arc::new(f))
-    }
-
-    /// Abort every `n`-th transactional operation (1-based) of every
-    /// context. `n = 0` never fires.
-    pub fn every_nth(n: u64) -> Self {
-        Self::new(move |_, seq| n != 0 && seq % n == 0)
-    }
-
-    /// Whether to abort the operation numbered `op_seq` on context
-    /// `ctx_id`.
-    #[inline]
-    pub fn fires(&self, ctx_id: u32, op_seq: u64) -> bool {
-        (self.0)(ctx_id, op_seq)
-    }
-}
-
-impl std::fmt::Debug for AbortInjector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("AbortInjector(..)")
-    }
-}
-
-/// Generalized deterministic abort source, consulted once per
-/// transactional operation *before* [`AbortInjector`] and the random
-/// spurious rate.
-///
-/// Where an [`AbortInjector`] can only force [`Spurious`] aborts, a source
-/// returns the full [`AbortCode`] to deliver — a fault-injection layer can
+/// The closure receives the context id and that context's operation
+/// sequence number (1-based, never reset) and returns the [`AbortCode`] to
+/// deliver at exactly that point, if any. A fault-injection layer can
 /// therefore synthesize [`Capacity`] aborts (deterministic, non-retryable)
 /// as well as [`Spurious`] ones (environmental, retryable) and exercise
-/// both fallback paths of every hybrid scheduler. The decision is a pure
-/// function of `(ctx_id, op_seq)`, so seeded fault plans replay exactly.
+/// both fallback paths of every hybrid scheduler; the schedule explorer in
+/// `tufast-check` places a [`Spurious`] abort at every `n`-th operation.
+/// The decision is a pure function of `(ctx_id, op_seq)`, so seeded plans
+/// replay exactly.
 ///
 /// [`Spurious`]: crate::AbortCode::Spurious
 /// [`Capacity`]: crate::AbortCode::Capacity
@@ -100,25 +64,14 @@ pub struct HtmConfig {
     /// reproduces the paper's measured ~25 % abort probability for a 10 KB
     /// random footprint (a pure 8-way model gives only ~6 %).
     pub reserved_ways: usize,
-    /// Per-transactional-operation probability of an environmental
-    /// ([`Spurious`](crate::AbortCode::Spurious)) abort. `0.0` disables
-    /// injection (useful for deterministic tests); the paper's environment
-    /// has a small nonzero rate from interrupts.
-    pub spurious_abort_rate: f64,
     /// Maximum flat-nesting depth (Intel supports 7 nested `XBEGIN`s that
     /// are flattened into the outermost transaction).
     pub max_nesting: u32,
-    /// Seed used to derive per-context RNGs for spurious-abort injection.
-    pub seed: u64,
-    /// Optional deterministic abort injector, consulted on every
-    /// transactional operation *in addition to* the random
-    /// `spurious_abort_rate`. `None` (the default) disables it.
-    pub abort_injector: Option<AbortInjector>,
-    /// Optional deterministic abort *source*, consulted before the
-    /// injector and the random rate on every transactional operation. Can
-    /// deliver any [`AbortCode`](crate::AbortCode) (the fault-injection
-    /// layer uses it for seeded spurious *and* capacity storms). `None`
-    /// (the default) disables it.
+    /// Optional deterministic abort source, consulted on every
+    /// transactional operation. Can deliver any
+    /// [`AbortCode`](crate::AbortCode) (the fault-injection layer uses it
+    /// for seeded spurious *and* capacity storms). `None` (the default)
+    /// injects nothing.
     pub abort_source: Option<AbortSource>,
 }
 
@@ -163,10 +116,6 @@ impl HtmConfig {
             self.num_sets().is_power_of_two(),
             "number of sets must be a power of two"
         );
-        assert!(
-            (0.0..1.0).contains(&self.spurious_abort_rate),
-            "spurious rate must be in [0,1)"
-        );
     }
 
     /// A tiny cache geometry (1 KB, 2-way) that makes capacity aborts easy to
@@ -177,10 +126,7 @@ impl HtmConfig {
             associativity: 2,
             line_bytes: 64,
             reserved_ways: 0,
-            spurious_abort_rate: 0.0,
             max_nesting: 7,
-            seed: 0xDEAD_BEEF,
-            abort_injector: None,
             abort_source: None,
         }
     }
@@ -193,10 +139,7 @@ impl Default for HtmConfig {
             associativity: 8,
             line_bytes: 64,
             reserved_ways: 1,
-            spurious_abort_rate: 0.0,
             max_nesting: 7,
-            seed: 0x7A5F_2019, // "TuFast 2019"
-            abort_injector: None,
             abort_source: None,
         }
     }

@@ -15,17 +15,14 @@
 //!   clock value — the transaction's atomic commit point (`XEND`).
 //!
 //! Capacity is charged per distinct line through [`L1Model`]; environmental
-//! aborts are injected per operation at the configured rate.
+//! aborts come only from a configured [`AbortSource`], sampled per operation.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use crate::abort::{AbortCode, HtmStateError};
 use crate::batch::LineBatch;
-use crate::config::{AbortInjector, AbortSource, HtmConfig};
+use crate::config::{AbortSource, HtmConfig};
 use crate::footprint::Footprint;
 use crate::l1::L1Model;
 use crate::memory::{Addr, TxMemory};
@@ -53,20 +50,15 @@ const READ_RACE_RETRIES: u32 = 1024;
 pub struct HtmCtx {
     mem: Arc<TxMemory>,
     id: u32,
-    spurious_rate: f64,
-    injector: Option<AbortInjector>,
     source: Option<AbortSource>,
-    /// Whether any of the three injection hooks above is configured.
-    injecting: bool,
     /// Shared runtime switch: when false, `begin` refuses to start a
     /// transaction (models TSX being fused off / disabled by microcode).
     available: Arc<AtomicBool>,
     /// Monotone count of transactional reads+writes on this context,
-    /// fed to the abort injector (never reset, so injection points are a
+    /// fed to the abort source (never reset, so injection points are a
     /// pure function of the context's lifetime op stream).
     op_seq: u64,
     max_nesting: u32,
-    rng: SmallRng,
 
     depth: u32,
     start_ts: u64,
@@ -97,16 +89,10 @@ impl HtmCtx {
             l1: L1Model::new(config),
             mem,
             id,
-            spurious_rate: config.spurious_abort_rate,
-            injector: config.abort_injector.clone(),
             source: config.abort_source.clone(),
-            injecting: config.abort_injector.is_some()
-                || config.abort_source.is_some()
-                || config.spurious_abort_rate > 0.0,
             available,
             op_seq: 0,
             max_nesting: config.max_nesting,
-            rng: SmallRng::seed_from_u64(config.seed ^ (u64::from(id) << 32) ^ 0x5EED),
             depth: 0,
             start_ts: 0,
             last_commit_ts: 0,
@@ -363,29 +349,11 @@ impl HtmCtx {
         self.abort_with(AbortCode::Explicit(code))
     }
 
-    /// Sample the abort-injection hooks: the [`AbortSource`] first (it can
-    /// deliver any code), then the deterministic spurious injector (both
-    /// pure in `(id, op_seq)`), then the random spurious rate.
+    /// Count the operation and sample the [`AbortSource`], if any.
     #[inline]
     fn roll_injected(&mut self) -> Option<AbortCode> {
         self.op_seq += 1;
-        if !self.injecting {
-            return None;
-        }
-        if let Some(src) = &self.source {
-            if let Some(code) = src.sample(self.id, self.op_seq) {
-                return Some(code);
-            }
-        }
-        if let Some(inj) = &self.injector {
-            if inj.fires(self.id, self.op_seq) {
-                return Some(AbortCode::Spurious);
-            }
-        }
-        if self.spurious_rate > 0.0 && self.rng.random::<f64>() < self.spurious_rate {
-            return Some(AbortCode::Spurious);
-        }
-        None
+        self.source.as_ref()?.sample(self.id, self.op_seq)
     }
 
     #[inline]
@@ -616,7 +584,12 @@ mod tests {
         let mut layout = MemoryLayout::new();
         layout.alloc("w", 64);
         let config = HtmConfig {
-            spurious_abort_rate: 0.5,
+            // A seeded hash of (context, op) aborts about half the ops.
+            abort_source: Some(AbortSource::new(|id, seq| {
+                let h =
+                    ((u64::from(id) << 32) ^ seq ^ 0x7A5F_2019).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (h >> 63 == 1).then_some(AbortCode::Spurious)
+            })),
             ..HtmConfig::default()
         };
         let rt = HtmRuntime::new(layout, config);

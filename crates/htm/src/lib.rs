@@ -25,7 +25,7 @@
 //!   Figure 4 (≈ 23 % at 10 KB, ≈ 1.0 beyond 30 KB) instead of hard-coding it.
 //! * [`AbortCode`] — the RTM abort status: `Conflict`, `Capacity`,
 //!   `Explicit(code)` and `Spurious` (interrupts and other environmental
-//!   aborts, injected at a configurable rate).
+//!   aborts, delivered by a configured [`AbortSource`]).
 //!
 //! ## Conflict detection fidelity
 //!
@@ -68,6 +68,7 @@
 mod abort;
 mod batch;
 mod config;
+mod counters;
 mod ctx;
 mod footprint;
 mod idtable;
@@ -80,7 +81,8 @@ mod wordmap;
 
 pub use abort::{AbortCode, HtmStateError};
 pub use batch::LineBatch;
-pub use config::{AbortInjector, AbortSource, HtmConfig};
+pub use config::{AbortSource, HtmConfig};
+pub use counters::AtomicCounters;
 pub use ctx::HtmCtx;
 pub use footprint::Footprint;
 pub use idtable::IdTable;

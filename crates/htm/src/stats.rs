@@ -2,33 +2,35 @@
 
 use crate::abort::AbortCode;
 
-/// Counters describing one context's (or an aggregate of contexts')
-/// transactional activity. The benchmark harness uses these to reproduce the
-/// paper's Figure 4 (abort probability) and to cross-check mode-routing
-/// decisions in the TuFast core.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HtmStats {
-    /// Transactions started.
-    pub begins: u64,
-    /// Transactions committed.
-    pub commits: u64,
-    /// Aborts caused by conflicts (including lock-busy lines).
-    pub aborts_conflict: u64,
-    /// Aborts caused by the capacity model.
-    pub aborts_capacity: u64,
-    /// Aborts requested via `abort_explicit`.
-    pub aborts_explicit: u64,
-    /// Injected environmental aborts.
-    pub aborts_spurious: u64,
-    /// Transactional reads performed (including aborted work).
-    pub reads: u64,
-    /// Transactional writes performed (including aborted work).
-    pub writes: u64,
-    /// Successful snapshot extensions (conflict aborts avoided by
-    /// revalidating the read set).
-    pub extensions: u64,
-    /// Largest distinct-line footprint seen in any transaction.
-    pub max_lines: u32,
+crate::counters! {
+    /// Counters describing one context's (or an aggregate of contexts')
+    /// transactional activity. The benchmark harness uses these to reproduce the
+    /// paper's Figure 4 (abort probability) and to cross-check mode-routing
+    /// decisions in the TuFast core.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct HtmStats {
+        /// Transactions started.
+        pub begins: u64,
+        /// Transactions committed.
+        pub commits: u64,
+        /// Aborts caused by conflicts (including lock-busy lines).
+        pub aborts_conflict: u64,
+        /// Aborts caused by the capacity model.
+        pub aborts_capacity: u64,
+        /// Aborts requested via `abort_explicit`.
+        pub aborts_explicit: u64,
+        /// Injected environmental aborts.
+        pub aborts_spurious: u64,
+        /// Transactional reads performed (including aborted work).
+        pub reads: u64,
+        /// Transactional writes performed (including aborted work).
+        pub writes: u64,
+        /// Successful snapshot extensions (conflict aborts avoided by
+        /// revalidating the read set).
+        pub extensions: u64,
+        /// Largest distinct-line footprint seen in any transaction.
+        pub max_lines: u32 => max,
+    }
 }
 
 impl HtmStats {
@@ -53,20 +55,6 @@ impl HtmStats {
             AbortCode::Explicit(_) => self.aborts_explicit += 1,
             AbortCode::Spurious => self.aborts_spurious += 1,
         }
-    }
-
-    /// Fold another context's counters into this one.
-    pub fn merge(&mut self, other: &HtmStats) {
-        self.begins += other.begins;
-        self.commits += other.commits;
-        self.aborts_conflict += other.aborts_conflict;
-        self.aborts_capacity += other.aborts_capacity;
-        self.aborts_explicit += other.aborts_explicit;
-        self.aborts_spurious += other.aborts_spurious;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.extensions += other.extensions;
-        self.max_lines = self.max_lines.max(other.max_lines);
     }
 }
 
@@ -103,21 +91,52 @@ mod tests {
     fn merge_sums_and_maxes() {
         let a = HtmStats {
             begins: 1,
-            commits: 1,
+            commits: 2,
+            aborts_conflict: 3,
+            aborts_capacity: 4,
+            aborts_explicit: 5,
+            aborts_spurious: 6,
+            reads: 7,
+            writes: 8,
+            extensions: 9,
             max_lines: 10,
-            ..Default::default()
-        };
-        let b = HtmStats {
-            begins: 2,
-            reads: 5,
-            max_lines: 3,
-            ..Default::default()
         };
         let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.begins, 3);
-        assert_eq!(m.commits, 1);
-        assert_eq!(m.reads, 5);
-        assert_eq!(m.max_lines, 10);
+        m.merge(&HtmStats::from_values(a.values().map(|v| v * 100)));
+        m.merge(&HtmStats {
+            max_lines: 3,
+            ..Default::default()
+        });
+        assert_eq!(
+            m,
+            HtmStats {
+                begins: 101,
+                commits: 202,
+                aborts_conflict: 303,
+                aborts_capacity: 404,
+                aborts_explicit: 505,
+                aborts_spurious: 606,
+                reads: 707,
+                writes: 808,
+                extensions: 909,
+                max_lines: 1000,
+            }
+        );
+        assert_eq!(
+            HtmStats::NAMES,
+            [
+                "begins",
+                "commits",
+                "aborts_conflict",
+                "aborts_capacity",
+                "aborts_explicit",
+                "aborts_spurious",
+                "reads",
+                "writes",
+                "extensions",
+                "max_lines",
+            ]
+        );
+        assert_eq!(a.values(), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
     }
 }

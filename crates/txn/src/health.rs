@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tufast_htm::AtomicCounters;
+
 /// Heartbeat checkpoints between wall-clock deadline samples.
 ///
 /// `Instant::now` is far more expensive than a relaxed atomic load; probing
@@ -285,27 +287,19 @@ pub struct HeartbeatView {
     pub idle: bool,
 }
 
-/// Cumulative health outcomes, drained into `TuFastStats` and the bench
-/// JSON by the policy layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HealthCounters {
-    /// Watchdog escalation-ladder steps taken.
-    pub watchdog_escalations: u64,
-    /// Jobs stopped by explicit cancellation (user or watchdog).
-    pub jobs_cancelled: u64,
-    /// Jobs refused or timed out by admission control.
-    pub jobs_shed: u64,
-    /// Jobs stopped by a wall-clock deadline.
-    pub deadline_aborts: u64,
-}
-
-impl HealthCounters {
-    /// Fold another snapshot into this one.
-    pub fn merge(&mut self, other: &HealthCounters) {
-        self.watchdog_escalations += other.watchdog_escalations;
-        self.jobs_cancelled += other.jobs_cancelled;
-        self.jobs_shed += other.jobs_shed;
-        self.deadline_aborts += other.deadline_aborts;
+tufast_htm::counters! {
+    /// Cumulative job outcomes of one system. They live only on its
+    /// [`HealthBoard`]; readers call [`HealthBoard::counters`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct HealthCounters {
+        /// Watchdog escalation-ladder steps taken.
+        pub watchdog_escalations: u64,
+        /// Jobs stopped by explicit cancellation (user or watchdog).
+        pub jobs_cancelled: u64,
+        /// Jobs refused or timed out by admission control.
+        pub jobs_shed: u64,
+        /// Jobs stopped by a wall-clock deadline.
+        pub deadline_aborts: u64,
     }
 }
 
@@ -318,16 +312,11 @@ pub struct HealthBoard {
     /// Watchdog escalation level 1: extra backoff applied inside every
     /// health checkpoint (0 = none; each step roughly doubles the spin).
     boost: AtomicU32,
-    /// Watchdog escalation level 2: make bounded lock waits victimize
-    /// immediately (mirrored into the wait-for table by the watchdog).
-    force_victims: AtomicBool,
     /// Watchdog escalation level 3: route TuFast transactions straight to
-    /// the global serial-fallback token.
+    /// the global serial-fallback token. (Level 2 lives on the wait-for
+    /// table, which is what the lock waiters consult.)
     force_serial: AtomicBool,
-    escalations: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_shed: AtomicU64,
-    deadline_aborts: AtomicU64,
+    outcomes: AtomicCounters<{ HealthCounters::N }>,
 }
 
 impl HealthBoard {
@@ -337,12 +326,8 @@ impl HealthBoard {
             slots: (0..workers.max(1)).map(|_| Padded::default()).collect(),
             token: CancelToken::new(),
             boost: AtomicU32::new(0),
-            force_victims: AtomicBool::new(false),
             force_serial: AtomicBool::new(false),
-            escalations: AtomicU64::new(0),
-            jobs_cancelled: AtomicU64::new(0),
-            jobs_shed: AtomicU64::new(0),
-            deadline_aborts: AtomicU64::new(0),
+            outcomes: AtomicCounters::new(),
         }
     }
 
@@ -371,7 +356,6 @@ impl HealthBoard {
     pub fn begin_job(&self, deadline: Option<JobDeadline>) {
         self.token.reset(deadline);
         self.boost.store(0, Ordering::Release);
-        self.force_victims.store(false, Ordering::Release);
         self.force_serial.store(false, Ordering::Release);
     }
 
@@ -437,18 +421,6 @@ impl HealthBoard {
         self.boost.store(level, Ordering::Release);
     }
 
-    /// Whether bounded lock waits should victimize immediately
-    /// (escalation 2).
-    #[inline]
-    pub fn force_victims(&self) -> bool {
-        self.force_victims.load(Ordering::Relaxed)
-    }
-
-    /// Set the force-victim flag.
-    pub fn set_force_victims(&self, on: bool) {
-        self.force_victims.store(on, Ordering::Release);
-    }
-
     /// Whether TuFast should route transactions straight to the serial
     /// fallback (escalation 3).
     #[inline]
@@ -463,38 +435,28 @@ impl HealthBoard {
 
     /// Count one watchdog escalation-ladder step.
     pub fn note_escalation(&self) {
-        self.escalations.fetch_add(1, Ordering::Relaxed);
+        let one = HealthCounters {
+            watchdog_escalations: 1,
+            ..Default::default()
+        };
+        self.outcomes.add(one.values());
     }
 
     /// Count one job outcome under `reason`.
     pub fn note_job_outcome(&self, reason: AbortReason) {
-        let counter = match reason {
-            AbortReason::Cancelled => &self.jobs_cancelled,
-            AbortReason::Shed => &self.jobs_shed,
-            AbortReason::Deadline => &self.deadline_aborts,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let mut one = HealthCounters::default();
+        *match reason {
+            AbortReason::Cancelled => &mut one.jobs_cancelled,
+            AbortReason::Shed => &mut one.jobs_shed,
+            AbortReason::Deadline => &mut one.deadline_aborts,
+        } = 1;
+        self.outcomes.add(one.values());
     }
 
-    /// Snapshot the cumulative outcome counters.
+    /// The cumulative outcome counters (never reset: every reader sees
+    /// every outcome since the board was built).
     pub fn counters(&self) -> HealthCounters {
-        HealthCounters {
-            watchdog_escalations: self.escalations.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            deadline_aborts: self.deadline_aborts.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Take and reset the cumulative outcome counters (so a stats `merge`
-    /// downstream stays additive).
-    pub fn take_counters(&self) -> HealthCounters {
-        HealthCounters {
-            watchdog_escalations: self.escalations.swap(0, Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.swap(0, Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.swap(0, Ordering::Relaxed),
-            deadline_aborts: self.deadline_aborts.swap(0, Ordering::Relaxed),
-        }
+        HealthCounters::from_values(self.outcomes.load())
     }
 }
 
@@ -671,14 +633,12 @@ mod tests {
     fn begin_job_clears_escalation_but_keeps_counters() {
         let b = HealthBoard::new(2);
         b.set_backoff_boost(3);
-        b.set_force_victims(true);
         b.set_force_serial(true);
         b.note_escalation();
         b.note_job_outcome(AbortReason::Cancelled);
         b.token().cancel();
         b.begin_job(None);
         assert_eq!(b.backoff_boost(), 0);
-        assert!(!b.force_victims());
         assert!(!b.force_serial());
         assert!(!b.token().is_stopped());
         let c = b.counters();
@@ -687,18 +647,50 @@ mod tests {
     }
 
     #[test]
-    fn take_counters_resets_and_merge_is_additive() {
+    fn outcomes_count_by_reason_and_merge_is_additive() {
         let b = HealthBoard::new(1);
         b.note_escalation();
-        b.note_job_outcome(AbortReason::Shed);
-        b.note_job_outcome(AbortReason::Deadline);
-        let mut total = HealthCounters::default();
-        total.merge(&b.take_counters());
-        assert_eq!(b.counters(), HealthCounters::default());
-        total.merge(&b.take_counters());
-        assert_eq!(total.watchdog_escalations, 1);
-        assert_eq!(total.jobs_shed, 1);
-        assert_eq!(total.deadline_aborts, 1);
+        for (reason, n) in [
+            (AbortReason::Cancelled, 2),
+            (AbortReason::Shed, 3),
+            (AbortReason::Deadline, 4),
+        ] {
+            for _ in 0..n {
+                b.note_job_outcome(reason);
+            }
+        }
+        let a = b.counters();
+        assert_eq!(
+            a,
+            HealthCounters {
+                watchdog_escalations: 1,
+                jobs_cancelled: 2,
+                jobs_shed: 3,
+                deadline_aborts: 4,
+            }
+        );
+        assert_eq!(b.counters(), a, "reading leaves the board as it was");
+        let mut m = a;
+        m.merge(&HealthCounters::from_values(a.values().map(|v| v * 100)));
+        assert_eq!(
+            m,
+            HealthCounters {
+                watchdog_escalations: 101,
+                jobs_cancelled: 202,
+                jobs_shed: 303,
+                deadline_aborts: 404,
+            }
+        );
+        assert_eq!(
+            HealthCounters::NAMES,
+            [
+                "watchdog_escalations",
+                "jobs_cancelled",
+                "jobs_shed",
+                "deadline_aborts"
+            ]
+        );
+        assert_eq!(a.values(), [1, 2, 3, 4]);
     }
 
     #[test]

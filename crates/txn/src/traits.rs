@@ -128,77 +128,51 @@ pub struct TxnOutcome {
     pub attempts: u32,
 }
 
-/// Cross-scheduler statistics, owned per worker and merged by the harness.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Committed transactions.
-    pub commits: u64,
-    /// Transactions abandoned by `user_abort`.
-    pub user_aborts: u64,
-    /// Body re-executions (attempts beyond the first).
-    pub restarts: u64,
-    /// Transactional reads (committed and wasted).
-    pub reads: u64,
-    /// Transactional writes (committed and wasted).
-    pub writes: u64,
-    /// Times this worker was chosen as a wait-for-cycle deadlock victim.
-    pub deadlock_victims: u64,
-    /// Times this worker self-aborted out of a bounded anonymous
-    /// (reader-held) lock wait — counted separately from cycle victims.
-    pub anon_wait_victims: u64,
-    /// Transaction bodies that panicked on this worker (each rolled back
-    /// cleanly before the panic was re-raised).
-    pub panics: u64,
-    /// Scheduler-level faults (lock failures/stalls, validation failures,
-    /// preemptions) injected into this worker by the active
-    /// [`FaultPlan`](crate::faults::FaultPlan). HTM-level injected aborts
-    /// are counted on the plan itself.
-    pub injected_faults: u64,
-    /// Work items migrated between workers by the work-stealing pool.
-    pub steals: u64,
-    /// Steal attempts that lost a race with the owner or another thief.
-    pub steal_fails: u64,
-    /// Lazy cursor advances past drained buckets in the priority pool.
-    pub bucket_advances: u64,
-    /// Completed parked waits of idle drain workers.
-    pub parked_wakeups: u64,
-    /// Transactions abandoned at an attempt boundary because the job's
-    /// [`CancelToken`](crate::health::CancelToken) was stopped (cancel,
-    /// deadline, or shed). Each is a clean rollback: no locks held, no
-    /// hardware transaction open.
-    pub health_stops: u64,
-    /// Declared-pure transactions committed on the R-mode snapshot-read
-    /// fast path (no locks, no read-set logging, no hardware transaction).
-    /// A subset of `commits`.
-    pub r_commits: u64,
-    /// R-mode snapshot-validation retries: attempts that re-pinned their
-    /// snapshot because a read raced a concurrent writer (line published
-    /// past the pinned clock, writer mid-commit, or snapshot too old).
-    /// A subset of `restarts`.
-    pub r_retries: u64,
+tufast_htm::counters! {
+    /// Cross-scheduler statistics, owned per worker and merged by the harness.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct SchedStats {
+        /// Committed transactions.
+        pub commits: u64,
+        /// Transactions abandoned by `user_abort`.
+        pub user_aborts: u64,
+        /// Body re-executions (attempts beyond the first).
+        pub restarts: u64,
+        /// Transactional reads (committed and wasted).
+        pub reads: u64,
+        /// Transactional writes (committed and wasted).
+        pub writes: u64,
+        /// Times this worker was chosen as a wait-for-cycle deadlock victim.
+        pub deadlock_victims: u64,
+        /// Times this worker self-aborted out of a bounded anonymous
+        /// (reader-held) lock wait — counted separately from cycle victims.
+        pub anon_wait_victims: u64,
+        /// Transaction bodies that panicked on this worker (each rolled back
+        /// cleanly before the panic was re-raised).
+        pub panics: u64,
+        /// Scheduler-level faults (lock failures/stalls, validation failures,
+        /// preemptions) injected into this worker by the active
+        /// [`FaultPlan`](crate::faults::FaultPlan). HTM-level injected aborts
+        /// are counted on the plan itself.
+        pub injected_faults: u64,
+        /// Transactions abandoned at an attempt boundary because the job's
+        /// [`CancelToken`](crate::health::CancelToken) was stopped (cancel,
+        /// deadline, or shed). Each is a clean rollback: no locks held, no
+        /// hardware transaction open.
+        pub health_stops: u64,
+        /// Declared-pure transactions committed on the R-mode snapshot-read
+        /// fast path (no locks, no read-set logging, no hardware transaction).
+        /// A subset of `commits`.
+        pub r_commits: u64,
+        /// R-mode snapshot-validation retries: attempts that re-pinned their
+        /// snapshot because a read raced a concurrent writer (line published
+        /// past the pinned clock, writer mid-commit, or snapshot too old).
+        /// A subset of `restarts`.
+        pub r_retries: u64,
+    }
 }
 
 impl SchedStats {
-    /// Fold another worker's counters into this one.
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.commits += other.commits;
-        self.user_aborts += other.user_aborts;
-        self.restarts += other.restarts;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.deadlock_victims += other.deadlock_victims;
-        self.anon_wait_victims += other.anon_wait_victims;
-        self.panics += other.panics;
-        self.injected_faults += other.injected_faults;
-        self.steals += other.steals;
-        self.steal_fails += other.steal_fails;
-        self.bucket_advances += other.bucket_advances;
-        self.parked_wakeups += other.parked_wakeups;
-        self.health_stops += other.health_stops;
-        self.r_commits += other.r_commits;
-        self.r_retries += other.r_retries;
-    }
-
     /// Committed transactions per attempt — 1.0 means no wasted work.
     pub fn efficiency(&self) -> f64 {
         let attempts = self.commits + self.user_aborts + self.restarts;
@@ -318,42 +292,57 @@ mod tests {
 
     #[test]
     fn merge_is_additive() {
-        let mut a = SchedStats {
+        let a = SchedStats {
             commits: 1,
-            reads: 10,
-            ..Default::default()
-        };
-        let b = SchedStats {
-            commits: 2,
+            user_aborts: 2,
+            restarts: 3,
+            reads: 4,
             writes: 5,
-            deadlock_victims: 1,
-            anon_wait_victims: 2,
-            panics: 3,
-            injected_faults: 4,
-            steals: 5,
-            steal_fails: 6,
-            bucket_advances: 7,
-            parked_wakeups: 8,
-            health_stops: 9,
-            r_commits: 10,
-            r_retries: 11,
-            ..Default::default()
+            deadlock_victims: 6,
+            anon_wait_victims: 7,
+            panics: 8,
+            injected_faults: 9,
+            health_stops: 10,
+            r_commits: 11,
+            r_retries: 12,
         };
-        a.merge(&b);
-        assert_eq!(a.commits, 3);
-        assert_eq!(a.reads, 10);
-        assert_eq!(a.writes, 5);
-        assert_eq!(a.deadlock_victims, 1);
-        assert_eq!(a.anon_wait_victims, 2);
-        assert_eq!(a.panics, 3);
-        assert_eq!(a.injected_faults, 4);
-        assert_eq!(a.steals, 5);
-        assert_eq!(a.steal_fails, 6);
-        assert_eq!(a.bucket_advances, 7);
-        assert_eq!(a.parked_wakeups, 8);
-        assert_eq!(a.health_stops, 9);
-        assert_eq!(a.r_commits, 10);
-        assert_eq!(a.r_retries, 11);
+        let mut m = a.clone();
+        m.merge(&SchedStats::from_values(a.values().map(|v| v * 100)));
+        assert_eq!(
+            m,
+            SchedStats {
+                commits: 101,
+                user_aborts: 202,
+                restarts: 303,
+                reads: 404,
+                writes: 505,
+                deadlock_victims: 606,
+                anon_wait_victims: 707,
+                panics: 808,
+                injected_faults: 909,
+                health_stops: 1010,
+                r_commits: 1111,
+                r_retries: 1212,
+            }
+        );
+        assert_eq!(
+            SchedStats::NAMES,
+            [
+                "commits",
+                "user_aborts",
+                "restarts",
+                "reads",
+                "writes",
+                "deadlock_victims",
+                "anon_wait_victims",
+                "panics",
+                "injected_faults",
+                "health_stops",
+                "r_commits",
+                "r_retries",
+            ]
+        );
+        assert_eq!(a.values(), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
     }
 
     #[test]

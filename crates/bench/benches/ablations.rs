@@ -2,8 +2,6 @@
 //!
 //! * packed vs padded vertex-lock layout (false-sharing aborts vs 8×
 //!   metadata footprint);
-//! * version- vs value-based O-mode validation (paper Algorithm 2 uses
-//!   values; the default uses versions);
 //! * H-mode retry budget (paper §IV-D / Figure 16);
 //! * adaptive vs static period.
 
@@ -71,22 +69,6 @@ fn bench_ablations(c: &mut Criterion) {
                     ..SystemConfig::default()
                 },
                 TuFastConfig::default(),
-            )
-        });
-    });
-
-    group.bench_function("validation_by_version", |b| {
-        b.iter(|| run_batch(&g, SystemConfig::default(), TuFastConfig::default()));
-    });
-    group.bench_function("validation_by_value", |b| {
-        b.iter(|| {
-            run_batch(
-                &g,
-                SystemConfig::default(),
-                TuFastConfig {
-                    value_validation: true,
-                    ..TuFastConfig::default()
-                },
             )
         });
     });

@@ -153,22 +153,6 @@ pub fn print_counters<const N: usize>(label: &str, names: [&str; N], values: [u6
     println!("  {label}: {}", parts.join(" "));
 }
 
-/// Print a fault plan's per-kind injection counters — for chaos-mode
-/// runs that installed a [`tufast_txn::FaultPlan`] (counters stay zero
-/// unless the `faults` feature compiled the probes in).
-pub fn print_fault_plan(plan: &tufast_txn::FaultPlan) {
-    let by_kind = plan.injected_by_kind();
-    if by_kind.is_empty() {
-        println!("  injected faults: none");
-    } else {
-        let parts: Vec<String> = by_kind
-            .iter()
-            .map(|(kind, n)| format!("{}={n}", kind.label()))
-            .collect();
-        println!("  injected faults: {}", parts.join(" "));
-    }
-}
-
 /// Standard experiment banner.
 pub fn banner(figure: &str, description: &str, expectation: &str) {
     println!("================================================================");

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tufast_htm::{HtmConfig, MemRegion, MemoryLayout};
+use tufast_htm::{MemRegion, MemoryLayout};
 use tufast_txn::{
     FaultPlan, FaultSpec, GraphScheduler, SystemConfig, TxnObserver, TxnSystem, TxnWorker, VertexId,
 };
@@ -160,24 +160,12 @@ impl ChaosRunner {
         ChaosRunner { spec }
     }
 
-    /// Fresh system wired to `plan`: the HTM layer consults the plan's
-    /// abort source, and lock/validation/preempt probes consult the plan
-    /// through each worker's `FaultHandle`.
+    /// Fresh system with `plan` installed: every HTM context and worker
+    /// created afterwards consults it.
     fn build_sys(&self, plan: &Arc<FaultPlan>, htm_available: bool) -> (Arc<TxnSystem>, MemRegion) {
         let mut layout = MemoryLayout::new();
         let data = layout.alloc("cells", self.spec.cells);
-        let htm = HtmConfig {
-            abort_source: Some(plan.abort_source()),
-            ..HtmConfig::default()
-        };
-        let sys = TxnSystem::build(
-            self.spec.cells as usize,
-            layout,
-            SystemConfig {
-                htm,
-                ..SystemConfig::default()
-            },
-        );
+        let sys = TxnSystem::build(self.spec.cells as usize, layout, SystemConfig::default());
         sys.set_fault_plan(Some(Arc::clone(plan)));
         sys.htm().set_htm_available(htm_available);
         (sys, data)

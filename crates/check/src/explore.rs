@@ -386,13 +386,26 @@ impl Explorer {
             .drive(&sys, &sched, &data, schedule))
     }
 
-    /// Run TuFast with an explicit configuration (e.g. the
-    /// `test_skip_o_validation` bug seed, with `spec.hint` raised to force
-    /// O mode) under `schedule`.
+    /// Run TuFast with an explicit configuration under `schedule`.
     pub fn run_tufast_config(&self, config: TuFastConfig, schedule: Schedule) -> ExploreOutcome {
         let (sys, data) = self.build_sys(&schedule);
         let sched = TuFast::with_config(Arc::clone(&sys), config);
         self.drive(&sys, &sched, &data, schedule)
+    }
+
+    /// Run the default TuFast under `schedule` with the fault plan `faults`
+    /// installed — e.g. the
+    /// [`skip_o_validation`](tufast_txn::FaultSpec::skip_o_validation) bug
+    /// seed, with `spec.hint` raised to force O mode.
+    #[cfg(feature = "faults")]
+    pub fn run_tufast_faulty(
+        &self,
+        faults: tufast_txn::FaultSpec,
+        schedule: Schedule,
+    ) -> ExploreOutcome {
+        let (sys, data) = self.build_sys(&schedule);
+        sys.set_fault_plan(Some(tufast_txn::FaultPlan::new(faults)));
+        self.drive(&sys, &TuFast::new(Arc::clone(&sys)), &data, schedule)
     }
 
     /// Run every scheduler under every schedule; returns one outcome per
@@ -513,6 +526,7 @@ mod tests {
         }
     }
 
+    #[cfg(feature = "faults")]
     #[test]
     fn skipping_o_validation_is_caught() {
         let _g = seq();
@@ -522,14 +536,14 @@ mod tests {
             hint: 8192,
             ..WorkloadSpec::default()
         };
-        let config = TuFastConfig {
-            test_skip_o_validation: true,
-            ..TuFastConfig::default()
+        let bug = tufast_txn::FaultSpec {
+            skip_o_validation: true,
+            ..tufast_txn::FaultSpec::default()
         };
         let ex = Explorer::new(spec);
         let mut caught = false;
         for seed in 0..32 {
-            let out = ex.run_tufast_config(config.clone(), Schedule::Seeded(seed));
+            let out = ex.run_tufast_faulty(bug.clone(), Schedule::Seeded(seed));
             if !out.report.ok() {
                 caught = true;
                 break;

@@ -182,23 +182,11 @@ impl ReadersRunner {
 
     /// Run one (scheduler, plan) pair and check the outcome.
     pub fn run(&self, kind: SchedulerKind, plan: &ReadersPlan) -> ReadersOutcome {
-        let fault_plan = plan.faults.clone().map(FaultPlan::new);
         let cells = self.spec.pairs * 2 * self.spec.stride;
         let mut layout = MemoryLayout::new();
         let data = layout.alloc("pairs", cells);
-        let htm = HtmConfig {
-            abort_source: fault_plan.as_ref().map(|p| p.abort_source()),
-            ..HtmConfig::default()
-        };
-        let sys = TxnSystem::build(
-            cells as usize,
-            layout,
-            SystemConfig {
-                htm,
-                ..SystemConfig::default()
-            },
-        );
-        sys.set_fault_plan(fault_plan);
+        let sys = TxnSystem::build(cells as usize, layout, SystemConfig::default());
+        sys.set_fault_plan(plan.faults.clone().map(FaultPlan::new));
         with_scheduler!(kind, &sys, |sched| self.drive(&sys, &sched, &data, plan))
     }
 

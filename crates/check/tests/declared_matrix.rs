@@ -18,8 +18,8 @@ use tufast_graph::wal::Mutation;
 use tufast_graph::{GraphBuilder, MutableGraph, OverlayConfig};
 use tufast_htm::MemoryLayout;
 use tufast_txn::{
-    Declared, FaultPlan, FaultSpec, GraphScheduler, Occ, SystemConfig, TwoPhaseLocking, TxnHint,
-    TxnObserver, TxnSystem, TxnWorker, VertexId,
+    Declared, FaultKind, FaultPlan, FaultSpec, GraphScheduler, Occ, SystemConfig, TwoPhaseLocking,
+    TxnHint, TxnObserver, TxnSystem, TxnWorker, VertexId,
 };
 
 /// Live vertices every run starts with (added inside recorded
@@ -245,20 +245,19 @@ fn declared_mutators_survive_failed_and_stalled_acquisitions() {
     let cell = cell(Some(spec));
     let (mg, sys) = (&cell.mg, &cell.sys);
     let tpl = TwoPhaseLocking::new(Arc::clone(sys));
-    let (injected, restarts) = (AtomicU64::new(0), AtomicU64::new(0));
+    let restarts = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let (mut w, injected, restarts) = (tpl.worker(), &injected, &restarts);
+            let (mut w, restarts) = (tpl.worker(), &restarts);
             s.spawn(move || {
                 (0..TXNS).for_each(|k| apply_declared(mg, &mut w, mutation(t, k)));
-                injected.fetch_add(w.stats().injected_faults, Ordering::Relaxed);
                 restarts.fetch_add(w.stats().restarts, Ordering::Relaxed);
             });
         }
     });
     let plan = sys.fault_plan().expect("installed above");
     assert!(
-        plan.total_injected() > 0 && injected.into_inner() > 0,
+        plan.injected(FaultKind::LockFail) > 0,
         "the plan never fired"
     );
     assert_eq!(

@@ -2,11 +2,13 @@
 //!
 //! Every workspace scheduler is driven through 1000+ explored schedules
 //! and every resulting history must be conflict-serializable and
-//! anomaly-free; conversely, a TuFast configured with the test-only
-//! `test_skip_o_validation` bug seed must be caught.
+//! anomaly-free; conversely, a TuFast under a fault plan that seeds the
+//! `skip_o_validation` bug must be caught.
 
 use tufast::TuFastConfig;
 use tufast_check::{Explorer, Schedule, SchedulerKind, WorkloadSpec};
+#[cfg(feature = "faults")]
+use tufast_txn::FaultSpec;
 
 /// 150 schedules x 7 schedulers = 1050 explored runs, all clean.
 #[test]
@@ -36,19 +38,20 @@ fn thousand_schedules_run_clean() {
 
 /// The seeded O-mode bug (validation skipped) must surface as a DSG
 /// cycle or anomaly within a modest number of explored schedules.
+#[cfg(feature = "faults")]
 #[test]
 fn seeded_bug_is_caught_by_exploration() {
     let spec = WorkloadSpec {
         hint: 8192,
         ..WorkloadSpec::default()
     };
-    let config = TuFastConfig {
-        test_skip_o_validation: true,
-        ..TuFastConfig::default()
+    let bug = FaultSpec {
+        skip_o_validation: true,
+        ..FaultSpec::default()
     };
     let ex = Explorer::new(spec);
     let caught = (0..32).any(|seed| {
-        !ex.run_tufast_config(config.clone(), Schedule::Seeded(seed))
+        !ex.run_tufast_faulty(bug.clone(), Schedule::Seeded(seed))
             .report
             .ok()
     });

@@ -40,23 +40,12 @@ pub struct TuFastConfig {
     /// Initial/static `period` when adaptation is off (paper Figure 16/17
     /// use 1000).
     pub static_period: u32,
-    /// Validate O-mode reads by value (the paper's literal Algorithm 2,
-    /// line 45) instead of by per-vertex version. Version validation is the
-    /// default: it is immune to ABA. The ablation bench compares both.
-    pub value_validation: bool,
     /// L-mode attempts before the router escalates to the global
     /// serial-fallback token (a stop-the-world single-writer commit that
     /// guarantees liveness even under adversarial fault injection). High
     /// enough that ordinary contention never reaches it; low enough that a
     /// sabotaged worker escalates promptly.
     pub l_attempt_budget: u32,
-    /// **Test-only**: skip O-mode commit-time read validation entirely.
-    ///
-    /// This deliberately breaks serializability (classic lost updates). It
-    /// exists so the `tufast-check` correctness tooling can seed a known
-    /// bug and demonstrate that its dependency-graph checker catches the
-    /// resulting cycle. Never set this outside checker tests.
-    pub test_skip_o_validation: bool,
 }
 
 impl Default for TuFastConfig {
@@ -71,9 +60,7 @@ impl Default for TuFastConfig {
             o_max_hint_words: 64 * capacity_words,
             adaptive_period: true,
             static_period: 1000,
-            value_validation: false,
             l_attempt_budget: 64,
-            test_skip_o_validation: false,
         }
     }
 }

@@ -7,11 +7,11 @@
 //! *Writes* are buffered in a private workspace and never enter the HTM.
 //!
 //! Commit: lock the write set's lines (address order, try-only — O mode
-//! never waits, so it can never deadlock), validate the read set (by
-//! version, or by value for the paper's literal Algorithm 2 when
-//! [`value_validation`](crate::TuFastConfig::value_validation) is set),
-//! and publish data and version bumps together at the commit's ticket — the
-//! protocol of [`tufast_txn::commit`], shared with OCC and TO.
+//! never waits, so it can never deadlock), validate the read set by
+//! per-vertex version (not by value as Algorithm 2 line 45 does; see
+//! DESIGN.md §10), and publish data and version bumps together at the
+//! commit's ticket — the protocol of [`tufast_txn::commit`], shared with
+//! OCC and TO.
 
 use tufast_htm::{AbortCode, Addr, HtmCtx, IdTable};
 use tufast_txn::commit::WriteSet;
@@ -93,8 +93,6 @@ impl OpCount {
 pub(crate) struct OScratch {
     /// `(vertex, version at first touch)`.
     reads: Vec<(VertexId, u32)>,
-    /// `(addr, value)` pairs for value validation (paper Algorithm 2 l.45).
-    read_values: Vec<(Addr, u64)>,
     writes: WriteSet,
 }
 
@@ -103,14 +101,12 @@ impl OScratch {
     pub(crate) fn new(me: u32) -> Self {
         OScratch {
             reads: Vec::with_capacity(64),
-            read_values: Vec::new(),
             writes: WriteSet::new(me),
         }
     }
 
     fn clear(&mut self) {
         self.reads.clear();
-        self.read_values.clear();
         self.writes.clear();
     }
 }
@@ -122,7 +118,6 @@ pub(crate) struct OModeOps<'a> {
     period: u32,
     piece_ops: u32,
     pieces: u32,
-    value_validation: bool,
     scratch: &'a mut OScratch,
     /// The vertices read so far (each is in `scratch.reads`).
     seen: &'a mut IdTable,
@@ -137,7 +132,6 @@ impl<'a> OModeOps<'a> {
         ctx: &'a mut HtmCtx,
         sys: &'a TxnSystem,
         period: u32,
-        value_validation: bool,
         scratch: &'a mut OScratch,
         seen: &'a mut IdTable,
     ) -> Self {
@@ -149,7 +143,6 @@ impl<'a> OModeOps<'a> {
             period: period.max(1),
             piece_ops: 0,
             pieces: 1,
-            value_validation,
             scratch,
             seen,
             failure: None,
@@ -217,15 +210,10 @@ impl TxnOps for OModeOps<'_> {
             // tufast-lint: allow(htm-hazard) -- reads is presized for typical degree; a growth realloc aborts the piece, it cannot corrupt it
             self.scratch.reads.push((v, lw.version()));
         }
-        let val = match self.ctx.read(addr) {
-            Ok(w) => w,
-            Err(code) => return Err(self.fail(OFailCode::Htm(code))),
-        };
-        if self.value_validation {
-            // tufast-lint: allow(htm-hazard) -- read_values is presized; growth aborts the piece and the retry ladder absorbs it
-            self.scratch.read_values.push((addr, val));
+        match self.ctx.read(addr) {
+            Ok(w) => Ok(w),
+            Err(code) => Err(self.fail(OFailCode::Htm(code))),
         }
-        Ok(val)
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
@@ -239,17 +227,15 @@ impl TxnOps for OModeOps<'_> {
 /// Run one O-mode attempt of `body` with the given HTM `period`;
 /// `vertices` is the worker's vertex table, cleared here.
 ///
-/// `skip_validation` disables commit-time read validation. It exists ONLY
-/// so the correctness tooling (`tufast-check`) can seed a known
-/// serializability bug and prove the checker catches it; production code
-/// must never set it.
+/// `skip_validation` disables commit-time read validation: the seeded bug
+/// of [`FaultSpec::skip_o_validation`](tufast_txn::FaultSpec::skip_o_validation),
+/// which only a `faults` build can set.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attempt(
     ctx: &mut HtmCtx,
     sys: &TxnSystem,
     me: u32,
     period: u32,
-    value_validation: bool,
     skip_validation: bool,
     scratch: &mut OScratch,
     vertices: &mut IdTable,
@@ -260,7 +246,7 @@ pub(crate) fn attempt(
         let code = OFailCode::Htm(AbortCode::Conflict);
         return OAttempt::failed(code, OpCount::default(), None);
     }
-    let mut ops = OModeOps::new(ctx, sys, period, value_validation, scratch, vertices);
+    let mut ops = OModeOps::new(ctx, sys, period, scratch, vertices);
     let result = obs.run_body(&mut ops, me, body);
     let n = ops.ops;
     if let Err(interrupt) = result {
@@ -280,13 +266,8 @@ pub(crate) fn attempt(
         };
     }
 
-    let (value_validation, pieces) = (ops.value_validation, ops.pieces);
-    let OScratch {
-        reads,
-        read_values,
-        writes,
-        ..
-    } = &mut *scratch;
+    let pieces = ops.pieces;
+    let OScratch { reads, writes } = &mut *scratch;
     let failed = |code| OAttempt::failed(code, n, None);
 
     // Close the final piece: its commit validates everything read inside it.
@@ -301,23 +282,10 @@ pub(crate) fn attempt(
     // Optimistic commit (outside any HTM): lock the write set's lines,
     // validate reads, publish at the ticket.
     obs.pre_commit(me);
-    let mem = sys.mem();
     let Some(held) = writes.try_lock(sys, |_| None) else {
         return failed(OFailCode::LockBusy);
     };
-    let valid = if skip_validation {
-        true
-    } else if value_validation {
-        // Paper Algorithm 2 line 45: the values read must still be current,
-        // and no read vertex may be owned by someone else.
-        held.reads_unowned(reads)
-            && read_values
-                .iter()
-                .all(|&(addr, val)| mem.load_direct(addr) == val)
-    } else {
-        held.reads_current(reads)
-    };
-    if !valid {
+    if !skip_validation && !held.reads_current(reads) {
         return failed(OFailCode::Validation);
     }
     // Conflicting writers hold overlapping line sets, so they publish
@@ -348,7 +316,6 @@ mod tests {
         sys: &TxnSystem,
         me: u32,
         period: u32,
-        value_validation: bool,
         body: &mut tufast_txn::TxnBody<'_>,
     ) -> OAttempt {
         let mut scratch = OScratch::new(me);
@@ -357,7 +324,6 @@ mod tests {
             sys,
             me,
             period,
-            value_validation,
             false,
             &mut scratch,
             &mut IdTable::default(),
@@ -371,7 +337,7 @@ mod tests {
         let (sys, data) = setup(64, 64);
         let mut ctx = sys.htm_ctx();
         // period=4 forces many rollovers for a 32-read body.
-        let out = attempt(&mut ctx, &sys, 0, 4, false, &mut |ops| {
+        let out = attempt(&mut ctx, &sys, 0, 4, &mut |ops| {
             let mut sum = 0u64;
             for v in 0..32u32 {
                 sum += ops.read(v, data.addr(u64::from(v)))?;
@@ -395,7 +361,7 @@ mod tests {
         let mut ctx = sys.htm_ctx();
         // One word per line, so the period must stay under the 448-line
         // capacity budget (64 sets × 7 usable ways).
-        let out = attempt(&mut ctx, &sys, 0, 256, false, &mut |ops| {
+        let out = attempt(&mut ctx, &sys, 0, 256, &mut |ops| {
             let mut sum = 0u64;
             for i in 0..10_000u64 {
                 sum = sum.wrapping_add(ops.read(0, big.addr(i * 8))?);
@@ -416,7 +382,7 @@ mod tests {
         let sys = TxnSystem::with_defaults(1, layout);
         let mut ctx = sys.htm_ctx();
         // period larger than HTM capacity: the piece itself overflows.
-        let out = attempt(&mut ctx, &sys, 0, 100_000, false, &mut |ops| {
+        let out = attempt(&mut ctx, &sys, 0, 100_000, &mut |ops| {
             for i in 0..10_000u64 {
                 ops.read(0, big.addr(i * 8))?;
             }
@@ -431,7 +397,7 @@ mod tests {
         let (sys, data) = setup(2, 16);
         let mut ctx = sys.htm_ctx();
         let mut poisoned = false;
-        let out = attempt(&mut ctx, &sys, 0, 1000, false, &mut |ops| {
+        let out = attempt(&mut ctx, &sys, 0, 1000, &mut |ops| {
             let x = ops.read(0, data.addr(0))?;
             if !poisoned {
                 poisoned = true;
@@ -449,7 +415,7 @@ mod tests {
         // deterministic equivalent: bump before the attempt's commit phase
         // by doing it inside the body *after* a rollover.
         let mut step = 0;
-        let out = attempt(&mut ctx, &sys, 0, 1, false, &mut |ops| {
+        let out = attempt(&mut ctx, &sys, 0, 1, &mut |ops| {
             let x = ops.read(0, data.addr(0))?; // piece 1
             step += 1;
             if step == 1 {
@@ -472,7 +438,7 @@ mod tests {
         let (sys, data) = setup(2, 16);
         sys.locks().try_exclusive(sys.mem(), 1, 70).unwrap();
         let mut ctx = sys.htm_ctx();
-        let out = attempt(&mut ctx, &sys, 0, 100, false, &mut |ops| {
+        let out = attempt(&mut ctx, &sys, 0, 100, &mut |ops| {
             ops.read(1, data.addr(1))?;
             Ok(())
         });
@@ -483,7 +449,7 @@ mod tests {
     fn user_abort_publishes_nothing() {
         let (sys, data) = setup(1, 8);
         let mut ctx = sys.htm_ctx();
-        let out = attempt(&mut ctx, &sys, 0, 100, false, &mut |ops| {
+        let out = attempt(&mut ctx, &sys, 0, 100, &mut |ops| {
             ops.write(0, data.addr(0), 9)?;
             Err(ops.user_abort())
         });
@@ -492,44 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn value_validation_accepts_aba() {
-        // Write the same value back: value validation passes (ABA), version
-        // validation would fail — documenting the semantic difference.
-        let (sys, data) = setup(2, 16);
-        let mut ctx = sys.htm_ctx();
-        let mut step = 0;
-        let out = attempt(&mut ctx, &sys, 0, 1, true, &mut |ops| {
-            let x = ops.read(0, data.addr(0))?;
-            step += 1;
-            if step == 1 {
-                // External writer changes and restores the value.
-                sys.locks().try_exclusive(sys.mem(), 0, 60).unwrap();
-                sys.mem().store_direct(data.addr(0), 123);
-                sys.mem().store_direct(data.addr(0), x);
-                sys.locks().unlock_exclusive(sys.mem(), 0, 60, true);
-            }
-            ops.read(1, data.addr(8))?; // rollover
-            ops.write(1, data.addr(8), x + 1)
-        });
-        assert_eq!(
-            out.verdict,
-            Verdict::Committed,
-            "ABA is invisible to value validation"
-        );
-    }
-
-    #[test]
     fn concurrent_o_mode_counter_is_exact() {
         let (sys, data) = setup(1, 8);
         std::thread::scope(|s| {
-            for t in 0..4u32 {
+            for _ in 0..4 {
                 let sys = Arc::clone(&sys);
                 s.spawn(move || {
                     let mut ctx = sys.htm_ctx();
                     let me = sys.new_worker_id();
                     let mut committed = 0;
                     while committed < 400 {
-                        let out = attempt(&mut ctx, &sys, me, 64, t % 2 == 0, &mut |ops| {
+                        let out = attempt(&mut ctx, &sys, me, 64, &mut |ops| {
                             let x = ops.read(0, data.addr(0))?;
                             ops.write(0, data.addr(0), x + 1)
                         });

@@ -394,7 +394,7 @@ impl TxnWorker for TuFastWorker {
             // Injected O-mode failure (validation / commit-lock), decided
             // here at the router so `omode` stays fault-agnostic; HTM-level
             // faults inside pieces flow through the real abort paths.
-            let out = if w.lc.commit_fails_injected() {
+            let out = if w.lc.faults.commit_fails() {
                 OAttempt::failed(OFailCode::Validation, OpCount::default(), None)
             } else {
                 omode::attempt(
@@ -402,8 +402,7 @@ impl TxnWorker for TuFastWorker {
                     &w.lc.sys,
                     w.lc.id,
                     period,
-                    w.config.value_validation,
-                    w.config.test_skip_o_validation,
+                    w.lc.faults.skips_o_validation(),
                     &mut w.o_scratch,
                     &mut w.vertices,
                     body,
@@ -886,6 +885,38 @@ mod tests {
         assert!(out.committed);
         assert_eq!(sys.mem().load_direct(data.addr(0)), 1);
         assert_eq!(sys.mem().load_direct(sys.serial_token()), 0);
+    }
+
+    #[cfg(feature = "faults")]
+    #[test]
+    fn a_plan_installed_on_the_system_reaches_the_router_s_htm_context() {
+        use tufast_txn::{FaultKind, FaultPlan, FaultSpec};
+        // The plan goes in through `set_fault_plan` alone, never through
+        // `HtmConfig::abort_source`: every H attempt (and every O piece)
+        // must still abort, and L must still commit.
+        let (sys, data) = setup(4, 32);
+        let plan = FaultPlan::new(FaultSpec {
+            spurious_abort_permille: 1000,
+            ..FaultSpec::default()
+        });
+        sys.set_fault_plan(Some(Arc::clone(&plan)));
+        let mut w = TuFast::new(Arc::clone(&sys)).worker();
+        let out = w.execute(4, &mut |ops| {
+            let x = ops.read(0, data.addr(0))?;
+            ops.write(0, data.addr(0), x + 1)
+        });
+        assert!(out.committed);
+        assert_eq!(sys.mem().load_direct(data.addr(0)), 1);
+        let stats = w.take_tufast_stats();
+        assert_eq!(stats.modes.txns(ModeClass::H), 0, "no H attempt commits");
+        assert_eq!(stats.modes.txns(ModeClass::O2L), 1, "committed in L");
+        let h_retries = u64::from(TuFastConfig::default().h_retries);
+        assert!(stats.htm.aborts_spurious >= h_retries);
+        assert_eq!(
+            plan.injected(FaultKind::SpuriousAbort),
+            stats.htm.aborts_spurious,
+            "counted on the plan"
+        );
     }
 
     #[cfg(feature = "faults")]

@@ -77,6 +77,7 @@ impl HtmCtx {
     pub(crate) fn new(
         mem: Arc<TxMemory>,
         config: &HtmConfig,
+        source: Option<AbortSource>,
         id: u32,
         available: Arc<AtomicBool>,
     ) -> Self {
@@ -89,7 +90,7 @@ impl HtmCtx {
             l1: L1Model::new(config),
             mem,
             id,
-            source: config.abort_source.clone(),
+            source,
             available,
             op_seq: 0,
             max_nesting: config.max_nesting,

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use crate::config::HtmConfig;
+use crate::config::{AbortSource, HtmConfig};
 use crate::ctx::HtmCtx;
 use crate::memory::{MemoryLayout, TxMemory};
 use crate::meta;
@@ -45,11 +45,18 @@ impl HtmRuntime {
     /// # Panics
     /// After `meta::MAX_OWNER - 1` contexts (32 766) have been created.
     pub fn ctx(&self) -> HtmCtx {
+        self.ctx_with_source(self.config.abort_source.clone())
+    }
+
+    /// [`ctx`](Self::ctx), consulting `source` instead of the config's
+    /// abort source.
+    pub fn ctx_with_source(&self, source: Option<AbortSource>) -> HtmCtx {
         let id = self.next_ctx.fetch_add(1, Ordering::Relaxed);
         assert!(id < meta::MAX_OWNER - 1, "HTM context ids exhausted");
         HtmCtx::new(
             Arc::clone(&self.mem),
             &self.config,
+            source,
             id,
             Arc::clone(&self.available),
         )

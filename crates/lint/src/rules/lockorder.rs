@@ -170,14 +170,30 @@ struct Site {
     direct: bool,
 }
 
-/// A lock-order edge for the artifact.
+/// One acquisition of `to` while `from` may be held, at `line`.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct SiteEdge {
+    from: String,
+    to: String,
+    file: String,
+    function: String,
+    line: u32,
+    blocking_target: bool,
+    suppressed: bool,
+}
+
+/// A lock-order edge for the artifact: every site in one function where
+/// `to` is acquired while `from` may be held. No line numbers, so the
+/// artifact changes only when the lock hierarchy does. The flags describe
+/// the most dangerous sites: `blocking_target` if any site's acquisition
+/// blocks, `suppressed` if every such site carries a reasoned allow.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Edge {
     pub from: String,
     pub to: String,
     pub file: String,
     pub function: String,
-    pub line: u32,
+    pub sites: u32,
     pub blocking_target: bool,
     pub suppressed: bool,
 }
@@ -358,7 +374,7 @@ pub fn run(files: &[FileModel]) -> (Vec<Finding>, LockOrder) {
         }
     }
 
-    let mut edges: BTreeSet<Edge> = BTreeSet::new();
+    let mut edges: BTreeSet<SiteEdge> = BTreeSet::new();
     for ((mi, fi), d) in &data {
         let m = &files[*mi];
         let f = &m.fns[*fi];
@@ -410,7 +426,7 @@ pub fn run(files: &[FileModel]) -> (Vec<Finding>, LockOrder) {
                         if a == b && SELF_ORDERED.contains(&a.as_str()) {
                             continue;
                         }
-                        edges.insert(Edge {
+                        edges.insert(SiteEdge {
                             from: a.clone(),
                             to: b.clone(),
                             file: m.path.clone(),
@@ -427,7 +443,7 @@ pub fn run(files: &[FileModel]) -> (Vec<Finding>, LockOrder) {
 
     // ---- findings: self-edges and cycles ----------------------------------
     let mut findings = Vec::new();
-    let live: Vec<&Edge> = edges
+    let live: Vec<&SiteEdge> = edges
         .iter()
         .filter(|e| !e.suppressed && e.blocking_target)
         .collect();
@@ -448,7 +464,7 @@ pub fn run(files: &[FileModel]) -> (Vec<Finding>, LockOrder) {
         }
     }
     // Cycle detection (iterative DFS, deterministic order).
-    let mut adj: BTreeMap<&str, Vec<&Edge>> = BTreeMap::new();
+    let mut adj: BTreeMap<&str, Vec<&SiteEdge>> = BTreeMap::new();
     for e in &live {
         if e.from != e.to {
             adj.entry(e.from.as_str()).or_default().push(e);
@@ -461,7 +477,7 @@ pub fn run(files: &[FileModel]) -> (Vec<Finding>, LockOrder) {
         // and only when `start` is the lexicographically smallest class in
         // the cycle (canonical form, so each cycle is reported once).
         let mut stack: Vec<(&str, usize)> = vec![(start, 0)];
-        let mut path: Vec<&Edge> = Vec::new();
+        let mut path: Vec<&SiteEdge> = Vec::new();
         while let Some((node, next)) = stack.pop() {
             let succ = adj.get(node).map(|v| v.as_slice()).unwrap_or(&[]);
             if next < succ.len() {
@@ -531,18 +547,42 @@ pub fn run(files: &[FileModel]) -> (Vec<Finding>, LockOrder) {
     // ---- topological order -------------------------------------------------
     let order = topo_order(&live);
 
+    // ---- artifact edges: a function's sites of one edge, counted -----------
+    let mut merged: BTreeMap<(&str, &str, &str, &str), Edge> = BTreeMap::new();
+    for s in &edges {
+        let e = merged
+            .entry((&s.from, &s.to, &s.file, &s.function))
+            .or_insert_with(|| Edge {
+                from: s.from.clone(),
+                to: s.to.clone(),
+                file: s.file.clone(),
+                function: s.function.clone(),
+                sites: 0,
+                blocking_target: false,
+                suppressed: true,
+            });
+        e.sites += 1;
+        if s.blocking_target && !e.blocking_target {
+            // Blocking sites outrank the try-only ones seen so far.
+            (e.blocking_target, e.suppressed) = (true, true);
+        }
+        if s.blocking_target == e.blocking_target {
+            e.suppressed &= s.suppressed;
+        }
+    }
+
     (
         findings,
         LockOrder {
             classes,
-            edges: edges.into_iter().collect(),
+            edges: merged.into_values().collect(),
             order,
         },
     )
 }
 
 /// Kahn's algorithm over the blocking-target subgraph; empty on cycles.
-fn topo_order(live: &[&Edge]) -> Vec<String> {
+fn topo_order(live: &[&SiteEdge]) -> Vec<String> {
     let mut nodes: BTreeSet<&str> = BTreeSet::new();
     let mut indeg: BTreeMap<&str, usize> = BTreeMap::new();
     let mut succ: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
@@ -599,7 +639,7 @@ pub fn class_note(class: &str) -> &'static str {
 pub fn artifact_json(lo: &LockOrder) -> String {
     use crate::json::esc;
     use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"version\": 1,\n  \"note\": \"A -> B means B is acquired while A may be held. Locks acquired inside callees are assumed released on return; blocking_target=false edges end in bounded-try acquisitions and cannot deadlock.\",\n  \"classes\": [");
+    let mut out = String::from("{\n  \"version\": 2,\n  \"note\": \"A -> B means B is acquired while A may be held, at `sites` places in `function`. Locks acquired inside callees are assumed released on return; blocking_target=false edges end in bounded-try acquisitions and cannot deadlock; suppressed=true means every blocking site carries a reasoned allow.\",\n  \"classes\": [");
     for (i, (name, (blocking, sites))) in lo.classes.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -620,12 +660,12 @@ pub fn artifact_json(lo: &LockOrder) -> String {
         }
         let _ = write!(
             out,
-            "\n    {{\"from\": \"{}\", \"to\": \"{}\", \"file\": \"{}\", \"function\": \"{}\", \"line\": {}, \"blocking_target\": {}, \"suppressed\": {}}}",
+            "\n    {{\"from\": \"{}\", \"to\": \"{}\", \"file\": \"{}\", \"function\": \"{}\", \"sites\": {}, \"blocking_target\": {}, \"suppressed\": {}}}",
             esc(&e.from),
             esc(&e.to),
             esc(&e.file),
             esc(&e.function),
-            e.line,
+            e.sites,
             e.blocking_target,
             e.suppressed
         );

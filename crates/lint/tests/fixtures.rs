@@ -9,7 +9,9 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use tufast_lint::baseline::{findings_from_json, findings_to_json, identity_counts};
-use tufast_lint::{analyze, load_files, Config};
+use tufast_lint::rules::lockorder::artifact_json;
+use tufast_lint::scan::{scan_file, FileModel};
+use tufast_lint::{analyze, load_files, Config, Report};
 
 fn fixture_config(which: &str) -> Config {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -87,6 +89,53 @@ fn known_bad_finds_the_deadlock_cycle() {
         report.lock_order.order.is_empty(),
         "a cyclic graph must not yield a topological order"
     );
+}
+
+/// `m` rescanned with a blank line before every `fn`: each function moves
+/// down one line further than the one above it.
+fn shifted(cfg: &Config, m: &FileModel) -> FileModel {
+    let src = std::fs::read_to_string(cfg.root.join(&m.path)).expect("scanned file readable");
+    let mut out = String::new();
+    for line in src.lines() {
+        let mut words = line.split_whitespace();
+        let qualifier = |w: &&str| matches!(*w, "pub" | "pub(crate)" | "const" | "unsafe");
+        if words.find(|w| !qualifier(w)) == Some("fn") {
+            out.push('\n');
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    scan_file(m.path.clone(), &out)
+}
+
+/// The lock-order artifact carries no line numbers: moving every function
+/// of every scanned file — the workspace's and the known-bad fixtures' —
+/// leaves it byte-identical, while the findings keep their (moved) lines.
+#[test]
+fn shifted_functions_leave_the_lock_order_artifact_byte_identical() {
+    let workspace = Config::for_workspace(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    for cfg in [workspace, fixture_config("known_bad")] {
+        let files = load_files(&cfg).expect("scanned files readable");
+        let moved: Vec<FileModel> = files.iter().map(|m| shifted(&cfg, m)).collect();
+        let (before, after) = (analyze(&cfg, &files), analyze(&cfg, &moved));
+        assert!(
+            !before.lock_order.edges.is_empty(),
+            "{}",
+            cfg.root.display()
+        );
+        assert_eq!(
+            artifact_json(&before.lock_order),
+            artifact_json(&after.lock_order),
+            "{}: the artifact moved with the functions",
+            cfg.root.display()
+        );
+        assert_eq!(
+            identity_counts(&before.findings),
+            identity_counts(&after.findings)
+        );
+        let lines = |r: &Report| r.findings.iter().map(|f| f.line).collect::<Vec<_>>();
+        assert!(before.findings.is_empty() || lines(&before) != lines(&after));
+    }
 }
 
 #[test]

@@ -181,23 +181,14 @@ pub struct HeldWrites<'a> {
 }
 
 impl HeldWrites<'_> {
-    fn reads_pass(&self, reads: &[(VertexId, u32)], ok: impl Fn(LockWord, u32) -> bool) -> bool {
-        let (mem, locks, me) = (self.sys.mem(), self.sys.locks(), self.me);
-        reads.iter().all(|&(v, ver)| {
-            let w = locks.peek(mem, v);
-            w.writer().is_none_or(|o| o == me) && ok(w, ver)
-        })
-    }
-
     /// Silo-style read validation: every `(vertex, version at first read)`
     /// is still current, and owned by no 2PL writer or other committer.
     pub fn reads_current(&self, reads: &[(VertexId, u32)]) -> bool {
-        self.reads_pass(reads, |w, ver| w.version() == ver)
-    }
-
-    /// Whether no 2PL writer and no other committer owns any read vertex.
-    pub fn reads_unowned(&self, reads: &[(VertexId, u32)]) -> bool {
-        self.reads_pass(reads, |_, _| true)
+        let (mem, locks, me) = (self.sys.mem(), self.sys.locks(), self.me);
+        reads.iter().all(|&(v, ver)| {
+            let w = locks.peek(mem, v);
+            w.writer().is_none_or(|o| o == me) && w.version() == ver
+        })
     }
 
     /// The distinct vertices written.
@@ -421,8 +412,8 @@ mod tests {
             a.reads_current(&[(0, 0), (3, 0), (9, 0)]),
             "own and unwritten"
         );
-        assert!(!a.reads_unowned(&[(3, 0), (8, 0)]) && !a.reads_current(&[(8, 0)]));
-        assert!(!b.reads_unowned(&[(0, 0)]) && !b.reads_current(&[(0, 0)]));
+        assert!(!a.reads_current(&[(8, 0)]));
+        assert!(!b.reads_current(&[(0, 0)]));
         drop(a);
         assert!(
             b.reads_current(&[(0, 0)]),

@@ -14,9 +14,11 @@
 //!   falls back to a bounded wait ([`WaitConfig`]: spins plus an optional
 //!   wall-clock deadline), after which the requester aborts as the victim.
 //! * The paper also describes deadlock *prevention* by global lock
-//!   ordering; that is implemented at the scheduler level (sorted
-//!   acquisition in commit paths) and via
-//!   [`WaitOutcome::Victim`]-free ordered L-mode execution.
+//!   ordering; that is implemented at the scheduler level: the commit
+//!   paths lock their lines in sorted order, and 2PL's declared path
+//!   (`TplWorker::execute_declared`) takes all of a transaction's vertex
+//!   locks in one sorted batch and waits holding nothing, so it never
+//!   closes a wait-for cycle.
 //!
 //! ## Victim fairness (priority aging)
 //!

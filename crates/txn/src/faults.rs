@@ -1,55 +1,39 @@
 //! Seeded fault injection (feature `faults`).
 //!
-//! Mirrors the [`obs`](crate::obs) pattern: schedulers carry a cheap
-//! [`FaultHandle`] and consult it at every hot-path decision point — lock
-//! acquisitions, commit validations, and attempt boundaries. With the
-//! feature disabled (the default) the handle is zero-sized and every
-//! probe is an empty inline function, so production builds pay nothing.
+//! A fault site is declared, installed, triggered and counted in one
+//! place each:
 //!
-//! ## Determinism
+//! * **declared** as a [`FaultKind`] variant (its discriminant indexes the
+//!   plan's counters) plus the [`FaultSpec`] field that triggers it;
+//! * **installed** only by
+//!   [`TxnSystem::set_fault_plan`](crate::TxnSystem::set_fault_plan): every
+//!   worker and HTM context created afterwards carries the plan;
+//! * **triggered** by a permille *rate* (a seeded roll per probe) or a
+//!   seeded *count* (the n-th probe of the site and past, on the seeded
+//!   worker), the four count sites that kill the process sharing one
+//!   trigger;
+//! * **counted** on the plan ([`FaultPlan::injected`]) and nowhere else.
 //!
-//! A [`FaultPlan`] is pure data: a seed plus per-site firing rates (in
-//! permille). Every decision is a pure function of
-//! `(seed, site, worker, per-worker op counter)` via a splitmix64 hash, so
-//! the same plan over the same workload replays the same fault sequence
-//! per worker regardless of thread interleaving. HTM-level faults
-//! (spurious and capacity aborts) are delivered through an
-//! [`AbortSource`] built by [`FaultPlan::abort_source`] and are keyed the
-//! same way on `(ctx_id, op_seq)`.
+//! Without the feature (the default) the handle is zero-sized and every
+//! probe folds to nothing, so production builds pay nothing.
 //!
-//! ## Sites
-//!
-//! | Site | Injected effect |
-//! |------|-----------------|
-//! | [`FaultKind::SpuriousAbort`] | emulated-HTM environmental abort |
-//! | [`FaultKind::CapacityAbort`] | emulated-HTM capacity abort (non-retryable) |
-//! | [`FaultKind::LockFail`] | a vertex-lock acquisition reports failure |
-//! | [`FaultKind::LockStall`] | a bounded spin delay before an acquisition |
-//! | [`FaultKind::ValidationFail`] | an optimistic commit validation reports failure |
-//! | [`FaultKind::Preempt`] | a bounded spin delay at an attempt boundary |
-//! | [`FaultKind::Crash`] | the run dies at a seeded probe (panics with [`InjectedCrash`]) |
-//! | [`FaultKind::Stall`] | a seeded worker wedges (long bounded spin) at attempt boundaries |
-//! | [`FaultKind::Livelock`] | commit/validation sites report failure, forcing endless restarts |
-//! | [`FaultKind::TornWalWrite`] | a WAL append persists only a prefix of the frame, then the process dies |
-//! | [`FaultKind::LostFsync`] | a WAL fsync is acknowledged but the data never becomes durable |
-//! | [`FaultKind::CrashDuringCommit`] | the process dies after a WAL append but before the effects apply |
-//! | [`FaultKind::CrashDuringTruncation`] | the process dies inside checkpoint log truncation |
-//!
+//! Every decision is a pure function of `(seed, site, worker, per-site
+//! sequence)` via a splitmix64 hash (HTM-level faults: of `(ctx_id,
+//! op_seq)`), so a plan replays exactly regardless of thread interleaving.
 //! Injected failures are indistinguishable from real ones to the
 //! scheduler, which is the point: the chaos matrix in `tufast-check`
-//! proves every scheduler's retry/escalation ladder terminates with all
-//! transactions committed no matter where the faults land. Workers
-//! holding the TuFast *serial-fallback token* mark their handle exempt
-//! ([`FaultHandle::set_exempt`]) so the stop-the-world commit that
-//! guarantees liveness cannot itself be sabotaged.
+//! proves every retry/escalation ladder terminates with all transactions
+//! committed no matter where the faults land. The holder of TuFast's
+//! serial-fallback token is exempt ([`FaultHandle::set_exempt`]), so the
+//! stop-the-world commit that guarantees liveness cannot be sabotaged.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tufast_htm::{AbortCode, AbortSource};
 
-/// The kinds of faults the plan can inject, used to index the plan's
-/// injected-fault counters.
+/// The kinds of faults a plan can inject. The discriminant indexes the
+/// plan's injected-fault counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// Emulated-HTM spurious (environmental) abort.
@@ -64,53 +48,32 @@ pub enum FaultKind {
     ValidationFail,
     /// A bounded spin delay at an attempt boundary (models preemption).
     Preempt,
-    /// The whole run dies at a seeded probe: a [`InjectedCrash`] panic
-    /// models process death for crash-recovery testing.
+    /// The whole run dies at a seeded probe (an [`InjectedCrash`] panic).
     Crash,
-    /// A seeded worker wedges — a long (but bounded) spin at every attempt
-    /// boundary past the seeded probe count, with no heartbeats. Models a
-    /// descheduled or page-faulting worker for watchdog testing.
+    /// A seeded worker wedges — a long bounded spin with no heartbeats —
+    /// at every attempt boundary past the seeded probe count.
     Stall,
-    /// Commit/validation sites report failure at the given rate, so
-    /// attempts restart without anyone committing. Models livelock for
-    /// watchdog testing.
+    /// Commit/validation sites report failure, so attempts restart without
+    /// anyone committing.
     Livelock,
-    /// A write-ahead-log append persists only a prefix of its frame before
-    /// the process dies — the torn tail a crashed `write(2)` leaves behind.
+    /// A WAL append persists only a prefix of its frame, then the process
+    /// dies — the torn tail a crashed `write(2)` leaves behind.
     TornWalWrite,
     /// A WAL fsync reports success but the bytes never become durable
-    /// (lying disk / dropped page-cache flush). Observable only after a
-    /// power cut: the harness truncates the log to the last *really*
-    /// synced length before recovering.
+    /// (observable only after a simulated power cut).
     LostFsync,
-    /// The process dies between a WAL append becoming durable and the
-    /// mutation's effects being applied — redo recovery must finish the
-    /// commit from the log alone.
+    /// The process dies after a WAL append became durable but before the
+    /// mutation's effects apply: redo recovery finishes the commit.
     CrashDuringCommit,
-    /// The process dies inside checkpoint log truncation (before or after
-    /// the `set_len`), so recovery sees either a full log alongside a
-    /// covering snapshot or an already-empty one.
+    /// The process dies inside checkpoint log truncation, before or after
+    /// the `set_len`.
     CrashDuringTruncation,
 }
 
-impl FaultKind {
-    /// All kinds, in counter-index order.
-    pub const ALL: [FaultKind; 13] = [
-        FaultKind::SpuriousAbort,
-        FaultKind::CapacityAbort,
-        FaultKind::LockFail,
-        FaultKind::LockStall,
-        FaultKind::ValidationFail,
-        FaultKind::Preempt,
-        FaultKind::Crash,
-        FaultKind::Stall,
-        FaultKind::Livelock,
-        FaultKind::TornWalWrite,
-        FaultKind::LostFsync,
-        FaultKind::CrashDuringCommit,
-        FaultKind::CrashDuringTruncation,
-    ];
+/// Number of [`FaultKind`]s: the length of the plan's counter array.
+const KINDS: usize = FaultKind::CrashDuringTruncation as usize + 1;
 
+impl FaultKind {
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -129,37 +92,16 @@ impl FaultKind {
             FaultKind::CrashDuringTruncation => "crash-during-truncation",
         }
     }
-
-    #[inline]
-    fn index(self) -> usize {
-        match self {
-            FaultKind::SpuriousAbort => 0,
-            FaultKind::CapacityAbort => 1,
-            FaultKind::LockFail => 2,
-            FaultKind::LockStall => 3,
-            FaultKind::ValidationFail => 4,
-            FaultKind::Preempt => 5,
-            FaultKind::Crash => 6,
-            FaultKind::Stall => 7,
-            FaultKind::Livelock => 8,
-            FaultKind::TornWalWrite => 9,
-            FaultKind::LostFsync => 10,
-            FaultKind::CrashDuringCommit => 11,
-            FaultKind::CrashDuringTruncation => 12,
-        }
-    }
 }
 
-/// Sentinel for [`FaultSpec::crash_worker`]: arm the crash probe on
-/// every worker, so whichever reaches the probe count first crashes the
-/// run. Useful when per-worker load is nondeterministic (stealing pools).
+/// Sentinel for [`FaultSpec::crash_worker`] and [`FaultSpec::stall_worker`]:
+/// arm every worker, for runs whose per-worker load is nondeterministic.
 pub const CRASH_ANY_WORKER: u32 = u32::MAX;
 
-/// Declarative description of a fault plan: a seed plus per-site rates.
-///
-/// Rates are in permille (0–1000); 1000 fires on every probe. The spin
-/// counts bound the injected delays so no plan can stall a worker
-/// unboundedly.
+/// Declarative description of a fault plan: a seed plus one trigger per
+/// site. Rates are in permille (1000 fires on every probe); counts are
+/// 1-based probe numbers of the site's own sequence (0 disables); spin
+/// counts bound the injected delays.
 #[derive(Clone, Debug)]
 pub struct FaultSpec {
     /// Seed from which every per-site decision stream is derived.
@@ -180,48 +122,39 @@ pub struct FaultSpec {
     pub preempt_permille: u32,
     /// Spin iterations of one injected preemption delay.
     pub preempt_spins: u32,
-    /// Worker whose crash probe is armed (ignored while
-    /// [`FaultSpec::crash_at_probe`] is 0). [`CRASH_ANY_WORKER`] arms the
-    /// probe on every worker, so the *first* worker to reach
-    /// [`FaultSpec::crash_at_probe`] dies — the right choice for drivers
-    /// whose per-worker load split is nondeterministic (work stealing).
+    /// Worker whose crash probe is armed; [`CRASH_ANY_WORKER`] arms every
+    /// worker, so the *first* to reach [`FaultSpec::crash_at_probe`] dies.
     pub crash_worker: u32,
-    /// Probe count at which the seeded worker crashes the run
-    /// ([`FaultHandle::crash_point`] panics with [`InjectedCrash`]; every
-    /// other worker's next crash probe then dies too, modelling whole
-    /// process death). 0 disables crashing.
+    /// Probe count at which the seeded worker crashes the run; every other
+    /// worker's next crash probe then dies too (whole-process death).
     pub crash_at_probe: u64,
-    /// Worker whose stall probe is armed ([`CRASH_ANY_WORKER`] arms every
-    /// worker; ignored while [`FaultSpec::stall_at_probe`] is 0).
+    /// Worker whose stall probe is armed.
     pub stall_worker: u32,
     /// Probe count at (and past) which the seeded worker wedges for
-    /// [`FaultSpec::stall_spins`] at every attempt boundary, with no
-    /// heartbeats while wedged. 0 disables stalling.
+    /// [`FaultSpec::stall_spins`] at every attempt boundary.
     pub stall_at_probe: u64,
-    /// Spin iterations of one injected wedge — deliberately huge by
-    /// default so a watchdog scanning every few milliseconds sees the
-    /// heartbeat flat across several scans.
+    /// Spin iterations of one injected wedge — huge by default, so a
+    /// watchdog sees the heartbeat flat across several scans.
     pub stall_spins: u32,
     /// Permille rate of forced restarts at optimistic commit/validation
     /// sites (models livelock: every attempt aborts, nobody commits).
     pub livelock_permille: u32,
-    /// WAL append index (1-based) at which the frame is torn: the writer
-    /// persists only a prefix of the frame and the process dies
-    /// ([`FaultHandle::wal_torn_append`]). 0 disables.
+    /// WAL append count at which the frame is torn
+    /// ([`FaultHandle::wal_torn_append`]).
     pub torn_wal_at_append: u64,
     /// Permille rate of WAL fsyncs that report success without making the
     /// data durable ([`FaultHandle::wal_lost_fsync`]).
     pub lost_fsync_permille: u32,
-    /// Durable-commit index (1-based) at (and past) which the process dies
-    /// after the WAL append but before the mutation's effects apply
-    /// ([`FaultHandle::wal_commit_crash_point`]). 0 disables.
+    /// Durable-commit count at which the process dies between the WAL
+    /// append and the apply ([`FaultHandle::wal_commit_crash_point`]).
     pub crash_at_wal_commit: u64,
-    /// Truncation-probe count (1-based) at (and past) which the process
-    /// dies inside checkpoint log truncation
-    /// ([`FaultHandle::wal_truncation_crash_point`]); the truncation path
-    /// probes both before and after its `set_len`, so 1 crashes with the
-    /// log intact and 2 crashes with it already emptied. 0 disables.
+    /// Truncation-probe count at which the process dies inside checkpoint
+    /// log truncation ([`FaultHandle::wal_truncation_crash_point`]).
     pub crash_at_truncation: u64,
+    /// Skip the TuFast router's O-mode commit-time read validation: not a
+    /// fault site but a seeded serializability bug (lost updates) for the
+    /// schedule explorer in `tufast-check` to catch.
+    pub skip_o_validation: bool,
 }
 
 impl Default for FaultSpec {
@@ -246,6 +179,7 @@ impl Default for FaultSpec {
             lost_fsync_permille: 0,
             crash_at_wal_commit: 0,
             crash_at_truncation: 0,
+            skip_o_validation: false,
         }
     }
 }
@@ -272,14 +206,48 @@ impl FaultSpec {
     }
 }
 
+/// How a site fires.
+enum Trigger {
+    /// A seeded roll at every probe, on the decision stream salted `site`.
+    Rate { site: u64, permille: u32 },
+    /// The probe at (and past) count `at` (0: never) on `worker`
+    /// ([`CRASH_ANY_WORKER`]: on every worker).
+    Count { at: u64, worker: u32 },
+}
+
+impl FaultSpec {
+    /// Each site's trigger.
+    fn trigger(&self, kind: FaultKind) -> Trigger {
+        use FaultKind::*;
+        let rate = |site, permille| Trigger::Rate { site, permille };
+        let count = |at, worker| Trigger::Count { at, worker };
+        match kind {
+            SpuriousAbort => rate(SITE_HTM, self.spurious_abort_permille),
+            CapacityAbort => rate(SITE_HTM, self.capacity_abort_permille),
+            LockFail => rate(SITE_LOCK_FAIL, self.lock_fail_permille),
+            LockStall => rate(SITE_LOCK_STALL, self.lock_stall_permille),
+            ValidationFail => rate(SITE_VALIDATION, self.validation_fail_permille),
+            Preempt => rate(SITE_PREEMPT, self.preempt_permille),
+            Crash => count(self.crash_at_probe, self.crash_worker),
+            Stall => count(self.stall_at_probe, self.stall_worker),
+            Livelock => rate(SITE_LIVELOCK, self.livelock_permille),
+            TornWalWrite => count(self.torn_wal_at_append, CRASH_ANY_WORKER),
+            LostFsync => rate(SITE_WAL_SYNC, self.lost_fsync_permille),
+            CrashDuringCommit => count(self.crash_at_wal_commit, CRASH_ANY_WORKER),
+            CrashDuringTruncation => count(self.crash_at_truncation, CRASH_ANY_WORKER),
+        }
+    }
+}
+
 /// A live fault plan: the spec plus per-kind injected-fault counters.
 ///
 /// Shared via `Arc` between the system, every worker's [`FaultHandle`],
-/// and the [`AbortSource`] installed into the HTM config.
+/// and the abort source of every HTM context.
+#[derive(Debug)]
 pub struct FaultPlan {
     spec: FaultSpec,
-    injected: [AtomicU64; 13],
-    /// Set once the seeded crash fires; all workers' subsequent crash
+    injected: [AtomicU64; KINDS],
+    /// Set once a seeded crash fires; all workers' subsequent crash
     /// probes then die too (process death takes every thread with it).
     crashed: AtomicBool,
 }
@@ -298,8 +266,8 @@ impl FaultPlan {
         })
     }
 
-    /// Whether the seeded crash has fired (after which every worker's
-    /// crash probe dies).
+    /// Whether a seeded crash has fired (after which every worker's crash
+    /// probe dies).
     pub fn crash_armed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
     }
@@ -322,7 +290,7 @@ impl FaultPlan {
 
     /// Faults of `kind` injected so far.
     pub fn injected(&self, kind: FaultKind) -> u64 {
-        self.injected[kind.index()].load(Ordering::Relaxed)
+        self.injected[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Total faults injected so far, all kinds.
@@ -333,28 +301,19 @@ impl FaultPlan {
             .sum()
     }
 
-    /// `(kind, count)` for every kind with a nonzero count.
-    pub fn injected_by_kind(&self) -> Vec<(FaultKind, u64)> {
-        FaultKind::ALL
-            .iter()
-            .filter_map(|&k| {
-                let n = self.injected(k);
-                (n != 0).then_some((k, n))
-            })
-            .collect()
-    }
-
     #[inline]
     fn record(&self, kind: FaultKind) {
-        self.injected[kind.index()].fetch_add(1, Ordering::Relaxed);
+        self.injected[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An [`AbortSource`] delivering this plan's HTM-level faults,
-    /// suitable for [`HtmConfig::abort_source`](tufast_htm::HtmConfig).
+    /// The [`AbortSource`] delivering this plan's HTM-level faults, which
+    /// [`TxnSystem::htm_ctx`](crate::TxnSystem::htm_ctx) gives every
+    /// context while the plan is installed.
     ///
     /// The decision is pure in `(ctx_id, op_seq)`: capacity aborts claim
     /// the low end of the permille roll, spurious aborts the next band.
-    pub fn abort_source(self: &Arc<Self>) -> AbortSource {
+    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
+    pub(crate) fn abort_source(self: &Arc<Self>) -> AbortSource {
         let plan = Arc::clone(self);
         AbortSource::new(move |ctx_id, op_seq| {
             let spec = &plan.spec;
@@ -372,15 +331,6 @@ impl FaultPlan {
                 None
             }
         })
-    }
-}
-
-impl std::fmt::Debug for FaultPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultPlan")
-            .field("spec", &self.spec)
-            .field("total_injected", &self.total_injected())
-            .finish()
     }
 }
 
@@ -412,22 +362,13 @@ pub fn raise_injected_crash(worker: u32, probe: u64) -> ! {
     std::panic::panic_any(InjectedCrash { worker, probe })
 }
 
-// Per-site salts keep the decision streams of different sites independent.
-// All but the HTM salt are consulted only from `FaultHandle`'s active
-// (feature-gated) probes; the HTM salt also feeds the always-compiled
-// `FaultPlan::abort_source`.
+// Per-site salts keep the decision streams of the rate sites independent.
 const SITE_HTM: u64 = 0x11;
-#[cfg(feature = "faults")]
 const SITE_LOCK_FAIL: u64 = 0x22;
-#[cfg(feature = "faults")]
 const SITE_LOCK_STALL: u64 = 0x33;
-#[cfg(feature = "faults")]
 const SITE_VALIDATION: u64 = 0x44;
-#[cfg(feature = "faults")]
 const SITE_PREEMPT: u64 = 0x55;
-#[cfg(feature = "faults")]
 const SITE_LIVELOCK: u64 = 0x77;
-#[cfg(feature = "faults")]
 const SITE_WAL_SYNC: u64 = 0x88;
 
 /// splitmix64 finalizer: decisions are pure in the mixed key.
@@ -445,33 +386,96 @@ fn permille_roll(seed: u64, site: u64, worker: u32, seq: u64) -> u32 {
     (mix(seed ^ (site << 56) ^ (u64::from(worker) << 32) ^ seq) % 1000) as u32
 }
 
-/// A cheap, always-present per-worker handle to the system's fault plan.
+/// A handle's probe sequences. The attempt-boundary and commit sites share
+/// one; each WAL site counts its own protocol steps, so a count-seeded
+/// durability fault lands at an exact step however many other probes
+/// fired in between.
+#[derive(Clone, Copy)]
+enum Seq {
+    Attempt,
+    Append,
+    Sync,
+    Commit,
+    Truncation,
+}
+
+/// A cheap, always-present per-worker handle to the installed fault plan.
 ///
-/// With feature `faults` this holds `Option<Arc<FaultPlan>>` plus the
-/// worker id and a local probe counter; without it, it is zero-sized and
-/// every probe is an empty inline function.
+/// With feature `faults` it holds one armed state while a plan is
+/// attached; without it, it is zero-sized and every probe folds to
+/// nothing.
 #[derive(Clone, Default)]
 pub struct FaultHandle {
     #[cfg(feature = "faults")]
-    inner: Option<Arc<FaultPlan>>,
-    #[cfg(feature = "faults")]
+    armed: Option<Armed>,
+}
+
+/// What a handle carries while a plan is attached.
+#[cfg(feature = "faults")]
+#[derive(Clone)]
+struct Armed {
+    plan: Arc<FaultPlan>,
     worker: u32,
-    #[cfg(feature = "faults")]
-    seq: u64,
-    #[cfg(feature = "faults")]
+    /// Set while the worker holds the serial-fallback token.
     exempt: bool,
-    /// WAL probes count their own sites (appends / syncs / durable commits
-    /// / truncations) instead of sharing `seq`, so count-seeded durability
-    /// faults land at exact protocol steps regardless of how many other
-    /// probes fired in between.
-    #[cfg(feature = "faults")]
-    wal_appends: u64,
-    #[cfg(feature = "faults")]
-    wal_syncs: u64,
-    #[cfg(feature = "faults")]
-    wal_commits: u64,
-    #[cfg(feature = "faults")]
-    wal_truncations: u64,
+    /// Probes so far, indexed by [`Seq`].
+    seqs: [u64; 5],
+}
+
+/// One probe of an armed handle: the plan, borrowed from the handle, and
+/// where the probe falls in its site's sequence.
+#[cfg_attr(not(feature = "faults"), allow(dead_code))]
+struct Probe<'a> {
+    plan: &'a FaultPlan,
+    worker: u32,
+    seq: u64,
+}
+
+impl Probe<'_> {
+    /// Whether `kind`'s trigger fires at this probe.
+    #[inline]
+    fn hits(&self, kind: FaultKind) -> bool {
+        match self.plan.spec.trigger(kind) {
+            Trigger::Rate { site, permille } => {
+                permille > 0
+                    && permille_roll(self.plan.spec.seed, site, self.worker, self.seq) < permille
+            }
+            Trigger::Count { at, worker } => {
+                at != 0 && self.seq >= at && (worker == CRASH_ANY_WORKER || worker == self.worker)
+            }
+        }
+    }
+
+    /// Whether `kind` fires here; each firing is counted.
+    #[inline]
+    fn fires(&self, kind: FaultKind) -> bool {
+        let hit = self.hits(kind);
+        if hit {
+            self.plan.record(kind);
+        }
+        hit
+    }
+
+    /// Whether `kind`, a site that kills the process, fires here. Once any
+    /// such site fired the process is dying, and every probe dies at once.
+    /// Otherwise `true` means this is the seeded probe: the crash is
+    /// counted (once), the plan armed, and the caller dies — at once, or
+    /// after tearing a frame.
+    #[inline]
+    fn kills(&self, kind: FaultKind) -> bool {
+        if self.plan.crash_armed() {
+            self.die();
+        }
+        let hit = self.hits(kind);
+        if hit && !self.plan.crashed.swap(true, Ordering::SeqCst) {
+            self.plan.record(kind);
+        }
+        hit
+    }
+
+    fn die(&self) -> ! {
+        raise_injected_crash(self.worker, self.seq)
+    }
 }
 
 impl FaultHandle {
@@ -486,15 +490,14 @@ impl FaultHandle {
     #[cfg(feature = "faults")]
     #[inline]
     pub fn attached(plan: Option<Arc<FaultPlan>>, worker: u32) -> Self {
-        FaultHandle {
-            inner: plan,
+        let armed = |plan| Armed {
+            plan,
             worker,
-            seq: 0,
             exempt: false,
-            wal_appends: 0,
-            wal_syncs: 0,
-            wal_commits: 0,
-            wal_truncations: 0,
+            seqs: [0; 5],
+        };
+        FaultHandle {
+            armed: plan.map(armed),
         }
     }
 
@@ -503,13 +506,10 @@ impl FaultHandle {
     #[inline]
     pub fn is_active(&self) -> bool {
         #[cfg(feature = "faults")]
-        {
-            self.inner.is_some() && !self.exempt
+        if let Some(armed) = &self.armed {
+            return !armed.exempt;
         }
-        #[cfg(not(feature = "faults"))]
-        {
-            false
-        }
+        false
     }
 
     /// Exempt (or re-subject) this worker from injection. The TuFast
@@ -518,265 +518,152 @@ impl FaultHandle {
     #[inline]
     pub fn set_exempt(&mut self, _exempt: bool) {
         #[cfg(feature = "faults")]
-        {
-            self.exempt = _exempt;
+        if let Some(armed) = &mut self.armed {
+            armed.exempt = _exempt;
+        }
+    }
+
+    /// Whether the attached plan seeds the O-mode validation bug
+    /// ([`FaultSpec::skip_o_validation`]).
+    #[inline]
+    pub fn skips_o_validation(&self) -> bool {
+        #[cfg(feature = "faults")]
+        if let Some(armed) = &self.armed {
+            return armed.plan.spec.skip_o_validation;
+        }
+        false
+    }
+
+    /// The next probe of `seq`, unless no plan is attached or the handle
+    /// is exempt.
+    #[inline(always)]
+    fn probe(&mut self, seq: Seq) -> Option<Probe<'_>> {
+        #[cfg(feature = "faults")]
+        if let Some(armed) = self.armed.as_mut().filter(|a| !a.exempt) {
+            armed.seqs[seq as usize] += 1;
+            let seq = armed.seqs[seq as usize];
+            let (plan, worker) = (&armed.plan, armed.worker);
+            return Some(Probe { plan, worker, seq });
+        }
+        let _ = seq;
+        None
+    }
+
+    /// Probe `seq` at a site that dies at once when it fires.
+    #[inline]
+    fn dies_at(&mut self, seq: Seq, kind: FaultKind) {
+        if let Some(p) = self.probe(seq).filter(|p| p.kills(kind)) {
+            p.die();
         }
     }
 
     /// Probe the lock-stall then lock-fail sites before a vertex-lock
-    /// acquisition: possibly spin a bounded stall, then return `true` if
-    /// the acquisition must report failure.
+    /// acquisition (one probe, two rolls): possibly spin a bounded stall,
+    /// then return `true` if the acquisition must report failure.
     #[inline]
     pub fn lock_acquisition_fails(&mut self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            if let Some(plan) = self.active_plan() {
-                self.seq += 1;
-                let (spec, seq) = (plan.spec(), self.seq);
-                let (stalls, fails) = (spec.lock_stall_permille, spec.lock_fail_permille);
-                if self.fires(SITE_LOCK_STALL, stalls, seq, FaultKind::LockStall) {
-                    stall(spec.lock_stall_spins);
-                }
-                return self.fires(SITE_LOCK_FAIL, fails, seq, FaultKind::LockFail);
-            }
+        let Some(p) = self.probe(Seq::Attempt) else {
+            return false;
+        };
+        if p.fires(FaultKind::LockStall) {
+            stall(p.plan.spec.lock_stall_spins);
         }
-        false
+        p.fires(FaultKind::LockFail)
     }
 
     /// Probe the validation site inside an optimistic commit: `true`
     /// forces the validation to report failure.
     #[inline]
     pub fn validation_fails(&mut self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            if let Some(plan) = self.active_plan() {
-                self.seq += 1;
-                let rate = plan.spec().validation_fail_permille;
-                return self.fires(SITE_VALIDATION, rate, self.seq, FaultKind::ValidationFail);
-            }
-        }
-        false
+        self.probe(Seq::Attempt)
+            .is_some_and(|p| p.fires(FaultKind::ValidationFail))
+    }
+
+    /// Probe the livelock site inside an optimistic commit: `true` forces
+    /// the attempt to restart (at high rates, commits flat while restarts
+    /// climb — what the watchdog's livelock detector catches).
+    #[inline]
+    pub fn livelock_restart(&mut self) -> bool {
+        self.probe(Seq::Attempt)
+            .is_some_and(|p| p.fires(FaultKind::Livelock))
+    }
+
+    /// Probe the three fault sites of an optimistic commit (validation,
+    /// commit-lock acquisition, livelock); `true` means the commit must
+    /// report failure without running.
+    #[inline]
+    pub fn commit_fails(&mut self) -> bool {
+        self.validation_fails() || self.lock_acquisition_fails() || self.livelock_restart()
     }
 
     /// Probe the preemption site at an attempt boundary: possibly spin a
     /// bounded delay (models the worker losing its core mid-transaction).
     #[inline]
     pub fn preempt(&mut self) {
-        #[cfg(feature = "faults")]
+        if let Some(p) = self
+            .probe(Seq::Attempt)
+            .filter(|p| p.fires(FaultKind::Preempt))
         {
-            if let Some(plan) = self.active_plan() {
-                self.seq += 1;
-                let (spec, seq) = (plan.spec(), self.seq);
-                if self.fires(SITE_PREEMPT, spec.preempt_permille, seq, FaultKind::Preempt) {
-                    stall(spec.preempt_spins);
-                    std::thread::yield_now();
-                }
-            }
+            stall(p.plan.spec.preempt_spins);
+            std::thread::yield_now();
         }
     }
 
-    /// Probe the crash site (transaction entry in the TuFast router):
-    /// when this is the seeded worker at (or past) the seeded probe
-    /// count — or the plan has already crashed elsewhere — panic with an
-    /// [`InjectedCrash`] payload, modelling process death.
-    ///
-    /// Exempt workers (the serial-fallback holder) never crash mid-commit;
-    /// the crash lands at their next non-exempt entry instead.
-    #[inline]
-    pub fn crash_point(&mut self) {
-        #[cfg(feature = "faults")]
-        {
-            if let Some(plan) = self.active_plan() {
-                self.seq += 1;
-                // Once any crash fault fired (including the WAL-site ones),
-                // the process is dying: every non-exempt probe joins it.
-                if plan.crash_armed() {
-                    std::panic::panic_any(InjectedCrash {
-                        worker: self.worker,
-                        probe: self.seq,
-                    });
-                }
-                let spec = plan.spec();
-                if spec.crash_at_probe == 0 {
-                    return;
-                }
-                let seeded_worker =
-                    spec.crash_worker == CRASH_ANY_WORKER || self.worker == spec.crash_worker;
-                let seeded_hit = seeded_worker && self.seq >= spec.crash_at_probe;
-                if seeded_hit && !plan.crashed.swap(true, Ordering::SeqCst) {
-                    plan.record(FaultKind::Crash);
-                }
-                if seeded_hit || plan.crash_armed() {
-                    std::panic::panic_any(InjectedCrash {
-                        worker: self.worker,
-                        probe: self.seq,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Probe the stall site at an attempt boundary: the seeded worker
-    /// wedges in a long bounded spin (no heartbeats) at every probe past
-    /// the seeded count, so a watchdog scanning the heartbeat board sees a
-    /// flat beat on a non-idle worker.
-    ///
-    /// Unlike [`FaultHandle::preempt`] (a short random delay modelling a
-    /// lost scheduling quantum), this is a deterministic, *persistent*
-    /// wedge — the deadlock-free kind of liveness failure the watchdog's
-    /// stall detector exists to catch.
+    /// Probe the stall site at an attempt boundary: past the seeded count
+    /// the seeded worker wedges at every probe — a deterministic,
+    /// persistent wedge (unlike [`FaultHandle::preempt`]'s short random
+    /// delay) that the watchdog's stall detector must catch.
     #[inline]
     pub fn stall_point(&mut self) {
-        #[cfg(feature = "faults")]
+        if let Some(p) = self
+            .probe(Seq::Attempt)
+            .filter(|p| p.fires(FaultKind::Stall))
         {
-            if let Some(plan) = self.active_plan() {
-                self.seq += 1;
-                let spec = plan.spec();
-                if spec.stall_at_probe == 0 {
-                    return;
-                }
-                let seeded =
-                    spec.stall_worker == CRASH_ANY_WORKER || self.worker == spec.stall_worker;
-                if seeded && self.seq >= spec.stall_at_probe {
-                    plan.record(FaultKind::Stall);
-                    stall(spec.stall_spins);
-                    std::thread::yield_now();
-                }
-            }
+            stall(p.plan.spec.stall_spins);
+            std::thread::yield_now();
         }
     }
 
-    /// Probe the livelock site inside an optimistic commit/validation:
-    /// `true` forces the attempt to restart. At high rates nobody ever
-    /// commits while everyone keeps aborting — the signature the
-    /// watchdog's livelock detector (commits flat, restarts climbing)
-    /// exists to catch.
+    /// Probe the crash site (transaction entry in the TuFast router): on
+    /// the seeded worker at (or past) the seeded count, or once the plan
+    /// crashed elsewhere, panic with an [`InjectedCrash`]. An exempt
+    /// worker's crash lands at its next non-exempt entry instead.
     #[inline]
-    pub fn livelock_restart(&mut self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            if let Some(plan) = self.active_plan() {
-                self.seq += 1;
-                let rate = plan.spec().livelock_permille;
-                return self.fires(SITE_LIVELOCK, rate, self.seq, FaultKind::Livelock);
-            }
-        }
-        false
+    pub fn crash_point(&mut self) {
+        self.dies_at(Seq::Attempt, FaultKind::Crash);
     }
 
-    /// Probe the WAL append site. `true` means the seeded torn write
-    /// fires: the caller must persist only a *prefix* of the frame and
-    /// then die via [`raise_injected_crash`] — a torn write is only ever
-    /// observable because the process crashed mid-`write`. Arms the plan's
-    /// crash flag so every other worker's next crash probe dies too.
+    /// Probe the WAL append site. `true` means the seeded torn write fires
+    /// and the plan is armed: the caller persists only a *prefix* of the
+    /// frame, then dies via [`raise_injected_crash`].
     #[inline]
     pub fn wal_torn_append(&mut self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            if let Some(plan) = self.active_plan() {
-                self.wal_appends += 1;
-                if plan.crash_armed() {
-                    raise_injected_crash(self.worker, self.wal_appends);
-                }
-                let spec = plan.spec();
-                if spec.torn_wal_at_append != 0 && self.wal_appends == spec.torn_wal_at_append {
-                    plan.record(FaultKind::TornWalWrite);
-                    plan.crashed.store(true, Ordering::SeqCst);
-                    return true;
-                }
-            }
-        }
-        false
+        self.probe(Seq::Append)
+            .is_some_and(|p| p.kills(FaultKind::TornWalWrite))
     }
 
     /// Probe the WAL fsync site: `true` means this fsync must be skipped
-    /// while still reporting success to the caller (the lying-disk fault).
-    /// The writer keeps its really-durable length behind, and the harness
-    /// simulates the power cut that makes the lie observable.
+    /// while still reporting success (the lying-disk fault).
     #[inline]
     pub fn wal_lost_fsync(&mut self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            if let Some(plan) = self.active_plan() {
-                self.wal_syncs += 1;
-                let rate = plan.spec().lost_fsync_permille;
-                return self.fires(SITE_WAL_SYNC, rate, self.wal_syncs, FaultKind::LostFsync);
-            }
-        }
-        false
+        self.probe(Seq::Sync)
+            .is_some_and(|p| p.fires(FaultKind::LostFsync))
     }
 
     /// Probe the post-append / pre-apply window of a durable commit: at
-    /// (and past) the seeded commit count the process dies with the
-    /// record already durable but its effects not yet applied — redo
-    /// recovery must finish the commit from the log alone.
+    /// (and past) the seeded commit count the process dies with the record
+    /// durable but its effects not yet applied.
     #[inline]
     pub fn wal_commit_crash_point(&mut self) {
-        #[cfg(feature = "faults")]
-        {
-            if let Some(plan) = self.active_plan() {
-                self.wal_commits += 1;
-                if plan.crash_armed() {
-                    raise_injected_crash(self.worker, self.wal_commits);
-                }
-                let spec = plan.spec();
-                if spec.crash_at_wal_commit != 0 && self.wal_commits >= spec.crash_at_wal_commit {
-                    if !plan.crashed.swap(true, Ordering::SeqCst) {
-                        plan.record(FaultKind::CrashDuringCommit);
-                    }
-                    raise_injected_crash(self.worker, self.wal_commits);
-                }
-            }
-        }
+        self.dies_at(Seq::Commit, FaultKind::CrashDuringCommit);
     }
 
-    /// Probe checkpoint log truncation. The truncation path calls this
-    /// both before and after its `set_len`, so a seeded count of 1 dies
-    /// with the log still intact (snapshot already durable — replay must
-    /// be idempotent) and 2 dies with the log already emptied.
+    /// Probe checkpoint log truncation, called before and after its
+    /// `set_len`: a seeded count of 1 dies with the log intact (replay
+    /// must be idempotent), 2 with it already emptied.
     #[inline]
     pub fn wal_truncation_crash_point(&mut self) {
-        #[cfg(feature = "faults")]
-        {
-            if let Some(plan) = self.active_plan() {
-                self.wal_truncations += 1;
-                if plan.crash_armed() {
-                    raise_injected_crash(self.worker, self.wal_truncations);
-                }
-                let spec = plan.spec();
-                if spec.crash_at_truncation != 0 && self.wal_truncations >= spec.crash_at_truncation
-                {
-                    if !plan.crashed.swap(true, Ordering::SeqCst) {
-                        plan.record(FaultKind::CrashDuringTruncation);
-                    }
-                    raise_injected_crash(self.worker, self.wal_truncations);
-                }
-            }
-        }
-    }
-
-    /// One seeded decision at permille `rate` for `site` at this worker's
-    /// `seq`-th probe of it; a hit is recorded on the plan as `kind`.
-    #[cfg(feature = "faults")]
-    #[inline]
-    fn fires(&self, site: u64, rate: u32, seq: u64, kind: FaultKind) -> bool {
-        let Some(plan) = &self.inner else {
-            return false;
-        };
-        let hit = rate > 0 && permille_roll(plan.spec().seed, site, self.worker, seq) < rate;
-        if hit {
-            plan.record(kind);
-        }
-        hit
-    }
-
-    #[cfg(feature = "faults")]
-    #[inline]
-    fn active_plan(&self) -> Option<Arc<FaultPlan>> {
-        if self.exempt {
-            return None;
-        }
-        self.inner.clone()
+        self.dies_at(Seq::Truncation, FaultKind::CrashDuringTruncation);
     }
 }
 
@@ -786,7 +673,6 @@ impl std::fmt::Debug for FaultHandle {
     }
 }
 
-#[cfg(feature = "faults")]
 #[inline]
 fn stall(spins: u32) {
     for _ in 0..spins {

@@ -137,20 +137,6 @@ impl Lifecycle {
         stop
     }
 
-    /// Probe the three fault sites of an optimistic commit (validation,
-    /// commit-lock acquisition, livelock); `true` — counted — means the
-    /// commit must report failure without running.
-    #[inline]
-    pub fn commit_fails_injected(&mut self) -> bool {
-        let injected = self.faults.validation_fails()
-            || self.faults.lock_acquisition_fails()
-            || self.faults.livelock_restart();
-        if injected {
-            self.stats.injected_faults += 1;
-        }
-        injected
-    }
-
     /// Run one rung of at most `budget` attempts for the worker `w`.
     ///
     /// Each attempt: health checkpoint → count it (in `attempts`, which
@@ -253,7 +239,7 @@ pub(crate) fn execute_buffered<W: Buffered>(
         obs.run_body(w, id, body)
             .and_then(|()| {
                 obs.pre_commit(id);
-                if w.as_mut().commit_fails_injected() {
+                if w.as_mut().faults.commit_fails() {
                     return Err(TxInterrupt::Restart);
                 }
                 w.try_commit(obs)

@@ -74,8 +74,8 @@ pub struct TxnSystem {
     /// Installed lifecycle observer (`tufast-check`'s recorder/stepper).
     #[cfg(feature = "observe")]
     observer: std::sync::RwLock<Option<Arc<dyn crate::obs::TxnObserver>>>,
-    /// Installed fault plan (feature `faults`), snapshotted into each
-    /// worker's [`FaultHandle`] at worker creation.
+    /// Installed fault plan (feature `faults`): every worker and HTM
+    /// context created afterwards carries it.
     #[cfg(feature = "faults")]
     fault_plan: std::sync::RwLock<Option<Arc<crate::faults::FaultPlan>>>,
 }
@@ -146,10 +146,10 @@ impl TxnSystem {
         }
     }
 
-    /// Install (or clear) the fault plan sampled by every scheduler
-    /// running on this system. Install it *before* creating workers:
-    /// each worker snapshots the plan into its [`FaultHandle`] when it is
-    /// created.
+    /// Install (or clear) the fault plan: the one way a plan reaches the
+    /// system. Install it *before* creating workers — each worker
+    /// snapshots the plan into its [`FaultHandle`], and each HTM context
+    /// its abort source, when it is created.
     #[cfg(feature = "faults")]
     pub fn set_fault_plan(&self, plan: Option<Arc<crate::faults::FaultPlan>>) {
         *self
@@ -233,9 +233,14 @@ impl TxnSystem {
         &self.htm
     }
 
-    /// A fresh per-thread HTM context.
+    /// A fresh per-thread HTM context. It consults the installed fault
+    /// plan's abort source, or the config's when no plan is installed.
     #[inline]
     pub fn htm_ctx(&self) -> HtmCtx {
+        #[cfg(feature = "faults")]
+        if let Some(plan) = self.fault_plan() {
+            return self.htm.ctx_with_source(Some(plan.abort_source()));
+        }
         self.htm.ctx()
     }
 

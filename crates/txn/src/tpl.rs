@@ -121,7 +121,6 @@ fn acquire(lc: &mut Lifecycle, v: VertexId, exclusive: bool) -> Result<(), TxInt
     if lc.faults.lock_acquisition_fails() {
         // Injected acquisition failure: indistinguishable from a
         // bounded-wait victimization.
-        lc.stats.injected_faults += 1;
         return Err(TxInterrupt::Restart);
     }
     let mem = lc.sys.mem();
@@ -454,7 +453,6 @@ impl TplWorker {
     fn acquire_declared(&mut self) -> bool {
         loop {
             let busy = if self.lc.faults.lock_acquisition_fails() {
-                self.lc.stats.injected_faults += 1;
                 None
             } else {
                 match self.try_acquire() {
@@ -816,12 +814,13 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn injected_lock_failures_respect_budget_and_exemption() {
-        use crate::faults::{FaultPlan, FaultSpec};
+        use crate::faults::{FaultKind, FaultPlan, FaultSpec};
         let (sys, acc) = bank(1);
-        sys.set_fault_plan(Some(FaultPlan::new(FaultSpec {
+        let plan = FaultPlan::new(FaultSpec {
             lock_fail_permille: 1000,
             ..FaultSpec::default()
-        })));
+        });
+        sys.set_fault_plan(Some(Arc::clone(&plan)));
         let sched = TwoPhaseLocking::new(Arc::clone(&sys));
         let mut w = sched.worker();
         let out = w.execute_bounded(3, &mut |ops| {
@@ -829,7 +828,7 @@ mod tests {
             Ok(())
         });
         assert!(!out.committed, "100% lock-fail injection must starve 2PL");
-        assert_eq!(w.stats().injected_faults, 3);
+        assert_eq!(plan.injected(FaultKind::LockFail), 3);
         assert!(sys.locks().peek(sys.mem(), 0).is_free());
         // Exemption (the serial-token path) bypasses the plan entirely.
         w.set_fault_exempt(true);
@@ -1136,15 +1135,16 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn injected_lock_failures_read_as_busy_on_the_declared_path() {
-        use crate::faults::{FaultPlan, FaultSpec};
+        use crate::faults::{FaultKind, FaultPlan, FaultSpec};
         let (sys, acc) = bank(2);
-        sys.set_fault_plan(Some(FaultPlan::new(FaultSpec {
+        let plan = FaultPlan::new(FaultSpec {
             seed: 7,
             lock_fail_permille: 700,
             lock_stall_permille: 300,
             lock_stall_spins: 16,
             ..FaultSpec::default()
-        })));
+        });
+        sys.set_fault_plan(Some(Arc::clone(&plan)));
         let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
         let footprint = [Declared::write(0), Declared::write(1)];
         for _ in 0..50 {
@@ -1159,7 +1159,7 @@ mod tests {
                 "busy, not a restart"
             );
         }
-        assert!(w.stats().injected_faults > 50, "the plan fired");
+        assert!(plan.injected(FaultKind::LockFail) > 50, "the plan fired");
         assert_eq!(w.stats().restarts, 0);
         assert_eq!(sys.mem().load_direct(acc.addr(1)), 150);
         assert!(all_free(&sys, 2));

@@ -150,11 +150,6 @@ tufast_htm::counters! {
         /// Transaction bodies that panicked on this worker (each rolled back
         /// cleanly before the panic was re-raised).
         pub panics: u64,
-        /// Scheduler-level faults (lock failures/stalls, validation failures,
-        /// preemptions) injected into this worker by the active
-        /// [`FaultPlan`](crate::faults::FaultPlan). HTM-level injected aborts
-        /// are counted on the plan itself.
-        pub injected_faults: u64,
         /// Transactions abandoned at an attempt boundary because the job's
         /// [`CancelToken`](crate::health::CancelToken) was stopped (cancel,
         /// deadline, or shed). Each is a clean rollback: no locks held, no
@@ -301,10 +296,9 @@ mod tests {
             deadlock_victims: 6,
             anon_wait_victims: 7,
             panics: 8,
-            injected_faults: 9,
-            health_stops: 10,
-            r_commits: 11,
-            r_retries: 12,
+            health_stops: 9,
+            r_commits: 10,
+            r_retries: 11,
         };
         let mut m = a.clone();
         m.merge(&SchedStats::from_values(a.values().map(|v| v * 100)));
@@ -319,10 +313,9 @@ mod tests {
                 deadlock_victims: 606,
                 anon_wait_victims: 707,
                 panics: 808,
-                injected_faults: 909,
-                health_stops: 1010,
-                r_commits: 1111,
-                r_retries: 1212,
+                health_stops: 909,
+                r_commits: 1010,
+                r_retries: 1111,
             }
         );
         assert_eq!(
@@ -336,13 +329,12 @@ mod tests {
                 "deadlock_victims",
                 "anon_wait_victims",
                 "panics",
-                "injected_faults",
                 "health_stops",
                 "r_commits",
                 "r_retries",
             ]
         );
-        assert_eq!(a.values(), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+        assert_eq!(a.values(), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
     }
 
     #[test]

@@ -290,7 +290,7 @@ pub(crate) fn run_checkpointed<S, P, F>(
     if let Some(epoch) = last.load(Ordering::Relaxed).checked_sub(1) {
         report.last_epoch = Some(epoch);
     }
-    if let Some(reason) = sys.health().token().reason() {
+    if let Some(reason) = sys.health().reason() {
         // The drain unwound early. All workers have joined, so the pool is
         // quiescent and nothing is mid-transaction: capture one final
         // snapshot so the aborted run's partial progress is durable and
@@ -467,7 +467,7 @@ mod tests {
             crate::bfs::parallel_on(&g, &sched, sys, space, 0, 2, &pool, Some(ckpt)).unwrap()
         };
         let built = crate::setup(&g, BfsSpace::alloc);
-        built.sys.health().token().cancel();
+        built.sys.health().cancel();
         let (_, report) = run(&built, false);
         assert_eq!(report.aborted, Some(AbortReason::Cancelled));
         assert_eq!(report.final_snapshots, 1);

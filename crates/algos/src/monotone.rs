@@ -376,7 +376,7 @@ mod tests {
     fn a_health_stopped_item_records_nothing_and_requeues_itself() {
         let fx = Fixture::new();
         let drain = fx.drain();
-        fx.built.sys.health().token().cancel();
+        fx.built.sys.health().cancel();
         let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
         let pool = FifoPool::new();
         drain.item(&mut sched.worker(), &pool, 0);

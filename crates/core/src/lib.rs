@@ -77,7 +77,6 @@
 pub mod bucket;
 mod config;
 pub mod epoch;
-pub mod health;
 mod hmode;
 mod monitor;
 mod omode;
@@ -90,10 +89,6 @@ mod worker;
 pub use bucket::BucketPool;
 pub use config::TuFastConfig;
 pub use epoch::{parallel_drain_epochs, COORDINATOR_CLAIM};
-pub use health::{
-    AdmissionConfig, AdmissionGate, AdmitPermit, ShedPolicy, Watchdog, WatchdogConfig,
-    WatchdogReport,
-};
 pub use monitor::{expected_committed_work, ContentionMonitor};
 pub use pad::CachePadded;
 pub use par::{fold_sched_counters, take_sched_counters, PoolCounters};
@@ -101,11 +96,13 @@ pub use stats::{ModeBreakdown, ModeClass, TuFastStats};
 pub use steal::{StealDeque, StealPool};
 pub use worker::{TuFast, TuFastWorker};
 
-// The user-facing transaction vocabulary (paper Table I) re-exported so a
-// single `use tufast::...` suffices for application code.
+// The user-facing transaction vocabulary (paper Table I) and the runtime
+// health layer (DESIGN.md §12) re-exported so a single `use tufast::...`
+// suffices for application code.
 pub use tufast_txn::{
-    AbortReason, CancelToken, GraphScheduler, HealthCounters, JobAborted, JobDeadline, TxInterrupt,
-    TxnOps, TxnOutcome, TxnSystem, TxnWorker,
+    AbortReason, AdmissionConfig, AdmissionGate, AdmitPermit, CancelToken, GraphScheduler,
+    HealthCounters, JobAborted, JobDeadline, ShedPolicy, TxInterrupt, TxnOps, TxnOutcome,
+    TxnSystem, TxnWorker, Watchdog, WatchdogConfig, WatchdogReport,
 };
 
 /// Vertex identifier (shared with `tufast-graph` / `tufast-txn`).

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use tufast_htm::{AbortCode, IdTable};
 use tufast_txn::{
-    GraphScheduler, HealthHandle, Lifecycle, SchedStats, TwoPhaseLocking, TxnBody, TxnHint,
+    GraphScheduler, HealthHandle, Lifecycle, Rung, SchedStats, TwoPhaseLocking, TxnBody, TxnHint,
     TxnOutcome, TxnSystem, TxnWorker, Verdict,
 };
 
@@ -55,8 +55,9 @@ impl GraphScheduler for TuFast {
     type Worker = TuFastWorker;
 
     fn worker(&self) -> TuFastWorker {
-        let l_worker = TwoPhaseLocking::new(Arc::clone(&self.sys)).worker();
+        let mut l_worker = TwoPhaseLocking::new(Arc::clone(&self.sys)).worker();
         let me = self.sys.new_worker_id();
+        l_worker.share_slot(me);
         TuFastWorker {
             lc: Lifecycle::new(&self.sys, me),
             h_skip_streak: 0,
@@ -78,7 +79,8 @@ impl GraphScheduler for TuFast {
 }
 
 /// Per-thread TuFast execution state: an HTM context, a contention monitor,
-/// and an embedded L-mode (2PL) worker.
+/// and an embedded L-mode (2PL) worker, which beats this worker's heartbeat
+/// slot.
 pub struct TuFastWorker {
     /// Identity, system, health and fault probes, and the scheduler
     /// counters (`stats.sched` stays empty until a take folds them in).
@@ -159,16 +161,6 @@ impl TuFastWorker {
         attempts_so_far: u32,
         body: &mut TxnBody<'_>,
     ) -> TxnOutcome {
-        // The H and O rungs probe this worker's health at every attempt
-        // boundary; the embedded 2PL worker probes its own. Beat (and obey)
-        // ours once more where the body changes hands, so a worker whose
-        // transactions all route straight to L is not read as stalled.
-        if self.lc.stop_requested() {
-            return TxnOutcome {
-                committed: false,
-                attempts: attempts_so_far,
-            };
-        }
         let out = self
             .l_worker
             .execute_bounded(self.config.l_attempt_budget, body);
@@ -303,9 +295,9 @@ impl TxnWorker for TuFastWorker {
             }
         }
 
-        // Watchdog escalation rung 3: collapse to the single-writer serial
-        // path so a livelocked mix drains behind the global token.
-        if self.lc.health.board().force_serial() {
+        // Watchdog escalation: collapse to the single-writer serial path so
+        // a livelocked mix drains behind the global token.
+        if self.lc.health.escalated(Rung::Serial) {
             return self.serial_commit(hint, ModeClass::L, attempts, body);
         }
 
@@ -622,6 +614,90 @@ mod tests {
     }
 
     #[test]
+    fn no_false_stall_after_an_l_transaction() {
+        use std::time::{Duration, Instant};
+        use tufast_txn::{Watchdog, WatchdogConfig};
+        // One transaction routed to L, then H commits only: the embedded L
+        // worker beats the router's slot, so no slot goes flat while the
+        // router keeps committing.
+        let (sys, data) = setup(2, 16);
+        let mut w = TuFast::new(Arc::clone(&sys)).worker();
+        let bump = &mut |ops: &mut dyn tufast_txn::TxnOps| {
+            let x = ops.read(0, data.addr(0))?;
+            ops.write(0, data.addr(0), x + 1)
+        };
+        assert!(w.execute(1_000_000, bump).committed);
+        let dog = Watchdog::spawn(
+            Arc::clone(&sys),
+            WatchdogConfig {
+                interval: Duration::from_millis(2),
+                grace_scans: 3,
+            },
+        );
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(150) {
+            assert!(w.execute(2, bump).committed, "the live job was stopped");
+        }
+        let report = dog.stop();
+        assert!(!report.cancelled, "{report:?}");
+        let stats = w.take_tufast_stats();
+        assert_eq!(stats.modes.txns(ModeClass::L), 1);
+        assert!(stats.modes.txns(ModeClass::H) > 1);
+    }
+
+    #[test]
+    fn the_serial_rung_routes_every_transaction_through_the_serial_fallback() {
+        let (sys, data) = setup(2, 16);
+        let mut w = TuFast::new(Arc::clone(&sys)).worker();
+        let mut serial_commits = |txns| {
+            for _ in 0..txns {
+                let out = w.execute(2, &mut |ops| ops.write(0, data.addr(0), 1));
+                assert!(out.committed);
+            }
+            w.take_tufast_stats().serial_commits
+        };
+        sys.health().escalate(Rung::Victims);
+        assert_eq!(serial_commits(1), 0, "below the rung");
+        sys.health().escalate(Rung::Serial);
+        assert_eq!(serial_commits(3), 3);
+        sys.begin_job(None);
+        assert_eq!(serial_commits(1), 0, "the next job");
+    }
+
+    #[test]
+    fn taking_worker_stats_leaves_job_outcomes_on_the_board() {
+        use std::time::Duration;
+        use tufast_txn::{AdmissionConfig, AdmissionGate, HealthCounters, ShedPolicy};
+
+        let (sys, _) = setup(4, 8);
+        let gate = AdmissionGate::new(
+            AdmissionConfig {
+                max_concurrent: 1,
+                queue_deadline: Some(Duration::ZERO),
+                policy: ShedPolicy::Reject,
+            },
+            Arc::clone(sys.health()),
+        );
+        let _running = gate.admit().expect("budgeted slot");
+        assert!(gate.admit().is_err(), "over budget must shed");
+        sys.health().note_escalation();
+        let outcomes = sys.health().counters();
+        assert_eq!(
+            outcomes,
+            HealthCounters {
+                watchdog_escalations: 1,
+                jobs_shed: 1,
+                ..Default::default()
+            }
+        );
+        let tufast = TuFast::new(Arc::clone(&sys));
+        let (mut a, mut b) = (tufast.worker(), tufast.worker());
+        let _ = a.take_tufast_stats();
+        let _ = b.take_tufast_stats();
+        assert_eq!(sys.health().counters(), outcomes);
+    }
+
+    #[test]
     fn capacity_overflow_routes_h_to_o() {
         // Small hint (so H is tried) but a body that overflows HTM: must
         // end up committed via O after exactly one H capacity abort.
@@ -653,34 +729,20 @@ mod tests {
     #[test]
     fn wall_clock_deadlines_end_a_blocked_router_transaction() {
         use std::time::{Duration, Instant};
-        use tufast_txn::{HealthConfig, JobDeadline, SystemConfig, WaitConfig};
+        use tufast_txn::JobDeadline;
         // A foreign holder keeps vertex 0 exclusively locked for the whole
         // run: H aborts on the subscribed lock word, O fails LockBusy
-        // (try-only — O never waits), and the L fallback's anonymous waits
-        // victimise on the WaitConfig wall-clock deadline. Only the
-        // job-level deadline can end the retry ladder, so this proves both
-        // clocks thread through the router.
-        let mut layout = MemoryLayout::new();
-        let data = layout.alloc("data", 8);
-        let sys = TxnSystem::build(
-            2,
-            layout,
-            SystemConfig {
-                wait: WaitConfig {
-                    spins: u32::MAX,
-                    deadline: Some(Duration::from_millis(2)),
-                },
-                health: HealthConfig {
-                    deadline: Some(JobDeadline(Duration::from_millis(20))),
-                },
-                ..SystemConfig::default()
-            },
-        );
+        // (try-only — O never waits), and every L-mode lock wait, the
+        // serial fallback's included, victimises when its spin budget runs
+        // out. Only the job-level deadline can end the retry ladder, so
+        // this proves it threads through the router.
+        let (sys, data) = setup(2, 8);
         let blocker = sys.new_worker_id();
         sys.locks().try_exclusive(sys.mem(), 0, blocker).unwrap();
         let tufast = TuFast::new(Arc::clone(&sys));
         let mut w = tufast.worker();
         let t0 = Instant::now();
+        sys.begin_job(Some(JobDeadline(Duration::from_millis(20))));
         let out = w.execute(4, &mut |ops| {
             let x = ops.read(0, data.addr(0))?;
             ops.write(0, data.addr(0), x + 1)
@@ -690,7 +752,7 @@ mod tests {
         assert!(stats.sched.health_stops >= 1);
         assert!(
             stats.sched.anon_wait_victims >= 1,
-            "the L fallback's lock waits never hit the WaitConfig deadline"
+            "the L fallback's lock waits never ran out of spins"
         );
         assert!(
             t0.elapsed() >= Duration::from_millis(20),

@@ -11,8 +11,8 @@
 //!
 //! * A lock held in *shared* mode has anonymous holders (the word stores
 //!   only a count), so no precise edge can be recorded; waiting on readers
-//!   falls back to a bounded wait ([`WaitConfig`]: spins plus an optional
-//!   wall-clock deadline), after which the requester aborts as the victim.
+//!   falls back to a bounded wait ([`ANON_WAIT_SPINS`] spins), after which
+//!   the requester aborts as the victim.
 //! * The paper also describes deadlock *prevention* by global lock
 //!   ordering; that is implemented at the scheduler level: the commit
 //!   paths lock their lines in sorted order, and 2PL's declared path
@@ -30,8 +30,7 @@
 //! anonymous waits scale their spin budget the same way. Counts reset on
 //! the worker's next commit.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Result of a blocking wait attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,28 +42,10 @@ pub enum WaitOutcome {
     Victim,
 }
 
-/// Budget of the bounded wait on anonymous (reader-held) locks.
-#[derive(Clone, Copy, Debug)]
-pub struct WaitConfig {
-    /// Spin iterations before the waiter self-aborts as the victim.
-    /// Scaled up (×2 per recent victimization, capped at ×8) by priority
-    /// aging.
-    pub spins: u32,
-    /// Optional wall-clock bound on one anonymous wait; when set, the
-    /// waiter becomes the victim as soon as it is exceeded, regardless of
-    /// the spin budget. `None` (the default) disables the clock check —
-    /// the spin budget alone bounds the wait.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for WaitConfig {
-    fn default() -> Self {
-        WaitConfig {
-            spins: 10_000,
-            deadline: None,
-        }
-    }
-}
+/// Spin iterations of the bounded wait on anonymous (reader-held) locks
+/// before the waiter self-aborts as the victim. Scaled up (×2 per recent
+/// victimization, capped at ×8) by priority aging.
+pub const ANON_WAIT_SPINS: u32 = 10_000;
 
 /// Maximum left-shift applied to the spin budget by priority aging.
 const MAX_AGING_SHIFT: u32 = 3;
@@ -76,48 +57,20 @@ pub struct WaitForTable {
     /// Recent victimizations per worker (reset on commit): the priority
     /// used for victim-selection fairness.
     victims: Box<[AtomicU32]>,
-    /// Watchdog escalation 2: when set, every bounded wait victimizes
-    /// immediately — the heavy hammer that breaks waits the cycle
-    /// detector cannot see (anonymous reader-held locks, cross-scheduler
-    /// stalls).
-    force_victims: AtomicBool,
-    config: WaitConfig,
 }
 
 impl WaitForTable {
-    /// A table for up to `max_workers` workers with the given wait budget.
-    pub fn new(max_workers: usize, config: WaitConfig) -> Self {
-        assert!(config.spins >= 1, "wait budget must allow at least 1 spin");
+    /// A table for up to `max_workers` workers.
+    pub fn new(max_workers: usize) -> Self {
         WaitForTable {
             waits: (0..max_workers).map(|_| AtomicU32::new(0)).collect(),
             victims: (0..max_workers).map(|_| AtomicU32::new(0)).collect(),
-            force_victims: AtomicBool::new(false),
-            config,
         }
-    }
-
-    /// Set (or clear) the watchdog's force-victim flag: while set, every
-    /// [`bounded_anonymous_wait`](Self::bounded_anonymous_wait) returns
-    /// [`WaitOutcome::Victim`] at once.
-    pub fn set_force_victims(&self, on: bool) {
-        self.force_victims.store(on, Ordering::Release);
-    }
-
-    /// Whether the watchdog's force-victim flag is set.
-    #[inline]
-    pub fn force_victims(&self) -> bool {
-        self.force_victims.load(Ordering::Relaxed)
     }
 
     /// Number of workers the table covers.
     pub fn capacity(&self) -> usize {
         self.waits.len()
-    }
-
-    /// The configured wait budget.
-    #[inline]
-    pub fn config(&self) -> &WaitConfig {
-        &self.config
     }
 
     /// Record that `me` waits for `holder` and check for a cycle. Returns
@@ -167,28 +120,12 @@ impl WaitForTable {
 
     /// Spin-wait bounded for anonymous holders (shared locks). Returns
     /// [`WaitOutcome::Victim`] when the spin budget (scaled by `me`'s
-    /// aging factor) or the configured deadline is exhausted. `started`
-    /// is the instant the caller began this wait; it is only consulted
-    /// when a deadline is configured.
-    pub fn bounded_anonymous_wait(
-        &self,
-        me: u32,
-        attempt: u32,
-        started: Option<Instant>,
-    ) -> WaitOutcome {
-        if self.force_victims() {
-            self.record_victim(me);
-            return WaitOutcome::Victim;
-        }
-        if let (Some(deadline), Some(t0)) = (self.config.deadline, started) {
-            if t0.elapsed() >= deadline {
-                self.record_victim(me);
-                return WaitOutcome::Victim;
-            }
-        }
+    /// aging factor) is exhausted, or at once when `escalated`: the job's
+    /// watchdog stands at [`Rung::Victims`](crate::health::Rung::Victims)
+    /// or above.
+    pub fn bounded_anonymous_wait(&self, me: u32, attempt: u32, escalated: bool) -> WaitOutcome {
         let shift = self.victim_count(me).min(MAX_AGING_SHIFT);
-        let budget = self.config.spins.checked_shl(shift).unwrap_or(u32::MAX);
-        if attempt >= budget {
+        if escalated || attempt >= ANON_WAIT_SPINS << shift {
             self.record_victim(me);
             return WaitOutcome::Victim;
         }
@@ -238,7 +175,7 @@ mod tests {
     use super::*;
 
     fn table(n: usize) -> WaitForTable {
-        WaitForTable::new(n, WaitConfig::default())
+        WaitForTable::new(n)
     }
 
     #[test]
@@ -278,44 +215,22 @@ mod tests {
     #[test]
     fn bounded_wait_eventually_victimises() {
         let t = table(2);
-        assert_eq!(t.bounded_anonymous_wait(0, 0, None), WaitOutcome::Retry);
+        assert_eq!(t.bounded_anonymous_wait(0, 0, false), WaitOutcome::Retry);
         assert_eq!(
-            t.bounded_anonymous_wait(0, t.config().spins, None),
+            t.bounded_anonymous_wait(0, ANON_WAIT_SPINS, false),
             WaitOutcome::Victim
         );
     }
 
     #[test]
-    fn deadline_bounds_the_wait_in_wall_clock_time() {
-        let t = WaitForTable::new(
-            2,
-            WaitConfig {
-                spins: u32::MAX,
-                deadline: Some(Duration::from_millis(1)),
-            },
-        );
-        let t0 = Instant::now();
-        let mut attempt = 0;
-        while t.bounded_anonymous_wait(0, attempt, Some(t0)) == WaitOutcome::Retry {
-            attempt += 1;
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "deadline never fired"
-            );
-        }
-        assert!(t0.elapsed() >= Duration::from_millis(1));
-    }
-
-    #[test]
     fn force_victims_short_circuits_every_bounded_wait() {
+        // `escalated`: the job's watchdog stands at the Victims rung.
         let t = table(2);
-        assert_eq!(t.bounded_anonymous_wait(0, 0, None), WaitOutcome::Retry);
-        t.set_force_victims(true);
-        assert_eq!(t.bounded_anonymous_wait(0, 0, None), WaitOutcome::Victim);
-        t.set_force_victims(false);
+        assert_eq!(t.bounded_anonymous_wait(0, 0, false), WaitOutcome::Retry);
+        assert_eq!(t.bounded_anonymous_wait(0, 0, true), WaitOutcome::Victim);
         // Aging from the forced victimization scales the budget; attempt 0
         // is still within it.
-        assert_eq!(t.bounded_anonymous_wait(0, 0, None), WaitOutcome::Retry);
+        assert_eq!(t.bounded_anonymous_wait(0, 0, false), WaitOutcome::Retry);
     }
 
     #[test]
@@ -341,12 +256,12 @@ mod tests {
     #[test]
     fn aging_scales_the_anonymous_budget() {
         let t = table(2);
-        let base = t.config().spins;
+        let base = ANON_WAIT_SPINS;
         t.record_victim(0);
         // One recent victimization doubles the budget.
-        assert_eq!(t.bounded_anonymous_wait(0, base, None), WaitOutcome::Retry);
+        assert_eq!(t.bounded_anonymous_wait(0, base, false), WaitOutcome::Retry);
         assert_eq!(
-            t.bounded_anonymous_wait(0, base * 2, None),
+            t.bounded_anonymous_wait(0, base * 2, false),
             WaitOutcome::Victim
         );
         // The scale factor is capped.
@@ -354,7 +269,7 @@ mod tests {
             t.record_victim(1);
         }
         assert_eq!(
-            t.bounded_anonymous_wait(1, base.saturating_mul(8), None),
+            t.bounded_anonymous_wait(1, base.saturating_mul(8), false),
             WaitOutcome::Victim
         );
     }

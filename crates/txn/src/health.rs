@@ -1,26 +1,41 @@
-//! Runtime health primitives: job deadlines, cooperative cancellation and
-//! per-worker heartbeats.
+//! Runtime health: job deadlines, cooperative cancellation, per-worker
+//! heartbeats, the watchdog that reads them and the admission gate in
+//! front of the drivers (DESIGN.md §12).
 //!
-//! This is the substrate layer: a [`CancelToken`] every scheduler probes at
-//! attempt boundaries, a [`HealthBoard`] of per-worker heartbeat slots, and
-//! the [`HealthHandle`] workers carry. The policy layer — the watchdog that
-//! scans the board and the admission gate in front of the drivers — lives
-//! in the `tufast` crate (`tufast::health`), because escalation targets
-//! (the serial-fallback token, the drain pools) are wired up there.
+//! A system's [`HealthBoard`] is the one place a job's health lives: one
+//! heartbeat slot per worker thread, the armed deadline, the cumulative
+//! outcome counters and the *job-state word*. That word packs the stop
+//! reason (live, cancelled, deadline, shed; the first stop wins) with the
+//! watchdog's escalation [`Rung`] (monotone within a job); zero means live
+//! and healthy, and [`HealthBoard::begin_job`] stores zero. Each reader
+//! compares the word against the rung it cares about:
+//! [`HealthHandle::checkpoint`] backs off from [`Rung::Boost`], 2PL's
+//! bounded anonymous lock wait victimises from [`Rung::Victims`], and the
+//! TuFast router goes serial from [`Rung::Serial`].
+//!
+//! * [`Watchdog`] — a scan thread over the board that tells *parked-idle*
+//!   from *stalled* (beat flat on a non-idle slot) and *livelocked*
+//!   (commits flat while restarts climb), and climbs the ladder one rung
+//!   per `grace_scans` unhealthy scans up to cancelling the job.
+//! * [`AdmissionGate`] — a semaphore-style intake gate with a concurrency
+//!   budget and a queue deadline; over-budget jobs are shed, either
+//!   rejected with a typed [`JobAborted`] or redirected to a
+//!   single-threaded serial run.
 //!
 //! Design rule: probes must be near-free on the hot path. A worker's
-//! [`HealthHandle::checkpoint`] is one relaxed heartbeat increment plus one
-//! relaxed load of the job's cancel word; the wall clock is sampled only
-//! every [`DEADLINE_PROBE_PERIOD`] checkpoints, and a past deadline
-//! *latches* into the cancel word, so every later probe is again a single
-//! load.
+//! checkpoint is one relaxed heartbeat increment plus one relaxed load of
+//! the job-state word; the wall clock is sampled only every
+//! [`DEADLINE_PROBE_PERIOD`] checkpoints, and a past deadline latches into
+//! the word, so every later probe is again a single load.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tufast_htm::AtomicCounters;
+
+use crate::system::TxnSystem;
 
 /// Heartbeat checkpoints between wall-clock deadline samples.
 ///
@@ -30,17 +45,21 @@ use tufast_htm::AtomicCounters;
 /// transaction while making the common probe branch-predictable.
 pub const DEADLINE_PROBE_PERIOD: u32 = 32;
 
-/// Why the health subsystem stopped a job.
+/// Extra spins a checkpoint serves once the ladder reaches [`Rung::Boost`].
+const BOOST_SPINS: u32 = 256;
+
+/// Why the health subsystem stopped a job. The discriminant is the stop
+/// reason's code in the job-state word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbortReason {
-    /// [`CancelToken::cancel`] was called — by the user, or by the
+    /// [`HealthBoard::cancel`] was called — by the user, or by the
     /// watchdog at the top of its escalation ladder.
-    Cancelled,
+    Cancelled = 1,
     /// The job ran past its [`JobDeadline`].
-    Deadline,
+    Deadline = 2,
     /// Admission control refused the job or timed it out of the intake
     /// queue.
-    Shed,
+    Shed = 3,
 }
 
 impl AbortReason {
@@ -84,173 +103,71 @@ impl std::fmt::Display for JobAborted {
 
 impl std::error::Error for JobAborted {}
 
-/// Wall-clock budget for one job, measured from the moment the deadline is
-/// armed (system build or [`HealthBoard::begin_job`]).
+/// Wall-clock budget for one job, measured from the
+/// [`HealthBoard::begin_job`] that arms it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobDeadline(pub Duration);
 
-/// Health knobs carried in [`SystemConfig`](crate::SystemConfig).
-#[derive(Clone, Debug, Default)]
-pub struct HealthConfig {
-    /// Arm this wall-clock budget when the system is built. Re-armable per
-    /// job via [`HealthBoard::begin_job`].
-    pub deadline: Option<JobDeadline>,
+/// The watchdog's escalation ladder, in the order it is climbed. Each rung
+/// includes every rung below it, and within a job the rung never moves
+/// down.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rung {
+    /// No escalation.
+    Healthy,
+    /// Every health checkpoint serves extra backoff, so conflicting
+    /// attempts spread out in time without any worker parking.
+    Boost,
+    /// Every bounded lock wait victimises at once, breaking waits the
+    /// cycle detector cannot see (anonymous reader-held locks).
+    Victims,
+    /// TuFast routes new transactions to the global serial fallback, the
+    /// one rung that cannot livelock.
+    Serial,
+    /// The job is cancelled; workers unwind at their next checkpoint.
+    Cancel,
 }
 
-// Cancel-word states. LIVE must be zero so a freshly-zeroed word means
-// "running"; the nonzero states are latched once and map 1:1 onto
-// `AbortReason`.
-const STATE_LIVE: u8 = 0;
-const STATE_CANCELLED: u8 = 1;
-const STATE_DEADLINE: u8 = 2;
-const STATE_SHED: u8 = 3;
+const LADDER: [Rung; 5] = [
+    Rung::Healthy,
+    Rung::Boost,
+    Rung::Victims,
+    Rung::Serial,
+    Rung::Cancel,
+];
+
+// The job-state word: the stop reason's code in the low two bits (zero
+// while live), the rung above them.
+const REASON_BITS: u32 = 0b11;
+const RUNG_SHIFT: u32 = 2;
+
+#[inline]
+fn reason_of(word: u32) -> Option<AbortReason> {
+    match word & REASON_BITS {
+        0 => None,
+        1 => Some(AbortReason::Cancelled),
+        2 => Some(AbortReason::Deadline),
+        _ => Some(AbortReason::Shed),
+    }
+}
+
+#[inline]
+fn at_least(word: u32, rung: Rung) -> bool {
+    word >> RUNG_SHIFT >= rung as u32
+}
+
+/// Extra spins a checkpoint serves under the job-state word `word`.
+#[inline]
+fn backoff_spins(word: u32) -> u32 {
+    if at_least(word, Rung::Boost) {
+        BOOST_SPINS
+    } else {
+        0
+    }
+}
 
 /// Sentinel in the deadline word: no deadline armed.
 const DEADLINE_NONE: u64 = u64::MAX;
-
-fn state_to_reason(state: u8) -> Option<AbortReason> {
-    match state {
-        STATE_CANCELLED => Some(AbortReason::Cancelled),
-        STATE_DEADLINE => Some(AbortReason::Deadline),
-        STATE_SHED => Some(AbortReason::Shed),
-        _ => None,
-    }
-}
-
-struct TokenInner {
-    /// `STATE_*` — zero while the job may run, latched nonzero to stop it.
-    state: AtomicU8,
-    /// Epoch the deadline offset is measured from (token creation).
-    base: Instant,
-    /// Nanoseconds after `base` at which the job times out, or
-    /// [`DEADLINE_NONE`].
-    deadline_ns: AtomicU64,
-}
-
-/// Shared stop-flag for one job: cloned into every worker, the watchdog,
-/// and the caller that may want to cancel.
-///
-/// Cancellation is *cooperative*: setting the token does not interrupt
-/// anything by itself; workers notice it at their next attempt/dequeue
-/// boundary — points where no locks are held and no hardware transaction
-/// is open — and unwind cleanly.
-#[derive(Clone)]
-pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for CancelToken {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelToken")
-            .field("reason", &self.reason())
-            .finish()
-    }
-}
-
-impl CancelToken {
-    /// A live token with no deadline.
-    pub fn new() -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner {
-                state: AtomicU8::new(STATE_LIVE),
-                base: Instant::now(),
-                deadline_ns: AtomicU64::new(DEADLINE_NONE),
-            }),
-        }
-    }
-
-    /// Stop the job with [`AbortReason::Cancelled`].
-    pub fn cancel(&self) {
-        self.stop(AbortReason::Cancelled);
-    }
-
-    /// Stop the job with an explicit reason. The first reason to land
-    /// wins; later calls are no-ops, so the reason a worker observes is
-    /// stable.
-    pub fn stop(&self, reason: AbortReason) {
-        let code = match reason {
-            AbortReason::Cancelled => STATE_CANCELLED,
-            AbortReason::Deadline => STATE_DEADLINE,
-            AbortReason::Shed => STATE_SHED,
-        };
-        let _ = self.inner.state.compare_exchange(
-            STATE_LIVE,
-            code,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-    }
-
-    /// Arm (or move) the wall-clock deadline, measured from now.
-    pub fn arm_deadline(&self, deadline: JobDeadline) {
-        let now_ns = self.inner.base.elapsed().as_nanos() as u64;
-        let at = now_ns.saturating_add(deadline.0.as_nanos().min(u128::from(u64::MAX)) as u64);
-        self.inner.deadline_ns.store(at, Ordering::Release);
-    }
-
-    /// Remove any armed deadline (an already-latched timeout stays
-    /// latched).
-    pub fn clear_deadline(&self) {
-        self.inner
-            .deadline_ns
-            .store(DEADLINE_NONE, Ordering::Release);
-    }
-
-    /// Re-arm the token for a fresh job: clear the latched state and
-    /// install `deadline` (or none).
-    pub fn reset(&self, deadline: Option<JobDeadline>) {
-        self.inner.state.store(STATE_LIVE, Ordering::Release);
-        match deadline {
-            Some(d) => self.arm_deadline(d),
-            None => self.clear_deadline(),
-        }
-    }
-
-    /// The latched stop reason, if any. One relaxed load — this is the
-    /// hot-path probe.
-    #[inline]
-    pub fn reason(&self) -> Option<AbortReason> {
-        state_to_reason(self.inner.state.load(Ordering::Relaxed))
-    }
-
-    /// Whether the job must stop (fast path; does not sample the clock).
-    #[inline]
-    pub fn is_stopped(&self) -> bool {
-        self.reason().is_some()
-    }
-
-    /// Full probe: check the latched state *and* the wall clock, latching
-    /// [`AbortReason::Deadline`] if the budget ran out.
-    pub fn poll(&self) -> Option<AbortReason> {
-        if let Some(reason) = self.reason() {
-            return Some(reason);
-        }
-        let at = self.inner.deadline_ns.load(Ordering::Acquire);
-        if at != DEADLINE_NONE && self.inner.base.elapsed().as_nanos() as u64 >= at {
-            self.stop(AbortReason::Deadline);
-            return self.reason();
-        }
-        None
-    }
-
-    /// Wall-clock budget left before the armed deadline (`None` when no
-    /// deadline is armed). The admission gate uses this to bound its queue
-    /// wait.
-    pub fn remaining(&self) -> Option<Duration> {
-        let at = self.inner.deadline_ns.load(Ordering::Acquire);
-        if at == DEADLINE_NONE {
-            return None;
-        }
-        let now_ns = self.inner.base.elapsed().as_nanos() as u64;
-        Some(Duration::from_nanos(at.saturating_sub(now_ns)))
-    }
-}
 
 /// Local 128-byte-aligned wrapper so each worker's heartbeat slot owns its
 /// cache line (the `tufast` crate has `CachePadded`, but this crate sits
@@ -259,7 +176,8 @@ impl CancelToken {
 #[derive(Default)]
 struct Padded<T>(T);
 
-/// One worker's heartbeat slot. Owner-written (relaxed), watchdog-read.
+/// One worker thread's heartbeat slot. Owner-written (relaxed),
+/// watchdog-read.
 #[derive(Default)]
 struct HeartSlot {
     /// Monotone liveness counter, bumped at every attempt/dequeue
@@ -269,8 +187,8 @@ struct HeartSlot {
     commits: AtomicU64,
     /// Attempt restarts by this worker.
     restarts: AtomicU64,
-    /// Set while the worker is parked/spinning on an empty pool, so the
-    /// watchdog can tell parked-idle from stalled.
+    /// Set while the worker is parked on an empty pool, or for good once
+    /// its handle is dropped, so the watchdog can tell quiet from stalled.
     idle: AtomicBool,
 }
 
@@ -304,45 +222,42 @@ tufast_htm::counters! {
 }
 
 /// Per-system health state: one heartbeat slot per worker id, the current
-/// job's [`CancelToken`], the watchdog's escalation flags, and the
-/// cumulative outcome counters.
+/// job's state word and deadline, and the cumulative outcome counters.
 pub struct HealthBoard {
     slots: Box<[Padded<HeartSlot>]>,
-    token: CancelToken,
-    /// Watchdog escalation level 1: extra backoff applied inside every
-    /// health checkpoint (0 = none; each step roughly doubles the spin).
-    boost: AtomicU32,
-    /// Watchdog escalation level 3: route TuFast transactions straight to
-    /// the global serial-fallback token. (Level 2 lives on the wait-for
-    /// table, which is what the lock waiters consult.)
-    force_serial: AtomicBool,
+    /// The job-state word (see the module docs).
+    state: AtomicU32,
+    /// Epoch the deadline offset is measured from (board creation).
+    base: Instant,
+    /// Nanoseconds after `base` at which the job times out, or
+    /// [`DEADLINE_NONE`].
+    deadline_ns: AtomicU64,
     outcomes: AtomicCounters<{ HealthCounters::N }>,
 }
 
+/// A handle that stops a system's job from any thread: the board itself,
+/// shared. Clone [`TxnSystem::cancel_token`] into the canceller.
+pub type CancelToken = Arc<HealthBoard>;
+
 impl HealthBoard {
-    /// A board with `workers` heartbeat slots and a fresh live token.
+    /// A board with `workers` heartbeat slots, live and healthy, with no
+    /// deadline armed.
     pub fn new(workers: usize) -> Self {
         HealthBoard {
             slots: (0..workers.max(1)).map(|_| Padded::default()).collect(),
-            token: CancelToken::new(),
-            boost: AtomicU32::new(0),
-            force_serial: AtomicBool::new(false),
+            state: AtomicU32::new(0),
+            base: Instant::now(),
+            deadline_ns: AtomicU64::new(DEADLINE_NONE),
             outcomes: AtomicCounters::new(),
         }
     }
 
+    /// `worker`'s slot. Worker ids are bounded by
+    /// `SystemConfig::max_workers` (enforced in `new_worker_id`), which
+    /// sizes this board: an id past it is a bug, not a slot to share.
     #[inline]
     fn slot(&self, worker: u32) -> &HeartSlot {
-        // Worker ids are bounded by `SystemConfig::max_workers` (enforced
-        // in `new_worker_id`), which sizes this board; the modulo is a
-        // belt-and-braces guard, not an expected path.
-        &self.slots[worker as usize % self.slots.len()].0
-    }
-
-    /// The current job's cancel token.
-    #[inline]
-    pub fn token(&self) -> &CancelToken {
-        &self.token
+        &self.slots[worker as usize].0
     }
 
     /// Number of heartbeat slots.
@@ -350,13 +265,79 @@ impl HealthBoard {
         self.slots.len()
     }
 
-    /// Re-arm the board for a fresh job: reset the token with `deadline`
-    /// and drop any escalation state left by the previous job's watchdog.
-    /// Cumulative counters are preserved.
+    /// Re-arm the board for a fresh job: the job-state word back to zero
+    /// (live, healthy) and `deadline` armed from now (or none). Cumulative
+    /// counters are kept.
     pub fn begin_job(&self, deadline: Option<JobDeadline>) {
-        self.token.reset(deadline);
-        self.boost.store(0, Ordering::Release);
-        self.force_serial.store(false, Ordering::Release);
+        // Deadline first: a probe in between must not latch the previous
+        // job's expired deadline into the fresh word.
+        let at = deadline.map_or(DEADLINE_NONE, |d| {
+            let budget = d.0.as_nanos().min(u128::from(u64::MAX)) as u64;
+            self.now_ns().saturating_add(budget)
+        });
+        self.deadline_ns.store(at, Ordering::Release);
+        self.state.store(0, Ordering::Release);
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.base.elapsed().as_nanos() as u64
+    }
+
+    /// The latched stop reason, if any. One relaxed load.
+    #[inline]
+    pub fn reason(&self) -> Option<AbortReason> {
+        reason_of(self.state.load(Ordering::Relaxed))
+    }
+
+    /// Whether the job must stop (does not sample the clock).
+    #[inline]
+    pub fn is_stopped(&self) -> bool {
+        self.reason().is_some()
+    }
+
+    /// The job's escalation rung.
+    pub fn rung(&self) -> Rung {
+        LADDER[(self.state.load(Ordering::Relaxed) >> RUNG_SHIFT) as usize]
+    }
+
+    /// Stop the job with `reason`. The first reason to land wins; later
+    /// calls are no-ops, so the reason a worker observes is stable.
+    pub fn stop(&self, reason: AbortReason) {
+        let _ = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+                (word & REASON_BITS == 0).then_some(word | reason as u32)
+            });
+    }
+
+    /// Stop the job with [`AbortReason::Cancelled`].
+    pub fn cancel(&self) {
+        self.stop(AbortReason::Cancelled);
+    }
+
+    /// Climb to `rung`; a rung at or below the current one is a no-op.
+    /// The watchdog's step; at [`Rung::Cancel`] it also cancels the job.
+    pub fn escalate(&self, rung: Rung) {
+        let _ = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
+                (!at_least(word, rung))
+                    .then_some((word & REASON_BITS) | ((rung as u32) << RUNG_SHIFT))
+            });
+    }
+
+    /// Full probe: the latched reason *and* the wall clock, latching
+    /// [`AbortReason::Deadline`] if the budget ran out.
+    pub fn poll(&self) -> Option<AbortReason> {
+        if let Some(reason) = self.reason() {
+            return Some(reason);
+        }
+        let at = self.deadline_ns.load(Ordering::Acquire);
+        if at != DEADLINE_NONE && self.now_ns() >= at {
+            self.stop(AbortReason::Deadline);
+            return self.reason();
+        }
+        None
     }
 
     /// Bump `worker`'s liveness counter (owner-only). Single-writer, so a
@@ -392,8 +373,8 @@ impl HealthBoard {
         );
     }
 
-    /// Flag `worker` as parked/spinning on an empty pool (or back at
-    /// work), so the watchdog does not read an idle worker as stalled.
+    /// Flag `worker` as parked on an empty pool (or back at work), so the
+    /// watchdog does not read an idle worker as stalled.
     #[inline]
     pub fn set_idle(&self, worker: u32, idle: bool) {
         self.slot(worker).idle.store(idle, Ordering::Relaxed);
@@ -408,29 +389,6 @@ impl HealthBoard {
             restarts: s.restarts.load(Ordering::Relaxed),
             idle: s.idle.load(Ordering::Relaxed),
         }
-    }
-
-    /// Current backoff-boost level (escalation 1).
-    #[inline]
-    pub fn backoff_boost(&self) -> u32 {
-        self.boost.load(Ordering::Relaxed)
-    }
-
-    /// Set the backoff-boost level.
-    pub fn set_backoff_boost(&self, level: u32) {
-        self.boost.store(level, Ordering::Release);
-    }
-
-    /// Whether TuFast should route transactions straight to the serial
-    /// fallback (escalation 3).
-    #[inline]
-    pub fn force_serial(&self) -> bool {
-        self.force_serial.load(Ordering::Relaxed)
-    }
-
-    /// Set the force-serial flag.
-    pub fn set_force_serial(&self, on: bool) {
-        self.force_serial.store(on, Ordering::Release);
     }
 
     /// Count one watchdog escalation-ladder step.
@@ -464,7 +422,8 @@ impl std::fmt::Debug for HealthBoard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HealthBoard")
             .field("workers", &self.slots.len())
-            .field("token", &self.token)
+            .field("reason", &self.reason())
+            .field("rung", &self.rung())
             .field("counters", &self.counters())
             .finish()
     }
@@ -472,7 +431,8 @@ impl std::fmt::Debug for HealthBoard {
 
 /// Per-worker health probe, snapshotted from the system at worker creation
 /// (like `FaultHandle`). Carried by every scheduler worker and probed at
-/// attempt boundaries.
+/// attempt boundaries. Dropping it marks its slot idle for good: a worker
+/// that is gone is quiet, not stalled.
 pub struct HealthHandle {
     board: Arc<HealthBoard>,
     worker: u32,
@@ -484,6 +444,8 @@ pub struct HealthHandle {
 impl HealthHandle {
     /// A handle writing into `worker`'s slot on `board`.
     pub fn attached(board: Arc<HealthBoard>, worker: u32) -> Self {
+        // Checked here, so the drop's slot access cannot panic.
+        assert!((worker as usize) < board.capacity(), "no slot {worker}");
         HealthHandle {
             board,
             worker,
@@ -491,51 +453,30 @@ impl HealthHandle {
         }
     }
 
-    /// The worker id this handle beats for.
-    pub fn worker(&self) -> u32 {
-        self.worker
-    }
-
-    /// The shared board.
-    pub fn board(&self) -> &Arc<HealthBoard> {
-        &self.board
-    }
-
-    /// The attempt-boundary probe: bump the heartbeat, serve any
-    /// watchdog-requested extra backoff, and report whether the job must
-    /// stop. Callers see `Some(reason)` at a point where no locks are held
-    /// and no hardware transaction is open, and unwind from there.
+    /// The attempt-boundary probe: bump the heartbeat, serve the backoff
+    /// of [`Rung::Boost`], and report whether the job must stop. Callers
+    /// see `Some(reason)` at a point where no locks are held and no
+    /// hardware transaction is open, and unwind from there.
     #[inline]
     pub fn checkpoint(&self) -> Option<AbortReason> {
         self.board.beat(self.worker);
-        let boost = self.board.backoff_boost();
-        if boost > 0 {
-            // Escalation 1: slow the retry storm down without parking —
-            // roughly doubling per level, capped so level overflow cannot
-            // freeze a worker.
-            for _ in 0..(64u32 << boost.min(6)) {
-                std::hint::spin_loop();
-            }
+        let word = self.board.state.load(Ordering::Relaxed);
+        for _ in 0..backoff_spins(word) {
+            std::hint::spin_loop();
         }
         let probes = self.probes.get().wrapping_add(1);
         self.probes.set(probes);
         if probes.is_multiple_of(DEADLINE_PROBE_PERIOD) {
-            self.board.token().poll()
+            self.board.poll()
         } else {
-            self.board.token().reason()
+            reason_of(word)
         }
     }
 
-    /// Fast stop check without a heartbeat bump (pool drain loops call
-    /// this between items).
+    /// Whether the job's ladder stands at `rung` or above.
     #[inline]
-    pub fn stopped(&self) -> bool {
-        self.board.token().is_stopped()
-    }
-
-    /// Force a full probe including the wall clock.
-    pub fn poll(&self) -> Option<AbortReason> {
-        self.board.token().poll()
+    pub fn escalated(&self, rung: Rung) -> bool {
+        at_least(self.board.state.load(Ordering::Relaxed), rung)
     }
 
     /// Record a commit on this worker's slot.
@@ -557,6 +498,12 @@ impl HealthHandle {
     }
 }
 
+impl Drop for HealthHandle {
+    fn drop(&mut self) {
+        self.set_idle(true);
+    }
+}
+
 impl std::fmt::Debug for HealthHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HealthHandle")
@@ -565,47 +512,386 @@ impl std::fmt::Debug for HealthHandle {
     }
 }
 
+/// Watchdog tuning knobs.
+#[derive(Clone, Debug)]
+pub struct WatchdogConfig {
+    /// Time between board scans.
+    pub interval: Duration,
+    /// Consecutive unhealthy scans before the next escalation rung is
+    /// taken. The ladder therefore reaches the final cancel after
+    /// `4 * grace_scans` unhealthy scans.
+    pub grace_scans: u32,
+}
+
+impl Default for WatchdogConfig {
+    fn default() -> Self {
+        WatchdogConfig {
+            // Graph-analytics transactions finish in micro- to
+            // milliseconds; ~10ms scans notice a wedged job fast while the
+            // scan thread stays invisible in profiles.
+            interval: Duration::from_millis(10),
+            grace_scans: 3,
+        }
+    }
+}
+
+impl WatchdogConfig {
+    /// Panics on nonsensical settings.
+    pub fn validate(&self) {
+        assert!(self.interval > Duration::ZERO, "interval must be nonzero");
+        assert!(self.grace_scans > 0, "grace_scans must be nonzero");
+    }
+}
+
+/// What the watchdog saw and did, returned by [`Watchdog::stop`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WatchdogReport {
+    /// Board scans performed.
+    pub scans: u64,
+    /// Scans that found a stalled worker (beat flat, not idle).
+    pub stall_scans: u64,
+    /// Scans that found the job livelocked (commits flat, restarts
+    /// climbing).
+    pub livelock_scans: u64,
+    /// Escalation rungs taken (0–4).
+    pub rungs_taken: u32,
+    /// Whether the ladder reached its top and cancelled the job.
+    pub cancelled: bool,
+}
+
+/// A running heartbeat watchdog; see the module docs for the detection
+/// rules and the ladder.
+///
+/// Spawn it around a job (a drain call), then [`stop`](Watchdog::stop) it
+/// after the workers join. The rung it climbs is the board's, so the next
+/// `begin_job` starts the next job back on [`Rung::Healthy`].
+pub struct Watchdog {
+    stop: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<WatchdogReport>,
+}
+
+impl Watchdog {
+    /// Start scanning `sys`'s health board.
+    pub fn spawn(sys: Arc<TxnSystem>, config: WatchdogConfig) -> Self {
+        config.validate();
+        let board = Arc::clone(sys.health());
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || watch(&board, &config, &stop2));
+        Watchdog { stop, thread }
+    }
+
+    /// Stop the scan thread and collect its report.
+    pub fn stop(self) -> WatchdogReport {
+        self.stop.store(true, Ordering::Release);
+        // The scan thread never blocks unboundedly (it sleeps in
+        // `interval` steps), so this join is prompt; a panic in the scan
+        // loop would be a bug worth surfacing loudly.
+        self.thread.join().expect("watchdog thread panicked")
+    }
+}
+
+fn watch(board: &HealthBoard, config: &WatchdogConfig, stop: &AtomicBool) -> WatchdogReport {
+    let mut report = WatchdogReport::default();
+    let mut prev = snapshot(board);
+    let mut strikes = 0u32;
+    while !stop.load(Ordering::Acquire) {
+        std::thread::sleep(config.interval);
+        let now = snapshot(board);
+        report.scans += 1;
+        let verdict = judge(&prev, &now);
+        prev = now;
+        report.stall_scans += u64::from(verdict.stalled);
+        report.livelock_scans += u64::from(verdict.livelocked);
+        // The ladder only matters while the job can still run; after a
+        // stop is latched (by us, a deadline, or the caller) the workers
+        // are already unwinding.
+        if board.is_stopped() || !(verdict.stalled || verdict.livelocked) {
+            strikes = 0;
+            continue;
+        }
+        strikes += 1;
+        let Some(&next) = LADDER.get(board.rung() as usize + 1) else {
+            continue;
+        };
+        if strikes < config.grace_scans {
+            continue;
+        }
+        strikes = 0;
+        board.escalate(next);
+        board.note_escalation();
+        report.rungs_taken += 1;
+        if next == Rung::Cancel {
+            board.cancel();
+            report.cancelled = true;
+        }
+    }
+    report
+}
+
+fn snapshot(board: &HealthBoard) -> Vec<HeartbeatView> {
+    (0..board.capacity() as u32)
+        .map(|w| board.view(w))
+        .collect()
+}
+
+struct Verdict {
+    stalled: bool,
+    livelocked: bool,
+}
+
+/// Compare two consecutive board snapshots.
+///
+/// * **Stalled**: some worker that has beaten at least once is not flagged
+///   idle, yet its beat did not advance over the scan interval — it is
+///   wedged inside an attempt or a lock wait. (Fresh slots with `beat == 0`
+///   belong to workers that never started; they are not stalls.)
+/// * **Livelocked**: the job as a whole committed nothing over the
+///   interval while restarts climbed — everyone is busy aborting everyone
+///   else.
+fn judge(prev: &[HeartbeatView], now: &[HeartbeatView]) -> Verdict {
+    let mut stalled = false;
+    let (mut commits_prev, mut restarts_prev) = (0u64, 0u64);
+    let (mut commits_now, mut restarts_now) = (0u64, 0u64);
+    for (p, n) in prev.iter().zip(now) {
+        if !n.idle && n.beat > 0 && n.beat == p.beat {
+            stalled = true;
+        }
+        commits_prev += p.commits;
+        restarts_prev += p.restarts;
+        commits_now += n.commits;
+        restarts_now += n.restarts;
+    }
+    Verdict {
+        stalled,
+        livelocked: commits_now == commits_prev && restarts_now > restarts_prev,
+    }
+}
+
+/// What to do with a job that cannot be admitted within its queue
+/// deadline.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ShedPolicy {
+    /// Reject it with a typed [`JobAborted`] (`reason == Shed`).
+    #[default]
+    Reject,
+    /// Admit it outside the parallel budget, telling the caller to run it
+    /// on the single-threaded serial path (bounded resource use instead of
+    /// a hard error).
+    SerialFallback,
+}
+
+/// Admission-control knobs.
+#[derive(Clone, Debug)]
+pub struct AdmissionConfig {
+    /// Concurrent jobs admitted to the parallel path.
+    pub max_concurrent: usize,
+    /// How long an over-budget job may wait in the intake queue before it
+    /// is shed. `None` waits indefinitely (no shedding).
+    pub queue_deadline: Option<Duration>,
+    /// What shedding does.
+    pub policy: ShedPolicy,
+}
+
+impl Default for AdmissionConfig {
+    fn default() -> Self {
+        AdmissionConfig {
+            max_concurrent: 4,
+            queue_deadline: Some(Duration::from_millis(100)),
+            policy: ShedPolicy::Reject,
+        }
+    }
+}
+
+impl AdmissionConfig {
+    /// Panics on nonsensical settings.
+    pub fn validate(&self) {
+        assert!(self.max_concurrent > 0, "max_concurrent must be nonzero");
+    }
+}
+
+/// Semaphore-style intake gate in front of the drivers.
+///
+/// Callers [`admit`](AdmissionGate::admit) before starting a job and hold
+/// the returned [`AdmitPermit`] for its duration; dropping the permit
+/// releases the slot. Shed outcomes are counted on the shared
+/// [`HealthBoard`] so they surface in its counters and the bench JSON.
+pub struct AdmissionGate {
+    config: AdmissionConfig,
+    board: Arc<HealthBoard>,
+    running: AtomicUsize,
+}
+
+impl AdmissionGate {
+    /// A gate over `board` (usually `Arc::clone(sys.health())`).
+    pub fn new(config: AdmissionConfig, board: Arc<HealthBoard>) -> Self {
+        config.validate();
+        AdmissionGate {
+            config,
+            board,
+            running: AtomicUsize::new(0),
+        }
+    }
+
+    /// Jobs currently admitted to the parallel path.
+    pub fn running(&self) -> usize {
+        self.running.load(Ordering::Acquire)
+    }
+
+    fn try_acquire(&self) -> bool {
+        let mut cur = self.running.load(Ordering::Acquire);
+        while cur < self.config.max_concurrent {
+            match self.running.compare_exchange_weak(
+                cur,
+                cur + 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return true,
+                Err(seen) => cur = seen,
+            }
+        }
+        false
+    }
+
+    /// Admit one job, waiting up to the queue deadline for a slot.
+    ///
+    /// Over budget past the deadline, the job is *shed*: with
+    /// [`ShedPolicy::Reject`] this returns the typed error; with
+    /// [`ShedPolicy::SerialFallback`] it returns a permit whose
+    /// [`serial`](AdmitPermit::serial) flag tells the caller to run
+    /// single-threaded (outside the parallel budget).
+    pub fn admit(&self) -> Result<AdmitPermit<'_>, JobAborted> {
+        let start = Instant::now();
+        let mut spins = 0u32;
+        loop {
+            if self.try_acquire() {
+                return Ok(AdmitPermit {
+                    gate: self,
+                    counted: true,
+                    serial: false,
+                });
+            }
+            if let Some(deadline) = self.config.queue_deadline {
+                if start.elapsed() >= deadline {
+                    self.board.note_job_outcome(AbortReason::Shed);
+                    return match self.config.policy {
+                        ShedPolicy::Reject => Err(JobAborted {
+                            reason: AbortReason::Shed,
+                            items_done: 0,
+                        }),
+                        ShedPolicy::SerialFallback => Ok(AdmitPermit {
+                            gate: self,
+                            counted: false,
+                            serial: true,
+                        }),
+                    };
+                }
+            }
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(16) {
+                std::thread::sleep(Duration::from_micros(50));
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for AdmissionGate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AdmissionGate")
+            .field("config", &self.config)
+            .field("running", &self.running())
+            .finish()
+    }
+}
+
+/// Proof of admission; releases the gate slot on drop.
+#[derive(Debug)]
+pub struct AdmitPermit<'a> {
+    gate: &'a AdmissionGate,
+    /// Whether this permit holds one of the budgeted slots (serial-shed
+    /// permits run outside the budget).
+    counted: bool,
+    serial: bool,
+}
+
+impl AdmitPermit<'_> {
+    /// `true` when the job was shed to the single-threaded serial path and
+    /// the caller should run with one worker.
+    pub fn serial(&self) -> bool {
+        self.serial
+    }
+}
+
+impl Drop for AdmitPermit<'_> {
+    fn drop(&mut self) {
+        if self.counted {
+            self.gate.running.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadlock::{WaitForTable, WaitOutcome};
+    use crate::system::SystemConfig;
+    use crate::tpl::TwoPhaseLocking;
+    use crate::traits::{GraphScheduler, TxnWorker};
+    use tufast_htm::MemoryLayout;
+
+    fn tiny_system(workers: usize) -> Arc<TxnSystem> {
+        let mut layout = MemoryLayout::new();
+        layout.alloc("data", 8);
+        TxnSystem::build(
+            4,
+            layout,
+            SystemConfig {
+                max_workers: workers,
+                ..Default::default()
+            },
+        )
+    }
 
     #[test]
     fn first_stop_reason_wins() {
-        let t = CancelToken::new();
-        assert_eq!(t.reason(), None);
-        t.stop(AbortReason::Shed);
-        t.cancel();
-        assert_eq!(t.reason(), Some(AbortReason::Shed));
-        assert!(t.is_stopped());
+        let b = HealthBoard::new(1);
+        assert_eq!(b.reason(), None);
+        b.stop(AbortReason::Shed);
+        b.cancel();
+        assert_eq!(b.reason(), Some(AbortReason::Shed));
+        assert!(b.is_stopped());
     }
 
     #[test]
     fn deadline_latches_via_poll() {
-        let t = CancelToken::new();
-        t.arm_deadline(JobDeadline(Duration::from_millis(0)));
+        let b = HealthBoard::new(1);
+        b.begin_job(Some(JobDeadline(Duration::ZERO)));
         // The zero budget is already exhausted; poll must latch it.
-        assert_eq!(t.poll(), Some(AbortReason::Deadline));
+        assert_eq!(b.poll(), Some(AbortReason::Deadline));
         // Latched: visible to the fast path without another clock sample.
-        assert_eq!(t.reason(), Some(AbortReason::Deadline));
+        assert_eq!(b.reason(), Some(AbortReason::Deadline));
     }
 
     #[test]
     fn unexpired_deadline_does_not_stop() {
-        let t = CancelToken::new();
-        t.arm_deadline(JobDeadline(Duration::from_secs(3600)));
-        assert_eq!(t.poll(), None);
-        let left = t.remaining().expect("deadline armed");
-        assert!(left > Duration::from_secs(3000));
+        let b = HealthBoard::new(1);
+        b.begin_job(Some(JobDeadline(Duration::from_secs(3600))));
+        assert_eq!(b.poll(), None);
+        assert!(!b.is_stopped());
     }
 
     #[test]
     fn reset_rearms_for_a_new_job() {
-        let t = CancelToken::new();
-        t.cancel();
-        assert!(t.is_stopped());
-        t.reset(None);
-        assert!(!t.is_stopped());
-        assert_eq!(t.remaining(), None);
+        let b = HealthBoard::new(1);
+        b.begin_job(Some(JobDeadline(Duration::ZERO)));
+        b.cancel();
+        assert!(b.is_stopped());
+        b.begin_job(None);
+        assert!(!b.is_stopped());
+        assert_eq!(b.poll(), None, "the old deadline is disarmed");
     }
 
     #[test]
@@ -630,20 +916,56 @@ mod tests {
     }
 
     #[test]
+    fn each_rung_is_seen_by_its_reader_and_never_moves_down() {
+        let b = Arc::new(HealthBoard::new(2));
+        let h = HealthHandle::attached(Arc::clone(&b), 0);
+        let waits = WaitForTable::new(2);
+        // What each reader does at each rung: the checkpoint's extra spins,
+        // whether a bounded wait victimises at its first turn, and whether
+        // the router goes serial.
+        let readers = |b: &HealthBoard| {
+            let word = b.state.load(Ordering::Relaxed);
+            let wait = waits.bounded_anonymous_wait(0, 0, h.escalated(Rung::Victims));
+            (backoff_spins(word), wait, h.escalated(Rung::Serial))
+        };
+        use WaitOutcome::{Retry, Victim};
+        assert_eq!(readers(&b), (0, Retry, false));
+        for (rung, seen) in [
+            (Rung::Boost, (BOOST_SPINS, Retry, false)),
+            (Rung::Victims, (BOOST_SPINS, Victim, false)),
+            (Rung::Serial, (BOOST_SPINS, Victim, true)),
+        ] {
+            b.escalate(rung);
+            assert_eq!(b.rung(), rung);
+            assert_eq!(readers(&b), seen, "{rung:?}");
+            assert_eq!(h.checkpoint(), None, "{rung:?} does not stop the job");
+        }
+        // Never down within a job, and a stop keeps the rung (and the
+        // rung the first stop reason).
+        b.escalate(Rung::Boost);
+        assert_eq!(b.rung(), Rung::Serial);
+        b.stop(AbortReason::Deadline);
+        b.escalate(Rung::Cancel);
+        b.cancel();
+        assert_eq!(
+            (b.rung(), b.reason()),
+            (Rung::Cancel, Some(AbortReason::Deadline))
+        );
+        assert_eq!(h.checkpoint(), Some(AbortReason::Deadline));
+    }
+
+    #[test]
     fn begin_job_clears_escalation_but_keeps_counters() {
         let b = HealthBoard::new(2);
-        b.set_backoff_boost(3);
-        b.set_force_serial(true);
+        b.escalate(Rung::Cancel);
+        b.cancel();
         b.note_escalation();
         b.note_job_outcome(AbortReason::Cancelled);
-        b.token().cancel();
         b.begin_job(None);
-        assert_eq!(b.backoff_boost(), 0);
-        assert!(!b.force_serial());
-        assert!(!b.token().is_stopped());
+        assert_eq!(b.state.load(Ordering::Relaxed), 0, "live and healthy");
+        assert_eq!((b.rung(), b.reason()), (Rung::Healthy, None));
         let c = b.counters();
-        assert_eq!(c.watchdog_escalations, 1);
-        assert_eq!(c.jobs_cancelled, 1);
+        assert_eq!((c.watchdog_escalations, c.jobs_cancelled), (1, 1));
     }
 
     #[test]
@@ -698,18 +1020,18 @@ mod tests {
         let board = Arc::new(HealthBoard::new(2));
         let h = HealthHandle::attached(Arc::clone(&board), 1);
         assert_eq!(h.checkpoint(), None);
-        board.token().cancel();
+        board.cancel();
         assert_eq!(h.checkpoint(), Some(AbortReason::Cancelled));
-        assert!(h.stopped());
         assert_eq!(board.view(1).beat, 2);
+        assert!(!board.view(1).idle);
+        drop(h);
+        assert!(board.view(1).idle, "a dropped handle's slot is idle");
     }
 
     #[test]
     fn handle_checkpoint_latches_deadline_within_probe_period() {
         let board = Arc::new(HealthBoard::new(1));
-        board
-            .token()
-            .arm_deadline(JobDeadline(Duration::from_millis(0)));
+        board.begin_job(Some(JobDeadline(Duration::ZERO)));
         let h = HealthHandle::attached(Arc::clone(&board), 0);
         let mut stopped = None;
         for _ in 0..=DEADLINE_PROBE_PERIOD {
@@ -719,5 +1041,211 @@ mod tests {
             }
         }
         assert_eq!(stopped, Some(AbortReason::Deadline));
+    }
+
+    #[test]
+    fn system_deadline_latches_through_the_board() {
+        // A zero deadline armed via begin_job stops workers at their next
+        // full probe.
+        let sys = tiny_system(1);
+        sys.begin_job(Some(JobDeadline(Duration::ZERO)));
+        assert_eq!(sys.health().poll(), Some(AbortReason::Deadline));
+        assert!(sys.cancel_token().is_stopped());
+    }
+
+    fn watch_fast(sys: &Arc<TxnSystem>, interval_ms: u64, grace_scans: u32) -> Watchdog {
+        Watchdog::spawn(
+            Arc::clone(sys),
+            WatchdogConfig {
+                interval: Duration::from_millis(interval_ms),
+                grace_scans,
+            },
+        )
+    }
+
+    #[test]
+    fn quiet_board_never_escalates() {
+        let sys = tiny_system(2);
+        let dog = watch_fast(&sys, 1, 1);
+        std::thread::sleep(Duration::from_millis(20));
+        let report = dog.stop();
+        assert!(report.scans > 0);
+        assert_eq!(report.rungs_taken, 0);
+        assert!(!report.cancelled);
+        assert!(!sys.cancel_token().is_stopped());
+        assert_eq!(sys.health().counters().watchdog_escalations, 0);
+    }
+
+    #[test]
+    fn stalled_worker_climbs_the_full_ladder() {
+        let sys = tiny_system(2);
+        // One beat, then silence, never flagged idle: a wedged worker.
+        let h = sys.health_handle(0);
+        assert_eq!(h.checkpoint(), None);
+        let dog = watch_fast(&sys, 1, 1);
+        let start = Instant::now();
+        while !sys.cancel_token().is_stopped() && start.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let report = dog.stop();
+        assert!(report.cancelled, "ladder must reach the cancel rung");
+        assert_eq!(report.rungs_taken, 4);
+        assert!(report.stall_scans >= 4);
+        let board = sys.health();
+        assert_eq!(board.rung(), Rung::Cancel);
+        assert_eq!(sys.cancel_token().reason(), Some(AbortReason::Cancelled));
+        assert_eq!(board.counters().watchdog_escalations, 4);
+        // The next job starts clean (word zeroed, counters kept).
+        sys.begin_job(None);
+        assert_eq!(board.rung(), Rung::Healthy);
+        assert!(!sys.cancel_token().is_stopped());
+        assert_eq!(board.counters().watchdog_escalations, 4);
+    }
+
+    #[test]
+    fn livelock_detected_while_beats_climb() {
+        let sys = tiny_system(1);
+        let h = sys.health_handle(0);
+        let dog = watch_fast(&sys, 1, 1);
+        // Busy restarting, never committing: beats climb (so the stall
+        // detector alone would stay quiet) and the livelock detector must
+        // fire.
+        let start = Instant::now();
+        while !sys.cancel_token().is_stopped() {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "watchdog never cancelled a livelocked job"
+            );
+            h.note_restart();
+            let _ = h.checkpoint();
+        }
+        let report = dog.stop();
+        assert!(report.livelock_scans >= 1, "livelock detector never fired");
+        assert!(report.cancelled);
+    }
+
+    #[test]
+    fn committing_job_is_left_alone() {
+        let sys = tiny_system(1);
+        let h = sys.health_handle(0);
+        let dog = watch_fast(&sys, 2, 3);
+        // Restarts climb but so do commits: contended-yet-progressing.
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(30) {
+            h.note_restart();
+            h.note_commit();
+            let _ = h.checkpoint();
+        }
+        // The job is over: flag the worker idle, exactly as the drain
+        // loops do on exit, so the now-flat beat is not read as a stall.
+        h.set_idle(true);
+        let report = dog.stop();
+        assert!(
+            !report.cancelled,
+            "a progressing job must never be cancelled (report: {report:?})"
+        );
+        assert!(!sys.cancel_token().is_stopped());
+    }
+
+    #[test]
+    fn no_false_stall_from_a_dropped_worker() {
+        // One worker runs a transaction and is dropped; its peer keeps
+        // committing. The dropped worker's slot is flat for good — it must
+        // read as idle, not as a stall that cancels the live job.
+        let mut layout = MemoryLayout::new();
+        let cell = layout.alloc("cell", 1);
+        let sys = TxnSystem::build(1, layout, SystemConfig::default());
+        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
+        let bump = &mut |ops: &mut dyn crate::TxnOps| {
+            let x = ops.read(0, cell.addr(0))?;
+            ops.write(0, cell.addr(0), x + 1)
+        };
+        let (mut gone, mut live) = (sched.worker(), sched.worker());
+        assert!(gone.execute(2, bump).committed);
+        drop(gone);
+        let dog = watch_fast(&sys, 2, 3);
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(150) {
+            assert!(live.execute(2, bump).committed, "the live job was stopped");
+        }
+        let report = dog.stop();
+        assert!(!report.cancelled, "{report:?}");
+        assert!(!sys.cancel_token().is_stopped());
+    }
+
+    #[test]
+    fn gate_admits_to_budget_and_releases_on_drop() {
+        let sys = tiny_system(1);
+        let gate = AdmissionGate::new(
+            AdmissionConfig {
+                max_concurrent: 2,
+                queue_deadline: Some(Duration::ZERO),
+                policy: ShedPolicy::Reject,
+            },
+            Arc::clone(sys.health()),
+        );
+        let a = gate.admit().expect("slot 1");
+        let b = gate.admit().expect("slot 2");
+        assert_eq!(gate.running(), 2);
+        assert!(!a.serial() && !b.serial());
+        let err = gate.admit().expect_err("over budget");
+        assert_eq!(err.reason, AbortReason::Shed);
+        assert_eq!(err.items_done, 0);
+        drop(a);
+        assert_eq!(gate.running(), 1);
+        let c = gate.admit().expect("slot freed by drop");
+        drop((b, c));
+        assert_eq!(gate.running(), 0);
+        assert_eq!(sys.health().counters().jobs_shed, 1);
+    }
+
+    #[test]
+    fn serial_fallback_policy_sheds_to_one_thread() {
+        let sys = tiny_system(1);
+        let gate = AdmissionGate::new(
+            AdmissionConfig {
+                max_concurrent: 1,
+                queue_deadline: Some(Duration::ZERO),
+                policy: ShedPolicy::SerialFallback,
+            },
+            Arc::clone(sys.health()),
+        );
+        let a = gate.admit().expect("budgeted slot");
+        let b = gate.admit().expect("serial fallback never errors");
+        assert!(!a.serial());
+        assert!(b.serial(), "over-budget permit must route serial");
+        // The serial permit is outside the budget: releasing it does not
+        // free the budgeted slot.
+        assert_eq!(gate.running(), 1);
+        drop(b);
+        assert_eq!(gate.running(), 1);
+        drop(a);
+        assert_eq!(gate.running(), 0);
+        assert_eq!(sys.health().counters().jobs_shed, 1);
+    }
+
+    #[test]
+    fn queued_job_admits_when_a_slot_frees_in_time() {
+        let sys = tiny_system(1);
+        let gate = AdmissionGate::new(
+            AdmissionConfig {
+                max_concurrent: 1,
+                queue_deadline: Some(Duration::from_secs(10)),
+                policy: ShedPolicy::Reject,
+            },
+            Arc::clone(sys.health()),
+        );
+        let a = gate.admit().expect("first");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| gate.admit());
+            std::thread::sleep(Duration::from_millis(5));
+            drop(a);
+            let b = waiter
+                .join()
+                .expect("no panic")
+                .expect("queued job must admit once the slot frees");
+            assert!(!b.serial());
+        });
+        assert_eq!(sys.health().counters().jobs_shed, 0);
     }
 }

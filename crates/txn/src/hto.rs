@@ -290,36 +290,19 @@ mod tests {
 
     #[test]
     fn wall_clock_deadline_ends_a_blocked_transaction() {
-        use crate::deadlock::WaitConfig;
-        use crate::health::{HealthConfig, JobDeadline};
-        use crate::system::SystemConfig;
+        use crate::health::JobDeadline;
         use std::time::{Duration, Instant};
         // H-TO never parks on the wait table — its lock waits are bounded
         // spins that restart the attempt — so a blocked vertex turns into
         // an unbounded retry storm. The job-level wall-clock deadline is
         // what must end it, through the attempt-boundary health probe.
-        let mut layout = MemoryLayout::new();
-        let acc = layout.alloc("acc", 1);
-        let sys = TxnSystem::build(
-            1,
-            layout,
-            SystemConfig {
-                wait: WaitConfig {
-                    spins: u32::MAX,
-                    deadline: Some(Duration::from_millis(2)),
-                },
-                health: HealthConfig {
-                    deadline: Some(JobDeadline(Duration::from_millis(20))),
-                },
-                ..SystemConfig::default()
-            },
-        );
-        sys.mem().store_direct(acc.addr(0), 100);
+        let (sys, acc) = bank(1);
         let sched = HTimestampOrdering::new(Arc::clone(&sys));
         let mut w = sched.worker();
         let blocker = sys.new_worker_id();
         sys.locks().try_exclusive(sys.mem(), 0, blocker).unwrap();
         let t0 = Instant::now();
+        sys.begin_job(Some(JobDeadline(Duration::from_millis(20))));
         let out = w.execute(2, &mut |ops| {
             let v = ops.read(0, acc.addr(0))?;
             ops.write(0, acc.addr(0), v + 1)

@@ -15,6 +15,10 @@
 //!   the commit's serialization ticket.
 //! * [`deadlock`] — a wait-for table with cycle detection for writer-writer
 //!   waits and a bounded-wait fallback for reader-held locks.
+//! * [`health`] — runtime health: one board per system with a heartbeat
+//!   slot per worker thread and one job-state word (stop reason and
+//!   escalation rung), the watchdog that climbs the rungs, job deadlines
+//!   and the admission gate.
 //! * Scheduler traits ([`GraphScheduler`], [`TxnWorker`], [`TxnOps`]) —
 //!   every scheduler (including TuFast itself, in the `tufast` crate) runs
 //!   the *same* transaction bodies, so throughput comparisons are
@@ -52,14 +56,14 @@ mod to;
 mod tpl;
 mod traits;
 
-pub use deadlock::WaitConfig;
 pub use faults::{
     is_injected_crash, raise_injected_crash, FaultHandle, FaultKind, FaultPlan, FaultSpec,
     InjectedCrash, CRASH_ANY_WORKER,
 };
 pub use health::{
-    AbortReason, CancelToken, HealthBoard, HealthConfig, HealthCounters, HealthHandle,
-    HeartbeatView, JobAborted, JobDeadline,
+    AbortReason, AdmissionConfig, AdmissionGate, AdmitPermit, CancelToken, HealthBoard,
+    HealthCounters, HealthHandle, HeartbeatView, JobAborted, JobDeadline, Rung, ShedPolicy,
+    Watchdog, WatchdogConfig, WatchdogReport,
 };
 pub use hsync::HSyncLike;
 pub use hto::HTimestampOrdering;

@@ -94,7 +94,8 @@ impl RungEnd {
 /// boundary touches. Every scheduler worker owns one and lends it to
 /// [`Lifecycle::rung`] through `AsMut`.
 pub struct Lifecycle {
-    /// The worker id (lock owner, wait-table slot, heartbeat slot).
+    /// The worker id (lock owner, wait-table slot, and heartbeat slot
+    /// unless the worker shares its thread's).
     pub id: u32,
     /// The shared system.
     pub sys: Arc<TxnSystem>,

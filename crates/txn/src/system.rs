@@ -7,9 +7,9 @@ use tufast_htm::{
     Addr, HtmConfig, HtmCtx, HtmRuntime, LineState, MemRegion, MemoryLayout, TxMemory,
 };
 
-use crate::deadlock::{WaitConfig, WaitForTable};
+use crate::deadlock::WaitForTable;
 use crate::faults::FaultHandle;
-use crate::health::{CancelToken, HealthBoard, HealthConfig, HealthHandle, JobDeadline};
+use crate::health::{CancelToken, HealthBoard, HealthHandle, JobDeadline};
 use crate::locks::{LockWord, VertexLocks};
 use crate::obs::ObsHandle;
 use crate::VertexId;
@@ -22,14 +22,9 @@ pub struct SystemConfig {
     /// Give each vertex lock its own cache line (ablation; default packed,
     /// as in the paper).
     pub padded_locks: bool,
-    /// Upper bound on concurrently live workers (sizes the wait-for table).
+    /// Upper bound on concurrently live workers (sizes the wait-for table
+    /// and the health board).
     pub max_workers: usize,
-    /// Budget of the bounded wait on anonymous (reader-held) locks.
-    pub wait: WaitConfig,
-    /// Runtime-health knobs: the job deadline armed at build (cooperative
-    /// cancellation is always available via the system's
-    /// [`CancelToken`]).
-    pub health: HealthConfig,
 }
 
 impl Default for SystemConfig {
@@ -38,8 +33,6 @@ impl Default for SystemConfig {
             htm: HtmConfig::default(),
             padded_locks: false,
             max_workers: 512,
-            wait: WaitConfig::default(),
-            health: HealthConfig::default(),
         }
     }
 }
@@ -65,8 +58,7 @@ pub struct TxnSystem {
     /// TuFast worker runs its stop-the-world single-writer commit.
     serial_token: Addr,
     wait_table: WaitForTable,
-    /// Heartbeat slots + cancel token + watchdog escalation flags, one
-    /// slot per worker id.
+    /// One heartbeat slot per worker id, and the job-state word.
     health: Arc<HealthBoard>,
     ts_counter: AtomicU64,
     next_worker: AtomicU32,
@@ -92,18 +84,14 @@ impl TxnSystem {
         let fallback = layout.alloc("hsync-fallback", 1);
         let serial = layout.alloc("serial-token", 1);
         let htm = HtmRuntime::new(layout, config.htm);
-        let health = Arc::new(HealthBoard::new(config.max_workers));
-        if let Some(deadline) = config.health.deadline {
-            health.token().arm_deadline(deadline);
-        }
         Arc::new(TxnSystem {
             htm,
             locks,
             to_ts,
             fallback_word: fallback.addr(0),
             serial_token: serial.addr(0),
-            wait_table: WaitForTable::new(config.max_workers, config.wait),
-            health,
+            wait_table: WaitForTable::new(config.max_workers),
+            health: Arc::new(HealthBoard::new(config.max_workers)),
             ts_counter: AtomicU64::new(1),
             next_worker: AtomicU32::new(0),
             num_vertices,
@@ -181,8 +169,7 @@ impl TxnSystem {
         }
     }
 
-    /// The shared health board (heartbeats, cancel token, escalation
-    /// flags).
+    /// The shared health board (heartbeats and the job-state word).
     #[inline]
     pub fn health(&self) -> &Arc<HealthBoard> {
         &self.health
@@ -192,14 +179,13 @@ impl TxnSystem {
     /// thread.
     #[inline]
     pub fn cancel_token(&self) -> &CancelToken {
-        self.health.token()
+        &self.health
     }
 
-    /// Re-arm the health board for a fresh job: clear any latched cancel
-    /// or escalation state and install `deadline` (if any).
+    /// Re-arm the health board for a fresh job — live, healthy, and
+    /// `deadline` (if any) armed from now. The one way to arm a deadline.
     pub fn begin_job(&self, deadline: Option<JobDeadline>) {
         self.health.begin_job(deadline);
-        self.wait_table.set_force_victims(false);
     }
 
     /// A per-worker health probe writing into `worker`'s heartbeat slot.

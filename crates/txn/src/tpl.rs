@@ -30,13 +30,12 @@
 //! footprint releases everything unpublished and reruns incrementally.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use tufast_htm::{Addr, LineBatch, TxMemory, WordMap};
 
 use crate::commit::{relax, release_at_ticket};
 use crate::deadlock::WaitOutcome;
-use crate::health::HealthHandle;
+use crate::health::{HealthHandle, Rung};
 use crate::lifecycle::{Lifecycle, Verdict};
 use crate::locks::LockWord;
 use crate::obs::ObsHandle;
@@ -127,9 +126,6 @@ fn acquire(lc: &mut Lifecycle, v: VertexId, exclusive: bool) -> Result<(), TxInt
     let locks = lc.sys.locks();
     let waits = lc.sys.wait_table();
     let mut anon_attempt = 0u32;
-    // The instant the wait started — sampled only when the configured
-    // budget has a wall-clock deadline.
-    let started = waits.config().deadline.map(|_| Instant::now());
     // The bounded-wait retry below makes this a *blocking*
     // acquisition as far as lock ordering is concerned.
     // tufast-lint: lock-acquire(vertex_lock)
@@ -150,7 +146,8 @@ fn acquire(lc: &mut Lifecycle, v: VertexId, exclusive: bool) -> Result<(), TxInt
                 return Err(TxInterrupt::Restart);
             }
         }
-        let outcome = waits.bounded_anonymous_wait(lc.id, anon_attempt, started);
+        let escalated = lc.health.escalated(Rung::Victims);
+        let outcome = waits.bounded_anonymous_wait(lc.id, anon_attempt, escalated);
         waits.clear(lc.id);
         if outcome == WaitOutcome::Victim {
             lc.stats.anon_wait_victims += 1;
@@ -263,6 +260,14 @@ impl TplWorker {
     /// the liveness backstop cannot itself be sabotaged.
     pub fn set_fault_exempt(&mut self, exempt: bool) {
         self.lc.faults.set_exempt(exempt);
+    }
+
+    /// Beat `slot` — the heartbeat slot of the thread this worker runs on
+    /// — instead of a slot of its own: one thread, one slot. The TuFast
+    /// router's embedded L worker beats the router's, so the slot does not
+    /// go flat between L-mode transactions while the router commits.
+    pub fn share_slot(&mut self, slot: u32) {
+        self.lc.health = self.lc.sys.health_handle(slot);
     }
 
     /// [`execute`](TxnWorker::execute) with an attempt budget: gives up
@@ -755,56 +760,6 @@ mod tests {
         // Once the blocker releases, the same worker commits normally.
         sys.locks().unlock_exclusive(sys.mem(), 0, blocker, false);
         let out = w.execute(2, &mut |ops| {
-            ops.read(0, acc.addr(0))?;
-            Ok(())
-        });
-        assert!(out.committed);
-    }
-
-    #[test]
-    fn wall_clock_deadline_victimises_through_the_scheduler() {
-        use crate::deadlock::WaitConfig;
-        use crate::system::SystemConfig;
-        use std::time::{Duration, Instant};
-        // An effectively unbounded spin budget: only the wall-clock
-        // deadline can end the wait, so this proves the scheduler threads
-        // the start instant through to the wait table.
-        let mut layout = MemoryLayout::new();
-        let acc = layout.alloc("accounts", 1);
-        let sys = TxnSystem::build(
-            1,
-            layout,
-            SystemConfig {
-                wait: WaitConfig {
-                    spins: u32::MAX,
-                    deadline: Some(Duration::from_millis(5)),
-                },
-                ..SystemConfig::default()
-            },
-        );
-        sys.mem().store_direct(acc.addr(0), 100);
-        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
-        let mut w = sched.worker();
-        let blocker = sys.new_worker_id();
-        sys.locks().try_exclusive(sys.mem(), 0, blocker).unwrap();
-        let t0 = Instant::now();
-        let out = w.execute_bounded(1, &mut |ops| {
-            ops.read(0, acc.addr(0))?;
-            Ok(())
-        });
-        assert!(!out.committed);
-        assert_eq!(w.stats().anon_wait_victims, 1);
-        assert!(
-            t0.elapsed() >= Duration::from_millis(5),
-            "gave up before the deadline"
-        );
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "deadline never fired"
-        );
-        // Once the blocker releases, the same worker commits normally.
-        sys.locks().unlock_exclusive(sys.mem(), 0, blocker, false);
-        let out = w.execute(1, &mut |ops| {
             ops.read(0, acc.addr(0))?;
             Ok(())
         });

@@ -24,14 +24,15 @@ pub const UNREACHED: u64 = u64::MAX;
 /// Region handles for BFS.
 pub struct BfsSpace {
     /// `dist[v]`: hop distance from the source.
-    pub dist: MemRegion,
+    pub dist: MemRegion<2>,
 }
 
 impl BfsSpace {
-    /// Allocate in `layout` for `n` vertices.
+    /// Allocate in `layout` for `n` vertices, each value on the line of
+    /// its vertex lock word ([`tufast_htm::MemoryLayout::alloc_paired`]).
     pub fn alloc(layout: &mut tufast_htm::MemoryLayout, n: usize) -> Self {
         BfsSpace {
-            dist: layout.alloc("bfs-dist", n as u64),
+            dist: layout.alloc_paired("bfs-dist", n as u64),
         }
     }
 }

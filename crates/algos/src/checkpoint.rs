@@ -43,8 +43,8 @@ pub trait Checkpointable {
     fn restore(&self, mem: &TxMemory, snap: &Snapshot) -> Result<(), SnapshotError>;
 }
 
-/// Capture one region as a section.
-pub fn capture_region(name: &str, mem: &TxMemory, region: &MemRegion) -> Section {
+/// Capture one region as a section: its values only, whatever the stride.
+pub fn capture_region<const S: u64>(name: &str, mem: &TxMemory, region: &MemRegion<S>) -> Section {
     Section {
         name: name.to_string(),
         words: mem.snapshot_region(region),
@@ -53,10 +53,10 @@ pub fn capture_region(name: &str, mem: &TxMemory, region: &MemRegion) -> Section
 
 /// Restore one region from its section, validating the length (a snapshot
 /// of a different graph fails loudly instead of corrupting memory).
-pub fn restore_region(
+pub fn restore_region<const S: u64>(
     name: &str,
     mem: &TxMemory,
-    region: &MemRegion,
+    region: &MemRegion<S>,
     snap: &Snapshot,
 ) -> Result<(), SnapshotError> {
     let section = snap

@@ -21,14 +21,15 @@ pub const UNCOLORED: u64 = u64::MAX;
 /// Region handles for coloring.
 pub struct ColoringSpace {
     /// `color[v]`, or [`UNCOLORED`].
-    pub color: MemRegion,
+    pub color: MemRegion<2>,
 }
 
 impl ColoringSpace {
-    /// Allocate in `layout` for `n` vertices.
+    /// Allocate in `layout` for `n` vertices, each value on the line of
+    /// its vertex lock word ([`tufast_htm::MemoryLayout::alloc_paired`]).
     pub fn alloc(layout: &mut tufast_htm::MemoryLayout, n: usize) -> Self {
         ColoringSpace {
-            color: layout.alloc("coloring", n as u64),
+            color: layout.alloc_paired("coloring", n as u64),
         }
     }
 }

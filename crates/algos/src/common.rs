@@ -38,12 +38,12 @@ pub fn setup_with<W>(
 }
 
 /// Snapshot a region as `u64`s.
-pub(crate) fn read_u64_region(mem: &TxMemory, region: &MemRegion) -> Vec<u64> {
+pub(crate) fn read_u64_region<const S: u64>(mem: &TxMemory, region: &MemRegion<S>) -> Vec<u64> {
     mem.snapshot_region(region)
 }
 
 /// Snapshot a region as `f64`s (bit-cast).
-pub(crate) fn read_f64_region(mem: &TxMemory, region: &MemRegion) -> Vec<f64> {
+pub(crate) fn read_f64_region<const S: u64>(mem: &TxMemory, region: &MemRegion<S>) -> Vec<f64> {
     region
         .iter()
         .map(|a| f64::from_bits(mem.load_direct(a)))

@@ -22,14 +22,15 @@ pub const UNMATCHED: u64 = u64::MAX;
 /// Region handles for matching.
 pub struct MatchingSpace {
     /// `matched[v]`: partner id, or [`UNMATCHED`].
-    pub matched: MemRegion,
+    pub matched: MemRegion<2>,
 }
 
 impl MatchingSpace {
-    /// Allocate in `layout` for `n` vertices.
+    /// Allocate in `layout` for `n` vertices, each value on the line of
+    /// its vertex lock word ([`tufast_htm::MemoryLayout::alloc_paired`]).
     pub fn alloc(layout: &mut tufast_htm::MemoryLayout, n: usize) -> Self {
         MatchingSpace {
-            matched: layout.alloc("matching", n as u64),
+            matched: layout.alloc_paired("matching", n as u64),
         }
     }
 }

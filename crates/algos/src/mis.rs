@@ -27,14 +27,15 @@ pub const OUT: u64 = 2;
 /// Region handles for MIS.
 pub struct MisSpace {
     /// `state[v]` ∈ {[`UNDECIDED`], [`IN_SET`], [`OUT`]}.
-    pub state: MemRegion,
+    pub state: MemRegion<2>,
 }
 
 impl MisSpace {
-    /// Allocate in `layout` for `n` vertices.
+    /// Allocate in `layout` for `n` vertices, each value on the line of
+    /// its vertex lock word ([`tufast_htm::MemoryLayout::alloc_paired`]).
     pub fn alloc(layout: &mut tufast_htm::MemoryLayout, n: usize) -> Self {
         MisSpace {
-            state: layout.alloc("mis-state", n as u64),
+            state: layout.alloc_paired("mis-state", n as u64),
         }
     }
 }

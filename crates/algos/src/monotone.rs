@@ -29,9 +29,9 @@
 //!
 //! # Settled neighbours
 //!
-//! A tracked read costs a lock-word subscription and two footprint
-//! inserts, and nearly all of a scan's reads find `value[u] <= value[v] +
-//! len` and write nothing. The same monotonicity lets the item rule those
+//! A tracked read costs a lock-word subscription and a footprint insert,
+//! and nearly all of a scan's reads find `value[u] <= value[v] + len` and
+//! write nothing. The same monotonicity lets the item rule those
 //! out *before* its transaction opens, with one pass of untracked peeks of
 //! committed values ([`TxnSystem::peek_pass`]), and walk only the rest
 //! inside it — see [`MinDrain::item`] and DESIGN.md §7, "Settled neighbours".
@@ -73,7 +73,7 @@ pub(crate) fn run<S, P, E, I>(
     sched: &S,
     sys: &TxnSystem,
     state: &(impl Checkpointable + Sync),
-    value: MemRegion,
+    value: MemRegion<2>,
     edges: E,
     pool: &P,
     threads: usize,
@@ -156,7 +156,7 @@ where
 /// One monotone-min run: the value region, the edges and the watermarks.
 pub(crate) struct MinDrain<'a, E> {
     sys: &'a TxnSystem,
-    value: MemRegion,
+    value: MemRegion<2>,
     edges: E,
     watermark: Vec<AtomicU64>,
 }
@@ -168,7 +168,7 @@ where
 {
     /// `edges(v)` yields `(neighbour, edge length)`, the same sequence at
     /// every call: the filter remembers the edges it kept by position.
-    pub(crate) fn new(sys: &'a TxnSystem, value: MemRegion, edges: E) -> Self {
+    pub(crate) fn new(sys: &'a TxnSystem, value: MemRegion<2>, edges: E) -> Self {
         MinDrain {
             sys,
             value,
@@ -289,7 +289,7 @@ mod tests {
     /// Hop-length edges of a directed path 0 → 1 → 2 → 3, source at 0.
     struct Fixture {
         g: Graph,
-        built: crate::AlgoSystem<MemRegion>,
+        built: crate::AlgoSystem<MemRegion<2>>,
     }
 
     impl Fixture {
@@ -299,7 +299,7 @@ mod tests {
 
         /// Every value unreached but vertex 0's, which is 0.
         fn on(g: Graph) -> Self {
-            let built = crate::setup(&g, |layout, n| layout.alloc("value", n as u64));
+            let built = crate::setup(&g, |layout, n| layout.alloc_paired("value", n as u64));
             let mem = built.sys.mem();
             mem.fill_region(&built.space, MAX);
             mem.store_direct(built.space.addr(0), 0);

@@ -24,14 +24,15 @@ use crate::common::read_f64_region;
 /// Region handles for PageRank.
 pub struct PageRankSpace {
     /// `rank[v]` as `f64` bits.
-    pub rank: MemRegion,
+    pub rank: MemRegion<2>,
 }
 
 impl PageRankSpace {
-    /// Allocate in `layout` for `n` vertices.
+    /// Allocate in `layout` for `n` vertices, each value on the line of
+    /// its vertex lock word ([`tufast_htm::MemoryLayout::alloc_paired`]).
     pub fn alloc(layout: &mut tufast_htm::MemoryLayout, n: usize) -> Self {
         PageRankSpace {
-            rank: layout.alloc("pagerank", n as u64),
+            rank: layout.alloc_paired("pagerank", n as u64),
         }
     }
 }

@@ -34,14 +34,15 @@ pub enum QueueKind {
 /// Region handles for SSSP.
 pub struct SsspSpace {
     /// `dist[v]`: tentative shortest distance from the source.
-    pub dist: MemRegion,
+    pub dist: MemRegion<2>,
 }
 
 impl SsspSpace {
-    /// Allocate in `layout` for `n` vertices.
+    /// Allocate in `layout` for `n` vertices, each value on the line of
+    /// its vertex lock word ([`tufast_htm::MemoryLayout::alloc_paired`]).
     pub fn alloc(layout: &mut tufast_htm::MemoryLayout, n: usize) -> Self {
         SsspSpace {
-            dist: layout.alloc("sssp-dist", n as u64),
+            dist: layout.alloc_paired("sssp-dist", n as u64),
         }
     }
 }

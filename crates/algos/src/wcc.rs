@@ -19,14 +19,15 @@ use crate::monotone;
 /// Region handles for WCC.
 pub struct WccSpace {
     /// `label[v]`: current component label (converges to min id).
-    pub label: MemRegion,
+    pub label: MemRegion<2>,
 }
 
 impl WccSpace {
-    /// Allocate in `layout` for `n` vertices.
+    /// Allocate in `layout` for `n` vertices, each value on the line of
+    /// its vertex lock word ([`tufast_htm::MemoryLayout::alloc_paired`]).
     pub fn alloc(layout: &mut tufast_htm::MemoryLayout, n: usize) -> Self {
         WccSpace {
-            label: layout.alloc("wcc-label", n as u64),
+            label: layout.alloc_paired("wcc-label", n as u64),
         }
     }
 }

@@ -1,7 +1,5 @@
 //! Criterion ablations of TuFast design choices called out in DESIGN.md:
 //!
-//! * packed vs padded vertex-lock layout (false-sharing aborts vs 8×
-//!   metadata footprint);
 //! * H-mode retry budget (paper §IV-D / Figure 16);
 //! * adaptive vs static period.
 
@@ -13,16 +11,16 @@ use tufast::{TuFast, TuFastConfig};
 use tufast_bench::workloads::{run_one, uniform_picker, MicroWorkload};
 use tufast_graph::gen;
 use tufast_htm::MemoryLayout;
-use tufast_txn::{GraphScheduler, SystemConfig, TxnSystem};
+use tufast_txn::{GraphScheduler, TxnSystem};
 
 const THREADS: usize = 4;
 const TXNS_PER_ITER: usize = 2_000;
 
 /// One multi-threaded batch of RM transactions under the given config.
-fn run_batch(g: &tufast_graph::Graph, sys_config: SystemConfig, tf_config: TuFastConfig) {
+fn run_batch(g: &tufast_graph::Graph, tf_config: TuFastConfig) {
     let mut layout = MemoryLayout::new();
     let values = layout.alloc("values", g.num_vertices() as u64);
-    let sys = TxnSystem::build(g.num_vertices(), layout, sys_config);
+    let sys = TxnSystem::with_defaults(g.num_vertices(), layout);
     let sched = TuFast::with_config(Arc::clone(&sys), tf_config);
     let picker = uniform_picker(g.num_vertices());
     let cursor = AtomicUsize::new(0);
@@ -57,28 +55,11 @@ fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations");
     group.sample_size(10);
 
-    group.bench_function("locks_packed", |b| {
-        b.iter(|| run_batch(&g, SystemConfig::default(), TuFastConfig::default()));
-    });
-    group.bench_function("locks_padded", |b| {
-        b.iter(|| {
-            run_batch(
-                &g,
-                SystemConfig {
-                    padded_locks: true,
-                    ..SystemConfig::default()
-                },
-                TuFastConfig::default(),
-            )
-        });
-    });
-
     for retries in [1u32, 4, 16] {
         group.bench_function(format!("h_retries_{retries}"), |b| {
             b.iter(|| {
                 run_batch(
                     &g,
-                    SystemConfig::default(),
                     TuFastConfig {
                         h_retries: retries,
                         ..TuFastConfig::default()
@@ -89,16 +70,10 @@ fn bench_ablations(c: &mut Criterion) {
     }
 
     group.bench_function("period_adaptive", |b| {
-        b.iter(|| run_batch(&g, SystemConfig::default(), TuFastConfig::default()));
+        b.iter(|| run_batch(&g, TuFastConfig::default()));
     });
     group.bench_function("period_static_1000", |b| {
-        b.iter(|| {
-            run_batch(
-                &g,
-                SystemConfig::default(),
-                TuFastConfig::static_config(1000),
-            )
-        });
+        b.iter(|| run_batch(&g, TuFastConfig::static_config(1000)));
     });
 
     group.finish();

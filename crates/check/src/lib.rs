@@ -105,8 +105,8 @@ pub use explore::{ExploreOutcome, Explorer, Schedule, SchedulerKind, WorkloadSpe
 pub use history::{History, Recorder, TxnKind, TxnRecord};
 #[cfg(feature = "faults")]
 pub use readers::{
-    fallback_peek_probe, peek_probe, quiesced_read_probe, ReadersOutcome, ReadersPlan,
-    ReadersRunner, ReadersSpec,
+    fallback_peek_probe, paired_peek_probe, peek_probe, quiesced_read_probe, ReadersOutcome,
+    ReadersPlan, ReadersRunner, ReadersSpec,
 };
 #[cfg(feature = "faults")]
 pub use recovery::{crash_and_recover, RecoveryAlgo, RecoveryOutcome};

@@ -10,7 +10,10 @@
 //! snapshot mixed two different writers' pairs. R-mode's per-read
 //! validation brackets must make fractures impossible against every
 //! writer commit path (2PL in-place undo, OCC install, TO, STM, the
-//! HSync fallback, and all of TuFast's modes including the serial token).
+//! HSync fallback, and all of TuFast's modes including the serial token),
+//! whether the cells sit in a region of their own or, with
+//! [`ReadersSpec::paired`], beside their vertex lock words — one line per
+//! vertex, as the algorithms lay them out.
 //!
 //! Each run also records the full history through the `observe` hooks and
 //! feeds it to the [`dsg`](crate::dsg) checker: R commits ticket their
@@ -27,7 +30,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tufast_htm::{HtmConfig, MemRegion, MemoryLayout};
+use tufast_htm::{Addr, HtmConfig, MemRegion, MemoryLayout};
 use tufast_txn::{
     Declared, FaultPlan, FaultSpec, GraphScheduler, SystemConfig, TxnHint, TxnObserver, TxnSystem,
     TxnWorker, VertexId,
@@ -95,6 +98,11 @@ pub struct ReadersSpec {
     /// mode: small hints run in H, 8192 is past H's reach (O mode), and
     /// anything past `o_max_hint_words` goes straight to L (2PL).
     pub writer_hint: usize,
+    /// Allocate the cells paired with the vertex lock words
+    /// ([`MemoryLayout::alloc_paired`]): cell `i` shares a line with the
+    /// lock word of vertex `i`, so every lock-word RMW re-stamps the line a
+    /// reader's bracket loads the value from.
+    pub paired: bool,
 }
 
 impl Default for ReadersSpec {
@@ -107,6 +115,7 @@ impl Default for ReadersSpec {
             reader_txns: 240,
             stride: 1,
             writer_hint: 6,
+            paired: false,
         }
     }
 }
@@ -183,9 +192,7 @@ impl ReadersRunner {
     /// Run one (scheduler, plan) pair and check the outcome.
     pub fn run(&self, kind: SchedulerKind, plan: &ReadersPlan) -> ReadersOutcome {
         let cells = self.spec.pairs * 2 * self.spec.stride;
-        let mut layout = MemoryLayout::new();
-        let data = layout.alloc("pairs", cells);
-        let sys = TxnSystem::build(cells as usize, layout, SystemConfig::default());
+        let (sys, data) = Cells::system(cells, self.spec.paired);
         sys.set_fault_plan(plan.faults.clone().map(FaultPlan::new));
         with_scheduler!(kind, &sys, |sched| self.drive(&sys, &sched, &data, plan))
     }
@@ -205,7 +212,7 @@ impl ReadersRunner {
         &self,
         sys: &Arc<TxnSystem>,
         sched: &S,
-        data: &MemRegion,
+        data: &Cells,
         plan: &ReadersPlan,
     ) -> ReadersOutcome
     where
@@ -332,6 +339,42 @@ impl ReadersRunner {
     }
 }
 
+/// The data cells of a run: a region of their own, or paired with the
+/// vertex lock words (cell `i` beside the lock word of vertex `i`).
+#[derive(Clone, Copy)]
+enum Cells {
+    Own(MemRegion),
+    Paired(MemRegion<2>),
+}
+
+impl Cells {
+    /// `n` cells, one vertex each, and the system over them.
+    fn system(n: u64, paired: bool) -> (Arc<TxnSystem>, Cells) {
+        let mut layout = MemoryLayout::new();
+        let cells = if paired {
+            Cells::Paired(layout.alloc_paired("cells", n))
+        } else {
+            Cells::Own(layout.alloc("cells", n))
+        };
+        let sys = TxnSystem::build(n as usize, layout, SystemConfig::default());
+        (sys, cells)
+    }
+
+    fn addr(&self, i: u64) -> Addr {
+        match self {
+            Cells::Own(r) => r.addr(i),
+            Cells::Paired(r) => r.addr(i),
+        }
+    }
+
+    fn len(&self) -> u64 {
+        match self {
+            Cells::Own(r) => r.len(),
+            Cells::Paired(r) => r.len(),
+        }
+    }
+}
+
 /// On a quiesced system, declared-pure transactions must be *free*: no
 /// lock acquisitions and no hardware-transaction operations, under every
 /// scheduler.
@@ -417,10 +460,18 @@ where
 ///
 /// `writer_hint` picks TuFast's mode as in [`ReadersSpec::writer_hint`].
 pub fn peek_probe(kind: SchedulerKind, writer_hint: usize) {
-    let cells = 8u64;
-    let mut layout = MemoryLayout::new();
-    let data = layout.alloc("cells", cells);
-    let sys = TxnSystem::build(cells as usize, layout, SystemConfig::default());
+    probe_peeks(kind, writer_hint, false);
+}
+
+/// [`peek_probe`] over cells paired with their vertex lock words, as
+/// [`ReadersSpec::paired`]: a peek's lock-word, line-state and value loads
+/// all hit one line.
+pub fn paired_peek_probe(kind: SchedulerKind, writer_hint: usize) {
+    probe_peeks(kind, writer_hint, true);
+}
+
+fn probe_peeks(kind: SchedulerKind, writer_hint: usize, paired: bool) {
+    let (sys, data) = Cells::system(8, paired);
     let (peeked, committed) = with_scheduler!(kind, &sys, |sched| drive_peeks(
         &sys,
         &sched,
@@ -445,7 +496,7 @@ pub fn fallback_peek_probe() {
     assert!(ballast_lines as usize > htm.max_lines());
     let words_per_line = (htm.line_bytes / 8) as u64;
     let mut layout = MemoryLayout::new();
-    let data = layout.alloc("cells", cells);
+    let data = Cells::Own(layout.alloc("cells", cells));
     let ballast = layout.alloc("ballast", ballast_lines * words_per_line);
     let ballast: Vec<_> = (0..ballast_lines)
         .map(|line| ballast.addr(line * words_per_line))
@@ -478,9 +529,9 @@ fn assert_only_committed(who: &str, peeked: &HashSet<u64>, committed: &HashSet<u
 fn drive_peeks<S>(
     sys: &Arc<TxnSystem>,
     sched: &S,
-    data: &MemRegion,
+    data: &Cells,
     writer_hint: usize,
-    ballast: &[tufast_htm::Addr],
+    ballast: &[Addr],
 ) -> (HashSet<u64>, HashSet<u64>)
 where
     S: GraphScheduler,

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tufast_check::{
-    fallback_peek_probe, peek_probe, quiesced_read_probe, ReadersPlan, ReadersRunner, ReadersSpec,
-    SchedulerKind,
+    fallback_peek_probe, paired_peek_probe, peek_probe, quiesced_read_probe, ReadersPlan,
+    ReadersRunner, ReadersSpec, SchedulerKind,
 };
 use tufast_graph::mutable::{MutationOutcome, MUTATION_HINT};
 use tufast_graph::{GraphBuilder, MutableGraph, OverlayConfig};
@@ -79,6 +79,26 @@ fn committed_peeks_never_see_an_aborted_write_under_any_scheduler() {
     peek_probe(SchedulerKind::TuFast, 8192);
     peek_probe(SchedulerKind::TuFast, 1 << 20);
     fallback_peek_probe();
+}
+
+/// A vertex is one line: the readers of both plans and the peek passes
+/// over cells paired with their lock words (`MemoryLayout::alloc_paired`),
+/// so the lock word a bracket loads twice and the value it brackets share
+/// one line, and every lock-word RMW re-stamps the value's line.
+#[test]
+fn readers_and_peeks_over_a_paired_region_under_every_scheduler() {
+    let runner = ReadersRunner::new(ReadersSpec {
+        paired: true,
+        ..ReadersSpec::default()
+    });
+    let outcomes = runner.run_matrix(&ReadersPlan::standard());
+    assert_eq!(outcomes.len(), 2 * 7);
+    for out in &outcomes {
+        out.assert_consistent();
+    }
+    for kind in SchedulerKind::all() {
+        paired_peek_probe(kind, 6);
+    }
 }
 
 proptest! {

@@ -181,11 +181,7 @@ impl MutableGraph {
     pub fn overlay_word_range(&self) -> std::ops::Range<u64> {
         let regions = [&self.head, &self.slots, &self.arena, &self.meta];
         let lo = regions.iter().map(|r| r.base().0).min().expect("4 regions");
-        let hi = regions
-            .iter()
-            .map(|r| r.base().0 + r.len())
-            .max()
-            .expect("4 regions");
+        let hi = regions.iter().map(|r| r.end().0).max().expect("4 regions");
         lo..hi
     }
 
@@ -1028,7 +1024,7 @@ mod tests {
         let range = mg.overlay_word_range();
         for (_, region) in mg.named_regions() {
             assert!(range.contains(&region.base().0));
-            assert!(range.contains(&(region.base().0 + region.len() - 1)));
+            assert!(range.contains(&region.addr(region.len() - 1).0));
         }
     }
 }

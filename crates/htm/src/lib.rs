@@ -88,7 +88,7 @@ pub use footprint::Footprint;
 pub use idtable::IdTable;
 pub use l1::L1Model;
 pub use memory::{
-    Addr, LineState, MemRegion, MemoryLayout, PaddedRegion, TxMemory, DIRECT_OWNER, WORDS_PER_LINE,
+    Addr, LineState, MemRegion, MemoryLayout, TxMemory, DIRECT_OWNER, WORDS_PER_LINE,
 };
 pub use runtime::HtmRuntime;
 pub use stats::HtmStats;

@@ -30,27 +30,32 @@ impl Addr {
     }
 }
 
-/// A named, line-aligned allocation inside a [`TxMemory`].
+/// A named allocation inside a [`TxMemory`]: `len` one-word elements,
+/// `STRIDE` words apart, from a line boundary (the value slots of a paired
+/// region from one word past it).
 ///
 /// Regions are handed out by [`MemoryLayout::alloc`] before the memory is
 /// built, in the style of a static data segment: graph algorithms allocate
 /// one region per vertex-value array (`rank`, `dist`, `match`, …) plus the
-/// per-vertex lock-word region used by the schedulers.
+/// per-vertex lock-word region used by the schedulers. A region from
+/// [`MemoryLayout::alloc_paired`] has stride 2: its elements interleave
+/// with the vertex lock words. The stride is a type parameter, not a
+/// field, so [`addr`](Self::addr) stays one multiply-add by a constant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemRegion {
+pub struct MemRegion<const STRIDE: u64 = 1> {
     base: u64,
     len: u64,
 }
 
-impl MemRegion {
+impl<const STRIDE: u64> MemRegion<STRIDE> {
     /// Address of element `i`. Panics in debug builds on out-of-range.
     #[inline]
     pub fn addr(&self, i: u64) -> Addr {
         debug_assert!(i < self.len, "region index {i} out of range {}", self.len);
-        Addr(self.base + i)
+        Addr(self.base + i * STRIDE)
     }
 
-    /// Number of words in the region.
+    /// Number of elements in the region.
     #[inline]
     pub fn len(&self) -> u64 {
         self.len
@@ -62,15 +67,22 @@ impl MemRegion {
         self.len == 0
     }
 
-    /// First word address of the region.
+    /// Address of the first element.
     #[inline]
     pub fn base(&self) -> Addr {
         Addr(self.base)
     }
 
-    /// Iterate over all addresses in the region.
+    /// One past the address of the last element (the base when empty):
+    /// the elements lie in `base()..end()`, with the stride's gaps.
+    #[inline]
+    pub fn end(&self) -> Addr {
+        Addr(self.base + (self.len * STRIDE).saturating_sub(STRIDE - 1))
+    }
+
+    /// Iterate over the addresses of all elements, in order.
     pub fn iter(&self) -> impl Iterator<Item = Addr> + '_ {
-        (self.base..self.base + self.len).map(Addr)
+        (0..self.len).map(|i| Addr(self.base + i * STRIDE))
     }
 }
 
@@ -87,12 +99,19 @@ impl MemRegion {
 /// (`value[v]`, `lock[v]`) would otherwise always share a set and a vertex
 /// would cost two of its ways — what page-aligned arrays do every 4 KiB on
 /// a real 64-set L1.
+///
+/// One region per layout may be *paired*
+/// ([`alloc_paired`](Self::alloc_paired)): it holds `{lock[v], value[v]}`
+/// side by side, so the vertex is one line, and it is coloured as the one
+/// region it is.
 #[derive(Debug, Default)]
 pub struct MemoryLayout {
     cursor: u64,
     /// Coloured (large) regions allocated so far.
     coloured: u64,
     regions: Vec<(String, MemRegion)>,
+    /// The lock slots of the paired region, if one was allocated.
+    paired_locks: Option<MemRegion<2>>,
 }
 
 /// Sets of the default L1 geometry (32 KB / 8-way / 64-byte lines): the
@@ -134,13 +153,31 @@ impl MemoryLayout {
         region
     }
 
-    /// Allocate `len` slots padded so each slot starts its own cache line.
+    /// Allocate `len` vertex values paired with the vertex lock words:
+    /// `{lock[v], value[v]}` in two adjacent words, four vertices per line.
+    /// Returns the value slots; the lock slots are
+    /// [`paired_locks`](Self::paired_locks), where the transactional system
+    /// takes its lock words from instead of allocating a region of its own.
     ///
-    /// Used for the "padded locks" ablation: padding removes false-sharing
-    /// aborts between neighbouring vertices at 8× the metadata footprint.
-    pub fn alloc_padded(&mut self, name: &str, len: u64) -> PaddedRegion {
-        let region = self.alloc(name, len * WORDS_PER_LINE as u64);
-        PaddedRegion { inner: region }
+    /// # Panics
+    /// If the layout already holds a paired region: a vertex has one lock
+    /// word.
+    pub fn alloc_paired(&mut self, name: &str, len: u64) -> MemRegion<2> {
+        assert!(
+            self.paired_locks.is_none(),
+            "a layout holds at most one paired region (a vertex has one lock word)"
+        );
+        let base = self.alloc(name, 2 * len).base;
+        self.paired_locks = Some(MemRegion { base, len });
+        MemRegion {
+            base: base + 1,
+            len,
+        }
+    }
+
+    /// The lock slots of the [paired](Self::alloc_paired) region, if any.
+    pub fn paired_locks(&self) -> Option<MemRegion<2>> {
+        self.paired_locks
     }
 
     /// Total words allocated so far (rounded up to whole lines).
@@ -151,32 +188,6 @@ impl MemoryLayout {
     /// The named regions allocated so far, in allocation order.
     pub fn regions(&self) -> &[(String, MemRegion)] {
         &self.regions
-    }
-}
-
-/// A region in which each logical slot occupies a full cache line.
-#[derive(Clone, Copy, Debug)]
-pub struct PaddedRegion {
-    inner: MemRegion,
-}
-
-impl PaddedRegion {
-    /// Address of logical slot `i` (the first word of its private line).
-    #[inline]
-    pub fn addr(&self, i: u64) -> Addr {
-        self.inner.addr(i * WORDS_PER_LINE as u64)
-    }
-
-    /// Number of logical slots.
-    #[inline]
-    pub fn len(&self) -> u64 {
-        self.inner.len() / WORDS_PER_LINE as u64
-    }
-
-    /// Whether the region has no slots.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -422,7 +433,7 @@ impl TxMemory {
 
     /// Bulk non-transactional fill of a region (initialisation helper; still
     /// strongly isolated, one line at a time).
-    pub fn fill_region(&self, region: &MemRegion, val: u64) {
+    pub fn fill_region<const STRIDE: u64>(&self, region: &MemRegion<STRIDE>, val: u64) {
         for addr in region.iter() {
             self.store_direct(addr, val);
         }
@@ -431,7 +442,7 @@ impl TxMemory {
     /// Snapshot a region into a `Vec` (sequential contexts only — values
     /// from concurrently-committing transactions may be torn *across* words,
     /// never within one).
-    pub fn snapshot_region(&self, region: &MemRegion) -> Vec<u64> {
+    pub fn snapshot_region<const STRIDE: u64>(&self, region: &MemRegion<STRIDE>) -> Vec<u64> {
         region.iter().map(|a| self.load_direct(a)).collect()
     }
 }
@@ -514,14 +525,40 @@ mod tests {
     }
 
     #[test]
-    fn padded_region_gives_one_line_per_slot() {
+    fn a_paired_region_interleaves_values_with_lock_slots() {
         let mut l = MemoryLayout::new();
-        let p = l.alloc_padded("locks", 4);
-        assert_eq!(p.len(), 4);
-        let lines: Vec<u64> = (0..4).map(|i| p.addr(i).line()).collect();
-        for w in lines.windows(2) {
-            assert_ne!(w[0], w[1]);
+        assert_eq!(l.paired_locks(), None);
+        l.alloc("flag", 3);
+        let values = l.alloc_paired("values", 5);
+        let locks = l.paired_locks().expect("the lock slots are recorded");
+        assert_eq!((values.len(), locks.len()), (5, 5));
+        assert_eq!(locks.base().0, 8, "line-aligned like any region");
+        for v in 0..5 {
+            assert_eq!(values.addr(v).0, locks.addr(v).0 + 1);
+            assert_eq!(values.addr(v).line(), locks.addr(v).line());
         }
+        assert_eq!(l.total_words(), 24, "10 words round up to two lines");
+        assert_eq!(l.regions()[1].1.len(), 10, "one region of both halves");
+    }
+
+    #[test]
+    fn iter_and_end_walk_a_stride_two_region_at_its_stride() {
+        let mut l = MemoryLayout::new();
+        let values = l.alloc_paired("values", 5);
+        let locks = l.paired_locks().unwrap();
+        let words = |r: &MemRegion<2>| r.iter().map(|a| a.0).collect::<Vec<_>>();
+        assert_eq!(words(&values), [1, 3, 5, 7, 9]);
+        assert_eq!(words(&locks), [0, 2, 4, 6, 8]);
+        assert_eq!((values.end(), locks.end()), (Addr(10), Addr(9)));
+        for r in [values, locks] {
+            assert!(r.iter().all(|a| (r.base()..r.end()).contains(&a)));
+        }
+        let empty = MemoryLayout::new().alloc_paired("none", 0);
+        assert_eq!((empty.iter().count(), empty.end()), (0, empty.base()));
+        // Stride 1 is what it always was.
+        let flat = l.alloc("flat", 3);
+        assert!(flat.iter().eq((flat.base().0..flat.end().0).map(Addr)));
+        assert_eq!(flat.end().0, flat.base().0 + 3);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! invalidation on real TSX. The commit batches in [`crate::commit`] change
 //! many words under their line locks and publish them at one version.
 
-use tufast_htm::{Addr, MemRegion, MemoryLayout, PaddedRegion, TxMemory};
+use tufast_htm::{Addr, MemRegion, MemoryLayout, TxMemory};
 
 use crate::VertexId;
 
@@ -105,10 +105,11 @@ impl LockWord {
 
 /// The per-vertex lock array, living at a region of the shared memory.
 ///
-/// In `packed` layout (the default, matching the paper) eight lock words
-/// share a cache line; `padded` gives every vertex its own line, trading 8×
-/// metadata memory for the elimination of false-sharing aborts — an
-/// ablation measured by `tufast-bench`.
+/// *Packed* (a region of its own, eight lock words per line) unless the
+/// algorithm allocated its value region *paired*
+/// ([`MemoryLayout::alloc_paired`]): then the lock words are that region's
+/// other slots, `{lock[v], value[v]}` on one line, and a vertex costs a
+/// hardware transaction one line instead of two.
 #[derive(Clone, Copy, Debug)]
 pub struct VertexLocks {
     storage: Storage,
@@ -117,7 +118,7 @@ pub struct VertexLocks {
 #[derive(Clone, Copy, Debug)]
 enum Storage {
     Packed(MemRegion),
-    Padded(PaddedRegion),
+    Paired(MemRegion<2>),
 }
 
 impl VertexLocks {
@@ -128,10 +129,11 @@ impl VertexLocks {
         }
     }
 
-    /// Allocate a padded (one line per vertex) lock array.
-    pub fn alloc_padded(layout: &mut MemoryLayout, n: usize) -> Self {
+    /// The lock slots of a paired region
+    /// ([`MemoryLayout::paired_locks`]).
+    pub fn paired(slots: MemRegion<2>) -> Self {
         VertexLocks {
-            storage: Storage::Padded(layout.alloc_padded("vertex-locks", n as u64)),
+            storage: Storage::Paired(slots),
         }
     }
 
@@ -140,7 +142,7 @@ impl VertexLocks {
     pub fn addr(&self, v: VertexId) -> Addr {
         match self.storage {
             Storage::Packed(r) => r.addr(u64::from(v)),
-            Storage::Padded(p) => p.addr(u64::from(v)),
+            Storage::Paired(r) => r.addr(u64::from(v)),
         }
     }
 
@@ -148,7 +150,7 @@ impl VertexLocks {
     pub fn len(&self) -> u64 {
         match self.storage {
             Storage::Packed(r) => r.len(),
-            Storage::Padded(p) => p.len(),
+            Storage::Paired(r) => r.len(),
         }
     }
 
@@ -317,13 +319,24 @@ mod tests {
     }
 
     #[test]
-    fn padded_layout_one_line_per_vertex() {
+    fn paired_layout_one_line_per_vertex() {
         let mut layout = MemoryLayout::new();
-        let locks = VertexLocks::alloc_padded(&mut layout, 4);
+        let values = layout.alloc_paired("values", 8);
+        let locks = VertexLocks::paired(layout.paired_locks().unwrap());
         let mem = TxMemory::new(&layout);
-        assert_ne!(locks.addr(0).line(), locks.addr(1).line());
+        assert_eq!(locks.len(), 8);
+        for v in 0..8 {
+            assert_eq!(locks.addr(v).line(), values.addr(u64::from(v)).line());
+            assert_eq!(locks.addr(v).line(), u64::from(v) / 4, "four per line");
+        }
         assert!(locks.try_exclusive(&mem, 1, 0).is_ok());
         assert!(locks.try_exclusive(&mem, 2, 0).is_ok());
+        mem.store_direct(values.addr(1), 7);
+        assert_eq!(
+            locks.peek(&mem, 1).writer(),
+            Some(0),
+            "the value is beside it"
+        );
     }
 
     #[test]

@@ -19,9 +19,6 @@ use crate::VertexId;
 pub struct SystemConfig {
     /// Emulated-HTM geometry and abort injection.
     pub htm: HtmConfig,
-    /// Give each vertex lock its own cache line (ablation; default packed,
-    /// as in the paper).
-    pub padded_locks: bool,
     /// Upper bound on concurrently live workers (sizes the wait-for table
     /// and the health board).
     pub max_workers: usize,
@@ -31,7 +28,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             htm: HtmConfig::default(),
-            padded_locks: false,
             max_workers: 512,
         }
     }
@@ -45,7 +41,9 @@ impl Default for SystemConfig {
 /// word — to the caller's [`MemoryLayout`] (which already holds the
 /// algorithm's value regions), then builds the memory and the HTM runtime
 /// over it. Locks living *inside* the transactional memory is what lets
-/// hardware transactions subscribe to them (paper §IV-A).
+/// hardware transactions subscribe to them (paper §IV-A). When the layout
+/// holds a [paired](MemoryLayout::alloc_paired) region, its lock slots are
+/// the lock words and no lock region is appended.
 pub struct TxnSystem {
     htm: HtmRuntime,
     locks: VertexLocks,
@@ -74,11 +72,20 @@ pub struct TxnSystem {
 
 impl TxnSystem {
     /// Finalise `layout` (adding scheduler metadata) and build the system.
+    ///
+    /// # Panics
+    /// If the layout's paired region does not cover exactly `num_vertices`.
     pub fn build(num_vertices: usize, mut layout: MemoryLayout, config: SystemConfig) -> Arc<Self> {
-        let locks = if config.padded_locks {
-            VertexLocks::alloc_padded(&mut layout, num_vertices)
-        } else {
-            VertexLocks::alloc(&mut layout, num_vertices)
+        let locks = match layout.paired_locks() {
+            Some(slots) => {
+                assert_eq!(
+                    slots.len(),
+                    num_vertices as u64,
+                    "the paired region must cover exactly the vertices"
+                );
+                VertexLocks::paired(slots)
+            }
+            None => VertexLocks::alloc(&mut layout, num_vertices),
         };
         let to_ts = layout.alloc("to-timestamps", num_vertices as u64);
         let fallback = layout.alloc("hsync-fallback", 1);
@@ -444,13 +451,13 @@ mod tests {
         }
     }
 
-    /// How many random vertices (lock word + value word each) one hardware
-    /// transaction holds before `Capacity`: ~120 when a vertex's two lines
-    /// fall in different sets, 59 when they share one.
-    #[test]
-    fn a_hardware_transaction_fits_over_a_hundred_random_vertices() {
-        let n = 8_192;
-        let (sys, values) = with_value_regions(n, 1);
+    /// The mean number of random vertices (lock word + value word each) one
+    /// hardware transaction holds before `Capacity`, over a seeded draw.
+    fn random_vertices_per_transaction<const S: u64>(
+        sys: &TxnSystem,
+        values: &MemRegion<S>,
+    ) -> f64 {
+        let n = sys.num_vertices() as u32;
         let mut ctx = sys.htm_ctx();
         // xorshift64*: seeded, so the mean repeats exactly.
         let mut x = 0x7117_5EED_u64;
@@ -458,7 +465,7 @@ mod tests {
             x ^= x >> 12;
             x ^= x << 25;
             x ^= x >> 27;
-            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32 % n as u32
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32 % n
         };
         let trials = 4_000;
         let mut fitted = 0u64;
@@ -466,15 +473,69 @@ mod tests {
             ctx.begin().expect("no transaction is open");
             loop {
                 let v = next();
-                let (lock, value) = (sys.locks().addr(v), values[0].addr(u64::from(v)));
+                let (lock, value) = (sys.locks().addr(v), values.addr(u64::from(v)));
                 match ctx.read(lock).and_then(|_| ctx.read(value)) {
                     Ok(_) => fitted += 1,
                     Err(code) => break assert_eq!(code, tufast_htm::AbortCode::Capacity),
                 }
             }
         }
-        let mean = fitted as f64 / trials as f64;
+        fitted as f64 / trials as f64
+    }
+
+    /// ~120 when a vertex's two lines fall in different sets, 59 when they
+    /// share one.
+    #[test]
+    fn a_hardware_transaction_fits_over_a_hundred_random_vertices() {
+        let (sys, values) = with_value_regions(8_192, 1);
+        let mean = random_vertices_per_transaction(&sys, &values[0]);
         assert!(mean >= 100.0, "{mean} vertices per transaction");
+    }
+
+    /// A system of `n` vertices over one paired value region.
+    fn with_paired_region(n: usize) -> (Arc<TxnSystem>, MemRegion<2>) {
+        let mut layout = MemoryLayout::new();
+        let values = layout.alloc_paired("values", n as u64);
+        (TxnSystem::with_defaults(n, layout), values)
+    }
+
+    /// One line per vertex: 210.4 on the same draw.
+    #[test]
+    fn a_paired_region_fits_over_two_hundred_random_vertices() {
+        let (sys, values) = with_paired_region(8_192);
+        let mean = random_vertices_per_transaction(&sys, &values);
+        assert!(mean >= 200.0, "{mean} vertices per transaction");
+    }
+
+    #[test]
+    fn every_vertex_of_a_paired_region_is_one_line() {
+        for n in [1, 8_192, 10_007] {
+            let (sys, values) = with_paired_region(n);
+            assert_eq!(sys.locks().len(), n as u64);
+            for v in 0..n as u32 {
+                let (lock, value) = (sys.locks().addr(v), values.addr(u64::from(v)));
+                assert_eq!(lock.line(), value.line(), "n = {n}: vertex {v}");
+                assert_ne!(lock, value);
+            }
+            // Nothing else lands in the pairs: the timestamps come after.
+            assert!(sys.to_ts_addr(0) >= values.end());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most one paired region")]
+    fn a_second_paired_allocation_panics() {
+        let mut layout = MemoryLayout::new();
+        layout.alloc_paired("values", 16);
+        layout.alloc_paired("more-values", 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "cover exactly the vertices")]
+    fn a_paired_region_of_another_length_panics_at_build() {
+        let mut layout = MemoryLayout::new();
+        layout.alloc_paired("values", 15);
+        TxnSystem::with_defaults(16, layout);
     }
 
     #[test]
@@ -633,19 +694,6 @@ mod tests {
         let a = sys.next_ts();
         let b = sys.next_ts();
         assert!(b > a);
-    }
-
-    #[test]
-    fn padded_layout_spreads_lock_words() {
-        let sys = TxnSystem::build(
-            8,
-            MemoryLayout::new(),
-            SystemConfig {
-                padded_locks: true,
-                ..SystemConfig::default()
-            },
-        );
-        assert_ne!(sys.locks().addr(0).line(), sys.locks().addr(1).line());
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub struct WorkloadSpec {
     /// Cells touched (read + written) per transaction.
     pub cells_per_txn: usize,
     /// Size hint passed to `execute` (routes TuFast: keep it small for H
-    /// mode, raise it above `h_max_hint_words` to force O mode).
+    /// mode, raise it above the HTM capacity in words to force O mode).
     pub hint: usize,
 }
 
@@ -530,7 +530,7 @@ mod tests {
     #[test]
     fn skipping_o_validation_is_caught() {
         let _g = seq();
-        // Force O mode (hint above h_max_hint_words) and disable its
+        // Force O mode (hint above the HTM capacity) and disable its
         // commit validation: the explorer must surface a DSG cycle.
         let spec = WorkloadSpec {
             hint: 8192,

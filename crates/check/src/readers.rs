@@ -96,7 +96,7 @@ pub struct ReadersSpec {
     pub stride: u64,
     /// Size hint of the writer transactions. Under TuFast it picks the
     /// mode: small hints run in H, 8192 is past H's reach (O mode), and
-    /// anything past `o_max_hint_words` goes straight to L (2PL).
+    /// anything past O's reach (64 × the HTM capacity) goes straight to L.
     pub writer_hint: usize,
     /// Allocate the cells paired with the vertex lock words
     /// ([`MemoryLayout::alloc_paired`]): cell `i` shares a line with the

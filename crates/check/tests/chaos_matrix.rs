@@ -35,7 +35,7 @@ fn every_scheduler_survives_every_standard_plan() {
 
 #[test]
 fn o_mode_tufast_survives_spurious_storm() {
-    // Hint above h_max_hint_words forces TuFast through O (all-HTM
+    // A hint above H's reach (the HTM capacity) forces TuFast through O (all-HTM
     // pieces) under a 100% spurious storm: it must degrade to L and
     // still commit everything.
     let runner = ChaosRunner::new(WorkloadSpec {

@@ -16,11 +16,12 @@
 //!    (via a drop guard, so panics count too). The coordinator waits until
 //!    `parked == active - 1`.
 //! 2. **Then the serial token.** With all peers parked the coordinator
-//!    CAS-acquires the global serial-fallback token (the PR 2
-//!    stop-the-world word) under the reserved [`COORDINATOR_CLAIM`]. Any
-//!    in-flight serial fallback holds the token only while committing, so
-//!    this wait is bounded; conversely new transactions gate on the token
-//!    at entry, so nothing starts while the checkpoint runs.
+//!    [holds](tufast_txn::TxnSystem::hold_serial) the global serial token
+//!    (the router's stop-the-world word) under the reserved
+//!    [`COORDINATOR_CLAIM`]. Any in-flight serial rung holds the token only
+//!    while committing, so this wait is bounded; conversely new
+//!    transactions gate on the token at entry, so nothing starts while the
+//!    checkpoint runs.
 //! 3. **Checkpoint under quiescence.** The hook runs while nothing is in
 //!    flight: every popped item has fully processed (its re-pushes are in
 //!    the pool), so `(vertex state, frontier)` is a consistent resumable
@@ -28,7 +29,9 @@
 //!    snapshot the pool via
 //!    [`WorkPool::pending_items`](crate::par::WorkPool::pending_items).
 //! 4. **Release and resume.** Token released, epoch bumped, pause flag
-//!    cleared; parked peers continue.
+//!    cleared; parked peers continue. A panicking hook releases the token
+//!    and clears the flag too — the peers resume, and the panic re-raises
+//!    when the drain joins.
 //!
 //! The order of 1 and 2 is load-bearing: taking the token *first* would
 //! deadlock — a peer spinning at the `execute` entry gate is not parked
@@ -36,6 +39,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
+use tufast_txn::commit::relax;
 use tufast_txn::{GraphScheduler, TxnSystem};
 
 use crate::par::{drain, WorkPool};
@@ -73,6 +77,18 @@ impl Drop for ActiveGuard<'_> {
         // Release publishes this thread's final item work to the
         // coordinator, whose park-wait loads `active` with Acquire.
         self.0.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// Clears the pause flag on drop, so parked peers resume however the
+/// coordinator leaves — its checkpoint hook may panic.
+struct Reopen<'a>(&'a AtomicBool);
+
+impl Drop for Reopen<'_> {
+    fn drop(&mut self) {
+        // Release publishes the checkpoint (and the next epoch) to the
+        // peers' Acquire re-check of the flag.
+        self.0.store(false, Ordering::Release);
     }
 }
 
@@ -115,14 +131,10 @@ impl<'a> Epochs<'a> {
             return;
         }
         self.parked.fetch_add(1, Ordering::Release);
-        let mut spins = 0u32;
+        let mut turn = 0u32;
         while self.pause.load(Ordering::Acquire) {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            relax(turn);
+            turn = turn.wrapping_add(1);
         }
         self.parked.fetch_sub(1, Ordering::Release);
     }
@@ -150,41 +162,33 @@ impl<'a> Epochs<'a> {
         {
             return;
         }
+        let _reopen = Reopen(&self.pause);
         // 1. Wait for every other live thread to park or exit. Peers park
         //    only between items, so when the counts meet, nothing is
         //    mid-transaction.
-        let mut spins = 0u32;
+        let mut turn = 0u32;
         while self.parked.load(Ordering::Acquire) < self.active.load(Ordering::Acquire) - 1 {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            relax(turn);
+            turn = turn.wrapping_add(1);
         }
-        // 2. Take the serial token (an in-flight serial fallback finishes
+        // 2. Take the serial token (an in-flight serial rung finishes
         //    first; nothing new can start while we hold it).
-        let token = self.sys.serial_token();
-        let mem = self.sys.mem();
         // tufast-lint: lock-acquire(serial_token)
-        while mem.cas_direct(token, 0, COORDINATOR_CLAIM).is_err() {
-            std::hint::spin_loop();
-        }
+        let token = self.sys.hold_serial(COORDINATOR_CLAIM);
         // 3. Checkpoint under full quiescence. Only the elected
         //    coordinator ever touches `epoch`/`next_target`, and
         //    coordinators are serialized by the pause CAS above, so
-        //    Relaxed suffices; the Release un-pause publishes both.
+        //    Relaxed suffices; the reopening Release publishes both.
         let epoch = self.epoch.load(Ordering::Relaxed);
         (self.checkpoint)(epoch);
-        // 4. Reopen the world.
-        mem.store_direct(token, 0);
+        // 4. Reopen the world: the token now, the pause flag on return.
+        drop(token);
         self.epoch.store(epoch + 1, Ordering::Relaxed);
         let done_now = self.items_done.load(Ordering::Relaxed);
         self.next_target.store(
             done_now.max(every).saturating_add(every.max(1)),
             Ordering::Relaxed,
         );
-        self.pause.store(false, Ordering::Release);
     }
 }
 
@@ -288,6 +292,46 @@ mod tests {
     #[test]
     fn zero_interval_never_checkpoints() {
         assert_eq!(epochs_closed(0, 0), []);
+    }
+
+    #[test]
+    fn a_panicking_checkpoint_reraises_and_releases_the_barrier() {
+        use std::time::Duration;
+        let (sys, data) = system(8, 1);
+        let (done, drained) = std::sync::mpsc::channel();
+        let run = Arc::clone(&sys);
+        // On its own thread: a drain that hangs must fail the test, not
+        // wedge it.
+        std::thread::spawn(move || {
+            let sched = TwoPhaseLocking::new(Arc::clone(&run));
+            let pool = FifoPool::new();
+            for v in 0..400u32 {
+                pool.push(v);
+            }
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_drain_epochs(
+                    &sched,
+                    &run,
+                    &pool,
+                    4,
+                    50,
+                    0,
+                    |epoch| assert_ne!(epoch, 0, "the hook fails at the first epoch"),
+                    |w, _pool, _v| {
+                        w.execute(2, &mut |ops| {
+                            let x = ops.read(0, data.addr(0))?;
+                            ops.write(0, data.addr(0), x + 1)
+                        });
+                    },
+                )
+            }));
+            let _ = done.send(caught.is_err());
+        });
+        let reraised = drained
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the drain hung on the panicking hook");
+        assert!(reraised, "the hook's panic must re-raise");
+        assert_eq!(sys.mem().load_direct(sys.serial_token()), 0, "token leaked");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * **O mode** — optimistic execution chopped into `period`-sized HTM
 //!   pieces for free early conflict detection, then a validated commit
 //!   under the write locks (Algorithm 2, Figure 9). On abort the `period`
-//!   halves; below 100 the transaction proceeds to L mode.
+//!   halves; below its floor the transaction proceeds to L mode.
 //! * **L mode** — strict two-phase locking with deadlock handling
 //!   (Algorithm 3), for the huge hub transactions.
 //!

@@ -4,11 +4,11 @@ use std::sync::Arc;
 
 use tufast_htm::{AbortCode, IdTable};
 use tufast_txn::{
-    GraphScheduler, HealthHandle, Lifecycle, Rung, SchedStats, TwoPhaseLocking, TxnBody, TxnHint,
-    TxnOutcome, TxnSystem, TxnWorker, Verdict,
+    GraphScheduler, HealthHandle, Lifecycle, Rung, RungEnd, SchedStats, TplAttempt, TxnBody,
+    TxnHint, TxnOutcome, TxnSystem, TxnWorker, Verdict,
 };
 
-use crate::config::TuFastConfig;
+use crate::config::{TuFastConfig, L_ATTEMPT_BUDGET, MAX_PERIOD, MIN_PERIOD, O_RETRIES};
 use crate::hmode::{self, HAttempt};
 use crate::monitor::ContentionMonitor;
 use crate::omode::{self, OAttempt, OFailCode, OScratch, OpCount};
@@ -39,35 +39,26 @@ impl TuFast {
         config.validate();
         TuFast { sys, config }
     }
-
-    /// The shared system (to build value regions, inspect memory, …).
-    pub fn system(&self) -> &Arc<TxnSystem> {
-        &self.sys
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &TuFastConfig {
-        &self.config
-    }
 }
 
 impl GraphScheduler for TuFast {
     type Worker = TuFastWorker;
 
     fn worker(&self) -> TuFastWorker {
-        let mut l_worker = TwoPhaseLocking::new(Arc::clone(&self.sys)).worker();
         let me = self.sys.new_worker_id();
-        l_worker.share_slot(me);
+        // A bigger footprint than the HTM holds is bound to capacity-abort.
+        let h_reach = self.sys.htm().capacity_words();
         TuFastWorker {
             lc: Lifecycle::new(&self.sys, me),
             h_skip_streak: 0,
-            monitor: ContentionMonitor::new(self.config.min_period, self.config.max_period),
-            l_worker,
+            monitor: ContentionMonitor::new(MIN_PERIOD, MAX_PERIOD),
+            l: TplAttempt::default(),
             vertices: IdTable::default(),
             ctx: self.sys.htm_ctx(),
             o_scratch: OScratch::new(me),
-            period_cap: self.config.max_period,
-            h_hint_cap: self.config.h_max_hint_words,
+            period_cap: MAX_PERIOD,
+            h_reach,
+            h_hint_cap: h_reach,
             config: self.config.clone(),
             stats: TuFastStats::default(),
         }
@@ -78,9 +69,9 @@ impl GraphScheduler for TuFast {
     }
 }
 
-/// Per-thread TuFast execution state: an HTM context, a contention monitor,
-/// and an embedded L-mode (2PL) worker, which beats this worker's heartbeat
-/// slot.
+/// Per-thread TuFast execution state: one worker — one id, one heartbeat
+/// slot, one fault handle — with an HTM context, a contention monitor and
+/// the 2PL attempt state its L and serial rungs run on.
 pub struct TuFastWorker {
     /// Identity, system, health and fault probes, and the scheduler
     /// counters (`stats.sched` stays empty until a take folds them in).
@@ -91,7 +82,8 @@ pub struct TuFastWorker {
     h_skip_streak: u32,
     ctx: tufast_htm::HtmCtx,
     monitor: ContentionMonitor,
-    l_worker: <TwoPhaseLocking as GraphScheduler>::Worker,
+    /// The L and serial rungs' incremental 2PL attempt.
+    l: TplAttempt,
     /// The vertices the current H or O attempt has touched. The two modes
     /// never overlap an attempt, and each clears the table at begin.
     vertices: IdTable,
@@ -100,6 +92,8 @@ pub struct TuFastWorker {
     /// (piece footprints depend on the workload's line locality, which the
     /// pure contention model cannot see). Recovers slowly on success.
     period_cap: u32,
+    /// Size hints above this skip H mode: the HTM capacity in words.
+    h_reach: usize,
     /// Learned size-hint bound for entering H mode: hints above this have
     /// been observed to capacity-abort, so H is skipped (the paper's
     /// "unless the size of transaction makes H mode impossible").
@@ -125,12 +119,6 @@ impl TuFastWorker {
         out
     }
 
-    /// Current smoothed per-operation HTM abort probability (the adaptive
-    /// period input; paper Figure 17).
-    pub fn contention_p(&self) -> f64 {
-        self.monitor.p()
-    }
-
     /// The `period` the worker would choose right now.
     ///
     /// The learned capacity cap is part of the *adaptive* machinery
@@ -138,115 +126,80 @@ impl TuFastWorker {
     /// rediscovers capacity limits per transaction, exactly like the
     /// paper's static baseline in Figure 17.
     pub fn current_period(&self) -> u32 {
-        if self.config.adaptive_period {
+        self.config.static_period.unwrap_or_else(|| {
             self.monitor
                 .suggest_period()
                 .min(self.period_cap)
-                .max(self.config.min_period)
-        } else {
-            self.config.static_period
+                .max(MIN_PERIOD)
+        })
+    }
+
+    /// Reads and writes counted so far.
+    fn ops(&self) -> u64 {
+        self.lc.stats.reads + self.lc.stats.writes
+    }
+
+    /// L mode (§IV-E): a rung of [`L_ATTEMPT_BUDGET`] incremental 2PL
+    /// attempts, its ops recorded under `class`; if it leaves the
+    /// transaction unsettled (all rolled back), the serial rung. Both are
+    /// cold and out of line, so the inlined rungs do not grow the H/O path.
+    #[cold]
+    #[inline(never)]
+    fn l_rung(
+        &mut self,
+        class: ModeClass,
+        mut attempts: u32,
+        body: &mut TxnBody<'_>,
+    ) -> TxnOutcome {
+        let ops = self.ops();
+        let end = Lifecycle::rung(self, L_ATTEMPT_BUDGET, &mut attempts, |w, obs| {
+            w.l.attempt(&mut w.lc, body, obs)
+        });
+        match end {
+            RungEnd::Exhausted => self.serial_rung(class, attempts, body),
+            RungEnd::Committed => {
+                self.stats.modes.record(class, self.ops() - ops);
+                end.outcome(attempts)
+            }
+            // A health stop is a clean rollback, not a liveness failure: it
+            // must not escalate to the serial token.
+            RungEnd::UserAborted | RungEnd::Stopped => end.outcome(attempts),
         }
     }
 
-    /// Run in L mode, folding its per-transaction ops into `class`.
-    ///
-    /// L is attempt-bounded ([`TuFastConfig::l_attempt_budget`]); a
-    /// transaction that exhausts the budget without committing (and
-    /// without a user abort) escalates to [`Self::serial_commit`] — the
-    /// last rung of the liveness ladder, which cannot fail.
-    fn run_l(
+    /// The last rung of the liveness ladder: unbounded incremental 2PL
+    /// attempts with the global serial token held and fault injection
+    /// exempt. Arriving transactions wait at the serial gate meanwhile, so
+    /// the system drains towards this one writer; peers in flight finish
+    /// or exhaust their own L budgets and queue for the token holding
+    /// nothing. One writer left, with deadlock detection still underneath,
+    /// commits every body that does not user-abort.
+    #[cold]
+    #[inline(never)]
+    fn serial_rung(
         &mut self,
-        hint: usize,
         class: ModeClass,
-        attempts_so_far: u32,
+        mut attempts: u32,
         body: &mut TxnBody<'_>,
     ) -> TxnOutcome {
-        let out = self
-            .l_worker
-            .execute_bounded(self.config.l_attempt_budget, body);
-        // Drain the inner 2PL worker's counters into ours immediately, so
-        // `stats()` is always complete and nothing is counted twice.
-        let delta = self.l_worker.take_stats();
-        let ops = delta.reads + delta.writes;
-        let user_aborted = delta.user_aborts > 0;
-        // A health stop (cancel / deadline / shed) is a clean rollback, not
-        // a liveness failure: it must NOT escalate to the serial token.
-        let health_stopped = delta.health_stops > 0;
-        self.lc.stats.merge(&delta);
-        if out.committed {
-            self.stats.modes.record(class, ops);
-        }
-        if out.committed || user_aborted || health_stopped {
-            return TxnOutcome {
-                committed: out.committed,
-                attempts: attempts_so_far + out.attempts,
-            };
-        }
-        // Budget exhausted: everything is rolled back and no locks are
-        // held, so spinning on the token below cannot deadlock.
-        self.serial_commit(hint, class, attempts_so_far + out.attempts, body)
-    }
-
-    /// Stop-the-world single-writer commit: acquire the global serial
-    /// token, run the body in L mode with fault injection exempted and no
-    /// attempt bound, then release the token.
-    ///
-    /// While the token is held, [`TuFastWorker::execute`] entry pauses, so
-    /// the system drains towards a single writer; in-flight peers either
-    /// finish or exhaust their own L budgets and queue here lock-free.
-    /// With at most one non-exempt-free writer making unbounded attempts
-    /// and deadlock detection still active underneath, this rung commits
-    /// every body that does not user-abort.
-    fn serial_commit(
-        &mut self,
-        hint: usize,
-        class: ModeClass,
-        attempts_so_far: u32,
-        body: &mut TxnBody<'_>,
-    ) -> TxnOutcome {
-        let token = self.lc.sys.serial_token();
-        let mem = self.lc.sys.mem();
-        let claim = u64::from(self.lc.id) + 1;
-        let mut spins = 0u32;
+        let sys = Arc::clone(&self.lc.sys);
         // tufast-lint: lock-acquire(serial_token)
-        while mem.cas_direct(token, 0, claim).is_err() {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(256) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        self.l_worker.set_fault_exempt(true);
-        // The body may panic inside the serial section (the embedded 2PL
-        // worker rolls back and re-raises). The token MUST be released on
-        // that path too — a leaked token permanently gates every worker's
-        // `execute` entry — so catch, clean up, then re-raise.
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // tufast-lint: allow(lock-order) -- l_worker is the embedded TplWorker, whose execute never re-enters the serial token; name-based resolution conflates it with TuFastWorker::execute
-            self.l_worker.execute(hint, body)
-        }));
-        self.l_worker.set_fault_exempt(false);
-        mem.store_direct(token, 0);
-        let out = match out {
-            Ok(out) => out,
-            Err(payload) => {
-                let delta = self.l_worker.take_stats();
-                self.lc.stats.merge(&delta);
-                std::panic::resume_unwind(payload);
-            }
-        };
-        let delta = self.l_worker.take_stats();
-        let ops = delta.reads + delta.writes;
-        self.lc.stats.merge(&delta);
-        if out.committed {
+        let _token = sys.hold_serial(u64::from(self.lc.id) + 1);
+        let ops = self.ops();
+        // Exempt for the whole rung, attempt boundaries included; cleared on
+        // every exit — before the rung re-raises a body's panic, too.
+        self.lc.faults.set_exempt(true);
+        let end = Lifecycle::rung(self, u32::MAX, &mut attempts, |w, obs| {
+            let verdict = w.l.attempt(&mut w.lc, body, obs);
+            w.lc.faults.set_exempt(verdict != Verdict::Panicked);
+            verdict
+        });
+        self.lc.faults.set_exempt(false);
+        if end == RungEnd::Committed {
             self.stats.serial_commits += 1;
-            self.stats.modes.record(class, ops);
+            self.stats.modes.record(class, self.ops() - ops);
         }
-        TxnOutcome {
-            committed: out.committed,
-            attempts: attempts_so_far + out.attempts,
-        }
+        end.outcome(attempts)
     }
 }
 
@@ -257,9 +210,9 @@ impl TxnWorker for TuFastWorker {
         // ---- R mode (before everything, including the serial gate):
         // declared-pure bodies pin a snapshot and read with no locks, no
         // read-set logging, and no hardware transaction. R readers hold
-        // nothing and the serial-fallback writer publishes through the
-        // embedded 2PL worker's vertex locks — which the snapshot bracket
-        // already rejects — so they need not wait out the drain.
+        // nothing and the serial rung's writer publishes through the vertex
+        // locks — which the snapshot bracket already rejects — so they need
+        // not wait out the drain.
         let reads_before = self.lc.stats.reads;
         let mut attempts = match tufast_txn::read_only_prologue(&mut self.lc, txn_hint, body) {
             Ok(out) => {
@@ -273,32 +226,16 @@ impl TxnWorker for TuFastWorker {
             // spent attempts into the ordinary H→O→L ladder below.
             Err(spent) => spent,
         };
-        // Stop-the-world gate: while a serial-fallback holder is
-        // committing, newly arriving transactions pause here (holding
-        // nothing), so the system drains towards a single writer.
-        let token = self.lc.sys.serial_token();
-        let mut gate_spins = 0u32;
-        while self.lc.sys.mem().load_direct(token) != 0 {
-            gate_spins = gate_spins.wrapping_add(1);
-            if gate_spins.is_multiple_of(256) {
-                // The holder may itself be health-stopped; a cancelled job
-                // must not wait out the drain. Nothing is held here.
-                if self.lc.stop_requested() {
-                    return TxnOutcome {
-                        committed: false,
-                        attempts,
-                    };
-                }
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+        // Stop-the-world gate: while a serial holder commits, arriving
+        // transactions pause here, holding nothing.
+        if !self.lc.serial_gate() {
+            return RungEnd::Stopped.outcome(attempts);
         }
 
         // Watchdog escalation: collapse to the single-writer serial path so
         // a livelocked mix drains behind the global token.
         if self.lc.health.escalated(Rung::Serial) {
-            return self.serial_commit(hint, ModeClass::L, attempts, body);
+            return self.serial_rung(ModeClass::L, attempts, body);
         }
 
         // Seeded crash site: with a crash plan armed, the run dies here —
@@ -307,11 +244,10 @@ impl TxnWorker for TuFastWorker {
         // sites are probed at every attempt boundary, by the skeleton.)
         self.lc.faults.crash_point();
 
-        // Entry decision (Figure 10): size hints beyond O-mode reach go
-        // straight to L mode. (The embedded 2PL worker carries its own
-        // observer hooks, so L-mode routing needs none here.)
-        if hint > self.config.o_max_hint_words {
-            return self.run_l(hint, ModeClass::L, attempts, body);
+        // Entry decision (Figure 10): size hints beyond O-mode reach, 64
+        // times H's, go straight to L mode.
+        if hint > 64 * self.h_reach {
+            return self.l_rung(ModeClass::L, attempts, body);
         }
 
         // Runtime degradation: with the HTM switch off, both H and O (its
@@ -319,13 +255,13 @@ impl TxnWorker for TuFastWorker {
         // to L instead of burning doomed begin() calls.
         if !self.lc.sys.htm().htm_available() {
             self.stats.htm_off_txns += 1;
-            return self.run_l(hint, ModeClass::L, attempts, body);
+            return self.l_rung(ModeClass::L, attempts, body);
         }
 
         // ---- H mode (skipped when the hint alone guarantees overflow,
         // statically or per the learned capacity bound, or while the
         // monitor judges H futile — modulo a periodic reprobe).
-        if hint <= self.config.h_max_hint_words.min(self.h_hint_cap) {
+        if hint <= self.h_reach.min(self.h_hint_cap) {
             let degraded = self.monitor.h_futile() && {
                 self.h_skip_streak = self.h_skip_streak.wrapping_add(1);
                 !self.h_skip_streak.is_multiple_of(H_REPROBE_INTERVAL)
@@ -346,8 +282,7 @@ impl TxnWorker for TuFastWorker {
                             w.stats.modes.record(ModeClass::H, ops);
                             // Slow recovery of the learned H bound.
                             if hint * 2 > w.h_hint_cap {
-                                w.h_hint_cap = (w.h_hint_cap + w.h_hint_cap / 16)
-                                    .min(w.config.h_max_hint_words);
+                                w.h_hint_cap = (w.h_hint_cap + w.h_hint_cap / 16).min(w.h_reach);
                             }
                             Verdict::Committed
                         }
@@ -369,7 +304,7 @@ impl TxnWorker for TuFastWorker {
             }
         }
 
-        // ---- O mode with period halving: a rung of `o_retries` attempts
+        // ---- O mode with period halving: a rung of `O_RETRIES` attempts
         // that an attempt leaves once `period` falls below the floor. At
         // every attempt boundary the previous O attempt rolled back every
         // piece, so nothing is held.
@@ -377,11 +312,7 @@ impl TxnWorker for TuFastWorker {
         self.stats.period_sum += u64::from(period);
         self.stats.period_samples += 1;
         let mut adjusted = false;
-        let o_budget = if period >= self.config.min_period {
-            self.config.o_retries
-        } else {
-            0
-        };
+        let o_budget = if period >= MIN_PERIOD { O_RETRIES } else { 0 };
         let end = Lifecycle::rung(self, o_budget, &mut attempts, |w, obs| {
             // Injected O-mode failure (validation / commit-lock), decided
             // here at the router so `omode` stays fault-agnostic; HTM-level
@@ -408,7 +339,7 @@ impl TxnWorker for TuFastWorker {
                 Verdict::Committed => {
                     w.monitor.observe(ops, 0);
                     // Slow recovery of the learned capacity cap.
-                    w.period_cap = (w.period_cap + w.period_cap / 16).min(w.config.max_period);
+                    w.period_cap = (w.period_cap + w.period_cap / 16).min(MAX_PERIOD);
                     let class = if adjusted {
                         ModeClass::OPlus
                     } else {
@@ -429,7 +360,7 @@ impl TxnWorker for TuFastWorker {
                             // then left for L, as the paper prescribes,
                             // instead of re-running a doomed piece size.
                             period = period.min(fit);
-                            w.period_cap = period.max(w.config.min_period);
+                            w.period_cap = period.max(MIN_PERIOD);
                         }
                         None => {
                             let contention_abort = matches!(
@@ -443,7 +374,7 @@ impl TxnWorker for TuFastWorker {
                         }
                     }
                     adjusted = true;
-                    if period >= w.config.min_period {
+                    if period >= MIN_PERIOD {
                         Verdict::Restart
                     } else {
                         Verdict::Leave
@@ -457,7 +388,7 @@ impl TxnWorker for TuFastWorker {
         }
 
         // ---- L mode (after O gave up).
-        self.run_l(hint, ModeClass::O2L, attempts, body)
+        self.l_rung(ModeClass::O2L, attempts, body)
     }
 
     fn stats(&self) -> &SchedStats {
@@ -617,9 +548,9 @@ mod tests {
     fn no_false_stall_after_an_l_transaction() {
         use std::time::{Duration, Instant};
         use tufast_txn::{Watchdog, WatchdogConfig};
-        // One transaction routed to L, then H commits only: the embedded L
-        // worker beats the router's slot, so no slot goes flat while the
-        // router keeps committing.
+        // One transaction routed to L, then H commits only: the router is
+        // one worker with one heartbeat slot, so no slot goes flat while it
+        // keeps committing.
         let (sys, data) = setup(2, 16);
         let mut w = TuFast::new(Arc::clone(&sys)).worker();
         let bump = &mut |ops: &mut dyn tufast_txn::TxnOps| {
@@ -643,6 +574,44 @@ mod tests {
         let stats = w.take_tufast_stats();
         assert_eq!(stats.modes.txns(ModeClass::L), 1);
         assert!(stats.modes.txns(ModeClass::H) > 1);
+    }
+
+    #[test]
+    fn a_router_draws_one_worker_id() {
+        let (sys, _) = setup(2, 8);
+        let tufast = TuFast::new(Arc::clone(&sys));
+        let before = sys.new_worker_id();
+        let _w = tufast.worker();
+        assert_eq!(sys.new_worker_id(), before + 2, "one id for the router");
+    }
+
+    #[test]
+    fn the_h_reach_is_the_system_s_htm_capacity() {
+        use tufast_htm::HtmConfig;
+        use tufast_txn::SystemConfig;
+        // A 256-word hint against 128 words of capacity skips H; against
+        // the default 4 096 it does not.
+        for (htm, mode) in [
+            (HtmConfig::tiny_for_tests(), ModeClass::O),
+            (HtmConfig::default(), ModeClass::H),
+        ] {
+            let mut layout = MemoryLayout::new();
+            let data = layout.alloc("data", 16);
+            let config = SystemConfig {
+                htm,
+                ..SystemConfig::default()
+            };
+            let sys = TxnSystem::build(2, layout, config);
+            let mut w = TuFast::new(Arc::clone(&sys)).worker();
+            let out = w.execute(256, &mut |ops| {
+                let x = ops.read(0, data.addr(0))?;
+                ops.write(0, data.addr(0), x + 1)
+            });
+            assert!(out.committed, "{mode:?}");
+            let stats = w.take_tufast_stats();
+            assert_eq!(stats.modes.txns(mode), 1, "{mode:?}");
+            assert_eq!(stats.modes.total_txns(), 1, "{mode:?}");
+        }
     }
 
     #[test]
@@ -856,19 +825,15 @@ mod tests {
     #[test]
     fn serial_fallback_commits_when_l_budget_exhausted() {
         use tufast_txn::{FaultPlan, FaultSpec};
-        // Locks fail 90% of the time and the L budget is tiny, so plain L
-        // keeps restarting; the serial token must still get every
+        // Every lock acquisition outside the serial rung fails, so plain L
+        // spends its budget; the serial token must still get every
         // transaction committed (holder runs fault-exempt).
         let (sys, data) = setup(4, 32);
         sys.set_fault_plan(Some(FaultPlan::new(FaultSpec {
-            lock_fail_permille: 900,
+            lock_fail_permille: 1000,
             ..FaultSpec::default()
         })));
-        let config = TuFastConfig {
-            l_attempt_budget: 2,
-            ..TuFastConfig::default()
-        };
-        let tufast = Arc::new(TuFast::with_config(Arc::clone(&sys), config));
+        let tufast = Arc::new(TuFast::new(Arc::clone(&sys)));
         let rounds = 50u64;
         let mut serial = 0u64;
         std::thread::scope(|s| {
@@ -901,21 +866,17 @@ mod tests {
     #[test]
     fn serial_token_released_when_body_panics_in_fallback() {
         use tufast_txn::{FaultPlan, FaultSpec};
-        // Every non-exempt lock acquisition fails and the L budget is 1,
-        // so the transaction escalates to the serial fallback, where the
-        // (exempt) body finally runs — and panics. The global token must
-        // be released and the exemption cleared, or every later `execute`
-        // hangs at the entry gate forever.
+        // Every non-exempt lock acquisition fails, so the transaction
+        // spends its L budget and escalates to the serial fallback, where
+        // the (exempt) body finally runs — and panics. The global token
+        // must be released and the exemption cleared, or every later
+        // `execute` hangs at the entry gate forever.
         let (sys, data) = setup(4, 32);
         sys.set_fault_plan(Some(FaultPlan::new(FaultSpec {
             lock_fail_permille: 1000,
             ..FaultSpec::default()
         })));
-        let config = TuFastConfig {
-            l_attempt_budget: 1,
-            ..TuFastConfig::default()
-        };
-        let tufast = TuFast::with_config(Arc::clone(&sys), config);
+        let tufast = TuFast::new(Arc::clone(&sys));
         let mut w = tufast.worker();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Huge hint: straight to L, budget exhausts, serial commit.
@@ -1032,7 +993,6 @@ mod tests {
         let (sys, data) = setup(2, 16);
         let config = TuFastConfig {
             h_retries: 1,
-            o_retries: 2,
             ..TuFastConfig::default()
         };
         let tufast = TuFast::with_config(Arc::clone(&sys), config);

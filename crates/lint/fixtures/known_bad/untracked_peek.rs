@@ -14,7 +14,7 @@ pub fn relax(&self, sys: &TxnSystem, w: &mut Worker, v: u32, u: u32) {
 }
 
 pub fn probe(&self, sys: &TxnSystem, w: &mut Worker, v: u32) {
-    w.execute_bounded(2, &mut |ops| {
+    w.execute_declared(&[Declared::read(v)], &mut |ops| {
         let seen = sys.peek_committed(v, self.addr(v));
         ops.read(v, self.addr(v)).map(|_| drop(seen))
     });

@@ -18,7 +18,9 @@
 //!   carry `lock-acquire(htm_line_lock)` markers.
 //! * `recv.lock(..)` — a mutex, classed `mutex:<file>.<recv>`.
 //! * `// tufast-lint: lock-acquire(<class>)` — a blocking acquisition
-//!   the patterns cannot see (CAS spin loops on token words).
+//!   the patterns cannot see (CAS spin loops on token words, and the line
+//!   that takes an RAII hold such as `SerialHold`, which stays held after
+//!   the call that took it returns).
 //!
 //! A *summary* (which classes a function may acquire, transitively) is
 //! propagated over a name-based call graph, with one semantic bridge:

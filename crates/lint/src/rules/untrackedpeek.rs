@@ -9,8 +9,8 @@
 //! under-count what the hardware holds. Filter first, then dispatch
 //! (`tufast-algos`' `MinDrain::item`).
 //!
-//! A dispatch site is a call `execute(...)`, `execute_hinted(...)`,
-//! `execute_bounded(...)` or `execute_declared(...)`; the pass flags any
+//! A dispatch site is a call `execute(...)`, `execute_hinted(...)` or
+//! `execute_declared(...)`; the pass flags any
 //! `peek_committed(` inside its argument range — which includes the body
 //! closure (the same range walk as `read-purity`). Direct calls only;
 //! `#[cfg(test)]` code is exempt (tests peek mid-body to observe an open
@@ -22,12 +22,7 @@ use crate::scan::FileModel;
 
 pub const RULE: &str = "untracked-peek";
 
-const DISPATCHES: &[&str] = &[
-    "execute",
-    "execute_hinted",
-    "execute_bounded",
-    "execute_declared",
-];
+const DISPATCHES: &[&str] = &["execute", "execute_hinted", "execute_declared"];
 
 pub fn run(files: &[FileModel]) -> Vec<Finding> {
     let mut out = Vec::new();

@@ -4,11 +4,9 @@
 //! guarantee that a panicking body cannot strand locks, tokens, or pool
 //! bookkeeping.
 //!
-//! Entry points are `execute`/`execute_bounded`/`execute_hinted`/
-//! `execute_declared` functions taking a `TxnBody`, anything named
-//! `parallel_*`, and fns
-//! carrying a
-//! `// tufast-lint: unwind-entry` marker. Containment is checked over a
+//! Entry points are `execute`/`execute_hinted`/`execute_declared`
+//! functions taking a `TxnBody`, anything named `parallel_*`, and fns
+//! carrying a `// tufast-lint: unwind-entry` marker. Containment is checked over a
 //! name-based transitive call graph: an entry is contained when its body
 //! — or any function it (transitively) may call — mentions
 //! `catch_unwind` or `resume_unwind`.
@@ -88,7 +86,7 @@ pub fn run(files: &[FileModel], scope: &[String]) -> Vec<Finding> {
             }
             let scheduler_entry = matches!(
                 f.name.as_str(),
-                "execute" | "execute_bounded" | "execute_hinted" | "execute_declared"
+                "execute" | "execute_hinted" | "execute_declared"
             ) && params_contain(m, f, "TxnBody");
             let drain_entry = f.name.starts_with("parallel_");
             if !(scheduler_entry || drain_entry || f.unwind_entry) {

@@ -42,7 +42,7 @@ const READ_RETRIES: u32 = 4096;
 /// One turn of a bounded wait. Yields regularly: on oversubscribed cores
 /// the holder needs CPU time to finish.
 #[inline]
-pub(crate) fn relax(turn: u32) {
+pub fn relax(turn: u32) {
     if turn % 32 == 31 {
         std::thread::yield_now();
     } else {

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use tufast_htm::{AbortCode, HtmCtx};
 
+use crate::commit::relax;
 use crate::faults::FaultHandle;
 use crate::health::HealthHandle;
 use crate::obs::ObsHandle;
@@ -94,8 +95,7 @@ impl RungEnd {
 /// boundary touches. Every scheduler worker owns one and lends it to
 /// [`Lifecycle::rung`] through `AsMut`.
 pub struct Lifecycle {
-    /// The worker id (lock owner, wait-table slot, and heartbeat slot
-    /// unless the worker shares its thread's).
+    /// The worker id (lock owner, wait-table slot and heartbeat slot).
     pub id: u32,
     /// The shared system.
     pub sys: Arc<TxnSystem>,
@@ -136,6 +136,25 @@ impl Lifecycle {
             self.stats.health_stops += 1;
         }
         stop
+    }
+
+    /// The serial gate at a transaction's entry: wait, holding nothing,
+    /// while the global serial token is [held](TxnSystem::hold_serial), so
+    /// the system drains towards its one serial writer. `false` when the
+    /// job stopped meanwhile (counted here): the holder may itself be
+    /// stopped, and a stopped job must not wait out the drain.
+    #[inline]
+    pub fn serial_gate(&mut self) -> bool {
+        let token = self.sys.serial_token();
+        let mut turn = 0u32;
+        while self.sys.mem().load_direct(token) != 0 {
+            if turn % 256 == 255 && self.stop_requested() {
+                return false;
+            }
+            relax(turn);
+            turn = turn.wrapping_add(1);
+        }
+        true
     }
 
     /// Run one rung of at most `budget` attempts for the worker `w`.

@@ -7,12 +7,25 @@ use tufast_htm::{
     Addr, HtmConfig, HtmCtx, HtmRuntime, LineState, MemRegion, MemoryLayout, TxMemory,
 };
 
+use crate::commit::relax;
 use crate::deadlock::WaitForTable;
 use crate::faults::FaultHandle;
 use crate::health::{CancelToken, HealthBoard, HealthHandle, JobDeadline};
 use crate::locks::{LockWord, VertexLocks};
 use crate::obs::ObsHandle;
 use crate::VertexId;
+
+/// A hold on the global serial token ([`TxnSystem::hold_serial`]). The
+/// token reads the holder's claim until the hold drops — on unwind too, so
+/// a panic under the token cannot leave every worker gated.
+#[must_use = "the token is released when the hold drops"]
+pub struct SerialHold<'a>(&'a TxnSystem);
+
+impl Drop for SerialHold<'_> {
+    fn drop(&mut self) {
+        self.0.mem().store_direct(self.0.serial_token, 0);
+    }
+}
 
 /// System-wide configuration.
 #[derive(Clone, Debug)]
@@ -52,8 +65,8 @@ pub struct TxnSystem {
     /// `wts` and claim `rts` in one atomic read-modify-write.
     to_ts: MemRegion,
     fallback_word: Addr,
-    /// Global serial-fallback token word: nonzero (holder id + 1) while a
-    /// TuFast worker runs its stop-the-world single-writer commit.
+    /// Global serial token word: nonzero (the holder's claim) while a
+    /// [`SerialHold`] is taken.
     serial_token: Addr,
     wait_table: WaitForTable,
     /// One heartbeat slot per worker id, and the job-state word.
@@ -284,11 +297,26 @@ impl TxnSystem {
         self.fallback_word
     }
 
-    /// The global serial-fallback token word (TuFast's last-resort
-    /// stop-the-world commit): 0 when free, holder id + 1 while held.
+    /// The global serial token word (TuFast's last-resort stop-the-world
+    /// commit, and the epoch checkpoint): 0 when free, the holder's claim
+    /// while held.
     #[inline]
     pub fn serial_token(&self) -> Addr {
         self.serial_token
+    }
+
+    /// Take the global serial token as `claim` (nonzero: a worker's id + 1,
+    /// or the epoch coordinator's reserved claim), waiting while another
+    /// hold has it. While it is held no TuFast transaction starts: each
+    /// waits at its entry gate ([`Lifecycle::serial_gate`](crate::Lifecycle::serial_gate)).
+    pub fn hold_serial(&self, claim: u64) -> SerialHold<'_> {
+        debug_assert_ne!(claim, 0, "0 is the free token");
+        let mut turn = 0u32;
+        while self.mem().cas_direct(self.serial_token, 0, claim).is_err() {
+            relax(turn);
+            turn = turn.wrapping_add(1);
+        }
+        SerialHold(self)
     }
 
     /// Pin an R-mode read snapshot: the current global version-clock

@@ -76,12 +76,9 @@ impl GraphScheduler for TwoPhaseLocking {
     fn worker(&self) -> TplWorker {
         TplWorker {
             lc: Lifecycle::new(&self.sys, self.sys.new_worker_id()),
-            held: WordMap::with_capacity(32),
-            wrote: Vec::with_capacity(16),
-            undo: Vec::with_capacity(32),
+            locking: TplAttempt::default(),
             declared: Vec::with_capacity(8),
             buffered: WordMap::with_capacity(16),
-            batch: LineBatch::with_capacity(32),
         }
     }
 
@@ -93,17 +90,13 @@ impl GraphScheduler for TwoPhaseLocking {
 /// Per-thread 2PL execution state.
 pub struct TplWorker {
     lc: Lifecycle,
-    /// vertex id → HELD_* mode, in acquisition order.
-    held: WordMap,
-    /// The vertices held in `HELD_WROTE` mode.
-    wrote: Vec<VertexId>,
-    undo: Vec<(Addr, u64)>,
+    /// The incremental attempt's state; its batch is the declared path's
+    /// scratch too.
+    locking: TplAttempt,
     /// A declared transaction's footprint: ascending, a vertex once.
     declared: Vec<Slot>,
     /// A declared transaction's writes, unpublished until its release.
     buffered: WordMap,
-    /// Batch scratch: the lines of a commit, or of a declared acquisition.
-    batch: LineBatch,
 }
 
 impl AsMut<Lifecycle> for TplWorker {
@@ -111,6 +104,68 @@ impl AsMut<Lifecycle> for TplWorker {
     fn as_mut(&mut self) -> &mut Lifecycle {
         &mut self.lc
     }
+}
+
+/// The state of an incremental 2PL attempt — the held locks, the written
+/// vertices, the undo log and the commit batch — reused from attempt to
+/// attempt. [`TplWorker`] runs its incremental rung on one, and TuFast's
+/// router its L and serial rungs on another: both through
+/// [`TplAttempt::attempt`], each on its own [`Lifecycle`].
+pub struct TplAttempt {
+    /// vertex id → HELD_* mode, in acquisition order.
+    held: WordMap,
+    /// The vertices held in `HELD_WROTE` mode.
+    wrote: Vec<VertexId>,
+    undo: Vec<(Addr, u64)>,
+    /// Batch scratch: the lines of a commit, or of a declared acquisition.
+    batch: LineBatch,
+}
+
+impl Default for TplAttempt {
+    fn default() -> Self {
+        TplAttempt {
+            held: WordMap::with_capacity(32),
+            wrote: Vec::with_capacity(16),
+            undo: Vec::with_capacity(32),
+            batch: LineBatch::with_capacity(32),
+        }
+    }
+}
+
+impl TplAttempt {
+    /// One incremental attempt of `body` as the worker `lc`: locks are
+    /// discovered one access at a time and writes land in place. A body
+    /// that finishes commits; one that does not undoes its writes and
+    /// releases every lock, so the attempt holds nothing when it returns —
+    /// also when the body panicked, which the rung then re-raises.
+    pub fn attempt(
+        &mut self,
+        lc: &mut Lifecycle,
+        body: &mut TxnBody<'_>,
+        obs: &ObsHandle,
+    ) -> Verdict {
+        let id = lc.id;
+        let mut ops = Locking { lc, st: self };
+        match obs.run_body(&mut ops, id, body) {
+            Ok(()) => {
+                obs.pre_commit(id);
+                ops.commit(obs);
+                ops.lc.sys.wait_table().record_commit(id);
+                Verdict::Committed
+            }
+            Err(interrupt) => {
+                ops.rollback();
+                interrupt.into()
+            }
+        }
+    }
+}
+
+/// An incremental attempt in flight: the worker's lifecycle and the
+/// attempt's state, which the body reads and writes through.
+struct Locking<'a> {
+    lc: &'a mut Lifecycle,
+    st: &'a mut TplAttempt,
 }
 
 /// Blocking acquisition of `v` (shared or exclusive) with deadlock handling.
@@ -157,16 +212,16 @@ fn acquire(lc: &mut Lifecycle, v: VertexId, exclusive: bool) -> Result<(), TxInt
     }
 }
 
-impl TplWorker {
+impl Locking<'_> {
     /// Undo in-place writes (reverse order) and release all locks. The
     /// versions of written vertices still bump: the data changed twice, and
     /// optimistic readers may have seen the intermediate values.
     fn rollback(&mut self) {
         let mem = self.lc.sys.mem();
-        for &(addr, old) in self.undo.iter().rev() {
+        for &(addr, old) in self.st.undo.iter().rev() {
             mem.store_direct(addr, old);
         }
-        self.undo.clear();
+        self.st.undo.clear();
         self.release(true);
     }
 
@@ -176,15 +231,15 @@ impl TplWorker {
     /// held; then the shared holds go.
     fn commit(&mut self, obs: &ObsHandle) {
         let (mem, locks, id) = (self.lc.sys.mem(), self.lc.sys.locks(), self.lc.id);
-        if self.wrote.is_empty() {
+        if self.st.wrote.is_empty() {
             // Nothing to publish: the ticket is a tick of its own.
             obs.commit_ticketed(id, || mem.clock_tick_pub());
         } else {
             let ticket = release_at_ticket(
                 mem,
-                &mut self.batch,
-                self.undo.iter().map(|&(addr, _)| addr),
-                self.wrote.iter().map(|&v| locks.addr(v)),
+                &mut self.st.batch,
+                self.st.undo.iter().map(|&(addr, _)| addr),
+                self.st.wrote.iter().map(|&v| locks.addr(v)),
                 |w| {
                     debug_assert_eq!(LockWord(w).writer(), Some(id), "released by non-owner");
                     LockWord(w).released(true).0
@@ -192,7 +247,7 @@ impl TplWorker {
             );
             obs.commit_ticketed(id, || ticket);
         }
-        self.undo.clear();
+        self.st.undo.clear();
         self.release(false);
     }
 
@@ -202,7 +257,7 @@ impl TplWorker {
     fn release(&mut self, written_too: bool) {
         let mem = self.lc.sys.mem();
         let locks = self.lc.sys.locks();
-        for (v, mode) in self.held.iter().rev() {
+        for (v, mode) in self.st.held.iter().rev() {
             let v = v.0 as VertexId;
             match mode {
                 HELD_SHARED => locks.unlock_shared(mem, v),
@@ -210,17 +265,17 @@ impl TplWorker {
                 _ => {}
             }
         }
-        self.held.clear();
-        self.wrote.clear();
+        self.st.held.clear();
+        self.st.wrote.clear();
     }
 }
 
-impl TxnOps for TplWorker {
+impl TxnOps for Locking<'_> {
     fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
         self.lc.stats.reads += 1;
-        let (mode, _) = self.held.entry(Addr(u64::from(v)), HELD_NONE);
+        let (mode, _) = self.st.held.entry(Addr(u64::from(v)), HELD_NONE);
         if *mode == HELD_NONE {
-            acquire(&mut self.lc, v, false)?;
+            acquire(self.lc, v, false)?;
             *mode = HELD_SHARED;
         }
         Ok(self.lc.sys.mem().load_direct(addr))
@@ -228,8 +283,8 @@ impl TxnOps for TplWorker {
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
         self.lc.stats.writes += 1;
-        let lc = &mut self.lc;
-        let (mode, _) = self.held.entry(Addr(u64::from(v)), HELD_NONE);
+        let lc = &mut *self.lc;
+        let (mode, _) = self.st.held.entry(Addr(u64::from(v)), HELD_NONE);
         let first_write = *mode != HELD_WROTE;
         match *mode {
             HELD_WROTE => {}
@@ -245,67 +300,12 @@ impl TxnOps for TplWorker {
         }
         *mode = HELD_WROTE;
         if first_write {
-            self.wrote.push(v);
+            self.st.wrote.push(v);
         }
         let mem = self.lc.sys.mem();
-        self.undo.push((addr, mem.load_direct(addr)));
+        self.st.undo.push((addr, mem.load_direct(addr)));
         mem.store_direct(addr, val);
         Ok(())
-    }
-}
-
-impl TplWorker {
-    /// Exempt (or re-subject) this worker from fault injection. The
-    /// TuFast serial-fallback path exempts its stop-the-world commit so
-    /// the liveness backstop cannot itself be sabotaged.
-    pub fn set_fault_exempt(&mut self, exempt: bool) {
-        self.lc.faults.set_exempt(exempt);
-    }
-
-    /// Beat `slot` — the heartbeat slot of the thread this worker runs on
-    /// — instead of a slot of its own: one thread, one slot. The TuFast
-    /// router's embedded L worker beats the router's, so the slot does not
-    /// go flat between L-mode transactions while the router commits.
-    pub fn share_slot(&mut self, slot: u32) {
-        self.lc.health = self.lc.sys.health_handle(slot);
-    }
-
-    /// [`execute`](TxnWorker::execute) with an attempt budget: gives up
-    /// (returning `committed: false` with everything rolled back and all
-    /// locks released) after `max_attempts` failed attempts instead of
-    /// retrying forever. The TuFast router uses this to bound its L-mode
-    /// phase before escalating to the global serial-fallback token.
-    pub fn execute_bounded(&mut self, max_attempts: u32, body: &mut TxnBody<'_>) -> TxnOutcome {
-        self.incremental(max_attempts.max(1), 0, body)
-    }
-
-    /// The incremental rung: up to `budget` attempts that discover their
-    /// locks one access at a time, after `attempts` earlier body executions
-    /// of the same transaction. An attempt that ends without committing
-    /// undoes its in-place writes and releases every lock, so each attempt
-    /// boundary — and a panic re-raised from one — holds nothing.
-    fn incremental(
-        &mut self,
-        budget: u32,
-        mut attempts: u32,
-        body: &mut TxnBody<'_>,
-    ) -> TxnOutcome {
-        Lifecycle::rung(self, budget, &mut attempts, |w, obs| {
-            let id = w.lc.id;
-            match obs.run_body(w, id, body) {
-                Ok(()) => {
-                    obs.pre_commit(id);
-                    w.commit(obs);
-                    w.lc.sys.wait_table().record_commit(id);
-                    Verdict::Committed
-                }
-                Err(interrupt) => {
-                    w.rollback();
-                    interrupt.into()
-                }
-            }
-        })
-        .outcome(attempts)
     }
 }
 
@@ -376,6 +376,16 @@ impl TxnOps for DeclaredOps<'_> {
 }
 
 impl TplWorker {
+    /// The incremental rung: unbounded attempts that discover their locks
+    /// one access at a time, after `attempts` earlier body executions of
+    /// the same transaction.
+    fn incremental(&mut self, mut attempts: u32, body: &mut TxnBody<'_>) -> TxnOutcome {
+        Lifecycle::rung(self, u32::MAX, &mut attempts, |w, obs| {
+            w.locking.attempt(&mut w.lc, body, obs)
+        })
+        .outcome(attempts)
+    }
+
     /// Normalise `footprint` into `self.declared`: ascending, a vertex
     /// once, exclusive if any of its entries says so. `false` when it names
     /// a vertex that has no lock word.
@@ -402,7 +412,7 @@ impl TplWorker {
     fn gather_lock_lines(&mut self) {
         let locks = self.lc.sys.locks();
         for slot in &self.declared {
-            self.batch.push(locks.addr(slot.v).line());
+            self.locking.batch.push(locks.addr(slot.v).line());
         }
     }
 
@@ -412,17 +422,17 @@ impl TplWorker {
     /// held and the lines are republished at one tick, which aborts the
     /// hardware transactions subscribed to them as an acquisition must.
     fn try_acquire(&mut self) -> Result<(), Slot> {
-        self.batch.clear();
+        self.locking.batch.clear();
         self.gather_lock_lines();
         let (mem, locks) = (self.lc.sys.mem(), self.lc.sys.locks());
         // tufast-lint: lock-acquire(htm_line_lock)
-        mem.lock_lines(&mut self.batch);
+        mem.lock_lines(&mut self.locking.batch);
         if let Some(&busy) = self
             .declared
             .iter()
             .find(|slot| !slot.grantable(locks.peek(mem, slot.v)))
         {
-            mem.unlock_lines(&mut self.batch, None);
+            mem.unlock_lines(&mut self.locking.batch, None);
             return Err(busy);
         }
         for slot in &self.declared {
@@ -435,7 +445,7 @@ impl TplWorker {
             mem.store_locked(locks.addr(slot.v), held.0);
         }
         let tick = mem.clock_tick_pub();
-        mem.unlock_lines(&mut self.batch, Some(tick));
+        mem.unlock_lines(&mut self.locking.batch, Some(tick));
         Ok(())
     }
 
@@ -482,16 +492,16 @@ impl TplWorker {
     /// Waits for its lines as [`release_at_ticket`] does, and for the same
     /// reason cannot deadlock.
     fn release_declared(&mut self, publish: bool) -> u64 {
-        self.batch.clear();
+        self.locking.batch.clear();
         if publish {
             for (addr, _) in self.buffered.iter() {
-                self.batch.push(addr.line());
+                self.locking.batch.push(addr.line());
             }
         }
         self.gather_lock_lines();
         let (mem, locks) = (self.lc.sys.mem(), self.lc.sys.locks());
         // tufast-lint: lock-acquire(htm_line_lock)
-        mem.lock_lines(&mut self.batch);
+        mem.lock_lines(&mut self.locking.batch);
         if publish {
             for (addr, val) in self.buffered.iter() {
                 mem.store_locked(addr, val);
@@ -509,7 +519,7 @@ impl TplWorker {
             };
             mem.store_locked(locks.addr(slot.v), released.0);
         }
-        mem.unlock_lines(&mut self.batch, Some(ticket));
+        mem.unlock_lines(&mut self.locking.batch, Some(ticket));
         ticket
     }
 }
@@ -518,7 +528,7 @@ impl TxnWorker for TplWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
         match crate::rmode::read_only_prologue(&mut self.lc, hint, body) {
             Ok(out) => out,
-            Err(prior) => self.incremental(u32::MAX, prior, body),
+            Err(prior) => self.incremental(prior, body),
         }
     }
 
@@ -555,7 +565,7 @@ impl TxnWorker for TplWorker {
             // The body strayed from its footprint; nothing it did was
             // published. Run it again the incremental way.
         }
-        self.incremental(u32::MAX, attempts, body)
+        self.incremental(attempts, body)
     }
 
     fn stats(&self) -> &SchedStats {
@@ -742,6 +752,16 @@ mod tests {
         assert_eq!(sys.mem().load_direct(acc.addr(0)), 101);
     }
 
+    /// A rung of at most `budget` incremental attempts on `w`, as TuFast's
+    /// L rung runs them.
+    fn bounded(w: &mut TplWorker, budget: u32, body: &mut TxnBody<'_>) -> TxnOutcome {
+        let mut attempts = 0;
+        Lifecycle::rung(w, budget, &mut attempts, |w, obs| {
+            w.locking.attempt(&mut w.lc, body, obs)
+        })
+        .outcome(attempts)
+    }
+
     #[test]
     fn bounded_execution_gives_up_cleanly() {
         let (sys, acc) = bank(1);
@@ -750,7 +770,7 @@ mod tests {
         // Another worker holds vertex 0 exclusively for the whole test.
         let blocker = sys.new_worker_id();
         sys.locks().try_exclusive(sys.mem(), 0, blocker).unwrap();
-        let out = w.execute_bounded(2, &mut |ops| {
+        let out = bounded(&mut w, 2, &mut |ops| {
             ops.read(0, acc.addr(0))?;
             Ok(())
         });
@@ -778,15 +798,15 @@ mod tests {
         sys.set_fault_plan(Some(Arc::clone(&plan)));
         let sched = TwoPhaseLocking::new(Arc::clone(&sys));
         let mut w = sched.worker();
-        let out = w.execute_bounded(3, &mut |ops| {
+        let out = bounded(&mut w, 3, &mut |ops| {
             ops.read(0, acc.addr(0))?;
             Ok(())
         });
         assert!(!out.committed, "100% lock-fail injection must starve 2PL");
         assert_eq!(plan.injected(FaultKind::LockFail), 3);
         assert!(sys.locks().peek(sys.mem(), 0).is_free());
-        // Exemption (the serial-token path) bypasses the plan entirely.
-        w.set_fault_exempt(true);
+        // Exemption (the serial rung's) bypasses the plan entirely.
+        w.lc.faults.set_exempt(true);
         let out = w.execute(2, &mut |ops| {
             ops.read(0, acc.addr(0))?;
             Ok(())

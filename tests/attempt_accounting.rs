@@ -4,23 +4,30 @@
 //! `restarts == attempts − transactions` with `attempts` summed from the
 //! returned [`TxnOutcome`]s. Two threads fight over one counter so restarts
 //! do happen; some transactions user-abort after writing, and some write
-//! under a `read_only` hint (a demoted R attempt is a restart too).
+//! under a `read_only` hint (a demoted R attempt is a restart too). TuFast
+//! runs the table three times: routed by a small hint, by a hint beyond O
+//! mode's reach (its L rung), and under a job escalated to `Rung::Serial`
+//! (its serial rung).
 
 use std::sync::Arc;
 
 use tufast_suite::htm::{Addr, MemoryLayout};
 use tufast_suite::tufast::TuFast;
 use tufast_suite::txn::{
-    GraphScheduler, HSyncLike, HTimestampOrdering, Occ, ReadMode, SchedStats, SoftwareTm,
+    GraphScheduler, HSyncLike, HTimestampOrdering, Occ, ReadMode, Rung, SchedStats, SoftwareTm,
     TimestampOrdering, TwoPhaseLocking, TxnHint, TxnSystem, TxnWorker,
 };
 
 const THREADS: u64 = 2;
 const TXNS: u64 = 300;
 
-/// Run the table's body on `THREADS` workers of `sched`; `pure` bodies only
-/// read (the stand-alone R scheduler has no path for a write).
-fn account<S: GraphScheduler>(sched: &S, sys: &TxnSystem, counter: Addr, pure: bool) {
+/// A size hint beyond TuFast's O-mode reach: straight to its L rung.
+const L_HINT: usize = 1_000_000;
+
+/// Run the table's body on `THREADS` workers of `sched`, hinted `size`;
+/// `pure` bodies only read (the stand-alone R scheduler has no path for a
+/// write).
+fn account<S: GraphScheduler>(sched: &S, sys: &TxnSystem, counter: Addr, size: usize, pure: bool) {
     let before = sys.mem().load_direct(counter);
     let (mut stats, mut attempts) = (SchedStats::default(), 0u64);
     std::thread::scope(|s| {
@@ -31,9 +38,9 @@ fn account<S: GraphScheduler>(sched: &S, sys: &TxnSystem, counter: Addr, pure: b
                     let mut attempts = 0u64;
                     for i in 0..TXNS {
                         let hint = if pure || i % 5 == 0 {
-                            TxnHint::read_only(2)
+                            TxnHint::read_only(size)
                         } else {
-                            TxnHint::sized(2)
+                            TxnHint::sized(size)
                         };
                         let out = w.execute_hinted(hint, &mut |ops| {
                             let x = ops.read(0, counter)?;
@@ -58,7 +65,7 @@ fn account<S: GraphScheduler>(sched: &S, sys: &TxnSystem, counter: Addr, pure: b
             attempts += worker_attempts;
         }
     });
-    let name = sched.name();
+    let name = format!("{} (hint {size})", sched.name());
     let txns = THREADS * TXNS;
     assert_eq!(stats.commits + stats.user_aborts, txns, "{name}");
     assert_eq!(stats.restarts, attempts - txns, "{name}");
@@ -80,12 +87,16 @@ fn every_scheduler_accounts_each_attempt_exactly_once() {
     let sys = TxnSystem::with_defaults(1, layout);
     let counter = data.addr(0);
     let s = || Arc::clone(&sys);
-    account(&TwoPhaseLocking::new(s()), &sys, counter, false);
-    account(&Occ::new(s()), &sys, counter, false);
-    account(&TimestampOrdering::new(s()), &sys, counter, false);
-    account(&HTimestampOrdering::new(s()), &sys, counter, false);
-    account(&SoftwareTm::with_penalty(s(), 0), &sys, counter, false);
-    account(&HSyncLike::new(s()), &sys, counter, false);
-    account(&TuFast::new(s()), &sys, counter, false);
-    account(&ReadMode::new(s()), &sys, counter, true);
+    account(&TwoPhaseLocking::new(s()), &sys, counter, 2, false);
+    account(&Occ::new(s()), &sys, counter, 2, false);
+    account(&TimestampOrdering::new(s()), &sys, counter, 2, false);
+    account(&HTimestampOrdering::new(s()), &sys, counter, 2, false);
+    account(&SoftwareTm::with_penalty(s(), 0), &sys, counter, 2, false);
+    account(&HSyncLike::new(s()), &sys, counter, 2, false);
+    account(&TuFast::new(s()), &sys, counter, 2, false);
+    account(&TuFast::new(s()), &sys, counter, L_HINT, false);
+    sys.health().escalate(Rung::Serial);
+    account(&TuFast::new(s()), &sys, counter, 2, false);
+    sys.begin_job(None);
+    account(&ReadMode::new(s()), &sys, counter, 2, true);
 }

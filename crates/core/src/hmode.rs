@@ -12,9 +12,13 @@
 //! version transactionally*, so optimistic validators (O mode, OCC) observe
 //! H-mode commits without H ever taking a lock.
 //!
-//! A vertex's lock word is read once per attempt. Writing a vertex the
-//! attempt already read tests and bumps the word `subscribe_read` loaded,
-//! as RTM would reload a read-set line from L1. If another thread changed
+//! A vertex's lock word is read once per attempt, and with its value in
+//! one bracket when paired: where the lock word shares the value's cache
+//! line ([`MemoryLayout::alloc_paired`](tufast_htm::MemoryLayout::alloc_paired)),
+//! the vertex's first read is one [`HtmCtx::read_line`] of both words, as
+//! RTM's second load of a line is an L1 hit. Writing a vertex the attempt
+//! already read tests and bumps the word `subscribe_read` kept, as RTM
+//! would reload a read-set line from L1. If another thread changed
 //! the word meanwhile the attempt is already doomed: its line stays in the
 //! footprint at the version first read, so the next snapshot extension or
 //! the commit validation aborts it.
@@ -31,7 +35,7 @@ use crate::VertexId;
 pub(crate) const ABORT_LOCK_BUSY: u8 = 0xB0;
 
 /// Vertex-table value of a vertex whose commit version this attempt has
-/// bumped; any other value is the lock word `subscribe_read` loaded. A
+/// bumped; any other value is the lock word its first read loaded. A
 /// word H mode subscribed never has a writer, and this one's writer field
 /// is all ones, so the two never collide.
 const BUMPED: u64 = u64::MAX;
@@ -83,19 +87,11 @@ impl<'a> HModeOps<'a> {
         TxInterrupt::Restart
     }
 
-    /// Subscribe `v` for reading: abort if write-locked, else keep the
-    /// word. Every failure in either subscription ends the attempt, and the
-    /// next one starts from a cleared table.
-    fn subscribe_read(&mut self, v: VertexId) -> Result<(), TxInterrupt> {
-        let key = u64::from(v);
-        if self.seen.get(key).is_some() {
-            return Ok(());
-        }
-        let lw = LockWord(
-            self.ctx
-                .read(self.sys.locks().addr(v))
-                .map_err(|c| self.fail(c))?,
-        );
+    /// Subscribe vertex `key` for reading on the lock word `lw` its first
+    /// read loaded: abort if write-locked, else keep the word. Every
+    /// failure in either subscription ends the attempt, and the next one
+    /// starts from a cleared table.
+    fn subscribe_read(&mut self, key: u64, lw: LockWord) -> Result<(), TxInterrupt> {
         if lw.writer().is_some() {
             let code = self.ctx.abort_explicit(ABORT_LOCK_BUSY);
             return Err(self.fail(code));
@@ -139,7 +135,18 @@ impl TxnOps for HModeOps<'_> {
         if !self.ctx.in_tx() {
             return Err(TxInterrupt::Restart);
         }
-        self.subscribe_read(v)?;
+        let key = u64::from(v);
+        if self.seen.get(key).is_none() {
+            let lock = self.sys.locks().addr(v);
+            if lock.line() == addr.line() {
+                // Paired: the lock word and the value in one bracket.
+                let [lw, val] = self.ctx.read_line([lock, addr]).map_err(|c| self.fail(c))?;
+                self.subscribe_read(key, LockWord(lw))?;
+                return Ok(val);
+            }
+            let lw = self.ctx.read(lock).map_err(|c| self.fail(c))?;
+            self.subscribe_read(key, LockWord(lw))?;
+        }
         self.ctx.read(addr).map_err(|c| self.fail(c))
     }
 
@@ -185,16 +192,112 @@ pub(crate) fn attempt(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
-    use tufast_htm::MemoryLayout;
+    use tufast_htm::{HtmStats, MemoryLayout};
 
     fn setup(n_vertices: usize, words: u64) -> (Arc<TxnSystem>, tufast_htm::MemRegion) {
         let mut layout = MemoryLayout::new();
         let data = layout.alloc("data", words);
         let sys = TxnSystem::with_defaults(n_vertices, layout);
         (sys, data)
+    }
+
+    /// A system of `n` vertices with one value each, in a region paired
+    /// with the lock words or in one of its own, and the value's address.
+    pub(crate) fn values(n: u32, paired: bool) -> (Arc<TxnSystem>, impl Fn(VertexId) -> Addr) {
+        let mut layout = MemoryLayout::new();
+        let value: Box<dyn Fn(VertexId) -> Addr> = if paired {
+            let r = layout.alloc_paired("values", u64::from(n));
+            Box::new(move |v| r.addr(u64::from(v)))
+        } else {
+            let r = layout.alloc("values", u64::from(n));
+            Box::new(move |v| r.addr(u64::from(v)))
+        };
+        let sys = TxnSystem::with_defaults(n as usize, layout);
+        assert_eq!(sys.locks().addr(0).line() == value(0).line(), paired);
+        (sys, value)
+    }
+
+    /// Give vertices 0, 8, 16 and 24 (a line each, either way) the value
+    /// `100 + v` and commit version 1.
+    pub(crate) fn seed_values(sys: &TxnSystem, value: &impl Fn(VertexId) -> Addr) {
+        for v in (0..32).step_by(8) {
+            sys.locks().try_exclusive(sys.mem(), v, 9).unwrap();
+            sys.mem().store_direct(value(v), 100 + u64::from(v));
+            sys.locks().unlock_exclusive(sys.mem(), v, 9, true);
+        }
+    }
+
+    /// The HTM counters of a run, less the line peak (a layout property).
+    pub(crate) fn but_lines(stats: &HtmStats) -> HtmStats {
+        HtmStats {
+            max_lines: 0,
+            ..stats.clone()
+        }
+    }
+
+    /// Reads of three vertices, one of them twice, a write to one it read
+    /// and one to a vertex it did not: what it read, the lock words after
+    /// and the HTM counters, on either layout.
+    fn paired_or_not(paired: bool) -> (Vec<u64>, Vec<LockWord>, HtmStats) {
+        let (sys, value) = values(32, paired);
+        seed_values(&sys, &value);
+        let mut ctx = sys.htm_ctx();
+        let mut seen = Vec::new();
+        let out = attempt(&mut ctx, &sys, &mut |ops| {
+            seen.clear();
+            for v in [0, 8, 0, 16] {
+                seen.push(ops.read(v, value(v))?);
+            }
+            ops.write(8, value(8), seen[0] + seen[1])?;
+            ops.write(24, value(24), seen[3])
+        });
+        assert_eq!(out.end, Ok(Verdict::Committed));
+        seen.push(sys.mem().load_direct(value(8)));
+        let words = (0..32).step_by(8).map(|v| sys.locks().peek(sys.mem(), v));
+        (seen, words.collect(), ctx.take_stats())
+    }
+
+    #[test]
+    fn a_paired_vertex_read_counts_as_an_unpaired_one() {
+        let (paired, unpaired) = (paired_or_not(true), paired_or_not(false));
+        assert_eq!(paired.0, vec![100, 108, 100, 116, 208]);
+        assert_eq!(
+            paired.1,
+            [1, 2, 1, 2].map(|version| LockWord(version << 32))
+        );
+        // Lock word and value of each first read (two reads counted per
+        // bracket), the value of the second, the lock word of the vertex
+        // first touched by a write; a lock word and a value per write.
+        assert_eq!((paired.2.reads, paired.2.writes), (8, 4));
+        assert_eq!(
+            (&paired.0, &paired.1, but_lines(&paired.2)),
+            (&unpaired.0, &unpaired.1, but_lines(&unpaired.2))
+        );
+        assert_eq!((paired.2.max_lines, unpaired.2.max_lines), (4, 8));
+    }
+
+    #[test]
+    fn a_paired_write_locked_vertex_aborts_with_lock_busy() {
+        let (sys, value) = values(4, true);
+        sys.locks().try_exclusive(sys.mem(), 0, 77).unwrap();
+        let mut ctx = sys.htm_ctx();
+        let out = attempt(&mut ctx, &sys, &mut |ops| {
+            ops.read(0, value(0))?;
+            Ok(())
+        });
+        assert_eq!(out.end, Err(AbortCode::Explicit(ABORT_LOCK_BUSY)));
+        assert_eq!((ctx.stats().aborts_explicit, ctx.stats().commits), (1, 0));
+        // The lock word is subscribed with the value: the holder's release
+        // lets the next attempt through.
+        sys.locks().unlock_exclusive(sys.mem(), 0, 77, false);
+        let out = attempt(&mut ctx, &sys, &mut |ops| {
+            ops.read(0, value(0))?;
+            Ok(())
+        });
+        assert_eq!(out.end, Ok(Verdict::Committed));
     }
 
     /// Test shim: run an attempt with a throwaway lifecycle.

@@ -180,6 +180,20 @@ impl<'a> OModeOps<'a> {
         self.pieces += 1;
         Ok(())
     }
+
+    /// Subscribe `v` on the lock word `lw` its first touch loaded in this
+    /// piece: fail if write-locked, else record the commit version for
+    /// end-of-transaction validation.
+    // tufast-lint: htm-scope
+    fn subscribe(&mut self, v: VertexId, lw: LockWord) -> Result<(), TxInterrupt> {
+        if lw.writer().is_some() {
+            self.ctx.abort_explicit(ABORT_LOCK_BUSY);
+            return Err(self.fail(OFailCode::LockBusy));
+        }
+        // tufast-lint: allow(htm-hazard) -- reads is presized for typical degree; a growth realloc aborts the piece, it cannot corrupt it
+        self.scratch.reads.push((v, lw.version()));
+        Ok(())
+    }
 }
 
 impl TxnOps for OModeOps<'_> {
@@ -199,21 +213,25 @@ impl TxnOps for OModeOps<'_> {
         if self.seen.insert(u64::from(v), 0) {
             // First touch: subscribe the lock word in this piece and record
             // the commit version for end-of-transaction validation.
-            let lw = match self.ctx.read(self.sys.locks().addr(v)) {
-                Ok(w) => LockWord(w),
-                Err(code) => return Err(self.fail(OFailCode::Htm(code))),
-            };
-            if lw.writer().is_some() {
-                self.ctx.abort_explicit(ABORT_LOCK_BUSY);
-                return Err(self.fail(OFailCode::LockBusy));
+            let lock = self.sys.locks().addr(v);
+            if lock.line() == addr.line() {
+                // Paired: the lock word and the value in one bracket.
+                let [lw, val] = self
+                    .ctx
+                    .read_line([lock, addr])
+                    .map_err(|code| self.fail(OFailCode::Htm(code)))?;
+                self.subscribe(v, LockWord(lw))?;
+                return Ok(val);
             }
-            // tufast-lint: allow(htm-hazard) -- reads is presized for typical degree; a growth realloc aborts the piece, it cannot corrupt it
-            self.scratch.reads.push((v, lw.version()));
+            let lw = self
+                .ctx
+                .read(lock)
+                .map_err(|code| self.fail(OFailCode::Htm(code)))?;
+            self.subscribe(v, LockWord(lw))?;
         }
-        match self.ctx.read(addr) {
-            Ok(w) => Ok(w),
-            Err(code) => Err(self.fail(OFailCode::Htm(code))),
-        }
+        self.ctx
+            .read(addr)
+            .map_err(|code| self.fail(OFailCode::Htm(code)))
     }
 
     fn write(&mut self, v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
@@ -300,6 +318,7 @@ pub(crate) fn attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmode::tests::{but_lines, seed_values, values};
     use std::sync::Arc;
     use tufast_htm::MemoryLayout;
 
@@ -455,6 +474,90 @@ mod tests {
         });
         assert_eq!(out.verdict, Verdict::UserAbort);
         assert_eq!(sys.mem().load_direct(data.addr(0)), 0);
+    }
+
+    /// Reads of three vertices, one of them twice, at period 2 (so the
+    /// second read of vertex 0 is in a later piece), a write, and a re-read
+    /// of the written vertex: what it read, the lock words after and the
+    /// HTM counters, on either layout.
+    fn paired_or_not(paired: bool) -> (Vec<u64>, Vec<LockWord>, tufast_htm::HtmStats) {
+        let (sys, value) = values(32, paired);
+        seed_values(&sys, &value);
+        let mut ctx = sys.htm_ctx();
+        let mut seen = Vec::new();
+        let out = attempt(&mut ctx, &sys, 0, 2, &mut |ops| {
+            seen.clear();
+            for v in [0, 8, 0, 16] {
+                seen.push(ops.read(v, value(v))?);
+            }
+            ops.write(8, value(8), seen[0] + seen[1])?;
+            seen.push(ops.read(8, value(8))?);
+            Ok(())
+        });
+        assert_eq!((out.verdict, out.pieces), (Verdict::Committed, 2));
+        let words = (0..32).step_by(8).map(|v| sys.locks().peek(sys.mem(), v));
+        (seen, words.collect(), ctx.take_stats())
+    }
+
+    #[test]
+    fn a_paired_first_touch_counts_as_an_unpaired_one() {
+        let (paired, unpaired) = (paired_or_not(true), paired_or_not(false));
+        assert_eq!(paired.0, vec![100, 108, 100, 116, 208]);
+        assert_eq!(
+            paired.1,
+            [1, 2, 1, 1].map(|version| LockWord(version << 32))
+        );
+        // Lock word and value per first touch, the value of the second
+        // read of vertex 0; the re-read of a write hits the workspace.
+        assert_eq!((paired.2.reads, paired.2.writes), (7, 0));
+        assert_eq!(
+            (&paired.0, &paired.1, but_lines(&paired.2)),
+            (&unpaired.0, &unpaired.1, but_lines(&unpaired.2))
+        );
+    }
+
+    #[test]
+    fn a_paired_write_locked_vertex_fails_lock_busy() {
+        let (sys, value) = values(4, true);
+        sys.locks().try_exclusive(sys.mem(), 1, 70).unwrap();
+        let mut ctx = sys.htm_ctx();
+        let out = attempt(&mut ctx, &sys, 0, 100, &mut |ops| {
+            ops.read(1, value(1))?;
+            Ok(())
+        });
+        assert_eq!(out.code, Some(OFailCode::LockBusy));
+        assert_eq!(ctx.stats().aborts_explicit, 1);
+    }
+
+    #[test]
+    fn a_paired_first_touch_then_a_foreign_commit_fails_validation() {
+        let (sys, value) = values(8, true);
+        let mut ctx = sys.htm_ctx();
+        let mut interfered = false;
+        // Period 1: the read of vertex 4 (another line) closes the piece
+        // that read vertex 0, so only commit validation can see the write.
+        let out = attempt(&mut ctx, &sys, 0, 1, &mut |ops| {
+            let x = ops.read(0, value(0))?;
+            if !interfered {
+                interfered = true;
+                sys.locks().try_exclusive(sys.mem(), 0, 50).unwrap();
+                sys.mem().store_direct(value(0), 777);
+                sys.locks().unlock_exclusive(sys.mem(), 0, 50, true);
+            }
+            ops.read(4, value(4))?;
+            ops.write(4, value(4), x + 1)
+        });
+        assert_eq!(
+            (out.verdict, out.code),
+            (Verdict::Restart, Some(OFailCode::Validation))
+        );
+        assert_eq!(sys.mem().load_direct(value(4)), 0, "nothing published");
+        let out = attempt(&mut ctx, &sys, 0, 1, &mut |ops| {
+            let x = ops.read(0, value(0))?;
+            ops.write(4, value(4), x + 1)
+        });
+        assert_eq!(out.verdict, Verdict::Committed);
+        assert_eq!(sys.mem().load_direct(value(4)), 778);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Protocol (TL2 with TinySTM-style snapshot extension):
 //!
 //! * `begin` records the global clock as the snapshot timestamp.
-//! * `read` validates the line's versioned lock around the data load; a
+//! * `read` validates the line's versioned lock around the data load
+//!   (`read_line`: around the loads of several words of one line); a
 //!   newer version triggers a snapshot *extension* (revalidate the whole
 //!   read set against the current clock) and only aborts if the read set was
 //!   genuinely invalidated — matching real HTM, which aborts only when the
@@ -169,15 +170,76 @@ impl HtmCtx {
     /// # Panics
     /// If no transaction is active.
     pub fn read(&mut self, addr: Addr) -> Result<u64, AbortCode> {
+        self.read_line([addr]).map(|[v]| v)
+    }
+
+    /// Transactionally read `N` words of one cache line under one bracket:
+    /// one line-state load, the `N` word loads, one line-state reload, one
+    /// footprint note and one capacity charge — what RTM pays for a line
+    /// whose later words are L1 hits.
+    ///
+    /// Counted and sampled as `N` consecutive [`read`](Self::read)s: each
+    /// word adds one to `stats.reads` and takes one roll of the abort
+    /// source, the first before the bracket and the rest after it, where
+    /// the separate reads would take theirs. When the write buffer holds
+    /// any of the words, it is `N` separate reads.
+    ///
+    /// On `Err`, the transaction has been aborted and rolled back.
+    ///
+    /// # Panics
+    /// If no transaction is active, or (debug builds) if the words do not
+    /// share one line.
+    pub fn read_line<const N: usize>(&mut self, addrs: [Addr; N]) -> Result<[u64; N], AbortCode> {
+        const { assert!(N > 0, "read_line reads at least one word") };
         self.require_tx();
+        let line = addrs[0].line();
+        debug_assert!(
+            addrs.iter().all(|a| a.line() == line),
+            "read_line words span lines: {addrs:?}"
+        );
+        if !self.write_buf.is_empty() {
+            let buffered = addrs.map(|a| self.write_buf.get(a));
+            if buffered.iter().any(Option::is_some) {
+                let mut vals = [0; N];
+                for ((val, addr), hit) in vals.iter_mut().zip(addrs).zip(buffered) {
+                    *val = match hit {
+                        Some(v) => {
+                            self.stats.reads += 1;
+                            v
+                        }
+                        None => self.read(addr)?,
+                    };
+                }
+                return Ok(vals);
+            }
+        }
+        self.count_read()?;
+        let vals = self.bracket(line, addrs)?;
+        for _ in 1..N {
+            self.count_read()?;
+        }
+        Ok(vals)
+    }
+
+    /// Count one transactional read and roll the abort source for it.
+    #[inline]
+    fn count_read(&mut self) -> Result<(), AbortCode> {
         self.stats.reads += 1;
-        if let Some(v) = self.write_buf.get(addr) {
-            return Ok(v);
+        match self.roll_injected() {
+            Some(code) => Err(self.abort_with(code)),
+            None => Ok(()),
         }
-        if let Some(code) = self.roll_injected() {
-            return Err(self.abort_with(code));
-        }
-        let line = addr.line();
+    }
+
+    /// Load `addrs` (all on `line`) between two loads of the line's state
+    /// until both see it unlocked and equal at a version inside the
+    /// snapshot, then note the line in the footprint.
+    #[inline]
+    fn bracket<const N: usize>(
+        &mut self,
+        line: u64,
+        addrs: [Addr; N],
+    ) -> Result<[u64; N], AbortCode> {
         let mut races = 0;
         loop {
             let m1 = self
@@ -199,10 +261,8 @@ impl HtmCtx {
                 }
                 continue;
             }
-            let val = self
-                .mem
-                .word(addr)
-                .load(std::sync::atomic::Ordering::Acquire);
+            let mem = &self.mem;
+            let vals = addrs.map(|a| mem.word(a).load(std::sync::atomic::Ordering::Acquire));
             let m2 = self
                 .mem
                 .line(line)
@@ -229,7 +289,7 @@ impl HtmCtx {
             if self.footprint.note_read(line, ver) && !self.l1.touch_new_line(line) {
                 return Err(self.abort_with(AbortCode::Capacity));
             }
-            return Ok(val);
+            return Ok(vals);
         }
     }
 
@@ -635,6 +695,45 @@ mod tests {
         ctx.write(Addr(0), 5).unwrap();
         ctx.commit().unwrap();
         assert_eq!(rt.memory().load_direct(Addr(0)), 5);
+    }
+
+    #[test]
+    fn a_line_read_samples_the_abort_source_like_separate_reads() {
+        // Spurious aborts at ops 2, 5, 8, …: on the second word of the
+        // first transaction, then on first words.
+        let run = |fused: bool| {
+            let mut layout = MemoryLayout::new();
+            layout.alloc("w", 64);
+            let config = HtmConfig {
+                abort_source: Some(AbortSource::new(|_, seq| {
+                    (seq % 3 == 2).then_some(AbortCode::Spurious)
+                })),
+                ..HtmConfig::default()
+            };
+            let rt = HtmRuntime::new(layout, config);
+            rt.memory().store_direct(Addr(9), 5);
+            let mut ctx = rt.ctx();
+            let outcomes: Vec<_> = (0..12)
+                .map(|_| {
+                    ctx.begin().unwrap();
+                    let got = if fused {
+                        ctx.read_line([Addr(8), Addr(9)])
+                    } else {
+                        ctx.read(Addr(8)).and_then(|x| Ok([x, ctx.read(Addr(9))?]))
+                    };
+                    if got.is_ok() {
+                        ctx.commit().unwrap();
+                    }
+                    got
+                })
+                .collect();
+            (outcomes, ctx.take_stats())
+        };
+        let (outcomes, stats) = run(true);
+        assert_eq!(outcomes[0], Err(AbortCode::Spurious));
+        assert_eq!(outcomes[1], Ok([0, 5]));
+        assert_eq!((stats.aborts_spurious, stats.max_lines), (6, 1));
+        assert_eq!((outcomes, stats), run(false));
     }
 
     #[test]

@@ -342,6 +342,14 @@ impl RefHtm {
 /// `kind`: 0–3 read, 4–5 write, 6 re-read of the last written word,
 /// 7 a direct store "from another core" in the middle of the transaction.
 fn htm_lockstep(config: HtmConfig, words: u64, txns: &[Vec<(u8, u64, u64)>]) {
+    lockstep(config, words, txns, false);
+}
+
+/// [`htm_lockstep`]; with `line_reads`, kind 3 is a two-word
+/// [`HtmCtx::read_line`] inside one line — of `a`, or of the last written
+/// word's line when `v % 3 == 0`, so the write-buffer fallback runs too —
+/// against two reads of the reference.
+fn lockstep(config: HtmConfig, words: u64, txns: &[Vec<(u8, u64, u64)>], line_reads: bool) {
     let mut layout = MemoryLayout::new();
     layout.alloc("arena", words);
     let rt = HtmRuntime::new(layout, config.clone());
@@ -354,6 +362,14 @@ fn htm_lockstep(config: HtmConfig, words: u64, txns: &[Vec<(u8, u64, u64)>]) {
         for (i, &(kind, a, v)) in ops.iter().enumerate() {
             let a = a % words;
             let step = match kind {
+                3 if line_reads => {
+                    let first = if v % 3 == 0 { last_written } else { a };
+                    let second = first - first % 8 + v % 8;
+                    let want = model
+                        .read(first)
+                        .and_then(|x| model.read(second).map(|y| [x, y]));
+                    ctx.read_line([Addr(first), Addr(second)]) == want
+                }
                 0..=3 => ctx.read(Addr(a)) == model.read(a),
                 4 | 5 => {
                     last_written = a;
@@ -366,7 +382,7 @@ fn htm_lockstep(config: HtmConfig, words: u64, txns: &[Vec<(u8, u64, u64)>]) {
                     true
                 }
             };
-            assert!(step, "txn {t} op {i} ({kind}, {a}) diverged");
+            assert!(step, "txn {t} op {i} ({kind}, {a}, {v}) diverged");
             assert_eq!(ctx.in_tx(), model.in_tx, "txn {t} op {i}");
             if !ctx.in_tx() {
                 break;
@@ -507,6 +523,28 @@ proptest! {
             (HtmConfig::default(), 8192)
         };
         htm_lockstep(config, words, &txns);
+    }
+
+    /// The same lockstep with two-word line reads mixed in: a line read is
+    /// two reads of the reference in values, abort code, `in_tx` and every
+    /// counter, whether it hits the write buffer, a snapshot extension, a
+    /// direct store between operations or a capacity abort.
+    #[test]
+    fn htm_ctx_line_reads_match_the_std_reference(
+        small in prop::collection::vec(
+            prop::collection::vec((0u8..8, 0u64..4096, 0u64..1000), 1..40), 4..40),
+        hub in prop::collection::vec((0u8..7, 0u64..8192, 0u64..1000), 300..1200),
+        hub_at in 0usize..4,
+        tiny in any::<bool>(),
+    ) {
+        let mut txns = small;
+        txns.insert(hub_at, hub);
+        let (config, words) = if tiny {
+            (HtmConfig::tiny_for_tests(), 192)
+        } else {
+            (HtmConfig::default(), 8192)
+        };
+        lockstep(config, words, &txns, true);
     }
 
     /// Random schedules of transactional read-modify-writes interleaved

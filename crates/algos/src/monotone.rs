@@ -516,9 +516,9 @@ mod tests {
         let (done_tx, done_rx) = channel();
         let (fx, sched) = (&fx, &sched);
         std::thread::scope(|s| {
-            // A 2PL writer lowers value[1] to 0 in place — settled for the
-            // item on 0, if it counted — and holds the lock until told to
-            // roll back.
+            // A 2PL writer lowers value[1] to 0 — settled for the item on
+            // 0, if it counted — and holds the lock, its store buffered,
+            // until told to roll back.
             s.spawn(move || {
                 let out = sched.worker().execute(2, &mut |ops| {
                     ops.write(1, fx.built.space.addr(1), 0)?;
@@ -530,7 +530,7 @@ mod tests {
                 done_tx.send(()).unwrap();
             });
             held_rx.recv().unwrap();
-            assert_eq!(fx.values(), [0, 0, MAX, MAX], "exposed in place");
+            assert_eq!(fx.values(), [0, MAX, MAX, MAX], "not in memory");
             let mut w = Before(sched.worker(), || {
                 finish_tx.send(()).unwrap();
                 done_rx.recv().unwrap();

@@ -9,7 +9,7 @@
 //! *fracture* whenever a committed read observed `b != a + 1` — i.e. the
 //! snapshot mixed two different writers' pairs. R-mode's per-read
 //! validation brackets must make fractures impossible against every
-//! writer commit path (2PL in-place undo, OCC install, TO, STM, the
+//! writer commit path (2PL's release batch, OCC install, TO, STM, the
 //! HSync fallback, and all of TuFast's modes including the serial token),
 //! whether the cells sit in a region of their own or, with
 //! [`ReadersSpec::paired`], beside their vertex lock words — one line per
@@ -451,10 +451,10 @@ where
 /// Unpinned peek passes ([`TxnSystem::peek_pass`], every cell in each)
 /// racing writers: two writers on `kind` (every fourth transaction
 /// user-aborts after its write) plus a 2PL writer that *always* aborts, so
-/// in-place stores that roll back are in memory throughout, plus a 2PL
-/// writer that declares its vertex and aborts every other transaction,
-/// whose buffered store must reach memory only with the commits in
-/// between. Every attempt stores a fresh stamp; a pass that finishes quiet may only ever have returned
+/// an exclusive hold over a buffered store that never publishes is there
+/// throughout, plus a 2PL writer that declares its vertex and aborts every
+/// other transaction, whose buffered store must reach memory only with the
+/// commits in between. Every attempt stores a fresh stamp; a pass that finishes quiet may only ever have returned
 /// stamps whose transaction committed (or the initial 0) — never an aborted
 /// attempt's, wherever its brackets landed.
 ///

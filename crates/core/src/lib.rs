@@ -80,7 +80,6 @@ pub mod epoch;
 mod hmode;
 mod monitor;
 mod omode;
-pub mod pad;
 pub mod par;
 mod stats;
 pub mod steal;
@@ -90,10 +89,10 @@ pub use bucket::BucketPool;
 pub use config::TuFastConfig;
 pub use epoch::{parallel_drain_epochs, COORDINATOR_CLAIM};
 pub use monitor::{expected_committed_work, ContentionMonitor};
-pub use pad::CachePadded;
 pub use par::{fold_sched_counters, take_sched_counters, PoolCounters};
 pub use stats::{ModeBreakdown, ModeClass, TuFastStats};
 pub use steal::{StealDeque, StealPool};
+pub use tufast_txn::pad::{self, CachePadded};
 pub use worker::{TuFast, TuFastWorker};
 
 // The user-facing transaction vocabulary (paper Table I) and the runtime

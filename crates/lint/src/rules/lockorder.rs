@@ -61,19 +61,20 @@ const SELF_ORDERED: &[&str] = &["vertex_lock", "htm_line_lock"];
 const CLASS_NOTES: &[(&str, &str)] = &[
     (
         "vertex_lock",
-        "per-vertex 2PL lock words; incremental acquisitions take them in any order and rely on \
+        "per-vertex 2PL lock words; discovered acquisitions take them in any order and rely on \
          runtime deadlock detection/victimization; declared acquisitions (2PL execute_declared) \
          are all-or-nothing under their sorted line locks and wait with nothing held, so they \
-         close no cycle; the optimistic commit paths (O mode, OCC, TO) take none and test the \
-         words under their line locks instead",
+         close no cycle; both orders release every hold in one line-lock batch; the optimistic \
+         commit paths (O mode, OCC, TO) take none and test the words under their line locks \
+         instead",
     ),
     (
         "htm_line_lock",
         "per-line commit locks of the HTM/STM commits and the schedulers' commit batches; always \
          acquired in sorted address order, bounded-try by every optimistic committer, waited for \
-         only by the in-place (2PL / HSync-fallback) release batch and by 2PL's declared acquire \
-         and release batches, whose holders never wait for a vertex lock (a declared acquire \
-         that finds one busy lets its lines go first); never held across user code",
+         only by the one release batch of 2PL (both lock orders) and the HSync fallback and by \
+         2PL's declared acquire batch, whose holders never wait for a vertex lock (a declared \
+         acquire that finds one busy lets its lines go first); never held across user code",
     ),
     (
         "serial_token",

@@ -16,10 +16,12 @@
 //!   through its line. The committer only marks its write vertices' words
 //!   (plain stores under those locks, one fence) for the one party that
 //!   reads lock words past the line locks: another committer's validation.
-//! * **In-place committers** (2PL, the HSync fallback): the stores are
-//!   already in memory under vertex locks / the fallback word;
-//!   [`release_at_ticket`] stamps their lines and releases those words in
-//!   one batch.
+//! * **Lock holders** (2PL in both lock orders, the HSync fallback):
+//!   [`release_at_ticket`] is their one release, of a commit or a
+//!   rollback. 2PL buffers: the batch stores its words (commit only) and
+//!   releases every vertex it holds. The HSync fallback — the one in-place
+//!   writer — has its stores in memory already under the fallback word:
+//!   the batch stamps their lines and releases the word.
 //!
 //! Every failure path releases the lines at their old versions, tickless.
 
@@ -252,31 +254,21 @@ impl Drop for HeldWrites<'_> {
     }
 }
 
-/// Commit in-place stores: lock the lines of `written` and of `words` (the
-/// vertex lock words, or the fallback word, that covered those stores),
-/// mint the ticket, pass every word through `release` and unlock all lines
+/// Publish under held vertex locks or the fallback word: lock `batch`'s
+/// lines in address order — the caller gathered every line `apply` stores
+/// to — mint the ticket, run `apply` under the locks and unlock all lines
 /// at the ticket, which is returned.
 ///
-/// This one waits for its lines — a 2PL commit cannot back out — and cannot
-/// deadlock: every multi-line holder locks ascending, the optimistic ones
-/// are try-only, and nobody waits for a vertex lock while holding a line.
-pub fn release_at_ticket(
-    mem: &TxMemory,
-    batch: &mut LineBatch,
-    written: impl Iterator<Item = Addr>,
-    words: impl Iterator<Item = Addr> + Clone,
-    release: impl Fn(u64) -> u64,
-) -> u64 {
-    batch.clear();
-    for addr in written.chain(words.clone()) {
-        batch.push(addr.line());
-    }
+/// This one waits for its lines — a lock holder's release cannot back out
+/// — and cannot deadlock: every multi-line holder locks ascending, the
+/// optimistic ones are try-only, and nobody waits for a vertex lock while
+/// holding a line.
+#[inline]
+pub fn release_at_ticket(mem: &TxMemory, batch: &mut LineBatch, apply: impl FnOnce()) -> u64 {
     // tufast-lint: lock-acquire(htm_line_lock)
     mem.lock_lines(batch);
     let ticket = mem.clock_tick_pub();
-    for addr in words {
-        mem.store_locked(addr, release(mem.load_direct(addr)));
-    }
+    apply();
     mem.unlock_lines(batch, Some(ticket));
     ticket
 }
@@ -431,13 +423,15 @@ mod tests {
         }
         let mut batch = LineBatch::with_capacity(8);
         let clock = mem.clock_now_pub();
-        let ticket = release_at_ticket(
-            mem,
-            &mut batch,
-            [11, 4].iter().map(|&v: &u64| data.addr(v * 8)),
-            [11, 4].iter().map(|&v| locks.addr(v)),
-            |w| LockWord(w).released(true).0,
-        );
+        let words = [11, 4].map(|v| locks.addr(v));
+        for addr in [11, 4].map(|v| data.addr(v * 8)).into_iter().chain(words) {
+            batch.push(addr.line());
+        }
+        let ticket = release_at_ticket(mem, &mut batch, || {
+            for addr in words {
+                mem.store_locked(addr, LockWord(mem.load_direct(addr)).released(true).0);
+            }
+        });
         assert_eq!((ticket, mem.clock_now_pub()), (clock + 1, clock + 1));
         for v in [4u32, 11] {
             assert!(locks.peek(mem, v).is_free());

@@ -18,7 +18,8 @@
 //!   paths lock their lines in sorted order, and 2PL's declared path
 //!   (`TplWorker::execute_declared`) takes all of a transaction's vertex
 //!   locks in one sorted batch and waits holding nothing, so it never
-//!   closes a wait-for cycle.
+//!   closes a wait-for cycle. Both 2PL lock orders end in one release,
+//!   which reports every commit here ([`WaitForTable::record_commit`]).
 //!
 //! ## Victim fairness (priority aging)
 //!
@@ -28,7 +29,7 @@
 //! a minimal count and therefore never defers, so progress is preserved
 //! while the same worker stops being re-victimized indefinitely. Bounded
 //! anonymous waits scale their spin budget the same way. Counts reset on
-//! the worker's next commit.
+//! the worker's next commit, discovered or declared.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -139,7 +140,11 @@ impl WaitForTable {
 
     /// `me` committed: its victim-priority resets.
     pub fn record_commit(&self, me: u32) {
-        self.victims[me as usize].store(0, Ordering::Relaxed);
+        let victims = &self.victims[me as usize];
+        // Most commits follow no victimization: leave the line clean.
+        if victims.load(Ordering::Relaxed) != 0 {
+            victims.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Recent victimizations of `me` (since its last commit).

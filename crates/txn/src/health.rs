@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 
 use tufast_htm::AtomicCounters;
 
+use crate::pad::CachePadded;
 use crate::system::TxnSystem;
 
 /// Heartbeat checkpoints between wall-clock deadline samples.
@@ -169,13 +170,6 @@ fn backoff_spins(word: u32) -> u32 {
 /// Sentinel in the deadline word: no deadline armed.
 const DEADLINE_NONE: u64 = u64::MAX;
 
-/// Local 128-byte-aligned wrapper so each worker's heartbeat slot owns its
-/// cache line (the `tufast` crate has `CachePadded`, but this crate sits
-/// below it in the dependency order).
-#[repr(align(128))]
-#[derive(Default)]
-struct Padded<T>(T);
-
 /// One worker thread's heartbeat slot. Owner-written (relaxed),
 /// watchdog-read.
 #[derive(Default)]
@@ -224,7 +218,7 @@ tufast_htm::counters! {
 /// Per-system health state: one heartbeat slot per worker id, the current
 /// job's state word and deadline, and the cumulative outcome counters.
 pub struct HealthBoard {
-    slots: Box<[Padded<HeartSlot>]>,
+    slots: Box<[CachePadded<HeartSlot>]>,
     /// The job-state word (see the module docs).
     state: AtomicU32,
     /// Epoch the deadline offset is measured from (board creation).
@@ -244,7 +238,9 @@ impl HealthBoard {
     /// deadline armed.
     pub fn new(workers: usize) -> Self {
         HealthBoard {
-            slots: (0..workers.max(1)).map(|_| Padded::default()).collect(),
+            slots: (0..workers.max(1))
+                .map(|_| CachePadded::default())
+                .collect(),
             state: AtomicU32::new(0),
             base: Instant::now(),
             deadline_ns: AtomicU64::new(DEADLINE_NONE),
@@ -257,7 +253,7 @@ impl HealthBoard {
     /// sizes this board: an id past it is a bug, not a slot to share.
     #[inline]
     fn slot(&self, worker: u32) -> &HeartSlot {
-        &self.slots[worker as usize].0
+        &self.slots[worker as usize]
     }
 
     /// Number of heartbeat slots.

@@ -223,13 +223,13 @@ impl HSyncWorker {
             // ticket and clears the fallback word at it: no other writer
             // can publish in between, and a snapshot reader pinned
             // mid-commit cannot accept the pre-ticket stores.
-            let ticket = release_at_ticket(
-                mem,
-                &mut self.batch,
-                self.undo.iter().map(|&(addr, _)| addr),
-                std::iter::once(fallback),
-                |_| held + 1,
-            );
+            self.batch.clear();
+            for addr in self.undo.iter().map(|&(addr, _)| addr).chain([fallback]) {
+                self.batch.push(addr.line());
+            }
+            let ticket = release_at_ticket(mem, &mut self.batch, || {
+                mem.store_locked(fallback, held + 1);
+            });
             obs.commit_ticketed(id, || ticket);
         } else {
             // Roll back in-place writes, newest first, then release: with

@@ -15,6 +15,7 @@
 //!   the commit's serialization ticket.
 //! * [`deadlock`] — a wait-for table with cycle detection for writer-writer
 //!   waits and a bounded-wait fallback for reader-held locks.
+//! * [`pad`] — `CachePadded`, a cache-line pair per hot shared atomic.
 //! * [`health`] — runtime health: one board per system with a heartbeat
 //!   slot per worker thread and one job-state word (stop reason and
 //!   escalation rung), the watchdog that climbs the rungs, job deadlines
@@ -49,6 +50,7 @@ mod lifecycle;
 mod locks;
 pub mod obs;
 mod occ;
+pub mod pad;
 pub mod rmode;
 mod stm;
 mod system;

@@ -28,10 +28,10 @@
 //! Because line versions *are* tickets, a second invariant holds by
 //! construction, and the R-mode snapshot path depends on it: a line
 //! version `≤ t` proves the line's content was published by a transaction
-//! ticketed `≤ t`. In-place writers (2PL, the HSync fallback) store at
-//! earlier versions while they run, but only under a vertex lock or the
-//! fallback word, and their commit batch re-stamps every written line with
-//! the ticket as it releases those words. R-mode readers
+//! ticketed `≤ t`. The one in-place writer, the HSync fallback, stores at
+//! earlier versions while it runs, but only under the fallback word, and
+//! its commit batch re-stamps every written line with the ticket as it
+//! releases the word; 2PL buffers and publishes in the same kind of batch. R-mode readers
 //! ([`crate::rmode`]) ticket the pinned clock value their whole read set
 //! validated against — every observed writer is ticketed at or below it,
 //! so the checker's WR attribution works unchanged.

@@ -38,14 +38,18 @@
 //!   no vertex lock; the mark they leave in the lock words while they hold
 //!   the lines is for each other's validation — a reader that sees it
 //!   spins, as it would on the locked line.
-//! * In-place writers (2PL, the serial fallback through 2PL, the HSync
-//!   global-fallback path) expose uncommitted values at pre-ticket
-//!   versions, but only while the vertex lock (resp. fallback word) is held
-//!   — the bracket refuses those — and their commit
-//!   ([`crate::commit::release_at_ticket`]) re-stamps every written line
-//!   with the ticket in the same batch that releases the lock words. A
-//!   rollback restores each word with a strongly-isolated store, i.e. at a
-//!   fresh version, before the lock is released.
+//! * 2PL (L mode and the serial fallback included) buffers its writes too,
+//!   under vertex locks, and publishes them in its one release batch
+//!   ([`crate::commit::release_at_ticket`]), which stamps every written
+//!   line with the ticket as it releases the lock words. A rollback runs
+//!   the same batch with nothing to store.
+//! * The one in-place writer, the HSync global-fallback path, exposes
+//!   uncommitted values at pre-ticket versions, but only while the
+//!   fallback word is held — the bracket refuses those — and its commit
+//!   re-stamps every written line with the ticket in the same batch that
+//!   releases the word. A rollback restores each word with a
+//!   strongly-isolated store, i.e. at a fresh version, before the word is
+//!   released.
 //!
 //! The clock-monotonicity argument, spelled out once: a read is accepted
 //! only with line version `ver ≤ snap` on both sides of the load. Every
@@ -437,11 +441,10 @@ mod tests {
 
     #[test]
     fn readers_race_2pl_writers_without_fractures() {
-        // A writer keeps the pair (a, a+1) invariant through 2PL in-place
-        // writes; concurrent snapshot readers must never observe a torn
-        // pair — the in-place uncommitted values are exposed at stale
-        // line versions, so this exercises the commit batch's re-stamp at
-        // the ticket and the writer-presence bracket.
+        // A writer keeps the pair (a, a+1) invariant through 2PL writes;
+        // concurrent snapshot readers must never observe a torn pair — the
+        // release batch publishes both halves at one ticket, so this
+        // exercises its re-stamp and the writer-presence bracket.
         let (sys, data) = setup(16);
         let tpl = TwoPhaseLocking::new(Arc::clone(&sys));
         let rmode = ReadMode::new(Arc::clone(&sys));

@@ -317,10 +317,10 @@ impl TxnSystem {
     /// No pin, no spin, nothing acquired. By publish-at-the-ticket
     /// ([`crate::rmode`]) a returned value was published by the committed
     /// transaction ticketed `line_version` (or is initial state): never an
-    /// in-place writer's uncommitted store, which is exposed only while
-    /// the lock word (resp. fallback word) is held, and both leave changed
-    /// — a written vertex's commit version bumps even on rollback, the
-    /// fallback word counts its holds. The load is untracked: call it
+    /// uncommitted store. 2PL keeps its stores buffered until its release
+    /// batch; the one in-place writer, the HSync fallback, exposes them
+    /// only while the fallback word is held, and the word leaves changed:
+    /// it counts its holds. The load is untracked: call it
     /// outside transaction bodies (`tufast-lint`'s `untracked-peek`).
     #[inline]
     pub fn peek_committed(&self, v: VertexId, addr: Addr) -> Option<(u64, u64)> {
@@ -573,19 +573,22 @@ mod tests {
         sys.mem().store_direct(addr, 9);
         let committed = sys.peek_committed(3, addr).unwrap();
 
-        // 2PL stores in place under the vertex lock; the rollback bumps the
-        // vertex's commit version and restamps the line.
+        // 2PL buffers the store under the vertex lock: memory keeps the
+        // committed value while the hold lasts, and the rollback leaves the
+        // data line as it was.
         let mut tpl = crate::tpl::TwoPhaseLocking::new(Arc::clone(&sys)).worker();
         let out = tpl.execute(2, &mut |ops| {
             ops.write(3, addr, 1)?;
-            assert_eq!(sys.mem().load_direct(addr), 1, "the store is in place");
+            assert_eq!(sys.mem().load_direct(addr), 9, "the store is not in memory");
             assert_eq!(sys.peek_committed(3, addr), None);
             Err(ops.user_abort())
         });
         assert!(!out.committed);
-        let (val, version) = sys.peek_committed(3, addr).unwrap();
-        assert_eq!(val, committed.0);
-        assert!(version > committed.1, "restored at a fresh version");
+        assert_eq!(
+            sys.peek_committed(3, addr),
+            Some(committed),
+            "same value, same version"
+        );
 
         // The HSync fallback path stores in place under the global word
         // (8 000 lines: past HTM capacity, so the body runs there).

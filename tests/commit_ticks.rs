@@ -5,10 +5,13 @@
 //! ticks: lock, store, republish, unlock.) No observer is installed here:
 //! the tick is part of the protocol, not of the instrumentation.
 //!
-//! A transaction that declares its vertices to 2PL pays a second tick, for
-//! taking them all at once, and no more: a graph mutation moves the clock
-//! by exactly two (11 for an edge, 4 for a vertex, 2 for a rejection when
-//! each lock and each in-place store ticked).
+//! 2PL buffers its writes on both lock orders and releases every hold in
+//! that one batch. Discovered, each acquisition (or upgrade) is a direct
+//! read-modify-write of its own, so a transaction ticks once per
+//! acquisition plus once. A transaction that declares its vertices pays
+//! one tick for taking them all at once and no more: a graph mutation
+//! moves the clock by exactly two (11 for an edge, 4 for a vertex, 2 for a
+//! rejection when each lock and each in-place store ticked).
 
 use std::sync::Arc;
 
@@ -115,8 +118,8 @@ fn to_commit_ticks_once_for_five_vertices() {
 fn two_phase_commit_phase_ticks_once_for_five_written_vertices() {
     let (sys, data) = setup();
     let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
-    // Acquisitions and in-place stores tick as they go (opacity needs the
-    // per-store version); the commit phase starts when the body returns.
+    // Acquisitions tick as they go; the stores wait in the buffer for the
+    // commit phase, which starts when the body returns.
     let mut body_end = 0;
     let out = w.execute(16, &mut |ops| {
         for v in VERTICES {
@@ -126,9 +129,78 @@ fn two_phase_commit_phase_ticks_once_for_five_written_vertices() {
         Ok(())
     });
     assert!(out.committed && out.attempts == 1);
-    assert_eq!(body_end, 2 * VERTICES.len() as u64, "lock + store each");
+    assert_eq!(body_end, VERTICES.len() as u64, "one lock each");
     assert_eq!(sys.mem().clock_now_pub() - body_end, 1);
     assert_published_at(&sys, &data, sys.mem().clock_now_pub());
+}
+
+#[test]
+fn two_phase_read_then_write_ticks_per_acquisition_and_upgrade_plus_one() {
+    let (sys, data) = setup();
+    let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+    let n = VERTICES.len() as u64;
+    assert_eq!(ticks_of_one_update(&sys, &data, &mut w), n + n + 1);
+    assert_published_at(&sys, &data, sys.mem().clock_now_pub());
+}
+
+/// The line states of every data line and lock-word line of [`VERTICES`].
+fn line_states(sys: &TxnSystem, data: &MemRegion) -> Vec<LineState> {
+    let (mem, locks) = (sys.mem(), sys.locks());
+    VERTICES
+        .iter()
+        .flat_map(|&v| [word(data, v).line(), locks.addr(v).line()])
+        .map(|line| mem.line_state(line))
+        .collect()
+}
+
+#[test]
+fn two_phase_read_only_ticks_per_acquisition_plus_one_release() {
+    let (sys, data) = setup();
+    let (mem, locks) = (sys.mem(), sys.locks());
+    let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+    let was = line_states(&sys, &data);
+    let before = mem.clock_now_pub();
+    let out = w.execute(16, &mut |ops| {
+        for v in VERTICES {
+            ops.read(v, word(&data, v))?;
+        }
+        Ok(())
+    });
+    assert!(out.committed && out.attempts == 1);
+    let ticket = mem.clock_now_pub();
+    assert_eq!(ticket - before, VERTICES.len() as u64 + 1);
+    // The shared holds went in the release batch: every lock-word line is
+    // at the ticket, every word free and unbumped; no data line moved.
+    let at_ticket = LineState::Unlocked { version: ticket };
+    for (v, was) in VERTICES.iter().zip(was.chunks(2)) {
+        let lw = locks.peek(mem, *v);
+        assert!(lw.is_free() && lw.version() == 0, "vertex {v}: {lw:?}");
+        assert_eq!(mem.line_state(word(&data, *v).line()), was[0], "vertex {v}");
+        assert_eq!(mem.line_state(locks.addr(*v).line()), at_ticket);
+    }
+}
+
+#[test]
+fn two_phase_user_abort_ticks_per_acquisition_plus_one_and_publishes_nothing() {
+    let (sys, data) = setup();
+    let (mem, locks) = (sys.mem(), sys.locks());
+    let mut w = TwoPhaseLocking::new(Arc::clone(&sys)).worker();
+    let was = line_states(&sys, &data);
+    let before = mem.clock_now_pub();
+    let out = w.execute(16, &mut |ops| {
+        for v in VERTICES {
+            ops.write(v, word(&data, v), u64::from(v) + 100)?;
+        }
+        Err(ops.user_abort())
+    });
+    assert!(!out.committed && out.attempts == 1);
+    assert_eq!(mem.clock_now_pub() - before, VERTICES.len() as u64 + 1);
+    for (v, was) in VERTICES.iter().zip(was.chunks(2)) {
+        assert_eq!(mem.load_direct(word(&data, *v)), 0, "vertex {v}");
+        assert_eq!(mem.line_state(word(&data, *v).line()), was[0], "vertex {v}");
+        let lw = locks.peek(mem, *v);
+        assert!(lw.is_free() && lw.version() == 0, "vertex {v}: {lw:?}");
+    }
 }
 
 #[test]

@@ -32,9 +32,9 @@
 //! A tracked read costs a lock-word subscription and a footprint insert,
 //! and nearly all of a scan's reads find `value[u] <= value[v] + len` and
 //! write nothing. The same monotonicity lets the item rule those
-//! out *before* its transaction opens, with one pass of untracked peeks of
-//! committed values ([`TxnSystem::peek_pass`]), and walk only the rest
-//! inside it — see [`MinDrain::item`] and DESIGN.md §7, "Settled neighbours".
+//! out *before* its transaction opens, with untracked peeks of committed
+//! values ([`TxnSystem::peek_committed`]), and walk only the rest inside
+//! it — see [`MinDrain::item`] and DESIGN.md §7, "Settled neighbours".
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,12 +184,13 @@ where
     ///
     /// Only *candidate* edges are read inside the transaction. Before it
     /// opens, the item peeks the committed `dv0 = value[v]` and every
-    /// neighbour (one [`TxnSystem::peek_pass`]: untracked, nothing
-    /// acquired) and drops the settled ones, `value[u] <= dv0 + len`:
-    /// values only decrease and the transaction will read
-    /// `value[v] <= dv0`, so it could never write them, wherever it
-    /// serializes. A neighbour with a writer in sight stays a candidate,
-    /// and so does every neighbour if the pass does not finish quiet.
+    /// neighbour ([`TxnSystem::peek_committed`]: untracked, nothing
+    /// acquired) and drops the settled ones, `value[u] <= dv0 + len`. A
+    /// peeked value is always committed and values only decrease, so a
+    /// settled neighbour stays settled; the transaction reads
+    /// `value[v] <= dv0`, and if it reads less, whoever lowered `v` pushed
+    /// it again and owns the lower offer. A neighbour whose line is
+    /// mid-commit stays a candidate.
     pub(crate) fn item(&self, worker: &mut impl TxnWorker, pool: &impl WorkPool, v: VertexId) {
         let addr = |u: VertexId| self.value.addr(u64::from(u));
         let mark = &self.watermark[v as usize];
@@ -198,11 +199,8 @@ where
             // the committed `dv0` — none of them when the watermark covers
             // `dv0` (a stale item: whatever lowers `v` after this peek
             // pushes it again, so the item owes no more than its one
-            // read); all of them when a writer holds `v`, or when an HSync
-            // fallback transaction overlapped the pass (any peek, `dv0`
-            // too, may have loaded a store of its that rolls back).
-            let pass = self.sys.peek_pass();
-            let peek = |u: VertexId| pass.peek_committed(u, addr(u)).map(|(val, _)| val);
+            // read); all of them when `v`'s line is mid-commit.
+            let peek = |u: VertexId| self.sys.peek_committed(addr(u)).map(|(val, _)| val);
             let dv0 = peek(v);
             let position = |at: usize| u32::try_from(at).expect("edge positions fit 32 bits");
             candidates.clear();
@@ -213,10 +211,7 @@ where
                     .enumerate()
                     .filter(|&(_, (u, len))| !settled(u, len));
                 candidates.extend(kept.map(|(at, _)| position(at)));
-            }
-            let dv0 = dv0.filter(|_| pass.finish());
-            if dv0.is_none() {
-                candidates.clear();
+            } else if dv0.is_none() {
                 candidates.extend((0..(self.edges)(v).count()).map(position));
             }
             // Room for every write up front (exact, where `push` would
@@ -455,37 +450,6 @@ mod tests {
         drain.item(&mut w, &pool, 0);
         assert_eq!((w.stats().reads, w.stats().commits), (4, 2));
         assert_eq!(marks(&drain)[0], 0);
-    }
-
-    #[test]
-    fn a_pass_under_a_fallback_hold_settles_nothing() {
-        // Every leaf settled — but peeked while an HSync fallback
-        // transaction holds the global word (odd), whose in-place stores
-        // no vertex lock gives away.
-        let fx = Fixture::on(gen::star(5));
-        (1..5).for_each(|leaf| fx.set(leaf, 1));
-        let sys = &fx.built.sys;
-        let sched = TwoPhaseLocking::new(Arc::clone(sys));
-        let mut w = sched.worker();
-        let pool = FifoPool::new();
-
-        sys.mem().store_direct(sys.fallback_word(), 1);
-        let drain = fx.drain();
-        drain.item(&mut w, &pool, 0);
-        let s = w.stats();
-        assert_eq!(
-            (s.reads, s.writes, s.commits),
-            (5, 0, 1),
-            "v and every leaf"
-        );
-        assert_eq!(marks(&drain)[0], 0, "scanned at the value it read");
-
-        // Released (two higher): the same item on fresh watermarks trusts
-        // its peeks again.
-        sys.mem().store_direct(sys.fallback_word(), 2);
-        fx.drain().item(&mut w, &pool, 0);
-        assert_eq!((w.stats().reads, w.stats().commits), (6, 2));
-        assert!(queued(&pool).is_empty());
     }
 
     /// Runs a hook between the item's filter and its transaction.

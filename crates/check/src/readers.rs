@@ -448,15 +448,15 @@ where
     (w.take_stats(), htm)
 }
 
-/// Unpinned peek passes ([`TxnSystem::peek_pass`], every cell in each)
-/// racing writers: two writers on `kind` (every fourth transaction
+/// Unpinned committed peeks ([`TxnSystem::peek_committed`], every cell in
+/// turn) racing writers: two writers on `kind` (every fourth transaction
 /// user-aborts after its write) plus a 2PL writer that *always* aborts, so
 /// an exclusive hold over a buffered store that never publishes is there
 /// throughout, plus a 2PL writer that declares its vertex and aborts every
 /// other transaction, whose buffered store must reach memory only with the
-/// commits in between. Every attempt stores a fresh stamp; a pass that finishes quiet may only ever have returned
-/// stamps whose transaction committed (or the initial 0) — never an aborted
-/// attempt's, wherever its brackets landed.
+/// commits in between. Every attempt stores a fresh stamp; a peek may only
+/// ever return stamps whose transaction committed (or the initial 0) —
+/// never an aborted attempt's, wherever its bracket landed.
 ///
 /// `writer_hint` picks TuFast's mode as in [`ReadersSpec::writer_hint`].
 pub fn peek_probe(kind: SchedulerKind, writer_hint: usize) {
@@ -464,8 +464,8 @@ pub fn peek_probe(kind: SchedulerKind, writer_hint: usize) {
 }
 
 /// [`peek_probe`] over cells paired with their vertex lock words, as
-/// [`ReadersSpec::paired`]: a peek's lock-word, line-state and value loads
-/// all hit one line.
+/// [`ReadersSpec::paired`]: a peek's line shares its state with the lock
+/// words the writers take.
 pub fn paired_peek_probe(kind: SchedulerKind, writer_hint: usize) {
     probe_peeks(kind, writer_hint, true);
 }
@@ -482,14 +482,12 @@ fn probe_peeks(kind: SchedulerKind, writer_hint: usize, paired: bool) {
     assert_only_committed(&format!("{kind:?}"), &peeked, &committed);
 }
 
-/// [`peek_probe`] for the check a pass makes once, at its close: two HSync
-/// writers whose bodies also store to 600 ballast lines — past HTM
-/// capacity, so every one of them runs on the fallback path, in place
-/// under the global word with no vertex lock held — one aborting every
-/// other transaction, one all of them. Nothing a peek looks at per vertex
-/// gives such a store away while it waits to be rolled back; only the
-/// fallback word does, and a pass reads it when it opens and when it
-/// [finishes](tufast_txn::PeekPass::finish).
+/// [`peek_probe`] against the HSync fallback path: two HSync writers whose
+/// bodies also store to 600 ballast lines — past HTM capacity, so every
+/// one of them runs on the fallback path, under the global word with no
+/// vertex lock held — one aborting every other transaction, one all of
+/// them. The fallback buffers its stores and publishes them at its ticket,
+/// so a peek's line seqlock alone must keep every aborted stamp out.
 pub fn fallback_peek_probe() {
     let (cells, ballast_lines) = (8u64, 600u64);
     let htm = HtmConfig::default();
@@ -594,22 +592,15 @@ where
                     // One more pass after the writers are done, so a run
                     // that outpaces the peekers still sees final values.
                     let mut last_pass = false;
-                    let mut provisional = Vec::new();
                     while !last_pass {
                         last_pass = writers_left.load(Ordering::Acquire) == 0;
-                        // One pass over every cell, as an item peeks a
-                        // whole neighbourhood: nothing counts until the
-                        // pass has finished quiet.
-                        let pass = sys.peek_pass();
-                        provisional.clear();
-                        provisional.extend(
+                        // Every cell in turn, as an item peeks a whole
+                        // neighbourhood.
+                        peeked.extend(
                             (0..cells)
-                                .filter_map(|i| pass.peek_committed(i as VertexId, data.addr(i)))
+                                .filter_map(|i| sys.peek_committed(data.addr(i)))
                                 .map(|(val, _)| val),
                         );
-                        if pass.finish() {
-                            peeked.extend(provisional.iter().copied());
-                        }
                     }
                     peeked
                 })

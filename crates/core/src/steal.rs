@@ -120,7 +120,7 @@ impl StealDeque {
         // Order the top read before the bottom read. In Chase–Lev this
         // pairs with the fence of the LIFO owner pop, which this deque no
         // longer has; the orderings stay as proven until a weak-memory
-        // check (ROADMAP item 5) shows what push / steal alone needs.
+        // check (ROADMAP item 11(a)) shows what push / steal alone needs.
         // tufast-lint: allow(memory-ordering) -- the Chase-Lev steal fence, kept until a weak-memory check proves the downgrade
         std::sync::atomic::fence(Ordering::SeqCst);
         let b = self.bottom.load(Ordering::Acquire);

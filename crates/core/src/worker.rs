@@ -210,9 +210,9 @@ impl TxnWorker for TuFastWorker {
         // ---- R mode (before everything, including the serial gate):
         // declared-pure bodies pin a snapshot and read with no locks, no
         // read-set logging, and no hardware transaction. R readers hold
-        // nothing and the serial rung's writer publishes through the vertex
-        // locks — which the snapshot bracket already rejects — so they need
-        // not wait out the drain.
+        // nothing and the serial rung's writer buffers until its release
+        // batch, which publishes at its ticket under the line locks the
+        // snapshot bracket checks — so they need not wait out the drain.
         let reads_before = self.lc.stats.reads;
         let mut attempts = match tufast_txn::read_only_prologue(&mut self.lc, txn_hint, body) {
             Ok(out) => {

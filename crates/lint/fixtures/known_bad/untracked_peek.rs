@@ -6,7 +6,7 @@ pub fn relax(&self, sys: &TxnSystem, w: &mut Worker, v: u32, u: u32) {
     w.execute(4, &mut |ops| {
         let dv = ops.read(v, self.addr(v))?;
         // Filtering *inside* the body.
-        if sys.peek_committed(u, self.addr(u)).is_some_and(|(du, _)| du <= dv) {
+        if sys.peek_committed(self.addr(u)).is_some_and(|(du, _)| du <= dv) {
             return Ok(());
         }
         ops.write(u, self.addr(u), dv)
@@ -15,19 +15,19 @@ pub fn relax(&self, sys: &TxnSystem, w: &mut Worker, v: u32, u: u32) {
 
 pub fn probe(&self, sys: &TxnSystem, w: &mut Worker, v: u32) {
     w.execute_declared(&[Declared::read(v)], &mut |ops| {
-        let seen = sys.peek_committed(v, self.addr(v));
+        let seen = sys.peek_committed(self.addr(v));
         ops.read(v, self.addr(v)).map(|_| drop(seen))
     });
 }
 
 pub fn relax_all(&self, sys: &TxnSystem, w: &mut Worker, v: u32, us: &[u32]) {
-    // A pass opened before the dispatch and peeked from inside it is no
-    // better: each of its loads is as untracked as a single peek's.
-    let pass = sys.peek_pass();
+    // A peek through another handle to the system is no better: each of
+    // its loads is as untracked as a direct peek's.
+    let other = sys;
     w.execute_hinted(TxnHint::sized(2 * us.len()), &mut |ops| {
         let dv = ops.read(v, self.addr(v))?;
         for &u in us {
-            if pass.peek_committed(u, self.addr(u)).is_none() {
+            if other.peek_committed(self.addr(u)).is_none() {
                 ops.write(u, self.addr(u), dv)?;
             }
         }

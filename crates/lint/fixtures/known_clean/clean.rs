@@ -69,7 +69,7 @@ pub fn bump(&mut self, w: &mut Worker) {
 
 pub fn relax_filtered(&self, sys: &TxnSystem, w: &mut Worker, v: u32, u: u32) {
     // Peeking before the dispatch is the intended use.
-    let settled = sys.peek_committed(u, self.addr(u)).is_some();
+    let settled = sys.peek_committed(self.addr(u)).is_some();
     w.execute(4, &mut |ops| {
         if settled {
             return Ok(());
@@ -79,16 +79,12 @@ pub fn relax_filtered(&self, sys: &TxnSystem, w: &mut Worker, v: u32, u: u32) {
 }
 
 pub fn relax_all_filtered(&self, sys: &TxnSystem, w: &mut Worker, v: u32, us: &[u32]) {
-    // A whole pass, peeked and finished before the dispatch.
-    let pass = sys.peek_pass();
-    let mut open: Vec<u32> = us
+    // A whole neighbourhood, peeked before the dispatch.
+    let open: Vec<u32> = us
         .iter()
         .copied()
-        .filter(|&u| pass.peek_committed(u, self.addr(u)).is_none())
+        .filter(|&u| sys.peek_committed(self.addr(u)).is_none())
         .collect();
-    if !pass.finish() {
-        open = us.to_vec();
-    }
     w.execute(2 * open.len(), &mut |ops| {
         let dv = ops.read(v, self.addr(v))?;
         open.iter().try_for_each(|&u| ops.write(u, self.addr(u), dv))

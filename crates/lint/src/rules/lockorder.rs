@@ -14,7 +14,8 @@
 //! * `try_lock_line(..)` / `try_lock_lines(..)` — the HTM emulation's
 //!   per-line commit locks (class `htm_line_lock`, bounded-try,
 //!   address-sorted); the waiting acquisitions — `lock_lines` in the
-//!   in-place commit batch and in 2PL's declared acquire and release —
+//!   HSync fallback's commit batch and in 2PL's declared acquire and
+//!   release —
 //!   carry `lock-acquire(htm_line_lock)` markers.
 //! * `recv.lock(..)` — a mutex, classed `mutex:<file>.<recv>`.
 //! * `// tufast-lint: lock-acquire(<class>)` — a blocking acquisition

@@ -1,8 +1,7 @@
-//! Untracked peek: `TxnSystem::peek_committed` — and the same peek taken
-//! through a `PeekPass`, whose method carries the same name so that this
-//! rule matches both by token — must stay outside transaction bodies.
+//! Untracked peek: `TxnSystem::peek_committed` must stay outside
+//! transaction bodies.
 //!
-//! The peek is a plain load behind a writer-presence bracket — no lock, no
+//! The peek is a plain load behind a line seqlock — no lock, no
 //! read-set entry. On RTM every load after `XBEGIN` is tracked, so a peek
 //! inside a body would shrink the *emulated* footprint but not the real
 //! one: the capacity model, the H/O/L router and every counter would

@@ -18,10 +18,13 @@
 //!   reads lock words past the line locks: another committer's validation.
 //! * **Lock holders** (2PL in both lock orders, the HSync fallback):
 //!   [`release_at_ticket`] is their one release, of a commit or a
-//!   rollback. 2PL buffers: the batch stores its words (commit only) and
-//!   releases every vertex it holds. The HSync fallback — the one in-place
-//!   writer — has its stores in memory already under the fallback word:
-//!   the batch stamps their lines and releases the word.
+//!   rollback. Both buffer: a commit's batch stores the buffered words and
+//!   releases every vertex 2PL holds, or the fallback word. A 2PL
+//!   rollback runs the batch with nothing to store; an HSync rollback
+//!   only frees the word.
+//!
+//! No committer stores a value in memory before its ticket, so a reader
+//! needs the line seqlock alone ([`TxnSystem::peek_committed`]).
 //!
 //! Every failure path releases the lines at their old versions, tickless.
 

@@ -6,7 +6,9 @@
 //! retryable aborts — or immediately on a capacity abort — it acquires the
 //! global fallback lock and runs non-speculatively. Subscription makes the
 //! two paths mutually safe: fallback acquisition invalidates the word every
-//! speculative transaction has in its read set.
+//! speculative transaction has in its read set. The fallback buffers its
+//! writes, as 2PL does, and publishes them in the batch that releases the
+//! word, so nothing uncommitted of either path is ever in memory.
 //!
 //! Being two-mode, HSync has no middle gear for the moderate-size
 //! transactions TuFast handles in O mode: anything past HTM capacity
@@ -15,7 +17,7 @@
 
 use std::sync::Arc;
 
-use tufast_htm::{AbortCode, Addr, HtmCtx, LineBatch};
+use tufast_htm::{AbortCode, Addr, HtmCtx, LineBatch, WordMap};
 
 use crate::commit::release_at_ticket;
 use crate::health::HealthHandle;
@@ -44,14 +46,6 @@ impl HSyncLike {
             retries: DEFAULT_HTM_RETRIES,
         }
     }
-
-    /// Create with an explicit HTM retry budget.
-    pub fn with_retries(sys: Arc<TxnSystem>, retries: u32) -> Self {
-        HSyncLike {
-            sys,
-            retries: retries.max(1),
-        }
-    }
 }
 
 impl GraphScheduler for HSyncLike {
@@ -63,7 +57,7 @@ impl GraphScheduler for HSyncLike {
             lc: Lifecycle::new(&self.sys, ctx.id()),
             ctx,
             retries: self.retries,
-            undo: Vec::with_capacity(32),
+            buffered: WordMap::with_capacity(32),
             batch: LineBatch::with_capacity(32),
         }
     }
@@ -79,8 +73,10 @@ pub struct HSyncWorker {
     lc: Lifecycle,
     ctx: HtmCtx,
     retries: u32,
-    undo: Vec<(Addr, u64)>,
-    /// Fallback-commit scratch: the undo log's lines and the fallback word's.
+    /// The fallback path's buffered writes.
+    buffered: WordMap,
+    /// Fallback-commit scratch: the buffered words' lines and the fallback
+    /// word's.
     batch: LineBatch,
 }
 
@@ -135,25 +131,26 @@ impl HtmBodyOps for HtmOps<'_> {
     }
 }
 
-/// Fallback ops: in-place under the global lock, with an undo log so a
-/// user abort can roll back.
+/// Fallback ops under the global lock: read = own buffered write, else a
+/// plain load; write = buffered until the commit batch.
 struct FallbackOps<'a> {
     sys: &'a TxnSystem,
-    undo: &'a mut Vec<(Addr, u64)>,
+    buffered: &'a mut WordMap,
     stats: &'a mut SchedStats,
 }
 
 impl TxnOps for FallbackOps<'_> {
     fn read(&mut self, _v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
         self.stats.reads += 1;
-        Ok(self.sys.mem().load_direct(addr))
+        Ok(match self.buffered.get(addr) {
+            Some(own) => own,
+            None => self.sys.mem().load_direct(addr),
+        })
     }
 
     fn write(&mut self, _v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
         self.stats.writes += 1;
-        let mem = self.sys.mem();
-        self.undo.push((addr, mem.load_direct(addr)));
-        mem.store_direct(addr, val);
+        self.buffered.insert(addr, val);
         Ok(())
     }
 }
@@ -193,10 +190,7 @@ impl HSyncWorker {
         let fallback = self.lc.sys.fallback_word();
         let id = self.lc.id;
         let mut spins = 0u32;
-        // The word is a sequence lock: odd while held, and every hold
-        // leaves it two higher, so a reader that saw the same even value
-        // on both sides of a load knows no fallback transaction ran in
-        // between (`TxnSystem::peek_committed`).
+        // Odd while held; every hold leaves the word two higher.
         // tufast-lint: lock-acquire(hsync_fallback)
         let held = loop {
             let free = mem.load_direct(fallback) & !1;
@@ -210,34 +204,32 @@ impl HSyncWorker {
                 std::hint::spin_loop();
             }
         };
-        self.undo.clear();
+        self.buffered.clear();
         let mut ops = FallbackOps {
             sys: &self.lc.sys,
-            undo: &mut self.undo,
+            buffered: &mut self.buffered,
             stats: &mut self.lc.stats,
         };
         let result = obs.run_body(&mut ops, id, body);
         if result.is_ok() {
             obs.pre_commit(id);
-            // One batch stamps the in-place written lines with the
-            // ticket and clears the fallback word at it: no other writer
-            // can publish in between, and a snapshot reader pinned
-            // mid-commit cannot accept the pre-ticket stores.
+            // One batch stores the buffered words and releases the word,
+            // all at the ticket.
             self.batch.clear();
-            for addr in self.undo.iter().map(|&(addr, _)| addr).chain([fallback]) {
+            for (addr, _) in self.buffered.iter() {
                 self.batch.push(addr.line());
             }
+            self.batch.push(fallback.line());
             let ticket = release_at_ticket(mem, &mut self.batch, || {
+                for (addr, val) in self.buffered.iter() {
+                    mem.store_locked(addr, val);
+                }
                 mem.store_locked(fallback, held + 1);
             });
             obs.commit_ticketed(id, || ticket);
         } else {
-            // Roll back in-place writes, newest first, then release: with
-            // the global lock free and memory restored, a panic can
-            // propagate without blocking peers.
-            for &(addr, old) in self.undo.iter().rev() {
-                mem.store_direct(addr, old);
-            }
+            // Nothing reached memory: releasing the word is the rollback,
+            // so a panic can propagate without blocking peers.
             mem.store_direct(fallback, held + 1);
         }
         result.into()
@@ -349,6 +341,12 @@ mod tests {
             for i in 0..8000u64 {
                 ops.write(0, big.addr(i), 1)?;
             }
+            assert_eq!(ops.read(0, big.addr(0))?, 1, "reads its own write");
+            assert_eq!(
+                sys.mem().load_direct(big.addr(0)),
+                0,
+                "the store is not in memory"
+            );
             Err(ops.user_abort())
         });
         assert!(!out.committed);

@@ -75,7 +75,7 @@ pub use obs::{ObsHandle, TxnObserver};
 pub use occ::Occ;
 pub use rmode::{read_only_prologue, RWorker, ReadMode, R_DEMOTE_ATTEMPTS};
 pub use stm::SoftwareTm;
-pub use system::{PeekPass, SerialHold, SystemConfig, TxnSystem};
+pub use system::{SerialHold, SystemConfig, TxnSystem};
 pub use to::TimestampOrdering;
 pub use tpl::{TplAttempt, TwoPhaseLocking};
 pub use traits::{

@@ -28,10 +28,8 @@
 //! Because line versions *are* tickets, a second invariant holds by
 //! construction, and the R-mode snapshot path depends on it: a line
 //! version `≤ t` proves the line's content was published by a transaction
-//! ticketed `≤ t`. The one in-place writer, the HSync fallback, stores at
-//! earlier versions while it runs, but only under the fallback word, and
-//! its commit batch re-stamps every written line with the ticket as it
-//! releases the word; 2PL buffers and publishes in the same kind of batch. R-mode readers
+//! ticketed `≤ t`: every writer buffers until its commit batch, which
+//! stores under the line locks and unlocks them at the ticket. R-mode readers
 //! ([`crate::rmode`]) ticket the pinned clock value their whole read set
 //! validated against — every observed writer is ticketed at or below it,
 //! so the checker's WR attribution works unchanged.

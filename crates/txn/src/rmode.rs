@@ -8,16 +8,15 @@
 //! pin, RLU/TL2-style:
 //!
 //! 1. **Pin** `snap = clock_now()`. The clock only moves inside writer
-//!    commit critical sections (line locks, vertex locks, the HSync
-//!    fallback word), so `snap` names a committed state.
-//! 2. **Read** `(v, addr)` by bracketing a plain load with plain loads of
-//!    the writer-presence metadata ([`TxnSystem::peek_committed`], the one
-//!    definition of the bracket): the vertex lock word must be writer-free
-//!    and version-stable across the load, the HSync fallback word must be
-//!    0 on both sides, and `addr`'s cache-line version must be the *same*
-//!    value before and after — and `≤ snap`. A failed bracket is a
-//!    transient writer (bounded spin, then re-pin); a line published past
-//!    `snap` is a stale snapshot (re-pin immediately).
+//!    commit critical sections (line locks, vertex-lock acquisitions, the
+//!    HSync fallback word), so `snap` names a committed state.
+//! 2. **Read** `addr` by bracketing a plain load with two loads of its
+//!    cache line's state ([`TxnSystem::peek_committed`], the one
+//!    definition of the bracket): the line must be unlocked at the *same*
+//!    version before and after the load — and that version `≤ snap`. A
+//!    locked or moving line is a writer mid-commit (bounded spin, then
+//!    re-pin); a line published past `snap` is a stale snapshot (re-pin
+//!    immediately).
 //! 3. **Commit** by doing nothing: an accepted read set *is* the committed
 //!    state at `snap`, so the transaction serializes at its pin. The
 //!    serialization ticket reported to the observer is `snap` itself.
@@ -36,20 +35,18 @@
 //!   commit, via [`crate::commit::WriteSet::try_lock`]) buffer their writes
 //!   and store them under the line locks. The software committers acquire
 //!   no vertex lock; the mark they leave in the lock words while they hold
-//!   the lines is for each other's validation — a reader that sees it
-//!   spins, as it would on the locked line.
-//! * 2PL (L mode and the serial fallback included) buffers its writes too,
-//!   under vertex locks, and publishes them in its one release batch
+//!   the lines is for each other's validation, not for readers.
+//! * 2PL (L mode and the serial fallback included) and the HSync
+//!   global-fallback path buffer their writes too, under vertex locks or
+//!   the fallback word, and publish them in one release batch
 //!   ([`crate::commit::release_at_ticket`]), which stamps every written
-//!   line with the ticket as it releases the lock words. A rollback runs
-//!   the same batch with nothing to store.
-//! * The one in-place writer, the HSync global-fallback path, exposes
-//!   uncommitted values at pre-ticket versions, but only while the
-//!   fallback word is held — the bracket refuses those — and its commit
-//!   re-stamps every written line with the ticket in the same batch that
-//!   releases the word. A rollback restores each word with a
-//!   strongly-isolated store, i.e. at a fresh version, before the word is
-//!   released.
+//!   line with the ticket as it releases the locks. A rollback runs the
+//!   same batch with nothing to store (2PL) or just frees the word
+//!   (HSync).
+//!
+//! Nothing uncommitted is ever in memory, so the line seqlock alone proves
+//! a value committed: a vertex lock or the fallback word held by a writer
+//! that has not reached its batch guards only buffered values.
 //!
 //! The clock-monotonicity argument, spelled out once: a read is accepted
 //! only with line version `ver ≤ snap` on both sides of the load. Every
@@ -78,9 +75,9 @@ use crate::traits::{
 };
 use crate::VertexId;
 
-/// Bounded spins per read while a writer is visibly mid-commit (vertex
-/// lock held, fallback word set, or line locked) before the attempt gives
-/// up and re-pins its snapshot.
+/// Bounded spins per read while a writer is visibly mid-commit (the line
+/// locked or republished across the load) before the attempt gives up and
+/// re-pins its snapshot.
 const R_READ_SPINS: u32 = 128;
 
 /// Attempt budget when the R path runs as a fast path inside a read/write
@@ -98,19 +95,19 @@ struct ROps<'a> {
 }
 
 impl ROps<'_> {
-    /// One snapshot read through the writer-presence bracket
+    /// One snapshot read through the line seqlock
     /// ([`TxnSystem::peek_committed`]); `Err(Restart)` means re-pin.
-    fn snapshot_read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
+    fn snapshot_read(&mut self, addr: Addr) -> Result<u64, TxInterrupt> {
         let mut spins = 0u32;
         loop {
-            match self.sys.peek_committed(v, addr) {
+            match self.sys.peek_committed(addr) {
                 Some((val, version)) if version <= self.snap => return Ok(val),
                 // Published past the pin: this snapshot can never accept
                 // the line — re-pin immediately.
                 Some(_) => return Err(TxInterrupt::Restart),
                 None => {}
             }
-            // A writer is visibly mid-flight: spin briefly, then re-pin.
+            // A writer is mid-commit on the line: spin briefly, then re-pin.
             spins += 1;
             if spins > R_READ_SPINS {
                 return Err(TxInterrupt::Restart);
@@ -125,9 +122,9 @@ impl ROps<'_> {
 }
 
 impl TxnOps for ROps<'_> {
-    fn read(&mut self, v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
+    fn read(&mut self, _v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
         self.reads += 1;
-        self.snapshot_read(v, addr)
+        self.snapshot_read(addr)
     }
 
     fn write(&mut self, _v: VertexId, _addr: Addr, _val: u64) -> Result<(), TxInterrupt> {
@@ -424,19 +421,19 @@ mod tests {
             reads: 0,
             wrote: false,
         };
-        assert!(mid.snapshot_read(0, a0).is_err(), "line is locked");
+        assert!(mid.snapshot_read(a0).is_err(), "line is locked");
         let ticket = held.publish();
         assert!(ticket > mid.snap);
         // Both lines now carry the ticket: the stale pin can take neither
         // the new pair nor a mix.
-        assert!(mid.snapshot_read(0, a0).is_err());
-        assert!(mid.snapshot_read(8, a1).is_err());
+        assert!(mid.snapshot_read(a0).is_err());
+        assert!(mid.snapshot_read(a1).is_err());
         let mut fresh = ROps {
             snap: sys.read_snapshot(),
             ..mid
         };
-        assert_eq!(fresh.snapshot_read(0, a0).unwrap(), 7);
-        assert_eq!(fresh.snapshot_read(8, a1).unwrap(), 8);
+        assert_eq!(fresh.snapshot_read(a0).unwrap(), 7);
+        assert_eq!(fresh.snapshot_read(a1).unwrap(), 8);
     }
 
     #[test]
@@ -444,7 +441,7 @@ mod tests {
         // A writer keeps the pair (a, a+1) invariant through 2PL writes;
         // concurrent snapshot readers must never observe a torn pair — the
         // release batch publishes both halves at one ticket, so this
-        // exercises its re-stamp and the writer-presence bracket.
+        // exercises its re-stamp and the line seqlock.
         let (sys, data) = setup(16);
         let tpl = TwoPhaseLocking::new(Arc::clone(&sys));
         let rmode = ReadMode::new(Arc::clone(&sys));

@@ -11,7 +11,7 @@ use crate::commit::relax;
 use crate::deadlock::WaitForTable;
 use crate::faults::{FaultHandle, FaultPlan};
 use crate::health::{CancelToken, HealthBoard, HealthHandle, JobDeadline};
-use crate::locks::{LockWord, VertexLocks};
+use crate::locks::VertexLocks;
 use crate::obs::TxnObserver;
 use crate::VertexId;
 
@@ -307,37 +307,27 @@ impl TxnSystem {
         self.mem().clock_now_pub()
     }
 
-    /// The R-mode writer-presence bracket around a plain load of `addr` (a
-    /// word of vertex `v`), as a [pass](Self::peek_pass) of one: the value
-    /// and the version of its cache line, or `None` whenever a writer is
-    /// visible — `v`'s lock word has a writer or moved across the load, an
-    /// HSync fallback transaction is running or ran across it, or the line
-    /// is locked or was republished across it.
+    /// The R-mode bracket around a plain load of `addr`: the value and the
+    /// version of its cache line, or `None` while the line is locked or
+    /// when it was republished across the load — a line seqlock.
     ///
     /// No pin, no spin, nothing acquired. By publish-at-the-ticket
     /// ([`crate::rmode`]) a returned value was published by the committed
     /// transaction ticketed `line_version` (or is initial state): never an
-    /// uncommitted store. 2PL keeps its stores buffered until its release
-    /// batch; the one in-place writer, the HSync fallback, exposes them
-    /// only while the fallback word is held, and the word leaves changed:
-    /// it counts its holds. The load is untracked: call it
-    /// outside transaction bodies (`tufast-lint`'s `untracked-peek`).
+    /// uncommitted store. Every writer buffers until its commit batch,
+    /// which stores under the line locks and unlocks at the ticket, so a
+    /// value and its version appear together. The load is untracked: call
+    /// it outside transaction bodies (`tufast-lint`'s `untracked-peek`).
     #[inline]
-    pub fn peek_committed(&self, v: VertexId, addr: Addr) -> Option<(u64, u64)> {
-        let pass = self.peek_pass();
-        pass.peek_committed(v, addr).filter(|_| pass.finish())
-    }
-
-    /// Open a pass of committed peeks: the bracket of
-    /// [`peek_committed`](Self::peek_committed) with its one global check
-    /// — the HSync fallback word — taken once around all of them instead
-    /// of once around each. The per-vertex checks stay per peek.
-    #[inline]
-    pub fn peek_pass(&self) -> PeekPass<'_> {
-        PeekPass {
-            sys: self,
-            fallback: self.mem().load_direct(self.fallback_word),
-        }
+    pub fn peek_committed(&self, addr: Addr) -> Option<(u64, u64)> {
+        let mem = self.mem();
+        let line = addr.line();
+        let before = mem.line_state(line);
+        let LineState::Unlocked { version } = before else {
+            return None;
+        };
+        let val = mem.load_direct(addr);
+        (mem.line_state(line) == before).then_some((val, version))
     }
 
     /// Words a transaction over a degree-`d` neighbourhood touches —
@@ -345,54 +335,6 @@ impl TxnSystem {
     #[inline]
     pub fn neighborhood_hint(degree: usize) -> usize {
         2 * (degree + 1)
-    }
-}
-
-/// A run of committed peeks under one read of the HSync fallback word
-/// ([`TxnSystem::peek_pass`]). What the peeks returned counts only once
-/// [`finish`](Self::finish) has said `true`.
-#[must_use = "peeks count only after `finish()` returned true"]
-pub struct PeekPass<'a> {
-    sys: &'a TxnSystem,
-    /// The fallback word when the pass opened.
-    fallback: u64,
-}
-
-impl PeekPass<'_> {
-    /// [`TxnSystem::peek_committed`] minus the fallback-word pair: `None`
-    /// when `v`'s lock word has a writer or moved across the load, or the
-    /// line is locked or was republished across it. `Some` is provisional
-    /// until the pass [finishes](Self::finish) quiet: a fallback
-    /// transaction stores in place holding no vertex lock.
-    #[inline]
-    pub fn peek_committed(&self, v: VertexId, addr: Addr) -> Option<(u64, u64)> {
-        let mem = self.sys.mem();
-        let (lock, line) = (self.sys.locks.addr(v), addr.line());
-        // All plain loads, in this order; judged together afterwards.
-        let w1 = LockWord(mem.load_direct(lock));
-        let before = mem.line_state(line);
-        let val = mem.load_direct(addr);
-        let after = mem.line_state(line);
-        let w2 = LockWord(mem.load_direct(lock));
-        let LineState::Unlocked { version } = before else {
-            return None;
-        };
-        // Reader counts changing is benign; everything else must match.
-        let quiet =
-            w1.writer().is_none() && w2.with_readers(0) == w1.with_readers(0) && after == before;
-        quiet.then_some((val, version))
-    }
-
-    /// Close the pass: `true` iff no HSync fallback transaction held the
-    /// word while it was open — even when it opened, the same when it
-    /// closes (a sequence lock: odd while held, two higher after every
-    /// hold). On `false` *every* peek of the pass is void, not only the
-    /// ones on the vertices the fallback transaction wrote: any of them
-    /// may have loaded an in-place store that is yet to roll back.
-    #[inline]
-    pub fn finish(self) -> bool {
-        let now = self.sys.mem().load_direct(self.sys.fallback_word);
-        self.fallback & 1 == 0 && now == self.fallback
     }
 }
 
@@ -547,10 +489,10 @@ mod tests {
     fn peek_committed_returns_the_value_and_the_version_it_was_published_at() {
         let (sys, values) = with_value_regions(16, 1);
         let (a0, a8) = (values[0].addr(0), values[0].addr(8));
-        assert_eq!(sys.peek_committed(0, a0), Some((0, 0)), "initial state");
+        assert_eq!(sys.peek_committed(a0), Some((0, 0)), "initial state");
         sys.mem().store_direct(a0, 7);
         let stamped = sys.mem().clock_now_pub();
-        assert_eq!(sys.peek_committed(0, a0), Some((7, stamped)));
+        assert_eq!(sys.peek_committed(a0), Some((7, stamped)));
 
         // A buffered committer holds the lines: nothing to see until it
         // publishes, and then the pair arrives at its ticket.
@@ -558,11 +500,11 @@ mod tests {
         writes.insert(0, a0, 70);
         writes.insert(8, a8, 80);
         let held = writes.try_lock(&sys, |_| None).unwrap();
-        assert_eq!(sys.peek_committed(0, a0), None);
-        assert_eq!(sys.peek_committed(8, a8), None);
+        assert_eq!(sys.peek_committed(a0), None);
+        assert_eq!(sys.peek_committed(a8), None);
         let ticket = held.publish();
-        assert_eq!(sys.peek_committed(0, a0), Some((70, ticket)));
-        assert_eq!(sys.peek_committed(8, a8), Some((80, ticket)));
+        assert_eq!(sys.peek_committed(a0), Some((70, ticket)));
+        assert_eq!(sys.peek_committed(a8), Some((80, ticket)));
     }
 
     #[test]
@@ -571,7 +513,7 @@ mod tests {
         let (sys, values) = with_value_regions(8, 1);
         let addr = values[0].addr(3);
         sys.mem().store_direct(addr, 9);
-        let committed = sys.peek_committed(3, addr).unwrap();
+        let committed = sys.peek_committed(addr).unwrap();
 
         // 2PL buffers the store under the vertex lock: memory keeps the
         // committed value while the hold lasts, and the rollback leaves the
@@ -580,22 +522,23 @@ mod tests {
         let out = tpl.execute(2, &mut |ops| {
             ops.write(3, addr, 1)?;
             assert_eq!(sys.mem().load_direct(addr), 9, "the store is not in memory");
-            assert_eq!(sys.peek_committed(3, addr), None);
+            assert_eq!(sys.peek_committed(addr), Some(committed));
             Err(ops.user_abort())
         });
         assert!(!out.committed);
         assert_eq!(
-            sys.peek_committed(3, addr),
+            sys.peek_committed(addr),
             Some(committed),
             "same value, same version"
         );
 
-        // The HSync fallback path stores in place under the global word
+        // The HSync fallback path buffers under the global word too
         // (8 000 lines: past HTM capacity, so the body runs there).
         let big = 8_000u64;
         let mut layout = MemoryLayout::new();
         let region = layout.alloc("big", big);
         let sys = TxnSystem::with_defaults(1, layout);
+        let committed = sys.peek_committed(region.addr(0)).unwrap();
         let mut hsync = crate::hsync::HSyncLike::new(Arc::clone(&sys)).worker();
         let mut peeked_in_fallback = false;
         let out = hsync.execute(big as usize, &mut |ops| {
@@ -603,82 +546,19 @@ mod tests {
                 ops.write(0, region.addr(i), 1)?;
             }
             peeked_in_fallback = true;
-            assert_eq!(sys.peek_committed(0, region.addr(0)), None);
+            let in_memory = sys.mem().load_direct(region.addr(0));
+            assert_eq!(in_memory, 0, "the store is not in memory");
+            assert_eq!(sys.peek_committed(region.addr(0)), Some(committed));
             Err(ops.user_abort())
         });
         assert!(!out.committed && peeked_in_fallback);
-        assert_eq!(sys.peek_committed(0, region.addr(0)).unwrap().0, 0);
-        // A reader whose bracket opened before the hold and closed after
-        // it sees the word moved: free again is not the same as untouched.
+        assert_eq!(
+            sys.peek_committed(region.addr(0)),
+            Some(committed),
+            "same value, same version"
+        );
+        // One hold, released: the rollback only let go of the word.
         assert_eq!(sys.mem().load_direct(sys.fallback_word()), 2);
-    }
-
-    #[test]
-    fn a_pass_of_one_is_peek_committed() {
-        let (sys, values) = with_value_regions(16, 1);
-        let (a0, a8) = (values[0].addr(0), values[0].addr(8));
-        sys.mem().store_direct(a0, 7);
-        let one = |v, addr| {
-            let pass = sys.peek_pass();
-            let seen = pass.peek_committed(v, addr);
-            (seen, pass.finish())
-        };
-        assert_eq!(one(0, a0), (sys.peek_committed(0, a0), true));
-        assert_eq!(one(0, a0).0, Some((7, sys.mem().clock_now_pub())));
-
-        // A locked line, a held vertex lock: `None` from both, and neither
-        // is the pass's business.
-        let mut writes = crate::commit::WriteSet::new(5);
-        writes.insert(8, a8, 80);
-        let held = writes.try_lock(&sys, |_| None).unwrap();
-        assert_eq!(one(8, a8), (None, true));
-        assert_eq!(sys.peek_committed(8, a8), None);
-        let ticket = held.publish();
-        assert_eq!(one(8, a8), (Some((80, ticket)), true));
-        assert_eq!(sys.peek_committed(8, a8), Some((80, ticket)));
-
-        // A held fallback word: the peek itself sees nothing wrong.
-        sys.mem().store_direct(sys.fallback_word(), 1);
-        let (seen, quiet) = one(0, a0);
-        assert_eq!((seen.map(|(val, _)| val), quiet), (Some(7), false));
-        assert_eq!(sys.peek_committed(0, a0), None);
-    }
-
-    #[test]
-    fn a_pass_spanning_a_fallback_hold_that_rolls_back_finishes_false() {
-        use crate::traits::{GraphScheduler, TxnWorker};
-        // 8 000 lines: past HTM capacity, so the body runs on the fallback
-        // path, storing in place under the global word only.
-        let big = 8_000u64;
-        let mut layout = MemoryLayout::new();
-        let region = layout.alloc("big", big);
-        let sys = TxnSystem::with_defaults(1, layout);
-        let mut hsync = crate::hsync::HSyncLike::new(Arc::clone(&sys)).worker();
-
-        let spanning = sys.peek_pass();
-        let mut during = None;
-        let out = hsync.execute(big as usize, &mut |ops| {
-            for i in 0..big {
-                ops.write(0, region.addr(i), 1)?;
-            }
-            // Two more passes while the store is in place: one opened
-            // before the hold, one inside it. Their peeks load the store —
-            // nothing per vertex gives it away — and only `finish` voids it.
-            let inside = sys.peek_pass();
-            let seen = [&spanning, &inside].map(|p| p.peek_committed(0, region.addr(0)));
-            assert!(seen.iter().all(|s| s.is_some_and(|(val, _)| val == 1)));
-            during = Some(inside.finish());
-            Err(ops.user_abort())
-        });
-        assert!(!out.committed);
-        assert_eq!(during, Some(false), "opened on an odd word");
-        let after = spanning.peek_committed(0, region.addr(0));
-        assert_eq!(after.map(|(val, _)| val), Some(0), "rolled back");
-        assert!(!spanning.finish(), "free again is not untouched");
-
-        let quiet = sys.peek_pass();
-        assert_eq!(quiet.peek_committed(0, region.addr(0)).unwrap().0, 0);
-        assert!(quiet.finish());
     }
 
     #[test]

@@ -12,15 +12,20 @@
 //! one tick for taking them all at once and no more: a graph mutation
 //! moves the clock by exactly two (11 for an edge, 4 for a vertex, 2 for a
 //! rejection when each lock and each in-place store ticked).
+//!
+//! The HSync fallback buffers too: a transaction past HTM capacity ticks
+//! once to take the global word and once for the batch that publishes its
+//! writes and releases the word.
 
 use std::sync::Arc;
 
 use tufast_suite::graph::mutable::MutationOutcome;
 use tufast_suite::graph::{GraphBuilder, MutableGraph, OverlayConfig};
-use tufast_suite::htm::{Addr, LineState, MemRegion, MemoryLayout};
+use tufast_suite::htm::{Addr, HtmConfig, LineState, MemRegion, MemoryLayout};
 use tufast_suite::tufast::{ModeClass, TuFast};
 use tufast_suite::txn::{
-    GraphScheduler, Occ, TimestampOrdering, TwoPhaseLocking, TxnSystem, TxnWorker, VertexId,
+    GraphScheduler, HSyncLike, Occ, TimestampOrdering, TwoPhaseLocking, TxnSystem, TxnWorker,
+    VertexId,
 };
 
 /// Written vertices: far enough apart that their data words *and* their
@@ -201,6 +206,100 @@ fn two_phase_user_abort_ticks_per_acquisition_plus_one_and_publishes_nothing() {
         let lw = locks.peek(mem, *v);
         assert!(lw.is_free() && lw.version() == 0, "vertex {v}: {lw:?}");
     }
+}
+
+/// [`setup`] plus one word on each of more lines than a hardware
+/// transaction holds, so an HSync body that writes them all runs on the
+/// fallback path.
+fn fallback_setup() -> (Arc<TxnSystem>, MemRegion, Vec<Addr>) {
+    let htm = HtmConfig::default();
+    let (lines, words_per_line) = (htm.max_lines() as u64 + 1, (htm.line_bytes / 8) as u64);
+    let mut layout = MemoryLayout::new();
+    let data = layout.alloc("data", 48 * 8);
+    let ballast = layout.alloc("ballast", lines * words_per_line);
+    let ballast = (0..lines)
+        .map(|l| ballast.addr(l * words_per_line))
+        .collect();
+    (TxnSystem::with_defaults(48, layout), data, ballast)
+}
+
+/// One HSync transaction writing [`VERTICES`] and every ballast word, then
+/// committing or user-aborting; returns how far the clock moved.
+fn ticks_of_one_fallback(
+    sys: &Arc<TxnSystem>,
+    data: &MemRegion,
+    ballast: &[Addr],
+    commit: bool,
+) -> u64 {
+    let mut w = HSyncLike::new(Arc::clone(sys)).worker();
+    let before = sys.mem().clock_now_pub();
+    let out = w.execute(16, &mut |ops| {
+        for v in VERTICES {
+            ops.write(v, word(data, v), u64::from(v) + 100)?;
+        }
+        for &addr in ballast {
+            ops.write(0, addr, 1)?;
+        }
+        if commit {
+            Ok(())
+        } else {
+            Err(ops.user_abort())
+        }
+    });
+    // One capacity abort in HTM, then the fallback.
+    assert_eq!((out.committed, out.attempts), (commit, 2));
+    assert_eq!(sys.mem().load_direct(sys.fallback_word()), 2, "one hold");
+    sys.mem().clock_now_pub() - before
+}
+
+#[test]
+fn hsync_fallback_commit_ticks_for_the_hold_plus_once_and_publishes_at_the_ticket() {
+    let (sys, data, ballast) = fallback_setup();
+    let mem = sys.mem();
+    let locks_were: Vec<_> = VERTICES
+        .iter()
+        .map(|&v| mem.line_state(sys.locks().addr(v).line()))
+        .collect();
+    assert_eq!(ticks_of_one_fallback(&sys, &data, &ballast, true), 2);
+    let at_ticket = LineState::Unlocked {
+        version: mem.clock_now_pub(),
+    };
+    for v in VERTICES {
+        assert_eq!(mem.load_direct(word(&data, v)), u64::from(v) + 100);
+        assert_eq!(
+            mem.line_state(word(&data, v).line()),
+            at_ticket,
+            "vertex {v}"
+        );
+    }
+    for &addr in &ballast {
+        assert_eq!(mem.load_direct(addr), 1);
+        assert_eq!(mem.line_state(addr.line()), at_ticket, "{addr:?}");
+    }
+    assert_eq!(mem.line_state(sys.fallback_word().line()), at_ticket);
+    // No vertex lock was taken.
+    for (v, was) in VERTICES.iter().zip(&locks_were) {
+        assert_eq!(mem.line_state(sys.locks().addr(*v).line()), *was);
+    }
+}
+
+#[test]
+fn hsync_fallback_user_abort_publishes_nothing() {
+    let (sys, data, ballast) = fallback_setup();
+    let mem = sys.mem();
+    let data_lines = || {
+        let vertices = VERTICES.iter().map(|&v| word(&data, v).line());
+        vertices.chain(ballast.iter().map(|addr| addr.line()))
+    };
+    let was: Vec<_> = data_lines().map(|line| mem.line_state(line)).collect();
+    // One tick to take the word, one to release it.
+    assert_eq!(ticks_of_one_fallback(&sys, &data, &ballast, false), 2);
+    for v in VERTICES {
+        assert_eq!(mem.load_direct(word(&data, v)), 0, "vertex {v}");
+    }
+    assert!(ballast.iter().all(|&addr| mem.load_direct(addr) == 0));
+    let now: Vec<_> = data_lines().map(|line| mem.line_state(line)).collect();
+    assert_eq!(now, was, "no data line's version moved");
 }
 
 #[test]

@@ -32,9 +32,11 @@
 //! A tracked read costs a lock-word subscription and a footprint insert,
 //! and nearly all of a scan's reads find `value[u] <= value[v] + len` and
 //! write nothing. The same monotonicity lets the item rule those
-//! out *before* its transaction opens, with untracked peeks of committed
-//! values ([`TxnSystem::peek_committed`]), and walk only the rest inside
-//! it — see [`MinDrain::item`] and DESIGN.md §7, "Settled neighbours".
+//! out *before* its transaction opens, with one untracked load of each
+//! committed value ([`TxnSystem::load_committed`]: no committer stores a
+//! data word before its point of no return, so the word in memory is
+//! committed), and walk only the rest inside it — see [`MinDrain::item`]
+//! and DESIGN.md §7, "Settled neighbours".
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,36 +185,33 @@ where
     /// (what this item wrote, or less if someone has improved on it since).
     ///
     /// Only *candidate* edges are read inside the transaction. Before it
-    /// opens, the item peeks the committed `dv0 = value[v]` and every
-    /// neighbour ([`TxnSystem::peek_committed`]: untracked, nothing
-    /// acquired) and drops the settled ones, `value[u] <= dv0 + len`. A
-    /// peeked value is always committed and values only decrease, so a
-    /// settled neighbour stays settled; the transaction reads
-    /// `value[v] <= dv0`, and if it reads less, whoever lowered `v` pushed
-    /// it again and owns the lower offer. A neighbour whose line is
-    /// mid-commit stays a candidate.
+    /// opens, the item loads the committed `dv0 = value[v]` and every
+    /// neighbour ([`TxnSystem::load_committed`]: one untracked load,
+    /// nothing acquired) and drops the settled ones, `value[u] <= dv0 +
+    /// len`. A loaded value is always committed — no committer stores a
+    /// data word before its point of no return — and values only
+    /// decrease, so a settled neighbour stays settled; the transaction
+    /// reads `value[v] <= dv0`, and if it reads less, whoever lowered `v`
+    /// pushed it again and owns the lower offer.
     pub(crate) fn item(&self, worker: &mut impl TxnWorker, pool: &impl WorkPool, v: VertexId) {
-        let addr = |u: VertexId| self.value.addr(u64::from(u));
+        let (sys, value) = (self.sys, self.value);
+        let addr = |u: VertexId| value.addr(u64::from(u));
         let mark = &self.watermark[v as usize];
         SCRATCH.with_borrow_mut(|(candidates, improved)| {
             // The edges the transaction will walk: the unsettled ones at
             // the committed `dv0` — none of them when the watermark covers
-            // `dv0` (a stale item: whatever lowers `v` after this peek
-            // pushes it again, so the item owes no more than its one
-            // read); all of them when `v`'s line is mid-commit.
-            let peek = |u: VertexId| self.sys.peek_committed(addr(u)).map(|(val, _)| val);
-            let dv0 = peek(v);
-            let position = |at: usize| u32::try_from(at).expect("edge positions fit 32 bits");
+            // `dv0` (a stale item: whatever lowers `v` after this load
+            // pushes it again, so the item owes no more than its one read).
+            let dv0 = sys.load_committed(addr(v));
             candidates.clear();
-            if let Some(dv0) = dv0.filter(|&dv0| mark.load(Ordering::Acquire) > dv0) {
-                candidates.reserve((self.edges)(v).size_hint().0);
-                let settled = |u, len| peek(u).is_some_and(|du| du <= dv0 + len);
-                let kept = (self.edges)(v)
-                    .enumerate()
-                    .filter(|&(_, (u, len))| !settled(u, len));
-                candidates.extend(kept.map(|(at, _)| position(at)));
-            } else if dv0.is_none() {
-                candidates.extend((0..(self.edges)(v).count()).map(position));
+            if mark.load(Ordering::Acquire) > dv0 {
+                let edges = (self.edges)(v);
+                candidates.reserve(edges.size_hint().0);
+                for (at, (u, len)) in edges.enumerate() {
+                    if sys.load_committed(addr(u)) > dv0 + len {
+                        candidates.push(u32::try_from(at).expect("edge positions fit 32 bits"));
+                    }
+                }
             }
             // Room for every write up front (exact, where `push` would
             // double): the body never reallocates.
@@ -262,10 +261,10 @@ where
                 // candidates are now `<= seen + len` with `seen <= dv0`.
                 // If `seen < dv0`, whoever lowered `v` pushed it, and that
                 // item finds the watermark above its value.
-                mark.fetch_min(dv0.unwrap_or(seen), Ordering::Release);
+                mark.fetch_min(dv0, Ordering::Release);
             }
             for &u in improved.iter() {
-                pool.push_keyed(u, self.sys.mem().load_direct(addr(u)));
+                pool.push_keyed(u, sys.load_committed(addr(u)));
             }
         });
     }
@@ -515,13 +514,37 @@ mod tests {
     }
 
     #[test]
+    fn a_neighbour_settled_by_a_commit_mid_publish_is_dropped() {
+        let fx = Fixture::new();
+        let drain = fx.drain();
+        let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
+        let pool = FifoPool::new();
+        // A committer past its point of no return: vertex 1's line locked,
+        // its settled value (1 <= 0 + 1) stored, the unlock still to come.
+        let (mem, addr) = (fx.built.sys.mem(), fx.built.space.addr(1));
+        let mut batch = tufast_htm::LineBatch::with_capacity(1);
+        batch.push(addr.line());
+        mem.lock_lines(&mut batch);
+        mem.store_locked(addr, 1);
+        let mut w = Before(sched.worker(), || {
+            mem.unlock_lines(&mut batch, Some(mem.clock_tick_pub()));
+        });
+        drain.item(&mut w, &pool, 0);
+        let s = w.stats();
+        assert_eq!((s.reads, s.writes, s.commits), (1, 0, 1), "v alone");
+        assert_eq!(fx.values(), [0, 1, MAX, MAX]);
+        assert_eq!(marks(&drain)[0], 0);
+        assert!(queued(&pool).is_empty());
+    }
+
+    #[test]
     fn a_value_lowered_after_the_peek_relaxes_lower_and_marks_the_peeked_value() {
         let fx = Fixture::new();
         fx.set(0, 5);
         let drain = fx.drain();
         let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
         let pool = FifoPool::new();
-        // Peeked at 5, lowered to 3 before the transaction reads it.
+        // Loaded at 5, lowered to 3 before the transaction reads it.
         let mut w = Before(sched.worker(), || fx.set(0, 3));
         drain.item(&mut w, &pool, 0);
         assert_eq!(fx.values(), [3, 4, MAX, MAX], "offered 3 + 1, not 5 + 1");

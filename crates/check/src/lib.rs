@@ -98,7 +98,7 @@ pub use durability::{
 pub use explore::{ExploreOutcome, Explorer, Schedule, SchedulerKind, WorkloadSpec};
 pub use history::{History, Recorder, TxnKind, TxnRecord};
 pub use readers::{
-    fallback_peek_probe, paired_peek_probe, peek_probe, quiesced_read_probe, ReadersOutcome,
-    ReadersPlan, ReadersRunner, ReadersSpec,
+    fallback_load_probe, fallback_peek_probe, load_probe, paired_peek_probe, peek_probe,
+    quiesced_read_probe, ReadersOutcome, ReadersPlan, ReadersRunner, ReadersSpec,
 };
 pub use recovery::{crash_and_recover, RecoveryAlgo, RecoveryOutcome};

@@ -460,24 +460,45 @@ where
 ///
 /// `writer_hint` picks TuFast's mode as in [`ReadersSpec::writer_hint`].
 pub fn peek_probe(kind: SchedulerKind, writer_hint: usize) {
-    probe_peeks(kind, writer_hint, false);
+    probe_reads(kind, writer_hint, false, peek);
 }
 
 /// [`peek_probe`] over cells paired with their vertex lock words, as
 /// [`ReadersSpec::paired`]: a peek's line shares its state with the lock
 /// words the writers take.
 pub fn paired_peek_probe(kind: SchedulerKind, writer_hint: usize) {
-    probe_peeks(kind, writer_hint, true);
+    probe_reads(kind, writer_hint, true, peek);
 }
 
-fn probe_peeks(kind: SchedulerKind, writer_hint: usize, paired: bool) {
+/// [`peek_probe`] with one plain load per cell
+/// ([`TxnSystem::load_committed`]) as the reader, over cells of their own
+/// or, `paired`, beside their lock words. No committer stores a data word
+/// before its point of no return, so a load, bracketed by nothing, must
+/// keep every aborted stamp out too.
+pub fn load_probe(kind: SchedulerKind, writer_hint: usize, paired: bool) {
+    probe_reads(kind, writer_hint, paired, load);
+}
+
+/// One untracked read of a committed cell: `None` when it gave up.
+type CommittedRead = fn(&TxnSystem, Addr) -> Option<u64>;
+
+fn peek(sys: &TxnSystem, addr: Addr) -> Option<u64> {
+    sys.peek_committed(addr).map(|(val, _)| val)
+}
+
+fn load(sys: &TxnSystem, addr: Addr) -> Option<u64> {
+    Some(sys.load_committed(addr))
+}
+
+fn probe_reads(kind: SchedulerKind, writer_hint: usize, paired: bool, read: CommittedRead) {
     let (sys, data) = Cells::system(8, paired);
     let (peeked, committed) = with_scheduler!(kind, &sys, |sched| drive_peeks(
         &sys,
         &sched,
         &data,
         writer_hint,
-        &[]
+        &[],
+        read
     ));
     assert_only_committed(&format!("{kind:?}"), &peeked, &committed);
 }
@@ -489,6 +510,17 @@ fn probe_peeks(kind: SchedulerKind, writer_hint: usize, paired: bool) {
 /// them. The fallback buffers its stores and publishes them at its ticket,
 /// so a peek's line seqlock alone must keep every aborted stamp out.
 pub fn fallback_peek_probe() {
+    probe_fallback(peek);
+}
+
+/// [`fallback_peek_probe`] with [`load_probe`]'s reader: the fallback
+/// stores nothing before its ticket, so one plain load keeps every aborted
+/// stamp out too.
+pub fn fallback_load_probe() {
+    probe_fallback(load);
+}
+
+fn probe_fallback(read: CommittedRead) {
     let (cells, ballast_lines) = (8u64, 600u64);
     let htm = HtmConfig::default();
     assert!(ballast_lines as usize > htm.max_lines());
@@ -502,7 +534,7 @@ pub fn fallback_peek_probe() {
     let sys = TxnSystem::build(cells as usize, layout, SystemConfig::default());
     let sched = tufast_txn::HSyncLike::new(Arc::clone(&sys));
     let hint = 2 * ballast.len();
-    let (peeked, committed) = drive_peeks(&sys, &sched, &data, hint, &ballast);
+    let (peeked, committed) = drive_peeks(&sys, &sched, &data, hint, &ballast, read);
     assert_only_committed("HSync fallback", &peeked, &committed);
 }
 
@@ -519,17 +551,18 @@ fn assert_only_committed(who: &str, peeked: &HashSet<u64>, committed: &HashSet<u
     }
 }
 
-/// Returns the distinct values peeked and the stamps that committed. A
-/// non-empty `ballast` is stored to by every writer after its cell, and
-/// swaps the 2PL writers for two more on `sched` (the ballast is there to
-/// reach HSync's fallback path, which honours no vertex lock and so can
-/// share cells only with its own kind).
+/// Returns the distinct values `read` returned and the stamps that
+/// committed. A non-empty `ballast` is stored to by every writer after its
+/// cell, and swaps the 2PL writers for two more on `sched` (the ballast is
+/// there to reach HSync's fallback path, which honours no vertex lock and
+/// so can share cells only with its own kind).
 fn drive_peeks<S>(
     sys: &Arc<TxnSystem>,
     sched: &S,
     data: &Cells,
     writer_hint: usize,
     ballast: &[Addr],
+    read: CommittedRead,
 ) -> (HashSet<u64>, HashSet<u64>)
 where
     S: GraphScheduler,
@@ -594,13 +627,9 @@ where
                     let mut last_pass = false;
                     while !last_pass {
                         last_pass = writers_left.load(Ordering::Acquire) == 0;
-                        // Every cell in turn, as an item peeks a whole
+                        // Every cell in turn, as an item loads a whole
                         // neighbourhood.
-                        peeked.extend(
-                            (0..cells)
-                                .filter_map(|i| sys.peek_committed(data.addr(i)))
-                                .map(|(val, _)| val),
-                        );
+                        peeked.extend((0..cells).filter_map(|i| read(sys, data.addr(i))));
                     }
                     peeked
                 })

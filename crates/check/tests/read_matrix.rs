@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tufast_check::{
-    fallback_peek_probe, paired_peek_probe, peek_probe, quiesced_read_probe, ReadersPlan,
-    ReadersRunner, ReadersSpec, SchedulerKind,
+    fallback_load_probe, fallback_peek_probe, load_probe, paired_peek_probe, peek_probe,
+    quiesced_read_probe, ReadersPlan, ReadersRunner, ReadersSpec, SchedulerKind,
 };
 use tufast_graph::mutable::{MutationOutcome, MUTATION_HINT};
 use tufast_graph::{GraphBuilder, MutableGraph, OverlayConfig};
@@ -77,6 +77,22 @@ fn committed_peeks_never_see_an_aborted_write_under_any_scheduler() {
     peek_probe(SchedulerKind::TuFast, 8192);
     peek_probe(SchedulerKind::TuFast, 1 << 20);
     fallback_peek_probe();
+}
+
+/// The one-load read behind the settled-neighbour filter, in the same
+/// passes and against the same writers as the peeks above, over cells of
+/// their own and paired with their lock words: no committer stores a data
+/// word before its point of no return, so a plain load never returns a
+/// rolled-back store either.
+#[test]
+fn committed_loads_never_see_an_aborted_write_under_any_scheduler() {
+    for kind in SchedulerKind::all() {
+        load_probe(kind, 6, false);
+        load_probe(kind, 6, true);
+    }
+    load_probe(SchedulerKind::TuFast, 8192, false);
+    load_probe(SchedulerKind::TuFast, 1 << 20, false);
+    fallback_load_probe();
 }
 
 /// A vertex is one line: the readers of both plans and the peek passes

@@ -58,7 +58,7 @@ impl ContentionMonitor {
         self.window_aborts += aborts;
         if self.window_ops >= WINDOW_OPS {
             let sample = self.window_aborts as f64 / self.window_ops as f64;
-            self.p = (1.0 - ALPHA) * self.p + ALPHA * sample;
+            self.p = flush_subnormal((1.0 - ALPHA) * self.p + ALPHA * sample);
             self.window_ops = 0;
             self.window_aborts = 0;
         }
@@ -74,7 +74,7 @@ impl ContentionMonitor {
     /// to O or L).
     pub fn observe_h(&mut self, committed: bool) {
         let sample = if committed { 0.0 } else { 1.0 };
-        self.h_fail = (1.0 - H_ALPHA) * self.h_fail + H_ALPHA * sample;
+        self.h_fail = flush_subnormal((1.0 - H_ALPHA) * self.h_fail + H_ALPHA * sample);
     }
 
     /// Whether entering H mode currently looks futile (persistent failure
@@ -97,6 +97,18 @@ impl ContentionMonitor {
         let raw = -1.0 / (1.0 - p).ln();
         let rounded = raw.round().max(1.0).min(f64::from(u32::MAX)) as u32;
         rounded.clamp(self.min_period, self.max_period)
+    }
+}
+
+/// `x`, or 0 below the smallest normal `f64`. A decaying EWMA otherwise
+/// ends on a subnormal fixed point (`0.9 × 5 ulp` rounds back to 5 ulp),
+/// and every later update pays a microcode assist on its multiply.
+#[inline]
+fn flush_subnormal(x: f64) -> f64 {
+    if x < f64::MIN_POSITIVE {
+        0.0
+    } else {
+        x
     }
 }
 
@@ -178,6 +190,25 @@ mod tests {
             m.observe_h(true);
         }
         assert!(!m.h_futile());
+    }
+
+    #[test]
+    fn a_decayed_h_failure_rate_reaches_zero_not_a_subnormal() {
+        let mut m = ContentionMonitor::new(1, 4096);
+        m.observe_h(false);
+        for _ in 0..10_000 {
+            m.observe_h(true);
+            let rate = m.h_fail_rate();
+            assert!(rate == 0.0 || rate.is_normal(), "h_fail = {rate:e}");
+        }
+        assert_eq!(m.h_fail_rate(), 0.0);
+
+        // The abort probability decays the same way under abort-free windows.
+        for _ in 0..10_000 {
+            m.observe(WINDOW_OPS, 0);
+            assert!(m.p() == 0.0 || m.p().is_normal(), "p = {:e}", m.p());
+        }
+        assert_eq!(m.p(), 0.0);
     }
 
     #[test]

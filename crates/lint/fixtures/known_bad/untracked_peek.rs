@@ -1,6 +1,6 @@
-//! Known-bad: a committed peek inside a dispatched transaction body. The
-//! load is untracked, so on RTM the hardware holds a line the emulated
-//! footprint (and the router) never counted.
+//! Known-bad: a committed peek or load inside a dispatched transaction
+//! body. The load is untracked, so on RTM the hardware holds a line the
+//! emulated footprint (and the router) never counted.
 
 pub fn relax(&self, sys: &TxnSystem, w: &mut Worker, v: u32, u: u32) {
     w.execute(4, &mut |ops| {
@@ -32,5 +32,16 @@ pub fn relax_all(&self, sys: &TxnSystem, w: &mut Worker, v: u32, us: &[u32]) {
             }
         }
         Ok(())
+    });
+}
+
+pub fn relax_loaded(&self, sys: &TxnSystem, w: &mut Worker, v: u32, u: u32) {
+    // The one-load committed read is as untracked as the peek.
+    w.execute(4, &mut |ops| {
+        let dv = ops.read(v, self.addr(v))?;
+        if sys.load_committed(self.addr(u)) <= dv {
+            return Ok(());
+        }
+        ops.write(u, self.addr(u), dv)
     });
 }

@@ -13,8 +13,8 @@
 //!    closures through `catch_unwind`.
 //! 5. `read-purity` — bodies dispatched as `read_only` never reach
 //!    `TxnOps::write`.
-//! 6. `untracked-peek` — `peek_committed` stays outside dispatched
-//!    transaction bodies.
+//! 6. `untracked-peek` — `peek_committed` and `load_committed` stay
+//!    outside dispatched transaction bodies.
 //!
 //! Diagnostics diff against a committed `lint-baseline.json`; CI fails
 //! only on *new* findings, and inline

@@ -1,16 +1,16 @@
-//! Untracked peek: `TxnSystem::peek_committed` must stay outside
-//! transaction bodies.
+//! Untracked peek: `TxnSystem::peek_committed` and
+//! `TxnSystem::load_committed` must stay outside transaction bodies.
 //!
-//! The peek is a plain load behind a line seqlock — no lock, no
-//! read-set entry. On RTM every load after `XBEGIN` is tracked, so a peek
-//! inside a body would shrink the *emulated* footprint but not the real
-//! one: the capacity model, the H/O/L router and every counter would
-//! under-count what the hardware holds. Filter first, then dispatch
-//! (`tufast-algos`' `MinDrain::item`).
+//! Both are plain loads — the peek behind a line seqlock, the committed
+//! load bare — with no lock and no read-set entry. On RTM every load
+//! after `XBEGIN` is tracked, so either inside a body would shrink the
+//! *emulated* footprint but not the real one: the capacity model, the
+//! H/O/L router and every counter would under-count what the hardware
+//! holds. Filter first, then dispatch (`tufast-algos`' `MinDrain::item`).
 //!
 //! A dispatch site is a call `execute(...)`, `execute_hinted(...)` or
-//! `execute_declared(...)`; the pass flags any
-//! `peek_committed(` inside its argument range — which includes the body
+//! `execute_declared(...)`; the pass flags any `peek_committed(` or
+//! `load_committed(` inside its argument range — which includes the body
 //! closure (the same range walk as `read-purity`). Direct calls only;
 //! `#[cfg(test)]` code is exempt (tests peek mid-body to observe an open
 //! writer).
@@ -22,6 +22,7 @@ use crate::scan::FileModel;
 pub const RULE: &str = "untracked-peek";
 
 const DISPATCHES: &[&str] = &["execute", "execute_hinted", "execute_declared"];
+const UNTRACKED: &[&str] = &["peek_committed", "load_committed"];
 
 pub fn run(files: &[FileModel]) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -39,19 +40,23 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                 let Some((from, to)) = argument_range(m, i + 1, end) else {
                     continue;
                 };
-                for at in (from..to)
-                    .filter(|&at| is_ident(t, at, "peek_committed") && is_punct(t, at + 1, '('))
-                {
+                for at in from..to {
+                    let Some(name) = ident_at(t, at).filter(|name| UNTRACKED.contains(name)) else {
+                        continue;
+                    };
+                    if !is_punct(t, at + 1, '(') {
+                        continue;
+                    }
                     out.push(Finding {
                         rule: RULE.to_string(),
                         file: m.path.clone(),
                         line: t[at].line,
                         function: f.name.clone(),
                         code: "peek-in-transaction-body".to_string(),
-                        detail: "peek_committed inside a dispatched transaction body: an \
-                                 untracked load under-counts the RTM footprint; filter before \
-                                 the dispatch"
-                            .to_string(),
+                        detail: format!(
+                            "{name} inside a dispatched transaction body: an untracked load \
+                             under-counts the RTM footprint; filter before the dispatch"
+                        ),
                     });
                 }
             }

@@ -24,7 +24,13 @@
 //!   only frees the word.
 //!
 //! No committer stores a value in memory before its ticket, so a reader
-//! needs the line seqlock alone ([`TxnSystem::peek_committed`]).
+//! needs the line seqlock alone ([`TxnSystem::peek_committed`]). And every
+//! publish step — [`HeldWrites::publish`], [`release_at_ticket`] and the
+//! HTM commit's — runs after validation and cannot fail, so no committer
+//! stores a *data* word before its point of no return, and a reader that
+//! needs no version makes one load ([`TxnSystem::load_committed`]). Lock
+//! words are outside that corollary: [`WriteSet::try_lock`] marks them
+//! before the caller validates.
 //!
 //! Every failure path releases the lines at their old versions, tickless.
 

@@ -8,7 +8,10 @@
 //! two paths mutually safe: fallback acquisition invalidates the word every
 //! speculative transaction has in its read set. The fallback buffers its
 //! writes, as 2PL does, and publishes them in the batch that releases the
-//! word, so nothing uncommitted of either path is ever in memory.
+//! word, so nothing uncommitted of either path is ever in memory. It reads
+//! through the line seqlock, waiting on a locked line: a speculative
+//! commit that validated before the fallback took the word may still be
+//! publishing.
 //!
 //! Being two-mode, HSync has no middle gear for the moderate-size
 //! transactions TuFast handles in O mode: anything past HTM capacity
@@ -19,7 +22,7 @@ use std::sync::Arc;
 
 use tufast_htm::{AbortCode, Addr, HtmCtx, LineBatch, WordMap};
 
-use crate::commit::release_at_ticket;
+use crate::commit::{relax, release_at_ticket};
 use crate::health::HealthHandle;
 use crate::lifecycle::{hardware_attempt, HtmBodyOps, Lifecycle, Verdict};
 use crate::obs::ObsHandle;
@@ -132,7 +135,8 @@ impl HtmBodyOps for HtmOps<'_> {
 }
 
 /// Fallback ops under the global lock: read = own buffered write, else a
-/// plain load; write = buffered until the commit batch.
+/// committed value through the line seqlock; write = buffered until the
+/// commit batch.
 struct FallbackOps<'a> {
     sys: &'a TxnSystem,
     buffered: &'a mut WordMap,
@@ -142,10 +146,21 @@ struct FallbackOps<'a> {
 impl TxnOps for FallbackOps<'_> {
     fn read(&mut self, _v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
         self.stats.reads += 1;
-        Ok(match self.buffered.get(addr) {
-            Some(own) => own,
-            None => self.sys.mem().load_direct(addr),
-        })
+        if let Some(own) = self.buffered.get(addr) {
+            return Ok(own);
+        }
+        // A hardware commit that validated before this hold's CAS may
+        // still be publishing, which is ticketed before the hold: wait it
+        // out, or the body reads a part of it. Every line lock is a
+        // commit's publish step or a direct store, so the wait is short.
+        let mut turn = 0u32;
+        loop {
+            if let Some((val, _)) = self.sys.peek_committed(addr) {
+                return Ok(val);
+            }
+            relax(turn);
+            turn = turn.wrapping_add(1);
+        }
     }
 
     fn write(&mut self, _v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
@@ -358,6 +373,42 @@ mod tests {
             );
         }
         assert_eq!(sys.mem().load_direct(sys.fallback_word()), 2);
+    }
+
+    #[test]
+    fn a_fallback_read_waits_out_a_publishing_commit() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let (sys, acc) = bank(1);
+        let (mem, addr) = (sys.mem(), acc.addr(0));
+        // Locked as a committer's publish step holds it, the new value
+        // already stored.
+        let mut batch = LineBatch::with_capacity(1);
+        batch.push(addr.line());
+        mem.lock_lines(&mut batch);
+        mem.store_locked(addr, 7);
+        let (started_tx, started_rx) = channel();
+        let (read_tx, read_rx) = channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut buffered, mut stats) = (WordMap::with_capacity(1), SchedStats::default());
+                let mut ops = FallbackOps {
+                    sys: &sys,
+                    buffered: &mut buffered,
+                    stats: &mut stats,
+                };
+                started_tx.send(()).unwrap();
+                read_tx.send(ops.read(0, addr)).unwrap();
+            });
+            started_rx.recv().unwrap();
+            assert!(
+                read_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+                "the read returned while the line was locked"
+            );
+            let ticket = mem.clock_tick_pub();
+            mem.unlock_lines(&mut batch, Some(ticket));
+            assert_eq!(read_rx.recv().unwrap(), Ok(7));
+        });
     }
 
     #[test]

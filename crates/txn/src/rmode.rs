@@ -46,7 +46,12 @@
 //!
 //! Nothing uncommitted is ever in memory, so the line seqlock alone proves
 //! a value committed: a vertex lock or the fallback word held by a writer
-//! that has not reached its batch guards only buffered values.
+//! that has not reached its batch guards only buffered values. A reader
+//! that needs a committed value but no serialization point can skip even
+//! the seqlock: no committer stores a data word before its point of no
+//! return, so one load ([`TxnSystem::load_committed`]) suffices. R mode
+//! cannot: its reads must all date from `snap`, and only the version says
+//! so.
 //!
 //! The clock-monotonicity argument, spelled out once: a read is accepted
 //! only with line version `ver ≤ snap` on both sides of the load. Every

@@ -1,4 +1,13 @@
 //! The shared transactional system every scheduler runs on.
+//!
+//! Besides the memory and the scheduler metadata it owns the two
+//! untracked reads of committed state. [`TxnSystem::peek_committed`] is
+//! the line seqlock (line state, value, line state): a committed value
+//! *and* the ticket that published it, for R mode's snapshot read.
+//! [`TxnSystem::load_committed`] is one load of a data word: a committed
+//! value without its version, for the settled-neighbour filter — sound
+//! because no committer stores a data word before its commit's point of
+//! no return.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -330,6 +339,30 @@ impl TxnSystem {
         (mem.line_state(line) == before).then_some((val, version))
     }
 
+    /// A committed value of the **data** word at `addr`: one `Acquire`
+    /// load, no version, no retry.
+    ///
+    /// It rests on one invariant: *no committer stores a data word before
+    /// its commit's point of no return.* Every committer buffers its data
+    /// and stores it only in its publish step, which runs after validation
+    /// and cannot fail ([`HtmCtx::commit`],
+    /// [`HeldWrites::publish`](crate::commit::HeldWrites::publish),
+    /// [`release_at_ticket`](crate::commit::release_at_ticket)), and a
+    /// direct store is committed when it lands. So whatever a data word
+    /// holds is committed, or is being published by a commit that can no
+    /// longer abort. Use [`peek_committed`](Self::peek_committed) when the
+    /// version matters.
+    ///
+    /// Lock words are outside the invariant — O mode, OCC and TO store
+    /// transient writer marks into them before validating — and so are
+    /// the TO timestamps, the fallback word and the serial token. The load
+    /// is untracked: call it outside transaction bodies (`tufast-lint`'s
+    /// `untracked-peek`).
+    #[inline]
+    pub fn load_committed(&self, addr: Addr) -> u64 {
+        self.mem().load_direct(addr)
+    }
+
     /// Words a transaction over a degree-`d` neighbourhood touches —
     /// the size-hint helper exported to algorithm code.
     #[inline]
@@ -559,6 +592,30 @@ mod tests {
         );
         // One hold, released: the rollback only let go of the word.
         assert_eq!(sys.mem().load_direct(sys.fallback_word()), 2);
+    }
+
+    #[test]
+    fn load_committed_reads_a_held_line_at_its_committed_value() {
+        let (sys, values) = with_value_regions(16, 1);
+        let (a0, a8) = (values[0].addr(0), values[0].addr(8));
+        sys.mem().store_direct(a0, 7);
+        assert_eq!(sys.load_committed(a0), 7);
+
+        // Locked and validated, not yet published: memory holds the
+        // committed words, where the seqlock sees only a locked line.
+        let mut writes = crate::commit::WriteSet::new(5);
+        writes.insert(0, a0, 70);
+        writes.insert(8, a8, 80);
+        let held = writes.try_lock(&sys, |_| None).unwrap();
+        assert_eq!(sys.peek_committed(a0), None);
+        assert_eq!((sys.load_committed(a0), sys.load_committed(a8)), (7, 0));
+        held.publish();
+        assert_eq!((sys.load_committed(a0), sys.load_committed(a8)), (70, 80));
+
+        // An abandoned hold leaves the words as they were.
+        writes.insert(0, a0, 700);
+        drop(writes.try_lock(&sys, |_| None).unwrap());
+        assert_eq!(sys.load_committed(a0), 70);
     }
 
     #[test]

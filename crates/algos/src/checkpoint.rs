@@ -69,9 +69,7 @@ pub fn restore_region<const S: u64>(
             region.len()
         )));
     }
-    for (i, &w) in section.words.iter().enumerate() {
-        mem.store_direct(region.addr(i as u64), w);
-    }
+    mem.fill_region_with(region, |i| section.words[i as usize]);
     Ok(())
 }
 

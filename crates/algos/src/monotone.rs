@@ -61,9 +61,10 @@ thread_local! {
 /// back.
 ///
 /// A fresh run starts each `(vertex, value)` of `seeds` — in ascending
-/// vertex order — at its value and queues it, and every other vertex at
-/// `u64::MAX`; with `ckpt.resume` the values and the queue come from the
-/// latest valid snapshot of `state` instead. Either
+/// vertex order — at its value and every other vertex at `u64::MAX`, in
+/// one publish of the region, then queues the seeds in the same order (so
+/// `seeds` is walked twice); with `ckpt.resume` the values and the queue
+/// come from the latest valid snapshot of `state` instead. Either
 /// way `pool` is drained through [`MinDrain::item`], quiescing every
 /// `ckpt.every_items` items to snapshot `(state, frontier)` when there is
 /// a `ckpt`. Only a resume can fail.
@@ -80,7 +81,7 @@ pub(crate) fn run<S, P, E, I>(
     pool: &P,
     threads: usize,
     ckpt: Option<Ckpt<'_>>,
-    seeds: impl IntoIterator<Item = (VertexId, u64)>,
+    seeds: impl IntoIterator<Item = (VertexId, u64)> + Clone,
 ) -> Result<(Vec<u64>, CkptReport), SnapshotError>
 where
     S: GraphScheduler,
@@ -114,11 +115,14 @@ where
             rec.epoch + 1
         }
         None => {
-            // One direct store per word (each is three atomic RMWs): the
-            // seeds ascend, and every vertex between two of them is unseeded.
-            let unseeded = |from: u64, to: u64| {
-                (from..to).for_each(|u| mem.store_direct(value.addr(u), u64::MAX));
-            };
+            // The whole region in one publish (one tick, one lock per
+            // line): the seeds ascend, so one pass over them in step with
+            // the vertices finds each seed's value.
+            let mut seeded = seeds.clone().into_iter().peekable();
+            mem.fill_region_with(&value, |u| {
+                let seed = seeded.next_if(|&(v, _)| u64::from(v) == u);
+                seed.map_or(u64::MAX, |(_, val)| val)
+            });
             let mut next = 0;
             for (v, val) in seeds {
                 let at = u64::from(v);
@@ -127,12 +131,9 @@ where
                     "seed vertex {v} is out of range: the graph has {n} vertices, \
                      and seeds ascend from {next}"
                 );
-                unseeded(next, at);
-                mem.store_direct(value.addr(at), val);
                 pool.push_keyed(v, val);
                 next = at + 1;
             }
-            unseeded(next, n);
             0
         }
     };

@@ -104,10 +104,7 @@ pub fn parallel<S: GraphScheduler>(
         "PageRank pulls over in-edges; build with_in_edges()"
     );
     let mem = sys.mem();
-    let init = f64_to_word(1.0 / n as f64);
-    for v in 0..n as u64 {
-        mem.store_direct(space.rank.addr(v), init);
-    }
+    mem.fill_region(&space.rank, f64_to_word(1.0 / n as f64));
     let base = (1.0 - damping) / n as f64;
     let pool = FifoPool::new();
     for v in 0..n as VertexId {
@@ -224,11 +221,8 @@ pub fn parallel_sweeps<S: GraphScheduler>(
         g.reverse().is_some(),
         "PageRank pulls over in-edges; build with_in_edges()"
     );
-    let mem = sys.mem();
-    let init = f64_to_word(1.0 / n.max(1) as f64);
-    for v in 0..n as u64 {
-        mem.store_direct(space.rank.addr(v), init);
-    }
+    sys.mem()
+        .fill_region(&space.rank, f64_to_word(1.0 / n.max(1) as f64));
     let base = (1.0 - damping) / n.max(1) as f64;
     let rank = &space.rank;
     let mut workers = Vec::new();

@@ -36,10 +36,8 @@ fn main() {
             TuFastConfig::static_config(1000)
         };
         let sched = TuFast::with_config(Arc::clone(&sys), config);
-        let init = f64_to_word(1.0 / g.num_vertices() as f64);
-        for v in 0..g.num_vertices() as u64 {
-            sys.mem().store_direct(rank.addr(v), init);
-        }
+        sys.mem()
+            .fill_region(&rank, f64_to_word(1.0 / g.num_vertices() as f64));
         let base = (1.0 - 0.85) / g.num_vertices() as f64;
 
         let mut series = Vec::new();

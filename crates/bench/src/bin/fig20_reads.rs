@@ -76,10 +76,8 @@ fn main() {
         let space = PageRankSpace::alloc(&mut layout, d.graph.num_vertices());
         let sys = TxnSystem::with_defaults(d.graph.num_vertices(), layout);
         // Quiesced non-uniform ranks: every pull mixes real values.
-        for v in 0..d.graph.num_vertices() as u64 {
-            sys.mem()
-                .store_direct(space.rank.addr(v), f64_to_word(1.0 / (v + 2) as f64));
-        }
+        sys.mem()
+            .fill_region_with(&space.rank, |v| f64_to_word(1.0 / (v + 2) as f64));
         let sched = TuFast::new(Arc::clone(&sys));
         let n = d.graph.num_vertices();
         let rounds = (args.txns / n).clamp(2, 20);
@@ -124,10 +122,8 @@ fn main() {
     // --- Workload 2: Zipfian k-hop point queries ------------------------
     {
         let (sys, values) = setup_micro(&d.graph);
-        for v in 0..d.graph.num_vertices() as u64 {
-            sys.mem()
-                .store_direct(values.addr(v), v.wrapping_mul(0x9E37_79B9) + 1);
-        }
+        sys.mem()
+            .fill_region_with(&values, |v| v.wrapping_mul(0x9E37_79B9) + 1);
         let sched = TuFast::new(Arc::clone(&sys));
         let n = d.graph.num_vertices();
         let txns = args.txns.max(1);

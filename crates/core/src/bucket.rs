@@ -29,8 +29,9 @@ use crate::par::{PoolCounters, WorkPool};
 use crate::steal::IdleGate;
 
 /// Fixed band count; keys beyond `delta * NUM_BANDS` clamp into the last
-/// band. 4096 padded bands is ~512 KiB per pool — allocated once, and
-/// far beyond the band range any clamped-delta SSSP run touches.
+/// band. 4096 padded bands is ~512 KiB, allocated with each pool (SSSP
+/// builds one per job), and far beyond the band range any clamped-delta
+/// SSSP run touches.
 const NUM_BANDS: usize = 4096;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

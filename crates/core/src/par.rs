@@ -1,5 +1,28 @@
 //! Parallel drivers: the paper's `parallel_for v : all vertices` (Figure 1)
 //! and the work-queue loop behind Bellman-Ford / SPFA (Figure 3).
+//!
+//! # Where a job runs
+//!
+//! A driver called with `threads = t` creates `t` scheduler workers, ids
+//! in creation order, runs worker 0 on the calling thread and spawns
+//! `t - 1` scoped threads for the rest ([`run_workers`]): at one thread
+//! nothing is spawned, and worker 0 starts on the thread that just wrote
+//! its data, in that thread's malloc arena. The driver returns when every
+//! worker has finished, and re-raises a worker's panic with its payload.
+//!
+//! Two consequences for callers:
+//!
+//! - **Hold no line lock and no serial token** when calling a driver.
+//!   Worker 0's transactions would wait on it like any peer's, and the
+//!   holder never gets to release it.
+//! - **Thread-locals outlive a job on the caller.** Worker 0 leaves the
+//!   caller's copies behind: [`StealPool`](crate::steal::StealPool)'s slot
+//!   cache (keyed by pool id, so a later pool never reads a stale slot; a
+//!   push into the *same* pool after its drain lands in the caller's deque
+//!   rather than the injector), the BFS / WCC / SSSP item scratch
+//!   (`SCRATCH` in `tufast-algos`' `monotone.rs`, kept for the next job)
+//!   and the parked body-panic payload (`CAUGHT_PANIC` in `tufast-txn`'s
+//!   `obs.rs`, always taken by the re-raise that follows it).
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -23,6 +46,10 @@ const MAX_CHUNK: usize = 4096;
 /// its own scheduler worker. Returns one worker per thread after the loop,
 /// so callers can harvest statistics.
 ///
+/// The calling thread is worker 0 and `threads - 1` threads are spawned
+/// ([`run_workers`]), so the caller must hold no line lock and no serial
+/// token: worker 0's transactions would wait on it like any peer's.
+///
 /// Chunking is guided self-scheduling: each grab takes
 /// `remaining / (2·threads)` (clamped) — big chunks early for low cursor
 /// traffic, shrinking toward the tail so a straggler stuck on a hub vertex
@@ -34,38 +61,61 @@ where
 {
     let threads = threads.max(1);
     let cursor = CachePadded::new(AtomicUsize::new(0));
-    let f = &f;
-    let cursor = &cursor;
+    run_workers(sched, threads, |worker| loop {
+        // The load races other grabs, so `remaining` can be stale — that
+        // only perturbs the chunk size; the fetch_add below is what claims
+        // indices.
+        let seen = cursor.load(Ordering::Relaxed);
+        let remaining = n.saturating_sub(seen);
+        let chunk = (remaining / (2 * threads)).clamp(MIN_CHUNK, MAX_CHUNK);
+        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        let end = (start + chunk).min(n);
+        for v in start..end {
+            f(worker, v as u32);
+        }
+    })
+}
+
+/// Create `threads` workers of `sched`, ids in creation order, and run
+/// `body` on each: workers 1.. on scoped threads, worker 0 on the calling
+/// thread. Returns the workers in creation order once all have finished.
+///
+/// A worker's panic re-raises with its original payload after every peer
+/// has joined (the first panicking worker's, in creation order); the
+/// panicking worker itself is dropped as it unwinds, as it would be on a
+/// thread of its own.
+fn run_workers<S, B>(sched: &S, threads: usize, body: B) -> Vec<S::Worker>
+where
+    S: GraphScheduler,
+    B: Fn(&mut S::Worker) + Sync,
+{
+    let mut workers: Vec<S::Worker> = (0..threads).map(|_| sched.worker()).collect();
+    let peers = workers.split_off(1);
+    let mut first = workers.pop().expect("at least one worker");
+    let body = &body;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let mut worker = sched.worker();
+        let handles: Vec<_> = peers
+            .into_iter()
+            .map(|mut worker| {
                 s.spawn(move || {
-                    loop {
-                        // The load races other grabs, so `remaining` can be
-                        // stale — that only perturbs the chunk size; the
-                        // fetch_add below is what claims indices.
-                        let seen = cursor.load(Ordering::Relaxed);
-                        let remaining = n.saturating_sub(seen);
-                        let chunk = (remaining / (2 * threads)).clamp(MIN_CHUNK, MAX_CHUNK);
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for v in start..end {
-                            f(&mut worker, v as u32);
-                        }
-                    }
+                    body(&mut worker);
                     worker
                 })
             })
             .collect();
-        handles
-            .into_iter()
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            body(&mut first);
+            first
+        }));
+        let peers: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        std::iter::once(first)
+            .chain(peers)
             // Re-raise a worker panic with its original payload (a body
             // panic unwinds through the scheduler after clean rollback).
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .map(|joined| joined.unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     })
 }
@@ -333,6 +383,10 @@ fn idle_backoff<P: WorkPool>(pool: &P, idle: &mut u32) {
 /// Drain `pool` on `threads` threads: `f(worker, v)` may push more work.
 /// Returns the workers when the pool is quiescent (empty and nothing in
 /// flight).
+///
+/// The calling thread is worker 0 and `threads - 1` threads are spawned,
+/// as in [`parallel_for`]: the caller must hold no line lock and no serial
+/// token.
 pub fn parallel_drain<S, P, F>(sched: &S, pool: &P, threads: usize, f: F) -> Vec<S::Worker>
 where
     S: GraphScheduler,
@@ -347,6 +401,7 @@ where
 /// [`parallel_drain_epochs`](crate::epoch::parallel_drain_epochs) with an
 /// epoch barrier (`epochs`, sized for `threads` workers) that every worker
 /// joins on entry, parks at between items and reports each finished item to.
+/// Its workers run on [`run_workers`]: worker 0 on the calling thread.
 pub(crate) fn drain<S, P, F>(
     sched: &S,
     pool: &P,
@@ -359,76 +414,60 @@ where
     P: WorkPool,
     F: Fn(&mut S::Worker, &P, u32) + Sync,
 {
-    let f = &f;
-    let workers = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let mut worker = sched.worker();
-                s.spawn(move || {
-                    // Dropped on every exit, a panic included, so a
-                    // coordinator waiting for `parked == active - 1`
-                    // observes the departure instead of hanging.
-                    let _active = epochs.map(Epochs::enter);
-                    let mut idle = 0u32;
-                    loop {
-                        // Dequeue boundary: heartbeat for the watchdog and
-                        // job-level stop check (cancel / deadline / shed).
-                        // Nothing is popped yet, so stopping loses no item;
-                        // the interrupt wakes parked peers to re-check too.
-                        if worker.health().is_some_and(|h| h.checkpoint().is_some()) {
-                            pool.interrupt();
-                            break;
-                        }
-                        if let Some(epochs) = epochs {
-                            epochs.park_if_paused();
-                        }
-                        match pool.pop() {
-                            Some(v) => {
-                                idle = 0;
-                                if let Some(h) = worker.health() {
-                                    h.set_idle(false);
-                                }
-                                // `done()` must run even if `f` panics —
-                                // otherwise the in-flight count never drops
-                                // and the surviving peers spin forever
-                                // waiting for quiescence.
-                                let guard = DoneGuard(pool);
-                                f(&mut worker, pool, v);
-                                drop(guard);
-                                if let Some(epochs) = epochs {
-                                    epochs.maybe_coordinate();
-                                }
-                            }
-                            None => {
-                                if pool.quiescent() {
-                                    break; // nothing queued or in flight
-                                }
-                                // Parked-idle is legitimate quiet, not a
-                                // stall — tell the watchdog before waiting.
-                                if let Some(h) = worker.health() {
-                                    h.set_idle(true);
-                                }
-                                // The pool park is bounded (timed), so a
-                                // worker parked here still reaches
-                                // `park_if_paused` within PARK_TIMEOUT
-                                // when a coordinator raises the pause flag
-                                // — the barrier never waits on a wakeup.
-                                idle_backoff(pool, &mut idle);
-                            }
-                        }
+    let workers = run_workers(sched, threads, |worker| {
+        // Dropped on every exit, a panic included, so a coordinator
+        // waiting for `parked == active - 1` observes the departure
+        // instead of hanging.
+        let _active = epochs.map(Epochs::enter);
+        let mut idle = 0u32;
+        loop {
+            // Dequeue boundary: heartbeat for the watchdog and job-level
+            // stop check (cancel / deadline / shed). Nothing is popped
+            // yet, so stopping loses no item; the interrupt wakes parked
+            // peers to re-check too.
+            if worker.health().is_some_and(|h| h.checkpoint().is_some()) {
+                pool.interrupt();
+                break;
+            }
+            if let Some(epochs) = epochs {
+                epochs.park_if_paused();
+            }
+            match pool.pop() {
+                Some(v) => {
+                    idle = 0;
+                    if let Some(h) = worker.health() {
+                        h.set_idle(false);
                     }
+                    // `done()` must run even if `f` panics — otherwise
+                    // the in-flight count never drops and the surviving
+                    // peers spin forever waiting for quiescence.
+                    let guard = DoneGuard(pool);
+                    f(worker, pool, v);
+                    drop(guard);
+                    if let Some(epochs) = epochs {
+                        epochs.maybe_coordinate();
+                    }
+                }
+                None => {
+                    if pool.quiescent() {
+                        break; // nothing queued or in flight
+                    }
+                    // Parked-idle is legitimate quiet, not a stall —
+                    // tell the watchdog before waiting.
                     if let Some(h) = worker.health() {
                         h.set_idle(true);
                     }
-                    worker
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Re-raise a worker panic with its original payload.
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+                    // The pool park is bounded (timed), so a worker
+                    // parked here still reaches `park_if_paused` within
+                    // PARK_TIMEOUT when a coordinator raises the pause
+                    // flag — the barrier never waits on a wakeup.
+                    idle_backoff(pool, &mut idle);
+                }
+            }
+        }
+        if let Some(h) = worker.health() {
+            h.set_idle(true);
+        }
     });
     fold_sched_counters(&pool.counters());
     workers
@@ -645,6 +684,149 @@ mod tests {
             assert_eq!(processed + queued, 2000, "{drain:?}");
             assert_eq!(pool.pending() as u64, queued, "{drain:?}");
         }
+    }
+
+    /// A scheduler whose workers run no transactions: each knows its
+    /// creation index and records the threads its items ran on.
+    #[derive(Default)]
+    struct Tagged(AtomicUsize);
+
+    struct TaggedWorker {
+        id: usize,
+        ran_on: Vec<std::thread::ThreadId>,
+        stats: tufast_txn::SchedStats,
+    }
+
+    impl TaggedWorker {
+        fn note(&mut self) {
+            self.ran_on.push(std::thread::current().id());
+        }
+    }
+
+    impl GraphScheduler for Tagged {
+        type Worker = TaggedWorker;
+
+        fn worker(&self) -> TaggedWorker {
+            TaggedWorker {
+                id: self.0.fetch_add(1, Ordering::Relaxed),
+                ran_on: Vec::new(),
+                stats: tufast_txn::SchedStats::default(),
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "tagged"
+        }
+    }
+
+    impl TxnWorker for TaggedWorker {
+        fn execute_hinted(
+            &mut self,
+            _: tufast_txn::TxnHint,
+            _: &mut tufast_txn::TxnBody<'_>,
+        ) -> tufast_txn::TxnOutcome {
+            unreachable!("the tagged scheduler runs no transactions")
+        }
+
+        fn stats(&self) -> &tufast_txn::SchedStats {
+            &self.stats
+        }
+
+        fn take_stats(&mut self) -> tufast_txn::SchedStats {
+            std::mem::take(&mut self.stats)
+        }
+    }
+
+    /// Run 300 items through `parallel_for` and both drains on `threads`
+    /// threads; the workers each returned.
+    fn tagged_runs(threads: usize) -> Vec<(String, Vec<TaggedWorker>)> {
+        let (sys, _) = system(8, 1);
+        let note = |w: &mut TaggedWorker, _: &FifoPool, _| w.note();
+        let mut runs = vec![(
+            "parallel_for".to_string(),
+            parallel_for(&Tagged::default(), threads, 300, |w, _| w.note()),
+        )];
+        for drain in BOTH_DRAINS {
+            let (sched, pool) = (Tagged::default(), FifoPool::new());
+            (0..300).for_each(|v| pool.push(v));
+            let workers = match drain {
+                Drain::Plain => parallel_drain(&sched, &pool, threads, note),
+                Drain::Epochs => {
+                    parallel_drain_epochs(&sched, &sys, &pool, threads, 10, 0, |_| {}, note).0
+                }
+            };
+            runs.push((format!("{drain:?}"), workers));
+        }
+        runs
+    }
+
+    #[test]
+    fn at_one_thread_every_item_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        for (driver, workers) in tagged_runs(1) {
+            assert_eq!(workers.len(), 1, "{driver}");
+            assert_eq!(workers[0].ran_on.len(), 300, "{driver}");
+            assert!(workers[0].ran_on.iter().all(|&t| t == caller), "{driver}");
+        }
+    }
+
+    #[test]
+    fn workers_come_back_in_id_order_with_worker_zero_on_the_caller() {
+        let caller = std::thread::current().id();
+        for (driver, workers) in tagged_runs(3) {
+            let ids: Vec<usize> = workers.iter().map(|w| w.id).collect();
+            assert_eq!(ids, [0, 1, 2], "{driver}");
+            let items: usize = workers.iter().map(|w| w.ran_on.len()).sum();
+            assert_eq!(items, 300, "{driver}");
+            assert!(workers[0].ran_on.iter().all(|&t| t == caller), "{driver}");
+            for peer in &workers[1..] {
+                assert!(peer.ran_on.iter().all(|&t| t != caller), "{driver}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_item_re_raises_after_the_peers_drain() {
+        let caller = std::thread::current().id();
+        // Peers hold their items until the caller has taken one, so the
+        // caller is sure to get an item and the peers to outlive it.
+        let run = |items: &AtomicU64, started: &std::sync::atomic::AtomicBool| {
+            if std::thread::current().id() == caller {
+                started.store(true, Ordering::Release);
+                std::panic::panic_any("the caller's item");
+            }
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            items.fetch_add(1, Ordering::Relaxed);
+        };
+        let payload = |caught: std::thread::Result<()>| {
+            let p = caught.expect_err("the caller's panic must re-raise");
+            *p.downcast::<&str>().expect("the original payload")
+        };
+        for drain in BOTH_DRAINS {
+            let (sys, _) = system(8, 1);
+            let pool = FifoPool::new();
+            (0..200).for_each(|v| pool.push(v));
+            let (items, started) = (AtomicU64::new(0), Default::default());
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drain.run(&Tagged::default(), &sys, &pool, 3, |_, _, _| {
+                    run(&items, &started)
+                });
+            }));
+            assert_eq!(payload(caught), "the caller's item", "{drain:?}");
+            assert_eq!(pool.pending(), 0, "{drain:?}: the peers drained the rest");
+            assert_eq!(items.load(Ordering::Relaxed), 199, "{drain:?}");
+        }
+        let (items, started) = (AtomicU64::new(0), Default::default());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_for(&Tagged::default(), 3, 200, |_, _| run(&items, &started));
+        }));
+        assert_eq!(payload(caught), "the caller's item", "parallel_for");
+        assert!(
+            items.load(Ordering::Relaxed) > 0,
+            "the peers ran their chunks"
+        );
     }
 
     #[test]

@@ -362,6 +362,28 @@ thread_local! {
     /// pool) at a time, and re-registration after a pool switch is a
     /// single fetch_add.
     static SLOT_CACHE: Cell<(u64, usize)> = const { Cell::new((0, usize::MAX)) };
+
+    /// This thread's xorshift state for picking the first victim of a
+    /// steal sweep; 0 until its first sweep.
+    static VICTIM_WALK: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The next step of the calling thread's victim walk: one xorshift step
+/// per sweep, so consecutive sweeps start at different victims and
+/// thieves do not convoy on one. A thread's first state comes from the
+/// address of its own cell, so no two live threads share a walk.
+fn next_victim_draw() -> u64 {
+    VICTIM_WALK.with(|walk| {
+        let mut x = match walk.get() {
+            0 => (walk as *const Cell<u64> as u64) ^ 0x9E37_79B9_7F4A_7C15,
+            x => x,
+        };
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        walk.set(x);
+        x
+    })
 }
 
 /// Work-stealing [`WorkPool`]: per-worker Chase–Lev deques, a shared
@@ -437,13 +459,7 @@ impl StealPool {
         if n == 0 {
             return None;
         }
-        // Cheap per-call xorshift seeded from the thread's slot cache
-        // address — victim order varies per thread without shared state.
-        let mut seed = SLOT_CACHE.with(|c| c as *const _ as u64) ^ 0x9E37_79B9_7F4A_7C15;
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        let start = (seed % n as u64) as usize;
+        let start = (next_victim_draw() % n as u64) as usize;
         let me = thief.unwrap_or(usize::MAX);
         let mut retries = STEAL_RETRIES;
         let (steals, fails) = match thief {
@@ -617,6 +633,31 @@ impl WorkPool for StealPool {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn consecutive_steal_sweeps_start_at_different_victims() {
+        // Every deque holds one item, so an unregistered thief takes the
+        // item of the victim its sweep starts at; putting it back keeps
+        // all four non-empty for the next sweep.
+        let pool = StealPool::new(4);
+        for (slot, cell) in pool.cells.iter().enumerate() {
+            cell.deque.push(slot as u32).unwrap();
+        }
+        let starts: Vec<u32> = (0..32)
+            .map(|_| {
+                let v = pool
+                    .steal_from_peers(None)
+                    .expect("every deque holds an item");
+                pool.cells[v as usize].deque.push(v).unwrap();
+                v
+            })
+            .collect();
+        assert!(
+            starts.iter().any(|&v| v != starts[0]),
+            "32 sweeps all started at victim {}",
+            starts[0]
+        );
+    }
 
     #[test]
     fn deque_is_fifo_for_owner_and_thief_alike() {

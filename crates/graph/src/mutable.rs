@@ -462,9 +462,7 @@ impl MutableGraph {
                     region.len()
                 ));
             }
-            for (i, &w) in section.words.iter().enumerate() {
-                mem.store_direct(region.addr(i as u64), w);
-            }
+            mem.fill_region_with(region, |i| section.words[i as usize]);
         }
         Ok(())
     }

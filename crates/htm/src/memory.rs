@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::batch::LineBatch;
 use crate::meta;
 
 /// Words (8 bytes each) per modelled 64-byte cache line.
@@ -431,12 +432,45 @@ impl TxMemory {
         self.rmw_direct(addr, |v| Some(v.wrapping_add(delta)))
     }
 
-    /// Bulk non-transactional fill of a region (initialisation helper; still
-    /// strongly isolated, one line at a time).
+    /// Bulk non-transactional fill of a region with `val`: one publish, as
+    /// [`fill_region_with`](Self::fill_region_with).
     pub fn fill_region<const STRIDE: u64>(&self, region: &MemRegion<STRIDE>, val: u64) {
-        for addr in region.iter() {
-            self.store_direct(addr, val);
+        self.fill_region_with(region, |_| val);
+    }
+
+    /// Store `word(i)` into element `i` of `region`, for every element, in
+    /// one publish: lock the region's lines (ascending), store
+    /// each element, mint one clock tick and unlock every line at it — the
+    /// [`LineBatch`] publish of every committer. Strongly isolated like
+    /// [`store_direct`](Self::store_direct), at one tick and one line CAS
+    /// per line instead of a tick and a CAS per word; a reader pinned
+    /// before the publish finds each line locked or stamped above its pin.
+    ///
+    /// `word` is called once per element, in index order, while the lines
+    /// are held: it must not touch this memory. Other words of the lines
+    /// (a paired region's lock words) keep their values. If `word` panics,
+    /// the elements stored so far are published at a fresh tick.
+    pub fn fill_region_with<const STRIDE: u64>(
+        &self,
+        region: &MemRegion<STRIDE>,
+        mut word: impl FnMut(u64) -> u64,
+    ) {
+        if region.is_empty() {
+            return;
         }
+        // The lines from the first element's to the last's, ascending: at a
+        // stride of at most a line, each holds an element.
+        let lines = region.base().line()..=region.addr(region.len() - 1).line();
+        let mut batch = LineBatch::with_capacity(lines.clone().count());
+        for line in lines {
+            batch.push(line);
+        }
+        self.lock_lines(&mut batch);
+        let held = Publish { mem: self, batch };
+        for (i, addr) in (0..).zip(region.iter()) {
+            self.word(addr).store(word(i), Ordering::Release);
+        }
+        drop(held);
     }
 
     /// Snapshot a region into a `Vec` (sequential contexts only — values
@@ -444,6 +478,21 @@ impl TxMemory {
     /// never within one).
     pub fn snapshot_region<const STRIDE: u64>(&self, region: &MemRegion<STRIDE>) -> Vec<u64> {
         region.iter().map(|a| self.load_direct(a)).collect()
+    }
+}
+
+/// The held lines of a [`TxMemory::fill_region_with`]: dropped — after the
+/// last store, or while a panic unwinds — it mints one tick and unlocks
+/// every line at it.
+struct Publish<'a> {
+    mem: &'a TxMemory,
+    batch: LineBatch,
+}
+
+impl Drop for Publish<'_> {
+    fn drop(&mut self) {
+        let ticket = self.mem.clock_tick();
+        self.mem.unlock_lines(&mut self.batch, Some(ticket));
     }
 }
 
@@ -559,6 +608,82 @@ mod tests {
         let flat = l.alloc("flat", 3);
         assert!(flat.iter().eq((flat.base().0..flat.end().0).map(Addr)));
         assert_eq!(flat.end().0, flat.base().0 + 3);
+    }
+
+    #[test]
+    fn fill_region_with_publishes_a_paired_region_at_one_tick() {
+        let mut l = MemoryLayout::new();
+        let before = l.alloc("before", 8);
+        let values = l.alloc_paired("values", 20);
+        let locks = l.paired_locks().unwrap();
+        let after = l.alloc("after", 8);
+        let mem = TxMemory::new(&l);
+        for (i, addr) in (0..).zip(locks.iter()) {
+            mem.store_direct(addr, 1000 + i);
+        }
+        mem.store_direct(before.addr(7), 5);
+        mem.store_direct(after.addr(0), 6);
+        let outside = [before.addr(0).line(), after.addr(0).line()];
+        let untouched = outside.map(|line| mem.line_state(line));
+        let pin = mem.clock_now();
+
+        let mut called = Vec::new();
+        mem.fill_region_with(&values, |i| {
+            called.push(i);
+            7 * i
+        });
+
+        let ticket = pin + 1;
+        assert_eq!(mem.clock_now(), ticket, "one tick for the whole region");
+        assert_eq!(called, (0..20).collect::<Vec<_>>(), "once each, in order");
+        let lines = locks.base().line()..=values.addr(19).line();
+        assert_eq!(lines.clone().count(), 5, "40 words, five lines");
+        for line in lines {
+            assert_eq!(
+                mem.line_state(line),
+                LineState::Unlocked { version: ticket },
+                "line {line}: stamped at the ticket, above a pin taken before"
+            );
+        }
+        for i in 0..20 {
+            assert_eq!(mem.load_direct(values.addr(i)), 7 * i);
+            assert_eq!(mem.load_direct(locks.addr(i)), 1000 + i, "lock word {i}");
+        }
+        assert_eq!(outside.map(|line| mem.line_state(line)), untouched);
+        assert_eq!(
+            (
+                mem.load_direct(before.addr(7)),
+                mem.load_direct(after.addr(0))
+            ),
+            (5, 6)
+        );
+
+        // A fill is the same publish; an empty region publishes nothing.
+        mem.fill_region(&values, 3);
+        assert_eq!(mem.clock_now(), ticket + 1);
+        assert!(values.iter().all(|a| mem.load_direct(a) == 3));
+        let empty = MemoryLayout::new().alloc_paired("none", 0);
+        mem.fill_region_with(&empty, |_| unreachable!("no element"));
+        assert_eq!(mem.clock_now(), ticket + 1);
+    }
+
+    #[test]
+    fn a_panicking_fill_publishes_what_it_stored_and_holds_no_line() {
+        let mut l = MemoryLayout::new();
+        let values = l.alloc("values", 24);
+        let mem = TxMemory::new(&l);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mem.fill_region_with(&values, |i| if i < 10 { i + 1 } else { panic!("at {i}") });
+        }));
+        assert!(caught.is_err());
+        assert_eq!(mem.clock_now(), 1);
+        for line in 0..3 {
+            assert_eq!(mem.line_state(line), LineState::Unlocked { version: 1 });
+        }
+        let stored: Vec<u64> = values.iter().map(|a| mem.load_direct(a)).collect();
+        assert_eq!(stored[..10], (1..=10).collect::<Vec<_>>()[..]);
+        assert!(stored[10..].iter().all(|&w| w == 0));
+        mem.store_direct(values.addr(20), 9); // would spin on a held line
     }
 
     #[test]

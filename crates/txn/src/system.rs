@@ -619,6 +619,40 @@ mod tests {
     }
 
     #[test]
+    fn a_peek_pinned_before_a_region_fill_accepts_no_new_value() {
+        let mut layout = MemoryLayout::new();
+        let values = layout.alloc_paired("value", 16);
+        let sys = TxnSystem::with_defaults(16, layout);
+        let locks = sys.locks();
+        locks.try_shared(sys.mem(), 3).unwrap();
+        let lock_words = || -> Vec<u64> {
+            let addrs = (0..16).map(|v| locks.addr(v));
+            addrs.map(|a| sys.mem().load_direct(a)).collect()
+        };
+        let locks_before = lock_words();
+        assert_ne!(locks_before[3], 0, "vertex 3 is read-held");
+        // A reader pinned at `pin` accepts a peek stamped at or below it.
+        let pin = sys.mem().clock_now_pub();
+        let accepts = |addr| matches!(sys.peek_committed(addr), Some((_, at)) if at <= pin);
+        assert!(values.iter().all(accepts), "the zeroed region is committed");
+
+        sys.mem().fill_region_with(&values, |i| {
+            // Mid-publish every line of the region is held: nothing to see.
+            assert!(values.iter().all(|a| sys.peek_committed(a).is_none()));
+            i + 1
+        });
+
+        for (i, addr) in (0..).zip(values.iter()) {
+            assert_eq!(sys.peek_committed(addr), Some((i + 1, pin + 1)));
+        }
+        assert!(
+            !values.iter().any(accepts),
+            "every line is stamped past the pin"
+        );
+        assert_eq!(lock_words(), locks_before, "the lock words are untouched");
+    }
+
+    #[test]
     fn worker_ids_are_unique_and_bounded() {
         let layout = MemoryLayout::new();
         let sys = TxnSystem::build(

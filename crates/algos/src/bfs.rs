@@ -124,6 +124,46 @@ mod tests {
     use tufast_graph::gen;
     use tufast_txn::TwoPhaseLocking;
 
+    #[test]
+    fn a_stopped_job_is_counted_without_a_checkpoint() {
+        use std::time::Duration;
+        use tufast_txn::{AbortReason, HealthCounters, JobDeadline};
+
+        let g = gen::grid2d(64, 64);
+        let stopped = |stop: &dyn Fn(&TxnSystem)| {
+            let built = crate::setup(&g, BfsSpace::alloc);
+            let tufast = TuFast::new(Arc::clone(&built.sys));
+            stop(&built.sys);
+            parallel(&g, &tufast, &built.sys, &built.space, 0, 1);
+            (built.sys.health().reason(), built.sys.health().counters())
+        };
+        let deadline = stopped(&|sys| sys.begin_job(Some(JobDeadline(Duration::ZERO))));
+        assert_eq!(
+            deadline,
+            (
+                Some(AbortReason::Deadline),
+                HealthCounters {
+                    deadline_aborts: 1,
+                    ..Default::default()
+                }
+            )
+        );
+        let cancelled = stopped(&|sys| {
+            sys.begin_job(None);
+            sys.cancel_token().cancel();
+        });
+        assert_eq!(
+            cancelled,
+            (
+                Some(AbortReason::Cancelled),
+                HealthCounters {
+                    jobs_cancelled: 1,
+                    ..Default::default()
+                }
+            )
+        );
+    }
+
     fn check_parallel_matches_sequential(g: &Graph, source: VertexId) {
         let expected = sequential(g, source);
         let built = crate::setup(g, BfsSpace::alloc);

@@ -171,7 +171,7 @@ pub struct Ckpt<'a> {
     /// Where the snapshots go, and where a resume reads the latest from.
     pub store: &'a SnapshotStore,
     /// Pool items between two snapshots; 0 writes none until a health stop
-    /// (cancel, deadline, shed) leaves its final one.
+    /// (cancel or deadline) leaves its final one.
     pub every_items: u64,
     /// Start from the latest valid snapshot in `store` — written by a
     /// previous, possibly crashed, run of the *same algorithm over the same
@@ -194,8 +194,8 @@ pub struct CkptReport {
     pub snapshot_fallbacks: u64,
     /// Epoch of the last snapshot written, if any.
     pub last_epoch: Option<u64>,
-    /// Why the health subsystem stopped this run early (cancel, deadline,
-    /// or shed), or `None` for a run-to-completion.
+    /// Why the health subsystem stopped this run early (cancel or
+    /// deadline), or `None` for a run-to-completion.
     pub aborted: Option<AbortReason>,
     /// Pool items fully processed by this run — on an aborted run, the
     /// partial-progress figure carried into [`JobAborted`].
@@ -225,8 +225,8 @@ impl CkptReport {
 /// generation is untouched, so a failed write costs at most one epoch of
 /// recoverable progress, and the computation itself continues.
 ///
-/// If the system's health token stops the job mid-drain (cancel, deadline,
-/// or shed), the workers unwind cleanly, one *final* snapshot of `(state,
+/// If the system's health token stops the job mid-drain (cancel or
+/// deadline), the workers unwind cleanly, one *final* snapshot of `(state,
 /// frontier)` is written under the post-join quiescence, and the stop is
 /// recorded in `report.aborted` / `report.items_done` — so `resume` on a
 /// later run continues from exactly where the cancelled run let go.
@@ -294,7 +294,6 @@ pub(crate) fn run_checkpointed<S, P, F>(
         // snapshot so the aborted run's partial progress is durable and
         // resumable. The next epoch number keeps generations advancing.
         report.aborted = Some(reason);
-        sys.health().note_job_outcome(reason);
         let final_epoch = last.load(Ordering::Relaxed).max(start_epoch);
         match write(final_epoch) {
             Ok(_) => {

@@ -12,6 +12,8 @@
 //! as the synchronous sequential reference (dangling mass is not
 //! redistributed, the common graph-system convention).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use tufast::par::{parallel_drain, parallel_for, FifoPool, WorkPool};
 use tufast_graph::snapshot::{Section, Snapshot, SnapshotError};
 use tufast_graph::{Graph, VertexId};
@@ -164,43 +166,31 @@ pub fn pull_round<S: GraphScheduler>(
     );
     let base = (1.0 - damping) / n.max(1) as f64;
     let rank = &space.rank;
-    let mut next = vec![0.0f64; n];
-    let chunk = n.div_ceil(threads.max(1)).max(1);
-    let workers = std::thread::scope(|s| {
-        let handles: Vec<_> = next
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let mut worker = sched.worker();
-                s.spawn(move || {
-                    for (i, slot) in slice.iter_mut().enumerate() {
-                        let v = (ci * chunk + i) as VertexId;
-                        let degree = g.in_degree(v) + 1;
-                        let size = TxnSystem::neighborhood_hint(degree);
-                        let hint = if declared_pure {
-                            TxnHint::read_only(size)
-                        } else {
-                            TxnHint::sized(size)
-                        };
-                        worker.execute_hinted(hint, &mut |ops| {
-                            let mut sum = 0.0;
-                            for &u in g.in_neighbors(v) {
-                                let ru = word_to_f64(ops.read(u, rank.addr(u64::from(u)))?);
-                                sum += ru / g.degree(u) as f64;
-                            }
-                            *slot = base + damping * sum;
-                            Ok(())
-                        });
-                    }
-                    worker
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pull-round worker panicked"))
-            .collect()
+    // `f64` bits, one slot per vertex: each is written by the one worker
+    // that claims its vertex, and read back after the workers join.
+    let next: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    let workers = parallel_for(sched, threads, n, |worker, v| {
+        let degree = g.in_degree(v) + 1;
+        let size = TxnSystem::neighborhood_hint(degree);
+        let hint = if declared_pure {
+            TxnHint::read_only(size)
+        } else {
+            TxnHint::sized(size)
+        };
+        worker.execute_hinted(hint, &mut |ops| {
+            let mut sum = 0.0;
+            for &u in g.in_neighbors(v) {
+                let ru = word_to_f64(ops.read(u, rank.addr(u64::from(u)))?);
+                sum += ru / g.degree(u) as f64;
+            }
+            next[v as usize].store(f64_to_word(base + damping * sum), Ordering::Relaxed);
+            Ok(())
+        });
     });
+    let next = next
+        .into_iter()
+        .map(|w| word_to_f64(w.into_inner()))
+        .collect();
     (next, workers)
 }
 
@@ -340,6 +330,30 @@ mod tests {
             r_commits, n as u64,
             "every pure pull transaction rides the R fast path"
         );
+    }
+
+    #[test]
+    fn a_panicking_pull_body_re_raises_its_own_payload() {
+        // A read hook that panics inside the body when it reads vertex 9,
+        // with a payload of its own type.
+        struct Boom;
+        struct PanicAt(VertexId);
+        impl tufast_txn::TxnObserver for PanicAt {
+            fn op_read(&self, _worker: u32, v: VertexId, _addr: tufast_htm::Addr, _val: u64) {
+                if v == self.0 {
+                    std::panic::panic_any(Boom);
+                }
+            }
+        }
+        let g = with_in_edges(&gen::grid2d(8, 8));
+        let built = crate::setup(&g, PageRankSpace::alloc);
+        built.sys.set_observer(Some(Arc::new(PanicAt(9))));
+        let tufast = TuFast::new(Arc::clone(&built.sys));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pull_round(&g, &tufast, &built.space, 2, 0.85, false).0
+        }))
+        .expect_err("the body panicked");
+        assert!(payload.is::<Boom>(), "the body's payload was replaced");
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Runtime-health matrix: the watchdog, cooperative cancellation, job
-//! deadlines, and admission control exercised end-to-end against seeded
-//! liveness faults.
+//! Runtime-health matrix: the watchdog, cooperative cancellation and job
+//! deadlines exercised end-to-end against seeded liveness faults.
 //!
-//! The rows prove the subsystem's three promises:
+//! The rows prove the subsystem's two promises:
 //!
 //! 1. **The watchdog fires** — a seeded livelock storm (every optimistic
 //!    commit forced to restart) and a seeded persistent stall (a worker
@@ -13,18 +12,12 @@
 //!    vertex lock and leaves a serializable history; a cancelled
 //!    checkpointed run leaves a durable snapshot that resumes to the
 //!    bitwise-exact fixpoint.
-//! 3. **Overload sheds** — over-budget jobs are rejected with a typed
-//!    [`JobAborted`] or redirected to the serial path, and the shed is
-//!    counted on the health board.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tufast::{
-    AdmissionConfig, AdmissionGate, ShedPolicy, StealPool, TuFast, Watchdog, WatchdogConfig,
-    WatchdogReport,
-};
+use tufast::{StealPool, TuFast, Watchdog, WatchdogConfig, WatchdogReport};
 use tufast_algos::checkpoint::Ckpt;
 use tufast_algos::{bfs, setup};
 use tufast_check::dsg::check;
@@ -392,60 +385,4 @@ fn cancel_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[test]
-fn overload_sheds_typed_rejects_and_serial_fallback_still_computes() {
-    // Shed-under-overload: with the budget held, queued jobs past the
-    // deadline are shed — typed rejects under Reject, and a working
-    // single-threaded run under SerialFallback.
-    let g = gen::grid2d(8, 8);
-    let expected = bfs::sequential(&g, 0);
-    let built = setup(&g, bfs::BfsSpace::alloc);
-    let board = Arc::clone(built.sys.health());
-
-    let gate = AdmissionGate::new(
-        AdmissionConfig {
-            max_concurrent: 1,
-            queue_deadline: Some(Duration::from_millis(2)),
-            policy: ShedPolicy::Reject,
-        },
-        Arc::clone(&board),
-    );
-    let held = gate.admit().expect("budget slot");
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS).map(|_| s.spawn(|| gate.admit())).collect();
-        for h in handles {
-            let err = h
-                .join()
-                .unwrap()
-                .expect_err("over budget past the deadline must shed");
-            assert_eq!(err.reason, AbortReason::Shed);
-            assert_eq!(err.items_done, 0);
-        }
-    });
-    assert_eq!(board.counters().jobs_shed, THREADS as u64);
-    drop(held);
-    assert_eq!(gate.running(), 0);
-
-    // Same overload under SerialFallback: the shed job still runs — on
-    // one thread — and still reaches the right answer.
-    let gate = AdmissionGate::new(
-        AdmissionConfig {
-            max_concurrent: 1,
-            queue_deadline: Some(Duration::from_millis(2)),
-            policy: ShedPolicy::SerialFallback,
-        },
-        Arc::clone(&board),
-    );
-    let held = gate.admit().expect("budget slot");
-    let shed = gate.admit().expect("serial fallback never errors");
-    assert!(shed.serial(), "over-budget permit must route serial");
-    let threads = if shed.serial() { 1 } else { THREADS };
-    let sched = TuFast::new(Arc::clone(&built.sys));
-    let dist = bfs::parallel(&g, &sched, &built.sys, &built.space, 0, threads);
-    assert_eq!(dist, expected, "serial-shed run computed a wrong answer");
-    drop(shed);
-    drop(held);
-    assert_eq!(board.counters().jobs_shed, THREADS as u64 + 1);
 }

@@ -99,9 +99,8 @@ pub use worker::{TuFast, TuFastWorker};
 // health layer (DESIGN.md §12) re-exported so a single `use tufast::...`
 // suffices for application code.
 pub use tufast_txn::{
-    AbortReason, AdmissionConfig, AdmissionGate, AdmitPermit, CancelToken, GraphScheduler,
-    HealthCounters, JobAborted, JobDeadline, ShedPolicy, TxInterrupt, TxnOps, TxnOutcome,
-    TxnSystem, TxnWorker, Watchdog, WatchdogConfig, WatchdogReport,
+    AbortReason, CancelToken, GraphScheduler, HealthCounters, JobAborted, JobDeadline, TxInterrupt,
+    TxnOps, TxnOutcome, TxnSystem, TxnWorker, Watchdog, WatchdogConfig, WatchdogReport,
 };
 
 /// Vertex identifier (shared with `tufast-graph` / `tufast-txn`).

@@ -85,11 +85,6 @@ impl ContentionMonitor {
         self.h_fail > H_FUTILE_THRESHOLD
     }
 
-    /// Current smoothed H-mode entry failure rate.
-    pub fn h_fail_rate(&self) -> f64 {
-        self.h_fail
-    }
-
     /// The `period` maximising expected committed work under the current
     /// `p`: `P* = round(-1/ln(1-p))`, clamped to the configured range.
     pub fn suggest_period(&self) -> u32 {
@@ -198,10 +193,10 @@ mod tests {
         m.observe_h(false);
         for _ in 0..10_000 {
             m.observe_h(true);
-            let rate = m.h_fail_rate();
+            let rate = m.h_fail;
             assert!(rate == 0.0 || rate.is_normal(), "h_fail = {rate:e}");
         }
-        assert_eq!(m.h_fail_rate(), 0.0);
+        assert_eq!(m.h_fail, 0.0);
 
         // The abort probability decays the same way under abort-free windows.
         for _ in 0..10_000 {

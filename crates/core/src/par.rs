@@ -422,7 +422,7 @@ where
         let mut idle = 0u32;
         loop {
             // Dequeue boundary: heartbeat for the watchdog and job-level
-            // stop check (cancel / deadline / shed). Nothing is popped
+            // stop check (cancel / deadline). Nothing is popped
             // yet, so stopping loses no item; the interrupt wakes parked
             // peers to re-check too.
             if worker.health().is_some_and(|h| h.checkpoint().is_some()) {

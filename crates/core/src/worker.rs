@@ -636,26 +636,18 @@ mod tests {
     #[test]
     fn taking_worker_stats_leaves_job_outcomes_on_the_board() {
         use std::time::Duration;
-        use tufast_txn::{AdmissionConfig, AdmissionGate, HealthCounters, ShedPolicy};
+        use tufast_txn::{AbortReason, HealthCounters, JobDeadline};
 
         let (sys, _) = setup(4, 8);
-        let gate = AdmissionGate::new(
-            AdmissionConfig {
-                max_concurrent: 1,
-                queue_deadline: Some(Duration::ZERO),
-                policy: ShedPolicy::Reject,
-            },
-            Arc::clone(sys.health()),
-        );
-        let _running = gate.admit().expect("budgeted slot");
-        assert!(gate.admit().is_err(), "over budget must shed");
+        sys.begin_job(Some(JobDeadline(Duration::ZERO)));
+        assert_eq!(sys.health().poll(), Some(AbortReason::Deadline));
         sys.health().note_escalation();
         let outcomes = sys.health().counters();
         assert_eq!(
             outcomes,
             HealthCounters {
                 watchdog_escalations: 1,
-                jobs_shed: 1,
+                deadline_aborts: 1,
                 ..Default::default()
             }
         );
@@ -664,6 +656,38 @@ mod tests {
         let _ = a.take_tufast_stats();
         let _ = b.take_tufast_stats();
         assert_eq!(sys.health().counters(), outcomes);
+    }
+
+    #[test]
+    fn pure_reads_take_no_locks_and_never_tick_the_clock() {
+        let (sys, data) = setup(2, 2);
+        sys.mem().store_direct(data.addr(0), 77);
+        let sched = TuFast::new(Arc::clone(&sys));
+        let mut w = sched.worker();
+        let clock_before = sys.mem().clock_now_pub();
+        let lock_words: Vec<u64> = (0..2)
+            .map(|v| sys.mem().load_direct(sys.locks().addr(v)))
+            .collect();
+        for _ in 0..100 {
+            let out = w.execute_hinted(TxnHint::read_only(4), &mut |ops| {
+                ops.read(0, data.addr(0))?;
+                ops.read(1, data.addr(1))?;
+                Ok(())
+            });
+            assert!(out.committed);
+        }
+        // Every lock acquisition, direct store, and HTM commit ticks the
+        // global clock; an unchanged clock proves 100 pure-read
+        // transactions acquired nothing and wrote nothing.
+        assert_eq!(sys.mem().clock_now_pub(), clock_before);
+        for v in 0..2u32 {
+            assert_eq!(
+                sys.mem().load_direct(sys.locks().addr(v)),
+                lock_words[v as usize],
+                "vertex {v} lock word moved under a pure reader"
+            );
+        }
+        assert_eq!(w.take_stats().r_commits, 100);
     }
 
     #[test]

@@ -24,19 +24,6 @@ pub(crate) fn atomic_min(cell: &AtomicU64, val: u64) -> bool {
     false
 }
 
-/// Atomically add `delta` to an `f64` stored as bits in `cell`.
-#[inline]
-pub(crate) fn atomic_add_f64(cell: &AtomicU64, delta: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let new = (f64::from_bits(cur) + delta).to_bits();
-        match cell.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
 /// Chunked parallel loop over `0..n`.
 pub(crate) fn par_for(threads: usize, n: usize, f: impl Fn(usize) + Sync) {
     let threads = threads.max(1).min(n.max(1));
@@ -98,21 +85,6 @@ mod tests {
         assert!(atomic_min(&c, 5));
         assert!(!atomic_min(&c, 7));
         assert_eq!(c.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn atomic_f64_add_accumulates_concurrently() {
-        let c = AtomicU64::new(0f64.to_bits());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        atomic_add_f64(&c, 0.5);
-                    }
-                });
-            }
-        });
-        assert!((f64::from_bits(c.load(Ordering::Relaxed)) - 2000.0).abs() < 1e-9);
     }
 
     #[test]

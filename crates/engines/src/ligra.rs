@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use tufast_graph::{Graph, VertexId};
 
-use crate::common::{atomic_add_f64, atomic_min, atomic_vec, par_for, par_for_slice};
+use crate::common::{atomic_min, atomic_vec, par_for, par_for_slice};
 
 /// Sparse→dense switch threshold (Ligra uses |E_frontier| > |E|/20; vertex
 /// count is the common simplification).
@@ -331,51 +331,10 @@ pub fn mis(g: &Graph, threads: usize) -> Vec<u64> {
     state.into_iter().map(|s| s.into_inner()).collect()
 }
 
-/// PageRank distributing contributions over out-edges (push variant used
-/// when no reverse adjacency exists).
-pub fn pagerank_push(g: &Graph, damping: f64, iters: usize, threads: usize) -> Vec<f64> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    let rank: Vec<AtomicU64> = atomic_vec(n, (1.0 / n as f64).to_bits());
-    let next: Vec<AtomicU64> = atomic_vec(n, 0);
-    let base = (1.0 - damping) / n as f64;
-    for _ in 0..iters {
-        par_for(threads, n, |v| {
-            next[v].store(base.to_bits(), Ordering::Relaxed)
-        });
-        par_for(threads, n, |v| {
-            let rv = f64::from_bits(rank[v].load(Ordering::Relaxed));
-            let d = g.degree(v as VertexId);
-            if d > 0 {
-                let share = damping * rv / d as f64;
-                for &u in g.neighbors(v as VertexId) {
-                    atomic_add_f64(&next[u as usize], share);
-                }
-            }
-        });
-        par_for(threads, n, |v| {
-            rank[v].store(next[v].load(Ordering::Relaxed), Ordering::Relaxed)
-        });
-    }
-    rank.into_iter()
-        .map(|r| f64::from_bits(r.into_inner()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tufast_graph::{gen, GraphBuilder};
-
-    fn with_in_edges(g: &Graph) -> Graph {
-        let mut b = GraphBuilder::new(g.num_vertices());
-        for (s, d) in g.edges() {
-            b.add_edge(s, d);
-        }
-        b.with_in_edges().build()
-    }
 
     #[test]
     fn bfs_matches_hop_counts_on_grid() {
@@ -459,20 +418,5 @@ mod tests {
         let g = gen::grid2d(5, 1);
         let s = mis(&g, 4);
         assert_eq!(s, vec![1, 2, 1, 2, 1]);
-    }
-
-    #[test]
-    fn pagerank_push_and_pull_agree() {
-        let g = with_in_edges(&gen::rmat(8, 8, 3));
-        let pull = pagerank(&g, 0.85, 1e-14, 100, 4);
-        let push = pagerank_push(&g, 0.85, 100, 4);
-        for v in 0..g.num_vertices() {
-            assert!(
-                (pull[v] - push[v]).abs() < 1e-8,
-                "vertex {v}: {} vs {}",
-                pull[v],
-                push[v]
-            );
-        }
     }
 }

@@ -125,23 +125,6 @@ pub fn hybrid_partition(g: &Graph, machines: usize, threshold: usize) -> Partiti
     }
 }
 
-/// Contiguous range partition (used by the out-of-core shard model).
-pub fn range_partition(g: &Graph, machines: usize) -> Partition {
-    assert!((1..=64).contains(&machines));
-    let n = g.num_vertices();
-    let per = n.div_ceil(machines);
-    let owner: Vec<u32> = g
-        .vertices()
-        .map(|v| (v as usize / per.max(1)) as u32)
-        .collect();
-    let mirrors = mirrors_for(g, &owner, machines);
-    Partition {
-        machines,
-        owner,
-        mirrors,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,20 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn range_partition_is_contiguous() {
-        let g = gen::path(100);
-        let p = range_partition(&g, 4);
-        assert!(p.owner.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(p.owned_per_machine(), vec![25, 25, 25, 25]);
-    }
-
-    #[test]
     fn mirror_count_on_a_known_cut() {
-        // Path 0→1 with 2 machines and range partition: vertex 1 mirrors on
-        // machine 0 (edge placed with source 0) unless co-located.
+        // Path 0→1 with vertex v on machine v: vertex 1 mirrors on machine
+        // 0 (edge placed with source 0) unless co-located.
         let g = gen::path(2);
-        let p = range_partition(&g, 2);
-        assert_eq!(p.owner, vec![0, 1]);
-        assert_eq!(p.mirrors, vec![0, 1]);
+        assert_eq!(mirrors_for(&g, &[0, 1], 2), vec![0, 1]);
     }
 }

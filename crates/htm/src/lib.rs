@@ -106,18 +106,6 @@ pub fn word_to_f64(w: u64) -> f64 {
     f64::from_bits(w)
 }
 
-/// Pack two `u32`s into one transactional word (high, low).
-#[inline]
-pub fn pack_u32(hi: u32, lo: u32) -> u64 {
-    (u64::from(hi) << 32) | u64::from(lo)
-}
-
-/// Unpack a transactional word into two `u32`s (high, low).
-#[inline]
-pub fn unpack_u32(w: u64) -> (u32, u32) {
-    ((w >> 32) as u32, w as u32)
-}
-
 #[cfg(test)]
 mod pack_tests {
     use super::*;
@@ -133,13 +121,6 @@ mod pack_tests {
             f64::NEG_INFINITY,
         ] {
             assert_eq!(word_to_f64(f64_to_word(v)).to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
-    fn u32_roundtrip() {
-        for (a, b) in [(0, 0), (1, u32::MAX), (u32::MAX, 7), (42, 43)] {
-            assert_eq!(unpack_u32(pack_u32(a, b)), (a, b));
         }
     }
 }

@@ -1,26 +1,23 @@
 //! Runtime health: job deadlines, cooperative cancellation, per-worker
-//! heartbeats, the watchdog that reads them and the admission gate in
-//! front of the drivers (DESIGN.md §12).
+//! heartbeats and the watchdog that reads them (DESIGN.md §12).
 //!
 //! A system's [`HealthBoard`] is the one place a job's health lives: one
 //! heartbeat slot per worker thread, the armed deadline, the cumulative
 //! outcome counters and the *job-state word*. That word packs the stop
-//! reason (live, cancelled, deadline, shed; the first stop wins) with the
+//! reason (live, cancelled, deadline; the first stop wins) with the
 //! watchdog's escalation [`Rung`] (monotone within a job); zero means live
-//! and healthy, and [`HealthBoard::begin_job`] stores zero. Each reader
-//! compares the word against the rung it cares about:
-//! [`HealthHandle::checkpoint`] backs off from [`Rung::Boost`], 2PL's
-//! bounded anonymous lock wait victimises from [`Rung::Victims`], and the
-//! TuFast router goes serial from [`Rung::Serial`].
+//! and healthy, and [`HealthBoard::begin_job`] stores zero. The stop that
+//! latches a reason also counts the job's outcome, so every stopped job is
+//! counted once, whichever driver ran it. Each reader compares the word
+//! against the rung it cares about: [`HealthHandle::checkpoint`] backs off
+//! from [`Rung::Boost`], 2PL's bounded anonymous lock wait victimises from
+//! [`Rung::Victims`], and the TuFast router goes serial from
+//! [`Rung::Serial`].
 //!
-//! * [`Watchdog`] — a scan thread over the board that tells *parked-idle*
-//!   from *stalled* (beat flat on a non-idle slot) and *livelocked*
-//!   (commits flat while restarts climb), and climbs the ladder one rung
-//!   per `grace_scans` unhealthy scans up to cancelling the job.
-//! * [`AdmissionGate`] — a semaphore-style intake gate with a concurrency
-//!   budget and a queue deadline; over-budget jobs are shed, either
-//!   rejected with a typed [`JobAborted`] or redirected to a
-//!   single-threaded serial run.
+//! [`Watchdog`] is a scan thread over the board that tells *parked-idle*
+//! from *stalled* (beat flat on a non-idle slot) and *livelocked* (commits
+//! flat while restarts climb), and climbs the ladder one rung per
+//! `grace_scans` unhealthy scans up to cancelling the job.
 //!
 //! Design rule: probes must be near-free on the hot path. A worker's
 //! checkpoint is one relaxed heartbeat increment plus one relaxed load of
@@ -29,7 +26,7 @@
 //! the word, so every later probe is again a single load.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,9 +55,6 @@ pub enum AbortReason {
     Cancelled = 1,
     /// The job ran past its [`JobDeadline`].
     Deadline = 2,
-    /// Admission control refused the job or timed it out of the intake
-    /// queue.
-    Shed = 3,
 }
 
 impl AbortReason {
@@ -69,7 +63,6 @@ impl AbortReason {
         match self {
             AbortReason::Cancelled => "cancelled",
             AbortReason::Deadline => "deadline",
-            AbortReason::Shed => "shed",
         }
     }
 }
@@ -138,7 +131,7 @@ const LADDER: [Rung; 5] = [
 ];
 
 // The job-state word: the stop reason's code in the low two bits (zero
-// while live), the rung above them.
+// while live; 3 is never stored), the rung above them.
 const REASON_BITS: u32 = 0b11;
 const RUNG_SHIFT: u32 = 2;
 
@@ -148,7 +141,7 @@ fn reason_of(word: u32) -> Option<AbortReason> {
         0 => None,
         1 => Some(AbortReason::Cancelled),
         2 => Some(AbortReason::Deadline),
-        _ => Some(AbortReason::Shed),
+        _ => None,
     }
 }
 
@@ -208,8 +201,6 @@ tufast_htm::counters! {
         pub watchdog_escalations: u64,
         /// Jobs stopped by explicit cancellation (user or watchdog).
         pub jobs_cancelled: u64,
-        /// Jobs refused or timed out by admission control.
-        pub jobs_shed: u64,
         /// Jobs stopped by a wall-clock deadline.
         pub deadline_aborts: u64,
     }
@@ -296,14 +287,23 @@ impl HealthBoard {
         LADDER[(self.state.load(Ordering::Relaxed) >> RUNG_SHIFT) as usize]
     }
 
-    /// Stop the job with `reason`. The first reason to land wins; later
-    /// calls are no-ops, so the reason a worker observes is stable.
+    /// Stop the job with `reason`. The first reason to land wins and is
+    /// counted as the job's outcome; later calls are no-ops, so the reason
+    /// a worker observes is stable and a job is counted once.
     pub fn stop(&self, reason: AbortReason) {
-        let _ = self
+        let latched = self
             .state
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |word| {
                 (word & REASON_BITS == 0).then_some(word | reason as u32)
             });
+        if latched.is_ok() {
+            let mut one = HealthCounters::default();
+            *match reason {
+                AbortReason::Cancelled => &mut one.jobs_cancelled,
+                AbortReason::Deadline => &mut one.deadline_aborts,
+            } = 1;
+            self.outcomes.add(one.values());
+        }
     }
 
     /// Stop the job with [`AbortReason::Cancelled`].
@@ -393,17 +393,6 @@ impl HealthBoard {
             watchdog_escalations: 1,
             ..Default::default()
         };
-        self.outcomes.add(one.values());
-    }
-
-    /// Count one job outcome under `reason`.
-    pub fn note_job_outcome(&self, reason: AbortReason) {
-        let mut one = HealthCounters::default();
-        *match reason {
-            AbortReason::Cancelled => &mut one.jobs_cancelled,
-            AbortReason::Shed => &mut one.jobs_shed,
-            AbortReason::Deadline => &mut one.deadline_aborts,
-        } = 1;
         self.outcomes.add(one.values());
     }
 
@@ -664,171 +653,6 @@ fn judge(prev: &[HeartbeatView], now: &[HeartbeatView]) -> Verdict {
     }
 }
 
-/// What to do with a job that cannot be admitted within its queue
-/// deadline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Reject it with a typed [`JobAborted`] (`reason == Shed`).
-    #[default]
-    Reject,
-    /// Admit it outside the parallel budget, telling the caller to run it
-    /// on the single-threaded serial path (bounded resource use instead of
-    /// a hard error).
-    SerialFallback,
-}
-
-/// Admission-control knobs.
-#[derive(Clone, Debug)]
-pub struct AdmissionConfig {
-    /// Concurrent jobs admitted to the parallel path.
-    pub max_concurrent: usize,
-    /// How long an over-budget job may wait in the intake queue before it
-    /// is shed. `None` waits indefinitely (no shedding).
-    pub queue_deadline: Option<Duration>,
-    /// What shedding does.
-    pub policy: ShedPolicy,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            max_concurrent: 4,
-            queue_deadline: Some(Duration::from_millis(100)),
-            policy: ShedPolicy::Reject,
-        }
-    }
-}
-
-impl AdmissionConfig {
-    /// Panics on nonsensical settings.
-    pub fn validate(&self) {
-        assert!(self.max_concurrent > 0, "max_concurrent must be nonzero");
-    }
-}
-
-/// Semaphore-style intake gate in front of the drivers.
-///
-/// Callers [`admit`](AdmissionGate::admit) before starting a job and hold
-/// the returned [`AdmitPermit`] for its duration; dropping the permit
-/// releases the slot. Shed outcomes are counted on the shared
-/// [`HealthBoard`] so they surface in its counters and the bench JSON.
-pub struct AdmissionGate {
-    config: AdmissionConfig,
-    board: Arc<HealthBoard>,
-    running: AtomicUsize,
-}
-
-impl AdmissionGate {
-    /// A gate over `board` (usually `Arc::clone(sys.health())`).
-    pub fn new(config: AdmissionConfig, board: Arc<HealthBoard>) -> Self {
-        config.validate();
-        AdmissionGate {
-            config,
-            board,
-            running: AtomicUsize::new(0),
-        }
-    }
-
-    /// Jobs currently admitted to the parallel path.
-    pub fn running(&self) -> usize {
-        self.running.load(Ordering::Acquire)
-    }
-
-    fn try_acquire(&self) -> bool {
-        let mut cur = self.running.load(Ordering::Acquire);
-        while cur < self.config.max_concurrent {
-            match self.running.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-        false
-    }
-
-    /// Admit one job, waiting up to the queue deadline for a slot.
-    ///
-    /// Over budget past the deadline, the job is *shed*: with
-    /// [`ShedPolicy::Reject`] this returns the typed error; with
-    /// [`ShedPolicy::SerialFallback`] it returns a permit whose
-    /// [`serial`](AdmitPermit::serial) flag tells the caller to run
-    /// single-threaded (outside the parallel budget).
-    pub fn admit(&self) -> Result<AdmitPermit<'_>, JobAborted> {
-        let start = Instant::now();
-        let mut spins = 0u32;
-        loop {
-            if self.try_acquire() {
-                return Ok(AdmitPermit {
-                    gate: self,
-                    counted: true,
-                    serial: false,
-                });
-            }
-            if let Some(deadline) = self.config.queue_deadline {
-                if start.elapsed() >= deadline {
-                    self.board.note_job_outcome(AbortReason::Shed);
-                    return match self.config.policy {
-                        ShedPolicy::Reject => Err(JobAborted {
-                            reason: AbortReason::Shed,
-                            items_done: 0,
-                        }),
-                        ShedPolicy::SerialFallback => Ok(AdmitPermit {
-                            gate: self,
-                            counted: false,
-                            serial: true,
-                        }),
-                    };
-                }
-            }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(16) {
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for AdmissionGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionGate")
-            .field("config", &self.config)
-            .field("running", &self.running())
-            .finish()
-    }
-}
-
-/// Proof of admission; releases the gate slot on drop.
-#[derive(Debug)]
-pub struct AdmitPermit<'a> {
-    gate: &'a AdmissionGate,
-    /// Whether this permit holds one of the budgeted slots (serial-shed
-    /// permits run outside the budget).
-    counted: bool,
-    serial: bool,
-}
-
-impl AdmitPermit<'_> {
-    /// `true` when the job was shed to the single-threaded serial path and
-    /// the caller should run with one worker.
-    pub fn serial(&self) -> bool {
-        self.serial
-    }
-}
-
-impl Drop for AdmitPermit<'_> {
-    fn drop(&mut self) {
-        if self.counted {
-            self.gate.running.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,10 +679,29 @@ mod tests {
     fn first_stop_reason_wins() {
         let b = HealthBoard::new(1);
         assert_eq!(b.reason(), None);
-        b.stop(AbortReason::Shed);
+        b.stop(AbortReason::Deadline);
         b.cancel();
-        assert_eq!(b.reason(), Some(AbortReason::Shed));
+        assert_eq!(b.reason(), Some(AbortReason::Deadline));
         assert!(b.is_stopped());
+    }
+
+    #[test]
+    fn a_job_stopped_from_many_threads_at_once_is_counted_once() {
+        let b = HealthBoard::new(2);
+        for round in 1..=50u64 {
+            b.begin_job(Some(JobDeadline(Duration::ZERO)));
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    b.cancel();
+                });
+                start.wait();
+                let _ = b.poll();
+            });
+            let c = b.counters();
+            assert_eq!(c.jobs_cancelled + c.deadline_aborts, round);
+        }
     }
 
     #[test]
@@ -956,7 +799,6 @@ mod tests {
         b.escalate(Rung::Cancel);
         b.cancel();
         b.note_escalation();
-        b.note_job_outcome(AbortReason::Cancelled);
         b.begin_job(None);
         assert_eq!(b.state.load(Ordering::Relaxed), 0, "live and healthy");
         assert_eq!((b.rung(), b.reason()), (Rung::Healthy, None));
@@ -968,13 +810,12 @@ mod tests {
     fn outcomes_count_by_reason_and_merge_is_additive() {
         let b = HealthBoard::new(1);
         b.note_escalation();
-        for (reason, n) in [
-            (AbortReason::Cancelled, 2),
-            (AbortReason::Shed, 3),
-            (AbortReason::Deadline, 4),
-        ] {
+        for (reason, n) in [(AbortReason::Cancelled, 2), (AbortReason::Deadline, 4)] {
             for _ in 0..n {
-                b.note_job_outcome(reason);
+                b.begin_job(None);
+                b.stop(reason);
+                // A later stop of the same job counts nothing.
+                b.cancel();
             }
         }
         let a = b.counters();
@@ -983,7 +824,6 @@ mod tests {
             HealthCounters {
                 watchdog_escalations: 1,
                 jobs_cancelled: 2,
-                jobs_shed: 3,
                 deadline_aborts: 4,
             }
         );
@@ -995,20 +835,14 @@ mod tests {
             HealthCounters {
                 watchdog_escalations: 101,
                 jobs_cancelled: 202,
-                jobs_shed: 303,
                 deadline_aborts: 404,
             }
         );
         assert_eq!(
             HealthCounters::NAMES,
-            [
-                "watchdog_escalations",
-                "jobs_cancelled",
-                "jobs_shed",
-                "deadline_aborts"
-            ]
+            ["watchdog_escalations", "jobs_cancelled", "deadline_aborts"]
         );
-        assert_eq!(a.values(), [1, 2, 3, 4]);
+        assert_eq!(a.values(), [1, 2, 4]);
     }
 
     #[test]
@@ -1167,81 +1001,5 @@ mod tests {
         let report = dog.stop();
         assert!(!report.cancelled, "{report:?}");
         assert!(!sys.cancel_token().is_stopped());
-    }
-
-    #[test]
-    fn gate_admits_to_budget_and_releases_on_drop() {
-        let sys = tiny_system(1);
-        let gate = AdmissionGate::new(
-            AdmissionConfig {
-                max_concurrent: 2,
-                queue_deadline: Some(Duration::ZERO),
-                policy: ShedPolicy::Reject,
-            },
-            Arc::clone(sys.health()),
-        );
-        let a = gate.admit().expect("slot 1");
-        let b = gate.admit().expect("slot 2");
-        assert_eq!(gate.running(), 2);
-        assert!(!a.serial() && !b.serial());
-        let err = gate.admit().expect_err("over budget");
-        assert_eq!(err.reason, AbortReason::Shed);
-        assert_eq!(err.items_done, 0);
-        drop(a);
-        assert_eq!(gate.running(), 1);
-        let c = gate.admit().expect("slot freed by drop");
-        drop((b, c));
-        assert_eq!(gate.running(), 0);
-        assert_eq!(sys.health().counters().jobs_shed, 1);
-    }
-
-    #[test]
-    fn serial_fallback_policy_sheds_to_one_thread() {
-        let sys = tiny_system(1);
-        let gate = AdmissionGate::new(
-            AdmissionConfig {
-                max_concurrent: 1,
-                queue_deadline: Some(Duration::ZERO),
-                policy: ShedPolicy::SerialFallback,
-            },
-            Arc::clone(sys.health()),
-        );
-        let a = gate.admit().expect("budgeted slot");
-        let b = gate.admit().expect("serial fallback never errors");
-        assert!(!a.serial());
-        assert!(b.serial(), "over-budget permit must route serial");
-        // The serial permit is outside the budget: releasing it does not
-        // free the budgeted slot.
-        assert_eq!(gate.running(), 1);
-        drop(b);
-        assert_eq!(gate.running(), 1);
-        drop(a);
-        assert_eq!(gate.running(), 0);
-        assert_eq!(sys.health().counters().jobs_shed, 1);
-    }
-
-    #[test]
-    fn queued_job_admits_when_a_slot_frees_in_time() {
-        let sys = tiny_system(1);
-        let gate = AdmissionGate::new(
-            AdmissionConfig {
-                max_concurrent: 1,
-                queue_deadline: Some(Duration::from_secs(10)),
-                policy: ShedPolicy::Reject,
-            },
-            Arc::clone(sys.health()),
-        );
-        let a = gate.admit().expect("first");
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| gate.admit());
-            std::thread::sleep(Duration::from_millis(5));
-            drop(a);
-            let b = waiter
-                .join()
-                .expect("no panic")
-                .expect("queued job must admit once the slot frees");
-            assert!(!b.serial());
-        });
-        assert_eq!(sys.health().counters().jobs_shed, 0);
     }
 }

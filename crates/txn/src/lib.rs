@@ -18,8 +18,8 @@
 //! * [`pad`] — `CachePadded`, a cache-line pair per hot shared atomic.
 //! * [`health`] — runtime health: one board per system with a heartbeat
 //!   slot per worker thread and one job-state word (stop reason and
-//!   escalation rung), the watchdog that climbs the rungs, job deadlines
-//!   and the admission gate.
+//!   escalation rung), the watchdog that climbs the rungs, and job
+//!   deadlines.
 //! * Scheduler traits ([`GraphScheduler`], [`TxnWorker`], [`TxnOps`]) —
 //!   every scheduler (including TuFast itself, in the `tufast` crate) runs
 //!   the *same* transaction bodies, so throughput comparisons are
@@ -30,8 +30,9 @@
 //!   user aborts, panics and health stops.
 //! * [`rmode`] — the R-mode snapshot-read fast path: declared-pure bodies
 //!   ([`TxnHint::read_only`]) read a pinned epoch of the version clock with
-//!   no locks, no read-set logging and no hardware transaction, on every
-//!   scheduler.
+//!   no locks, no read-set logging and no hardware transaction. It is a
+//!   prologue of every read/write scheduler ([`read_only_prologue`]), not
+//!   a scheduler of its own.
 //! * Baselines: [`TwoPhaseLocking`], [`Occ`] (Silo-like),
 //!   [`TimestampOrdering`], [`SoftwareTm`] (TinySTM-like),
 //!   [`HSyncLike`] (HTM + global-fallback hybrid), and
@@ -63,9 +64,8 @@ pub use faults::{
     InjectedCrash, CRASH_ANY_WORKER,
 };
 pub use health::{
-    AbortReason, AdmissionConfig, AdmissionGate, AdmitPermit, CancelToken, HealthBoard,
-    HealthCounters, HealthHandle, HeartbeatView, JobAborted, JobDeadline, Rung, ShedPolicy,
-    Watchdog, WatchdogConfig, WatchdogReport,
+    AbortReason, CancelToken, HealthBoard, HealthCounters, HealthHandle, HeartbeatView, JobAborted,
+    JobDeadline, Rung, Watchdog, WatchdogConfig, WatchdogReport,
 };
 pub use hsync::HSyncLike;
 pub use hto::HTimestampOrdering;
@@ -73,7 +73,7 @@ pub use lifecycle::{hardware_attempt, HtmBodyOps, Lifecycle, RungEnd, Verdict};
 pub use locks::{LockWord, VertexLocks};
 pub use obs::{ObsHandle, TxnObserver};
 pub use occ::Occ;
-pub use rmode::{read_only_prologue, RWorker, ReadMode, R_DEMOTE_ATTEMPTS};
+pub use rmode::{read_only_prologue, R_DEMOTE_ATTEMPTS};
 pub use stm::SoftwareTm;
 pub use system::{SerialHold, SystemConfig, TxnSystem};
 pub use to::TimestampOrdering;

@@ -62,22 +62,18 @@
 //! (which *is* the version) is `≤ snap`, which keeps the `tufast-check`
 //! DSG edges pointed forward.
 //!
-//! Declared purity is enforced three ways: statically by `tufast-lint`'s
-//! `read-purity` rule, at runtime by demotion (a body that calls
+//! R mode has one entry point, [`read_only_prologue`], which every
+//! read/write scheduler runs first under a `read_only` hint. Declared
+//! purity is enforced two ways: statically by `tufast-lint`'s
+//! `read-purity` rule, and at runtime by demotion (a body that calls
 //! [`TxnOps::write`] under a `read_only` hint aborts the R attempt and
-//! re-runs on the scheduler's ordinary path), and loudly by the standalone
-//! [`ReadMode`] scheduler, which has no ordinary path and panics instead.
-
-use std::sync::Arc;
+//! re-runs on the scheduler's ordinary path).
 
 use tufast_htm::Addr;
 
-use crate::health::HealthHandle;
 use crate::lifecycle::{Lifecycle, RungEnd, Verdict};
 use crate::system::TxnSystem;
-use crate::traits::{
-    GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome, TxnWorker,
-};
+use crate::traits::{TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome};
 use crate::VertexId;
 
 /// Bounded spins per read while a writer is visibly mid-commit (the line
@@ -85,9 +81,9 @@ use crate::VertexId;
 /// re-pins its snapshot.
 const R_READ_SPINS: u32 = 128;
 
-/// Attempt budget when the R path runs as a fast path inside a read/write
-/// scheduler: a reader starved by a write storm demotes to the host
-/// scheduler's ordinary (lock-based) path, which owns a liveness ladder.
+/// Attempt budget of the R path: a reader starved by a write storm demotes
+/// to the host scheduler's ordinary (lock-based) path, which owns a
+/// liveness ladder.
 pub const R_DEMOTE_ATTEMPTS: u32 = 64;
 
 /// [`TxnOps`] for one R-mode attempt: validated snapshot reads, and a
@@ -141,22 +137,16 @@ impl TxnOps for ROps<'_> {
     }
 }
 
-/// Run `body` on the snapshot-read path: one rung of at most `budget`
-/// pins. `Exhausted` means the body must re-run on the host scheduler's
-/// ordinary path — it called [`TxnOps::write`] despite the `read_only`
-/// declaration, or used up its re-pins under writer churn. Shared by every
-/// scheduler's [`TxnWorker::execute_hinted`] `read_only` prologue and by
-/// the standalone [`ReadMode`] scheduler.
+/// Run `body` on the snapshot-read path: one rung of at most
+/// [`R_DEMOTE_ATTEMPTS`] pins. `Exhausted` means the body must re-run on
+/// the host scheduler's ordinary path — it called [`TxnOps::write`]
+/// despite the `read_only` declaration, or used up its re-pins under
+/// writer churn.
 ///
 /// Holds nothing, ever: every exit (including panic re-raise) leaves no
 /// lock, token, or hardware transaction behind.
-fn run_read_only(
-    lc: &mut Lifecycle,
-    budget: u32,
-    attempts: &mut u32,
-    body: &mut TxnBody<'_>,
-) -> RungEnd {
-    Lifecycle::rung(lc, budget, attempts, |lc, obs| {
+fn run_read_only(lc: &mut Lifecycle, attempts: &mut u32, body: &mut TxnBody<'_>) -> RungEnd {
+    Lifecycle::rung(lc, R_DEMOTE_ATTEMPTS, attempts, |lc, obs| {
         let mut ops = ROps {
             sys: &lc.sys,
             snap: lc.sys.read_snapshot(),
@@ -187,8 +177,7 @@ fn run_read_only(
 }
 
 /// The shared `read_only` prologue for every read/write scheduler's
-/// [`TxnWorker::execute_hinted`]: try the R-mode fast path first, with the
-/// standard demotion budget.
+/// [`crate::TxnWorker::execute_hinted`]: try the R-mode fast path first.
 ///
 /// `Ok(outcome)` means the R path finished the transaction (committed,
 /// user-aborted, or health-stopped) — return it as-is. `Err(attempts)`
@@ -205,80 +194,17 @@ pub fn read_only_prologue(
         return Err(0);
     }
     let mut attempts = 0;
-    run_read_only(lc, R_DEMOTE_ATTEMPTS, &mut attempts, body)
+    run_read_only(lc, &mut attempts, body)
         .settled(attempts)
         .ok_or(attempts)
-}
-
-/// The standalone R-mode scheduler: every transaction runs on the
-/// snapshot-read path, whatever its hint says.
-///
-/// Useful for dedicated read-serving threads over a graph other schedulers
-/// mutate. Bodies must be pure — a [`TxnOps::write`] panics (there is no
-/// ordinary path to demote to); route mixed workloads through a
-/// read/write scheduler with [`TxnHint::read_only`] instead.
-pub struct ReadMode {
-    sys: Arc<TxnSystem>,
-}
-
-impl ReadMode {
-    /// Create the scheduler over a shared system.
-    pub fn new(sys: Arc<TxnSystem>) -> Self {
-        ReadMode { sys }
-    }
-}
-
-impl GraphScheduler for ReadMode {
-    type Worker = RWorker;
-
-    fn worker(&self) -> RWorker {
-        RWorker {
-            lc: Lifecycle::new(&self.sys, self.sys.new_worker_id()),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "R"
-    }
-}
-
-/// Per-thread R-mode execution: see [`ReadMode`].
-pub struct RWorker {
-    lc: Lifecycle,
-}
-
-impl TxnWorker for RWorker {
-    fn execute_hinted(&mut self, _hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        // No demotion budget: a pure reader under writer churn keeps
-        // re-pinning (with backoff) — it can never deadlock anyone.
-        let mut attempts = 0;
-        let end = run_read_only(&mut self.lc, u32::MAX, &mut attempts, body);
-        assert!(
-            end != RungEnd::Exhausted,
-            "transaction body wrote under the standalone R-mode scheduler; \
-             declared-pure bodies must not call TxnOps::write — use a \
-             read/write scheduler with TxnHint::read_only for mixed bodies"
-        );
-        end.outcome(attempts)
-    }
-
-    fn stats(&self) -> &SchedStats {
-        &self.lc.stats
-    }
-
-    fn take_stats(&mut self) -> SchedStats {
-        std::mem::take(&mut self.lc.stats)
-    }
-
-    fn health(&self) -> Option<&HealthHandle> {
-        Some(&self.lc.health)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tpl::TwoPhaseLocking;
+    use crate::traits::{GraphScheduler, TxnWorker};
+    use std::sync::Arc;
     use tufast_htm::MemoryLayout;
 
     fn setup(n: usize) -> (Arc<TxnSystem>, tufast_htm::MemRegion) {
@@ -294,7 +220,7 @@ mod tests {
         for i in 0..4 {
             sys.mem().store_direct(data.addr(i), 10 + i);
         }
-        let sched = ReadMode::new(Arc::clone(&sys));
+        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
         let mut w = sched.worker();
         let mut sum = 0;
         let out = w.execute_hinted(TxnHint::read_only(8), &mut |ops| {
@@ -312,50 +238,6 @@ mod tests {
         assert_eq!(s.r_commits, 1);
         assert_eq!(s.r_retries, 0);
         assert_eq!(s.reads, 4);
-    }
-
-    #[test]
-    fn pure_reads_take_no_locks_and_never_tick_the_clock() {
-        let (sys, data) = setup(2);
-        sys.mem().store_direct(data.addr(0), 77);
-        let sched = ReadMode::new(Arc::clone(&sys));
-        let mut w = sched.worker();
-        let clock_before = sys.mem().clock_now_pub();
-        let lock_words: Vec<u64> = (0..2)
-            .map(|v| sys.mem().load_direct(sys.locks().addr(v)))
-            .collect();
-        for _ in 0..100 {
-            let out = w.execute_hinted(TxnHint::read_only(4), &mut |ops| {
-                ops.read(0, data.addr(0))?;
-                ops.read(1, data.addr(1))?;
-                Ok(())
-            });
-            assert!(out.committed);
-        }
-        // Every lock acquisition, direct store, and HTM commit ticks the
-        // global clock; an unchanged clock proves 100 pure-read
-        // transactions acquired nothing and wrote nothing.
-        assert_eq!(sys.mem().clock_now_pub(), clock_before);
-        for v in 0..2u32 {
-            assert_eq!(
-                sys.mem().load_direct(sys.locks().addr(v)),
-                lock_words[v as usize],
-                "vertex {v} lock word moved under a pure reader"
-            );
-        }
-        assert_eq!(w.take_stats().r_commits, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "declared-pure bodies must not call TxnOps::write")]
-    fn standalone_r_worker_rejects_writes() {
-        let (sys, data) = setup(1);
-        let sched = ReadMode::new(Arc::clone(&sys));
-        let mut w = sched.worker();
-        let _ = w.execute_hinted(TxnHint::read_only(2), &mut |ops| {
-            ops.write(0, data.addr(0), 1)?;
-            Ok(())
-        });
     }
 
     #[test]
@@ -387,7 +269,7 @@ mod tests {
         let (sys, data) = setup(2);
         sys.mem().store_direct(data.addr(0), 1);
         sys.mem().store_direct(data.addr(1), 1);
-        let sched = ReadMode::new(Arc::clone(&sys));
+        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
         let mut w = sched.worker();
         let mut poked = false;
         let mut seen = (0, 0);
@@ -449,7 +331,7 @@ mod tests {
         // exercises its re-stamp and the line seqlock.
         let (sys, data) = setup(16);
         let tpl = TwoPhaseLocking::new(Arc::clone(&sys));
-        let rmode = ReadMode::new(Arc::clone(&sys));
+        let readers = TwoPhaseLocking::new(Arc::clone(&sys));
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -468,7 +350,7 @@ mod tests {
             });
             for _ in 0..2 {
                 s.spawn(|| {
-                    let mut r = rmode.worker();
+                    let mut r = readers.worker();
                     // At least one full pass even if the writer already
                     // finished, so `r_commits > 0` holds below.
                     loop {

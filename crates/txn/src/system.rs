@@ -214,12 +214,6 @@ impl TxnSystem {
         self.htm.memory()
     }
 
-    /// The shared memory as an `Arc` (for spawned threads).
-    #[inline]
-    pub fn mem_arc(&self) -> Arc<TxMemory> {
-        Arc::clone(self.htm.memory())
-    }
-
     /// The emulated-HTM runtime.
     #[inline]
     pub fn htm(&self) -> &HtmRuntime {

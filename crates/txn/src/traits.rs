@@ -151,8 +151,8 @@ tufast_htm::counters! {
         /// cleanly before the panic was re-raised).
         pub panics: u64,
         /// Transactions abandoned at an attempt boundary because the job's
-        /// [`CancelToken`](crate::health::CancelToken) was stopped (cancel,
-        /// deadline, or shed). Each is a clean rollback: no locks held, no
+        /// [`CancelToken`](crate::health::CancelToken) was stopped (cancel
+        /// or deadline). Each is a clean rollback: no locks held, no
         /// hardware transaction open.
         pub health_stops: u64,
         /// Declared-pure transactions committed on the R-mode snapshot-read

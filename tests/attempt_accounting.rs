@@ -1,4 +1,4 @@
-//! One attempt lifecycle, eight workers: whatever the scheduler, every body
+//! One attempt lifecycle, seven workers: whatever the scheduler, every body
 //! execution ends as exactly one commit, user abort or restart, so
 //! `commits + user_aborts == transactions` and
 //! `restarts == attempts − transactions` with `attempts` summed from the
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use tufast_suite::htm::{Addr, MemoryLayout};
 use tufast_suite::tufast::TuFast;
 use tufast_suite::txn::{
-    GraphScheduler, HSyncLike, HTimestampOrdering, Occ, ReadMode, Rung, SchedStats, SoftwareTm,
+    GraphScheduler, HSyncLike, HTimestampOrdering, Occ, Rung, SchedStats, SoftwareTm,
     TimestampOrdering, TwoPhaseLocking, TxnHint, TxnSystem, TxnWorker,
 };
 
@@ -24,10 +24,8 @@ const TXNS: u64 = 300;
 /// A size hint beyond TuFast's O-mode reach: straight to its L rung.
 const L_HINT: usize = 1_000_000;
 
-/// Run the table's body on `THREADS` workers of `sched`, hinted `size`;
-/// `pure` bodies only read (the stand-alone R scheduler has no path for a
-/// write).
-fn account<S: GraphScheduler>(sched: &S, sys: &TxnSystem, counter: Addr, size: usize, pure: bool) {
+/// Run the table's body on `THREADS` workers of `sched`, hinted `size`.
+fn account<S: GraphScheduler>(sched: &S, sys: &TxnSystem, counter: Addr, size: usize) {
     let before = sys.mem().load_direct(counter);
     let (mut stats, mut attempts) = (SchedStats::default(), 0u64);
     std::thread::scope(|s| {
@@ -37,16 +35,14 @@ fn account<S: GraphScheduler>(sched: &S, sys: &TxnSystem, counter: Addr, size: u
                     let mut w = sched.worker();
                     let mut attempts = 0u64;
                     for i in 0..TXNS {
-                        let hint = if pure || i % 5 == 0 {
+                        let hint = if i % 5 == 0 {
                             TxnHint::read_only(size)
                         } else {
                             TxnHint::sized(size)
                         };
                         let out = w.execute_hinted(hint, &mut |ops| {
                             let x = ops.read(0, counter)?;
-                            if !pure {
-                                ops.write(0, counter, x + 1)?;
-                            }
+                            ops.write(0, counter, x + 1)?;
                             if i % 7 == 0 {
                                 return Err(ops.user_abort());
                             }
@@ -70,14 +66,12 @@ fn account<S: GraphScheduler>(sched: &S, sys: &TxnSystem, counter: Addr, size: u
     assert_eq!(stats.commits + stats.user_aborts, txns, "{name}");
     assert_eq!(stats.restarts, attempts - txns, "{name}");
     assert_eq!((stats.panics, stats.health_stops), (0, 0), "{name}");
-    if !pure {
-        let added = sys.mem().load_direct(counter) - before;
-        assert_eq!(added, stats.commits, "{name}");
-        assert!(
-            stats.restarts >= txns / 5,
-            "{name}: every demotion restarts"
-        );
-    }
+    let added = sys.mem().load_direct(counter) - before;
+    assert_eq!(added, stats.commits, "{name}");
+    assert!(
+        stats.restarts >= txns / 5,
+        "{name}: every demotion restarts"
+    );
 }
 
 #[test]
@@ -87,16 +81,14 @@ fn every_scheduler_accounts_each_attempt_exactly_once() {
     let sys = TxnSystem::with_defaults(1, layout);
     let counter = data.addr(0);
     let s = || Arc::clone(&sys);
-    account(&TwoPhaseLocking::new(s()), &sys, counter, 2, false);
-    account(&Occ::new(s()), &sys, counter, 2, false);
-    account(&TimestampOrdering::new(s()), &sys, counter, 2, false);
-    account(&HTimestampOrdering::new(s()), &sys, counter, 2, false);
-    account(&SoftwareTm::with_penalty(s(), 0), &sys, counter, 2, false);
-    account(&HSyncLike::new(s()), &sys, counter, 2, false);
-    account(&TuFast::new(s()), &sys, counter, 2, false);
-    account(&TuFast::new(s()), &sys, counter, L_HINT, false);
+    account(&TwoPhaseLocking::new(s()), &sys, counter, 2);
+    account(&Occ::new(s()), &sys, counter, 2);
+    account(&TimestampOrdering::new(s()), &sys, counter, 2);
+    account(&HTimestampOrdering::new(s()), &sys, counter, 2);
+    account(&SoftwareTm::with_penalty(s(), 0), &sys, counter, 2);
+    account(&HSyncLike::new(s()), &sys, counter, 2);
+    account(&TuFast::new(s()), &sys, counter, 2);
+    account(&TuFast::new(s()), &sys, counter, L_HINT);
     sys.health().escalate(Rung::Serial);
-    account(&TuFast::new(s()), &sys, counter, 2, false);
-    sys.begin_job(None);
-    account(&ReadMode::new(s()), &sys, counter, 2, true);
+    account(&TuFast::new(s()), &sys, counter, 2);
 }

@@ -164,6 +164,19 @@ mod tests {
         );
     }
 
+    #[test]
+    fn one_system_runs_more_jobs_than_it_has_worker_ids() {
+        // Each job makes its worker and drops it: 1 000 jobs, 512 ids.
+        let g = gen::grid2d(8, 8);
+        let expected = sequential(&g, 0);
+        let built = crate::setup(&g, BfsSpace::alloc);
+        let tufast = TuFast::new(Arc::clone(&built.sys));
+        for job in 0..1_000 {
+            let got = parallel(&g, &tufast, &built.sys, &built.space, 0, 1);
+            assert_eq!(got, expected, "job {job}");
+        }
+    }
+
     fn check_parallel_matches_sequential(g: &Graph, source: VertexId) {
         let expected = sequential(g, source);
         let built = crate::setup(g, BfsSpace::alloc);

@@ -306,7 +306,7 @@ pub(crate) mod tests {
         sys: &Arc<TxnSystem>,
         body: &mut tufast_txn::TxnBody<'_>,
     ) -> HAttempt {
-        let mut lc = Lifecycle::new(sys, 0);
+        let mut lc = Lifecycle::new(sys);
         super::attempt(
             ctx,
             &mut lc,
@@ -404,7 +404,7 @@ pub(crate) mod tests {
     fn a_write_on_a_word_loaded_before_a_foreign_commit_never_commits() {
         let (sys, data) = setup(2, 16);
         let mut ctx = sys.htm_ctx();
-        let mut lc = Lifecycle::new(&sys, 0);
+        let mut lc = Lifecycle::new(&sys);
         // One table across both attempts: the retry must not reuse the
         // stale word the first one loaded.
         let mut vertices = IdTable::default();

@@ -45,17 +45,17 @@ impl GraphScheduler for TuFast {
     type Worker = TuFastWorker;
 
     fn worker(&self) -> TuFastWorker {
-        let me = self.sys.new_worker_id();
+        let lc = Lifecycle::new(&self.sys);
         // A bigger footprint than the HTM holds is bound to capacity-abort.
         let h_reach = self.sys.htm().capacity_words();
         TuFastWorker {
-            lc: Lifecycle::new(&self.sys, me),
             h_skip_streak: 0,
             monitor: ContentionMonitor::new(MIN_PERIOD, MAX_PERIOD),
             l: TplAttempt::default(),
             vertices: IdTable::default(),
             ctx: self.sys.htm_ctx(),
-            o_scratch: OScratch::new(me),
+            o_scratch: OScratch::new(lc.id),
+            lc,
             period_cap: MAX_PERIOD,
             h_reach,
             h_hint_cap: h_reach,

@@ -118,6 +118,26 @@ impl HtmConfig {
         );
     }
 
+    /// The geometry no footprint over a memory of `lines` lines can
+    /// overflow: every set has a way for each line that maps to it. The
+    /// sets are the fewest (a power of two) whose ways fit
+    /// [`L1Model`](crate::L1Model)'s per-set count. A software TM's
+    /// context runs on it
+    /// ([`HtmRuntime::software_ctx`](crate::HtmRuntime::software_ctx)).
+    // Inline: emitted here, it moved the codegen units and `HtmCtx::read`
+    // lost an inlining (EXPERIMENTS.md, "STM on a software context").
+    #[inline]
+    pub fn unbounded(lines: usize) -> Self {
+        let sets = lines.div_ceil(usize::from(u16::MAX)).next_power_of_two();
+        let ways = lines.div_ceil(sets).max(1);
+        HtmConfig {
+            l1_bytes: sets * ways * 64,
+            associativity: ways,
+            reserved_ways: 0,
+            ..HtmConfig::default()
+        }
+    }
+
     /// A tiny cache geometry (1 KB, 2-way) that makes capacity aborts easy to
     /// trigger in unit tests.
     pub fn tiny_for_tests() -> Self {
@@ -164,6 +184,19 @@ mod tests {
         c.validate();
         assert_eq!(c.num_sets(), 8);
         assert_eq!(c.max_lines(), 16);
+    }
+
+    #[test]
+    fn an_unbounded_geometry_holds_every_line_of_its_memory() {
+        for lines in [0, 1, 65_535, 65_536, 10_000_000] {
+            let c = HtmConfig::unbounded(lines);
+            c.validate();
+            // Every line at once: no set receives more than it has ways.
+            let mut l1 = crate::L1Model::new(&c);
+            for line in 0..lines as u64 {
+                assert!(l1.touch_new_line(line), "line {line} of {lines}");
+            }
+        }
     }
 
     #[test]

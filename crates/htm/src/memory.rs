@@ -284,8 +284,8 @@ impl TxMemory {
 
     /// Observe a line's versioned-lock state.
     ///
-    /// Advanced API for software TM protocols layered over this memory
-    /// (see `tufast-txn`'s TinySTM-like scheduler); normal users go through
+    /// Advanced API for protocols layered over this memory (see
+    /// `tufast-txn`'s committed reads); normal users go through
     /// [`HtmCtx`](crate::HtmCtx) or the `*_direct` methods.
     #[inline]
     pub fn line_state(&self, line: u64) -> LineState {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::config::{AbortSource, HtmConfig};
 use crate::ctx::HtmCtx;
-use crate::memory::{MemoryLayout, TxMemory};
+use crate::memory::{MemoryLayout, TxMemory, WORDS_PER_LINE};
 use crate::meta;
 
 /// Shared entry point to the emulated HTM.
@@ -43,7 +43,7 @@ impl HtmRuntime {
     /// Create a new per-thread transaction context.
     ///
     /// # Panics
-    /// After `meta::MAX_OWNER - 1` contexts (32 766) have been created.
+    /// After 32 765 contexts (of both kinds) have been created.
     pub fn ctx(&self) -> HtmCtx {
         self.ctx_with_source(self.config.abort_source.clone())
     }
@@ -51,15 +51,29 @@ impl HtmRuntime {
     /// [`ctx`](Self::ctx), consulting `source` instead of the config's
     /// abort source.
     pub fn ctx_with_source(&self, source: Option<AbortSource>) -> HtmCtx {
+        self.new_ctx(&self.config, source, Arc::clone(&self.available))
+    }
+
+    /// A context for a software TM: the same TL2 on the geometry
+    /// [`HtmConfig::unbounded`] derives from this memory, so it never
+    /// capacity-aborts. No abort source reaches it, and its availability
+    /// flag is its own, never cleared by
+    /// [`set_htm_available`](Self::set_htm_available).
+    pub fn software_ctx(&self) -> HtmCtx {
+        let lines = self.mem.len().div_ceil(WORDS_PER_LINE);
+        let available = Arc::new(AtomicBool::new(true));
+        self.new_ctx(&HtmConfig::unbounded(lines), None, available)
+    }
+
+    fn new_ctx(
+        &self,
+        config: &HtmConfig,
+        source: Option<AbortSource>,
+        available: Arc<AtomicBool>,
+    ) -> HtmCtx {
         let id = self.next_ctx.fetch_add(1, Ordering::Relaxed);
         assert!(id < meta::MAX_OWNER - 1, "HTM context ids exhausted");
-        HtmCtx::new(
-            Arc::clone(&self.mem),
-            &self.config,
-            source,
-            id,
-            Arc::clone(&self.available),
-        )
+        HtmCtx::new(Arc::clone(&self.mem), config, source, id, available)
     }
 
     /// Switch emulated HTM support on or off at runtime.

@@ -9,7 +9,7 @@ use std::collections::{HashMap, HashSet};
 
 use tufast_htm::{
     AbortCode, Addr, Footprint, HtmConfig, HtmCtx, HtmRuntime, HtmStats, IdTable, LineBatch,
-    LineState, MemoryLayout, TxMemory, WordMap, DIRECT_OWNER,
+    LineState, MemoryLayout, TxMemory, WordMap, DIRECT_OWNER, WORDS_PER_LINE,
 };
 
 /// Run one generation of map operations against the model, then compare the
@@ -506,21 +506,22 @@ proptest! {
     /// The emulator against the reference, op by op: small transactions
     /// with one hub-sized one in between (so every table has grown before
     /// the small ones that follow), under the tiny geometry — capacity
-    /// aborts after a handful of lines — and the default one.
+    /// aborts after a handful of lines — the default one, and the
+    /// software TM's, which holds every line of the memory.
     #[test]
     fn htm_ctx_matches_the_std_reference(
         small in prop::collection::vec(
             prop::collection::vec((0u8..8, 0u64..4096, 0u64..1000), 1..40), 4..40),
         hub in prop::collection::vec((0u8..7, 0u64..8192, 0u64..1000), 300..1200),
         hub_at in 0usize..4,
-        tiny in any::<bool>(),
+        geometry in 0u8..3,
     ) {
         let mut txns = small;
         txns.insert(hub_at, hub);
-        let (config, words) = if tiny {
-            (HtmConfig::tiny_for_tests(), 192)
-        } else {
-            (HtmConfig::default(), 8192)
+        let (config, words) = match geometry {
+            0 => (HtmConfig::tiny_for_tests(), 192),
+            1 => (HtmConfig::default(), 8192),
+            _ => (HtmConfig::unbounded(8192 / WORDS_PER_LINE), 8192),
         };
         htm_lockstep(config, words, &txns);
     }

@@ -69,11 +69,6 @@ impl WaitForTable {
         }
     }
 
-    /// Number of workers the table covers.
-    pub fn capacity(&self) -> usize {
-        self.waits.len()
-    }
-
     /// Record that `me` waits for `holder` and check for a cycle. Returns
     /// `true` if blocking would close a cycle and `me` must become the
     /// victim (its edge is already cleared); `false` means keep waiting —

@@ -239,7 +239,7 @@ impl HealthBoard {
         }
     }
 
-    /// `worker`'s slot. Worker ids are bounded by
+    /// `worker`'s slot. Live worker ids are bounded by
     /// `SystemConfig::max_workers` (enforced in `new_worker_id`), which
     /// sizes this board: an id past it is a bug, not a slot to share.
     #[inline]
@@ -427,10 +427,14 @@ pub struct HealthHandle {
 }
 
 impl HealthHandle {
-    /// A handle writing into `worker`'s slot on `board`.
+    /// A handle writing into `worker`'s slot on `board`, which reads as
+    /// fresh (never beaten, not idle) also after an earlier worker's use.
     pub fn attached(board: Arc<HealthBoard>, worker: u32) -> Self {
         // Checked here, so the drop's slot access cannot panic.
         assert!((worker as usize) < board.capacity(), "no slot {worker}");
+        let slot = board.slot(worker);
+        slot.beat.store(0, Ordering::Relaxed);
+        slot.idle.store(false, Ordering::Relaxed);
         HealthHandle {
             board,
             worker,

@@ -24,7 +24,7 @@ use tufast_htm::{AbortCode, Addr, HtmCtx, LineBatch, WordMap};
 
 use crate::commit::{relax, release_at_ticket};
 use crate::health::HealthHandle;
-use crate::lifecycle::{hardware_attempt, HtmBodyOps, Lifecycle, Verdict};
+use crate::lifecycle::{hardware_attempt, HtmOps, Lifecycle, Verdict};
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{
@@ -55,10 +55,9 @@ impl GraphScheduler for HSyncLike {
     type Worker = HSyncWorker;
 
     fn worker(&self) -> HSyncWorker {
-        let ctx = self.sys.htm_ctx();
         HSyncWorker {
-            lc: Lifecycle::new(&self.sys, ctx.id()),
-            ctx,
+            lc: Lifecycle::new(&self.sys),
+            ctx: self.sys.htm_ctx(),
             retries: self.retries,
             buffered: WordMap::with_capacity(32),
             batch: LineBatch::with_capacity(32),
@@ -72,7 +71,6 @@ impl GraphScheduler for HSyncLike {
 
 /// Per-thread HSync state.
 pub struct HSyncWorker {
-    /// `lc.id` is the hardware context's id.
     lc: Lifecycle,
     ctx: HtmCtx,
     retries: u32,
@@ -87,50 +85,6 @@ impl AsMut<Lifecycle> for HSyncWorker {
     #[inline]
     fn as_mut(&mut self) -> &mut Lifecycle {
         &mut self.lc
-    }
-}
-
-/// Speculative ops: everything inside one HTM transaction.
-struct HtmOps<'a> {
-    ctx: &'a mut HtmCtx,
-    stats: &'a mut SchedStats,
-    last_abort: Option<AbortCode>,
-}
-
-// tufast-lint: htm-scope
-impl TxnOps for HtmOps<'_> {
-    fn read(&mut self, _v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        self.stats.reads += 1;
-        if !self.ctx.in_tx() {
-            // The body kept calling ops after an abort it failed to
-            // propagate; keep signalling restart.
-            return Err(TxInterrupt::Restart);
-        }
-        self.ctx.read(addr).map_err(|code| {
-            self.last_abort = Some(code);
-            TxInterrupt::Restart
-        })
-    }
-
-    fn write(&mut self, _v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
-        self.stats.writes += 1;
-        if !self.ctx.in_tx() {
-            return Err(TxInterrupt::Restart);
-        }
-        self.ctx.write(addr, val).map_err(|code| {
-            self.last_abort = Some(code);
-            TxInterrupt::Restart
-        })
-    }
-}
-
-impl HtmBodyOps for HtmOps<'_> {
-    fn ctx(&mut self) -> &mut HtmCtx {
-        self.ctx
-    }
-
-    fn last_abort(&self) -> Option<AbortCode> {
-        self.last_abort
     }
 }
 
@@ -189,6 +143,7 @@ impl HSyncWorker {
         let mut ops = HtmOps {
             ctx: &mut self.ctx,
             stats: &mut self.lc.stats,
+            penalty_spins: 0,
             last_abort: None,
         };
         match subscribed.and_then(|()| hardware_attempt(&mut ops, self.lc.id, 0xF0, body, obs)) {

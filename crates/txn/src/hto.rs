@@ -49,12 +49,12 @@ impl GraphScheduler for HTimestampOrdering {
     type Worker = HtoWorker;
 
     fn worker(&self) -> HtoWorker {
-        let id = self.sys.new_worker_id();
+        let lc = Lifecycle::new(&self.sys);
         HtoWorker {
-            lc: Lifecycle::new(&self.sys, id),
             ts: 0,
             ctx: self.sys.htm_ctx(),
-            writes: WriteSet::new(id),
+            writes: WriteSet::new(lc.id),
+            lc,
         }
     }
 

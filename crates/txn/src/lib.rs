@@ -34,9 +34,9 @@
 //!   prologue of every read/write scheduler ([`read_only_prologue`]), not
 //!   a scheduler of its own.
 //! * Baselines: [`TwoPhaseLocking`], [`Occ`] (Silo-like),
-//!   [`TimestampOrdering`], [`SoftwareTm`] (TinySTM-like),
-//!   [`HSyncLike`] (HTM + global-fallback hybrid), and
-//!   [`HTimestampOrdering`] (HTM-accelerated TO).
+//!   [`TimestampOrdering`], [`SoftwareTm`] (TinySTM-like: the emulated
+//!   HTM on a software context), [`HSyncLike`] (HTM + global-fallback
+//!   hybrid), and [`HTimestampOrdering`] (HTM-accelerated TO).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

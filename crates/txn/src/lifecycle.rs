@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use tufast_htm::{AbortCode, HtmCtx};
+use tufast_htm::{AbortCode, Addr, HtmCtx};
 
 use crate::commit::relax;
 use crate::faults::FaultHandle;
@@ -18,6 +18,7 @@ use crate::health::HealthHandle;
 use crate::obs::ObsHandle;
 use crate::system::TxnSystem;
 use crate::traits::{backoff, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome};
+use crate::VertexId;
 
 /// How one attempt ended, as the attempt's own closure reports it: by then
 /// it has rolled its protocol back (or published at its ticket).
@@ -95,7 +96,8 @@ impl RungEnd {
 /// boundary touches. Every scheduler worker owns one and lends it to
 /// [`Lifecycle::rung`] through `AsMut`.
 pub struct Lifecycle {
-    /// The worker id (lock owner, wait-table slot and heartbeat slot).
+    /// The worker id (lock owner, wait-table slot and heartbeat slot),
+    /// leased from the system for the worker's life.
     pub id: u32,
     /// The shared system.
     pub sys: Arc<TxnSystem>,
@@ -108,6 +110,17 @@ pub struct Lifecycle {
     pub faults: FaultHandle,
     /// The worker's observer, as installed when the worker was created.
     pub obs: ObsHandle,
+    /// Gives `id` back; the last field, so `health` has parked the slot.
+    _lease: IdLease,
+}
+
+/// A leased worker id ([`TxnSystem::new_worker_id`]), given back on drop.
+struct IdLease(Arc<TxnSystem>, u32);
+
+impl Drop for IdLease {
+    fn drop(&mut self) {
+        self.0.release_worker_id(self.1);
+    }
 }
 
 impl AsMut<Lifecycle> for Lifecycle {
@@ -118,10 +131,12 @@ impl AsMut<Lifecycle> for Lifecycle {
 }
 
 impl Lifecycle {
-    /// The lifecycle of worker `id` on `sys`. It takes the system's
+    /// The lifecycle of a new worker on `sys`, under the lowest free
+    /// worker id; dropping it gives the id back. It takes the system's
     /// fault plan and observer as they are installed now: a hook
     /// installed later reaches only workers created later.
-    pub fn new(sys: &Arc<TxnSystem>, id: u32) -> Lifecycle {
+    pub fn new(sys: &Arc<TxnSystem>) -> Lifecycle {
+        let id = sys.new_worker_id();
         Lifecycle {
             id,
             sys: Arc::clone(sys),
@@ -129,6 +144,7 @@ impl Lifecycle {
             health: sys.health_handle(id),
             faults: sys.fault_handle(id),
             obs: ObsHandle::attached(sys.observer()),
+            _lease: IdLease(Arc::clone(sys), id),
         }
     }
 
@@ -236,7 +252,7 @@ impl Lifecycle {
     }
 }
 
-/// What a buffered-write scheduler (OCC, TO, H-TO, STM) supplies to
+/// What a buffered-write scheduler (OCC, TO, H-TO) supplies to
 /// [`execute_buffered`]: its reads and writes, and these two steps.
 pub(crate) trait Buffered: TxnOps + AsMut<Lifecycle> {
     /// Drop the previous attempt's buffers and start a fresh attempt.
@@ -275,12 +291,67 @@ pub(crate) fn execute_buffered<W: Buffered>(
 }
 
 /// The operations of an attempt that runs the whole body inside one
-/// hardware transaction (TuFast's H mode, HSync's fast path).
+/// hardware transaction (TuFast's H mode, HSync's fast path, STM).
 pub trait HtmBodyOps: TxnOps {
     /// The hardware context the attempt runs in.
     fn ctx(&mut self) -> &mut HtmCtx;
     /// The abort code of the operation that failed, if one did.
     fn last_abort(&self) -> Option<AbortCode>;
+}
+
+/// Body ops that run everything inside one transaction of `ctx`: HSync's
+/// speculative path and STM, which models its per-access instrumentation
+/// cost as `penalty_spins` spins before each access (HSync passes 0).
+pub(crate) struct HtmOps<'a> {
+    pub(crate) ctx: &'a mut HtmCtx,
+    pub(crate) stats: &'a mut SchedStats,
+    pub(crate) penalty_spins: u32,
+    pub(crate) last_abort: Option<AbortCode>,
+}
+
+impl HtmOps<'_> {
+    /// Spin the penalty, then run `op` in the open transaction. A body
+    /// that keeps calling ops after an abort it failed to propagate keeps
+    /// being told to restart.
+    #[inline]
+    fn access<T>(
+        &mut self,
+        op: impl FnOnce(&mut HtmCtx) -> Result<T, AbortCode>,
+    ) -> Result<T, TxInterrupt> {
+        for _ in 0..self.penalty_spins {
+            std::hint::spin_loop();
+        }
+        if !self.ctx.in_tx() {
+            return Err(TxInterrupt::Restart);
+        }
+        op(self.ctx).map_err(|code| {
+            self.last_abort = Some(code);
+            TxInterrupt::Restart
+        })
+    }
+}
+
+// tufast-lint: htm-scope
+impl TxnOps for HtmOps<'_> {
+    fn read(&mut self, _v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
+        self.stats.reads += 1;
+        self.access(|ctx| ctx.read(addr))
+    }
+
+    fn write(&mut self, _v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
+        self.stats.writes += 1;
+        self.access(|ctx| ctx.write(addr, val))
+    }
+}
+
+impl HtmBodyOps for HtmOps<'_> {
+    fn ctx(&mut self) -> &mut HtmCtx {
+        self.ctx
+    }
+
+    fn last_abort(&self) -> Option<AbortCode> {
+        self.last_abort
+    }
 }
 
 /// Run `body` against `ops`, whose hardware transaction is already open,
@@ -336,12 +407,10 @@ mod tests {
     use crate::obs::TxnObserver;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU32, Ordering};
-    use tufast_htm::{Addr, MemoryLayout};
+    use tufast_htm::MemoryLayout;
 
     fn lifecycle() -> Lifecycle {
-        let sys = TxnSystem::with_defaults(1, MemoryLayout::new());
-        let id = sys.new_worker_id();
-        Lifecycle::new(&sys, id)
+        Lifecycle::new(&TxnSystem::with_defaults(1, MemoryLayout::new()))
     }
 
     /// Run one rung whose attempts end as `script` says, in order.
@@ -405,6 +474,18 @@ mod tests {
                 "{verdict:?} on the health board"
             );
         }
+    }
+
+    #[test]
+    fn a_dropped_worker_gives_its_id_back_to_a_fresh_slot() {
+        let sys = TxnSystem::with_defaults(1, MemoryLayout::new());
+        let (_a, mut b) = (Lifecycle::new(&sys), Lifecycle::new(&sys));
+        assert!(!b.stop_requested());
+        drop(b);
+        assert!(sys.health().view(1).idle, "a dropped worker is quiet");
+        let c = Lifecycle::new(&sys);
+        let slot = sys.health().view(1);
+        assert_eq!((c.id, slot.beat, slot.idle), (1, 0, false));
     }
 
     #[test]
@@ -483,7 +564,7 @@ mod tests {
         let sys = TxnSystem::with_defaults(1, MemoryLayout::new());
         let events = Arc::new(Events::default());
         sys.set_observer(Some(events.clone()));
-        let mut lc = Lifecycle::new(&sys, sys.new_worker_id());
+        let mut lc = Lifecycle::new(&sys);
         let mut attempts = 0;
         let payload = catch_unwind(AssertUnwindSafe(|| {
             Lifecycle::rung(&mut lc, 8, &mut attempts, |lc, obs| {
@@ -505,7 +586,7 @@ mod tests {
     #[test]
     fn hooks_reach_only_workers_created_after_they_are_installed() {
         let sys = TxnSystem::with_defaults(1, MemoryLayout::new());
-        let mut before = Lifecycle::new(&sys, sys.new_worker_id());
+        let mut before = Lifecycle::new(&sys);
         let events = Arc::new(Events::default());
         let plan = FaultPlan::new(FaultSpec {
             preempt_permille: 1000,
@@ -514,7 +595,7 @@ mod tests {
         });
         sys.set_observer(Some(events.clone()));
         sys.set_fault_plan(Some(Arc::clone(&plan)));
-        let mut after = Lifecycle::new(&sys, sys.new_worker_id());
+        let mut after = Lifecycle::new(&sys);
 
         assert_eq!(
             scripted(&mut before, 1, &[Verdict::Committed]).0,

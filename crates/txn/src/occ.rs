@@ -37,12 +37,12 @@ impl GraphScheduler for Occ {
     type Worker = OccWorker;
 
     fn worker(&self) -> OccWorker {
-        let id = self.sys.new_worker_id();
+        let lc = Lifecycle::new(&self.sys);
         OccWorker {
-            lc: Lifecycle::new(&self.sys, id),
             reads: Vec::with_capacity(32),
             read_seen: WordMap::with_capacity(32),
-            writes: WriteSet::new(id),
+            writes: WriteSet::new(lc.id),
+            lc,
         }
     }
 

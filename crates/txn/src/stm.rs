@@ -2,32 +2,25 @@
 //! "STM" baseline (it integrates TinySTM 1.0.5 by "replacing all hardware
 //! instructions by software counterparts").
 //!
-//! Same lazy-versioning protocol family as the emulated HTM (TL2 with
-//! time-base extension), but:
-//!
-//! * no capacity limit — an STM transaction can be arbitrarily large;
-//! * per-access *software instrumentation cost*. In the real systems this
-//!   is the 2–4× per-access overhead of STM barrier code versus raw loads;
-//!   because our HTM is itself emulated in software, that gap would vanish,
-//!   so it is modelled explicitly as a configurable spin per transactional
-//!   access ([`SoftwareTm::with_penalty`]), calibrated in `tufast-bench`
-//!   and documented in EXPERIMENTS.md.
+//! The emulated HTM already is that software counterpart, a TL2 with
+//! time-base extension over the line table, so STM runs on a software
+//! context of it ([`HtmRuntime::software_ctx`](tufast_htm::HtmRuntime::software_ctx)):
+//! no capacity limit, no abort source, no HTM switch. The one thing left
+//! to model is the *software instrumentation cost*, in the real systems
+//! the 2–4× per-access overhead of STM barrier code over raw loads. Our
+//! HTM is itself software, so that gap would vanish; it is modelled as a
+//! configurable spin per transactional access
+//! ([`SoftwareTm::with_penalty`]). EXPERIMENTS.md ("STM on a software
+//! context") records the STM columns it yields.
 
 use std::sync::Arc;
 
-use tufast_htm::{Addr, Footprint, LineBatch, LineState, WordMap};
+use tufast_htm::HtmCtx;
 
 use crate::health::HealthHandle;
-use crate::lifecycle::{execute_buffered, Buffered, Lifecycle};
-use crate::obs::ObsHandle;
+use crate::lifecycle::{hardware_attempt, HtmOps, Lifecycle, Verdict};
 use crate::system::TxnSystem;
-use crate::traits::{
-    GraphScheduler, SchedStats, TxInterrupt, TxnBody, TxnHint, TxnOps, TxnOutcome, TxnWorker,
-};
-use crate::VertexId;
-
-const COMMIT_LOCK_SPINS: u32 = 128;
-const READ_RACE_RETRIES: u32 = 4096;
+use crate::traits::{GraphScheduler, SchedStats, TxnBody, TxnHint, TxnOutcome, TxnWorker};
 
 /// Default modelled instrumentation cost (spin iterations per access).
 pub const DEFAULT_PENALTY_SPINS: u32 = 25;
@@ -48,7 +41,7 @@ impl SoftwareTm {
     }
 
     /// Override the modelled per-access instrumentation cost (0 disables —
-    /// useful for correctness tests and the calibration bench).
+    /// useful for correctness tests).
     pub fn with_penalty(sys: Arc<TxnSystem>, penalty_spins: u32) -> Self {
         SoftwareTm { sys, penalty_spins }
     }
@@ -58,16 +51,10 @@ impl GraphScheduler for SoftwareTm {
     type Worker = StmWorker;
 
     fn worker(&self) -> StmWorker {
-        // Draw an HTM context purely to obtain a line-lock owner id from
-        // the same id space as every other line locker.
-        let owner = self.sys.htm_ctx().id();
         StmWorker {
-            lc: Lifecycle::new(&self.sys, owner),
+            lc: Lifecycle::new(&self.sys),
+            ctx: self.sys.htm().software_ctx(),
             penalty_spins: self.penalty_spins,
-            start_ts: 0,
-            footprint: Footprint::with_capacity(64),
-            write_buf: WordMap::with_capacity(64),
-            batch: LineBatch::with_capacity(64),
         }
     }
 
@@ -78,31 +65,10 @@ impl GraphScheduler for SoftwareTm {
 
 /// Per-thread STM state.
 pub struct StmWorker {
-    /// `lc.id` is also the line-lock owner id.
     lc: Lifecycle,
+    /// The software context every attempt runs in.
+    ctx: HtmCtx,
     penalty_spins: u32,
-    start_ts: u64,
-    footprint: Footprint,
-    write_buf: WordMap,
-    /// Commit scratch: the write lines, locked in address order.
-    batch: LineBatch,
-}
-
-impl StmWorker {
-    #[inline]
-    fn instrument(&self) {
-        for _ in 0..self.penalty_spins {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Full read-set revalidation (TinySTM's time-base extension).
-    fn validate(&self) -> bool {
-        let mem = self.lc.sys.mem();
-        self.footprint.reads().all(|(line, ver, _)| {
-            matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver)
-        })
-    }
 }
 
 impl AsMut<Lifecycle> for StmWorker {
@@ -112,121 +78,32 @@ impl AsMut<Lifecycle> for StmWorker {
     }
 }
 
-impl Buffered for StmWorker {
-    fn begin_attempt(&mut self) {
-        self.start_ts = self.lc.sys.mem().clock_now_pub();
-        self.footprint.clear();
-        self.write_buf.clear();
-    }
-
-    fn try_commit(&mut self, obs: &ObsHandle) -> Result<(), TxInterrupt> {
-        let mem = self.lc.sys.mem();
-        if self.write_buf.is_empty() {
-            // Read-only: per-read validation/extension already proved the
-            // snapshot; the current clock bounds source tickets from above.
-            obs.commit_ticketed(self.lc.id, || mem.clock_now_pub());
-            return Ok(());
-        }
-        self.batch.clear();
-        for line in self.footprint.writes() {
-            self.batch.push(line);
-        }
-        if !mem.try_lock_lines(&mut self.batch, self.lc.id, COMMIT_LOCK_SPINS) {
-            return Err(TxInterrupt::Restart);
-        }
-        let commit_ts = mem.clock_tick_pub();
-        let ok = self.footprint.reads().all(|(line, ver, written)| {
-            if written {
-                // We hold the line: compare against its pre-lock version —
-                // another transaction may have committed it between our
-                // read and our lock acquisition.
-                mem.held_version(line, self.lc.id) == Some(ver)
-            } else {
-                matches!(mem.line_state(line), LineState::Unlocked { version } if version == ver)
-            }
-        });
-        if !ok {
-            mem.unlock_lines(&mut self.batch, None);
-            return Err(TxInterrupt::Restart);
-        }
-        for (addr, val) in self.write_buf.iter() {
-            mem.store_locked(addr, val);
-        }
-        // The write-path ticket is the TL2 commit timestamp itself, minted
-        // above while the write lines were already locked.
-        obs.commit_ticketed(self.lc.id, || commit_ts);
-        mem.unlock_lines(&mut self.batch, Some(commit_ts));
-        Ok(())
-    }
-}
-
-impl TxnOps for StmWorker {
-    fn read(&mut self, _v: VertexId, addr: Addr) -> Result<u64, TxInterrupt> {
-        self.lc.stats.reads += 1;
-        self.instrument();
-        if let Some(val) = self.write_buf.get(addr) {
-            return Ok(val);
-        }
-        let mem = self.lc.sys.mem();
-        let line = addr.line();
-        let mut races = 0;
-        loop {
-            let s1 = mem.line_state(line);
-            let version = match s1 {
-                LineState::Locked { .. } => {
-                    races += 1;
-                    if races > READ_RACE_RETRIES {
-                        return Err(TxInterrupt::Restart);
-                    }
-                    if races % 32 == 0 {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                    continue;
-                }
-                LineState::Unlocked { version } => version,
-            };
-            let val = mem.load_direct(addr);
-            if mem.line_state(line) != s1 {
-                races += 1;
-                if races > READ_RACE_RETRIES {
-                    return Err(TxInterrupt::Restart);
-                }
-                continue;
-            }
-            if version > self.start_ts {
-                // Extension: revalidate everything (the O(R)-per-event cost
-                // real TinySTM pays for opacity).
-                let new_ts = mem.clock_now_pub();
-                if !self.validate() {
-                    return Err(TxInterrupt::Restart);
-                }
-                self.start_ts = new_ts;
-                continue;
-            }
-            self.footprint.note_read(line, version);
-            return Ok(val);
-        }
-    }
-
-    fn write(&mut self, _v: VertexId, addr: Addr, val: u64) -> Result<(), TxInterrupt> {
-        self.lc.stats.writes += 1;
-        self.instrument();
-        let line = addr.line();
-        if matches!(self.lc.sys.mem().line_state(line), LineState::Locked { owner } if owner != self.lc.id)
-        {
-            return Err(TxInterrupt::Restart);
-        }
-        self.write_buf.insert(addr, val);
-        self.footprint.note_write(line);
-        Ok(())
-    }
-}
-
 impl TxnWorker for StmWorker {
     fn execute_hinted(&mut self, hint: TxnHint, body: &mut TxnBody<'_>) -> TxnOutcome {
-        execute_buffered(self, hint, body)
+        let mut attempts = match crate::rmode::read_only_prologue(&mut self.lc, hint, body) {
+            Ok(out) => return out,
+            Err(prior) => prior,
+        };
+        Lifecycle::rung(self, u32::MAX, &mut attempts, |w, obs| {
+            // Injected commit failures are probed where the router's O rung
+            // probes them: before the attempt runs.
+            if w.lc.faults.commit_fails() {
+                return Verdict::Restart;
+            }
+            let ctx = &mut w.ctx;
+            ctx.begin()
+                .expect("a software context is never switched off");
+            let mut ops = HtmOps {
+                ctx,
+                stats: &mut w.lc.stats,
+                penalty_spins: w.penalty_spins,
+                last_abort: None,
+            };
+            // No capacity limit and no injected aborts: every abort is a
+            // conflict, and restarts.
+            hardware_attempt(&mut ops, w.lc.id, 0, body, obs).unwrap_or(Verdict::Restart)
+        })
+        .outcome(attempts)
     }
 
     fn stats(&self) -> &SchedStats {

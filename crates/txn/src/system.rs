@@ -9,7 +9,7 @@
 //! because no committer stores a data word before its commit's point of
 //! no return.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use tufast_htm::{
@@ -41,8 +41,8 @@ impl Drop for SerialHold<'_> {
 pub struct SystemConfig {
     /// Emulated-HTM geometry and abort injection.
     pub htm: HtmConfig,
-    /// Upper bound on concurrently live workers (sizes the wait-for table
-    /// and the health board).
+    /// Upper bound on concurrently live workers (sizes the wait-for table,
+    /// the health board and the worker-id bitmap).
     pub max_workers: usize,
 }
 
@@ -81,7 +81,9 @@ pub struct TxnSystem {
     /// One heartbeat slot per worker id, and the job-state word.
     health: Arc<HealthBoard>,
     ts_counter: AtomicU64,
-    next_worker: AtomicU32,
+    /// One bit per worker id, set while the id is leased; the bits past
+    /// `max_workers` are set for good.
+    worker_ids: Box<[AtomicU64]>,
     num_vertices: usize,
     /// Installed lifecycle observer (`tufast-check`'s recorder/stepper):
     /// every worker created afterwards reports to it.
@@ -121,7 +123,10 @@ impl TxnSystem {
             wait_table: WaitForTable::new(config.max_workers),
             health: Arc::new(HealthBoard::new(config.max_workers)),
             ts_counter: AtomicU64::new(1),
-            next_worker: AtomicU32::new(0),
+            worker_ids: (0..config.max_workers.div_ceil(64))
+                .map(|w| u64::MAX.checked_shl((config.max_workers - w * 64) as u32))
+                .map(|past_the_end| AtomicU64::new(past_the_end.unwrap_or(0)))
+                .collect(),
             num_vertices,
             observer: RwLock::new(None),
             fault_plan: RwLock::new(None),
@@ -248,14 +253,33 @@ impl TxnSystem {
         self.num_vertices
     }
 
-    /// Allocate a unique worker id (lock owner / wait-table slot).
+    /// Lease the lowest free worker id (lock owner, wait-table slot and
+    /// heartbeat slot); a [`Lifecycle`](crate::Lifecycle) gives it back
+    /// when it drops.
+    ///
+    /// # Panics
+    /// When `max_workers` ids are leased at once.
     pub fn new_worker_id(&self) -> u32 {
-        let id = self.next_worker.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            (id as usize) < self.wait_table.capacity(),
-            "worker ids exhausted; raise SystemConfig::max_workers"
-        );
-        id
+        for (w, word) in self.worker_ids.iter().enumerate() {
+            let mut bits = word.load(Ordering::Relaxed);
+            while bits != !0 {
+                let bit = 1 << bits.trailing_ones();
+                bits = word.fetch_or(bit, Ordering::Acquire);
+                if bits & bit == 0 {
+                    return w as u32 * 64 + bit.trailing_zeros();
+                }
+            }
+        }
+        panic!("worker ids exhausted: more live workers than SystemConfig::max_workers")
+    }
+
+    /// Give back a leased worker id. Release pairs with the lease's
+    /// Acquire: what its worker wrote to its slots comes before the next
+    /// lease of the id.
+    pub(crate) fn release_worker_id(&self, id: u32) {
+        let bit = 1 << (id % 64);
+        let was = self.worker_ids[id as usize / 64].fetch_and(!bit, Ordering::Release);
+        debug_assert!(was & bit != 0, "worker id {id} was not leased");
     }
 
     /// Draw a fresh timestamp (timestamp-ordering schedulers).

@@ -111,11 +111,11 @@ impl GraphScheduler for TimestampOrdering {
     type Worker = ToWorker;
 
     fn worker(&self) -> ToWorker {
-        let id = self.sys.new_worker_id();
+        let lc = Lifecycle::new(&self.sys);
         ToWorker {
-            lc: Lifecycle::new(&self.sys, id),
             ts: 0,
-            writes: WriteSet::new(id),
+            writes: WriteSet::new(lc.id),
+            lc,
         }
     }
 

@@ -75,7 +75,7 @@ impl GraphScheduler for TwoPhaseLocking {
 
     fn worker(&self) -> TplWorker {
         TplWorker {
-            lc: Lifecycle::new(&self.sys, self.sys.new_worker_id()),
+            lc: Lifecycle::new(&self.sys),
             locking: TplAttempt::default(),
         }
     }

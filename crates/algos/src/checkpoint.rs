@@ -82,7 +82,7 @@ pub fn restore_region<const S: u64>(
 /// implement the trait.
 impl Checkpointable for tufast_graph::MutableGraph {
     fn tag(&self) -> &'static str {
-        "mutgraph"
+        tufast_graph::durable::SNAPSHOT_TAG
     }
 
     fn capture(&self, mem: &TxMemory) -> Vec<Section> {

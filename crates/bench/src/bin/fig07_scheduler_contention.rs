@@ -59,7 +59,6 @@ fn main() {
                 let (result, _) = run_micro_opts(
                     &g,
                     &sched,
-                    &sys,
                     &values,
                     args.threads,
                     args.txns / 4,

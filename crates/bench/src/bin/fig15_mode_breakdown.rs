@@ -30,7 +30,6 @@ fn main() {
         let (result, mut workers) = run_micro(
             &d.graph,
             &sched,
-            &sys,
             &values,
             args.threads,
             args.txns,

@@ -27,7 +27,6 @@ fn main() {
         let (result, _) = run_micro(
             &d.graph,
             &sched,
-            &sys,
             &values,
             args.threads,
             args.txns / 2,

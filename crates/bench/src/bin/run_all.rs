@@ -23,7 +23,6 @@ fn main() {
         "fig16_param_sensitivity",
         "fig17_adaptive_period",
         "fig18_drivers",
-        "fig19_mutations",
         "fig20_reads",
     ];
     let exe_dir = std::env::current_exe()

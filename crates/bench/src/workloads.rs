@@ -300,20 +300,16 @@ pub fn run_point_queries<S: GraphScheduler>(
 /// Run `txns` transactions of `workload` through `sched` on `threads`
 /// threads. Returns the result plus the workers (for scheduler-specific
 /// statistics such as TuFast's mode breakdown).
-#[allow(clippy::too_many_arguments)]
 pub fn run_micro<S: GraphScheduler>(
     g: &Graph,
     sched: &S,
-    sys: &TxnSystem,
     values: &MemRegion,
     threads: usize,
     txns: usize,
     workload: MicroWorkload,
     picker: impl Fn(u64) -> VertexId + Sync,
 ) -> (MicroResult, Vec<S::Worker>) {
-    run_micro_opts(
-        g, sched, sys, values, threads, txns, workload, picker, false,
-    )
+    run_micro_opts(g, sched, values, threads, txns, workload, picker, false)
 }
 
 /// [`run_micro`] with an optional *conflict window*: the body yields the
@@ -326,7 +322,6 @@ pub fn run_micro<S: GraphScheduler>(
 pub fn run_micro_opts<S: GraphScheduler>(
     g: &Graph,
     sched: &S,
-    sys: &TxnSystem,
     values: &MemRegion,
     threads: usize,
     txns: usize,
@@ -350,7 +345,7 @@ pub fn run_micro_opts<S: GraphScheduler>(
                             break;
                         }
                         let v = picker(i as u64);
-                        run_one_opts(g, sys, values, &mut worker, v, workload, conflict_window);
+                        run_one(g, values, &mut worker, v, workload, conflict_window);
                     }
                     worker
                 })
@@ -379,22 +374,10 @@ pub fn run_micro_opts<S: GraphScheduler>(
     )
 }
 
-/// Execute one neighbourhood transaction.
-pub fn run_one<W: TxnWorker>(
+/// Execute one neighbourhood transaction, with the conflict window if
+/// asked (see [`run_micro_opts`]).
+fn run_one<W: TxnWorker>(
     g: &Graph,
-    sys: &TxnSystem,
-    values: &MemRegion,
-    worker: &mut W,
-    v: VertexId,
-    workload: MicroWorkload,
-) {
-    run_one_opts(g, sys, values, worker, v, workload, false);
-}
-
-/// [`run_one`] with the conflict window (see [`run_micro_opts`]).
-pub fn run_one_opts<W: TxnWorker>(
-    g: &Graph,
-    _sys: &TxnSystem,
     values: &MemRegion,
     worker: &mut W,
     v: VertexId,
@@ -443,8 +426,7 @@ pub fn run_scheduler_suite(
         ($name:expr, $ctor:expr) => {{
             let (sys, values) = setup_micro(g);
             let sched = $ctor(Arc::clone(&sys));
-            let (result, _) =
-                run_micro(g, &sched, &sys, &values, threads, txns, workload, picker());
+            let (result, _) = run_micro(g, &sched, &values, threads, txns, workload, picker());
             out.push(($name, result));
         }};
     }
@@ -553,7 +535,6 @@ mod tests {
         let (result, _) = run_micro(
             &g,
             &sched,
-            &sys,
             &values,
             4,
             2_000,
@@ -566,7 +547,6 @@ mod tests {
         let (result, _) = run_micro(
             &g,
             &sched,
-            &sys,
             &values,
             4,
             2_000,
@@ -584,7 +564,6 @@ mod tests {
         let (result, _) = run_micro(
             &g,
             &sched,
-            &sys,
             &values,
             2,
             500,

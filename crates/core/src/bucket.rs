@@ -22,10 +22,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use crate::pad::CachePadded;
-use crate::par::{PoolCounters, WorkPool};
+use crate::par::{lock, PoolCounters, WorkPool};
 use crate::steal::IdleGate;
 
 /// Fixed band count; keys beyond `delta * NUM_BANDS` clamp into the last
@@ -33,10 +33,6 @@ use crate::steal::IdleGate;
 /// builds one per job), and far beyond the band range any clamped-delta
 /// SSSP run touches.
 const NUM_BANDS: usize = 4096;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// One priority band: its items plus a racy occupancy count that lets
 /// the pop scan skip empty bands with a load instead of a lock.

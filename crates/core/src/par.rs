@@ -26,6 +26,7 @@
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crossbeam::queue::SegQueue;
 use tufast_htm::AtomicCounters;
@@ -266,6 +267,12 @@ impl WorkPool for FifoPool {
     }
 }
 
+/// Lock a pool's mutex, poisoned or not: a worker that panics holds it
+/// across one queue call at most, which leaves the queue whole.
+pub(crate) fn lock<T>(pool: &Mutex<T>) -> MutexGuard<'_, T> {
+    pool.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Priority pool (SPFA flavour): lowest key first — e.g. tentative
 /// distance, so relaxation work flows outward from the source.
 ///
@@ -274,7 +281,7 @@ impl WorkPool for FifoPool {
 /// [`BucketPool`](crate::bucket::BucketPool); this stays as the
 /// comparison point the bench harness measures against.
 pub struct PriorityPool {
-    heap: parking_lot_shim::Mutex<BinaryHeap<std::cmp::Reverse<(u64, u32)>>>,
+    heap: Mutex<BinaryHeap<std::cmp::Reverse<(u64, u32)>>>,
     /// Single-word in-flight count; same ordering argument as
     /// [`FifoPool::pending`].
     pending: CachePadded<AtomicUsize>,
@@ -282,31 +289,11 @@ pub struct PriorityPool {
     default_key: AtomicU64,
 }
 
-// `parking_lot` is already a workspace dependency of tufast-txn; keep this
-// crate's dependency list minimal by shimming over std's mutex (uncontended
-// cost is comparable for the driver's coarse usage).
-mod parking_lot_shim {
-    /// Minimal poison-free mutex over `std::sync::Mutex`.
-    pub struct Mutex<T>(std::sync::Mutex<T>);
-
-    impl<T> Mutex<T> {
-        pub fn new(value: T) -> Self {
-            Mutex(std::sync::Mutex::new(value))
-        }
-
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-    }
-}
-
 impl PriorityPool {
     /// An empty pool.
     pub fn new() -> Self {
         PriorityPool {
-            heap: parking_lot_shim::Mutex::new(BinaryHeap::new()),
+            heap: Mutex::new(BinaryHeap::new()),
             pending: CachePadded::new(AtomicUsize::new(0)),
             default_key: AtomicU64::new(0),
         }
@@ -315,7 +302,7 @@ impl PriorityPool {
     /// Add work with an explicit priority key (smaller = sooner).
     pub fn push_with_key(&self, v: u32, key: u64) {
         self.pending.fetch_add(1, Ordering::Release);
-        self.heap.lock().push(std::cmp::Reverse((key, v)));
+        lock(&self.heap).push(std::cmp::Reverse((key, v)));
     }
 }
 
@@ -337,7 +324,7 @@ impl WorkPool for PriorityPool {
     }
 
     fn pop(&self) -> Option<u32> {
-        self.heap.lock().pop().map(|std::cmp::Reverse((_, v))| v)
+        lock(&self.heap).pop().map(|std::cmp::Reverse((_, v))| v)
     }
 
     fn pending(&self) -> usize {
@@ -349,8 +336,7 @@ impl WorkPool for PriorityPool {
     }
 
     fn pending_items(&self) -> Vec<(u32, u64)> {
-        self.heap
-            .lock()
+        lock(&self.heap)
             .iter()
             .map(|&std::cmp::Reverse((key, v))| (v, key))
             .collect()

@@ -586,6 +586,27 @@ mod tests {
     }
 
     #[test]
+    fn one_system_makes_more_routers_than_it_has_context_ids() {
+        // A router holds an HTM context id (32 766 per memory) and a worker
+        // id for its life; both come back when it drops.
+        let (sys, data) = setup(1, 8);
+        let tufast = TuFast::new(Arc::clone(&sys));
+        for i in 0..40_000u64 {
+            let mut w = tufast.worker();
+            if i % 10_000 == 0 {
+                let out = w.execute(2, &mut |ops| {
+                    let x = ops.read(0, data.addr(0))?;
+                    ops.write(0, data.addr(0), x + 1)
+                });
+                assert!(out.committed, "router {i}");
+            }
+        }
+        assert_eq!(sys.mem().load_direct(data.addr(0)), 4);
+        let w = tufast.worker();
+        assert_eq!(w.ctx.id(), 0, "the lowest id is free again");
+    }
+
+    #[test]
     fn the_h_reach_is_the_system_s_htm_capacity() {
         use tufast_htm::HtmConfig;
         use tufast_txn::SystemConfig;

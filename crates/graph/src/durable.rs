@@ -51,7 +51,7 @@ use crate::binio;
 use crate::mutable::{MutableGraph, MutationOutcome, OverlayConfig};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotStore};
 use crate::wal::{
-    Mutation, SyncPolicy, WalError, WalHeader, WalIoCounts, WalOpenReport, WalWriter,
+    Mutation, SyncPolicy, WalError, WalHeader, WalIoCounts, WalOpenReport, WalWriter, WAL_WORKER,
 };
 use crate::{Graph, VertexId};
 
@@ -61,9 +61,6 @@ pub const BASE_FILE: &str = "base.tfg";
 pub const WAL_FILE: &str = "graph.wal";
 /// Snapshot-store prefix (and the snapshot's algorithm tag).
 pub const SNAPSHOT_TAG: &str = "mutgraph";
-
-/// Pseudo worker id the durable commit path's fault probes report under.
-const WAL_WORKER: u32 = u32::MAX - 1;
 
 /// Errors from durable-graph I/O and recovery.
 #[derive(Debug)]

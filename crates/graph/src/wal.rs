@@ -81,8 +81,9 @@ pub const FRAME_LEN: u64 = 4 + 8 + PAYLOAD_LEN as u64 + 4;
 /// unsynced run longer than this is written out a buffer at a time.
 const STAGE_CAP: usize = 4096 / FRAME_LEN as usize * FRAME_LEN as usize;
 
-/// Pseudo worker id under which WAL fault probes report injected crashes.
-const WAL_WORKER: u32 = u32::MAX - 1;
+/// Pseudo worker id of the WAL's fault probes: the durable commit path's
+/// fault handle, and the worker its injected crashes report.
+pub(crate) const WAL_WORKER: u32 = u32::MAX - 1;
 
 /// Errors from WAL I/O.
 #[derive(Debug)]

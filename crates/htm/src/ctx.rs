@@ -82,11 +82,6 @@ impl HtmCtx {
         id: u32,
         available: Arc<AtomicBool>,
     ) -> Self {
-        assert!(
-            id < meta::MAX_OWNER,
-            "too many HTM contexts (max {})",
-            meta::MAX_OWNER
-        );
         HtmCtx {
             l1: L1Model::new(config),
             mem,
@@ -105,7 +100,8 @@ impl HtmCtx {
         }
     }
 
-    /// This context's unique id (also its line-lock owner id).
+    /// This context's id, unique among the live contexts on its memory
+    /// (also its line-lock owner id).
     #[inline]
     pub fn id(&self) -> u32 {
         self.id
@@ -466,6 +462,14 @@ impl std::fmt::Debug for HtmCtx {
             .field("writes", &self.write_buf.len())
             .field("lines", &self.l1.lines())
             .finish()
+    }
+}
+
+impl Drop for HtmCtx {
+    /// Gives the context id back. A context holds no line lock between
+    /// its calls, so no line still names it as owner.
+    fn drop(&mut self) {
+        self.mem.ctx_ids.release(self.id);
     }
 }
 

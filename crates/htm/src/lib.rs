@@ -73,6 +73,7 @@ mod ctx;
 mod footprint;
 mod idtable;
 mod l1;
+mod lease;
 mod memory;
 mod meta;
 mod runtime;
@@ -87,6 +88,7 @@ pub use ctx::HtmCtx;
 pub use footprint::Footprint;
 pub use idtable::IdTable;
 pub use l1::L1Model;
+pub use lease::IdLeases;
 pub use memory::{
     Addr, LineState, MemRegion, MemoryLayout, TxMemory, DIRECT_OWNER, WORDS_PER_LINE,
 };

@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::batch::LineBatch;
+use crate::lease::IdLeases;
 use crate::meta;
 
 /// Words (8 bytes each) per modelled 64-byte cache line.
@@ -206,6 +207,10 @@ pub struct TxMemory {
     words: Box<[AtomicU64]>,
     line_meta: Box<[AtomicU64]>,
     clock: AtomicU64,
+    /// The ids of the live HTM contexts on this memory (its line-lock
+    /// owners besides [`DIRECT_OWNER`]): leased by
+    /// [`HtmRuntime`](crate::HtmRuntime), given back when a context drops.
+    pub(crate) ctx_ids: IdLeases,
 }
 
 /// Line-lock owner id of every locker outside an HTM context: the direct
@@ -245,6 +250,7 @@ impl TxMemory {
                 .map(|_| AtomicU64::new(meta::unlocked(0)))
                 .collect(),
             clock: AtomicU64::new(0),
+            ctx_ids: IdLeases::new(DIRECT_OWNER as usize),
         }
     }
 

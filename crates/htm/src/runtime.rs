@@ -1,12 +1,11 @@
 //! The shared HTM runtime: owns the memory and hands out per-thread contexts.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::config::{AbortSource, HtmConfig};
 use crate::ctx::HtmCtx;
 use crate::memory::{MemoryLayout, TxMemory, WORDS_PER_LINE};
-use crate::meta;
 
 /// Shared entry point to the emulated HTM.
 ///
@@ -16,7 +15,6 @@ use crate::meta;
 pub struct HtmRuntime {
     mem: Arc<TxMemory>,
     config: HtmConfig,
-    next_ctx: AtomicU32,
     /// Runtime HTM on/off switch, shared with every context handed out.
     available: Arc<AtomicBool>,
 }
@@ -35,15 +33,16 @@ impl HtmRuntime {
         HtmRuntime {
             mem,
             config,
-            next_ctx: AtomicU32::new(0),
             available: Arc::new(AtomicBool::new(true)),
         }
     }
 
-    /// Create a new per-thread transaction context.
+    /// Create a new per-thread transaction context under the lowest free
+    /// context id of the memory; dropping it gives the id back.
     ///
     /// # Panics
-    /// After 32 765 contexts (of both kinds) have been created.
+    /// When 32 766 contexts (of both kinds, from every runtime on the
+    /// memory) are live at once.
     pub fn ctx(&self) -> HtmCtx {
         self.ctx_with_source(self.config.abort_source.clone())
     }
@@ -71,8 +70,11 @@ impl HtmRuntime {
         source: Option<AbortSource>,
         available: Arc<AtomicBool>,
     ) -> HtmCtx {
-        let id = self.next_ctx.fetch_add(1, Ordering::Relaxed);
-        assert!(id < meta::MAX_OWNER - 1, "HTM context ids exhausted");
+        let id = self
+            .mem
+            .ctx_ids
+            .lease()
+            .expect("HTM context ids exhausted: more live contexts than line-lock owners");
         HtmCtx::new(Arc::clone(&self.mem), config, source, id, available)
     }
 
@@ -122,7 +124,6 @@ impl std::fmt::Debug for HtmRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HtmRuntime")
             .field("memory", &self.mem)
-            .field("contexts", &self.next_ctx.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -139,6 +140,24 @@ mod tests {
         let a = rt.ctx();
         let b = rt.ctx();
         assert_ne!(a.id(), b.id());
+    }
+
+    #[test]
+    fn a_dropped_context_s_id_goes_to_the_next_context() {
+        let mut layout = MemoryLayout::new();
+        layout.alloc("w", 8);
+        let rt = HtmRuntime::new(layout, HtmConfig::default());
+        let (a, b, c) = (rt.ctx(), rt.software_ctx(), rt.ctx());
+        assert_eq!([a.id(), b.id(), c.id()], [0, 1, 2]);
+        drop(b);
+        assert_eq!(rt.ctx().id(), 1, "the lowest free id");
+        drop(a);
+        assert_eq!(rt.software_ctx().id(), 0);
+        // A second runtime on the memory leases from the same ids.
+        let other = HtmRuntime::from_memory(Arc::clone(rt.memory()), HtmConfig::default());
+        assert_eq!(other.ctx().id(), 0, "the previous context dropped");
+        let _held = other.ctx();
+        assert_eq!(rt.ctx().id(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::traits::{
 use crate::VertexId;
 
 /// Default HTM retries before falling back.
-pub const DEFAULT_HTM_RETRIES: u32 = 5;
+const DEFAULT_HTM_RETRIES: u32 = 5;
 
 /// The HSync-like scheduler.
 pub struct HSyncLike {
@@ -42,7 +42,7 @@ pub struct HSyncLike {
 }
 
 impl HSyncLike {
-    /// Create with [`DEFAULT_HTM_RETRIES`].
+    /// Create with five HTM retries before the fallback.
     pub fn new(sys: Arc<TxnSystem>) -> Self {
         HSyncLike {
             sys,

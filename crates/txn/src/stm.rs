@@ -23,7 +23,7 @@ use crate::system::TxnSystem;
 use crate::traits::{GraphScheduler, SchedStats, TxnBody, TxnHint, TxnOutcome, TxnWorker};
 
 /// Default modelled instrumentation cost (spin iterations per access).
-pub const DEFAULT_PENALTY_SPINS: u32 = 25;
+const DEFAULT_PENALTY_SPINS: u32 = 25;
 
 /// The TinySTM-like scheduler.
 pub struct SoftwareTm {
@@ -32,7 +32,8 @@ pub struct SoftwareTm {
 }
 
 impl SoftwareTm {
-    /// Create with the default modelled instrumentation cost.
+    /// Create with the default modelled instrumentation cost, 25 spin
+    /// iterations per access.
     pub fn new(sys: Arc<TxnSystem>) -> Self {
         SoftwareTm {
             sys,

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use tufast_htm::{
-    Addr, HtmConfig, HtmCtx, HtmRuntime, LineState, MemRegion, MemoryLayout, TxMemory,
+    Addr, HtmConfig, HtmCtx, HtmRuntime, IdLeases, LineState, MemRegion, MemoryLayout, TxMemory,
 };
 
 use crate::commit::relax;
@@ -81,9 +81,8 @@ pub struct TxnSystem {
     /// One heartbeat slot per worker id, and the job-state word.
     health: Arc<HealthBoard>,
     ts_counter: AtomicU64,
-    /// One bit per worker id, set while the id is leased; the bits past
-    /// `max_workers` are set for good.
-    worker_ids: Box<[AtomicU64]>,
+    /// The `max_workers` worker ids.
+    worker_ids: IdLeases,
     num_vertices: usize,
     /// Installed lifecycle observer (`tufast-check`'s recorder/stepper):
     /// every worker created afterwards reports to it.
@@ -123,10 +122,7 @@ impl TxnSystem {
             wait_table: WaitForTable::new(config.max_workers),
             health: Arc::new(HealthBoard::new(config.max_workers)),
             ts_counter: AtomicU64::new(1),
-            worker_ids: (0..config.max_workers.div_ceil(64))
-                .map(|w| u64::MAX.checked_shl((config.max_workers - w * 64) as u32))
-                .map(|past_the_end| AtomicU64::new(past_the_end.unwrap_or(0)))
-                .collect(),
+            worker_ids: IdLeases::new(config.max_workers),
             num_vertices,
             observer: RwLock::new(None),
             fault_plan: RwLock::new(None),
@@ -260,26 +256,15 @@ impl TxnSystem {
     /// # Panics
     /// When `max_workers` ids are leased at once.
     pub fn new_worker_id(&self) -> u32 {
-        for (w, word) in self.worker_ids.iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            while bits != !0 {
-                let bit = 1 << bits.trailing_ones();
-                bits = word.fetch_or(bit, Ordering::Acquire);
-                if bits & bit == 0 {
-                    return w as u32 * 64 + bit.trailing_zeros();
-                }
-            }
-        }
-        panic!("worker ids exhausted: more live workers than SystemConfig::max_workers")
+        self.worker_ids
+            .lease()
+            .expect("worker ids exhausted: more live workers than SystemConfig::max_workers")
     }
 
-    /// Give back a leased worker id. Release pairs with the lease's
-    /// Acquire: what its worker wrote to its slots comes before the next
-    /// lease of the id.
+    /// Give back a leased worker id: what its worker wrote to its slots
+    /// comes before the next lease of the id.
     pub(crate) fn release_worker_id(&self, id: u32) {
-        let bit = 1 << (id % 64);
-        let was = self.worker_ids[id as usize / 64].fetch_and(!bit, Ordering::Release);
-        debug_assert!(was & bit != 0, "worker id {id} was not leased");
+        self.worker_ids.release(id);
     }
 
     /// Draw a fresh timestamp (timestamp-ordering schedulers).

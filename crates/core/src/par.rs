@@ -24,11 +24,10 @@
 //!   and the parked body-panic payload (`CAUGHT_PANIC` in `tufast-txn`'s
 //!   `obs.rs`, always taken by the re-raise that follows it).
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crossbeam::queue::SegQueue;
 use tufast_htm::AtomicCounters;
 use tufast_txn::{GraphScheduler, TxnWorker};
 
@@ -208,7 +207,7 @@ pub trait WorkPool: Sync {
 
 /// FIFO pool (Bellman-Ford flavour).
 pub struct FifoPool {
-    queue: SegQueue<u32>,
+    queue: Mutex<VecDeque<u32>>,
     /// Queued + in-flight items, all ±1s on this one padded word. A
     /// single-word counter needs no `SeqCst`: its own modification order
     /// serializes the updates, and an in-flight item's `-1` is ordered
@@ -222,7 +221,7 @@ impl FifoPool {
     /// An empty pool.
     pub fn new() -> Self {
         FifoPool {
-            queue: SegQueue::new(),
+            queue: Mutex::new(VecDeque::new()),
             pending: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -237,11 +236,11 @@ impl Default for FifoPool {
 impl WorkPool for FifoPool {
     fn push(&self, v: u32) {
         self.pending.fetch_add(1, Ordering::Release);
-        self.queue.push(v);
+        lock(&self.queue).push_back(v);
     }
 
     fn pop(&self) -> Option<u32> {
-        self.queue.pop()
+        lock(&self.queue).pop_front()
     }
 
     fn pending(&self) -> usize {
@@ -253,17 +252,12 @@ impl WorkPool for FifoPool {
     }
 
     fn pending_items(&self) -> Vec<(u32, u64)> {
-        // Drain and re-insert in order, bypassing the pending counter
-        // (the items never stopped being pending). Safe only under the
-        // caller's quiescence guarantee.
-        let mut items = Vec::new();
-        while let Some(v) = self.queue.pop() {
-            items.push((v, items.len() as u64));
-        }
-        for &(v, _) in &items {
-            self.queue.push(v);
-        }
-        items
+        // Queue order; safe only under the caller's quiescence guarantee.
+        lock(&self.queue)
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as u64))
+            .collect()
     }
 }
 

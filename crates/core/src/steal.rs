@@ -10,12 +10,13 @@
 //! * **[`StealDeque`]** — a bounded Chase–Lev deque per worker. The owner
 //!   pushes at the bottom; everyone, the owner included, takes from the
 //!   top (FIFO: the oldest, coldest work migrates). Implemented in-repo on
-//!   plain atomics — the vendored `crossbeam` is a mutex stub, and the
-//!   items are `u32` vertex ids, so every slot can be an `AtomicU32` and
-//!   the whole structure stays within `#![forbid(unsafe_code)]`. There
-//!   is no LIFO owner pop: frontier algorithms re-relax heavily under
-//!   LIFO (depth-first) order, and the wavefront order is worth far
-//!   more than the saved CAS (see DESIGN.md §7).
+//!   plain atomics: the items are `u32` vertex ids, so every slot can be
+//!   an `AtomicU32` and the whole structure stays within
+//!   `#![forbid(unsafe_code)]`. The shared injector (overflow and seeds)
+//!   is a mutex-guarded `VecDeque`. There is no LIFO owner pop: frontier
+//!   algorithms re-relax heavily under LIFO (depth-first) order, and the
+//!   wavefront order is worth far more than the saved CAS (see DESIGN.md
+//!   §7).
 //! * **[`StripedPending`]** — per-worker `(pushed, done)` monotonic
 //!   counter cells, folded only on the idle path. Replaces the single
 //!   `SeqCst` hot word the old pools bumped twice per item. The
@@ -29,14 +30,13 @@
 //!   crash-recovery matrix all run over it unmodified.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use crossbeam::queue::SegQueue;
-
 use crate::pad::CachePadded;
-use crate::par::{PoolCounters, WorkPool};
+use crate::par::{lock, PoolCounters, WorkPool};
 
 /// Result of one steal attempt on a [`StealDeque`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -401,7 +401,7 @@ fn next_victim_draw() -> u64 {
 pub struct StealPool {
     id: u64,
     cells: Vec<CachePadded<WorkerCell>>,
-    injector: SegQueue<u32>,
+    injector: Mutex<VecDeque<u32>>,
     next_slot: AtomicUsize,
     pending: StripedPending,
     idle: IdleGate,
@@ -422,7 +422,7 @@ impl StealPool {
                     })
                 })
                 .collect(),
-            injector: SegQueue::new(),
+            injector: Mutex::new(VecDeque::new()),
             next_slot: AtomicUsize::new(0),
             pending: StripedPending::new(slots),
             idle: IdleGate::new(),
@@ -514,7 +514,7 @@ impl StealPool {
                 Steal::Success(v) => {
                     steals.fetch_add(1, Ordering::Relaxed);
                     if let Err(v) = self.cells[thief].deque.push(v) {
-                        self.injector.push(v);
+                        lock(&self.injector).push_back(v);
                     }
                 }
                 Steal::Empty | Steal::Retry => break,
@@ -529,10 +529,10 @@ impl WorkPool for StealPool {
         match self.slot() {
             Some(s) => {
                 if let Err(v) = self.cells[s].deque.push(v) {
-                    self.injector.push(v); // deque full: spill
+                    lock(&self.injector).push_back(v); // deque full: spill
                 }
             }
-            None => self.injector.push(v),
+            None => lock(&self.injector).push_back(v),
         }
         self.idle.wake_one();
     }
@@ -560,7 +560,7 @@ impl WorkPool for StealPool {
                 }
             }
         }
-        if let Some(v) = self.injector.pop() {
+        if let Some(v) = lock(&self.injector).pop_front() {
             return Some(v);
         }
         self.steal_from_peers(slot)
@@ -594,26 +594,28 @@ impl WorkPool for StealPool {
 
     fn pending_items(&self) -> Vec<(u32, u64)> {
         // Quiescence only (the epoch barrier guarantees it): drain every
-        // deque through the steal end plus the injector, then re-seed the
-        // injector, bypassing the pending counter — the items never
-        // stopped being pending.
-        let mut items = Vec::new();
+        // deque through the steal end onto the front of the injector,
+        // bypassing the pending counter — the items never stopped being
+        // pending — and list the injector.
+        let mut drained = Vec::new();
         for cell in &self.cells {
             loop {
                 match cell.deque.steal() {
-                    Steal::Success(v) => items.push((v, items.len() as u64)),
+                    Steal::Success(v) => drained.push(v),
                     Steal::Empty => break,
                     Steal::Retry => std::hint::spin_loop(),
                 }
             }
         }
-        while let Some(v) = self.injector.pop() {
-            items.push((v, items.len() as u64));
+        let mut injector = lock(&self.injector);
+        for &v in drained.iter().rev() {
+            injector.push_front(v);
         }
-        for &(v, _) in &items {
-            self.injector.push(v);
-        }
-        items
+        injector
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as u64))
+            .collect()
     }
 
     fn counters(&self) -> PoolCounters {

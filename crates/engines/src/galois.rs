@@ -9,9 +9,10 @@
 //! static analysis that elides locks for embarrassingly parallel loops
 //! (our [`for_each_unprotected`] entry point models the elided case).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use crossbeam::queue::SegQueue;
 use tufast_graph::{Graph, VertexId};
 
 use crate::common::{atomic_vec, par_for};
@@ -57,6 +58,18 @@ impl Ownership {
     }
 }
 
+/// Append `v` to the worklist. The guard drops on return, like
+/// [`pop_work`]'s, so no caller holds the worklist's mutex, and none
+/// holds it across `operator`.
+fn push_work(queue: &Mutex<VecDeque<VertexId>>, v: VertexId) {
+    queue.lock().unwrap().push_back(v);
+}
+
+/// Take the worklist's oldest item.
+fn pop_work(queue: &Mutex<VecDeque<VertexId>>) -> Option<VertexId> {
+    queue.lock().unwrap().pop_front()
+}
+
 /// Run `operator(v, push)` speculatively for every item in the worklist;
 /// the operator's *neighbourhood* (vertex + out-neighbours) is locked for
 /// the duration. Operators must be idempotent under retry (they re-read
@@ -67,14 +80,14 @@ pub fn for_each(
     threads: usize,
     operator: impl Fn(VertexId, &dyn Fn(VertexId)) + Sync,
 ) {
-    let queue = SegQueue::new();
+    let queue = Mutex::new(VecDeque::new());
     let pending = AtomicU64::new(0);
     for v in initial {
-        // Increments may be Relaxed: the SegQueue push publishes the item,
+        // Increments may be Relaxed: the queue's mutex publishes the item,
         // and the termination check pairs Acquire with the Release
         // decrement below.
         pending.fetch_add(1, Ordering::Relaxed);
-        queue.push(v);
+        push_work(&queue, v);
     }
     let ownership = Ownership::new(g.num_vertices());
     let threads = threads.max(1);
@@ -88,7 +101,7 @@ pub fn for_each(
                 let mut neighborhood: Vec<VertexId> = Vec::new();
                 let mut idle = 0u32;
                 loop {
-                    match queue.pop() {
+                    match pop_work(queue) {
                         Some(v) => {
                             idle = 0;
                             neighborhood.clear();
@@ -107,12 +120,12 @@ pub fn for_each(
                                 std::hint::spin_loop();
                             }
                             if !acquired {
-                                queue.push(v); // retry later
+                                push_work(queue, v); // retry later
                                 continue;
                             }
                             let push = |u: VertexId| {
                                 pending.fetch_add(1, Ordering::Relaxed);
-                                queue.push(u);
+                                push_work(queue, u);
                             };
                             operator(v, &push);
                             ownership.release(&neighborhood);

@@ -16,13 +16,14 @@
 //! 6. `untracked-peek` — `peek_committed` and `load_committed` stay
 //!    outside dispatched transaction bodies.
 //!
-//! Diagnostics diff against a committed `lint-baseline.json`; CI fails
-//! only on *new* findings, and inline
-//! `// tufast-lint: allow(<rule>) -- <reason>` comments suppress a
-//! finding with a mandatory justification.
+//! [`check`] is the one verdict, shared by the binary and the root
+//! crate's `tests/lint_gate.rs`: a tree passes only with zero findings
+//! and a committed `lint-lock-order.json` equal to the regenerated
+//! artifact. The one way to suppress a finding is an inline
+//! `// tufast-lint: allow(<rule>) -- <reason>` comment, whose reason is
+//! mandatory.
 
-pub mod baseline;
-pub mod json;
+pub mod finding;
 pub mod lexer;
 pub mod rules;
 pub mod scan;
@@ -30,12 +31,15 @@ pub mod scan;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use baseline::Finding;
-use rules::lockorder::LockOrder;
+use finding::Finding;
+use rules::lockorder::{artifact_json, LockOrder};
 use scan::FileModel;
 
 /// Rule name for diagnostics about the lint's own directives.
 pub const DIRECTIVE_RULE: &str = "lint-directive";
+
+/// The committed lock-order artifact, relative to the workspace root.
+pub const LOCK_ORDER_FILE: &str = "lint-lock-order.json";
 
 /// What to analyze and where the per-rule scopes lie.
 pub struct Config {
@@ -179,4 +183,22 @@ pub fn analyze(cfg: &Config, files: &[FileModel]) -> Report {
 pub fn run(cfg: &Config) -> Result<Report, String> {
     let files = load_files(cfg)?;
     Ok(analyze(cfg, &files))
+}
+
+/// The verdict on the tree `cfg` describes: why it fails, one line per
+/// reason, or nothing if it passes. It passes only if it has zero
+/// findings after inline allows and its committed [`LOCK_ORDER_FILE`]
+/// equals [`artifact_json`] byte for byte; a missing artifact fails.
+/// `Err` means the tree could not be read.
+pub fn check(cfg: &Config) -> Result<Vec<String>, String> {
+    let report = run(cfg)?;
+    let mut reasons: Vec<String> = report.findings.iter().map(Finding::human).collect();
+    let refresh =
+        "write it with `cargo run -p tufast-lint -- --write-lock-order` and read the diff";
+    match fs::read_to_string(cfg.root.join(LOCK_ORDER_FILE)) {
+        Ok(committed) if committed == artifact_json(&report.lock_order) => {}
+        Ok(_) => reasons.push(format!("{LOCK_ORDER_FILE} is out of date; {refresh}")),
+        Err(e) => reasons.push(format!("{LOCK_ORDER_FILE}: {e}; {refresh}")),
+    }
+    Ok(reasons)
 }

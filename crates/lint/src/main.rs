@@ -1,69 +1,24 @@
 //! CLI for `tufast-lint`.
 //!
 //! ```text
-//! tufast-lint [--root DIR] [--json]
-//!             [--baseline FILE] [--write-baseline]
-//!             [--lock-order FILE] [--write-lock-order]
+//! tufast-lint [--root DIR] [--write-lock-order]
 //! ```
 //!
-//! Exit codes: 0 clean (no findings beyond the baseline, artifact in
-//! sync), 1 new findings or a stale lock-order artifact, 2 usage or I/O
-//! error.
+//! Without `--write-lock-order` it prints [`tufast_lint::check`]'s
+//! verdict. Exit codes: 0 the tree passes, 1 it fails (a finding, or a
+//! stale or missing `lint-lock-order.json`), 2 usage or I/O error.
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tufast_lint::baseline::{diff, findings_from_json, findings_to_json};
 use tufast_lint::rules::lockorder::artifact_json;
-use tufast_lint::{Config, Report};
-
-struct Opts {
-    root: Option<PathBuf>,
-    json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
-    lock_order: Option<PathBuf>,
-    write_lock_order: bool,
-}
+use tufast_lint::{Config, LOCK_ORDER_FILE};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tufast-lint [--root DIR] [--json] [--baseline FILE] [--write-baseline] \
-         [--lock-order FILE] [--write-lock-order]"
-    );
+    eprintln!("usage: tufast-lint [--root DIR] [--write-lock-order]");
     ExitCode::from(2)
-}
-
-fn parse_opts() -> Result<Opts, ExitCode> {
-    let mut opts = Opts {
-        root: None,
-        json: false,
-        baseline: None,
-        write_baseline: false,
-        lock_order: None,
-        write_lock_order: false,
-    };
-    let mut args = env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--root" => opts.root = Some(PathBuf::from(args.next().ok_or_else(usage)?)),
-            "--json" => opts.json = true,
-            "--baseline" => opts.baseline = Some(PathBuf::from(args.next().ok_or_else(usage)?)),
-            "--write-baseline" => opts.write_baseline = true,
-            "--lock-order" => opts.lock_order = Some(PathBuf::from(args.next().ok_or_else(usage)?)),
-            "--write-lock-order" => opts.write_lock_order = true,
-            "--help" | "-h" => {
-                return Err(usage());
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return Err(usage());
-            }
-        }
-    }
-    Ok(opts)
 }
 
 /// Walk up from the current directory to the workspace root (the first
@@ -86,120 +41,61 @@ fn find_root() -> Option<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_opts() {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
-    let Some(root) = opts.root.clone().or_else(find_root) else {
+    let mut root = None;
+    let mut write_lock_order = false;
+    let mut args = env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--root" => match args.next() {
+                Some(dir) => root = Some(PathBuf::from(dir)),
+                None => return usage(),
+            },
+            "--write-lock-order" => write_lock_order = true,
+            "--help" | "-h" => return usage(),
+            other => {
+                eprintln!("unknown argument `{other}`");
+                return usage();
+            }
+        }
+    }
+    let Some(root) = root.or_else(find_root) else {
         eprintln!("tufast-lint: could not locate the workspace root (pass --root)");
         return ExitCode::from(2);
     };
-    let cfg = Config::for_workspace(root.clone());
-    let report: Report = match tufast_lint::run(&cfg) {
-        Ok(r) => r,
+    let cfg = Config::for_workspace(root);
+
+    if write_lock_order {
+        let path = cfg.root.join(LOCK_ORDER_FILE);
+        let written = tufast_lint::run(&cfg).and_then(|r| {
+            fs::write(&path, artifact_json(&r.lock_order)).map_err(|e| e.to_string())
+        });
+        return match written {
+            Ok(()) => {
+                eprintln!("tufast-lint: wrote {}", path.display());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("tufast-lint: write {}: {e}", path.display());
+                ExitCode::from(2)
+            }
+        };
+    }
+
+    match tufast_lint::check(&cfg) {
+        Ok(reasons) if reasons.is_empty() => {
+            println!("tufast-lint: 0 findings, {LOCK_ORDER_FILE} up to date");
+            ExitCode::SUCCESS
+        }
+        Ok(reasons) => {
+            for r in &reasons {
+                println!("{r}");
+            }
+            println!("tufast-lint: the tree fails on the lines above");
+            ExitCode::FAILURE
+        }
         Err(e) => {
             eprintln!("tufast-lint: {e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
-
-    let baseline_path = opts
-        .baseline
-        .unwrap_or_else(|| root.join("lint-baseline.json"));
-    let artifact_path = opts
-        .lock_order
-        .unwrap_or_else(|| root.join("lint-lock-order.json"));
-    let artifact = artifact_json(&report.lock_order);
-
-    if opts.write_baseline {
-        if let Err(e) = fs::write(&baseline_path, findings_to_json(&report.findings)) {
-            eprintln!("tufast-lint: write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "tufast-lint: wrote {} ({} findings)",
-            baseline_path.display(),
-            report.findings.len()
-        );
-    }
-    if opts.write_lock_order {
-        if let Err(e) = fs::write(&artifact_path, &artifact) {
-            eprintln!("tufast-lint: write {}: {e}", artifact_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("tufast-lint: wrote {}", artifact_path.display());
-    }
-    if opts.write_baseline || opts.write_lock_order {
-        return ExitCode::SUCCESS;
-    }
-
-    // Baseline diff: a missing baseline file means an empty baseline.
-    let base = match fs::read_to_string(&baseline_path) {
-        Ok(text) => match findings_from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("tufast-lint: parse {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Vec::new(),
-    };
-    let d = diff(&report.findings, &base);
-
-    // Artifact check: when a committed artifact exists it must match the
-    // regenerated one byte-for-byte.
-    let artifact_ok = match fs::read_to_string(&artifact_path) {
-        Ok(committed) => committed == artifact,
-        Err(_) => true, // not committed yet: nothing to check
-    };
-
-    if opts.json {
-        let mut out = String::from("{\n  \"version\": 1,\n");
-        let all = findings_to_json(&report.findings);
-        let new: Vec<_> = d.new.iter().map(|f| (*f).clone()).collect();
-        let new_json = findings_to_json(&new);
-        // Splice the pre-rendered docs in as sub-objects.
-        out.push_str("  \"live\": ");
-        out.push_str(all.trim_end());
-        out.push_str(",\n  \"new\": ");
-        out.push_str(new_json.trim_end());
-        out.push_str(",\n  \"stale_baseline_entries\": [");
-        for (i, s) in d.stale.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(&tufast_lint::json::esc(s));
-            out.push('"');
-        }
-        out.push_str("],\n  \"lock_order_artifact_ok\": ");
-        out.push_str(if artifact_ok { "true" } else { "false" });
-        out.push_str("\n}");
-        println!("{out}");
-    } else {
-        for f in &d.new {
-            println!("{}", f.human());
-        }
-        for s in &d.stale {
-            println!("stale baseline entry (fixed or renamed): {s}");
-        }
-        println!(
-            "tufast-lint: {} findings, {} new vs baseline, {} stale baseline entries",
-            report.findings.len(),
-            d.new.len(),
-            d.stale.len()
-        );
-        if !artifact_ok {
-            println!(
-                "tufast-lint: {} is out of date; refresh with --write-lock-order",
-                artifact_path.display()
-            );
-        }
-    }
-
-    if d.new.is_empty() && artifact_ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }

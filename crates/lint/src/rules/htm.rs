@@ -12,7 +12,7 @@
 //! `// tufast-lint: htm-scope` marker (ops structs that reach the HTM
 //! through `self.ctx`). `#[cfg(test)]` code is exempt.
 
-use crate::baseline::Finding;
+use crate::finding::Finding;
 use crate::lexer::Tok;
 use crate::rules::{ident_at, is_punct};
 use crate::scan::{params_contain, FileModel};

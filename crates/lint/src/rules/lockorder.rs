@@ -38,8 +38,9 @@
 //! self-edges.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
-use crate::baseline::Finding;
+use crate::finding::Finding;
 use crate::rules::{callee_names, ident_at, is_punct};
 use crate::scan::FileModel;
 
@@ -641,8 +642,6 @@ pub fn class_note(class: &str) -> &'static str {
 
 /// Render the artifact as canonical JSON.
 pub fn artifact_json(lo: &LockOrder) -> String {
-    use crate::json::esc;
-    use std::fmt::Write as _;
     let mut out = String::from("{\n  \"version\": 2,\n  \"note\": \"A -> B means B is acquired while A may be held, at `sites` places in `function`. Locks acquired inside callees are assumed released on return; blocking_target=false edges end in bounded-try acquisitions and cannot deadlock; suppressed=true means every blocking site carries a reasoned allow.\",\n  \"classes\": [");
     for (i, (name, (blocking, sites))) in lo.classes.iter().enumerate() {
         if i > 0 {
@@ -683,4 +682,31 @@ pub fn artifact_json(lo: &LockOrder) -> String {
     }
     out.push_str("]\n}\n");
     out
+}
+
+/// Escape `s` as the inside of a JSON string literal.
+fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn esc_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(super::esc("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+    }
 }

@@ -11,7 +11,7 @@
 //!   relaxed flag read orders nothing, so the data it publishes may not
 //!   be visible to the observer.
 
-use crate::baseline::Finding;
+use crate::finding::Finding;
 use crate::rules::{ident_at, is_punct};
 use crate::scan::FileModel;
 

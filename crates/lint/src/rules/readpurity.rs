@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::baseline::Finding;
+use crate::finding::Finding;
 use crate::rules::{argument_range, callee_names, ident_at, is_punct};
 use crate::scan::{params_contain, FileModel};
 

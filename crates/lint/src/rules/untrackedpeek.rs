@@ -15,7 +15,7 @@
 //! `#[cfg(test)]` code is exempt (tests peek mid-body to observe an open
 //! writer).
 
-use crate::baseline::Finding;
+use crate::finding::Finding;
 use crate::rules::{argument_range, ident_at, is_ident, is_punct};
 use crate::scan::FileModel;
 

@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::baseline::Finding;
+use crate::finding::Finding;
 use crate::rules::callee_names;
 use crate::scan::{params_contain, FileModel};
 

@@ -1,17 +1,19 @@
 //! Golden-fixture tests: the known-bad snippets must produce exactly the
 //! committed diagnostics (at least one true positive per rule family),
-//! and the known-clean lookalikes must produce zero findings.
+//! the known-clean lookalikes must produce zero findings, and
+//! [`tufast_lint::check`] must fail a tree for a finding and for a stale
+//! or missing lock-order artifact.
 //!
 //! Regenerate the golden file after an intentional rule change with:
 //! `UPDATE_GOLDEN=1 cargo test -p tufast-lint --test fixtures`
 
 use std::collections::BTreeSet;
+use std::fs;
 use std::path::PathBuf;
 
-use tufast_lint::baseline::{findings_from_json, findings_to_json, identity_counts};
 use tufast_lint::rules::lockorder::artifact_json;
 use tufast_lint::scan::{scan_file, FileModel};
-use tufast_lint::{analyze, load_files, Config, Report};
+use tufast_lint::{analyze, check, load_files, Config, Report, LOCK_ORDER_FILE};
 
 fn fixture_config(which: &str) -> Config {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -25,25 +27,31 @@ fn fixture_config(which: &str) -> Config {
     }
 }
 
+/// The findings' identities (no line numbers), sorted: two lists are
+/// equal as multisets exactly when these are equal.
+fn identities(report: &Report) -> Vec<String> {
+    let mut ids: Vec<String> = report.findings.iter().map(|f| f.identity()).collect();
+    ids.sort();
+    ids
+}
+
 #[test]
 fn known_bad_matches_golden() {
     let cfg = fixture_config("known_bad");
     let files = load_files(&cfg).expect("fixtures readable");
-    let report = analyze(&cfg, &files);
-    let live = findings_to_json(&report.findings);
+    let live = identities(&analyze(&cfg, &files));
 
     let golden_path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/known_bad/expected.json");
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/known_bad/expected.txt");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &live).expect("write golden");
+        fs::write(&golden_path, live.join("\n") + "\n").expect("write golden");
         return;
     }
-    let golden = std::fs::read_to_string(&golden_path).expect("golden file committed");
-    let expected = findings_from_json(&golden).expect("golden parses");
+    let golden = fs::read_to_string(&golden_path).expect("golden file committed");
     assert_eq!(
-        identity_counts(&report.findings),
-        identity_counts(&expected),
-        "known-bad diagnostics drifted from the golden file;\nlive:\n{live}"
+        live,
+        golden.lines().collect::<Vec<_>>(),
+        "known-bad diagnostics drifted from the golden file"
     );
 }
 
@@ -129,10 +137,7 @@ fn shifted_functions_leave_the_lock_order_artifact_byte_identical() {
             "{}: the artifact moved with the functions",
             cfg.root.display()
         );
-        assert_eq!(
-            identity_counts(&before.findings),
-            identity_counts(&after.findings)
-        );
+        assert_eq!(identities(&before), identities(&after));
         let lines = |r: &Report| r.findings.iter().map(|f| f.line).collect::<Vec<_>>();
         assert!(before.findings.is_empty() || lines(&before) != lines(&after));
     }
@@ -153,4 +158,45 @@ fn known_clean_is_silent() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn check_fails_the_known_bad_tree_for_each_finding() {
+    let cfg = fixture_config("known_bad");
+    let report = tufast_lint::run(&cfg).expect("fixtures readable");
+    let reasons = check(&cfg).expect("fixtures readable");
+    for f in &report.findings {
+        assert!(reasons.contains(&f.human()), "{} not reported", f.human());
+    }
+}
+
+/// A clean tree passes only with its artifact committed and current.
+#[test]
+fn check_fails_a_stale_or_missing_lock_order_artifact() {
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint_artifact_tree");
+    let _ = fs::remove_dir_all(&root);
+    fs::create_dir_all(&root).expect("scratch tree");
+    let clean = fixture_config("known_clean").root.join("clean.rs");
+    fs::copy(clean, root.join("clean.rs")).expect("copy clean fixture");
+    let cfg = Config {
+        root: root.clone(),
+        ..fixture_config("known_clean")
+    };
+    let artifact = root.join(LOCK_ORDER_FILE);
+    let one_reason_naming_the_artifact =
+        |reasons: Vec<String>| reasons.len() == 1 && reasons[0].starts_with(LOCK_ORDER_FILE);
+
+    assert!(
+        one_reason_naming_the_artifact(check(&cfg).unwrap()),
+        "missing"
+    );
+    let report = tufast_lint::run(&cfg).unwrap();
+    fs::write(&artifact, artifact_json(&report.lock_order)).unwrap();
+    assert_eq!(check(&cfg).unwrap(), Vec::<String>::new(), "current");
+    fs::write(&artifact, artifact_json(&report.lock_order) + " ").unwrap();
+    assert!(
+        one_reason_naming_the_artifact(check(&cfg).unwrap()),
+        "stale"
+    );
+    fs::remove_dir_all(&root).unwrap();
 }

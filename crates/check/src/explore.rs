@@ -27,11 +27,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::thread::ThreadId;
 use std::time::Duration;
 
 use tufast::{TuFast, TuFastConfig};
+use tufast_htm::witness::{LockClass, Mutex};
 use tufast_htm::{AbortCode, AbortSource, Addr, HtmConfig, MemRegion, MemoryLayout};
 use tufast_txn::{GraphScheduler, SystemConfig, TxnObserver, TxnSystem, TxnWorker, VertexId};
 
@@ -190,13 +191,16 @@ struct StepGate {
 impl StepGate {
     fn new(threads: usize, policy: Policy) -> Self {
         StepGate {
-            state: Mutex::new(GateState {
-                slots: HashMap::new(),
-                active: vec![true; threads],
-                registered: 0,
-                turn: 0,
-                policy,
-            }),
+            state: Mutex::new(
+                LockClass::ExploreState,
+                GateState {
+                    slots: HashMap::new(),
+                    active: vec![true; threads],
+                    registered: 0,
+                    turn: 0,
+                    policy,
+                },
+            ),
             cv: Condvar::new(),
         }
     }
@@ -230,7 +234,7 @@ impl StepGate {
         // Hold every thread at its first operation until the whole cohort
         // has registered — otherwise early threads race ahead ungated.
         while st.registered < st.active.len() {
-            let (next, timeout) = self.cv.wait_timeout(st, 10 * TURN_STEAL_TIMEOUT).unwrap();
+            let (next, timeout) = st.wait_timeout(&self.cv, 10 * TURN_STEAL_TIMEOUT).unwrap();
             st = next;
             if timeout.timed_out() {
                 break; // a spawn failed?  proceed rather than hang
@@ -242,7 +246,7 @@ impl StepGate {
                 self.cv.notify_all();
                 return;
             }
-            let (next, timeout) = self.cv.wait_timeout(st, TURN_STEAL_TIMEOUT).unwrap();
+            let (next, timeout) = st.wait_timeout(&self.cv, TURN_STEAL_TIMEOUT).unwrap();
             st = next;
             if timeout.timed_out() && st.turn != slot {
                 // The turn-holder is off blocked somewhere (e.g. an L-mode
@@ -488,7 +492,7 @@ mod tests {
     /// Explorer runs saturate the machine with gated worker threads;
     /// running several concurrently (the harness default) just multiplies
     /// turn-steal timeouts. Serialize them.
-    static SEQ: Mutex<()> = Mutex::new(());
+    static SEQ: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn seq() -> std::sync::MutexGuard<'static, ()> {
         SEQ.lock().unwrap_or_else(|p| p.into_inner())

@@ -19,8 +19,8 @@
 //! program order too; the last write per address is the published value.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
+use tufast_htm::witness::{LockClass, Mutex};
 use tufast_htm::Addr;
 use tufast_txn::{TxnObserver, VertexId};
 
@@ -197,9 +197,16 @@ impl Pending {
 /// drain with [`take_history`](Recorder::take_history) after the
 /// workload quiesces. One recorder serves all workers of a system; the
 /// per-event critical section is a handful of vector pushes.
-#[derive(Default)]
 pub struct Recorder {
     state: Mutex<RecorderState>,
+}
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder {
+            state: Mutex::new(LockClass::HistoryState, RecorderState::default()),
+        }
+    }
 }
 
 #[derive(Default)]

@@ -19,13 +19,14 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tufast::{StealPool, TuFast};
 use tufast_algos::checkpoint::{Ckpt, CkptReport};
 use tufast_algos::{bfs, setup, sssp, wcc};
 use tufast_graph::snapshot::{load, SnapshotError, SnapshotStore};
 use tufast_graph::{Graph, GraphBuilder};
+use tufast_htm::witness::{LockClass, Mutex, MutexGuard};
 use tufast_txn::{is_injected_crash, FaultPlan, FaultSpec, TxnObserver, TxnSystem};
 
 /// Which checkpointed algorithm a recovery run exercises.
@@ -210,7 +211,7 @@ impl StaleWatch {
     /// Run `action` once `skips` skips and `commits` commits were seen.
     pub fn after(skips: u64, commits: u64, action: impl Fn() + Send + Sync + 'static) -> Arc<Self> {
         Arc::new(StaleWatch {
-            seen: Mutex::default(),
+            seen: Mutex::new(LockClass::RecoverySeen, Seen::default()),
             skips: AtomicU64::new(0),
             commits: AtomicU64::new(0),
             after: (skips, commits),
@@ -228,7 +229,7 @@ impl StaleWatch {
         self.skips.load(Ordering::Acquire)
     }
 
-    fn seen(&self) -> std::sync::MutexGuard<'_, Seen> {
+    fn seen(&self) -> MutexGuard<'_, Seen> {
         // A seeded crash unwinds through observer callbacks by design.
         self.seen.lock().unwrap_or_else(|e| e.into_inner())
     }

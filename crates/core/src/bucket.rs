@@ -22,7 +22,8 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+use tufast_htm::witness::{LockClass, Mutex};
 
 use crate::pad::CachePadded;
 use crate::par::{lock, PoolCounters, WorkPool};
@@ -36,7 +37,6 @@ const NUM_BANDS: usize = 4096;
 
 /// One priority band: its items plus a racy occupancy count that lets
 /// the pop scan skip empty bands with a load instead of a lock.
-#[derive(Default)]
 struct Band {
     /// FIFO within the band: delta-stepping leaves same-band keys
     /// unordered, but draining them oldest-first still approximates the
@@ -48,6 +48,15 @@ struct Band {
     /// this pop — the `pending` counter keeps the drain loop retrying,
     /// so staleness costs a rescan, never an item.
     occupancy: AtomicUsize,
+}
+
+impl Default for Band {
+    fn default() -> Self {
+        Band {
+            items: Mutex::new(LockClass::PoolQueue, VecDeque::new()),
+            occupancy: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl Band {

@@ -173,7 +173,6 @@ impl<'a> Epochs<'a> {
         }
         // 2. Take the serial token (an in-flight serial rung finishes
         //    first; nothing new can start while we hold it).
-        // tufast-lint: lock-acquire(serial_token)
         let token = self.sys.hold_serial(COORDINATOR_CLAIM);
         // 3. Checkpoint under full quiescence. Only the elected
         //    coordinator ever touches `epoch`/`next_target`, and

@@ -26,8 +26,9 @@
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::PoisonError;
 
+use tufast_htm::witness::{LockClass, Mutex, MutexGuard};
 use tufast_htm::AtomicCounters;
 use tufast_txn::{GraphScheduler, TxnWorker};
 
@@ -221,7 +222,7 @@ impl FifoPool {
     /// An empty pool.
     pub fn new() -> Self {
         FifoPool {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(LockClass::PoolQueue, VecDeque::new()),
             pending: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -287,7 +288,7 @@ impl PriorityPool {
     /// An empty pool.
     pub fn new() -> Self {
         PriorityPool {
-            heap: Mutex::new(BinaryHeap::new()),
+            heap: Mutex::new(LockClass::PoolQueue, BinaryHeap::new()),
             pending: CachePadded::new(AtomicUsize::new(0)),
             default_key: AtomicU64::new(0),
         }

@@ -32,8 +32,10 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Condvar;
 use std::time::Duration;
+
+use tufast_htm::witness::{LockClass, Mutex};
 
 use crate::pad::CachePadded;
 use crate::par::{lock, PoolCounters, WorkPool};
@@ -257,12 +259,18 @@ impl StripedPending {
 /// argument — a missed wakeup costs at most [`PARK_TIMEOUT`], never a
 /// hang — so the wake paths can stay cheap (a single relaxed load when
 /// nobody is parked).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct IdleGate {
     lock: Mutex<()>,
     cond: Condvar,
     parked: AtomicUsize,
     wakeups: AtomicU64,
+}
+
+impl Default for IdleGate {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Upper bound on one parked wait; see [`IdleGate`].
@@ -271,7 +279,12 @@ pub const PARK_TIMEOUT: Duration = Duration::from_micros(500);
 impl IdleGate {
     /// A gate with nobody parked.
     pub fn new() -> Self {
-        Self::default()
+        IdleGate {
+            lock: Mutex::new(LockClass::IdleGate, ()),
+            cond: Condvar::new(),
+            parked: AtomicUsize::new(0),
+            wakeups: AtomicU64::new(0),
+        }
     }
 
     /// Park the calling worker until a wake or the timeout.
@@ -282,9 +295,8 @@ impl IdleGate {
             .lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (_guard, _timeout) = self
-            .cond
-            .wait_timeout(guard, PARK_TIMEOUT)
+        let (_guard, _timeout) = guard
+            .wait_timeout(&self.cond, PARK_TIMEOUT)
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         // tufast-lint: allow(memory-ordering) -- Dekker with wake_one; keeps the parked count conservatively high for wakers
         self.parked.fetch_sub(1, Ordering::SeqCst);
@@ -422,7 +434,7 @@ impl StealPool {
                     })
                 })
                 .collect(),
-            injector: Mutex::new(VecDeque::new()),
+            injector: Mutex::new(LockClass::PoolQueue, VecDeque::new()),
             next_slot: AtomicUsize::new(0),
             pending: StripedPending::new(slots),
             idle: IdleGate::new(),

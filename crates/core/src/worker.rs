@@ -183,7 +183,6 @@ impl TuFastWorker {
         body: &mut TxnBody<'_>,
     ) -> TxnOutcome {
         let sys = Arc::clone(&self.lc.sys);
-        // tufast-lint: lock-acquire(serial_token)
         let _token = sys.hold_serial(u64::from(self.lc.id) + 1);
         let ops = self.ops();
         // Exempt for the whole rung, attempt boundaries included; cleared on

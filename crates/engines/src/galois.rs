@@ -11,9 +11,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use tufast_graph::{Graph, VertexId};
+use tufast_htm::witness::{LockClass, Mutex};
 
 use crate::common::{atomic_vec, par_for};
 
@@ -58,18 +58,6 @@ impl Ownership {
     }
 }
 
-/// Append `v` to the worklist. The guard drops on return, like
-/// [`pop_work`]'s, so no caller holds the worklist's mutex, and none
-/// holds it across `operator`.
-fn push_work(queue: &Mutex<VecDeque<VertexId>>, v: VertexId) {
-    queue.lock().unwrap().push_back(v);
-}
-
-/// Take the worklist's oldest item.
-fn pop_work(queue: &Mutex<VecDeque<VertexId>>) -> Option<VertexId> {
-    queue.lock().unwrap().pop_front()
-}
-
 /// Run `operator(v, push)` speculatively for every item in the worklist;
 /// the operator's *neighbourhood* (vertex + out-neighbours) is locked for
 /// the duration. Operators must be idempotent under retry (they re-read
@@ -80,14 +68,14 @@ pub fn for_each(
     threads: usize,
     operator: impl Fn(VertexId, &dyn Fn(VertexId)) + Sync,
 ) {
-    let queue = Mutex::new(VecDeque::new());
+    let queue = Mutex::new(LockClass::GaloisWorklist, VecDeque::new());
     let pending = AtomicU64::new(0);
     for v in initial {
         // Increments may be Relaxed: the queue's mutex publishes the item,
         // and the termination check pairs Acquire with the Release
         // decrement below.
         pending.fetch_add(1, Ordering::Relaxed);
-        push_work(&queue, v);
+        queue.lock().unwrap().push_back(v);
     }
     let ownership = Ownership::new(g.num_vertices());
     let threads = threads.max(1);
@@ -101,7 +89,10 @@ pub fn for_each(
                 let mut neighborhood: Vec<VertexId> = Vec::new();
                 let mut idle = 0u32;
                 loop {
-                    match pop_work(queue) {
+                    // Popped in its own statement: a guard in the `match`
+                    // scrutinee would live through the arm, which pushes.
+                    let next = queue.lock().unwrap().pop_front();
+                    match next {
                         Some(v) => {
                             idle = 0;
                             neighborhood.clear();
@@ -120,12 +111,12 @@ pub fn for_each(
                                 std::hint::spin_loop();
                             }
                             if !acquired {
-                                push_work(queue, v); // retry later
+                                queue.lock().unwrap().push_back(v); // retry later
                                 continue;
                             }
                             let push = |u: VertexId| {
                                 pending.fetch_add(1, Ordering::Relaxed);
-                                push_work(queue, u);
+                                queue.lock().unwrap().push_back(u);
                             };
                             operator(v, &push);
                             ownership.release(&neighborhood);

@@ -42,8 +42,9 @@
 //! durability matrix in `tufast-check` proves fault by fault.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
+use tufast_htm::witness::{LockClass, Mutex, MutexGuard};
 use tufast_htm::MemoryLayout;
 use tufast_txn::{TxnSystem, TxnWorker};
 
@@ -292,7 +293,7 @@ impl DurableOpen {
                 system: Arc::clone(system),
                 mutable,
                 store,
-                wal: Mutex::new(writer),
+                wal: Mutex::new(LockClass::DurableWal, writer),
             },
             recovery,
         ))
@@ -567,6 +568,55 @@ mod tests {
         assert_eq!(recovery.snapshot_epoch, None);
         assert_eq!(dg2.materialize(), live, "recovery must be bitwise exact");
         assert_eq!(dg2.last_lsn(), 4, "LSNs continue where they left off");
+    }
+
+    /// The lock-order witness accepts a transaction under the WAL lock:
+    /// 2PL's vertex and line locks, and the TuFast router's too once the
+    /// HTM switch is off and its transactions go to L.
+    #[test]
+    fn a_commit_under_the_wal_lock_keeps_the_lock_order() {
+        let dir = temp_dir("order");
+        init_dir(&dir, &line_graph(4), 8, small_cfg()).unwrap();
+        let (dg, _) = open(&dir, SyncPolicy::EveryCommit);
+        let tpl = TwoPhaseLocking::new(Arc::clone(dg.system()));
+        let tufast = tufast::TuFast::new(Arc::clone(dg.system()));
+        let mut w = tpl.worker();
+        assert_eq!(
+            dg.add_edge(&mut w, 3, 0, 0).unwrap(),
+            MutationOutcome::Applied
+        );
+        dg.system().htm().set_htm_available(false);
+        let mut w = tufast.worker();
+        assert_eq!(
+            dg.add_edge(&mut w, 2, 0, 0).unwrap(),
+            MutationOutcome::Applied
+        );
+        assert_eq!(w.take_tufast_stats().modes.txns(tufast::ModeClass::L), 1);
+    }
+
+    /// The guard `lock_wal` hands out keeps its lock class held in the
+    /// caller: taking a second graph's commit lock under it nests
+    /// `DurableWal`, which the witness refuses; after the guard drops, the
+    /// same call passes.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_wal_guard_stays_held_until_it_drops() {
+        let (a, b) = (temp_dir("guard-a"), temp_dir("guard-b"));
+        init_dir(&a, &line_graph(2), 4, small_cfg()).unwrap();
+        init_dir(&b, &line_graph(2), 4, small_cfg()).unwrap();
+        let ((dg_a, _), (dg_b, _)) = (
+            open(&a, SyncPolicy::EveryCommit),
+            open(&b, SyncPolicy::EveryCommit),
+        );
+        let guard = dg_a.lock_wal();
+        let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dg_b.last_lsn()));
+        let text = nested
+            .expect_err("nested commit locks")
+            .downcast::<String>()
+            .unwrap();
+        assert!(text.contains("DurableWal"), "{text}");
+        drop(guard);
+        assert_eq!(dg_b.last_lsn(), 0);
     }
 
     #[test]

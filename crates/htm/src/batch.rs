@@ -13,6 +13,7 @@ use std::sync::atomic::Ordering;
 
 use crate::memory::{TxMemory, DIRECT_OWNER};
 use crate::meta;
+use crate::witness::{self, Held, LockClass};
 
 /// Ascending runs `seal` deals an out-of-order gather into before it gives
 /// up and sorts. Commits push a few interleaved ascending sequences — an
@@ -41,6 +42,8 @@ pub struct LineBatch {
     /// How many of `lines`, from the front, are currently locked. (A locked
     /// line's metadata keeps its pre-lock version, so none is stored here.)
     locked: usize,
+    /// The lock-order witness's hold of the locked lines.
+    held: Held,
 }
 
 impl LineBatch {
@@ -51,6 +54,7 @@ impl LineBatch {
             ascending: true,
             runs: Vec::new(),
             locked: 0,
+            held: Held::default(),
         }
     }
 
@@ -166,6 +170,7 @@ impl TxMemory {
             self.unlock_lines(batch, None);
             return false;
         }
+        batch.held = witness::acquired(LockClass::HtmLineLock);
         true
     }
 
@@ -173,6 +178,7 @@ impl TxMemory {
     /// waiting for each. Deadlock-free: every multi-line holder locks
     /// ascending, and the try-only ones give up instead of waiting.
     pub fn lock_lines(&self, batch: &mut LineBatch) {
+        batch.held = witness::acquire(LockClass::HtmLineLock);
         batch.seal();
         for &line in &batch.lines {
             self.lock_line_spin(line, DIRECT_OWNER);
@@ -185,6 +191,7 @@ impl TxMemory {
     /// or, with `None`, each line's pre-lock version. A batch that holds
     /// nothing is left alone.
     pub fn unlock_lines(&self, batch: &mut LineBatch, version: Option<u64>) {
+        batch.held = Held::default();
         for &line in &batch.lines[..batch.locked] {
             // Relaxed: nobody else writes the word of a line we hold.
             let pre_lock = || meta::version(self.line(line).load(Ordering::Relaxed));

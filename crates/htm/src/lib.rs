@@ -78,6 +78,7 @@ mod memory;
 mod meta;
 mod runtime;
 mod stats;
+pub mod witness;
 mod wordmap;
 
 pub use abort::{AbortCode, HtmStateError};

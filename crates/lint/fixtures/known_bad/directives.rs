@@ -7,5 +7,3 @@ pub fn suppressed_without_reason(ctx: &mut HtmCtx) {
 
 // tufast-lint: frobnicate(everything)
 pub fn unknown_directive() {}
-
-// tufast-lint: lock-acquire(orphan_class)

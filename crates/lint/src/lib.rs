@@ -1,25 +1,24 @@
 //! `tufast-lint`: a dependency-free static TM-safety analyzer for the
 //! TuFast workspace.
 //!
-//! Six rule families (see `rules/`):
+//! Five rule families (see `rules/`):
 //!
 //! 1. `htm-hazard` — allocation, I/O, and panics inside HTM scopes.
-//! 2. `lock-order` — the static lock-acquisition graph must be acyclic
-//!    over blocking acquisitions; the discovered order is emitted as a
-//!    machine-checked artifact.
-//! 3. `memory-ordering` — `SeqCst` on hot paths needs justification;
+//! 2. `memory-ordering` — `SeqCst` on hot paths needs justification;
 //!    `Relaxed` on cross-thread hand-off flags is flagged.
-//! 4. `unwind-containment` — scheduler entry points must route worker
+//! 3. `unwind-containment` — scheduler entry points must route worker
 //!    closures through `catch_unwind`.
-//! 5. `read-purity` — bodies dispatched as `read_only` never reach
+//! 4. `read-purity` — bodies dispatched as `read_only` never reach
 //!    `TxnOps::write`.
-//! 6. `untracked-peek` — `peek_committed` and `load_committed` stay
+//! 5. `untracked-peek` — `peek_committed` and `load_committed` stay
 //!    outside dispatched transaction bodies.
 //!
+//! Lock order is not linted: `tufast_htm::witness` checks it where each
+//! lock is taken, in every debug build.
+//!
 //! [`check`] is the one verdict, shared by the binary and the root
-//! crate's `tests/lint_gate.rs`: a tree passes only with zero findings
-//! and a committed `lint-lock-order.json` equal to the regenerated
-//! artifact. The one way to suppress a finding is an inline
+//! crate's `tests/lint_gate.rs`: a tree passes only with zero findings.
+//! The one way to suppress a finding is an inline
 //! `// tufast-lint: allow(<rule>) -- <reason>` comment, whose reason is
 //! mandatory.
 
@@ -32,14 +31,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use finding::Finding;
-use rules::lockorder::{artifact_json, LockOrder};
 use scan::FileModel;
 
 /// Rule name for diagnostics about the lint's own directives.
 pub const DIRECTIVE_RULE: &str = "lint-directive";
-
-/// The committed lock-order artifact, relative to the workspace root.
-pub const LOCK_ORDER_FILE: &str = "lint-lock-order.json";
 
 /// What to analyze and where the per-rule scopes lie.
 pub struct Config {
@@ -84,7 +79,6 @@ impl Config {
 pub struct Report {
     /// Unsuppressed findings, sorted.
     pub findings: Vec<Finding>,
-    pub lock_order: LockOrder,
 }
 
 /// Collect the `.rs` files under `dir`, recursively, in sorted order.
@@ -133,8 +127,6 @@ pub fn analyze(cfg: &Config, files: &[FileModel]) -> Report {
     findings.extend(rules::unwind::run(files, &cfg.unwind_scope));
     findings.extend(rules::readpurity::run(files));
     findings.extend(rules::untrackedpeek::run(files));
-    let (lock_findings, lock_order) = rules::lockorder::run(files);
-    findings.extend(lock_findings);
 
     // Inline suppressions (line-accurate, per rule).
     findings.retain(|f| {
@@ -173,10 +165,7 @@ pub fn analyze(cfg: &Config, files: &[FileModel]) -> Report {
     }
 
     findings.sort();
-    Report {
-        findings,
-        lock_order,
-    }
+    Report { findings }
 }
 
 /// Convenience: load + analyze.
@@ -185,20 +174,9 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     Ok(analyze(cfg, &files))
 }
 
-/// The verdict on the tree `cfg` describes: why it fails, one line per
-/// reason, or nothing if it passes. It passes only if it has zero
-/// findings after inline allows and its committed [`LOCK_ORDER_FILE`]
-/// equals [`artifact_json`] byte for byte; a missing artifact fails.
-/// `Err` means the tree could not be read.
+/// The verdict on the tree `cfg` describes: its findings after inline
+/// allows, one line each, or nothing if it passes. `Err` means the tree
+/// could not be read.
 pub fn check(cfg: &Config) -> Result<Vec<String>, String> {
-    let report = run(cfg)?;
-    let mut reasons: Vec<String> = report.findings.iter().map(Finding::human).collect();
-    let refresh =
-        "write it with `cargo run -p tufast-lint -- --write-lock-order` and read the diff";
-    match fs::read_to_string(cfg.root.join(LOCK_ORDER_FILE)) {
-        Ok(committed) if committed == artifact_json(&report.lock_order) => {}
-        Ok(_) => reasons.push(format!("{LOCK_ORDER_FILE} is out of date; {refresh}")),
-        Err(e) => reasons.push(format!("{LOCK_ORDER_FILE}: {e}; {refresh}")),
-    }
-    Ok(reasons)
+    Ok(run(cfg)?.findings.iter().map(Finding::human).collect())
 }

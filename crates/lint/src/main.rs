@@ -1,23 +1,21 @@
 //! CLI for `tufast-lint`.
 //!
 //! ```text
-//! tufast-lint [--root DIR] [--write-lock-order]
+//! tufast-lint [--root DIR]
 //! ```
 //!
-//! Without `--write-lock-order` it prints [`tufast_lint::check`]'s
-//! verdict. Exit codes: 0 the tree passes, 1 it fails (a finding, or a
-//! stale or missing `lint-lock-order.json`), 2 usage or I/O error.
+//! It prints [`tufast_lint::check`]'s verdict. Exit codes: 0 the tree
+//! passes, 1 it has a finding, 2 usage or I/O error.
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tufast_lint::rules::lockorder::artifact_json;
-use tufast_lint::{Config, LOCK_ORDER_FILE};
+use tufast_lint::Config;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: tufast-lint [--root DIR] [--write-lock-order]");
+    eprintln!("usage: tufast-lint [--root DIR]");
     ExitCode::from(2)
 }
 
@@ -42,7 +40,6 @@ fn find_root() -> Option<PathBuf> {
 
 fn main() -> ExitCode {
     let mut root = None;
-    let mut write_lock_order = false;
     let mut args = env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -50,7 +47,6 @@ fn main() -> ExitCode {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage(),
             },
-            "--write-lock-order" => write_lock_order = true,
             "--help" | "-h" => return usage(),
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -62,28 +58,9 @@ fn main() -> ExitCode {
         eprintln!("tufast-lint: could not locate the workspace root (pass --root)");
         return ExitCode::from(2);
     };
-    let cfg = Config::for_workspace(root);
-
-    if write_lock_order {
-        let path = cfg.root.join(LOCK_ORDER_FILE);
-        let written = tufast_lint::run(&cfg).and_then(|r| {
-            fs::write(&path, artifact_json(&r.lock_order)).map_err(|e| e.to_string())
-        });
-        return match written {
-            Ok(()) => {
-                eprintln!("tufast-lint: wrote {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("tufast-lint: write {}: {e}", path.display());
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    match tufast_lint::check(&cfg) {
+    match tufast_lint::check(&Config::for_workspace(root)) {
         Ok(reasons) if reasons.is_empty() => {
-            println!("tufast-lint: 0 findings, {LOCK_ORDER_FILE} up to date");
+            println!("tufast-lint: 0 findings");
             ExitCode::SUCCESS
         }
         Ok(reasons) => {

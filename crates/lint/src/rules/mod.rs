@@ -1,7 +1,6 @@
-//! The six rule families plus shared token-walking helpers.
+//! The five rule families plus shared token-walking helpers.
 
 pub mod htm;
-pub mod lockorder;
 pub mod ordering;
 pub mod readpurity;
 pub mod untrackedpeek;

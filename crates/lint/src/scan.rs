@@ -1,7 +1,7 @@
 //! The item scanner: walks a token stream and recovers the structure the
 //! rules need — functions (name, parameter tokens, body token range),
-//! enclosing `impl Trait for` blocks, `#[cfg(test)]` exclusion, and the
-//! `tufast-lint:` directives bound to items or lines.
+//! `#[cfg(test)]` exclusion, and the `tufast-lint:` directives bound to
+//! items or lines.
 //!
 //! Directives (in `//` or `/* */` comments):
 //!
@@ -11,9 +11,6 @@
 //! * `tufast-lint: htm-scope` — the next `fn` (or every fn in the next
 //!   `impl` block) runs inside a hardware transaction; the HTM-hazard
 //!   rule scans it.
-//! * `tufast-lint: lock-acquire(<class>)` — the next code line is a
-//!   blocking acquisition of lock class `<class>` (for acquisitions the
-//!   built-in patterns cannot see, e.g. CAS spin loops on a token word).
 //! * `tufast-lint: unwind-entry` — the next `fn` is a scheduler entry
 //!   point that must route worker closures through `catch_unwind`.
 
@@ -36,8 +33,6 @@ pub struct FnInfo {
     pub htm_scope: bool,
     /// Marked as an unwind-containment entry point.
     pub unwind_entry: bool,
-    /// Trait name when defined in an `impl Trait for Type` block.
-    pub impl_of: Option<String>,
 }
 
 /// An inline suppression.
@@ -51,14 +46,6 @@ pub struct Suppression {
     pub line: u32,
 }
 
-/// A `lock-acquire(<class>)` site.
-#[derive(Debug)]
-pub struct AcquireMark {
-    pub class: String,
-    /// The code line the directive binds to.
-    pub line: u32,
-}
-
 /// Everything the rules need from one source file.
 pub struct FileModel {
     /// Workspace-relative path with forward slashes.
@@ -66,7 +53,6 @@ pub struct FileModel {
     pub tokens: Vec<Token>,
     pub fns: Vec<FnInfo>,
     pub suppressions: Vec<Suppression>,
-    pub acquire_marks: Vec<AcquireMark>,
     /// Malformed directives: (line, message).
     pub directive_errors: Vec<(u32, String)>,
 }
@@ -91,7 +77,6 @@ impl FileModel {
 enum Directive {
     Allow { rule: String, has_reason: bool },
     HtmScope,
-    LockAcquire { class: String },
     UnwindEntry,
 }
 
@@ -121,17 +106,6 @@ fn parse_directives(comments: &[Comment]) -> ParsedDirectives {
                 .strip_prefix("--")
                 .is_some_and(|r| !r.trim().is_empty());
             out.push((c.line, Directive::Allow { rule, has_reason }));
-        } else if let Some(args) = rest.strip_prefix("lock-acquire(") {
-            let Some(close) = args.find(')') else {
-                errors.push((c.line, "unterminated lock-acquire(...)".to_string()));
-                continue;
-            };
-            out.push((
-                c.line,
-                Directive::LockAcquire {
-                    class: args[..close].trim().to_string(),
-                },
-            ));
         } else if rest.starts_with("htm-scope") {
             out.push((c.line, Directive::HtmScope));
         } else if rest.starts_with("unwind-entry") {
@@ -153,7 +127,6 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
     let (directives, mut directive_errors) = parse_directives(&comments);
 
     let mut suppressions = Vec::new();
-    let mut acquire_marks = Vec::new();
     // Item markers still waiting for their fn/impl: (line, kind, consumed).
     let mut htm_marks: Vec<(u32, bool)> = Vec::new();
     let mut unwind_marks: Vec<(u32, bool)> = Vec::new();
@@ -175,19 +148,6 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
                     line: *line,
                 });
             }
-            Directive::LockAcquire { class } => {
-                // Bind to the next code line (or this one, for trailing
-                // comments on the acquisition line itself).
-                let bound = tokens
-                    .iter()
-                    .map(|t| t.line)
-                    .find(|&l| l >= *line)
-                    .unwrap_or(*line);
-                acquire_marks.push(AcquireMark {
-                    class: class.clone(),
-                    line: bound,
-                });
-            }
             Directive::HtmScope => htm_marks.push((*line, false)),
             Directive::UnwindEntry => unwind_marks.push((*line, false)),
         }
@@ -202,7 +162,6 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
         end: usize,
         in_test: bool,
         htm_scope: bool,
-        impl_of: Option<String>,
     }
 
     let take_mark = |marks: &mut Vec<(u32, bool)>, item_line: u32| -> bool {
@@ -220,7 +179,6 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
         end: tokens.len(),
         in_test: false,
         htm_scope: false,
-        impl_of: None,
     }];
     let mut pending_test = false;
     let mut i = 0usize;
@@ -256,7 +214,6 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
                         end,
                         in_test: cur.in_test || pending_test,
                         htm_scope: false,
-                        impl_of: None,
                     });
                     pending_test = false;
                     i = j + 1;
@@ -267,21 +224,9 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
             }
             Tok::Ident(kw) if kw == "impl" => {
                 let marked = take_mark(&mut htm_marks, tokens[i].line);
-                // Header runs to the opening brace; pull the trait name if
-                // a top-level `for` is present.
+                // The header runs to the opening brace.
                 let mut j = i + 1;
-                let mut idents_before_for: Vec<String> = Vec::new();
-                let mut trait_name = None;
                 while j < tokens.len() && tokens[j].tok != Tok::Punct('{') {
-                    match &tokens[j].tok {
-                        Tok::Ident(s) if s == "for" => {
-                            trait_name = idents_before_for.last().cloned();
-                        }
-                        Tok::Ident(s) if trait_name.is_none() && s != "where" => {
-                            idents_before_for.push(s.clone());
-                        }
-                        _ => {}
-                    }
                     j += 1;
                 }
                 if j < tokens.len() {
@@ -290,7 +235,6 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
                         end,
                         in_test: cur.in_test || pending_test,
                         htm_scope: cur.htm_scope || marked,
-                        impl_of: trait_name,
                     });
                     pending_test = false;
                     i = j + 1;
@@ -367,7 +311,6 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
                     params,
                     body,
                     in_test: cur.in_test || pending_test,
-                    impl_of: cur.impl_of.clone(),
                 });
                 pending_test = false;
                 i = if body_end > i { body_end } else { i + 1 };
@@ -396,7 +339,6 @@ pub fn scan_file(path: String, src: &str) -> FileModel {
         tokens,
         fns,
         suppressions,
-        acquire_marks,
         directive_errors,
     }
 }
@@ -447,7 +389,6 @@ mod tests {
         let m = scan_file("x.rs".into(), src);
         let names: Vec<(&str, bool)> = m.fns.iter().map(|f| (f.name.as_str(), f.in_test)).collect();
         assert_eq!(names, vec![("top", false), ("read", false), ("t", true)]);
-        assert_eq!(m.fns[1].impl_of.as_deref(), Some("TxnOps"));
     }
 
     #[test]

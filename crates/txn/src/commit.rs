@@ -274,7 +274,6 @@ impl Drop for HeldWrites<'_> {
 /// holding a line.
 #[inline]
 pub fn release_at_ticket(mem: &TxMemory, batch: &mut LineBatch, apply: impl FnOnce()) -> u64 {
-    // tufast-lint: lock-acquire(htm_line_lock)
     mem.lock_lines(batch);
     let ticket = mem.clock_tick_pub();
     apply();

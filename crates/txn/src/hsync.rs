@@ -20,6 +20,7 @@
 
 use std::sync::Arc;
 
+use tufast_htm::witness::{self, LockClass};
 use tufast_htm::{AbortCode, Addr, HtmCtx, LineBatch, WordMap};
 
 use crate::commit::{relax, release_at_ticket};
@@ -160,8 +161,9 @@ impl HSyncWorker {
         let fallback = self.lc.sys.fallback_word();
         let id = self.lc.id;
         let mut spins = 0u32;
-        // Odd while held; every hold leaves the word two higher.
-        // tufast-lint: lock-acquire(hsync_fallback)
+        // Odd while held; every hold leaves the word two higher. The
+        // witness holds it to the end of the attempt.
+        let _fallback = witness::acquire(LockClass::HsyncFallback);
         let held = loop {
             let free = mem.load_direct(fallback) & !1;
             if mem.cas_direct(fallback, free, free + 1).is_ok() {

@@ -12,6 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
+use tufast_htm::witness::{self, Held, LockClass};
 use tufast_htm::{
     Addr, HtmConfig, HtmCtx, HtmRuntime, IdLeases, LineState, MemRegion, MemoryLayout, TxMemory,
 };
@@ -28,11 +29,14 @@ use crate::VertexId;
 /// token reads the holder's claim until the hold drops — on unwind too, so
 /// a panic under the token cannot leave every worker gated.
 #[must_use = "the token is released when the hold drops"]
-pub struct SerialHold<'a>(&'a TxnSystem);
+pub struct SerialHold<'a> {
+    sys: &'a TxnSystem,
+    _held: Held,
+}
 
 impl Drop for SerialHold<'_> {
     fn drop(&mut self) {
-        self.0.mem().store_direct(self.0.serial_token, 0);
+        self.sys.mem().store_direct(self.sys.serial_token, 0);
     }
 }
 
@@ -66,6 +70,14 @@ impl Default for SystemConfig {
 /// hardware transactions subscribe to them (paper §IV-A). When the layout
 /// holds a [paired](MemoryLayout::alloc_paired) region, its lock slots are
 /// the lock words and no lock region is appended.
+///
+/// **One scheduler family per system.** Workers of different schedulers
+/// may share a system only where their protocols see each other's
+/// commits. A TO or H-TO reader beside a 2PL writer is not such a pair:
+/// the timestamps do not see 2PL's commits, and the reader can commit a
+/// torn read. Nothing rejects that mix, so do not build it. The TuFast
+/// router's own rungs (H, O, L, serial, R) are built to mix and may run
+/// beside each other on one system.
 pub struct TxnSystem {
     htm: HtmRuntime,
     locks: VertexLocks,
@@ -300,12 +312,16 @@ impl TxnSystem {
     /// waits at its entry gate ([`Lifecycle::serial_gate`](crate::Lifecycle::serial_gate)).
     pub fn hold_serial(&self, claim: u64) -> SerialHold<'_> {
         debug_assert_ne!(claim, 0, "0 is the free token");
+        let held = witness::acquire(LockClass::SerialToken);
         let mut turn = 0u32;
         while self.mem().cas_direct(self.serial_token, 0, claim).is_err() {
             relax(turn);
             turn = turn.wrapping_add(1);
         }
-        SerialHold(self)
+        SerialHold {
+            sys: self,
+            _held: held,
+        }
     }
 
     /// Pin an R-mode read snapshot: the current global version-clock

@@ -36,6 +36,7 @@
 
 use std::sync::Arc;
 
+use tufast_htm::witness::{self, LockClass};
 use tufast_htm::{Addr, LineBatch, TxMemory, WordMap};
 
 use crate::commit::{relax, release_at_ticket};
@@ -236,6 +237,9 @@ impl TplAttempt {
                 mem.store_locked(locks.addr(slot.v), released.0);
             }
         });
+        for _ in &self.held {
+            witness::release(LockClass::VertexLock);
+        }
         if commit {
             lc.sys.wait_table().record_commit(lc.id);
         }
@@ -279,14 +283,18 @@ impl<const DECLARED: bool> Locking<'_, DECLARED> {
         let mut anon_attempt = 0u32;
         // The bounded-wait retry below makes this a *blocking*
         // acquisition as far as lock ordering is concerned.
-        // tufast-lint: lock-acquire(vertex_lock)
+        let wait = witness::acquire(LockClass::VertexLock);
         loop {
             let tried = if exclusive {
                 locks.try_exclusive(mem, v, id)
             } else {
                 locks.try_shared(mem, v)
             };
-            let Err(pre) = tried else { return Ok(()) };
+            let Err(pre) = tried else {
+                // Held until the release batch.
+                wait.keep();
+                return Ok(());
+            };
             // A shared acquisition fails only on a writer; an exclusive one
             // also on readers, who are anonymous: bounded wait either way.
             debug_assert!(exclusive || pre.writer().is_some(), "lock word {v} corrupt");
@@ -407,7 +415,6 @@ impl TplWorker {
         for slot in &st.held {
             st.batch.push(locks.addr(slot.v).line());
         }
-        // tufast-lint: lock-acquire(htm_line_lock)
         mem.lock_lines(&mut st.batch);
         let busy = st.held.iter().find(|s| !s.grantable(locks.peek(mem, s.v)));
         if let Some(&busy) = busy {
@@ -422,6 +429,8 @@ impl TplWorker {
                 word.with_readers(word.readers() + 1)
             };
             mem.store_locked(locks.addr(slot.v), held.0);
+            // Held until the release batch.
+            witness::acquired(LockClass::VertexLock).keep();
         }
         let tick = mem.clock_tick_pub();
         mem.unlock_lines(&mut st.batch, Some(tick));
@@ -434,7 +443,7 @@ impl TplWorker {
     /// the wait registers no wait-for edge and picks no victim.
     fn await_grantable(&self, busy: Option<Slot>) {
         let (mem, locks) = (self.lc.sys.mem(), self.lc.sys.locks());
-        // tufast-lint: lock-acquire(vertex_lock)
+        let _wait = witness::acquire(LockClass::VertexLock);
         for turn in 0..WAIT_PROBE_TURNS {
             relax(turn);
             if busy.is_none_or(|slot| slot.grantable(locks.peek(mem, slot.v))) {

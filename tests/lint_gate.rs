@@ -1,7 +1,6 @@
 //! Lint gate: plain `cargo test` from the workspace root fails unless
-//! the tree passes `tufast_lint::check` — zero TM-safety findings and a
-//! current `lint-lock-order.json` — the same verdict the CI `tm-lint`
-//! job gets from `cargo run -p tufast-lint`.
+//! the tree passes `tufast_lint::check` — zero TM-safety findings — the
+//! same verdict the CI `tm-lint` job gets from `cargo run -p tufast-lint`.
 
 use std::path::PathBuf;
 

@@ -23,9 +23,10 @@
 //! | [`coloring`] | greedy vertex coloring | extension |
 //!
 //! BFS, WCC and SSSP are one queue loop over a monotone-min value array and
-//! share one driver and one work-item body (the private `monotone` module),
-//! which also makes a stale pool item cost one read instead of a
-//! neighbourhood scan. Each has `parallel` (default pool) and `parallel_on`,
+//! share one driver and one work-item body (the private `monotone` module).
+//! That body opens a transaction only for an item that may write: a stale
+//! item, or one whose neighbours committed loads show settled, ends without
+//! one. Each has `parallel` (default pool) and `parallel_on`,
 //! which drains the [`WorkPool`](tufast::par::WorkPool) the caller built —
 //! the scheduling queue is the only difference between Bellman-Ford and
 //! SPFA (paper Figure 3).

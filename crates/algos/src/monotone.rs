@@ -15,17 +15,18 @@
 //! before it is popped sits in the pool `k` times, and `k - 1` of those
 //! items would re-scan the neighbourhood to write nothing. Each run keeps
 //! a per-vertex **scan watermark**: the smallest value at which a
-//! *committed* transaction scanned `v`'s edges (`u64::MAX`: never). An
-//! item whose first read finds `watermark[v] <= value[v]` commits with
-//! that one read. That is safe because values only decrease: a scan at
-//! `m` left every neighbour at `<= m + len`, for good, so at
-//! `value[v] >= m` a second scan cannot write; and if `value[v]` later
-//! drops below `m`, the writer's push owns that work. The watermark is
-//! recorded only after the commit, so an aborted or health-stopped attempt
-//! leaves it untouched (and re-pushes `v`); dying between the commit and
-//! the record merely costs one redundant scan. It is per run and never
-//! snapshotted — a resumed run starts with no watermarks, which is again
-//! only redundant scans (DESIGN.md §7).
+//! scan of `v`'s edges *completed* (`u64::MAX`: never). An item whose
+//! committed load finds `watermark[v] <= value[v]` ends there, without a
+//! transaction. That is safe because values only decrease: a scan at `m`
+//! left every neighbour at `<= m + len`, for good, so at `value[v] >= m`
+//! a second scan cannot write; and if `value[v]` later drops below `m`,
+//! the writer's push owns that work. A scan that writes records its
+//! watermark only after its commit, so an aborted or health-stopped
+//! attempt leaves it untouched (and re-pushes `v`); dying between the
+//! commit and the record merely costs one redundant scan. A scan that
+//! finds nothing to write records it at once: there is nothing to roll
+//! back. The watermarks are per run and never snapshotted — a resumed run
+//! starts with none, which is again only redundant scans (DESIGN.md §7).
 //!
 //! # Settled neighbours
 //!
@@ -35,8 +36,11 @@
 //! out *before* its transaction opens, with one untracked load of each
 //! committed value ([`TxnSystem::load_committed`]: no committer stores a
 //! data word before its point of no return, so the word in memory is
-//! committed), and walk only the rest inside it — see [`MinDrain::item`]
-//! and DESIGN.md §7, "Settled neighbours".
+//! committed), and walk only the rest inside it. An item left with no
+//! candidate — a stale or unreached item, or a scan whose neighbours are
+//! all settled — opens no transaction at all: unlike the paper's Figure 3,
+//! a pool item is a transaction only if it may write. See
+//! [`MinDrain::item`] and DESIGN.md §7, "Settled neighbours".
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,32 +184,39 @@ where
         }
     }
 
-    /// One pool item: relax `v`'s edges in one transaction — or commit
-    /// after the first read if `v` was already scanned at this value — and
+    /// One pool item: relax `v`'s candidate edges in one transaction and
     /// push every vertex whose value improved, keyed by its value now
-    /// (what this item wrote, or less if someone has improved on it since).
+    /// (what this item wrote, or less if someone has improved on it since)
+    /// — or, if `v` has no candidate, return without a transaction.
     ///
     /// Only *candidate* edges are read inside the transaction. Before it
-    /// opens, the item loads the committed `dv0 = value[v]` and every
-    /// neighbour ([`TxnSystem::load_committed`]: one untracked load,
-    /// nothing acquired) and drops the settled ones, `value[u] <= dv0 +
-    /// len`. A loaded value is always committed — no committer stores a
-    /// data word before its point of no return — and values only
-    /// decrease, so a settled neighbour stays settled; the transaction
-    /// reads `value[v] <= dv0`, and if it reads less, whoever lowered `v`
-    /// pushed it again and owns the lower offer.
+    /// opens, the item loads the committed `dv0 = value[v]` and, unless
+    /// the watermark covers `dv0`, every neighbour
+    /// ([`TxnSystem::load_committed`]: one untracked load, nothing
+    /// acquired) and drops the settled ones, `value[u] <= dv0 + len`. A
+    /// loaded value is always committed — no committer stores a data word
+    /// before its point of no return — and values only decrease, so a
+    /// settled neighbour stays settled; the transaction reads `value[v] <=
+    /// dv0`, and if it reads less, whoever lowered `v` pushed it again and
+    /// owns the lower offer. The same argument makes an item with no
+    /// candidate complete without a transaction: it records the scan at
+    /// `dv0` if it made one, and owes nothing else.
     pub(crate) fn item(&self, worker: &mut impl TxnWorker, pool: &impl WorkPool, v: VertexId) {
         let (sys, value) = (self.sys, self.value);
         let addr = |u: VertexId| value.addr(u64::from(u));
         let mark = &self.watermark[v as usize];
         SCRATCH.with_borrow_mut(|(candidates, improved)| {
             // The edges the transaction will walk: the unsettled ones at
-            // the committed `dv0` — none of them when the watermark covers
-            // `dv0` (a stale item: whatever lowers `v` after this load
-            // pushes it again, so the item owes no more than its one read).
+            // the committed `dv0`. A watermark at or below `dv0` means a
+            // completed scan already covered them (a stale item: whatever
+            // lowers `v` after this load pushes it again); it is also the
+            // never-reached case, `u64::MAX <= u64::MAX`.
             let dv0 = sys.load_committed(addr(v));
             candidates.clear();
-            if mark.load(Ordering::Acquire) > dv0 {
+            // Acquire pairs with the Releases below, though the skip needs
+            // only the fact that a scan at `mark` completed.
+            let scan = mark.load(Ordering::Acquire) > dv0;
+            if scan {
                 let edges = (self.edges)(v);
                 candidates.reserve(edges.size_hint().0);
                 for (at, (u, len)) in edges.enumerate() {
@@ -214,25 +225,24 @@ where
                     }
                 }
             }
+            if candidates.is_empty() {
+                // Every neighbour is `<= dv0 + len` for good: the scan is
+                // complete at `dv0` without a transaction.
+                if scan {
+                    mark.fetch_min(dv0, Ordering::Release);
+                }
+                return;
+            }
             // Room for every write up front (exact, where `push` would
             // double): the body never reallocates.
             improved.clear();
             improved.reserve(candidates.len());
             let hint = TxnSystem::neighborhood_hint(candidates.len());
             let mut seen = 0u64;
-            let mut scanned = false;
             let out = worker.execute(hint, &mut |ops| {
                 improved.clear();
-                scanned = false;
                 let dv = ops.read(v, addr(v))?;
                 seen = dv;
-                // Also the never-reached case: `u64::MAX <= u64::MAX`.
-                // Acquire pairs with the Release below, though the skip
-                // needs only the fact that a scan at `mark` committed.
-                if mark.load(Ordering::Acquire) <= dv {
-                    return Ok(());
-                }
-                scanned = true;
                 let mut edges = (self.edges)(v);
                 let mut next = 0;
                 for &at in candidates.iter() {
@@ -256,14 +266,13 @@ where
                 pool.push_keyed(v, seen);
                 return;
             }
-            if scanned {
-                // The value the *whole* neighbourhood was scanned at:
-                // dropped neighbours were `<= dv0 + len` for good, and
-                // candidates are now `<= seen + len` with `seen <= dv0`.
-                // If `seen < dv0`, whoever lowered `v` pushed it, and that
-                // item finds the watermark above its value.
-                mark.fetch_min(dv0, Ordering::Release);
-            }
+            // The value the *whole* neighbourhood was scanned at: dropped
+            // neighbours were `<= dv0 + len` for good, and candidates are
+            // now `<= seen + len` with `seen <= dv0`. If `seen < dv0`,
+            // whoever lowered `v` pushed it, and that item finds the
+            // watermark above its value. Recorded only after the commit,
+            // so an aborted attempt leaves it untouched.
+            mark.fetch_min(dv0, Ordering::Release);
             for &u in improved.iter() {
                 pool.push_keyed(u, sys.load_committed(addr(u)));
             }
@@ -331,6 +340,22 @@ mod tests {
         pool.pending_items().into_iter().map(|(v, _)| v).collect()
     }
 
+    /// A worker for items that must not open a transaction.
+    #[derive(Default)]
+    struct NoTxn(SchedStats);
+
+    impl TxnWorker for NoTxn {
+        fn execute_hinted(&mut self, _: TxnHint, _: &mut TxnBody<'_>) -> TxnOutcome {
+            panic!("an item with nothing to relax opened a transaction")
+        }
+        fn stats(&self) -> &SchedStats {
+            &self.0
+        }
+        fn take_stats(&mut self) -> SchedStats {
+            std::mem::take(&mut self.0)
+        }
+    }
+
     #[test]
     fn scans_while_the_watermark_is_above_the_value_and_skips_once_it_is_not() {
         let fx = Fixture::new();
@@ -346,14 +371,12 @@ mod tests {
         assert_eq!(queued(&pool), [1]);
         assert_eq!(w.stats().reads, 2);
 
-        // Scanned at this value: one read, one commit, nothing pushed.
-        drain.item(&mut w, &pool, 0);
-        assert_eq!((w.stats().reads, w.stats().commits), (3, 2));
+        // Scanned at this value: no transaction, nothing pushed.
+        drain.item(&mut NoTxn::default(), &pool, 0);
         assert_eq!(queued(&pool), [1]);
 
-        // Unreached (value MAX): the same one-read exit, no watermark.
-        drain.item(&mut w, &pool, 2);
-        assert_eq!((w.stats().reads, w.stats().commits), (4, 3));
+        // Unreached (value MAX): no transaction either, and no watermark.
+        drain.item(&mut NoTxn::default(), &pool, 2);
         assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
 
         // Scan 1 at value 1, then lower it behind the watermark's back:
@@ -444,12 +467,12 @@ mod tests {
             "the whole neighbourhood counts as scanned"
         );
 
-        // Every leaf settled (fresh watermarks): still one transaction, of
-        // one read.
+        // Every leaf settled (fresh watermarks): no transaction, and the
+        // scan still counts.
         let drain = fx.drain();
-        drain.item(&mut w, &pool, 0);
-        assert_eq!((w.stats().reads, w.stats().commits), (4, 2));
+        drain.item(&mut NoTxn::default(), &pool, 0);
         assert_eq!(marks(&drain)[0], 0);
+        assert_eq!(queued(&pool), [3, 4]);
     }
 
     /// Runs a hook between the item's filter and its transaction.
@@ -518,7 +541,6 @@ mod tests {
     fn a_neighbour_settled_by_a_commit_mid_publish_is_dropped() {
         let fx = Fixture::new();
         let drain = fx.drain();
-        let sched = TwoPhaseLocking::new(Arc::clone(&fx.built.sys));
         let pool = FifoPool::new();
         // A committer past its point of no return: vertex 1's line locked,
         // its settled value (1 <= 0 + 1) stored, the unlock still to come.
@@ -527,12 +549,8 @@ mod tests {
         batch.push(addr.line());
         mem.lock_lines(&mut batch);
         mem.store_locked(addr, 1);
-        let mut w = Before(sched.worker(), || {
-            mem.unlock_lines(&mut batch, Some(mem.clock_tick_pub()));
-        });
-        drain.item(&mut w, &pool, 0);
-        let s = w.stats();
-        assert_eq!((s.reads, s.writes, s.commits), (1, 0, 1), "v alone");
+        drain.item(&mut NoTxn::default(), &pool, 0);
+        mem.unlock_lines(&mut batch, Some(mem.clock_tick_pub()));
         assert_eq!(fx.values(), [0, 1, MAX, MAX]);
         assert_eq!(marks(&drain)[0], 0);
         assert!(queued(&pool).is_empty());
@@ -557,10 +575,22 @@ mod tests {
         assert_eq!(queued(&pool), [1]);
 
         // Whoever lowered 0 pushed it: that item finds 5 > 3 and scans —
-        // nothing left to write, so one read.
-        let mut w = sched.worker();
-        drain.item(&mut w, &pool, 0);
-        assert_eq!((w.stats().reads, w.stats().writes), (1, 0));
+        // nothing left to write, so no transaction.
+        drain.item(&mut NoTxn::default(), &pool, 0);
         assert_eq!(marks(&drain)[0], 3);
+        assert_eq!(queued(&pool), [1]);
+    }
+
+    #[test]
+    fn a_settled_item_under_a_cancelled_job_records_its_watermark_and_queues_nothing() {
+        let fx = Fixture::new();
+        fx.set(1, 1);
+        let drain = fx.drain();
+        fx.built.sys.health().cancel();
+        let pool = FifoPool::new();
+        drain.item(&mut NoTxn::default(), &pool, 0);
+        assert_eq!(fx.values(), [0, 1, MAX, MAX]);
+        assert_eq!(marks(&drain), [0, MAX, MAX, MAX]);
+        assert!(queued(&pool).is_empty());
     }
 }

@@ -16,18 +16,20 @@
 //! previous generation (one epoch of progress lost, no wrong answers);
 //! all generations invalid → clean cold restart.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use tufast::par::{PoolCounters, WorkPool};
 use tufast::{StealPool, TuFast};
 use tufast_algos::checkpoint::{Ckpt, CkptReport};
 use tufast_algos::{bfs, setup, sssp, wcc};
 use tufast_graph::snapshot::{load, SnapshotError, SnapshotStore};
 use tufast_graph::{Graph, GraphBuilder};
-use tufast_htm::witness::{LockClass, Mutex, MutexGuard};
-use tufast_txn::{is_injected_crash, FaultPlan, FaultSpec, TxnObserver, TxnSystem};
+use tufast_txn::{
+    is_injected_crash, raise_injected_crash, FaultPlan, FaultSpec, TxnObserver, TxnSystem,
+    CRASH_ANY_WORKER,
+};
 
 /// Which checkpointed algorithm a recovery run exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +82,7 @@ pub struct RecoveryOutcome {
 
 /// Run `algo` over `g` once without checkpointing or faults.
 pub fn baseline_result(algo: RecoveryAlgo, g: &Graph, threads: usize) -> Vec<u64> {
-    let (result, _) = run_on(algo, g, threads, None, |_| {}).expect("only a resume can fail");
+    let (result, _) = run_on(algo, g, threads, None, |_| None).expect("only a resume can fail");
     result
 }
 
@@ -100,53 +102,58 @@ pub fn run_ckpt(
         every_items,
         resume,
     };
-    run_on(algo, g, threads, Some(ckpt), |sys| sys.set_fault_plan(plan))
+    run_on(algo, g, threads, Some(ckpt), |sys| {
+        sys.set_fault_plan(plan);
+        None
+    })
 }
 
 /// Build a fresh system for `algo` over `g`, apply `prepare` to it (arm a
-/// fault plan, attach an observer, keep the cancel token) and run the
-/// algorithm's one driver on its default pool, checkpointing as `ckpt`
-/// says.
+/// fault plan, keep the cancel token) and run the algorithm's one driver
+/// on its default pool, checkpointing as `ckpt` says. A [`StaleWatch`]
+/// that `prepare` returns observes the system and the pool.
 pub fn run_on(
     algo: RecoveryAlgo,
     g: &Graph,
     threads: usize,
     ckpt: Option<Ckpt<'_>>,
-    prepare: impl FnOnce(&Arc<TxnSystem>),
+    prepare: impl FnOnce(&Arc<TxnSystem>) -> Option<Arc<StaleWatch>>,
 ) -> Result<(Vec<u64>, CkptReport), SnapshotError> {
+    // Each arm builds its own system: prepare it, and watch it if asked.
+    let prepare = |sys: &Arc<TxnSystem>| {
+        let watch = prepare(sys);
+        if let Some(w) = &watch {
+            sys.set_observer(Some(Arc::clone(w) as Arc<dyn TxnObserver>));
+        }
+        watch
+    };
     let steal = || StealPool::new(threads);
     match algo {
         RecoveryAlgo::Bfs => {
             let built = setup(g, bfs::BfsSpace::alloc);
-            prepare(&built.sys);
+            let watch = prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
-            bfs::parallel_on(
-                g,
-                &sched,
-                &built.sys,
-                &built.space,
-                0,
-                threads,
-                &steal(),
-                ckpt,
-            )
+            let pool = Watched::new(steal(), &watch, &built.sys);
+            bfs::parallel_on(g, &sched, &built.sys, &built.space, 0, threads, &pool, ckpt)
         }
         RecoveryAlgo::Wcc => {
             let built = setup(g, wcc::WccSpace::alloc);
-            prepare(&built.sys);
+            let watch = prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
-            wcc::parallel_on(g, &sched, &built.sys, &built.space, threads, &steal(), ckpt)
+            let pool = Watched::new(steal(), &watch, &built.sys);
+            wcc::parallel_on(g, &sched, &built.sys, &built.space, threads, &pool, ckpt)
         }
         RecoveryAlgo::SsspFifo | RecoveryAlgo::SsspPriority => {
             let built = setup(g, sssp::SsspSpace::alloc);
-            prepare(&built.sys);
+            let watch = prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
             let (sys, space) = (&built.sys, &built.space);
             if algo == RecoveryAlgo::SsspFifo {
-                sssp::parallel_on(g, &sched, sys, space, 0, threads, &steal(), ckpt)
+                let pool = Watched::new(steal(), &watch, sys);
+                sssp::parallel_on(g, &sched, sys, space, 0, threads, &pool, ckpt)
             } else {
-                let buckets = sssp::bucket_pool(g);
-                sssp::parallel_on(g, &sched, sys, space, 0, threads, &buckets, ckpt)
+                let pool = Watched::new(sssp::bucket_pool(g), &watch, sys);
+                sssp::parallel_on(g, &sched, sys, space, 0, threads, &pool, ckpt)
             }
         }
     }
@@ -175,102 +182,125 @@ pub fn star_plus_clique(n: u32, clique: u32) -> Graph {
     builder.build()
 }
 
-/// Observer that counts **stale-item skips** and runs `action` at every
-/// commit from the point where enough of them (and enough commits) have
-/// happened. With an idempotent action (cancel the job's token, arm a
-/// fault plan's crash) that stops a run *after* skips whatever the thread
-/// timing.
+/// Counts **transaction-free items** — pool items that ended without a
+/// transaction: stale, unreached, or with every neighbour settled
+/// (DESIGN.md §7) — and runs `action` at every item done from the point
+/// where `after` of them were seen. With an idempotent action (cancel the
+/// job's token, arm a fault plan's crash) that stops a run *after* such
+/// items whatever the thread timing.
 ///
-/// A one-read commit alone does not identify a skip: a scan whose
-/// neighbours are all settled also commits after reading `value[v]`. So
-/// the watch keeps its own copy of the scan watermarks — per vertex, the
-/// lowest value a committed attempt began by reading there — and a skip is
-/// a committed attempt whose only operation read a reached
-/// (non-`u64::MAX`) value at or above it: the item found `v` already
-/// scanned at that value. (A value lowered between an item's peek and its
-/// transaction puts the real watermark above what is seen here; that race
-/// can only add a skip, and the tests ask for "at least".)
+/// An item that opens no transaction is invisible to an observer, so the
+/// watch counts at both ends: items done at the pool ([`run_on`] wraps the
+/// pool of a run whose `prepare` returns the watch) minus the commits it
+/// observes. A commit is observed before its item is done, so the
+/// difference can only under-count, and the tests ask for "at least".
 pub struct StaleWatch {
-    seen: Mutex<Seen>,
-    skips: AtomicU64,
+    dones: AtomicU64,
     commits: AtomicU64,
-    after: (u64, u64),
+    /// The largest difference seen at an item's end.
+    free: AtomicU64,
+    after: u64,
     action: Box<dyn Fn() + Send + Sync>,
 }
 
-#[derive(Default)]
-struct Seen {
-    /// Per worker: operations in the open attempt, and the vertex and
-    /// value it read if its first operation was a read.
-    open: HashMap<u32, (u32, Option<(u32, u64)>)>,
-    /// Per vertex: the lowest first-read value of a committed attempt.
-    scanned_at: HashMap<u32, u64>,
-}
-
 impl StaleWatch {
-    /// Run `action` once `skips` skips and `commits` commits were seen.
-    pub fn after(skips: u64, commits: u64, action: impl Fn() + Send + Sync + 'static) -> Arc<Self> {
+    /// Run `action` once `after` transaction-free items were seen.
+    pub fn after(after: u64, action: impl Fn() + Send + Sync + 'static) -> Arc<Self> {
         Arc::new(StaleWatch {
-            seen: Mutex::new(LockClass::RecoverySeen, Seen::default()),
-            skips: AtomicU64::new(0),
+            dones: AtomicU64::new(0),
             commits: AtomicU64::new(0),
-            after: (skips, commits),
+            free: AtomicU64::new(0),
+            after,
             action: Box::new(action),
         })
     }
 
-    /// Start observing `sys`.
-    pub fn attach(self: &Arc<Self>, sys: &TxnSystem) {
-        sys.set_observer(Some(Arc::clone(self) as Arc<dyn TxnObserver>));
+    /// Transaction-free items seen so far.
+    pub fn txn_free_items(&self) -> u64 {
+        self.free.load(Ordering::Acquire)
     }
 
-    /// Stale-item skips committed so far.
-    pub fn skips(&self) -> u64 {
-        self.skips.load(Ordering::Acquire)
-    }
-
-    fn seen(&self) -> MutexGuard<'_, Seen> {
-        // A seeded crash unwinds through observer callbacks by design.
-        self.seen.lock().unwrap_or_else(|e| e.into_inner())
+    fn item_done(&self) {
+        let dones = self.dones.fetch_add(1, Ordering::AcqRel) + 1;
+        let free = dones.saturating_sub(self.commits.load(Ordering::Acquire));
+        if self.free.fetch_max(free, Ordering::AcqRel).max(free) >= self.after {
+            (self.action)();
+        }
     }
 }
 
 impl TxnObserver for StaleWatch {
-    fn attempt_begin(&self, worker: u32) {
-        self.seen().open.insert(worker, (0, None));
+    fn commit(&self, _worker: u32, _ticket: u64) {
+        self.commits.fetch_add(1, Ordering::AcqRel);
     }
+}
 
-    fn op_read(&self, worker: u32, v: u32, _addr: tufast_htm::Addr, val: u64) {
-        let mut seen = self.seen();
-        let (ops, first) = seen.open.entry(worker).or_default();
-        if *ops == 0 {
-            *first = Some((v, val));
+/// `pool`, reporting every item done to `watch` if there is one. A
+/// watched run that crashes also dies at its next dequeue, not only at
+/// its next transaction: an item without a transaction passes no crash
+/// probe, so a run with no transaction left (BFS on a star, once the hub
+/// is scanned) could not die after the items the watch waits for.
+struct Watched<'w, P> {
+    pool: P,
+    watch: Option<&'w StaleWatch>,
+    plan: Option<Arc<FaultPlan>>,
+}
+
+impl<'w, P> Watched<'w, P> {
+    fn new(pool: P, watch: &'w Option<Arc<StaleWatch>>, sys: &TxnSystem) -> Self {
+        Watched {
+            pool,
+            watch: watch.as_deref(),
+            plan: watch.as_ref().and_then(|_| sys.fault_plan()),
         }
-        *ops += 1;
+    }
+}
+
+impl<P: WorkPool> WorkPool for Watched<'_, P> {
+    fn push(&self, v: u32) {
+        self.pool.push(v);
     }
 
-    fn op_write(&self, worker: u32, _v: u32, _addr: tufast_htm::Addr, _val: u64) {
-        self.seen().open.entry(worker).or_default().0 += 1;
+    fn push_keyed(&self, v: u32, key: u64) {
+        self.pool.push_keyed(v, key);
     }
 
-    fn commit(&self, worker: u32, _ticket: u64) {
-        let skipped = {
-            let mut seen = self.seen();
-            match seen.open.remove(&worker) {
-                Some((ops, Some((v, val)))) if val != u64::MAX => {
-                    let mark = seen.scanned_at.entry(v).or_insert(u64::MAX);
-                    let covered = *mark <= val;
-                    *mark = (*mark).min(val);
-                    ops == 1 && covered
-                }
-                _ => false,
-            }
-        };
-        let skips = self.skips.fetch_add(u64::from(skipped), Ordering::AcqRel) + u64::from(skipped);
-        let commits = self.commits.fetch_add(1, Ordering::AcqRel) + 1;
-        if skips >= self.after.0 && commits >= self.after.1 {
-            (self.action)();
+    fn pop(&self) -> Option<u32> {
+        if self.plan.as_ref().is_some_and(|p| p.crash_armed()) {
+            raise_injected_crash(CRASH_ANY_WORKER, 0);
         }
+        self.pool.pop()
+    }
+
+    fn pending(&self) -> usize {
+        self.pool.pending()
+    }
+
+    fn done(&self) {
+        self.pool.done();
+        if let Some(watch) = self.watch {
+            watch.item_done();
+        }
+    }
+
+    fn quiescent(&self) -> bool {
+        self.pool.quiescent()
+    }
+
+    fn park_idle(&self) {
+        self.pool.park_idle();
+    }
+
+    fn interrupt(&self) {
+        self.pool.interrupt();
+    }
+
+    fn pending_items(&self) -> Vec<(u32, u64)> {
+        self.pool.pending_items()
+    }
+
+    fn counters(&self) -> PoolCounters {
+        self.pool.counters()
     }
 }
 

@@ -336,6 +336,9 @@ fn deadline_aborts_a_checkpointed_run_and_resume_is_bitwise_exact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The transaction-free items the stale-skip cell waits for.
+const TXN_FREE_ITEMS: u64 = 20;
+
 #[test]
 fn cancel_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
     // Cancellation-is-clean against the stale-item skip (DESIGN.md §7):
@@ -351,14 +354,8 @@ fn cancel_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
         let baseline = baseline_result(algo, &g, THREADS);
         let dir = temp_dir(&format!("stale-cancel-{label}"));
         let store = SnapshotStore::open(&dir, label).unwrap();
-        // Level-order BFS improves each vertex once, so it has stale items
-        // only when threads race: it is cancelled at its 300th commit,
-        // skips or not; the others at their 20th skip.
-        let (skips, commits) = if algo == RecoveryAlgo::Bfs {
-            (0, 300)
-        } else {
-            (20, 0)
-        };
+        // Cancelled after the 20th item that ended without a transaction:
+        // a stale item, or a scan of settled neighbours.
         let mut watch = None;
         let ckpt = Ckpt {
             store: &store,
@@ -367,14 +364,14 @@ fn cancel_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
         };
         let (_, report) = run_on(algo, &g, THREADS, Some(ckpt), |sys| {
             let token = sys.cancel_token().clone();
-            let w = StaleWatch::after(skips, commits, move || token.cancel());
-            w.attach(sys);
-            watch = Some(w);
+            let w = StaleWatch::after(TXN_FREE_ITEMS, move || token.cancel());
+            watch = Some(Arc::clone(&w));
+            Some(w)
         })
         .unwrap();
         assert_eq!(report.aborted, Some(AbortReason::Cancelled), "{label}");
         assert_eq!(report.final_snapshots, 1, "{label}");
-        assert!(watch.unwrap().skips() >= skips, "{label}");
+        assert!(watch.unwrap().txn_free_items() >= TXN_FREE_ITEMS, "{label}");
 
         let (resumed, report) = run_ckpt(algo, &g, THREADS, &store, 40, true, None).unwrap();
         assert_eq!(report.aborted, None, "{label}");

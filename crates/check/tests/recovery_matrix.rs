@@ -109,6 +109,11 @@ fn late_crash_over_stealing_and_bucketed_drivers_resumes_exactly() {
     }
 }
 
+/// The transaction-free items the stale-skip cell waits for. On this
+/// graph every BFS and Components item after the hub's is one, so at 20
+/// they would die before the first epoch (40 items) closed.
+const TXN_FREE_ITEMS: u64 = 100;
+
 #[test]
 fn crash_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
     // The scan watermarks behind the stale-item skip (DESIGN.md §7) are
@@ -125,17 +130,11 @@ fn crash_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
         let baseline = baseline_result(algo, &g, THREADS);
         let dir = temp_dir(&format!("stale-crash-{label}"));
         let store = SnapshotStore::open(&dir, label).unwrap();
-        // Die at the 20th stale skip. Level-order BFS improves each vertex
-        // once, so it has stale items only when threads race: it dies at
-        // its 300th commit, skips or not.
+        // Die after the 100th item that ended without a transaction: a
+        // stale item, or a scan of settled neighbours.
         let plan = FaultPlan::new(FaultSpec::default());
-        let (skips, commits) = if algo == RecoveryAlgo::Bfs {
-            (0, 300)
-        } else {
-            (20, 0)
-        };
         let armed = Arc::clone(&plan);
-        let watch = StaleWatch::after(skips, commits, move || armed.arm_crash());
+        let watch = StaleWatch::after(TXN_FREE_ITEMS, move || armed.arm_crash());
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let ckpt = Ckpt {
                 store: &store,
@@ -144,12 +143,12 @@ fn crash_after_stale_skips_resumes_with_fresh_watermarks_exactly() {
             };
             run_on(algo, &g, THREADS, Some(ckpt), |sys| {
                 sys.set_fault_plan(Some(plan));
-                watch.attach(sys);
+                Some(Arc::clone(&watch))
             })
         }));
         let payload = crashed.expect_err("the run finished before the crash was armed");
         assert!(is_injected_crash(payload.as_ref()), "{label}");
-        assert!(watch.skips() >= skips, "{label}");
+        assert!(watch.txn_free_items() >= TXN_FREE_ITEMS, "{label}");
         let store = SnapshotStore::open(&dir, label).unwrap();
         assert!(
             latest_valid_slot(&store).is_some(),

@@ -68,13 +68,11 @@ pub enum LockClass {
     ExploreState,
     /// The history recorder, taken by every observer hook.
     HistoryState,
-    /// The stale-item watch, taken by every observer hook.
-    RecoverySeen,
 }
 
 impl LockClass {
     /// Every class, in declaration order.
-    pub const ALL: [LockClass; 11] = [
+    pub const ALL: [LockClass; 10] = [
         LockClass::DurableWal,
         LockClass::SerialToken,
         LockClass::HsyncFallback,
@@ -85,7 +83,6 @@ impl LockClass {
         LockClass::GaloisWorklist,
         LockClass::ExploreState,
         LockClass::HistoryState,
-        LockClass::RecoverySeen,
     ];
 
     /// Whether a thread may hold two locks of this class at once: its own

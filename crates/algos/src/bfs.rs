@@ -10,12 +10,12 @@ use std::collections::VecDeque;
 
 use tufast::par::WorkPool;
 use tufast::steal::StealPool;
-use tufast_graph::snapshot::{Section, Snapshot, SnapshotError};
+use tufast_graph::snapshot::SnapshotError;
 use tufast_graph::{Graph, VertexId};
-use tufast_htm::{MemRegion, TxMemory};
+use tufast_htm::MemRegion;
 use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::checkpoint::{self, Checkpointable, Ckpt, CkptReport};
+use crate::checkpoint::{Ckpt, CkptReport};
 use crate::monotone;
 
 /// Distance assigned to unreachable vertices.
@@ -34,20 +34,6 @@ impl BfsSpace {
         BfsSpace {
             dist: layout.alloc_paired("bfs-dist", n as u64),
         }
-    }
-}
-
-impl Checkpointable for BfsSpace {
-    fn tag(&self) -> &'static str {
-        "bfs"
-    }
-
-    fn capture(&self, mem: &TxMemory) -> Vec<Section> {
-        vec![checkpoint::capture_region("dist", mem, &self.dist)]
-    }
-
-    fn restore(&self, mem: &TxMemory, snap: &Snapshot) -> Result<(), SnapshotError> {
-        checkpoint::restore_region("dist", mem, &self.dist, snap)
     }
 }
 
@@ -112,7 +98,7 @@ pub fn parallel_on<S: GraphScheduler, P: WorkPool>(
     let hops = |v| g.neighbors(v).iter().map(|&u| (u, 1));
     let seed = [(source, 0)];
     monotone::run(
-        sched, sys, space, space.dist, hops, pool, threads, ckpt, seed,
+        sched, sys, "bfs", space.dist, hops, pool, threads, ckpt, seed,
     )
 }
 

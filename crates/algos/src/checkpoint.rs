@@ -1,24 +1,22 @@
 //! Epoch checkpointing and crash recovery for the transactional algorithms.
 //!
-//! Each algorithm's region bundle implements [`Checkpointable`]: it can
-//! capture its vertex property arrays into named TFSN sections and restore
-//! them into a freshly built system (region layouts are carved before
-//! `TxnSystem::build` and are identical across rebuilds of the same graph,
-//! so addresses line up). The work-pool frontier rides along as one more
-//! section, so a resumed run continues *mid-algorithm* instead of
-//! restarting.
+//! A BFS, Components or SSSP run is one value region plus a work queue
+//! (paper Figure 3), so its resumable state is exactly `(values,
+//! frontier)`: a snapshot holds the region as one section, `"values"`, and
+//! the work-pool frontier as another, `"frontier"`, under the algorithm's
+//! tag. Region layouts are carved before `TxnSystem::build` and
+//! are identical across rebuilds of the same graph, so a snapshot restores
+//! into a freshly built system and a resumed run continues
+//! *mid-algorithm* instead of restarting.
 //!
 //! Handing a [`Ckpt`] to the `parallel_on` driver of [`bfs`](crate::bfs),
 //! [`wcc`](crate::wcc) or [`sssp`](crate::sssp) wires this into
 //! [`parallel_drain_epochs`](tufast::epoch::parallel_drain_epochs): every
-//! epoch the coordinator quiesces the run and `(state, frontier)` is
+//! epoch the coordinator quiesces the run and `(values, frontier)` is
 //! written into a rotating [`SnapshotStore`]. Those three algorithms
 //! converge to *unique* fixpoints under monotone relaxation, so crash →
 //! recover → finish produces bitwise the same answer as an uninterrupted
-//! run (the `tufast-check` recovery matrix proves it). PageRank is
-//! [`Checkpointable`] too, but floating-point accumulation order makes its
-//! fixpoint tolerance-exact rather than bitwise, so no driver checkpoints
-//! it.
+//! run (the `tufast-check` recovery matrix proves it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,89 +26,42 @@ use tufast_graph::snapshot::{Section, Snapshot, SnapshotError, SnapshotStore};
 use tufast_htm::{MemRegion, TxMemory};
 use tufast_txn::{AbortReason, GraphScheduler, JobAborted, TxnSystem};
 
+/// Name of the section carrying the value region.
+const VALUES_SECTION: &str = "values";
+
 /// Name of the section carrying the work-pool frontier.
-pub const FRONTIER_SECTION: &str = "frontier";
+const FRONTIER_SECTION: &str = "frontier";
 
-/// Algorithm state that can round-trip through a TFSN snapshot.
-pub trait Checkpointable {
-    /// Stable algorithm tag, validated at restore time so a BFS snapshot
-    /// cannot silently seed a WCC run.
-    fn tag(&self) -> &'static str;
-    /// Capture the property arrays as named sections.
-    fn capture(&self, mem: &TxMemory) -> Vec<Section>;
-    /// Restore the property arrays from `snap` (written by the same
-    /// algorithm over the same graph).
-    fn restore(&self, mem: &TxMemory, snap: &Snapshot) -> Result<(), SnapshotError>;
-}
-
-/// Capture one region as a section: its values only, whatever the stride.
-pub fn capture_region<const S: u64>(name: &str, mem: &TxMemory, region: &MemRegion<S>) -> Section {
-    Section {
-        name: name.to_string(),
-        words: mem.snapshot_region(region),
-    }
-}
-
-/// Restore one region from its section, validating the length (a snapshot
-/// of a different graph fails loudly instead of corrupting memory).
-pub fn restore_region<const S: u64>(
-    name: &str,
+/// The snapshot of a `tag` run at `epoch`: the value region, and `frontier`
+/// (from [`WorkPool::pending_items`]) as `(vertex, key)` word pairs.
+fn snapshot(
+    tag: &str,
+    epoch: u64,
     mem: &TxMemory,
-    region: &MemRegion<S>,
-    snap: &Snapshot,
-) -> Result<(), SnapshotError> {
-    let section = snap
-        .section(name)
-        .ok_or_else(|| SnapshotError::Format(format!("missing section {name:?}")))?;
-    if section.words.len() as u64 != region.len() {
-        return Err(SnapshotError::Format(format!(
-            "section {name:?} holds {} words, region needs {}",
-            section.words.len(),
-            region.len()
-        )));
-    }
-    mem.fill_region_with(region, |i| section.words[i as usize]);
-    Ok(())
-}
-
-/// The mutable graph overlay checkpoints exactly like an algorithm's
-/// property arrays: its four overlay regions become named sections
-/// (`delta.*`), restored onto an identically carved layout. This is what
-/// lets `DurableGraph` fold the overlay into the same two-generation
-/// [`SnapshotStore`] the algorithms use — and lets a workload snapshot
-/// *graph state and algorithm state together* in one store when both
-/// implement the trait.
-impl Checkpointable for tufast_graph::MutableGraph {
-    fn tag(&self) -> &'static str {
-        tufast_graph::durable::SNAPSHOT_TAG
-    }
-
-    fn capture(&self, mem: &TxMemory) -> Vec<Section> {
-        self.capture_sections(mem)
-    }
-
-    fn restore(&self, mem: &TxMemory, snap: &Snapshot) -> Result<(), SnapshotError> {
-        self.restore_sections(mem, snap)
-            .map_err(SnapshotError::Format)
-    }
-}
-
-/// Encode a frontier (from [`WorkPool::pending_items`]) as a section of
-/// `(vertex, key)` word pairs.
-pub fn frontier_section(items: &[(u32, u64)]) -> Section {
-    let mut words = Vec::with_capacity(items.len() * 2);
-    for &(v, key) in items {
-        words.push(u64::from(v));
-        words.push(key);
-    }
-    Section {
+    value: &MemRegion<2>,
+    frontier: &[(u32, u64)],
+) -> Snapshot {
+    let values = Section {
+        name: VALUES_SECTION.to_string(),
+        words: mem.snapshot_region(value),
+    };
+    let frontier = Section {
         name: FRONTIER_SECTION.to_string(),
-        words,
+        words: frontier
+            .iter()
+            .flat_map(|&(v, key)| [u64::from(v), key])
+            .collect(),
+    };
+    Snapshot {
+        algo: tag.to_string(),
+        epoch,
+        sections: vec![values, frontier],
     }
 }
 
-/// Decode the frontier section back into `(vertex, key)` pairs.
-pub fn frontier_items(snap: &Snapshot) -> Result<Vec<(u32, u64)>, SnapshotError> {
+/// Decode the frontier section back into `(vertex, key)` pairs, each
+/// vertex below `n`: region addressing is unchecked in release builds.
+fn frontier_items(snap: &Snapshot, n: u64) -> Result<Vec<(u32, u64)>, SnapshotError> {
     let section = snap
         .section(FRONTIER_SECTION)
         .ok_or_else(|| SnapshotError::Format("missing frontier section".to_string()))?;
@@ -122,47 +73,58 @@ pub fn frontier_items(snap: &Snapshot) -> Result<Vec<(u32, u64)>, SnapshotError>
     section
         .words
         .chunks_exact(2)
-        .map(|pair| {
-            let v = u32::try_from(pair[0])
-                .map_err(|_| SnapshotError::Format("frontier vertex exceeds u32".to_string()))?;
-            Ok((v, pair[1]))
+        .map(|pair| match u32::try_from(pair[0]) {
+            Ok(v) if pair[0] < n => Ok((v, pair[1])),
+            _ => Err(SnapshotError::Format(format!(
+                "frontier vertex {} is out of range: the graph has {n} vertices",
+                pair[0]
+            ))),
         })
         .collect()
 }
 
-/// What [`recover`] reconstructed.
-#[derive(Debug)]
-pub struct Recovered {
-    /// Epoch of the snapshot that was restored.
-    pub epoch: u64,
-    /// The work-pool frontier at that epoch, ready to re-seed the pool.
-    pub frontier: Vec<(u32, u64)>,
-    /// 1 when a newer corrupt/torn generation was skipped, 0 otherwise.
-    pub fallbacks: u64,
-}
-
-/// Load the newest valid snapshot from `store`, validate its tag against
-/// `ckpt`, restore the property arrays, and decode the frontier.
-pub fn recover(
+/// Resume from the newest valid snapshot in `store`: check that a `tag`
+/// run over a graph of `value`'s size wrote it, restore
+/// `value`, queue the frontier on `pool` and count the recovery in
+/// `report`. Returns the epoch the next snapshot closes. A snapshot of
+/// another algorithm or graph fails loudly, with nothing restored or
+/// queued, instead of corrupting memory.
+pub(crate) fn recover<P: WorkPool>(
     store: &SnapshotStore,
     mem: &TxMemory,
-    ckpt: &impl Checkpointable,
-) -> Result<Recovered, SnapshotError> {
+    tag: &str,
+    value: &MemRegion<2>,
+    pool: &P,
+    report: &mut CkptReport,
+) -> Result<u64, SnapshotError> {
     let loaded = store.load_latest()?;
     let snap = &loaded.snapshot;
-    if snap.algo != ckpt.tag() {
+    if snap.algo != tag {
         return Err(SnapshotError::Format(format!(
-            "snapshot is for algorithm {:?}, expected {:?}",
-            snap.algo,
-            ckpt.tag()
+            "snapshot is for algorithm {:?}, expected {tag:?}",
+            snap.algo
         )));
     }
-    ckpt.restore(mem, snap)?;
-    Ok(Recovered {
-        epoch: snap.epoch,
-        frontier: frontier_items(snap)?,
-        fallbacks: loaded.fallbacks,
-    })
+    let values = snap
+        .section(VALUES_SECTION)
+        .ok_or_else(|| SnapshotError::Format(format!("missing section {VALUES_SECTION:?}")))?;
+    if values.words.len() as u64 != value.len() {
+        return Err(SnapshotError::Format(format!(
+            "section {VALUES_SECTION:?} holds {} words, region needs {}",
+            values.words.len(),
+            value.len()
+        )));
+    }
+    let frontier = frontier_items(snap, value.len())?;
+    mem.fill_region_with(value, |i| values.words[i as usize]);
+    // Consumed here: a frontier kept alive across the drain would sit in
+    // the heap beside the watermarks.
+    for (v, key) in frontier {
+        pool.push_keyed(v, key);
+    }
+    report.recoveries = 1;
+    report.snapshot_fallbacks = loaded.fallbacks;
+    Ok(snap.epoch + 1)
 }
 
 /// How a `parallel_on` run checkpoints.
@@ -218,15 +180,15 @@ impl CkptReport {
 }
 
 /// Drive `pool` to quiescence with epoch checkpointing: every
-/// `every_items` processed items the run quiesces and `(captured state,
-/// frontier)` is written to `store` stamped with the closing epoch.
+/// `every_items` processed items the run quiesces and `(value, frontier)`
+/// is written to `store` under `tag`, stamped with the closing epoch.
 ///
 /// Write failures are *counted, not fatal*: the store's previous
 /// generation is untouched, so a failed write costs at most one epoch of
 /// recoverable progress, and the computation itself continues.
 ///
 /// If the system's health token stops the job mid-drain (cancel or
-/// deadline), the workers unwind cleanly, one *final* snapshot of `(state,
+/// deadline), the workers unwind cleanly, one *final* snapshot of `(value,
 /// frontier)` is written under the post-join quiescence, and the stop is
 /// recorded in `report.aborted` / `report.items_done` — so `resume` on a
 /// later run continues from exactly where the cancelled run let go.
@@ -237,7 +199,8 @@ pub(crate) fn run_checkpointed<S, P, F>(
     pool: &P,
     threads: usize,
     ckpt: Ckpt<'_>,
-    state: &(impl Checkpointable + Sync),
+    tag: &str,
+    value: &MemRegion<2>,
     start_epoch: u64,
     report: &mut CkptReport,
     f: F,
@@ -250,13 +213,9 @@ pub(crate) fn run_checkpointed<S, P, F>(
     // Called only under quiescence: by the epoch's coordinator, and after
     // the join.
     let write = |epoch: u64| {
-        let mut sections = state.capture(mem);
-        sections.push(frontier_section(&pool.pending_items()));
-        ckpt.store.write(&Snapshot {
-            algo: state.tag().to_string(),
-            epoch,
-            sections,
-        })
+        let frontier = pool.pending_items();
+        ckpt.store
+            .write(&snapshot(tag, epoch, mem, value, &frontier))
     };
     let written = AtomicU64::new(0);
     let failures = AtomicU64::new(0);
@@ -285,9 +244,7 @@ pub(crate) fn run_checkpointed<S, P, F>(
     report.checkpoints_written += written.load(Ordering::Relaxed);
     report.checkpoint_failures += failures.load(Ordering::Relaxed);
     report.items_done += items;
-    if let Some(epoch) = last.load(Ordering::Relaxed).checked_sub(1) {
-        report.last_epoch = Some(epoch);
-    }
+    report.last_epoch = last.load(Ordering::Relaxed).checked_sub(1);
     if let Some(reason) = sys.health().reason() {
         // The drain unwound early. All workers have joined, so the pool is
         // quiescent and nothing is mid-transaction: capture one final
@@ -309,6 +266,7 @@ pub(crate) fn run_checkpointed<S, P, F>(
 mod tests {
     use super::*;
     use crate::bfs::BfsSpace;
+    use tufast::par::PriorityPool;
     use tufast_graph::gen;
 
     /// Snapshot `built`'s distances and `frontier` under `tag`.
@@ -319,15 +277,22 @@ mod tests {
         epoch: u64,
         frontier: &[(u32, u64)],
     ) {
-        let mut sections = built.space.capture(built.sys.mem());
-        sections.push(frontier_section(frontier));
-        let algo = tag.into();
-        let snap = Snapshot {
-            algo,
-            epoch,
-            sections,
-        };
+        let mem = built.sys.mem();
+        let snap = snapshot(tag, epoch, mem, &built.space.dist, frontier);
         store.write(&snap).unwrap();
+    }
+
+    /// Resume `built`'s BFS from `store` onto a fresh keyed pool: the next
+    /// epoch, the report and the pool.
+    fn resume_bfs(
+        store: &SnapshotStore,
+        built: &crate::AlgoSystem<BfsSpace>,
+    ) -> Result<(u64, CkptReport, PriorityPool), SnapshotError> {
+        let pool = PriorityPool::new();
+        let mut report = CkptReport::default();
+        let (mem, dist) = (built.sys.mem(), &built.space.dist);
+        let next = recover(store, mem, "bfs", dist, &pool, &mut report)?;
+        Ok((next, report, pool))
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -339,12 +304,9 @@ mod tests {
     #[test]
     fn frontier_roundtrip() {
         let items = vec![(3u32, 7u64), (0, 0), (u32::MAX, u64::MAX)];
-        let snap = Snapshot {
-            algo: "x".into(),
-            epoch: 0,
-            sections: vec![frontier_section(&items)],
-        };
-        assert_eq!(frontier_items(&snap).unwrap(), items);
+        let built = crate::setup(&gen::grid2d(2, 2), BfsSpace::alloc);
+        let snap = snapshot("x", 0, built.sys.mem(), &built.space.dist, &items);
+        assert_eq!(frontier_items(&snap, u64::MAX).unwrap(), items);
     }
 
     #[test]
@@ -358,59 +320,9 @@ mod tests {
             }],
         };
         assert!(matches!(
-            frontier_items(&snap),
+            frontier_items(&snap, 16),
             Err(SnapshotError::Format(_))
         ));
-    }
-
-    #[test]
-    fn mutable_graph_overlay_roundtrips_through_the_trait() {
-        use tufast_graph::mutable::OverlayConfig;
-        use tufast_graph::MutableGraph;
-        use tufast_htm::MemoryLayout;
-        use tufast_txn::{GraphScheduler, SystemConfig, TwoPhaseLocking, TxnSystem};
-
-        let g = gen::grid2d(4, 4);
-        let overlay = OverlayConfig {
-            slot_cap: 64,
-            stripes: 4,
-        };
-        let mut layout = MemoryLayout::new();
-        let mg = MutableGraph::carve(g.clone(), 20, overlay, &mut layout);
-        let sys = TxnSystem::build(20, layout, SystemConfig::default());
-        mg.init(sys.mem());
-        let sched = TwoPhaseLocking::new(std::sync::Arc::clone(&sys));
-        let mut w = sched.worker();
-        mg.add_edge(&mut w, 3, 0, 0);
-        mg.remove_edge(&mut w, 0, 1);
-        let before = mg.materialize(sys.mem());
-
-        let dir = temp_dir("mutgraph");
-        let store = SnapshotStore::open(&dir, mg.tag()).unwrap();
-        store
-            .write(&Snapshot {
-                algo: mg.tag().into(),
-                epoch: 2,
-                sections: mg.capture(sys.mem()),
-            })
-            .unwrap();
-
-        // "Crash": identical carve on a fresh layout, restore, compare.
-        let mut layout2 = MemoryLayout::new();
-        let mg2 = MutableGraph::carve(g, 20, overlay, &mut layout2);
-        let sys2 = TxnSystem::build(20, layout2, SystemConfig::default());
-        let loaded = store.load_latest().unwrap();
-        assert_eq!(loaded.snapshot.algo, mg2.tag());
-        mg2.restore(sys2.mem(), &loaded.snapshot).unwrap();
-        assert_eq!(mg2.materialize(sys2.mem()), before);
-
-        // A BFS snapshot must not restore into the overlay.
-        let wrong = Snapshot {
-            algo: "bfs".into(),
-            epoch: 1,
-            sections: vec![],
-        };
-        assert!(mg2.restore(sys2.mem(), &wrong).is_err());
     }
 
     #[test]
@@ -427,10 +339,12 @@ mod tests {
 
         // "Crash": rebuild the system from scratch, then recover.
         let rebuilt = crate::setup(&g, BfsSpace::alloc);
-        let rec = recover(&store, rebuilt.sys.mem(), &rebuilt.space).unwrap();
-        assert_eq!(rec.epoch, 4);
-        assert_eq!(rec.frontier, vec![(5, 0), (9, 1)]);
-        assert_eq!(rec.fallbacks, 0);
+        let (next, report, pool) = resume_bfs(&store, &rebuilt).unwrap();
+        assert_eq!(next, 5, "the next snapshot closes epoch 5");
+        let mut queued = pool.pending_items();
+        queued.sort_unstable();
+        assert_eq!(queued, vec![(5, 0), (9, 1)]);
+        assert_eq!((report.recoveries, report.snapshot_fallbacks), (1, 0));
         for v in 0..g.num_vertices() as u64 {
             assert_eq!(
                 rebuilt.sys.mem().load_direct(rebuilt.space.dist.addr(v)),
@@ -490,9 +404,29 @@ mod tests {
         let store = SnapshotStore::open(&dir, "x").unwrap();
         write_bfs(&store, &built, "wcc", 0, &[]);
         assert!(matches!(
-            recover(&store, built.sys.mem(), &built.space),
+            resume_bfs(&store, &built),
             Err(SnapshotError::Format(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_without_values_section_is_a_format_error() {
+        // The right tag and a frontier, but no values section (as in a
+        // snapshot that named the region per algorithm): the resume fails,
+        // it does not panic.
+        let g = gen::grid2d(4, 4);
+        let built = crate::setup(&g, BfsSpace::alloc);
+        let dir = temp_dir("no-values");
+        let store = SnapshotStore::open(&dir, "bfs").unwrap();
+        let mut snap = snapshot("bfs", 0, built.sys.mem(), &built.space.dist, &[(0, 0)]);
+        snap.sections
+            .retain(|section| section.name != VALUES_SECTION);
+        store.write(&snap).unwrap();
+        match resume_bfs(&store, &built) {
+            Err(SnapshotError::Format(why)) => assert!(why.contains("\"values\""), "{why}"),
+            other => panic!("expected a format error, got {:?}", other.map(|r| r.0)),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -546,7 +480,7 @@ mod tests {
         write_bfs(&store, &from, "bfs", 0, &[]);
         let to = crate::setup(&big, BfsSpace::alloc);
         assert!(matches!(
-            recover(&store, to.sys.mem(), &to.space),
+            resume_bfs(&store, &to),
             Err(SnapshotError::Format(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);

@@ -32,7 +32,7 @@
 //! SPFA (paper Figure 3).
 //!
 //! [`checkpoint`] adds epoch-based checkpointing and crash recovery: given
-//! a [`Ckpt`](checkpoint::Ckpt), `parallel_on` snapshots `(state,
+//! a [`Ckpt`](checkpoint::Ckpt), `parallel_on` snapshots `(values,
 //! frontier)` into a rotating store at epoch barriers and can resume a
 //! crashed run mid-algorithm, bitwise-identically.
 

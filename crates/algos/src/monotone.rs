@@ -51,7 +51,7 @@ use tufast_graph::VertexId;
 use tufast_htm::MemRegion;
 use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
 
-use crate::checkpoint::{self, Checkpointable, Ckpt, CkptReport};
+use crate::checkpoint::{self, Ckpt, CkptReport};
 
 thread_local! {
     /// Scratch of the item in flight on this thread, reused across items
@@ -61,16 +61,16 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Run one monotone-min job to its fixpoint on `pool` and read `value`
-/// back.
+/// Run one monotone-min job, the algorithm `tag` names, to its fixpoint
+/// on `pool` and read `value` back.
 ///
 /// A fresh run starts each `(vertex, value)` of `seeds` — in ascending
 /// vertex order — at its value and every other vertex at `u64::MAX`, in
 /// one publish of the region, then queues the seeds in the same order (so
 /// `seeds` is walked twice); with `ckpt.resume` the values and the queue
-/// come from the latest valid snapshot of `state` instead. Either
+/// come from the latest valid snapshot of a `tag` run instead. Either
 /// way `pool` is drained through [`MinDrain::item`], quiescing every
-/// `ckpt.every_items` items to snapshot `(state, frontier)` when there is
+/// `ckpt.every_items` items to snapshot `(value, frontier)` when there is
 /// a `ckpt`. Only a resume can fail.
 ///
 /// # Panics
@@ -79,7 +79,7 @@ thread_local! {
 pub(crate) fn run<S, P, E, I>(
     sched: &S,
     sys: &TxnSystem,
-    state: &(impl Checkpointable + Sync),
+    tag: &str,
     value: MemRegion<2>,
     edges: E,
     pool: &P,
@@ -100,24 +100,10 @@ where
         return Ok((Vec::new(), report));
     }
     // `MemRegion::addr` and the watermarks index by vertex unchecked (in
-    // release) or on a worker thread: every queued vertex is checked here.
+    // release) or on a worker thread: every queued vertex is checked here,
+    // or by `recover`.
     let start_epoch = match ckpt.filter(|c| c.resume) {
-        Some(c) => {
-            let rec = checkpoint::recover(c.store, mem, state)?;
-            if let Some(&(v, _)) = rec.frontier.iter().find(|&&(v, _)| u64::from(v) >= n) {
-                return Err(SnapshotError::Format(format!(
-                    "frontier vertex {v} is out of range: the graph has {n} vertices"
-                )));
-            }
-            report.recoveries = 1;
-            report.snapshot_fallbacks = rec.fallbacks;
-            // Consumed here: a frontier kept alive across the drain would
-            // sit in the heap beside the watermarks.
-            for (v, key) in rec.frontier {
-                pool.push_keyed(v, key);
-            }
-            rec.epoch + 1
-        }
+        Some(c) => checkpoint::recover(c.store, mem, tag, &value, pool, &mut report)?,
         None => {
             // The whole region in one publish (one tick, one lock per
             // line): the seeds ascend, so one pass over them in step with
@@ -150,7 +136,8 @@ where
             pool,
             threads,
             c,
-            state,
+            tag,
+            &value,
             start_epoch,
             &mut report,
             item,

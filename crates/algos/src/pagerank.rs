@@ -15,12 +15,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tufast::par::{parallel_drain, parallel_for, FifoPool, WorkPool};
-use tufast_graph::snapshot::{Section, Snapshot, SnapshotError};
 use tufast_graph::{Graph, VertexId};
-use tufast_htm::{f64_to_word, word_to_f64, MemRegion, TxMemory};
+use tufast_htm::{f64_to_word, word_to_f64, MemRegion};
 use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
 
-use crate::checkpoint::{self, Checkpointable};
 use crate::common::read_f64_region;
 
 /// Region handles for PageRank.
@@ -36,21 +34,6 @@ impl PageRankSpace {
         PageRankSpace {
             rank: layout.alloc_paired("pagerank", n as u64),
         }
-    }
-}
-
-impl Checkpointable for PageRankSpace {
-    fn tag(&self) -> &'static str {
-        "pagerank"
-    }
-
-    fn capture(&self, mem: &TxMemory) -> Vec<Section> {
-        // Rank words are f64 bits; the snapshot stores them verbatim.
-        vec![checkpoint::capture_region("rank", mem, &self.rank)]
-    }
-
-    fn restore(&self, mem: &TxMemory, snap: &Snapshot) -> Result<(), SnapshotError> {
-        checkpoint::restore_region("rank", mem, &self.rank, snap)
     }
 }
 

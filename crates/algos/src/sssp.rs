@@ -10,12 +10,12 @@
 use tufast::bucket::BucketPool;
 use tufast::par::WorkPool;
 use tufast::steal::StealPool;
-use tufast_graph::snapshot::{Section, Snapshot, SnapshotError};
+use tufast_graph::snapshot::SnapshotError;
 use tufast_graph::{Graph, VertexId};
-use tufast_htm::{MemRegion, TxMemory};
+use tufast_htm::MemRegion;
 use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::checkpoint::{self, Checkpointable, Ckpt, CkptReport};
+use crate::checkpoint::{Ckpt, CkptReport};
 use crate::monotone;
 
 /// Distance assigned to unreachable vertices.
@@ -44,20 +44,6 @@ impl SsspSpace {
         SsspSpace {
             dist: layout.alloc_paired("sssp-dist", n as u64),
         }
-    }
-}
-
-impl Checkpointable for SsspSpace {
-    fn tag(&self) -> &'static str {
-        "sssp"
-    }
-
-    fn capture(&self, mem: &TxMemory) -> Vec<Section> {
-        vec![checkpoint::capture_region("dist", mem, &self.dist)]
-    }
-
-    fn restore(&self, mem: &TxMemory, snap: &Snapshot) -> Result<(), SnapshotError> {
-        checkpoint::restore_region("dist", mem, &self.dist, snap)
     }
 }
 
@@ -181,7 +167,7 @@ pub fn parallel_on<S: GraphScheduler, P: WorkPool>(
     let weighted = |v| g.weighted_neighbors(v).map(|(u, w)| (u, u64::from(w)));
     let seed = [(source, 0)];
     monotone::run(
-        sched, sys, space, space.dist, weighted, pool, threads, ckpt, seed,
+        sched, sys, "sssp", space.dist, weighted, pool, threads, ckpt, seed,
     )
 }
 

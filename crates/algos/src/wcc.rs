@@ -8,12 +8,12 @@
 
 use tufast::par::WorkPool;
 use tufast::steal::StealPool;
-use tufast_graph::snapshot::{Section, Snapshot, SnapshotError};
+use tufast_graph::snapshot::SnapshotError;
 use tufast_graph::{Graph, VertexId};
-use tufast_htm::{MemRegion, TxMemory};
+use tufast_htm::MemRegion;
 use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::checkpoint::{self, Checkpointable, Ckpt, CkptReport};
+use crate::checkpoint::{Ckpt, CkptReport};
 use crate::monotone;
 
 /// Region handles for WCC.
@@ -29,20 +29,6 @@ impl WccSpace {
         WccSpace {
             label: layout.alloc_paired("wcc-label", n as u64),
         }
-    }
-}
-
-impl Checkpointable for WccSpace {
-    fn tag(&self) -> &'static str {
-        "wcc"
-    }
-
-    fn capture(&self, mem: &TxMemory) -> Vec<Section> {
-        vec![checkpoint::capture_region("label", mem, &self.label)]
-    }
-
-    fn restore(&self, mem: &TxMemory, snap: &Snapshot) -> Result<(), SnapshotError> {
-        checkpoint::restore_region("label", mem, &self.label, snap)
     }
 }
 
@@ -107,7 +93,7 @@ pub fn parallel_on<S: GraphScheduler, P: WorkPool>(
     monotone::run(
         sched,
         sys,
-        space,
+        "wcc",
         space.label,
         undirected,
         pool,

@@ -26,10 +26,7 @@ use tufast_algos::checkpoint::{Ckpt, CkptReport};
 use tufast_algos::{bfs, setup, sssp, wcc};
 use tufast_graph::snapshot::{load, SnapshotError, SnapshotStore};
 use tufast_graph::{Graph, GraphBuilder};
-use tufast_txn::{
-    is_injected_crash, raise_injected_crash, FaultPlan, FaultSpec, TxnObserver, TxnSystem,
-    CRASH_ANY_WORKER,
-};
+use tufast_txn::{is_injected_crash, FaultPlan, FaultSpec, TxnObserver, TxnSystem};
 
 /// Which checkpointed algorithm a recovery run exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,14 +130,14 @@ pub fn run_on(
             let built = setup(g, bfs::BfsSpace::alloc);
             let watch = prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
-            let pool = Watched::new(steal(), &watch, &built.sys);
+            let pool = Watched::new(steal(), &watch);
             bfs::parallel_on(g, &sched, &built.sys, &built.space, 0, threads, &pool, ckpt)
         }
         RecoveryAlgo::Wcc => {
             let built = setup(g, wcc::WccSpace::alloc);
             let watch = prepare(&built.sys);
             let sched = TuFast::new(Arc::clone(&built.sys));
-            let pool = Watched::new(steal(), &watch, &built.sys);
+            let pool = Watched::new(steal(), &watch);
             wcc::parallel_on(g, &sched, &built.sys, &built.space, threads, &pool, ckpt)
         }
         RecoveryAlgo::SsspFifo | RecoveryAlgo::SsspPriority => {
@@ -149,10 +146,10 @@ pub fn run_on(
             let sched = TuFast::new(Arc::clone(&built.sys));
             let (sys, space) = (&built.sys, &built.space);
             if algo == RecoveryAlgo::SsspFifo {
-                let pool = Watched::new(steal(), &watch, sys);
+                let pool = Watched::new(steal(), &watch);
                 sssp::parallel_on(g, &sched, sys, space, 0, threads, &pool, ckpt)
             } else {
-                let pool = Watched::new(sssp::bucket_pool(g), &watch, sys);
+                let pool = Watched::new(sssp::bucket_pool(g), &watch);
                 sssp::parallel_on(g, &sched, sys, space, 0, threads, &pool, ckpt)
             }
         }
@@ -185,9 +182,11 @@ pub fn star_plus_clique(n: u32, clique: u32) -> Graph {
 /// Counts **transaction-free items** — pool items that ended without a
 /// transaction: stale, unreached, or with every neighbour settled
 /// (DESIGN.md §7) — and runs `action` at every item done from the point
-/// where `after` of them were seen. With an idempotent action (cancel the
-/// job's token, arm a fault plan's crash) that stops a run *after* such
-/// items whatever the thread timing.
+/// where `after` of them were seen. With an idempotent action that stops a
+/// run *after* such items whatever the thread timing: cancel the job's
+/// token (each lane stops at its next dequeue), or arm a fault plan's
+/// crash (each lane dies at its next crash probe, after its item in
+/// flight).
 ///
 /// An item that opens no transaction is invisible to an observer, so the
 /// watch counts at both ends: items done at the pool ([`run_on`] wraps the
@@ -235,23 +234,21 @@ impl TxnObserver for StaleWatch {
     }
 }
 
-/// `pool`, reporting every item done to `watch` if there is one. A
-/// watched run that crashes also dies at its next dequeue, not only at
-/// its next transaction: an item without a transaction passes no crash
-/// probe, so a run with no transaction left (BFS on a star, once the hub
-/// is scanned) could not die after the items the watch waits for.
+/// `pool`, reporting every item done to `watch` if there is one. An
+/// action that arms a crash kills the run at the drain's next crash
+/// probe, right after the item that triggered it: the probe sits between
+/// items, so a run with no transaction left (BFS on a star, once the hub
+/// is scanned) still dies there.
 struct Watched<'w, P> {
     pool: P,
     watch: Option<&'w StaleWatch>,
-    plan: Option<Arc<FaultPlan>>,
 }
 
 impl<'w, P> Watched<'w, P> {
-    fn new(pool: P, watch: &'w Option<Arc<StaleWatch>>, sys: &TxnSystem) -> Self {
+    fn new(pool: P, watch: &'w Option<Arc<StaleWatch>>) -> Self {
         Watched {
             pool,
             watch: watch.as_deref(),
-            plan: watch.as_ref().and_then(|_| sys.fault_plan()),
         }
     }
 }
@@ -266,9 +263,6 @@ impl<P: WorkPool> WorkPool for Watched<'_, P> {
     }
 
     fn pop(&self) -> Option<u32> {
-        if self.plan.as_ref().is_some_and(|p| p.crash_armed()) {
-            raise_injected_crash(CRASH_ANY_WORKER, 0);
-        }
         self.pool.pop()
     }
 

@@ -38,11 +38,11 @@ fn crash_then_recover_is_bitwise_identical_for_every_algorithm() {
     for algo in RecoveryAlgo::ALL {
         let g = graph_for(algo);
         let dir = temp_dir(&format!("crash-{}", algo.label()));
-        // Whichever worker reaches the probe first dies: arming one fixed
-        // worker lost the race whenever the others drained the job before
+        // Whichever lane reaches the probe first dies: arming one fixed
+        // lane lost the race whenever the others drained the job before
         // it got there. The smallest graph has 256 vertices, each one at
-        // least one transaction, so over 3 workers some worker always
-        // reaches probe 80.
+        // least one item, so over 3 lanes some lane always reaches
+        // probe 80.
         let spec = FaultSpec {
             crash_worker: tufast_txn::CRASH_ANY_WORKER,
             crash_at_probe: 80,
@@ -79,11 +79,11 @@ fn late_crash_over_stealing_and_bucketed_drivers_resumes_exactly() {
             }
         };
         let dir = temp_dir(&format!("late-crash-{}", algo.label()));
-        // Under stealing the per-worker load split is nondeterministic
+        // Under stealing the per-lane load split is nondeterministic
         // (one owner deque can hog a whole subtree of re-pushes), so the
-        // crash is seeded on *whichever* worker reaches the probe first.
-        // Every graph has ≥ 1296 vertices over 3 workers, so some worker
-        // always reaches probe 400 — and by then the pool has processed
+        // crash is seeded on *whichever* lane reaches the probe first.
+        // Every graph has ≥ 1296 vertices, each at least one item, over 3
+        // lanes, so some lane always reaches probe 400 — and by then the pool has processed
         // an order of magnitude more than `every_items`, so epochs have
         // closed and recovery must find a snapshot, not cold-restart.
         let spec = FaultSpec {
@@ -210,8 +210,8 @@ fn crash_inside_the_write_temp_window_falls_back_and_resumes_exactly() {
 
 #[test]
 fn crash_at_first_transaction_cold_restarts_cleanly() {
-    // Probe 1: the first worker to start a transaction dies there, before
-    // any epoch can close. Recovery finds no snapshot and must fall back to
+    // Probe 1: the first lane to finish an item dies there, before any
+    // epoch can close. Recovery finds no snapshot and must fall back to
     // a clean fresh run, still bitwise-correct.
     let algo = RecoveryAlgo::Bfs;
     let g = graph_for(algo);

@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use tufast_txn::commit::relax;
-use tufast_txn::{GraphScheduler, TxnSystem};
+use tufast_txn::{FaultHandle, GraphScheduler, TxnSystem};
 
 use crate::par::{drain, WorkPool};
 
@@ -55,7 +55,7 @@ pub(crate) struct Epochs<'a> {
     pause: AtomicBool,
     /// Peers currently parked at the barrier.
     parked: AtomicUsize,
-    /// Worker threads still running (exited threads leave via drop guard).
+    /// Worker threads still running (a [`Lane`] leaves on drop).
     active: AtomicUsize,
     /// Items fully processed so far.
     items_done: AtomicU64,
@@ -68,15 +68,41 @@ pub(crate) struct Epochs<'a> {
     checkpoint: &'a (dyn Fn(u64) + Sync),
 }
 
-/// Decrements the live-thread count on drop, so a panicking worker cannot
-/// strand the coordinator waiting for it to park.
-pub(crate) struct ActiveGuard<'a>(&'a AtomicUsize);
+/// One worker's place in an epoch-checkpointed drain, from
+/// [`Epochs::enter`] to its drop: it parks the worker at the barrier,
+/// reports its finished items, and probes the worker's lane for a seeded
+/// crash between them.
+pub(crate) struct Lane<'a> {
+    epochs: &'a Epochs<'a>,
+    faults: FaultHandle,
+}
 
-impl Drop for ActiveGuard<'_> {
+impl Lane<'_> {
+    /// Park while the coordinator checkpoints. Called only between items,
+    /// holding nothing.
+    pub(crate) fn park_if_paused(&self) {
+        self.epochs.park_if_paused();
+    }
+
+    /// After finishing an item: count it, close the epoch if it crossed
+    /// the target, then pass the crash site. With a crash plan armed the
+    /// run dies here ([`FaultHandle::crash_point`]): between two items,
+    /// holding no lock and with no transaction open, whether or not the
+    /// items opened one — a model of process death for crash recovery.
+    pub(crate) fn item_done(&mut self) {
+        self.epochs.maybe_coordinate();
+        self.faults.crash_point();
+    }
+}
+
+impl Drop for Lane<'_> {
     fn drop(&mut self) {
-        // Release publishes this thread's final item work to the
-        // coordinator, whose park-wait loads `active` with Acquire.
-        self.0.fetch_sub(1, Ordering::Release);
+        // The worker stops counting as live, a panic included, so a
+        // coordinator waiting for `parked == active - 1` observes the
+        // departure instead of hanging. Release publishes this thread's
+        // final item work to the coordinator, whose park-wait loads
+        // `active` with Acquire.
+        self.epochs.active.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -112,15 +138,17 @@ impl<'a> Epochs<'a> {
         }
     }
 
-    /// One of the `threads` workers starts draining; it stops counting as
-    /// live when the guard drops.
-    pub(crate) fn enter(&self) -> ActiveGuard<'_> {
-        ActiveGuard(&self.active)
+    /// Worker `lane` of the `threads` starts draining; it stops counting
+    /// as live when its [`Lane`] drops.
+    pub(crate) fn enter(&self, lane: u32) -> Lane<'_> {
+        Lane {
+            epochs: self,
+            faults: self.sys.fault_handle(lane),
+        }
     }
 
-    /// Park until the coordinator reopens the world. Called only between
-    /// items, holding nothing.
-    pub(crate) fn park_if_paused(&self) {
+    /// Park until the coordinator reopens the world.
+    fn park_if_paused(&self) {
         // This check runs once per drained item: Acquire/Release is all
         // the hand-off needs, and it keeps SeqCst fences off the hot
         // path. The Release increment publishes this peer's finished
@@ -141,7 +169,7 @@ impl<'a> Epochs<'a> {
 
     /// After finishing an item: count it, and close the epoch if this
     /// item crossed the target and no other thread got there first.
-    pub(crate) fn maybe_coordinate(&self) {
+    fn maybe_coordinate(&self) {
         // Relaxed is enough for the counters: they only decide *when* to
         // try closing an epoch, and the pause CAS is the real gate. A
         // stale `next_target` in a losing thread at worst delays its
@@ -330,6 +358,46 @@ mod tests {
             .recv_timeout(Duration::from_secs(60))
             .expect("the drain hung on the panicking hook");
         assert!(reraised, "the hook's panic must re-raise");
+        assert_eq!(sys.mem().load_direct(sys.serial_token()), 0, "token leaked");
+    }
+
+    #[test]
+    fn a_seeded_crash_lands_between_items_that_open_no_transaction() {
+        use std::sync::atomic::AtomicU64;
+        use tufast_txn::{is_injected_crash, FaultKind, FaultPlan, FaultSpec, CRASH_ANY_WORKER};
+        let (sys, _) = system(8, 1);
+        let plan = FaultPlan::new(FaultSpec {
+            crash_worker: CRASH_ANY_WORKER,
+            crash_at_probe: 10,
+            ..FaultSpec::default()
+        });
+        sys.set_fault_plan(Some(Arc::clone(&plan)));
+        let sched = TwoPhaseLocking::new(Arc::clone(&sys));
+        let pool = FifoPool::new();
+        for v in 0..100u32 {
+            pool.push(v);
+        }
+        let items = AtomicU64::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_drain_epochs(
+                &sched,
+                &sys,
+                &pool,
+                3,
+                7,
+                0,
+                |_| {},
+                |_, _, _| {
+                    items.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+        }));
+        let payload = caught.expect_err("the seeded crash never fired");
+        assert!(is_injected_crash(payload.as_ref()));
+        assert_eq!(plan.injected(FaultKind::Crash), 1);
+        // The first lane to finish 10 items dies; each other lane dies
+        // after at most one more item of its own.
+        assert!(items.load(Ordering::Relaxed) <= 30, "the run went on");
         assert_eq!(sys.mem().load_direct(sys.serial_token()), 0, "token leaked");
     }
 

@@ -62,7 +62,7 @@ where
 {
     let threads = threads.max(1);
     let cursor = CachePadded::new(AtomicUsize::new(0));
-    run_workers(sched, threads, |worker| loop {
+    run_workers(sched, threads, |_, worker| loop {
         // The load races other grabs, so `remaining` can be stale — that
         // only perturbs the chunk size; the fetch_add below is what claims
         // indices.
@@ -81,8 +81,9 @@ where
 }
 
 /// Create `threads` workers of `sched`, ids in creation order, and run
-/// `body` on each: workers 1.. on scoped threads, worker 0 on the calling
-/// thread. Returns the workers in creation order once all have finished.
+/// `body(lane, worker)` on each, `lane` its place in that order: workers
+/// 1.. on scoped threads, worker 0 on the calling thread. Returns the
+/// workers in creation order once all have finished.
 ///
 /// A worker's panic re-raises with its original payload after every peer
 /// has joined (the first panicking worker's, in creation order); the
@@ -91,7 +92,7 @@ where
 fn run_workers<S, B>(sched: &S, threads: usize, body: B) -> Vec<S::Worker>
 where
     S: GraphScheduler,
-    B: Fn(&mut S::Worker) + Sync,
+    B: Fn(u32, &mut S::Worker) + Sync,
 {
     let mut workers: Vec<S::Worker> = (0..threads).map(|_| sched.worker()).collect();
     let peers = workers.split_off(1);
@@ -100,15 +101,16 @@ where
     std::thread::scope(|s| {
         let handles: Vec<_> = peers
             .into_iter()
-            .map(|mut worker| {
+            .zip(1..)
+            .map(|(mut worker, lane)| {
                 s.spawn(move || {
-                    body(&mut worker);
+                    body(lane, &mut worker);
                     worker
                 })
             })
             .collect();
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            body(&mut first);
+            body(0, &mut first);
             first
         }));
         let peers: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
@@ -381,7 +383,8 @@ where
 /// [`parallel_drain`] runs it bare,
 /// [`parallel_drain_epochs`](crate::epoch::parallel_drain_epochs) with an
 /// epoch barrier (`epochs`, sized for `threads` workers) that every worker
-/// joins on entry, parks at between items and reports each finished item to.
+/// joins on entry, parks at between items and reports each finished item to
+/// — where its lane is probed for a seeded crash.
 /// Its workers run on [`run_workers`]: worker 0 on the calling thread.
 pub(crate) fn drain<S, P, F>(
     sched: &S,
@@ -395,11 +398,9 @@ where
     P: WorkPool,
     F: Fn(&mut S::Worker, &P, u32) + Sync,
 {
-    let workers = run_workers(sched, threads, |worker| {
-        // Dropped on every exit, a panic included, so a coordinator
-        // waiting for `parked == active - 1` observes the departure
-        // instead of hanging.
-        let _active = epochs.map(Epochs::enter);
+    let workers = run_workers(sched, threads, |lane, worker| {
+        // Leaves the barrier on every exit, a panic included.
+        let mut lane = epochs.map(|epochs| epochs.enter(lane));
         let mut idle = 0u32;
         loop {
             // Dequeue boundary: heartbeat for the watchdog and job-level
@@ -410,8 +411,8 @@ where
                 pool.interrupt();
                 break;
             }
-            if let Some(epochs) = epochs {
-                epochs.park_if_paused();
+            if let Some(lane) = &lane {
+                lane.park_if_paused();
             }
             match pool.pop() {
                 Some(v) => {
@@ -425,8 +426,8 @@ where
                     let guard = DoneGuard(pool);
                     f(worker, pool, v);
                     drop(guard);
-                    if let Some(epochs) = epochs {
-                        epochs.maybe_coordinate();
+                    if let Some(lane) = &mut lane {
+                        lane.item_done();
                     }
                 }
                 None => {

@@ -237,12 +237,6 @@ impl TxnWorker for TuFastWorker {
             return self.serial_rung(ModeClass::L, attempts, body);
         }
 
-        // Seeded crash site: with a crash plan armed, the run dies here —
-        // at a transaction boundary, holding no locks — modelling process
-        // death for crash-recovery testing. (The preemption and stall
-        // sites are probed at every attempt boundary, by the skeleton.)
-        self.lc.faults.crash_point();
-
         // Entry decision (Figure 10): size hints beyond O-mode reach, 64
         // times H's, go straight to L mode.
         if hint > 64 * self.h_reach {

@@ -7,7 +7,8 @@
 //!   plan's counters) plus the [`FaultSpec`] field that triggers it;
 //! * **installed** only by
 //!   [`TxnSystem::set_fault_plan`](crate::TxnSystem::set_fault_plan): every
-//!   worker and HTM context created afterwards carries the plan;
+//!   worker, HTM context and checkpointed-drain lane created afterwards
+//!   carries the plan;
 //! * **triggered** by a permille *rate* (a seeded roll per probe) or a
 //!   seeded *count* (the n-th probe of the site and past, on the seeded
 //!   worker), the four count sites that kill the process sharing one
@@ -125,11 +126,15 @@ pub struct FaultSpec {
     pub preempt_permille: u32,
     /// Spin iterations of one injected preemption delay.
     pub preempt_spins: u32,
-    /// Worker whose crash probe is armed; [`CRASH_ANY_WORKER`] arms every
-    /// worker, so the *first* to reach [`FaultSpec::crash_at_probe`] dies.
+    /// Lane of a checkpointed drain whose crash probe is armed (lane 0
+    /// runs on the caller's thread); [`CRASH_ANY_WORKER`] arms every lane,
+    /// so the *first* to reach [`FaultSpec::crash_at_probe`] dies.
     pub crash_worker: u32,
-    /// Probe count at which the seeded worker crashes the run; every other
-    /// worker's next crash probe then dies too (whole-process death).
+    /// Item count at which the seeded lane crashes the run: the crash site
+    /// ([`FaultHandle::crash_point`]) sits between the items of a
+    /// checkpointed drain, one probe per item the lane finishes, whether or
+    /// not the item opened a transaction. Every other lane then dies at its
+    /// next probe too (whole-process death).
     pub crash_at_probe: u64,
     /// Worker whose stall probe is armed.
     pub stall_worker: u32,
@@ -625,10 +630,10 @@ impl FaultHandle {
         self.armed(|a| a.delays(FaultKind::Stall, |spec| spec.stall_spins))
     }
 
-    /// Probe the crash site (transaction entry in the TuFast router): on
-    /// the seeded worker at (or past) the seeded count, or once the plan
-    /// crashed elsewhere, panic with an [`InjectedCrash`]. An exempt
-    /// worker's crash lands at its next non-exempt entry instead.
+    /// Probe the crash site, which a checkpointed drain's lane passes after
+    /// each item it finishes: on the seeded lane at (or past) the seeded
+    /// item count, or once the plan crashed elsewhere, panic with an
+    /// [`InjectedCrash`].
     #[inline]
     pub fn crash_point(&mut self) {
         self.armed(|a| a.dies_at(Seq::Attempt, FaultKind::Crash))

@@ -119,9 +119,7 @@ pub(crate) fn recover<P: WorkPool>(
     mem.fill_region_with(value, |i| values.words[i as usize]);
     // Consumed here: a frontier kept alive across the drain would sit in
     // the heap beside the watermarks.
-    for (v, key) in frontier {
-        pool.push_keyed(v, key);
-    }
+    pool.push_all(frontier);
     report.recoveries = 1;
     report.snapshot_fallbacks = loaded.fallbacks;
     Ok(snap.epoch + 1)

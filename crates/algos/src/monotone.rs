@@ -109,21 +109,22 @@ where
             // line): the seeds ascend, so one pass over them in step with
             // the vertices finds each seed's value.
             let mut seeded = seeds.clone().into_iter().peekable();
+            let mut next = 0;
             mem.fill_region_with(&value, |u| {
                 let seed = seeded.next_if(|&(v, _)| u64::from(v) == u);
-                seed.map_or(u64::MAX, |(_, val)| val)
+                seed.map_or(u64::MAX, |(_, val)| {
+                    next = u + 1;
+                    val
+                })
             });
-            let mut next = 0;
-            for (v, val) in seeds {
-                let at = u64::from(v);
-                assert!(
-                    (next..n).contains(&at),
+            // A seed the pass did not take is out of range or out of order.
+            if let Some((v, _)) = seeded.next() {
+                panic!(
                     "seed vertex {v} is out of range: the graph has {n} vertices, \
                      and seeds ascend from {next}"
                 );
-                pool.push_keyed(v, val);
-                next = at + 1;
             }
+            pool.push_all(seeds);
             0
         }
     };

@@ -87,17 +87,26 @@ pub fn sequential(g: &Graph, source: VertexId) -> Vec<u64> {
 /// cascades. The earlier plain-mean-weight width left dense small-world
 /// graphs with a handful of very wide buckets, which degraded toward
 /// unordered draining and multiplied relaxations several-fold.
+///
+/// One pass over the weights, which stops at the first weight ≤ 1: the
+/// clamp to the minimum weight, then to 1, makes the width 1 from there
+/// on whatever the mean.
 fn pick_delta(g: &Graph) -> u64 {
-    match g.weights() {
-        Some(ws) if !ws.is_empty() => {
-            let sum: u64 = ws.iter().map(|&w| u64::from(w)).sum();
-            let mean_w = (sum / ws.len() as u64).max(1);
-            let min_w = ws.iter().copied().min().map_or(1, u64::from);
-            let mean_deg = (g.num_edges() / g.num_vertices().max(1) as u64).max(1);
-            (mean_w / mean_deg).min(min_w).max(1)
+    let Some(ws) = g.weights().filter(|ws| !ws.is_empty()) else {
+        return 1;
+    };
+    let (mut sum, mut min_w) = (0u64, u64::MAX);
+    for &w in ws {
+        let w = u64::from(w);
+        if w <= 1 {
+            return 1;
         }
-        _ => 1,
+        sum += w;
+        min_w = min_w.min(w);
     }
+    let mean_w = (sum / ws.len() as u64).max(1);
+    let mean_deg = (g.num_edges() / g.num_vertices().max(1) as u64).max(1);
+    (mean_w / mean_deg).min(min_w).max(1)
 }
 
 /// The default priority pool for `g`: delta-stepping buckets at the width
@@ -257,5 +266,35 @@ mod tests {
         let built = crate::setup(&g, SsspSpace::alloc);
         let tufast = TuFast::new(Arc::clone(&built.sys));
         parallel(&g, &tufast, &built.sys, &built.space, 0, 2, QueueKind::Fifo);
+    }
+
+    /// The width as two full passes over the weights compute it.
+    fn two_pass_delta(g: &Graph) -> u64 {
+        let ws = g.weights().unwrap();
+        let sum: u64 = ws.iter().map(|&w| u64::from(w)).sum();
+        let mean_w = (sum / ws.len() as u64).max(1);
+        let min_w = ws.iter().copied().min().map_or(1, u64::from);
+        let mean_deg = (g.num_edges() / g.num_vertices().max(1) as u64).max(1);
+        (mean_w / mean_deg).min(min_w).max(1)
+    }
+
+    #[test]
+    fn pick_delta_equals_the_two_pass_width() {
+        let cycle = |weights: [u32; 4]| {
+            let mut b = tufast_graph::GraphBuilder::new(4);
+            for (v, w) in (0..4u32).zip(weights) {
+                b.add_weighted_edge(v, (v + 1) % 4, w);
+            }
+            b.build()
+        };
+        let light = cycle([90, 1, 100, 60]);
+        assert_eq!(pick_delta(&light), two_pass_delta(&light));
+        assert_eq!(pick_delta(&light), 1);
+        // Lightest weight 7, mean 51 at degree 1: the clamp to 7 decides.
+        let heavy = cycle([7, 40, 100, 60]);
+        assert_eq!(pick_delta(&heavy), two_pass_delta(&heavy));
+        assert_eq!(pick_delta(&heavy), 7);
+        let grid = weighted_grid(13, 11, 7);
+        assert_eq!(pick_delta(&grid), two_pass_delta(&grid));
     }
 }

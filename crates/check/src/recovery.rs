@@ -262,6 +262,10 @@ impl<P: WorkPool> WorkPool for Watched<'_, P> {
         self.pool.push_keyed(v, key);
     }
 
+    fn push_all<I: IntoIterator<Item = (u32, u64)>>(&self, items: I) {
+        self.pool.push_all(items);
+    }
+
     fn pop(&self) -> Option<u32> {
         self.pool.pop()
     }

@@ -27,7 +27,12 @@ use tufast_htm::witness::{LockClass, Mutex};
 
 use crate::pad::CachePadded;
 use crate::par::{lock, PoolCounters, WorkPool};
-use crate::steal::IdleGate;
+use crate::steal::{IdleGate, SlotRegistry, StripedPending};
+
+/// Worker slots of a pool's striped pending counter; threads past them
+/// count on its shared spill cell. `BucketPool::new` is not told the
+/// thread count, and 32 cells are 4 KiB beside the bands' 512 KiB.
+const PENDING_SLOTS: usize = 32;
 
 /// Fixed band count; keys beyond `delta * NUM_BANDS` clamp into the last
 /// band. 4096 padded bands is ~512 KiB, allocated with each pool (SSSP
@@ -45,7 +50,7 @@ struct Band {
     items: Mutex<VecDeque<(u32, u64)>>,
     /// Updated under the item lock, read without it. Racy by design: a
     /// scan that skips a band whose update is not yet visible just fails
-    /// this pop — the `pending` counter keeps the drain loop retrying,
+    /// this pop — the pending counter keeps the drain loop retrying,
     /// so staleness costs a rescan, never an item.
     occupancy: AtomicUsize,
 }
@@ -96,13 +101,12 @@ pub struct BucketPool {
     /// Bounds the pop scan so empty-pool probes don't walk all
     /// `NUM_BANDS` bands.
     hi: CachePadded<AtomicU64>,
-    /// In-flight + queued items. All increments and decrements hit this
-    /// single word, so its coherence order alone makes `pending() == 0`
-    /// a sound termination check (see DESIGN.md §7): an in-flight item's
-    /// `-1` is ordered after any `+1` it re-pushed, hence a zero read
-    /// proves nothing queued *and* nothing in flight. `Release`/`Acquire`
-    /// suffices — no cross-variable ordering is consumed.
-    pending: CachePadded<AtomicUsize>,
+    /// The worker slots of `pending`: a thread registers on its first pop.
+    slots: SlotRegistry,
+    /// In-flight + queued items, one cell per worker that only it writes
+    /// (a load and a store per count, no line every worker shares);
+    /// termination asks its double fold (DESIGN.md §7).
+    pending: StripedPending,
     /// Times the cursor was CAS-advanced past drained buckets.
     advances: AtomicU64,
     /// Monotonic keys for keyless [`WorkPool::push`] calls.
@@ -124,7 +128,8 @@ impl BucketPool {
                 .collect(),
             cur: CachePadded::new(AtomicU64::new(0)),
             hi: CachePadded::new(AtomicU64::new(0)),
-            pending: CachePadded::new(AtomicUsize::new(0)),
+            slots: SlotRegistry::new(PENDING_SLOTS),
+            pending: StripedPending::new(PENDING_SLOTS),
             advances: AtomicU64::new(0),
             default_key: AtomicU64::new(0),
             idle: IdleGate::new(),
@@ -145,7 +150,7 @@ impl BucketPool {
 
     /// Add work with an explicit priority key (smaller = sooner).
     pub fn push_with_key(&self, v: u32, key: u64) {
-        self.pending.fetch_add(1, Ordering::Release);
+        self.pending.inc(self.slots.get());
         let idx = self.index(key);
         self.bands[idx].push(v, key);
         // Hint maintenance is conditional: a load-and-branch is cheaper
@@ -178,6 +183,7 @@ impl WorkPool for BucketPool {
     }
 
     fn pop(&self) -> Option<u32> {
+        self.slots.get_or_register();
         // `hi` only ever grows, so a stale read can at worst hide bands
         // pushed after this pop began — the retrying drain loop absorbs
         // that exactly like any other push/pop race.
@@ -212,14 +218,18 @@ impl WorkPool for BucketPool {
     }
 
     fn pending(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
+        self.pending.pending()
     }
 
     fn done(&self) {
-        self.pending.fetch_sub(1, Ordering::Release);
+        self.pending.dec(self.slots.get());
         if self.idle.parked() > 0 && self.pending() == 0 {
             self.idle.wake_all();
         }
+    }
+
+    fn quiescent(&self) -> bool {
+        self.pending.quiescent()
     }
 
     fn park_idle(&self) {
@@ -349,5 +359,65 @@ mod tests {
         pool.push(11);
         assert_eq!(pool.pop(), Some(10));
         assert_eq!(pool.pop(), Some(11));
+    }
+
+    #[test]
+    fn striped_count_quiesces_once_four_threads_drain_every_band() {
+        // Item `v` pushes `2v + 8` and `2v + 9`, keyed by value, so the
+        // work climbs the bands and every `v < N` is pushed exactly once.
+        // Each child is pushed before its parent is done, so the pool is
+        // quiescent only after the last item: a `quiescent()` that reads
+        // true earlier is a counting fault.
+        const N: u32 = 20_000;
+        let pool = BucketPool::new(64);
+        for v in 0..8u32 {
+            pool.push_with_key(v, u64::from(v));
+        }
+        let dones = AtomicU64::new(0);
+        let mut popped: Vec<u32> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut got = Vec::new();
+                        loop {
+                            let Some(v) = pool.pop() else {
+                                if pool.quiescent() {
+                                    break;
+                                }
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            got.push(v);
+                            for child in [2 * v + 8, 2 * v + 9] {
+                                if child < N {
+                                    pool.push_with_key(child, u64::from(child));
+                                }
+                            }
+                            // Counted before `done`, so a quiescent pool
+                            // has every item of `dones`.
+                            dones.fetch_add(1, Ordering::SeqCst);
+                            pool.done();
+                            assert!(
+                                !(pool.quiescent() && dones.load(Ordering::SeqCst) < u64::from(N)),
+                                "quiescent with items in flight"
+                            );
+                        }
+                        got
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        popped.sort_unstable();
+        assert_eq!(
+            popped,
+            (0..N).collect::<Vec<_>>(),
+            "items lost or duplicated"
+        );
+        assert_eq!(pool.pending(), 0);
+        assert!(pool.quiescent());
     }
 }

@@ -16,10 +16,12 @@
 //!   Worker 0's transactions would wait on it like any peer's, and the
 //!   holder never gets to release it.
 //! - **Thread-locals outlive a job on the caller.** Worker 0 leaves the
-//!   caller's copies behind: [`StealPool`](crate::steal::StealPool)'s slot
-//!   cache (keyed by pool id, so a later pool never reads a stale slot; a
-//!   push into the *same* pool after its drain lands in the caller's deque
-//!   rather than the injector), the BFS / WCC / SSSP item scratch
+//!   caller's copies behind: the slot cache of
+//!   [`StealPool`](crate::steal::StealPool) and
+//!   [`BucketPool`](crate::bucket::BucketPool) (keyed by pool id, so a
+//!   later pool never reads a stale slot; a push into the *same* steal
+//!   pool after its drain lands in the caller's deque rather than the
+//!   injector), the BFS / WCC / SSSP item scratch
 //!   (`SCRATCH` in `tufast-algos`' `monotone.rs`, kept for the next job)
 //!   and the parked body-panic payload (`CAUGHT_PANIC` in `tufast-txn`'s
 //!   `obs.rs`, always taken by the re-raise that follows it).
@@ -170,6 +172,14 @@ pub trait WorkPool: Sync {
     /// Pools without an order ignore the key.
     fn push_keyed(&self, v: u32, _key: u64) {
         self.push(v);
+    }
+    /// Add `(unit, key)` pairs in order, as [`Self::push_keyed`] would one
+    /// by one; pools with a shared seed queue take it once for the batch.
+    /// Seeding a job's frontier goes through here.
+    fn push_all<I: IntoIterator<Item = (u32, u64)>>(&self, items: I) {
+        for (v, key) in items {
+            self.push_keyed(v, key);
+        }
     }
     /// Take one unit, or `None` if currently empty.
     fn pop(&self) -> Option<u32>;

@@ -9,19 +9,23 @@
 //!
 //! * **[`StealDeque`]** — a bounded Chase–Lev deque per worker. The owner
 //!   pushes at the bottom; everyone, the owner included, takes from the
-//!   top (FIFO: the oldest, coldest work migrates). Implemented in-repo on
-//!   plain atomics: the items are `u32` vertex ids, so every slot can be
-//!   an `AtomicU32` and the whole structure stays within
-//!   `#![forbid(unsafe_code)]`. The shared injector (overflow and seeds)
-//!   is a mutex-guarded `VecDeque`. There is no LIFO owner pop: frontier
-//!   algorithms re-relax heavily under LIFO (depth-first) order, and the
-//!   wavefront order is worth far more than the saved CAS (see DESIGN.md
-//!   §7).
-//! * **[`StripedPending`]** — per-worker `(pushed, done)` monotonic
-//!   counter cells, folded only on the idle path. Replaces the single
+//!   top (FIFO: the oldest, coldest work migrates) — thieves through the
+//!   fenced [`StealDeque::steal`], the owner through the fence-free
+//!   `pop_own`. Implemented in-repo on plain atomics: the
+//!   items are `u32` vertex ids, so every slot can be an `AtomicU32` and
+//!   the whole structure stays within `#![forbid(unsafe_code)]`. The
+//!   shared injector (overflow and seeds) is a mutex-guarded `VecDeque`;
+//!   a worker takes it in batches into a second, per-worker *reserve*
+//!   deque. There is no LIFO owner pop: frontier algorithms re-relax
+//!   heavily under LIFO (depth-first) order, and the wavefront order is
+//!   worth far more than the saved CAS (see DESIGN.md §7).
+//! * **[`StripedPending`]** — per-worker `(pushed, completed)` monotonic
+//!   counter cells, each written by its own worker only (a load and a
+//!   store, no RMW), folded only on the idle path. Replaces the single
 //!   `SeqCst` hot word the old pools bumped twice per item. The
 //!   double-fold termination argument is spelled out on
-//!   [`StripedPending::quiescent`] and in DESIGN.md §7.
+//!   [`StripedPending::quiescent`] and in DESIGN.md §7. The worker slots
+//!   come from a [`SlotRegistry`], which the bucket pool shares.
 //! * **[`IdleGate`]** — exponential backoff ending in a *parked* wait
 //!   with wakeup on push, so idle workers stop burning the cores the
 //!   busy workers need (the old idle loop spun/yielded forever).
@@ -35,7 +39,7 @@ use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Condvar;
 use std::time::Duration;
 
-use tufast_htm::witness::{LockClass, Mutex};
+use tufast_htm::witness::{LockClass, Mutex, MutexGuard};
 
 use crate::pad::CachePadded;
 use crate::par::{lock, PoolCounters, WorkPool};
@@ -54,7 +58,7 @@ pub enum Steal {
 /// A bounded Chase–Lev work-stealing deque over `u32` items.
 ///
 /// Single owner, many thieves. The owner calls [`push`](Self::push)
-/// (bottom end); any thread, the owner included, may call
+/// (bottom end) and `pop_own` (top end, FIFO); any thread may call
 /// [`steal`](Self::steal) (top end, FIFO). The buffer is fixed-capacity:
 /// a full deque rejects the push and the caller overflows into a shared
 /// injector instead of growing (growth is the one part of Chase–Lev that
@@ -115,14 +119,50 @@ impl StealDeque {
         Ok(())
     }
 
-    /// Take the oldest item (FIFO — cold work migrates). The only way out
-    /// of the deque, for thieves and the owner alike.
+    /// Owner only: take the oldest item (FIFO), as [`Self::steal`] does,
+    /// without its fence.
+    ///
+    /// Only the owner stores `bottom` and the slots, so it reads both in
+    /// its own program order, and its reads of `top` never go backwards.
+    /// So if it reads `t < b`, slot `t` still holds the item pushed at
+    /// index `t`: a later push into that slot (index `t + cap`) would have
+    /// needed an earlier read of `top` above `t`. The `SeqCst` CAS on
+    /// `top` is what orders the owner against thieves, as in `steal`; it
+    /// fails exactly when another taker consumed index `t`, and the owner
+    /// then retries at the new top. Called by another thread this could
+    /// read a slot before the owner's store to it, so thieves keep
+    /// `steal`.
+    #[inline]
+    pub(crate) fn pop_own(&self) -> Option<u32> {
+        loop {
+            let t = self.top.load(Ordering::Acquire);
+            // The owner's own store: no other thread writes `bottom`.
+            let b = self.bottom.load(Ordering::Relaxed);
+            if t >= b {
+                return None;
+            }
+            let v = self.buf[(t & self.mask) as usize].load(Ordering::Relaxed);
+            if self
+                .top
+                // tufast-lint: allow(memory-ordering) -- the linearization point of the owner's pop against thieves; takers of one index must be totally ordered
+                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
+                .is_ok()
+            {
+                return Some(v);
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Take the oldest item (FIFO — cold work migrates): the thieves' way
+    /// out of the deque, and any thread's but the owner's.
     pub fn steal(&self) -> Steal {
         let t = self.top.load(Ordering::Acquire);
         // Order the top read before the bottom read. In Chase–Lev this
         // pairs with the fence of the LIFO owner pop, which this deque no
-        // longer has; the orderings stay as proven until a weak-memory
-        // check (ROADMAP item 11(a)) shows what push / steal alone needs.
+        // longer has (the owner's FIFO pop, `pop_own`, needs none); the
+        // orderings stay as proven until a weak-memory check (ROADMAP item
+        // 11(a)) shows what push / steal alone needs.
         // tufast-lint: allow(memory-ordering) -- the Chase-Lev steal fence, kept until a weak-memory check proves the downgrade
         std::sync::atomic::fence(Ordering::SeqCst);
         let b = self.bottom.load(Ordering::Acquire);
@@ -147,21 +187,93 @@ impl StealDeque {
     }
 }
 
-/// One `(pushed, done)` cell of a [`StripedPending`] counter.
+/// Pool-instance ids for the thread-local slot cache.
+static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// `(pool id, slot)` of the pool this thread last registered with;
+    /// `usize::MAX` for a thread the pool had no slot left for. One cell
+    /// serves both pool kinds: a worker thread serves exactly one drain
+    /// (hence one pool) at a time, and re-registration after a pool
+    /// switch is a single fetch_add.
+    static SLOT_CACHE: Cell<(u64, usize)> = const { Cell::new((0, usize::MAX)) };
+
+    /// This thread's xorshift state for picking the first victim of a
+    /// steal sweep; 0 until its first sweep.
+    static VICTIM_WALK: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Which worker slot of a pool the calling thread holds.
+///
+/// A thread registers on its first pop (so the [`WorkPool`] trait and
+/// every driver stay unchanged) and keeps its slot in a thread-local
+/// cache keyed by the pool's id, so a later pool never reads a stale
+/// slot. Slots are handed out once and never reused: slot `s` belongs to
+/// one thread for the pool's whole life, which is what lets that thread
+/// write slot `s`'s [`StripedPending`] cell without an RMW. Threads
+/// beyond `len` get no slot.
+#[derive(Debug)]
+pub(crate) struct SlotRegistry {
+    id: u64,
+    next: AtomicUsize,
+    len: usize,
+}
+
+impl SlotRegistry {
+    /// A registry of `len` slots.
+    pub(crate) fn new(len: usize) -> Self {
+        SlotRegistry {
+            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
+            next: AtomicUsize::new(0),
+            len,
+        }
+    }
+
+    /// The calling thread's slot, if it registered and got one.
+    #[inline]
+    pub(crate) fn get(&self) -> Option<usize> {
+        let (pool, slot) = SLOT_CACHE.with(Cell::get);
+        (pool == self.id && slot < self.len).then_some(slot)
+    }
+
+    /// The calling thread's slot, registering it first if it has not
+    /// registered with this pool (a thread that got no slot does not ask
+    /// again).
+    #[inline]
+    pub(crate) fn get_or_register(&self) -> Option<usize> {
+        let (pool, slot) = SLOT_CACHE.with(Cell::get);
+        if pool == self.id {
+            return (slot < self.len).then_some(slot);
+        }
+        let slot = self.next.fetch_add(1, Ordering::Relaxed);
+        SLOT_CACHE.with(|c| c.set((self.id, slot)));
+        (slot < self.len).then_some(slot)
+    }
+}
+
+/// One `(pushed, completed)` cell of a [`StripedPending`] counter.
 #[derive(Debug, Default)]
 pub struct PendingCell {
     pushed: AtomicU64,
-    done: AtomicU64,
+    completed: AtomicU64,
 }
 
-/// A striped in-flight counter: per-worker monotonic `(pushed, done)`
-/// pairs on their own cache lines, folded only on the idle path.
+/// Add one to a counter only the calling thread writes: a load and a
+/// `Release` store, no RMW. Its own last store is what the load reads.
+#[inline]
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Release);
+}
+
+/// A striped in-flight counter: per-worker monotonic `(pushed,
+/// completed)` pairs on their own cache lines, folded only on the idle
+/// path.
 ///
 /// The old pools bumped one shared `SeqCst` word twice per item — a
-/// guaranteed coherence miss per bump on every core. Here each worker
-/// increments its *own* cell (plus one shared spill cell for threads that
-/// never registered), so the hot path costs an uncontended RMW; only idle
-/// workers pay the O(workers) fold.
+/// guaranteed coherence miss per bump on every core. Here each registered
+/// worker counts on its *own* cell, which no other thread writes, so the
+/// hot path is a load and a store; threads without a slot share one spill
+/// cell through `fetch_add`. Only idle workers pay the O(workers) fold.
 #[derive(Debug)]
 pub struct StripedPending {
     cells: Vec<CachePadded<PendingCell>>,
@@ -175,79 +287,79 @@ impl StripedPending {
         }
     }
 
-    /// The spill cell index for unregistered threads.
-    pub fn shared_slot(&self) -> usize {
-        self.cells.len() - 1
+    /// The shared spill cell, for threads without a slot.
+    fn spill(&self) -> &PendingCell {
+        &self.cells[self.cells.len() - 1]
     }
 
-    /// Count one push from worker `slot` (use [`Self::shared_slot`] when
-    /// unregistered). `Release` so the increment is visible to any fold
-    /// that observes a later effect of this worker (see `quiescent`).
+    /// Count one push. `slot` must be the calling thread's own slot from
+    /// its pool's [`SlotRegistry`] (its cell has no other writer), or
+    /// `None` for the spill cell. `Release` so the increment is visible to
+    /// any fold that observes a later effect of this worker (see
+    /// `quiescent`).
     #[inline]
-    pub fn inc(&self, slot: usize) {
-        self.cells[slot].pushed.fetch_add(1, Ordering::Release);
-    }
-
-    /// Count one completed item on worker `slot`.
-    #[inline]
-    pub fn dec(&self, slot: usize) {
-        self.cells[slot].done.fetch_add(1, Ordering::Release);
-    }
-
-    /// One fold over the cells: `(total pushed, total done)`.
-    fn fold(&self) -> (u64, u64) {
-        let mut pushed = 0u64;
-        let mut done = 0u64;
-        for c in &self.cells {
-            pushed += c.pushed.load(Ordering::Acquire);
-            done += c.done.load(Ordering::Acquire);
+    pub(crate) fn inc(&self, slot: Option<usize>) {
+        match slot {
+            Some(s) => bump(&self.cells[s].pushed),
+            None => self.add_spilled(1),
         }
-        (pushed, done)
+    }
+
+    /// Count `n` pushes by threads without a slot.
+    pub(crate) fn add_spilled(&self, n: u64) {
+        self.spill().pushed.fetch_add(n, Ordering::Release);
+    }
+
+    /// Count one completed item; `slot` as for [`Self::inc`].
+    #[inline]
+    pub(crate) fn dec(&self, slot: Option<usize>) {
+        match slot {
+            Some(s) => bump(&self.cells[s].completed),
+            None => {
+                self.spill().completed.fetch_add(1, Ordering::Release);
+            }
+        }
+    }
+
+    /// One fold over the cells: `(total pushed, total completed)`.
+    fn fold(&self) -> (u64, u64) {
+        self.cells.iter().fold((0, 0), |(p, d), c| {
+            (
+                p + c.pushed.load(Ordering::Acquire),
+                d + c.completed.load(Ordering::Acquire),
+            )
+        })
     }
 
     /// Racy pending estimate (single fold). Good enough for progress
     /// reporting and the epoch barrier's frontier sanity checks; the
     /// *termination* decision must use [`Self::quiescent`].
     pub fn pending(&self) -> usize {
-        let (pushed, done) = self.fold();
-        usize::try_from(pushed.saturating_sub(done)).unwrap_or(usize::MAX)
+        let (pushed, completed) = self.fold();
+        usize::try_from(pushed.saturating_sub(completed)).unwrap_or(usize::MAX)
     }
 
     /// Sound quiescence check: two folds must observe the *identical*
-    /// per-cell snapshot with `pushed == done`.
+    /// per-cell snapshot with `pushed == completed`.
     ///
     /// Why the double fold: with one fold, a reader can see an item's
-    /// `done` increment on cell B while having read cell A *before* the
-    /// matching `pushed` increment landed there, so sums can falsely
+    /// `completed` increment on cell B while having read cell A *before*
+    /// the matching `pushed` increment landed there, so sums can falsely
     /// match. Because both counters are monotonic and the second fold's
     /// reads happen after every first-fold read, any increment that was
     /// half-visible to the first fold is fully visible to the second —
     /// forcing a snapshot mismatch and a retry. In a stable snapshot,
-    /// therefore, `done visible ⇒ its push visible`; walking any pending
-    /// item's re-push chain up to the (always visible) initial seeds
-    /// yields an ancestor counted in `pushed` but not in `done`, so
-    /// `pushed == done` genuinely means nothing queued and nothing in
-    /// flight. Full argument in DESIGN.md §7.
+    /// therefore, `completed visible ⇒ its push visible`; walking any
+    /// pending item's re-push chain up to the (always visible) initial
+    /// seeds yields an ancestor counted in `pushed` but not in
+    /// `completed`, so `pushed == completed` genuinely means nothing
+    /// queued and nothing in flight. Comparing the two folds' sums is
+    /// comparing their cells: a cell's second read is never below its
+    /// first, so equal sums mean no cell moved. Full argument in
+    /// DESIGN.md §7.
     pub fn quiescent(&self) -> bool {
-        let first: Vec<(u64, u64)> = self
-            .cells
-            .iter()
-            .map(|c| {
-                (
-                    c.pushed.load(Ordering::Acquire),
-                    c.done.load(Ordering::Acquire),
-                )
-            })
-            .collect();
-        let (p, d): (u64, u64) = first
-            .iter()
-            .fold((0, 0), |(p, d), &(cp, cd)| (p + cp, d + cd));
-        if p != d {
-            return false;
-        }
-        self.cells.iter().zip(&first).all(|(c, &(cp, cd))| {
-            c.pushed.load(Ordering::Acquire) == cp && c.done.load(Ordering::Acquire) == cd
-        })
+        let first = self.fold();
+        first.0 == first.1 && self.fold() == first
     }
 }
 
@@ -347,7 +459,11 @@ impl IdleGate {
 /// Per-worker state of a [`StealPool`].
 #[derive(Debug)]
 struct WorkerCell {
+    /// The items this worker pushed.
     deque: StealDeque,
+    /// Injector items this worker took in one batch, in injector order:
+    /// popped after `deque`, stolen after it too.
+    reserve: StealDeque,
     steals: AtomicU64,
     steal_fails: AtomicU64,
 }
@@ -365,20 +481,11 @@ const STEAL_BATCH: usize = 8;
 /// Capacity of each worker's deque; overflow spills to the injector.
 const DEQUE_CAPACITY: usize = 8192;
 
-/// Pool-instance ids for the thread-local slot cache.
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(pool id, slot)` of the pool this thread last worked on. One cell
-    /// suffices: a worker thread serves exactly one drain (hence one
-    /// pool) at a time, and re-registration after a pool switch is a
-    /// single fetch_add.
-    static SLOT_CACHE: Cell<(u64, usize)> = const { Cell::new((0, usize::MAX)) };
-
-    /// This thread's xorshift state for picking the first victim of a
-    /// steal sweep; 0 until its first sweep.
-    static VICTIM_WALK: Cell<u64> = const { Cell::new(0) };
-}
+/// Injector items a worker whose deque and reserve ran dry takes under
+/// one lock: one to run now, the rest into its reserve. One lock per 64
+/// seeds instead of one per seed; the items stay stealable in the
+/// reserve, so a batch does not strand work on one worker.
+const RESERVE_BATCH: usize = 64;
 
 /// The next step of the calling thread's victim walk: one xorshift step
 /// per sweep, so consecutive sweeps start at different victims and
@@ -402,19 +509,19 @@ fn next_victim_draw() -> u64 {
 /// overflow/seed injector, striped quiescence counting, and parked idle
 /// workers.
 ///
-/// Worker threads register themselves on first `pop` (slot assignment is
-/// a thread-local cache keyed by pool id, so the `WorkPool` trait and
-/// every existing driver stay unchanged); their pushes go to their own
-/// deque bottom, their pops take the own deque's *oldest* item
-/// (wavefront order — see the module docs), then try the injector, then
-/// randomized bounded stealing. Pushes from unregistered threads (the
-/// driver seeding the frontier, a recovery loading a snapshot) land in
-/// the injector.
+/// Worker threads register themselves on first `pop` (a [`SlotRegistry`],
+/// so the `WorkPool` trait and every existing driver stay unchanged);
+/// their pushes go to their own deque bottom. A pop takes, oldest first
+/// (wavefront order — see the module docs): the own deque, then the own
+/// reserve, then a batch of the injector, then randomized bounded
+/// stealing. Pushes from unregistered threads (the driver seeding the
+/// frontier, a recovery loading a snapshot) land in the injector. At one
+/// thread the reserve holds a prefix of the injector in injector order,
+/// so the pop order is that of a pool without it.
 pub struct StealPool {
-    id: u64,
+    slots: SlotRegistry,
     cells: Vec<CachePadded<WorkerCell>>,
     injector: Mutex<VecDeque<u32>>,
-    next_slot: AtomicUsize,
     pending: StripedPending,
     idle: IdleGate,
 }
@@ -424,45 +531,47 @@ impl StealPool {
     pub fn new(threads: usize) -> Self {
         let slots = threads.max(1);
         StealPool {
-            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
+            slots: SlotRegistry::new(slots),
             cells: (0..slots)
                 .map(|_| {
                     CachePadded::new(WorkerCell {
                         deque: StealDeque::with_capacity(DEQUE_CAPACITY),
+                        reserve: StealDeque::with_capacity(RESERVE_BATCH),
                         steals: AtomicU64::new(0),
                         steal_fails: AtomicU64::new(0),
                     })
                 })
                 .collect(),
             injector: Mutex::new(LockClass::PoolQueue, VecDeque::new()),
-            next_slot: AtomicUsize::new(0),
             pending: StripedPending::new(slots),
             idle: IdleGate::new(),
         }
     }
 
-    /// This thread's slot in this pool, if it has registered (via `pop`).
-    fn slot(&self) -> Option<usize> {
-        let (pool, slot) = SLOT_CACHE.with(Cell::get);
-        (pool == self.id && slot < self.cells.len()).then_some(slot)
-    }
-
-    /// Register the calling thread as a worker, claiming a deque slot.
-    /// Threads beyond the pool's size fall back to injector-only.
-    fn register(&self) -> Option<usize> {
-        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
-        if slot < self.cells.len() {
-            SLOT_CACHE.with(|c| c.set((self.id, slot)));
-            Some(slot)
-        } else {
-            SLOT_CACHE.with(|c| c.set((self.id, usize::MAX)));
-            None
+    /// Take the injector's oldest item, and move up to
+    /// [`RESERVE_BATCH`]` - 1` more behind it into `reserve`, under one
+    /// lock. The reserve is empty: only its owner fills it, and only
+    /// after finding it so.
+    fn refill(&self, reserve: &StealDeque) -> Option<u32> {
+        let mut injector = lock(&self.injector);
+        let first = injector.pop_front()?;
+        for _ in 1..RESERVE_BATCH {
+            let Some(v) = injector.pop_front() else { break };
+            if let Err(v) = reserve.push(v) {
+                injector.push_front(v);
+                break;
+            }
         }
+        Some(first)
     }
 
-    /// The slot whose pending cell this thread should bump.
-    fn pending_slot(&self) -> usize {
-        self.slot().unwrap_or_else(|| self.pending.shared_slot())
+    /// One steal from `victim`: its deque first, then its reserve.
+    fn steal_one(&self, victim: usize) -> Steal {
+        let cell = &self.cells[victim];
+        match cell.deque.steal() {
+            Steal::Empty => cell.reserve.steal(),
+            got => got,
+        }
     }
 
     /// Randomized bounded stealing sweep from `thief`'s perspective.
@@ -489,7 +598,7 @@ impl StealPool {
                     continue;
                 }
                 loop {
-                    match self.cells[victim].deque.steal() {
+                    match self.steal_one(victim) {
                         Steal::Success(v) => {
                             steals.fetch_add(1, Ordering::Relaxed);
                             if let Some(s) = thief {
@@ -522,7 +631,7 @@ impl StealPool {
     /// the thief drains its own deque oldest-first too.
     fn migrate_batch(&self, victim: usize, thief: usize, steals: &AtomicU64) {
         for _ in 0..STEAL_BATCH {
-            match self.cells[victim].deque.steal() {
+            match self.steal_one(victim) {
                 Steal::Success(v) => {
                     steals.fetch_add(1, Ordering::Relaxed);
                     if let Err(v) = self.cells[thief].deque.push(v) {
@@ -535,10 +644,38 @@ impl StealPool {
     }
 }
 
+/// Take every item out of `deque` from any thread, oldest first.
+fn drain_deque(deque: &StealDeque, into: &mut Vec<u32>) {
+    loop {
+        match deque.steal() {
+            Steal::Success(v) => into.push(v),
+            Steal::Empty => break,
+            Steal::Retry => std::hint::spin_loop(),
+        }
+    }
+}
+
+/// An injector batch being added: counts what it added when it drops,
+/// before its guard unlocks the injector — also if the caller's iterator
+/// panics half way.
+struct InjectorBatch<'a> {
+    pending: &'a StripedPending,
+    injector: MutexGuard<'a, VecDeque<u32>>,
+    before: usize,
+}
+
+impl Drop for InjectorBatch<'_> {
+    fn drop(&mut self) {
+        let added = self.injector.len() - self.before;
+        self.pending.add_spilled(added as u64);
+    }
+}
+
 impl WorkPool for StealPool {
     fn push(&self, v: u32) {
-        self.pending.inc(self.pending_slot());
-        match self.slot() {
+        let slot = self.slots.get();
+        self.pending.inc(slot);
+        match slot {
             Some(s) => {
                 if let Err(v) = self.cells[s].deque.push(v) {
                     lock(&self.injector).push_back(v); // deque full: spill
@@ -549,31 +686,58 @@ impl WorkPool for StealPool {
         self.idle.wake_one();
     }
 
-    fn pop(&self) -> Option<u32> {
-        let slot = match self.slot() {
-            s @ Some(_) => s,
-            None => self.register(),
+    fn push_all<I: IntoIterator<Item = (u32, u64)>>(&self, items: I) {
+        if self.slots.get().is_some() {
+            // A worker's batch goes where its single pushes go.
+            for (v, _key) in items {
+                self.push(v);
+            }
+            return;
+        }
+        // One lock and one count for the batch. The count lands before
+        // the unlock: an item is poppable only after the unlock, so no
+        // popper can complete an item the count does not hold yet, which
+        // would let `quiescent` read true while the batch is queued.
+        let injector = lock(&self.injector);
+        let mut batch = InjectorBatch {
+            pending: &self.pending,
+            before: injector.len(),
+            injector,
         };
-        if let Some(s) = slot {
-            // The worker consumes its *own* deque from the FIFO (steal)
-            // end. The frontiers drained here belong to monotone
-            // relaxation algorithms, where LIFO order degenerates into
-            // depth-first exploration: vertices get settled through bad
-            // tentative values first and re-relaxed over and over
-            // (measured ~7× extra relaxations on small-world graphs).
-            // Oldest-first keeps each worker's queue a wavefront, at the
-            // cost of one CAS per pop — which is contended only when a
-            // thief is racing this worker's last items.
-            loop {
-                match self.cells[s].deque.steal() {
-                    Steal::Success(v) => return Some(v),
-                    Steal::Empty => break,
-                    Steal::Retry => std::hint::spin_loop(),
+        batch.injector.extend(items.into_iter().map(|(v, _key)| v));
+        drop(batch);
+        self.idle.wake_all();
+    }
+
+    fn pop(&self) -> Option<u32> {
+        let slot = self.slots.get_or_register();
+        match slot {
+            Some(s) => {
+                // The worker consumes its *own* deque from the FIFO end.
+                // The frontiers drained here belong to monotone relaxation
+                // algorithms, where LIFO order degenerates into
+                // depth-first exploration: vertices get settled through
+                // bad tentative values first and re-relaxed over and over
+                // (measured ~7× extra relaxations on small-world graphs).
+                // Oldest-first keeps each worker's queue a wavefront, at
+                // the cost of one CAS per pop — which is contended only
+                // when a thief is racing this worker's last items.
+                let cell = &self.cells[s];
+                if let Some(v) = cell.deque.pop_own() {
+                    return Some(v);
+                }
+                if let Some(v) = cell.reserve.pop_own() {
+                    return Some(v);
+                }
+                if let Some(v) = self.refill(&cell.reserve) {
+                    return Some(v);
                 }
             }
-        }
-        if let Some(v) = lock(&self.injector).pop_front() {
-            return Some(v);
+            None => {
+                if let Some(v) = lock(&self.injector).pop_front() {
+                    return Some(v);
+                }
+            }
         }
         self.steal_from_peers(slot)
     }
@@ -583,7 +747,7 @@ impl WorkPool for StealPool {
     }
 
     fn done(&self) {
-        self.pending.dec(self.pending_slot());
+        self.pending.dec(self.slots.get());
         // Termination broadcast: the last completion wakes every parked
         // worker so they can observe quiescence instead of sleeping out
         // their timeout.
@@ -606,18 +770,13 @@ impl WorkPool for StealPool {
 
     fn pending_items(&self) -> Vec<(u32, u64)> {
         // Quiescence only (the epoch barrier guarantees it): drain every
-        // deque through the steal end onto the front of the injector,
-        // bypassing the pending counter — the items never stopped being
-        // pending — and list the injector.
+        // deque and then its reserve, the order their owner pops them,
+        // onto the front of the injector, bypassing the pending counter —
+        // the items never stopped being pending — and list the injector.
         let mut drained = Vec::new();
         for cell in &self.cells {
-            loop {
-                match cell.deque.steal() {
-                    Steal::Success(v) => drained.push(v),
-                    Steal::Empty => break,
-                    Steal::Retry => std::hint::spin_loop(),
-                }
-            }
+            drain_deque(&cell.deque, &mut drained);
+            drain_deque(&cell.reserve, &mut drained);
         }
         let mut injector = lock(&self.injector);
         for &v in drained.iter().rev() {
@@ -646,6 +805,7 @@ impl WorkPool for StealPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]
@@ -702,8 +862,9 @@ mod tests {
 
     #[test]
     fn deque_concurrent_steals_lose_nothing() {
-        // The owner pushes and takes from the same end as three thieves:
-        // every index is raced for, the last item included.
+        // The owner pushes and takes from the same end as three thieves,
+        // through its fence-free `pop_own`: every index is raced for, the
+        // last item included.
         let d = Arc::new(StealDeque::with_capacity(1024));
         let total: u32 = 10_000;
         let taken = std::thread::scope(|s| {
@@ -728,7 +889,7 @@ mod tests {
                 .collect();
             let mut own = Vec::new();
             let take = |own: &mut Vec<u32>| {
-                if let Steal::Success(x) = d.steal() {
+                if let Some(x) = d.pop_own() {
                     own.push(x);
                 }
             };
@@ -758,12 +919,17 @@ mod tests {
     fn striped_pending_counts_and_quiesces() {
         let p = StripedPending::new(4);
         assert!(p.quiescent());
-        p.inc(0);
-        p.inc(1);
-        assert_eq!(p.pending(), 2);
+        p.inc(Some(0));
+        p.inc(Some(1));
+        p.add_spilled(2);
+        assert_eq!(p.pending(), 4);
         assert!(!p.quiescent());
-        p.dec(2); // done on a different cell than the push
-        p.dec(p.shared_slot());
+        p.dec(Some(2)); // done on a different cell than the push
+        p.dec(None);
+        p.dec(None);
+        assert_eq!(p.pending(), 1);
+        assert!(!p.quiescent());
+        p.dec(Some(0));
         assert_eq!(p.pending(), 0);
         assert!(p.quiescent());
     }
@@ -815,6 +981,165 @@ mod tests {
         }
         drained.sort_unstable();
         assert_eq!(drained, vec![5, 7, 9]);
+    }
+
+    #[test]
+    fn pending_items_lists_the_reserve_in_pop_order_and_round_trips() {
+        let pool = StealPool::new(1);
+        pool.push_all((0..100u32).map(|v| (v, 0)));
+        assert_eq!(pool.pop(), Some(0)); // registers, moves 1..64 to the reserve
+        pool.push(500);
+        pool.push(501);
+        pool.done();
+        assert_eq!(pool.cells[0].reserve.len(), RESERVE_BATCH - 1);
+        // Quiescent between items: the own deque, the reserve, the
+        // injector — the order the worker would pop them.
+        let snap: Vec<u32> = pool.pending_items().iter().map(|&(v, _)| v).collect();
+        let expect: Vec<u32> = [500, 501].into_iter().chain(1..100).collect();
+        assert_eq!(snap, expect);
+        assert_eq!(pool.pending(), 101, "snapshot must not consume items");
+        let drain = |pool: &StealPool| {
+            let mut got = Vec::new();
+            while let Some(v) = pool.pop() {
+                got.push(v);
+                pool.done();
+            }
+            assert!(pool.quiescent());
+            got
+        };
+        assert_eq!(drain(&pool), expect);
+        // Re-seed a fresh pool from the snapshot, as recovery does.
+        let fresh = StealPool::new(1);
+        fresh.push_all(snap.iter().enumerate().map(|(i, &v)| (v, i as u64)));
+        assert_eq!(drain(&fresh), expect);
+    }
+
+    /// The one-thread pop order of a pool without a reserve: the own
+    /// deque oldest first, then the injector oldest first.
+    struct ModelPool {
+        own: VecDeque<u32>,
+        injector: VecDeque<u32>,
+    }
+
+    impl ModelPool {
+        fn pop(&mut self) -> Option<u32> {
+            self.own.pop_front().or_else(|| self.injector.pop_front())
+        }
+    }
+
+    #[test]
+    fn one_thread_pops_own_deque_then_reserve_then_injector() {
+        // Seeds from an unregistered thread's `push_all`, then a worker
+        // whose items push children of their own: every pop must match
+        // the pool without a reserve, item for item.
+        let pool = StealPool::new(1);
+        let seeds = 0..300u32;
+        pool.push_all(seeds.clone().map(|v| (v, u64::from(v))));
+        let mut model = ModelPool {
+            own: VecDeque::new(),
+            injector: seeds.collect(),
+        };
+        let children = |v: u32| -> Vec<u32> {
+            match v % 7 {
+                0 | 3 => vec![1000 + v, 2000 + v],
+                5 => vec![3000 + v],
+                _ => vec![],
+            }
+        };
+        let mut popped = 0;
+        let mut saw_reserve = false;
+        loop {
+            let got = pool.pop();
+            assert_eq!(got, model.pop(), "pop {popped}");
+            let Some(v) = got else { break };
+            saw_reserve |= !pool.cells[0].reserve.is_empty();
+            if v < 1000 {
+                for c in children(v) {
+                    pool.push(c);
+                    model.own.push_back(c);
+                }
+            }
+            pool.done();
+            popped += 1;
+        }
+        assert!(saw_reserve, "the reserve was never used");
+        assert!(popped > 300);
+        assert!(pool.quiescent());
+    }
+
+    #[test]
+    fn push_all_batches_are_counted_before_any_item_is_done() {
+        // One thread seeds batches while three workers drain. The worker
+        // that pops the sentinel holds it in flight until the last batch
+        // is in, so the pool is never legitimately quiescent before the
+        // end: a `quiescent()` that reads true earlier saw an item done
+        // whose push was not counted yet. The batches are slow to build,
+        // so the other workers sleep on the injector lock and wake as its
+        // holder unlocks — the moment a count after the unlock loses.
+        // Fresh threads each round, so one unlucky placement of them on
+        // the cores does not decide the whole test.
+        for _round in 0..8 {
+            push_all_round();
+        }
+    }
+
+    fn push_all_round() {
+        const SENTINEL: u32 = u32::MAX;
+        const BATCHES: u32 = 2_000;
+        const BATCH: u32 = 2;
+        let pool = StealPool::new(3);
+        pool.push(SENTINEL);
+        let seeded = AtomicBool::new(false);
+        let dones = AtomicU64::new(0);
+        let total = u64::from(BATCHES * BATCH) + 1;
+        let early = |pool: &StealPool| pool.quiescent() && dones.load(Ordering::SeqCst) < total;
+        let slow = |v: u32| {
+            let t = std::time::Instant::now();
+            while t.elapsed() < Duration::from_micros(5) {
+                std::hint::spin_loop();
+            }
+            (v, 0)
+        };
+        let mut popped: Vec<u32> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut got = Vec::new();
+                        loop {
+                            let Some(v) = pool.pop() else {
+                                if pool.quiescent() {
+                                    break;
+                                }
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            while v == SENTINEL && !seeded.load(Ordering::SeqCst) {
+                                std::hint::spin_loop();
+                            }
+                            got.push(v);
+                            // Counted before `done`, so a quiescent pool
+                            // has every item of `dones`.
+                            dones.fetch_add(1, Ordering::SeqCst);
+                            pool.done();
+                            assert!(!early(&pool), "quiescent with items uncounted");
+                        }
+                        got
+                    })
+                })
+                .collect();
+            for b in 0..BATCHES {
+                pool.push_all((b * BATCH..(b + 1) * BATCH).map(slow));
+            }
+            seeded.store(true, Ordering::SeqCst);
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        popped.sort_unstable();
+        let expect: Vec<u32> = (0..BATCHES * BATCH).chain([SENTINEL]).collect();
+        assert_eq!(popped, expect, "items lost or duplicated");
+        assert!(pool.quiescent());
     }
 
     #[test]

@@ -997,9 +997,14 @@ mod tests {
         let (mut gone, mut live) = (sched.worker(), sched.worker());
         assert!(gone.execute(2, bump).committed);
         drop(gone);
-        let dog = watch_fast(&sys, 2, 3);
+        // The ladder climbs a rung per three consecutive flat 20 ms scans:
+        // longer than a scheduler quantum, so a live worker the host
+        // deschedules for a while climbs none. A slot left flat for good
+        // reaches the cancel after twelve scans (≈ 240 ms), well inside
+        // the loop.
+        let dog = watch_fast(&sys, 20, 3);
         let start = Instant::now();
-        while start.elapsed() < Duration::from_millis(150) {
+        while start.elapsed() < Duration::from_millis(800) {
             assert!(live.execute(2, bump).committed, "the live job was stopped");
         }
         let report = dog.stop();

@@ -129,6 +129,10 @@ impl<P: WorkPool> WorkPool for CountedPool<P> {
         self.pool.push_keyed(v, key);
     }
 
+    fn push_all<I: IntoIterator<Item = (u32, u64)>>(&self, items: I) {
+        self.pool.push_all(items);
+    }
+
     fn pop(&self) -> Option<u32> {
         let v = self.pool.pop();
         if v.is_some() {

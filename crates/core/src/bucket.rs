@@ -8,82 +8,375 @@
 //! the current lowest occupied band — preserves the work-efficiency win
 //! while admitting an almost contention-free implementation.
 //!
-//! [`BucketPool`] maps a key to band `key / delta` in a fixed,
-//! preallocated array of cache-line-padded mutexed queues, so pushes
-//! with different bands never touch the same line and no op ever takes a
-//! structure-wide lock. Keys beyond the last band share it (approximate
-//! ordering degrades gracefully for outliers instead of ballooning
-//! memory). A lazy cursor tracks the lowest possibly-non-empty band:
-//! pops scan from the cursor and CAS it forward past drained bands
-//! (counted as `bucket_advances`); pushes drag it back down. The cursor
-//! and the high-water mark are *hints* — correctness comes from the
-//! wrap-around full scan in [`WorkPool::pop`], which tolerates any
-//! staleness the races can produce.
+//! [`BucketPool`] maps a key to band `key / delta`; keys beyond the last
+//! of 4 096 bands share it (approximate ordering degrades gracefully for
+//! outliers instead of ballooning memory). Like OBIM, it gives each
+//! worker its own per-band chunks:
+//!
+//! * **Lanes.** A registered worker owns a lane: one FIFO chain per band,
+//!   made of 64-slot chunks. A chunk is a [`StealDeque`] of [`KeyedSlot`]s
+//!   held inline, so a key travels with its item; a lane makes its chunks
+//!   32 at a time, in one allocation. Only the owner
+//!   pushes, into its band's tail chunk: plain stores and a `Release`
+//!   store of `bottom`, no lock and no RMW. A full tail links a fresh
+//!   chunk. The owner pops its lowest occupied band oldest-first through
+//!   the fence-free `pop_own` (one uncontended CAS on `top`); an idle peer
+//!   steals a lane's lowest band through the fenced `steal`. A drained
+//!   chunk with a successor goes on the lane's free list and is reused by
+//!   any band, so the list is touched once per 64 items at most. A thief
+//!   holding a recycled chunk takes each item at most once: `top` and
+//!   `bottom` never go backwards, and the CAS on `top` decides every take.
+//!   An occupancy bitmap, written by the owner only, finds the lowest
+//!   band; a thief drains a band without clearing its bit, and the owner
+//!   clears it when it finds the band empty. A lane holds a million items
+//!   at most; a push past that goes to the shared side.
+//! * **The shared side.** Pushes from a thread without a lane — the
+//!   driver's seeds, a recovery's frontier, a thread past the lanes — go
+//!   to one mutex-guarded band map. Its lowest occupied band is mirrored
+//!   in one atomic word, so a pop that finds it empty pays one load.
+//!
+//! A pop takes the lowest band among its own lane and the shared side,
+//! the shared side first on a tie (its items are older); only with both
+//! empty does it steal. At one thread that is band order, FIFO within a
+//! band — the order of a single queue per band. Across workers the order
+//! is approximate, as in OBIM: a worker drains its own lowest band while a
+//! peer's lane may hold a lower one.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use tufast_htm::witness::{LockClass, Mutex};
 
-use crate::pad::CachePadded;
 use crate::par::{lock, PoolCounters, WorkPool};
-use crate::steal::{IdleGate, SlotRegistry, StripedPending};
+use crate::steal::{IdleGate, KeyedSlot, SlotRegistry, Steal, StealDeque, StripedPending};
 
-/// Worker slots of a pool's striped pending counter; threads past them
-/// count on its shared spill cell. `BucketPool::new` is not told the
-/// thread count, and 32 cells are 4 KiB beside the bands' 512 KiB.
+/// Worker slots of a pool's striped pending counter, and its lanes;
+/// threads past them count on the counter's shared spill cell and push to
+/// the shared side. `BucketPool::new` is not told the thread count; a lane
+/// is made by the first pop of the thread that registers for it.
 const PENDING_SLOTS: usize = 32;
 
-/// Fixed band count; keys beyond `delta * NUM_BANDS` clamp into the last
-/// band. 4096 padded bands is ~512 KiB, allocated with each pool (SSSP
-/// builds one per job), and far beyond the band range any clamped-delta
-/// SSSP run touches.
+/// Band count; keys beyond `delta * NUM_BANDS` clamp into the last band.
+/// Far beyond the band range any clamped-delta SSSP run touches, and one
+/// bit of a lane's occupancy bitmap each.
 const NUM_BANDS: usize = 4096;
 
-/// One priority band: its items plus a racy occupancy count that lets
-/// the pop scan skip empty bands with a load instead of a lock.
-struct Band {
-    /// FIFO within the band: delta-stepping leaves same-band keys
-    /// unordered, but draining them oldest-first still approximates the
-    /// global relaxation order better than LIFO and measurably cuts
-    /// re-relaxations (same effect as the FIFO self-drain in `steal.rs`).
-    items: Mutex<VecDeque<(u32, u64)>>,
-    /// Updated under the item lock, read without it. Racy by design: a
-    /// scan that skips a band whose update is not yet visible just fails
-    /// this pop — the pending counter keeps the drain loop retrying,
-    /// so staleness costs a rescan, never an item.
-    occupancy: AtomicUsize,
+/// Slots of one chunk of a lane's band chain.
+const CHUNK_SLOTS: usize = 64;
+
+/// One chunk: a Chase–Lev ring of keyed slots, inline.
+type Chunk = StealDeque<KeyedSlot, [KeyedSlot; CHUNK_SLOTS]>;
+
+/// No chunk: the end of a chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The shared side's lowest band while it is empty.
+const NO_BAND: u64 = u64::MAX;
+
+/// Steal attempts on one band that lost a race before a thief moves on.
+const STEAL_RETRIES: usize = 4;
+
+/// Chunks a thief walks along one chain. A thief that read a chunk just
+/// before its owner recycled it follows links into another chain or the
+/// free list; every chunk it reaches is a real one and every take is
+/// decided by a CAS, so the walk is safe — the bound only keeps a walk of
+/// stale links finite. The owner pops the band anyway.
+const MAX_HOPS: usize = 1024;
+
+/// Chunks a lane makes at a time, in one allocation.
+const GROUP: usize = 32;
+
+/// Chunk groups a lane can make: 16 384 chunks, a million items. A push
+/// that finds every chunk of its lane in use goes to the shared side.
+const GROUPS: usize = 512;
+
+/// One band's chain of chunks in a lane, oldest first.
+struct Chain {
+    /// The oldest chunk: where pops and steals take. Stored by the owner
+    /// only, `Release`, after the chunk it names was made and linked.
+    head: AtomicU32,
+    /// The newest chunk: where the owner pushes. Owner only.
+    tail: AtomicU32,
 }
 
-impl Default for Band {
+impl Default for Chain {
     fn default() -> Self {
-        Band {
-            items: Mutex::new(LockClass::PoolQueue, VecDeque::new()),
-            occupancy: AtomicUsize::new(0),
+        Chain {
+            head: AtomicU32::new(NIL),
+            tail: AtomicU32::new(NIL),
         }
     }
 }
 
-impl Band {
-    fn push(&self, v: u32, key: u64) {
-        let mut items = lock(&self.items);
-        items.push_back((v, key));
-        self.occupancy.store(items.len(), Ordering::Release);
+/// One chunk of a lane and its link, kept for the pool's life.
+struct ChunkCell {
+    ring: Chunk,
+    /// The next chunk of its chain, or of the free list; [`NIL`] at the
+    /// end. Stored by the owner only.
+    next: AtomicU32,
+}
+
+impl Default for ChunkCell {
+    fn default() -> Self {
+        ChunkCell {
+            ring: StealDeque::inline(),
+            next: AtomicU32::new(NIL),
+        }
+    }
+}
+
+/// A worker's own band chains. Every field is written by the owner only
+/// (a load and a store, no RMW); thieves read `occupied`, the chain heads,
+/// the links and the rings.
+struct Lane {
+    /// Band `b`'s chain is entry `b % 64` of group `b / 64`, made on the
+    /// first push to one of its bands.
+    chains: [OnceLock<Box<[Chain; 64]>>; NUM_BANDS / 64],
+    /// Chunk `c` is entry `c % GROUP` of group `c / GROUP`.
+    cells: [OnceLock<Box<[ChunkCell; GROUP]>>; GROUPS],
+    /// Chunks made so far.
+    made: AtomicU32,
+    /// The first free chunk, linked through `next`.
+    free: AtomicU32,
+    /// Bit `b % 64` of word `b / 64` is set while band `b` may hold an
+    /// item: set by a push, cleared when the owner finds the band empty.
+    occupied: [AtomicU64; NUM_BANDS / 64],
+    /// Bit `w` is set while word `w` of `occupied` may be non-zero.
+    summary: AtomicU64,
+    /// The lowest-band hint: the band of the owner's last pop.
+    cursor: AtomicU64,
+    /// Pops that moved `cursor` up.
+    advances: AtomicU64,
+}
+
+/// Store `f(old)` into an atomic only the calling thread writes.
+#[inline]
+fn update(word: &AtomicU64, f: impl FnOnce(u64) -> u64) {
+    word.store(f(word.load(Ordering::Relaxed)), Ordering::Release);
+}
+
+impl Lane {
+    fn new() -> Self {
+        Lane {
+            chains: std::array::from_fn(|_| OnceLock::new()),
+            cells: std::array::from_fn(|_| OnceLock::new()),
+            made: AtomicU32::new(0),
+            free: AtomicU32::new(NIL),
+            occupied: std::array::from_fn(|_| AtomicU64::new(0)),
+            summary: AtomicU64::new(0),
+            cursor: AtomicU64::new(0),
+            advances: AtomicU64::new(0),
+        }
     }
 
-    fn pop(&self) -> Option<u32> {
-        if self.occupancy.load(Ordering::Acquire) == 0 {
+    /// Band `band`'s chain, if a push made it.
+    #[inline]
+    fn chain(&self, band: usize) -> Option<&Chain> {
+        Some(&self.chains[band / 64].get()?[band % 64])
+    }
+
+    /// Chunk `c`, if its group was made.
+    #[inline]
+    fn get_cell(&self, c: u32) -> Option<&ChunkCell> {
+        let c = c as usize;
+        Some(&self.cells.get(c / GROUP)?.get()?[c % GROUP])
+    }
+
+    /// A chunk the owner made.
+    #[inline]
+    fn cell(&self, c: u32) -> &ChunkCell {
+        self.get_cell(c).expect("a lane links only chunks it made")
+    }
+
+    /// Owner: an empty chunk that ends its chain, from the free list or
+    /// newly made; `None` if the lane made all it can and all are in use.
+    fn take_chunk(&self) -> Option<u32> {
+        let c = self.free.load(Ordering::Relaxed);
+        if c != NIL {
+            let cell = self.cell(c);
+            self.free
+                .store(cell.next.load(Ordering::Relaxed), Ordering::Relaxed);
+            cell.next.store(NIL, Ordering::Release);
+            return Some(c);
+        }
+        let c = self.made.load(Ordering::Relaxed);
+        let group = self.cells.get(c as usize / GROUP)?;
+        group.get_or_init(|| {
+            let cells: Box<[ChunkCell]> = (0..GROUP).map(|_| ChunkCell::default()).collect();
+            cells
+                .try_into()
+                .map_err(drop)
+                .expect("a group has GROUP cells")
+        });
+        self.made.store(c + 1, Ordering::Relaxed);
+        Some(c)
+    }
+
+    /// Owner: append `item` to `band`'s chain; `Err` if the chain needs
+    /// a chunk and the lane has none left.
+    #[inline]
+    fn push(&self, band: usize, item: (u32, u64)) -> Result<(), ()> {
+        let chain = &self.chains[band / 64]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| Chain::default())))[band % 64];
+        let mut tail = chain.tail.load(Ordering::Relaxed);
+        if tail == NIL {
+            tail = self.take_chunk().ok_or(())?;
+            chain.tail.store(tail, Ordering::Relaxed);
+            chain.head.store(tail, Ordering::Release);
+        }
+        let mut cell = self.cell(tail);
+        while cell.ring.push(item).is_err() {
+            // Full: link a fresh tail. A chunk from the free list is
+            // empty, so the retry lands.
+            let fresh = self.take_chunk().ok_or(())?;
+            cell.next.store(fresh, Ordering::Release);
+            chain.tail.store(fresh, Ordering::Relaxed);
+            cell = self.cell(fresh);
+        }
+        let (w, bit) = (band / 64, 1u64 << (band % 64));
+        if self.occupied[w].load(Ordering::Relaxed) & bit == 0 {
+            update(&self.occupied[w], |word| word | bit);
+            update(&self.summary, |s| s | 1 << w);
+        }
+        Ok(())
+    }
+
+    /// Owner: band `band` is empty.
+    fn clear(&self, band: usize) {
+        let w = band / 64;
+        update(&self.occupied[w], |word| word & !(1 << (band % 64)));
+        if self.occupied[w].load(Ordering::Relaxed) == 0 {
+            update(&self.summary, |s| s & !(1 << w));
+        }
+    }
+
+    /// The lowest band whose bit is set. Exact for the owner, up to
+    /// bands thieves drained since; a hint for anyone else.
+    #[inline]
+    fn lowest(&self) -> Option<usize> {
+        let s = self.summary.load(Ordering::Acquire);
+        if s == 0 {
             return None;
         }
-        let mut items = lock(&self.items);
-        let out = items.pop_front();
-        self.occupancy.store(items.len(), Ordering::Release);
-        out.map(|(v, _key)| v)
+        let w = s.trailing_zeros() as usize;
+        let word = self.occupied[w].load(Ordering::Acquire);
+        (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
+    }
+
+    /// Owner: take `band`'s oldest item, retiring the chunks it drained;
+    /// `None` (and the band's bit cleared) if the band is empty.
+    fn pop_band(&self, band: usize) -> Option<(u32, u64)> {
+        if let Some(chain) = self.chain(band) {
+            loop {
+                let head = chain.head.load(Ordering::Relaxed);
+                if head == NIL {
+                    break;
+                }
+                let cell = self.cell(head);
+                if let Some(item) = cell.ring.pop_own() {
+                    return Some(item);
+                }
+                // Only the owner pushes, so an empty chunk stays empty:
+                // move past it if a successor is linked, else the band is
+                // empty.
+                let next = cell.next.load(Ordering::Relaxed);
+                if next == NIL {
+                    break;
+                }
+                chain.head.store(next, Ordering::Release);
+                cell.next
+                    .store(self.free.load(Ordering::Relaxed), Ordering::Relaxed);
+                self.free.store(head, Ordering::Relaxed);
+            }
+        }
+        self.clear(band);
+        None
+    }
+
+    /// Count a pop from `band` by the owner: an upward move of the
+    /// lowest-band hint is one advance.
+    #[inline]
+    fn note_pop(&self, band: usize) {
+        let band = band as u64;
+        let cursor = self.cursor.load(Ordering::Relaxed);
+        if band > cursor {
+            update(&self.advances, |n| n + 1);
+        }
+        if band != cursor {
+            self.cursor.store(band, Ordering::Relaxed);
+        }
+    }
+
+    /// One steal from `band`'s chain: its oldest chunk that has an item.
+    fn steal_band(&self, band: usize) -> Steal<(u32, u64)> {
+        let Some(chain) = self.chain(band) else {
+            return Steal::Empty;
+        };
+        let mut c = chain.head.load(Ordering::Acquire);
+        for _ in 0..MAX_HOPS {
+            if c == NIL {
+                break;
+            }
+            let Some(cell) = self.get_cell(c) else {
+                break;
+            };
+            match cell.ring.steal() {
+                Steal::Empty => c = cell.next.load(Ordering::Acquire),
+                got => return got,
+            }
+        }
+        Steal::Empty
+    }
+
+    /// A thief's take: the lowest band it finds an item in. A band's bit
+    /// may be stale, so it goes on up the set bits.
+    fn steal_lowest(&self) -> Option<(u32, u64)> {
+        let mut summary = self.summary.load(Ordering::Acquire);
+        while summary != 0 {
+            let w = summary.trailing_zeros() as usize;
+            summary &= summary - 1;
+            let mut word = self.occupied[w].load(Ordering::Acquire);
+            while word != 0 {
+                let band = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                for _ in 0..STEAL_RETRIES {
+                    match self.steal_band(band) {
+                        Steal::Success(item) => return Some(item),
+                        Steal::Empty => break,
+                        Steal::Retry => std::hint::spin_loop(),
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Quiescence only: append every item to its band's list, in the
+    /// order the owner would pop them.
+    fn peek_into(&self, by_band: &mut BTreeMap<usize, Vec<(u32, u64)>>) {
+        for (w, word) in self.occupied.iter().enumerate() {
+            let mut word = word.load(Ordering::Acquire);
+            while word != 0 {
+                let band = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let Some(chain) = self.chain(band) else {
+                    continue;
+                };
+                let items = by_band.entry(band).or_default();
+                let mut c = chain.head.load(Ordering::Acquire);
+                while c != NIL {
+                    let cell = self.cell(c);
+                    cell.ring.peek_into(items);
+                    c = cell.next.load(Ordering::Acquire);
+                }
+            }
+        }
     }
 }
 
-/// Lock-striped, cache-line-padded approximate priority pool
-/// (delta-stepping buckets with lazy advancement).
+/// Approximate priority pool: delta-stepping bands in per-worker chunk
+/// chains (OBIM-style), with a shared side for threads without a lane.
 ///
 /// Smaller keys pop sooner, band-granular: two keys within the same
 /// `delta` band are unordered relative to each other. For SSSP that is
@@ -92,23 +385,20 @@ impl Band {
 pub struct BucketPool {
     /// Band width: keys `[i*delta, (i+1)*delta)` share band `i`.
     delta: u64,
-    /// The fixed band array; no structure-wide lock on any op.
-    bands: Box<[CachePadded<Band>]>,
-    /// Lazy lower-bound hint: no band below this is *likely* non-empty.
-    /// Advanced by CAS in `pop`, dragged down by pushes.
-    cur: CachePadded<AtomicU64>,
-    /// Lazy upper-bound hint: no band above this was ever pushed to.
-    /// Bounds the pop scan so empty-pool probes don't walk all
-    /// `NUM_BANDS` bands.
-    hi: CachePadded<AtomicU64>,
-    /// The worker slots of `pending`: a thread registers on its first pop.
+    /// One lane per worker slot, made when its thread registers.
+    lanes: Box<[OnceLock<Box<Lane>>]>,
+    /// The shared side: band → items, oldest first.
+    shared: Mutex<BTreeMap<usize, VecDeque<(u32, u64)>>>,
+    /// The shared side's lowest band, [`NO_BAND`] when it is empty.
+    /// Stored under `shared`'s lock, read without it.
+    shared_lo: AtomicU64,
+    /// The worker slots of `pending` and `lanes`: a thread registers on
+    /// its first pop.
     slots: SlotRegistry,
     /// In-flight + queued items, one cell per worker that only it writes
     /// (a load and a store per count, no line every worker shares);
     /// termination asks its double fold (DESIGN.md §7).
     pending: StripedPending,
-    /// Times the cursor was CAS-advanced past drained buckets.
-    advances: AtomicU64,
     /// Monotonic keys for keyless [`WorkPool::push`] calls.
     default_key: AtomicU64,
     idle: IdleGate,
@@ -123,14 +413,11 @@ impl BucketPool {
     pub fn new(delta: u64) -> Self {
         BucketPool {
             delta: delta.max(1),
-            bands: (0..NUM_BANDS)
-                .map(|_| CachePadded::new(Band::default()))
-                .collect(),
-            cur: CachePadded::new(AtomicU64::new(0)),
-            hi: CachePadded::new(AtomicU64::new(0)),
+            lanes: (0..PENDING_SLOTS).map(|_| OnceLock::new()).collect(),
+            shared: Mutex::new(LockClass::PoolQueue, BTreeMap::new()),
+            shared_lo: AtomicU64::new(NO_BAND),
             slots: SlotRegistry::new(PENDING_SLOTS),
             pending: StripedPending::new(PENDING_SLOTS),
-            advances: AtomicU64::new(0),
             default_key: AtomicU64::new(0),
             idle: IdleGate::new(),
         }
@@ -141,7 +428,7 @@ impl BucketPool {
         self.delta
     }
 
-    /// The band index for `key`, clamped to the fixed array.
+    /// The band index for `key`, clamped to the last band.
     fn index(&self, key: u64) -> usize {
         usize::try_from(key / self.delta)
             .unwrap_or(NUM_BANDS - 1)
@@ -150,23 +437,49 @@ impl BucketPool {
 
     /// Add work with an explicit priority key (smaller = sooner).
     pub fn push_with_key(&self, v: u32, key: u64) {
-        self.pending.inc(self.slots.get());
-        let idx = self.index(key);
-        self.bands[idx].push(v, key);
-        // Hint maintenance is conditional: a load-and-branch is cheaper
-        // than an unconditional RMW on a line every pusher shares, and
-        // the common push lands between the two hints, touching neither.
-        // Either `fetch_min`/`fetch_max` can race a concurrent update
-        // and lose — the wrap-around scan in `pop` makes that a
-        // performance blip, not a bug.
-        let idx = idx as u64;
-        if idx < self.cur.load(Ordering::Relaxed) {
-            self.cur.fetch_min(idx, Ordering::Release);
-        }
-        if idx > self.hi.load(Ordering::Relaxed) {
-            self.hi.fetch_max(idx, Ordering::Release);
+        let slot = self.slots.get();
+        self.pending.inc(slot);
+        let band = self.index(key);
+        let item = (v, key);
+        match slot.and_then(|s| self.lanes[s].get()) {
+            Some(lane) if lane.push(band, item).is_ok() => {}
+            _ => {
+                let mut shared = lock(&self.shared);
+                shared.entry(band).or_default().push_back(item);
+                if (band as u64) < self.shared_lo.load(Ordering::Relaxed) {
+                    self.shared_lo.store(band as u64, Ordering::Release);
+                }
+            }
         }
         self.idle.wake_one();
+    }
+
+    /// Take the shared side's oldest item of its lowest band, with that
+    /// band.
+    fn pop_shared(&self) -> Option<(u32, usize)> {
+        let mut shared = lock(&self.shared);
+        let mut first = shared.first_entry()?;
+        let band = *first.key();
+        let item = first.get_mut().pop_front();
+        if first.get().is_empty() {
+            first.remove();
+        }
+        let lo = shared.keys().next().map_or(NO_BAND, |&b| b as u64);
+        self.shared_lo.store(lo, Ordering::Release);
+        item.map(|(v, _key)| (v, band))
+    }
+
+    /// An idle worker's steal: a peer lane's lowest band, trying the
+    /// lanes after its own first.
+    fn steal_from_peers(&self, me: Option<usize>) -> Option<u32> {
+        let n = self.lanes.len();
+        let start = me.map_or(0, |s| s + 1);
+        (0..n)
+            .map(|i| (start + i) % n)
+            .filter(|&victim| Some(victim) != me)
+            .filter_map(|victim| self.lanes[victim].get())
+            .find_map(|lane| lane.steal_lowest())
+            .map(|(v, _key)| v)
     }
 }
 
@@ -183,38 +496,35 @@ impl WorkPool for BucketPool {
     }
 
     fn pop(&self) -> Option<u32> {
-        self.slots.get_or_register();
-        // `hi` only ever grows, so a stale read can at worst hide bands
-        // pushed after this pop began — the retrying drain loop absorbs
-        // that exactly like any other push/pop race.
-        let len = (usize::try_from(self.hi.load(Ordering::Acquire)).unwrap_or(NUM_BANDS - 1) + 1)
-            .min(NUM_BANDS);
-        let start = usize::try_from(self.cur.load(Ordering::Acquire))
-            .unwrap_or(len - 1)
-            .min(len - 1);
-        // Scan [start, len), then wrap to [0, start): the wrap leg covers
-        // items a racing cursor update hasn't made visible in the hint
-        // yet. Empty bands cost one occupancy load each, no lock.
-        for step in 0..len {
-            let i = (start + step) % len;
-            if let Some(v) = self.bands[i].pop() {
-                if i > start
-                    && self
-                        .cur
-                        .compare_exchange(
-                            start as u64,
-                            i as u64,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                {
-                    self.advances.fetch_add(1, Ordering::Relaxed);
+        let slot = self.slots.get_or_register();
+        let Some(lane) = slot.map(|s| &**self.lanes[s].get_or_init(|| Box::new(Lane::new())))
+        else {
+            return self
+                .pop_shared()
+                .map(|(v, _band)| v)
+                .or_else(|| self.steal_from_peers(None));
+        };
+        loop {
+            let own = lane.lowest();
+            let shared = self.shared_lo.load(Ordering::Acquire);
+            if shared != NO_BAND && own.is_none_or(|b| shared <= b as u64) {
+                // The shared side's items are older: it goes first on a
+                // tie. If a racing pop emptied it, look again.
+                if let Some((v, band)) = self.pop_shared() {
+                    lane.note_pop(band);
+                    return Some(v);
                 }
+                continue;
+            }
+            let Some(band) = own else {
+                break;
+            };
+            if let Some((v, _key)) = lane.pop_band(band) {
+                lane.note_pop(band);
                 return Some(v);
             }
         }
-        None
+        self.steal_from_peers(slot)
     }
 
     fn pending(&self) -> usize {
@@ -241,19 +551,26 @@ impl WorkPool for BucketPool {
     }
 
     fn pending_items(&self) -> Vec<(u32, u64)> {
-        let hi = usize::try_from(self.hi.load(Ordering::Acquire))
-            .unwrap_or(NUM_BANDS - 1)
-            .min(NUM_BANDS - 1);
-        let mut items = Vec::new();
-        for band in &self.bands[..=hi] {
-            items.extend(lock(&band.items).iter().copied());
+        // Band by band; within a band the shared side, then each lane in
+        // slot order — the order their pops would take them.
+        let mut by_band: BTreeMap<usize, Vec<(u32, u64)>> = lock(&self.shared)
+            .iter()
+            .map(|(&band, items)| (band, items.iter().copied().collect()))
+            .collect();
+        for lane in self.lanes.iter().filter_map(OnceLock::get) {
+            lane.peek_into(&mut by_band);
         }
-        items
+        by_band.into_values().flatten().collect()
     }
 
     fn counters(&self) -> PoolCounters {
         PoolCounters {
-            bucket_advances: self.advances.load(Ordering::Relaxed),
+            bucket_advances: self
+                .lanes
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(|lane| lane.advances.load(Ordering::Relaxed))
+                .sum(),
             parked_wakeups: self.idle.wakeups(),
             ..PoolCounters::default()
         }
@@ -263,6 +580,9 @@ impl WorkPool for BucketPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn pops_in_bucket_order() {
@@ -418,6 +738,289 @@ mod tests {
             "items lost or duplicated"
         );
         assert_eq!(pool.pending(), 0);
+        assert!(pool.quiescent());
+    }
+
+    /// The one-thread pop order: bands ascending; within a band the shared
+    /// side's items, then the lane's, each oldest first.
+    #[derive(Default)]
+    struct ModelPool {
+        bands: BTreeMap<u64, (VecDeque<u32>, VecDeque<u32>)>,
+    }
+
+    impl ModelPool {
+        fn push(&mut self, band: u64, v: u32, shared: bool) {
+            let (outside, lane) = self.bands.entry(band).or_default();
+            if shared { outside } else { lane }.push_back(v);
+        }
+
+        fn pop(&mut self) -> Option<u32> {
+            let mut first = self.bands.first_entry()?;
+            let (outside, lane) = first.get_mut();
+            let v = outside.pop_front().or_else(|| lane.pop_front());
+            if outside.is_empty() && lane.is_empty() {
+                first.remove();
+            }
+            v
+        }
+    }
+
+    /// Run `f` with a pusher on a thread that never pops, so holds no
+    /// lane: each of its pushes lands on the shared side, and returns once
+    /// it is in.
+    fn with_outsider(pool: &BucketPool, f: impl FnOnce(&dyn Fn(u32, u64))) {
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel::<(u32, u64)>();
+            let (ack_tx, ack_rx) = mpsc::channel();
+            s.spawn(move || {
+                for (v, key) in rx {
+                    pool.push_with_key(v, key);
+                    ack_tx.send(()).unwrap();
+                }
+            });
+            f(&|v, key| {
+                tx.send((v, key)).unwrap();
+                ack_rx.recv().unwrap();
+            });
+        });
+    }
+
+    /// One step of a xorshift generator.
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    #[test]
+    fn one_thread_pops_match_the_band_fifo_model() {
+        const DELTA: u64 = 10;
+        let pool = BucketPool::new(DELTA);
+        let mut model = ModelPool::default();
+        let band = |key: u64| (key / DELTA).min(NUM_BANDS as u64 - 1);
+        let mut pops = 0;
+        let mut pop = |pool: &BucketPool, model: &mut ModelPool| {
+            let got = pool.pop();
+            assert_eq!(got, model.pop(), "pop {pops}");
+            if got.is_some() {
+                pool.done();
+            }
+            pops += 1;
+            got
+        };
+        // The first pop registers the lane. A band of 200 items spans
+        // four chunks; draining it retires the first three, and the next
+        // band's chain is made of them.
+        assert_eq!(pop(&pool, &mut model), None);
+        for v in 0..200 {
+            pool.push_with_key(v, 5);
+            model.push(0, v, false);
+        }
+        while pop(&pool, &mut model).is_some() {}
+        for v in 200..400 {
+            pool.push_with_key(v, 15);
+            model.push(1, v, false);
+        }
+        let lane = pool.lanes[0].get().unwrap();
+        assert_eq!(
+            lane.made.load(Ordering::Relaxed),
+            5,
+            "band 1 must reuse band 0's three drained chunks"
+        );
+        // Random pushes from the worker and from an outsider, with pops
+        // between them: bursts longer than a chunk, few bands so chunks
+        // move between them, and outlier keys in the clamped last band.
+        let mut x = 0x2545_F491_4F6C_DD1D_u64;
+        let mut v = 400u32;
+        with_outsider(&pool, |outside| {
+            for _ in 0..20_000 {
+                let r = next(&mut x);
+                let key = match r % 64 {
+                    0 => u64::MAX - (r >> 8) % 5,
+                    _ => (r >> 8) % 60,
+                };
+                match r % 16 {
+                    0..=5 => {
+                        let burst = if r.is_multiple_of(97) { 150 } else { 1 };
+                        for _ in 0..burst {
+                            pool.push_with_key(v, key);
+                            model.push(band(key), v, false);
+                            v += 1;
+                        }
+                    }
+                    6 | 7 => {
+                        outside(v, key);
+                        model.push(band(key), v, true);
+                        v += 1;
+                    }
+                    _ => {
+                        pop(&pool, &mut model);
+                    }
+                }
+            }
+        });
+        while pop(&pool, &mut model).is_some() {}
+        assert!(pool.quiescent());
+        assert!(
+            lane.made.load(Ordering::Relaxed) < v / CHUNK_SLOTS as u32,
+            "drained chunks must be reused"
+        );
+    }
+
+    #[test]
+    fn a_full_lane_spills_to_the_shared_side() {
+        let pool = BucketPool::new(1);
+        assert_eq!(pool.pop(), None); // registers the lane
+        let room = (GROUPS * GROUP * CHUNK_SLOTS) as u32;
+        for v in 0..room + 10 {
+            pool.push_with_key(v, 0);
+        }
+        let lane = pool.lanes[0].get().unwrap();
+        assert_eq!(lane.made.load(Ordering::Relaxed) as usize, GROUPS * GROUP);
+        assert_eq!(lock(&pool.shared)[&0].len(), 10);
+        // The shared side goes first on a tie.
+        let mut got = Vec::with_capacity(room as usize + 10);
+        while let Some(v) = pool.pop() {
+            got.push(v);
+            pool.done();
+        }
+        let expect: Vec<u32> = (room..room + 10).chain(0..room).collect();
+        assert!(got == expect, "items lost, duplicated or out of order");
+        assert!(pool.quiescent());
+    }
+
+    #[test]
+    fn pending_items_lists_lane_items_with_keys_in_pop_order() {
+        let pool = BucketPool::new(10);
+        pool.push_with_key(900, 25);
+        // The pop registers the lane. The worker's pushes, item 900 still
+        // in flight: band 2 spans two chunks, band 0 and band 5 one each.
+        assert_eq!(pool.pop(), Some(900));
+        for v in 0..100u32 {
+            pool.push_with_key(v, 20 + u64::from(v % 10));
+        }
+        for v in 100..103u32 {
+            pool.push_with_key(v, u64::from(v - 100));
+        }
+        pool.push_with_key(200, 57);
+        // An outsider's band-2 item pops before the lane's band-2 items.
+        with_outsider(&pool, |outside| outside(300, 29));
+        pool.done();
+        let expect: Vec<(u32, u64)> = (100..103u32)
+            .map(|v| (v, u64::from(v - 100)))
+            .chain([(300, 29)])
+            .chain((0..100u32).map(|v| (v, 20 + u64::from(v % 10))))
+            .chain([(200, 57)])
+            .collect();
+        let snap = pool.pending_items();
+        assert_eq!(snap, expect);
+        assert_eq!(pool.pending(), 105, "snapshot must not consume items");
+        let drain = |pool: &BucketPool| {
+            let mut got = Vec::new();
+            while let Some(v) = pool.pop() {
+                got.push(v);
+                pool.done();
+            }
+            assert!(pool.quiescent());
+            got
+        };
+        let order: Vec<u32> = expect.iter().map(|&(v, _)| v).collect();
+        assert_eq!(drain(&pool), order);
+        // Re-seed a fresh pool from the snapshot, as recovery does.
+        let fresh = BucketPool::new(10);
+        fresh.push_all(snap.iter().copied());
+        assert_eq!(drain(&fresh), order);
+    }
+
+    #[test]
+    fn owner_recycles_chunks_while_three_thieves_steal() {
+        // Fresh threads each round, so one unlucky placement of them on
+        // the cores does not decide the whole test.
+        for _round in 0..4 {
+            recycle_round();
+        }
+    }
+
+    /// The owner holds the seed in flight while it pushes bursts longer
+    /// than a chunk into a few bands and pops half of each burst back —
+    /// retiring drained chunks and reusing them — as three thieves steal
+    /// from its chains. Every item comes out exactly once, and the pool is
+    /// never quiescent before the last `done`.
+    fn recycle_round() {
+        const SEED: u32 = u32::MAX;
+        const BURSTS: u32 = 300;
+        const BURST: u32 = 150;
+        let total = u64::from(BURSTS * BURST) + 1;
+        let pool = BucketPool::new(4);
+        pool.push_with_key(SEED, 0);
+        let started = AtomicBool::new(false);
+        let dones = AtomicU64::new(0);
+        let finish = |pool: &BucketPool, got: &mut Vec<u32>, v: u32| {
+            got.push(v);
+            // Counted before `done`, so a quiescent pool has every item
+            // of `dones`.
+            dones.fetch_add(1, Ordering::SeqCst);
+            pool.done();
+            assert!(
+                !(pool.quiescent() && dones.load(Ordering::SeqCst) < total),
+                "quiescent with items in flight"
+            );
+        };
+        let drain = |pool: &BucketPool, got: &mut Vec<u32>| {
+            let mut last = Instant::now();
+            loop {
+                if let Some(v) = pool.pop() {
+                    finish(pool, got, v);
+                    last = Instant::now();
+                } else if pool.quiescent() {
+                    break;
+                } else {
+                    assert!(
+                        last.elapsed() < Duration::from_secs(20),
+                        "items pending that no pop finds"
+                    );
+                    std::thread::yield_now();
+                }
+            }
+        };
+        let mut popped: Vec<u32> = std::thread::scope(|s| {
+            let thieves: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        while !started.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        let mut got = Vec::new();
+                        drain(&pool, &mut got);
+                        got
+                    })
+                })
+                .collect();
+            let mut got = Vec::new();
+            assert_eq!(pool.pop(), Some(SEED)); // the owner's lane is slot 0
+            started.store(true, Ordering::SeqCst);
+            for b in 0..BURSTS {
+                for i in 0..BURST {
+                    pool.push_with_key(b * BURST + i, u64::from(b % 5 * 4 + i % 4));
+                }
+                for _ in 0..BURST / 2 {
+                    if let Some(v) = pool.pop() {
+                        finish(&pool, &mut got, v);
+                    }
+                }
+            }
+            finish(&pool, &mut got, SEED);
+            drain(&pool, &mut got);
+            thieves
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .chain(got)
+                .collect()
+        });
+        popped.sort_unstable();
+        let expect: Vec<u32> = (0..BURSTS * BURST).chain([SEED]).collect();
+        assert_eq!(popped, expect, "items lost or duplicated");
         assert!(pool.quiescent());
     }
 }

@@ -11,9 +11,10 @@
 //!   pushes at the bottom; everyone, the owner included, takes from the
 //!   top (FIFO: the oldest, coldest work migrates) — thieves through the
 //!   fenced [`StealDeque::steal`], the owner through the fence-free
-//!   `pop_own`. Implemented in-repo on plain atomics: the
-//!   items are `u32` vertex ids, so every slot can be an `AtomicU32` and
-//!   the whole structure stays within `#![forbid(unsafe_code)]`. The
+//!   `pop_own`. Implemented in-repo on plain atomics: every slot is an
+//!   atomic [`Slot`] (an `AtomicU32` vertex id here, a [`KeyedSlot`]
+//!   vertex and key in the bucket pool's chunks), so the whole structure
+//!   stays within `#![forbid(unsafe_code)]`. The
 //!   shared injector (overflow and seeds) is a mutex-guarded `VecDeque`;
 //!   a worker takes it in batches into a second, per-worker *reserve*
 //!   deque. There is no LIFO owner pop: frontier algorithms re-relax
@@ -35,6 +36,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Condvar;
 use std::time::Duration;
@@ -46,42 +48,103 @@ use crate::par::{lock, PoolCounters, WorkPool};
 
 /// Result of one steal attempt on a [`StealDeque`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Steal {
+pub enum Steal<T = u32> {
     /// The deque had nothing to steal.
     Empty,
     /// Lost a race with the owner or another thief; worth retrying.
     Retry,
     /// Stole one item.
-    Success(u32),
+    Success(T),
 }
 
-/// A bounded Chase–Lev work-stealing deque over `u32` items.
+/// One slot of a [`StealDeque`]'s ring. Slots are atomics, so the benign
+/// owner/thief race on a slot about to be recycled is well-defined. Their
+/// loads and stores are `Relaxed`: `bottom`'s `Release` store publishes a
+/// slot, and the `top` CAS rejects every stale read.
+pub trait Slot: Default + Send + Sync {
+    /// What one slot carries.
+    type Item: Copy;
+    /// The slot's item.
+    fn load(&self) -> Self::Item;
+    /// Overwrite the slot's item.
+    fn store(&self, item: Self::Item);
+}
+
+impl Slot for AtomicU32 {
+    type Item = u32;
+
+    #[inline]
+    fn load(&self) -> u32 {
+        AtomicU32::load(self, Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn store(&self, v: u32) {
+        AtomicU32::store(self, v, Ordering::Relaxed);
+    }
+}
+
+/// A slot carrying a vertex and its priority key, so the key travels with
+/// its item (the bucket pool's chunks). A thief reads the two halves from
+/// two different pushes only while the owner overwrites the slot, which
+/// the owner does only after `top` has passed it: that thief's CAS fails,
+/// and the torn pair is never returned.
+#[derive(Debug, Default)]
+pub struct KeyedSlot {
+    v: AtomicU32,
+    key: AtomicU64,
+}
+
+impl Slot for KeyedSlot {
+    type Item = (u32, u64);
+
+    #[inline]
+    fn load(&self) -> (u32, u64) {
+        (
+            self.v.load(Ordering::Relaxed),
+            self.key.load(Ordering::Relaxed),
+        )
+    }
+
+    #[inline]
+    fn store(&self, (v, key): (u32, u64)) {
+        self.v.store(v, Ordering::Relaxed);
+        self.key.store(key, Ordering::Relaxed);
+    }
+}
+
+/// A bounded Chase–Lev work-stealing deque over `u32` items, or over any
+/// other [`Slot`].
 ///
 /// Single owner, many thieves. The owner calls [`push`](Self::push)
 /// (bottom end) and `pop_own` (top end, FIFO); any thread may call
 /// [`steal`](Self::steal) (top end, FIFO). The buffer is fixed-capacity:
-/// a full deque rejects the push and the caller overflows into a shared
-/// injector instead of growing (growth is the one part of Chase–Lev that
-/// genuinely needs `unsafe`; overflow costs a mutex hit only in the rare
-/// case a worker is 8K items ahead of every thief).
+/// a full deque rejects the push and the caller overflows elsewhere
+/// instead of growing (growth is the one part of Chase–Lev that genuinely
+/// needs `unsafe`): `StealPool` spills into its shared injector (a mutex
+/// hit only in the rare case a worker is 8K items ahead of every thief),
+/// the bucket pool links a fresh chunk. `top` and
+/// `bottom` never go backwards, so an owner may refill a deque that
+/// drained, and a thief still holding it takes each item at most once.
 ///
 /// Memory-ordering discipline follows Lê/Pop/Cohen/Nardelli, "Correct and
 /// Efficient Work-Stealing for Weak Memory Models" (PPoPP '13).
 #[derive(Debug)]
-pub struct StealDeque {
+pub struct StealDeque<S = AtomicU32, B = Box<[S]>> {
     /// Thieves' end: advanced only by successful CAS.
     top: CachePadded<AtomicI64>,
     /// Owner's end: stored only by the owner.
     bottom: CachePadded<AtomicI64>,
-    /// Power-of-two ring of item slots. Slots are atomics, so the benign
-    /// owner/thief race on a slot about to be recycled is well-defined;
-    /// the `top` CAS rejects every stale read before it can be returned.
-    buf: Box<[AtomicU32]>,
+    /// Power-of-two ring of item slots: boxed, or an array inline in the
+    /// deque.
+    buf: B,
     mask: i64,
+    slot: PhantomData<S>,
 }
 
 impl StealDeque {
-    /// An empty deque with capacity `cap` rounded up to a power of two.
+    /// An empty deque of `u32` items with capacity `cap` rounded up to a
+    /// power of two.
     pub fn with_capacity(cap: usize) -> Self {
         let cap = cap.next_power_of_two().max(2);
         StealDeque {
@@ -89,9 +152,27 @@ impl StealDeque {
             bottom: CachePadded::new(AtomicI64::new(0)),
             buf: (0..cap).map(|_| AtomicU32::new(0)).collect(),
             mask: cap as i64 - 1,
+            slot: PhantomData,
         }
     }
+}
 
+impl<S: Slot, const N: usize> StealDeque<S, [S; N]> {
+    /// An empty deque whose `N` slots (a power of two) sit inline, so a
+    /// deque is one allocation and its slots are one hop from its ends.
+    pub fn inline() -> Self {
+        assert!(N.is_power_of_two(), "a ring's size is a power of two");
+        StealDeque {
+            top: CachePadded::new(AtomicI64::new(0)),
+            bottom: CachePadded::new(AtomicI64::new(0)),
+            buf: std::array::from_fn(|_| S::default()),
+            mask: N as i64 - 1,
+            slot: PhantomData,
+        }
+    }
+}
+
+impl<S: Slot, B: AsRef<[S]>> StealDeque<S, B> {
     /// Items currently in the deque (racy snapshot).
     pub fn len(&self) -> usize {
         let b = self.bottom.load(Ordering::Relaxed);
@@ -105,14 +186,14 @@ impl StealDeque {
     }
 
     /// Owner: push `v` at the bottom. `Err(v)` when the ring is full — the
-    /// caller routes the item to the overflow injector.
-    pub fn push(&self, v: u32) -> Result<(), u32> {
+    /// caller routes the item elsewhere.
+    pub fn push(&self, v: S::Item) -> Result<(), S::Item> {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
         if b - t > self.mask {
             return Err(v); // full
         }
-        self.buf[(b & self.mask) as usize].store(v, Ordering::Relaxed);
+        self.buf.as_ref()[(b & self.mask) as usize].store(v);
         // Publish the slot before the new bottom becomes visible to
         // thieves reading `bottom` with Acquire.
         self.bottom.store(b + 1, Ordering::Release);
@@ -133,7 +214,7 @@ impl StealDeque {
     /// read a slot before the owner's store to it, so thieves keep
     /// `steal`.
     #[inline]
-    pub(crate) fn pop_own(&self) -> Option<u32> {
+    pub(crate) fn pop_own(&self) -> Option<S::Item> {
         loop {
             let t = self.top.load(Ordering::Acquire);
             // The owner's own store: no other thread writes `bottom`.
@@ -141,7 +222,7 @@ impl StealDeque {
             if t >= b {
                 return None;
             }
-            let v = self.buf[(t & self.mask) as usize].load(Ordering::Relaxed);
+            let v = self.buf.as_ref()[(t & self.mask) as usize].load();
             if self
                 .top
                 // tufast-lint: allow(memory-ordering) -- the linearization point of the owner's pop against thieves; takers of one index must be totally ordered
@@ -156,7 +237,7 @@ impl StealDeque {
 
     /// Take the oldest item (FIFO — cold work migrates): the thieves' way
     /// out of the deque, and any thread's but the owner's.
-    pub fn steal(&self) -> Steal {
+    pub fn steal(&self) -> Steal<S::Item> {
         let t = self.top.load(Ordering::Acquire);
         // Order the top read before the bottom read. In Chase–Lev this
         // pairs with the fence of the LIFO owner pop, which this deque no
@@ -169,7 +250,7 @@ impl StealDeque {
         if t >= b {
             return Steal::Empty;
         }
-        let v = self.buf[(t & self.mask) as usize].load(Ordering::Relaxed);
+        let v = self.buf.as_ref()[(t & self.mask) as usize].load();
         // The CAS is the linearization point: it fails whenever another
         // taker consumed index `t` first, which also rejects
         // any stale slot read (the slot can only be recycled after `top`
@@ -184,6 +265,14 @@ impl StealDeque {
         } else {
             Steal::Retry
         }
+    }
+
+    /// Quiescence only (no concurrent push or take): append the deque's
+    /// items to `into`, oldest first, without taking them.
+    pub(crate) fn peek_into(&self, into: &mut Vec<S::Item>) {
+        let b = self.bottom.load(Ordering::Acquire);
+        let t = self.top.load(Ordering::Acquire);
+        into.extend((t..b).map(|i| self.buf.as_ref()[(i & self.mask) as usize].load()));
     }
 }
 
@@ -805,6 +894,7 @@ impl WorkPool for StealPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -913,6 +1003,102 @@ mod tests {
         all.sort_unstable();
         let expect: Vec<u32> = (0..total).collect();
         assert_eq!(all, expect, "items lost or duplicated");
+    }
+
+    /// The owner pushes `items` and takes through its fence-free
+    /// `pop_own` — every `pop_stride`-th push, and whenever the ring is
+    /// full — racing `thieves` thieves; then it takes what is left. Returns
+    /// every item taken, by the owner and the thieves combined.
+    fn owner_races_thieves<S: Slot, B: AsRef<[S]> + Sync>(
+        d: &StealDeque<S, B>,
+        items: &[S::Item],
+        thieves: usize,
+        pop_stride: u32,
+    ) -> Vec<S::Item>
+    where
+        S::Item: Send,
+    {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..thieves)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut got = Vec::new();
+                        loop {
+                            match d.steal() {
+                                Steal::Success(v) => got.push(v),
+                                Steal::Retry => std::hint::spin_loop(),
+                                Steal::Empty => {
+                                    if stop.load(Ordering::Acquire) {
+                                        break;
+                                    }
+                                    std::thread::yield_now();
+                                }
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            let mut own = Vec::new();
+            for (i, &v) in items.iter().enumerate() {
+                // A full ring spills nothing here: the owner takes
+                // instead, where a pool would overflow.
+                while d.push(v).is_err() {
+                    own.extend(d.pop_own());
+                }
+                if (i as u32).is_multiple_of(pop_stride) {
+                    own.extend(d.pop_own());
+                }
+            }
+            while let Some(v) = d.pop_own() {
+                own.push(v);
+            }
+            // Thieves only exit on Empty *after* seeing the stop flag, so
+            // anything still in the deque at this point gets stolen.
+            stop.store(true, Ordering::Release);
+            for h in handles {
+                own.extend(h.join().unwrap());
+            }
+            own
+        })
+    }
+
+    proptest! {
+        /// The owner pushes and takes through `pop_own`, racing
+        /// concurrent thieves: every pushed item comes out exactly once,
+        /// across the owner's takes and the thieves' combined.
+        #[test]
+        fn deque_never_loses_or_duplicates(
+            total in 1usize..2000,
+            thieves in 1usize..4,
+            pop_stride in 1u32..7,
+            cap in 4usize..512,
+        ) {
+            let d = StealDeque::with_capacity(cap);
+            let items: Vec<u32> = (0..total as u32).collect();
+            let mut collected = owner_races_thieves(&d, &items, thieves, pop_stride);
+            collected.sort_unstable();
+            prop_assert_eq!(collected, items);
+        }
+
+        /// The same race on the bucket pool's chunk, 64 keyed slots
+        /// inline: every item comes out exactly once, with the key it was
+        /// pushed with.
+        #[test]
+        fn keyed_deque_never_loses_or_duplicates(
+            total in 1usize..2000,
+            thieves in 1usize..4,
+            pop_stride in 1u32..7,
+        ) {
+            let d = StealDeque::<KeyedSlot, [KeyedSlot; 64]>::inline();
+            let items: Vec<(u32, u64)> = (0..total as u32)
+                .map(|v| (v, u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                .collect();
+            let mut collected = owner_races_thieves(&d, &items, thieves, pop_stride);
+            collected.sort_unstable();
+            prop_assert_eq!(collected, items);
+        }
     }
 
     #[test]

@@ -1,84 +1,17 @@
-//! Property tests for the work-stealing layer: under every generated
-//! schedule, the Chase–Lev deque and the stealing pool deliver each item
-//! exactly once — nothing lost, nothing duplicated — and the striped
-//! quiescence check never reports quiescent while work remains.
+//! Property tests for the work-stealing pool: under every generated
+//! schedule it delivers each item exactly once — nothing lost, nothing
+//! duplicated — and the striped quiescence check never reports quiescent
+//! while work remains. The Chase–Lev deque's own property races the
+//! owner's crate-private `pop_own`, so it lives in `steal::tests`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use tufast::par::WorkPool;
-use tufast::steal::{Steal, StealDeque, StealPool};
+use tufast::steal::StealPool;
 
 proptest! {
-    /// The owner pushes and takes from the steal end, racing concurrent
-    /// thieves: every pushed item comes out exactly once, across the
-    /// owner's takes and the thieves' combined.
-    #[test]
-    fn deque_never_loses_or_duplicates(
-        total in 1usize..2000,
-        thieves in 1usize..4,
-        pop_stride in 1u32..7,
-        cap in 4usize..512,
-    ) {
-        let d = Arc::new(StealDeque::with_capacity(cap));
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut collected = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| {
-                    let d = Arc::clone(&d);
-                    let stop = Arc::clone(&stop);
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        loop {
-                            match d.steal() {
-                                Steal::Success(v) => got.push(v),
-                                Steal::Retry => std::hint::spin_loop(),
-                                Steal::Empty => {
-                                    if stop.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let mut own = Vec::new();
-            // The owner's pop, as `StealPool::pop` does it.
-            let take = |own: &mut Vec<u32>| {
-                if let Steal::Success(x) = d.steal() {
-                    own.push(x);
-                }
-            };
-            for v in 0..total as u32 {
-                // A full ring spills nothing here: the owner drains
-                // instead, like the pool's overflow path would.
-                while d.push(v).is_err() {
-                    take(&mut own);
-                }
-                if v % pop_stride == 0 {
-                    take(&mut own);
-                }
-            }
-            while !d.is_empty() {
-                take(&mut own);
-            }
-            // Thieves only exit on Empty *after* seeing the stop flag, so
-            // anything still in the deque at this point gets stolen.
-            stop.store(true, Ordering::Release);
-            for h in handles {
-                own.extend(h.join().unwrap());
-            }
-            own
-        });
-        collected.sort_unstable();
-        let expect: Vec<u32> = (0..total as u32).collect();
-        prop_assert_eq!(collected, expect);
-    }
-
     /// Seed items into the pool, drain with re-pushes on several worker
     /// threads: the grand total processed equals seeds + re-pushes, and
     /// the pool ends quiescent.

@@ -56,8 +56,8 @@ pub enum LockClass {
     /// (a declared acquire that finds one busy lets its lines go first).
     /// Never held across user code.
     HtmLineLock,
-    /// A work pool's queue (`FifoPool`, `PriorityPool`, a `BucketPool`
-    /// band, `StealPool`'s injector): one queue call under it.
+    /// A work pool's queue (`FifoPool`, `PriorityPool`, `BucketPool`'s
+    /// shared side, `StealPool`'s injector): one queue call under it.
     PoolQueue,
     /// `IdleGate`'s parking lock: taken to park on its condvar or to order
     /// a wake after a parker's registration.

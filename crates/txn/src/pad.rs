@@ -10,9 +10,9 @@
 /// Aligns `T` to its own (pair of) cache line(s).
 ///
 /// Used for the health board's heartbeat slots, the work-stealing deque
-/// ends, the striped in-flight counter cells, the `parallel_for` cursor,
-/// and the bucket-pool stripes — every atomic the scalability analysis in
-/// DESIGN.md §7 calls "hot".
+/// ends (the bucket pool's chunks among them), the striped in-flight
+/// counter cells and the `parallel_for` cursor — every atomic the
+/// scalability analysis in DESIGN.md §7 calls "hot".
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct CachePadded<T> {

@@ -1,19 +1,17 @@
 //! Greedy vertex coloring (extension beyond the paper's six workloads —
 //! exercises transactions whose write depends on *all* neighbour reads).
 //!
-//! Deterministic id-priority greedy: a vertex takes the smallest color not
-//! used by its smaller-id neighbours, once they have all decided — the same
-//! dependency-driven schedule as [`crate::mis`], so the parallel result is
-//! bit-identical to the sequential greedy and uses at most Δ+1 colors.
+//! Deterministic id-priority greedy on [`crate::mis`]'s drain: a vertex takes
+//! the smallest color its smaller-id neighbours left free, so the parallel
+//! result is the sequential one and uses at most Δ+1 colors.
 //!
 //! Run on a symmetric (undirected) graph.
 
-use tufast::par::{parallel_drain, FifoPool, WorkPool};
-use tufast_graph::{Graph, VertexId};
+use tufast_graph::Graph;
 use tufast_htm::MemRegion;
-use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
+use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::common::read_u64_region;
+use crate::greedy;
 
 /// Value meaning "not yet colored".
 pub const UNCOLORED: u64 = u64::MAX;
@@ -34,37 +32,21 @@ impl ColoringSpace {
     }
 }
 
-/// Smallest color absent from `used` (which may contain `UNCOLORED`).
+/// The id-greedy rule: the smallest color its smaller neighbours leave free.
+const RULE: greedy::Rule = greedy::Rule(UNCOLORED, smallest_free);
+
+/// The smallest color absent from `used`: the first gap in its sorted,
+/// deduplicated colors.
 fn smallest_free(used: &mut Vec<u64>) -> u64 {
     used.sort_unstable();
     used.dedup();
-    let mut candidate = 0u64;
-    for &c in used.iter() {
-        if c == candidate {
-            candidate += 1;
-        } else if c > candidate {
-            break;
-        }
-    }
-    candidate
+    let gap = used.iter().zip(0..).find(|&(&c, i)| c != i);
+    gap.map_or(used.len() as u64, |(_, i)| i)
 }
 
 /// Sequential reference: id-order greedy coloring.
 pub fn sequential(g: &Graph) -> Vec<u64> {
-    let n = g.num_vertices();
-    let mut color = vec![UNCOLORED; n];
-    let mut used = Vec::new();
-    for v in 0..n as VertexId {
-        used.clear();
-        used.extend(
-            g.neighbors(v)
-                .iter()
-                .filter(|&&u| u < v)
-                .map(|&u| color[u as usize]),
-        );
-        color[v as usize] = smallest_free(&mut used);
-    }
-    color
+    greedy::sequential(g, RULE)
 }
 
 /// Transactional parallel greedy coloring (same result as [`sequential`]).
@@ -75,46 +57,7 @@ pub fn parallel<S: GraphScheduler>(
     space: &ColoringSpace,
     threads: usize,
 ) -> Vec<u64> {
-    let mem = sys.mem();
-    mem.fill_region(&space.color, UNCOLORED);
-    let pool = FifoPool::new();
-    for v in g.vertices() {
-        if !g.neighbors(v).iter().any(|&u| u < v) {
-            pool.push(v);
-        }
-    }
-    let color = &space.color;
-    parallel_drain(sched, &pool, threads, |worker, pool, v| {
-        let mut decided = false;
-        let mut used: Vec<u64> = Vec::new();
-        worker.execute(TxnSystem::neighborhood_hint(g.degree(v)), &mut |ops| {
-            decided = false;
-            if ops.read(v, color.addr(u64::from(v)))? != UNCOLORED {
-                return Ok(());
-            }
-            used.clear();
-            for &u in g.neighbors(v) {
-                if u < v {
-                    let cu = ops.read(u, color.addr(u64::from(u)))?;
-                    if cu == UNCOLORED {
-                        return Ok(()); // dependency pending
-                    }
-                    used.push(cu);
-                }
-            }
-            ops.write(v, color.addr(u64::from(v)), smallest_free(&mut used))?;
-            decided = true;
-            Ok(())
-        });
-        if decided {
-            for &u in g.neighbors(v) {
-                if u > v {
-                    pool.push(u);
-                }
-            }
-        }
-    });
-    read_u64_region(mem, color)
+    greedy::parallel(g, sched, sys, &space.color, threads, RULE)
 }
 
 /// Validate a proper coloring; returns the number of colors used.

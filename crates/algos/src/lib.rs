@@ -31,6 +31,9 @@
 //! the scheduling queue is the only difference between Bellman-Ford and
 //! SPFA (paper Figure 3).
 //!
+//! MIS and coloring are the same id-greedy drain under two rules and share
+//! one driver and one sequential loop (the private `greedy` module).
+//!
 //! [`checkpoint`] adds epoch-based checkpointing and crash recovery: given
 //! a [`Ckpt`](checkpoint::Ckpt), `parallel_on` snapshots `(values,
 //! frontier)` into a rotating store at epoch barriers and can resume a
@@ -43,6 +46,7 @@ pub mod bfs;
 pub mod checkpoint;
 pub mod coloring;
 mod common;
+mod greedy;
 pub mod matching;
 pub mod mis;
 mod monotone;

@@ -2,20 +2,17 @@
 //! neighbors are chosen or not" — paper §VI-A).
 //!
 //! Deterministic id-priority greedy: a vertex joins the set iff none of its
-//! smaller-id neighbours joined. The parallel version is dependency-driven:
-//! a vertex decides inside a transaction once all smaller neighbours have
-//! decided, then wakes its larger neighbours — so the parallel result is
-//! bit-identical to the sequential greedy.
+//! smaller-id neighbours joined, on the id-greedy drain shared with
+//! [`crate::coloring`], so the parallel result is the sequential one.
 //!
 //! Run on a symmetric (undirected) graph, as the paper does ("we convert
 //! our graphs into undirected ones").
 
-use tufast::par::{parallel_drain, FifoPool, WorkPool};
 use tufast_graph::{Graph, VertexId};
 use tufast_htm::MemRegion;
-use tufast_txn::{GraphScheduler, TxnSystem, TxnWorker};
+use tufast_txn::{GraphScheduler, TxnSystem};
 
-use crate::common::read_u64_region;
+use crate::greedy;
 
 /// Vertex states in the `state` region.
 pub const UNDECIDED: u64 = 0;
@@ -40,18 +37,13 @@ impl MisSpace {
     }
 }
 
+/// The id-greedy rule: in the set iff no smaller neighbour is.
+const RULE: greedy::Rule = greedy::Rule(UNDECIDED, JOINS);
+const JOINS: fn(&mut Vec<u64>) -> u64 = |seen| if seen.contains(&IN_SET) { OUT } else { IN_SET };
+
 /// Sequential reference: id-order greedy.
 pub fn sequential(g: &Graph) -> Vec<u64> {
-    let n = g.num_vertices();
-    let mut state = vec![UNDECIDED; n];
-    for v in 0..n as VertexId {
-        let blocked = g
-            .neighbors(v)
-            .iter()
-            .any(|&u| u < v && state[u as usize] == IN_SET);
-        state[v as usize] = if blocked { OUT } else { IN_SET };
-    }
-    state
+    greedy::sequential(g, RULE)
 }
 
 /// Transactional parallel greedy MIS (same result as [`sequential`]).
@@ -62,75 +54,27 @@ pub fn parallel<S: GraphScheduler>(
     space: &MisSpace,
     threads: usize,
 ) -> Vec<u64> {
-    let mem = sys.mem();
-    mem.fill_region(&space.state, UNDECIDED);
-    let pool = FifoPool::new();
-    // Roots: vertices with no smaller neighbour can decide immediately.
-    for v in g.vertices() {
-        if !g.neighbors(v).iter().any(|&u| u < v) {
-            pool.push(v);
-        }
-    }
-    let state = &space.state;
-    parallel_drain(sched, &pool, threads, |worker, pool, v| {
-        let mut decided = false;
-        worker.execute(TxnSystem::neighborhood_hint(g.degree(v)), &mut |ops| {
-            decided = false;
-            if ops.read(v, state.addr(u64::from(v)))? != UNDECIDED {
-                return Ok(()); // duplicate wake-up
-            }
-            let mut blocked = false;
-            for &u in g.neighbors(v) {
-                if u < v {
-                    match ops.read(u, state.addr(u64::from(u)))? {
-                        UNDECIDED => return Ok(()), // dependency pending; its decision will wake us
-                        IN_SET => blocked = true,
-                        _ => {}
-                    }
-                }
-            }
-            ops.write(
-                v,
-                state.addr(u64::from(v)),
-                if blocked { OUT } else { IN_SET },
-            )?;
-            decided = true;
-            Ok(())
-        });
-        if decided {
-            for &u in g.neighbors(v) {
-                if u > v {
-                    pool.push(u);
-                }
-            }
-        }
-    });
-    read_u64_region(mem, state)
+    greedy::parallel(g, sched, sys, &space.state, threads, RULE)
 }
 
 /// Validate an MIS assignment: independence and maximality.
 pub fn validate(g: &Graph, state: &[u64]) -> Result<(), String> {
     for v in g.vertices() {
-        match state[v as usize] {
-            IN_SET => {
-                for &u in g.neighbors(v) {
-                    if state[u as usize] == IN_SET {
-                        return Err(format!(
-                            "vertices {v} and {u} are adjacent and both in the set"
-                        ));
-                    }
-                }
+        let in_set = |&&u: &&VertexId| state[u as usize] == IN_SET;
+        match (state[v as usize], g.neighbors(v).iter().find(in_set)) {
+            (IN_SET, Some(u)) => {
+                return Err(format!(
+                    "vertices {v} and {u} are adjacent and both in the set"
+                ))
             }
-            OUT => {
-                let has_in_neighbor = g.neighbors(v).iter().any(|&u| state[u as usize] == IN_SET);
-                if !has_in_neighbor {
-                    return Err(format!(
-                        "vertex {v} is out but has no in-set neighbour (not maximal)"
-                    ));
-                }
+            (OUT, None) => {
+                return Err(format!(
+                    "vertex {v} is out but has no in-set neighbour (not maximal)"
+                ))
             }
-            UNDECIDED => return Err(format!("vertex {v} left undecided")),
-            other => return Err(format!("vertex {v} has invalid state {other}")),
+            (IN_SET | OUT, _) => {}
+            (UNDECIDED, _) => return Err(format!("vertex {v} left undecided")),
+            (other, _) => return Err(format!("vertex {v} has invalid state {other}")),
         }
     }
     Ok(())

@@ -699,14 +699,20 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         let mut got = Vec::new();
+                        let mut last = Instant::now();
                         loop {
                             let Some(v) = pool.pop() else {
                                 if pool.quiescent() {
                                     break;
                                 }
+                                assert!(
+                                    last.elapsed() < Duration::from_secs(20),
+                                    "items pending that no pop finds"
+                                );
                                 std::thread::yield_now();
                                 continue;
                             };
+                            last = Instant::now();
                             got.push(v);
                             for child in [2 * v + 8, 2 * v + 9] {
                                 if child < N {

@@ -1291,14 +1291,20 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         let mut got = Vec::new();
+                        let mut last = std::time::Instant::now();
                         loop {
                             let Some(v) = pool.pop() else {
                                 if pool.quiescent() {
                                     break;
                                 }
+                                assert!(
+                                    last.elapsed() < Duration::from_secs(20),
+                                    "items pending that no pop finds"
+                                );
                                 std::thread::yield_now();
                                 continue;
                             };
+                            last = std::time::Instant::now();
                             while v == SENTINEL && !seeded.load(Ordering::SeqCst) {
                                 std::hint::spin_loop();
                             }

@@ -1,7 +1,11 @@
 //! Shared utilities for the engines: atomic value arrays, a chunked
-//! parallel-for, and the simulated-cost accumulator.
+//! parallel-for, the MIS round count the simulated engines charge, and
+//! the simulated-cost accumulator.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Instant;
+
+use tufast_graph::Graph;
 
 /// Dynamic chunk size for the engines' parallel loops.
 const CHUNK: usize = 512;
@@ -45,9 +49,38 @@ pub(crate) fn par_for(threads: usize, n: usize, f: impl Fn(usize) + Sync) {
     });
 }
 
-/// Chunked parallel loop over a slice.
-pub(crate) fn par_for_slice<T: Sync>(threads: usize, items: &[T], f: impl Fn(&T) + Sync) {
-    par_for(threads, items.len(), |i| f(&items[i]));
+/// Number of BSP rounds id-greedy MIS needs: the longest chain of
+/// descending-id dependencies, since each round decides one more link of
+/// every chain ([`crate::ligra::mis`]).
+pub(crate) fn mis_round_count(g: &Graph) -> u64 {
+    let mut depth = vec![0u64; g.num_vertices()];
+    let mut rounds = 1;
+    for v in g.vertices() {
+        let d = g
+            .neighbors(v)
+            .iter()
+            .filter(|&&u| u < v)
+            .map(|&u| depth[u as usize] + 1)
+            .max()
+            .unwrap_or(0);
+        depth[v as usize] = d;
+        rounds = rounds.max(d + 1);
+    }
+    rounds
+}
+
+/// Run `f`; its result, and a cost whose `compute_s` is its wall time.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, SimCost) {
+    let t0 = Instant::now();
+    let out = f();
+    let compute_s = t0.elapsed().as_secs_f64();
+    (
+        out,
+        SimCost {
+            compute_s,
+            ..SimCost::default()
+        },
+    )
 }
 
 /// Cost report of a simulated engine run: real compute time plus

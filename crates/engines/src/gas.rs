@@ -14,6 +14,9 @@
 //!   for high-degree vertices), which lowers the replication factor and
 //!   therefore the communication volume.
 //!
+//! The values come from [`crate::ligra`]'s loops; BFS, WCC and SSSP charge
+//! each frontier from the loop's per-round callback.
+//!
 //! The paper's qualitative result this must reproduce: the distributed
 //! systems lose to shared-memory TuFast by orders of magnitude because
 //! "graph applications' computing bottleneck is the communication".
@@ -23,7 +26,8 @@ use std::time::Instant;
 use tufast_graph::partition::{hash_partition, hybrid_partition, Partition};
 use tufast_graph::{Graph, VertexId};
 
-use crate::common::SimCost;
+use crate::common::{mis_round_count, timed, SimCost};
+use crate::ligra::{self, Frontier, Sched};
 
 /// Partition strategy (differentiates PowerGraph from PowerLyra).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,15 +92,9 @@ impl<'g> GasCluster<'g> {
         self.partition.replication_factor()
     }
 
-    /// Charge one BSP round in which `active` vertices synchronised their
-    /// mirrors (gather + apply + scatter ⇒ two network phases).
-    fn charge_round(&self, cost: &mut SimCost, active: impl Iterator<Item = VertexId>) {
-        let mut msgs: u64 = 0;
-        for v in active {
-            // Gather collects one partial per mirror; scatter pushes the
-            // new value back to every mirror.
-            msgs += 2 * u64::from(self.partition.mirrors[v as usize]);
-        }
+    /// Charge one BSP round that exchanges `msgs` messages (gather +
+    /// apply + scatter ⇒ two network phases).
+    fn charge_round(&self, cost: &mut SimCost, msgs: u64) {
         cost.rounds += 1;
         cost.messages += msgs;
         let bytes = msgs * self.config.msg_bytes;
@@ -105,155 +103,75 @@ impl<'g> GasCluster<'g> {
             2.0 * self.config.phase_latency_s + bytes as f64 / self.config.bandwidth_bps;
     }
 
+    /// The messages of a round in which `active` synchronise their
+    /// mirrors: gather collects one partial per mirror, and scatter pushes
+    /// the new value back to every mirror.
+    fn sync_msgs(&self, active: impl Iterator<Item = VertexId>) -> u64 {
+        active
+            .map(|v| 2 * u64::from(self.partition.mirrors[v as usize]))
+            .sum()
+    }
+
+    /// Time `run` as the compute, then charge `rounds` rounds in which
+    /// every vertex is active.
+    fn sweeps<T>(&self, rounds: u64, run: impl FnOnce() -> T) -> (T, SimCost) {
+        let (out, mut cost) = timed(run);
+        for _ in 0..rounds {
+            self.charge_round(&mut cost, self.sync_msgs(self.g.vertices()));
+        }
+        (out, cost)
+    }
+
     /// PageRank: `iters` synchronous rounds, every vertex active.
     /// Requires in-edges. Returns ranks and the simulated cost.
     pub fn pagerank(&self, damping: f64, iters: usize, threads: usize) -> (Vec<f64>, SimCost) {
+        self.sweeps(iters as u64, || {
+            ligra::pagerank(self.g, damping, 0.0, iters, threads)
+        })
+    }
+
+    /// Run one of Ligra's frontier loops, charging a round for each
+    /// frontier it expands, with `compute_s` timed around the whole run.
+    fn frontier_run<T>(&self, run: impl FnOnce(&mut dyn FnMut(&Frontier)) -> T) -> (T, SimCost) {
         let mut cost = SimCost::default();
         let t0 = Instant::now();
-        let ranks = crate::ligra::pagerank(self.g, damping, 0.0, iters, threads);
+        let out =
+            run(&mut |f| self.charge_round(&mut cost, self.sync_msgs(f.members().iter().copied())));
         cost.compute_s = t0.elapsed().as_secs_f64();
-        for _ in 0..iters {
-            self.charge_round(&mut cost, self.g.vertices());
-        }
-        (ranks, cost)
+        (out, cost)
     }
 
     /// BFS with per-level rounds; only frontier vertices synchronise.
     pub fn bfs(&self, source: VertexId, threads: usize) -> (Vec<u64>, SimCost) {
-        use crate::ligra::{edge_map, Frontier};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let n = self.g.num_vertices();
-        let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let mut result = vec![u64::MAX; n];
-        if n == 0 {
-            return (result, cost);
-        }
-        dist[source as usize].store(0, Ordering::Relaxed);
-        let mut frontier = Frontier::single(source);
-        let mut level = 0u64;
-        while !frontier.is_empty() {
-            self.charge_round(&mut cost, frontier.members().iter().copied());
-            level += 1;
-            frontier = edge_map(self.g, &frontier, threads, |_, u| {
-                dist[u as usize]
-                    .compare_exchange(u64::MAX, level, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            });
-        }
-        for (v, d) in dist.into_iter().enumerate() {
-            result[v] = d.into_inner();
-        }
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        (result, cost)
+        self.frontier_run(|charge| Sched::Dynamic.bfs(self.g, source, threads, charge))
     }
 
     /// WCC by rounds of label propagation (symmetric graphs).
     pub fn wcc(&self, threads: usize) -> (Vec<u64>, SimCost) {
-        use crate::ligra::{edge_map, Frontier};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let n = self.g.num_vertices();
-        let label: Vec<AtomicU64> = (0..n).map(|v| AtomicU64::new(v as u64)).collect();
-        let mut frontier = Frontier::all(self.g);
-        while !frontier.is_empty() {
-            self.charge_round(&mut cost, frontier.members().iter().copied());
-            frontier = edge_map(self.g, &frontier, threads, |s, d| {
-                let ls = label[s as usize].load(Ordering::Relaxed);
-                crate::common::atomic_min(&label[d as usize], ls)
-            });
-        }
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        (label.into_iter().map(|l| l.into_inner()).collect(), cost)
+        self.frontier_run(|charge| Sched::Dynamic.wcc(self.g, threads, charge))
     }
 
     /// SSSP (Bellman-Ford rounds).
     pub fn sssp(&self, source: VertexId, threads: usize) -> (Vec<u64>, SimCost) {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let n = self.g.num_vertices();
-        let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        dist[source as usize].store(0, Ordering::Relaxed);
-        let mut frontier = vec![source];
-        while !frontier.is_empty() {
-            self.charge_round(&mut cost, frontier.iter().copied());
-            let activated: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-            crate::common::par_for_slice(threads, &frontier, |&v| {
-                let dv = dist[v as usize].load(Ordering::Relaxed);
-                if dv == u64::MAX {
-                    return;
-                }
-                for (u, w) in self.g.weighted_neighbors(v) {
-                    if crate::common::atomic_min(&dist[u as usize], dv + u64::from(w)) {
-                        activated[u as usize].store(true, Ordering::Relaxed);
-                    }
-                }
-            });
-            frontier = (0..n as VertexId)
-                .filter(|&v| activated[v as usize].load(Ordering::Relaxed))
-                .collect();
-        }
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        (dist.into_iter().map(|d| d.into_inner()).collect(), cost)
+        self.frontier_run(|charge| Sched::Dynamic.sssp(self.g, source, threads, charge))
     }
 
     /// Triangle counting: one round, but gathering requires shipping
     /// adjacency lists to mirrors — the message volume is degree-weighted.
     pub fn triangle(&self, threads: usize) -> (u64, SimCost) {
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let count = crate::ligra::triangle(self.g, threads);
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        cost.rounds = 1;
-        let mut msgs: u64 = 0;
-        for v in self.g.vertices() {
-            msgs += u64::from(self.partition.mirrors[v as usize]) * self.g.degree(v) as u64;
-        }
-        cost.messages = msgs;
-        let bytes = msgs * self.config.msg_bytes;
-        cost.bytes_moved = bytes;
-        cost.network_s =
-            2.0 * self.config.phase_latency_s + bytes as f64 / self.config.bandwidth_bps;
+        let (count, mut cost) = timed(|| ligra::triangle(self.g, threads));
+        let msgs = self
+            .g
+            .vertices()
+            .map(|v| u64::from(self.partition.mirrors[v as usize]) * self.g.degree(v) as u64);
+        self.charge_round(&mut cost, msgs.sum());
         (count, cost)
     }
 
     /// Greedy MIS by rounds (symmetric graphs).
     pub fn mis(&self, threads: usize) -> (Vec<u64>, SimCost) {
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let state = crate::ligra::mis(self.g, threads);
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        // Rounds = length of the longest descending-id dependency chain
-        // (each BSP sweep decides one more layer of the chain):
-        let rounds = mis_round_count(self.g);
-        for _ in 0..rounds {
-            self.charge_round(&mut cost, self.g.vertices());
-        }
-        (state, cost)
+        self.sweeps(mis_round_count(self.g), || ligra::mis(self.g, threads))
     }
-}
-
-/// Number of BSP rounds id-greedy MIS needs: the longest chain of
-/// descending-id dependencies.
-fn mis_round_count(g: &Graph) -> u64 {
-    let n = g.num_vertices();
-    let mut depth = vec![0u64; n];
-    let mut max_depth = 1;
-    for v in 0..n as VertexId {
-        let d = g
-            .neighbors(v)
-            .iter()
-            .filter(|&&u| u < v)
-            .map(|&u| depth[u as usize] + 1)
-            .max()
-            .unwrap_or(0);
-        depth[v as usize] = d;
-        max_depth = max_depth.max(d + 1);
-    }
-    max_depth
 }
 
 #[cfg(test)]
@@ -353,6 +271,32 @@ mod tests {
         let (_, cost) = cluster.pagerank(0.85, 3, 2);
         assert_eq!(cost.bytes_moved, 0, "no mirrors on one machine");
         assert!(cost.network_s > 0.0, "barrier latency still applies");
+    }
+
+    /// What each round charges, pinned at one thread, where every run is
+    /// deterministic: a change to a round's frontier or to its charge
+    /// moves these.
+    #[test]
+    fn charged_costs_are_pinned_at_one_thread() {
+        let g = gen::grid2d(12, 9);
+        let w = gen::with_random_weights(&g, 20, 7);
+        let cluster = GasCluster::new(&g, ClusterConfig::default());
+        let weighted = GasCluster::new(&w, ClusterConfig::default());
+        let pin = |c: SimCost| (c.rounds, c.messages, c.bytes_moved);
+        assert_eq!(
+            [
+                pin(cluster.bfs(0, 1).1),
+                pin(cluster.wcc(1).1),
+                pin(weighted.sssp(0, 1).1),
+                pin(cluster.mis(1).1),
+            ],
+            [
+                (20, 780, 12_480),
+                (2, 1_556, 24_896),
+                (20, 990, 15_840),
+                (20, 15_600, 249_600),
+            ]
+        );
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! * [`ooc`] — shard-sweep out-of-core execution with an analytic disk
 //!   cost model, the GraphChi stand-in.
 //!
+//! The frontier workloads are written once, in [`ligra`], under a vertex-map
+//! policy: dynamic chunks for Ligra and [`gas`], static owner ranges for
+//! [`polymer`]. [`gas`] and [`ooc`] charge their costs around those loops.
+//!
 //! Shared-memory engines ([`ligra`], [`polymer`], [`galois`]) are measured
 //! in wall-clock time like TuFast; the simulated engines ([`gas`], [`ooc`])
 //! report [`SimCost`] (compute measured, communication/I-O charged

@@ -7,12 +7,17 @@
 //! Ligra" — §VI-A). Values live in plain atomic arrays; the engine is given
 //! every standard Ligra optimisation (CAS-deduplicated frontiers, dense
 //! mode above a density threshold).
+//!
+//! Each workload is written once, under the crate's `Sched` policy (how a
+//! round's vertices go to threads): `Dynamic` here and in [`crate::gas`],
+//! whose callback charges each frontier; `Static` in [`crate::polymer`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use tufast_graph::{Graph, VertexId};
 
-use crate::common::{atomic_min, atomic_vec, par_for, par_for_slice};
+use crate::common::{atomic_min, atomic_vec, par_for};
+use crate::polymer::static_vertex_map;
 
 /// Sparse→dense switch threshold (Ligra uses |E_frontier| > |E|/20; vertex
 /// count is the common simplification).
@@ -69,8 +74,7 @@ pub fn edge_map(
     threads: usize,
     update: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Frontier {
-    let out_edges = |v| g.neighbors(v).iter().copied();
-    edge_map_over(g, frontier, threads, out_edges, update)
+    Sched::Dynamic.edge_map(g, frontier, threads, false, update)
 }
 
 /// [`edge_map`] over the undirected view ([`Graph::undirected`]): every
@@ -82,209 +86,272 @@ pub fn edge_map_undirected(
     threads: usize,
     update: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Frontier {
-    edge_map_over(g, frontier, threads, |v| g.undirected(v), update)
-}
-
-fn edge_map_over<I: Iterator<Item = VertexId>>(
-    g: &Graph,
-    frontier: &Frontier,
-    threads: usize,
-    edges: impl Fn(VertexId) -> I + Sync,
-    update: impl Fn(VertexId, VertexId) -> bool + Sync,
-) -> Frontier {
-    let n = g.num_vertices();
-    let activated: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let dense = frontier.len() > n / DENSE_FRACTION;
-    let body = |v: &VertexId| {
-        let v = *v;
-        for u in edges(v) {
-            if update(v, u) {
-                activated[u as usize].store(true, Ordering::Relaxed);
-            }
-        }
-    };
-    if dense {
-        // Dense mode: sweep all vertices, process frontier members.
-        let in_frontier: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        for &v in frontier.members() {
-            in_frontier[v as usize].store(true, Ordering::Relaxed);
-        }
-        par_for(threads, n, |i| {
-            if in_frontier[i].load(Ordering::Relaxed) {
-                body(&(i as VertexId));
-            }
-        });
-    } else {
-        par_for_slice(threads, frontier.members(), body);
-    }
-    let members = (0..n as VertexId)
-        .filter(|&v| activated[v as usize].load(Ordering::Relaxed))
-        .collect();
-    Frontier { members }
+    Sched::Dynamic.edge_map(g, frontier, threads, true, update)
 }
 
 /// Apply `f` to every frontier member in parallel.
 pub fn vertex_map(frontier: &Frontier, threads: usize, f: impl Fn(VertexId) + Sync) {
-    par_for_slice(threads, frontier.members(), |&v| f(v));
+    par_for(threads, frontier.len(), |i| f(frontier.members[i]));
 }
-
-// ---------------------------------------------------------------------------
-// The paper's workloads on this engine.
-// ---------------------------------------------------------------------------
 
 /// BFS hop distances from `source` (frontier-synchronous).
 pub fn bfs(g: &Graph, source: VertexId, threads: usize) -> Vec<u64> {
-    let dist = atomic_vec(g.num_vertices(), u64::MAX);
-    if g.num_vertices() == 0 {
-        return Vec::new();
-    }
-    dist[source as usize].store(0, Ordering::Relaxed);
-    let mut frontier = Frontier::single(source);
-    let mut level = 0u64;
-    while !frontier.is_empty() {
-        level += 1;
-        frontier = edge_map(g, &frontier, threads, |_, dst| {
-            dist[dst as usize]
-                .compare_exchange(u64::MAX, level, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
-    }
-    dist.into_iter().map(|d| d.into_inner()).collect()
+    Sched::Dynamic.bfs(g, source, threads, |_| {})
 }
 
 /// Synchronous PageRank to `eps` (L∞) or `max_iters`. Requires in-edges.
 pub fn pagerank(g: &Graph, damping: f64, eps: f64, max_iters: usize, threads: usize) -> Vec<f64> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    assert!(g.reverse().is_some(), "ligra::pagerank pulls over in-edges");
-    let rank: Vec<AtomicU64> = atomic_vec(n, (1.0 / n as f64).to_bits());
-    let next: Vec<AtomicU64> = atomic_vec(n, 0);
-    let base = (1.0 - damping) / n as f64;
-    for _ in 0..max_iters {
-        let residual = AtomicU64::new(0f64.to_bits());
-        par_for(threads, n, |v| {
-            let mut sum = 0.0;
-            for &u in g.in_neighbors(v as VertexId) {
-                let ru = f64::from_bits(rank[u as usize].load(Ordering::Relaxed));
-                sum += ru / g.degree(u) as f64;
-            }
-            let new = base + damping * sum;
-            let old = f64::from_bits(rank[v].load(Ordering::Relaxed));
-            next[v].store(new.to_bits(), Ordering::Relaxed);
-            let delta = (new - old).abs();
-            // Max-reduce via CAS on the f64 bits (non-negative, so the bit
-            // pattern order matches numeric order).
-            let mut cur = residual.load(Ordering::Relaxed);
-            while delta > f64::from_bits(cur) {
-                match residual.compare_exchange_weak(
-                    cur,
-                    delta.to_bits(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        });
-        par_for(threads, n, |v| {
-            rank[v].store(next[v].load(Ordering::Relaxed), Ordering::Relaxed);
-        });
-        if f64::from_bits(residual.load(Ordering::Relaxed)) < eps {
-            break;
-        }
-    }
-    rank.into_iter()
-        .map(|r| f64::from_bits(r.into_inner()))
-        .collect()
+    Sched::Dynamic.pagerank(g, damping, eps, max_iters, threads)
 }
 
 /// Weakly connected components by frontier label propagation. For directed
 /// graphs build with in-edges.
 pub fn wcc(g: &Graph, threads: usize) -> Vec<u64> {
-    let n = g.num_vertices();
-    let label: Vec<AtomicU64> = (0..n).map(|v| AtomicU64::new(v as u64)).collect();
-    let mut frontier = Frontier::all(g);
-    let push = |src: VertexId, dst: VertexId| {
-        let ls = label[src as usize].load(Ordering::Relaxed);
-        atomic_min(&label[dst as usize], ls)
-    };
-    while !frontier.is_empty() {
-        frontier = edge_map_undirected(g, &frontier, threads, push);
-    }
-    label.into_iter().map(|l| l.into_inner()).collect()
+    Sched::Dynamic.wcc(g, threads, |_| {})
 }
 
 /// Bellman-Ford over frontiers (the BSP shape the paper contrasts with
 /// SPFA: no intra-round prioritisation is possible).
 pub fn sssp(g: &Graph, source: VertexId, threads: usize) -> Vec<u64> {
-    assert!(g.has_weights(), "ligra::sssp needs edge weights");
-    let n = g.num_vertices();
-    let dist = atomic_vec(n, u64::MAX);
-    dist[source as usize].store(0, Ordering::Relaxed);
-    let mut frontier = Frontier::single(source);
-    while !frontier.is_empty() {
-        frontier = edge_map_weighted(g, &frontier, threads, &dist);
-    }
-    dist.into_iter().map(|d| d.into_inner()).collect()
-}
-
-fn edge_map_weighted(
-    g: &Graph,
-    frontier: &Frontier,
-    threads: usize,
-    dist: &[AtomicU64],
-) -> Frontier {
-    let n = g.num_vertices();
-    let activated: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    par_for_slice(threads, frontier.members(), |&v| {
-        let dv = dist[v as usize].load(Ordering::Relaxed);
-        if dv == u64::MAX {
-            return;
-        }
-        for (u, w) in g.weighted_neighbors(v) {
-            if atomic_min(&dist[u as usize], dv + u64::from(w)) {
-                activated[u as usize].store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    Frontier::from_vec(
-        (0..n as VertexId)
-            .filter(|&v| activated[v as usize].load(Ordering::Relaxed))
-            .collect(),
-    )
+    Sched::Dynamic.sssp(g, source, threads, |_| {})
 }
 
 /// Triangle count (ordered intersection; embarrassingly parallel).
 pub fn triangle(g: &Graph, threads: usize) -> u64 {
-    let total = AtomicU64::new(0);
-    par_for(threads, g.num_vertices(), |v| {
-        let v = v as VertexId;
-        let nv = g.neighbors(v);
-        let mut local = 0u64;
-        for &u in nv.iter().filter(|&&u| u > v) {
-            let nu = g.neighbors(u);
-            let (mut i, mut j) = (
-                nv.partition_point(|&x| x <= u),
-                nu.partition_point(|&x| x <= u),
-            );
-            while i < nv.len() && j < nu.len() {
-                match nv[i].cmp(&nu[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        local += 1;
-                        i += 1;
-                        j += 1;
-                    }
+    Sched::Dynamic.triangle(g, threads)
+}
+
+/// How a round's vertices are handed to threads: all that tells Ligra
+/// from Polymer (paper §VI-A).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sched {
+    /// Ligra: guided chunks of the members, and `edge_map` sweeps every
+    /// vertex instead once the frontier holds more than `n / DENSE_FRACTION`.
+    Dynamic,
+    /// Polymer: [`static_vertex_map`]'s owner-computes ranges over the
+    /// members, and never a dense sweep.
+    Static,
+}
+
+fn flags(n: usize) -> Vec<AtomicBool> {
+    (0..n).map(|_| AtomicBool::new(false)).collect()
+}
+
+impl Sched {
+    /// Run `f` on every member of `front`; `n` is the vertex count.
+    fn vertex_map(self, n: usize, front: &Frontier, threads: usize, f: impl Fn(VertexId) + Sync) {
+        match self {
+            Sched::Dynamic => par_for(threads, front.len(), |i| f(front.members[i])),
+            Sched::Static => static_vertex_map(n, front, threads, f),
+        }
+    }
+
+    /// One round: `scan(v, next)` for every member `v`, setting the flags
+    /// in `next` of what it activates, which are read back ascending as the
+    /// next frontier. A `dense` round of `Dynamic` sweeps every vertex once
+    /// the frontier holds more than `n / DENSE_FRACTION`.
+    fn round(
+        self,
+        n: usize,
+        frontier: &Frontier,
+        threads: usize,
+        dense: bool,
+        scan: impl Fn(VertexId, &[AtomicBool]) + Sync,
+    ) -> Frontier {
+        let next = flags(n);
+        let body = |v| scan(v, &next);
+        if dense && self == Sched::Dynamic && frontier.len() > n / DENSE_FRACTION {
+            // Dense mode: sweep all vertices, process frontier members.
+            let in_frontier = flags(n);
+            for &v in frontier.members() {
+                in_frontier[v as usize].store(true, Ordering::Relaxed);
+            }
+            par_for(threads, n, |i| {
+                if in_frontier[i].load(Ordering::Relaxed) {
+                    body(i as VertexId);
                 }
+            });
+        } else {
+            self.vertex_map(n, frontier, threads, body);
+        }
+        let members = (0..n as VertexId)
+            .filter(|&v| next[v as usize].load(Ordering::Relaxed))
+            .collect();
+        Frontier { members }
+    }
+
+    /// [`edge_map`] under this policy, over the out-edges or, with
+    /// `undirected`, over [`Graph::undirected`].
+    pub(crate) fn edge_map(
+        self,
+        g: &Graph,
+        frontier: &Frontier,
+        threads: usize,
+        undirected: bool,
+        update: impl Fn(VertexId, VertexId) -> bool + Sync,
+    ) -> Frontier {
+        let visit = |v, u, next: &[AtomicBool]| {
+            if update(v, u) {
+                next[u as usize].store(true, Ordering::Relaxed);
+            }
+        };
+        self.round(g.num_vertices(), frontier, threads, true, |v, next| {
+            if undirected {
+                g.undirected(v).for_each(|u| visit(v, u, next));
+            } else {
+                g.neighbors(v).iter().for_each(|&u| visit(v, u, next));
+            }
+        })
+    }
+
+    /// [`bfs`]; `on_round` sees each level's frontier before it expands.
+    pub(crate) fn bfs(
+        self,
+        g: &Graph,
+        source: VertexId,
+        threads: usize,
+        mut on_round: impl FnMut(&Frontier),
+    ) -> Vec<u64> {
+        let dist = atomic_vec(g.num_vertices(), u64::MAX);
+        if g.num_vertices() == 0 {
+            return Vec::new();
+        }
+        dist[source as usize].store(0, Ordering::Relaxed);
+        let mut frontier = Frontier::single(source);
+        let mut level = 0u64;
+        while !frontier.is_empty() {
+            on_round(&frontier);
+            level += 1;
+            frontier = self.edge_map(g, &frontier, threads, false, |_, dst| {
+                dist[dst as usize]
+                    .compare_exchange(u64::MAX, level, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+            });
+        }
+        dist.into_iter().map(AtomicU64::into_inner).collect()
+    }
+
+    /// [`pagerank`]: two whole-graph sweeps per iteration.
+    pub(crate) fn pagerank(
+        self,
+        g: &Graph,
+        damping: f64,
+        eps: f64,
+        max_iters: usize,
+        threads: usize,
+    ) -> Vec<f64> {
+        let n = g.num_vertices();
+        if n == 0 {
+            return Vec::new();
+        }
+        assert!(g.reverse().is_some(), "pagerank pulls over in-edges");
+        let rank: Vec<AtomicU64> = atomic_vec(n, (1.0 / n as f64).to_bits());
+        let next: Vec<AtomicU64> = atomic_vec(n, 0);
+        let base = (1.0 - damping) / n as f64;
+        let all = Frontier::all(g);
+        for _ in 0..max_iters {
+            let residual = AtomicU64::new(0f64.to_bits());
+            self.vertex_map(n, &all, threads, |v| {
+                let mut sum = 0.0;
+                for &u in g.in_neighbors(v) {
+                    let ru = f64::from_bits(rank[u as usize].load(Ordering::Relaxed));
+                    sum += ru / g.degree(u) as f64;
+                }
+                let new = base + damping * sum;
+                let old = f64::from_bits(rank[v as usize].load(Ordering::Relaxed));
+                next[v as usize].store(new.to_bits(), Ordering::Relaxed);
+                let delta = (new - old).abs();
+                // Max-reduce on the f64 bits (non-negative, so the bit
+                // pattern order matches numeric order), with an RMW only
+                // for a delta above the one seen.
+                if delta > f64::from_bits(residual.load(Ordering::Relaxed)) {
+                    residual.fetch_max(delta.to_bits(), Ordering::Relaxed);
+                }
+            });
+            self.vertex_map(n, &all, threads, |v| {
+                rank[v as usize].store(next[v as usize].load(Ordering::Relaxed), Ordering::Relaxed);
+            });
+            if f64::from_bits(residual.load(Ordering::Relaxed)) < eps {
+                break;
             }
         }
-        total.fetch_add(local, Ordering::Relaxed);
-    });
-    total.load(Ordering::Relaxed)
+        rank.into_iter()
+            .map(|r| f64::from_bits(r.into_inner()))
+            .collect()
+    }
+
+    /// [`wcc`]; `on_round` sees each round's frontier before it expands.
+    pub(crate) fn wcc(
+        self,
+        g: &Graph,
+        threads: usize,
+        mut on_round: impl FnMut(&Frontier),
+    ) -> Vec<u64> {
+        let label: Vec<AtomicU64> = g.vertices().map(|v| AtomicU64::new(v.into())).collect();
+        let mut frontier = Frontier::all(g);
+        while !frontier.is_empty() {
+            on_round(&frontier);
+            frontier = self.edge_map(g, &frontier, threads, true, |src, dst| {
+                let ls = label[src as usize].load(Ordering::Relaxed);
+                atomic_min(&label[dst as usize], ls)
+            });
+        }
+        label.into_iter().map(AtomicU64::into_inner).collect()
+    }
+
+    /// [`sssp`], every round sparse; `on_round` sees each round's frontier
+    /// before it expands.
+    pub(crate) fn sssp(
+        self,
+        g: &Graph,
+        source: VertexId,
+        threads: usize,
+        mut on_round: impl FnMut(&Frontier),
+    ) -> Vec<u64> {
+        assert!(g.has_weights(), "sssp needs edge weights");
+        let n = g.num_vertices();
+        let dist = atomic_vec(n, u64::MAX);
+        dist[source as usize].store(0, Ordering::Relaxed);
+        let mut frontier = Frontier::single(source);
+        while !frontier.is_empty() {
+            on_round(&frontier);
+            frontier = self.round(n, &frontier, threads, false, |v, next| {
+                let dv = dist[v as usize].load(Ordering::Relaxed);
+                if dv == u64::MAX {
+                    return;
+                }
+                for (u, w) in g.weighted_neighbors(v) {
+                    if atomic_min(&dist[u as usize], dv + u64::from(w)) {
+                        next[u as usize].store(true, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+        dist.into_iter().map(AtomicU64::into_inner).collect()
+    }
+
+    /// [`triangle`]: one whole-graph sweep.
+    pub(crate) fn triangle(self, g: &Graph, threads: usize) -> u64 {
+        let total = AtomicU64::new(0);
+        self.vertex_map(g.num_vertices(), &Frontier::all(g), threads, |v| {
+            let nv = g.neighbors(v);
+            let mut local = 0u64;
+            for &u in nv.iter().filter(|&&u| u > v) {
+                let nu = g.neighbors(u);
+                let (mut i, mut j) = (
+                    nv.partition_point(|&x| x <= u),
+                    nu.partition_point(|&x| x <= u),
+                );
+                while let (Some(&a), Some(&b)) = (nv.get(i), nu.get(j)) {
+                    i += usize::from(a <= b);
+                    j += usize::from(b <= a);
+                    local += u64::from(a == b);
+                }
+            }
+            total.fetch_add(local, Ordering::Relaxed);
+        });
+        total.load(Ordering::Relaxed)
+    }
 }
 
 /// Greedy MIS by rounds of the id-priority rule (BSP flavour: a vertex

@@ -9,11 +9,10 @@
 //! memory efficiently although memory is sufficient" — its architecture
 //! pays the streaming pass structure regardless.
 
-use std::time::Instant;
-
 use tufast_graph::{Graph, VertexId};
 
-use crate::common::SimCost;
+use crate::common::{mis_round_count, timed, SimCost};
+use crate::ligra;
 
 /// Simulated storage parameters. Defaults model the paper's r3.8xlarge
 /// SSD (the paper excludes *initial load* I/O but the engine still pays
@@ -68,100 +67,58 @@ impl<'g> OocEngine<'g> {
         cost.disk_s += bytes as f64 / self.config.bandwidth_bps + seeks * self.config.seek_s;
     }
 
-    /// PageRank: `iters` full passes. Requires in-edges.
-    pub fn pagerank(&self, damping: f64, iters: usize, threads: usize) -> (Vec<f64>, SimCost) {
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let ranks = crate::ligra::pagerank(self.g, damping, 0.0, iters, threads);
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        for _ in 0..iters {
+    /// Time `run` as the compute, then charge `passes(&result)` full
+    /// passes.
+    fn passes<T>(&self, run: impl FnOnce() -> T, passes: impl FnOnce(&T) -> u64) -> (T, SimCost) {
+        let (out, mut cost) = timed(run);
+        for _ in 0..passes(&out) {
             self.charge_pass(&mut cost);
         }
-        (ranks, cost)
+        (out, cost)
+    }
+
+    /// PageRank: `iters` full passes. Requires in-edges.
+    pub fn pagerank(&self, damping: f64, iters: usize, threads: usize) -> (Vec<f64>, SimCost) {
+        let run = || ligra::pagerank(self.g, damping, 0.0, iters, threads);
+        self.passes(run, |_| iters as u64)
     }
 
     /// BFS: one full pass per level (GraphChi's selective scheduling still
     /// sweeps the shard structure).
     pub fn bfs(&self, source: VertexId, threads: usize) -> (Vec<u64>, SimCost) {
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let dist = crate::ligra::bfs(self.g, source, threads);
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        let levels = dist
-            .iter()
-            .filter(|&&d| d != u64::MAX)
-            .max()
-            .copied()
-            .unwrap_or(0)
-            + 1;
-        for _ in 0..levels {
-            self.charge_pass(&mut cost);
-        }
-        (dist, cost)
+        self.passes(
+            || ligra::bfs(self.g, source, threads),
+            |dist| {
+                dist.iter()
+                    .filter(|&&d| d != u64::MAX)
+                    .max()
+                    .map_or(0, |&d| d)
+                    + 1
+            },
+        )
     }
 
     /// WCC: label-propagation passes until quiescent.
     pub fn wcc(&self, threads: usize) -> (Vec<u64>, SimCost) {
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let labels = crate::ligra::wcc(self.g, threads);
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        for _ in 0..wcc_pass_count(self.g) {
-            self.charge_pass(&mut cost);
-        }
-        (labels, cost)
+        self.passes(|| ligra::wcc(self.g, threads), |_| wcc_pass_count(self.g))
     }
 
     /// SSSP: one pass per Bellman-Ford round.
     pub fn sssp(&self, source: VertexId, threads: usize) -> (Vec<u64>, SimCost) {
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let dist = crate::ligra::sssp(self.g, source, threads);
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        let rounds = sssp_round_count(self.g, source);
-        for _ in 0..rounds {
-            self.charge_pass(&mut cost);
-        }
-        (dist, cost)
+        let run = || ligra::sssp(self.g, source, threads);
+        self.passes(run, |_| sssp_round_count(self.g, source))
     }
 
     /// Triangle counting: GraphChi's algorithm makes `P` passes joining
     /// shard pairs; charge one pass per shard.
     pub fn triangle(&self, threads: usize) -> (u64, SimCost) {
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let count = crate::ligra::triangle(self.g, threads);
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        for _ in 0..self.config.shards {
-            self.charge_pass(&mut cost);
-        }
-        (count, cost)
+        let run = || ligra::triangle(self.g, threads);
+        self.passes(run, |_| self.config.shards as u64)
     }
 
     /// Greedy MIS: one pass per dependency round.
     pub fn mis(&self, threads: usize) -> (Vec<u64>, SimCost) {
-        let mut cost = SimCost::default();
-        let t0 = Instant::now();
-        let state = crate::ligra::mis(self.g, threads);
-        cost.compute_s = t0.elapsed().as_secs_f64();
-        let mut depth = vec![0u64; self.g.num_vertices()];
-        let mut rounds = 1;
-        for v in self.g.vertices() {
-            let d = self
-                .g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| u < v)
-                .map(|&u| depth[u as usize] + 1)
-                .max()
-                .unwrap_or(0);
-            depth[v as usize] = d;
-            rounds = rounds.max(d + 1);
-        }
-        for _ in 0..rounds {
-            self.charge_pass(&mut cost);
-        }
-        (state, cost)
+        self.passes(|| ligra::mis(self.g, threads), |_| mis_round_count(self.g))
     }
 }
 
@@ -274,6 +231,25 @@ mod tests {
         assert_eq!(c3.rounds, 3);
         assert_eq!(c9.rounds, 9);
         assert!(c9.disk_s > 2.5 * c3.disk_s);
+    }
+
+    /// What each pass charges, pinned at one thread (see the GAS pin).
+    #[test]
+    fn charged_costs_are_pinned_at_one_thread() {
+        let g = gen::grid2d(12, 9);
+        let w = gen::with_random_weights(&g, 20, 7);
+        let engine = OocEngine::new(&g, DiskConfig::default());
+        let weighted = OocEngine::new(&w, DiskConfig::default());
+        let pin = |c: SimCost| (c.rounds, c.messages, c.bytes_moved);
+        assert_eq!(
+            [
+                pin(engine.bfs(0, 1).1),
+                pin(engine.wcc(1).1),
+                pin(weighted.sssp(0, 1).1),
+                pin(engine.mis(1).1),
+            ],
+            [(20, 0, 96_960); 4]
+        );
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! stealing. On skewed graphs the static split load-imbalances on hubs,
 //! which is the qualitative behaviour the paper reports (Polymer "suffers
 //! from same performance issue that slows down Ligra or Galois").
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//!
+//! So every workload here is [`crate::ligra`]'s own loop run under the
+//! `Static` policy: each round's members go through [`static_vertex_map`],
+//! whole-graph sweeps (PageRank, triangles) through it over
+//! [`Frontier::all`], and no round switches to a dense sweep.
 
 use tufast_graph::{Graph, VertexId};
 
-use crate::common::{atomic_min, atomic_vec};
-use crate::ligra::Frontier;
+use crate::ligra::{Frontier, Sched};
 
 /// Run `f(v)` for every member of `frontier`, with members statically
 /// assigned to threads by owner range (owner-computes).
@@ -52,165 +54,33 @@ pub fn edge_map(
     threads: usize,
     update: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Frontier {
-    let n = g.num_vertices();
-    let activated: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    static_vertex_map(n, frontier, threads, |v| {
-        for &u in g.neighbors(v) {
-            if update(v, u) {
-                activated[u as usize].store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    Frontier::from_vec(
-        (0..n as VertexId)
-            .filter(|&v| activated[v as usize].load(Ordering::Relaxed))
-            .collect(),
-    )
+    Sched::Static.edge_map(g, frontier, threads, false, update)
 }
 
 /// BFS with static partitioning.
 pub fn bfs(g: &Graph, source: VertexId, threads: usize) -> Vec<u64> {
-    let dist = atomic_vec(g.num_vertices(), u64::MAX);
-    if g.num_vertices() == 0 {
-        return Vec::new();
-    }
-    dist[source as usize].store(0, Ordering::Relaxed);
-    let mut frontier = Frontier::single(source);
-    let mut level = 0u64;
-    while !frontier.is_empty() {
-        level += 1;
-        frontier = edge_map(g, &frontier, threads, |_, u| {
-            dist[u as usize]
-                .compare_exchange(u64::MAX, level, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
-    }
-    dist.into_iter().map(|d| d.into_inner()).collect()
+    Sched::Static.bfs(g, source, threads, |_| {})
 }
 
 /// Synchronous PageRank with static per-thread vertex ranges. Requires
 /// in-edges.
 pub fn pagerank(g: &Graph, damping: f64, eps: f64, max_iters: usize, threads: usize) -> Vec<f64> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    assert!(
-        g.reverse().is_some(),
-        "polymer::pagerank pulls over in-edges"
-    );
-    let rank: Vec<AtomicU64> = atomic_vec(n, (1.0 / n as f64).to_bits());
-    let next: Vec<AtomicU64> = atomic_vec(n, 0);
-    let base = (1.0 - damping) / n as f64;
-    let all = Frontier::all(g);
-    for _ in 0..max_iters {
-        let residual = AtomicU64::new(0f64.to_bits());
-        static_vertex_map(n, &all, threads, |v| {
-            let mut sum = 0.0;
-            for &u in g.in_neighbors(v) {
-                sum +=
-                    f64::from_bits(rank[u as usize].load(Ordering::Relaxed)) / g.degree(u) as f64;
-            }
-            let new = base + damping * sum;
-            let old = f64::from_bits(rank[v as usize].load(Ordering::Relaxed));
-            next[v as usize].store(new.to_bits(), Ordering::Relaxed);
-            let delta = (new - old).abs();
-            let mut cur = residual.load(Ordering::Relaxed);
-            while delta > f64::from_bits(cur) {
-                match residual.compare_exchange_weak(
-                    cur,
-                    delta.to_bits(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        });
-        static_vertex_map(n, &all, threads, |v| {
-            rank[v as usize].store(next[v as usize].load(Ordering::Relaxed), Ordering::Relaxed);
-        });
-        if f64::from_bits(residual.load(Ordering::Relaxed)) < eps {
-            break;
-        }
-    }
-    rank.into_iter()
-        .map(|r| f64::from_bits(r.into_inner()))
-        .collect()
+    Sched::Static.pagerank(g, damping, eps, max_iters, threads)
 }
 
-/// WCC with static partitioning (symmetric graphs).
+/// WCC with static partitioning. For directed graphs build with in-edges.
 pub fn wcc(g: &Graph, threads: usize) -> Vec<u64> {
-    let n = g.num_vertices();
-    let label: Vec<AtomicU64> = (0..n).map(|v| AtomicU64::new(v as u64)).collect();
-    let mut frontier = Frontier::all(g);
-    while !frontier.is_empty() {
-        frontier = edge_map(g, &frontier, threads, |s, d| {
-            let ls = label[s as usize].load(Ordering::Relaxed);
-            atomic_min(&label[d as usize], ls)
-        });
-    }
-    label.into_iter().map(|l| l.into_inner()).collect()
+    Sched::Static.wcc(g, threads, |_| {})
 }
 
 /// Bellman-Ford rounds with static partitioning.
 pub fn sssp(g: &Graph, source: VertexId, threads: usize) -> Vec<u64> {
-    assert!(g.has_weights(), "polymer::sssp needs edge weights");
-    let n = g.num_vertices();
-    let dist = atomic_vec(n, u64::MAX);
-    dist[source as usize].store(0, Ordering::Relaxed);
-    let mut frontier = Frontier::single(source);
-    while !frontier.is_empty() {
-        let activated: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        static_vertex_map(n, &frontier, threads, |v| {
-            let dv = dist[v as usize].load(Ordering::Relaxed);
-            if dv == u64::MAX {
-                return;
-            }
-            for (u, w) in g.weighted_neighbors(v) {
-                if atomic_min(&dist[u as usize], dv + u64::from(w)) {
-                    activated[u as usize].store(true, Ordering::Relaxed);
-                }
-            }
-        });
-        frontier = Frontier::from_vec(
-            (0..n as VertexId)
-                .filter(|&v| activated[v as usize].load(Ordering::Relaxed))
-                .collect(),
-        );
-    }
-    dist.into_iter().map(|d| d.into_inner()).collect()
+    Sched::Static.sssp(g, source, threads, |_| {})
 }
 
 /// Triangle counting with static ranges.
 pub fn triangle(g: &Graph, threads: usize) -> u64 {
-    let total = AtomicU64::new(0);
-    let all = Frontier::all(g);
-    static_vertex_map(g.num_vertices(), &all, threads, |v| {
-        let nv = g.neighbors(v);
-        let mut local = 0u64;
-        for &u in nv.iter().filter(|&&u| u > v) {
-            let nu = g.neighbors(u);
-            let (mut i, mut j) = (
-                nv.partition_point(|&x| x <= u),
-                nu.partition_point(|&x| x <= u),
-            );
-            while i < nv.len() && j < nu.len() {
-                match nv[i].cmp(&nu[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        local += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-        total.fetch_add(local, Ordering::Relaxed);
-    });
-    total.load(Ordering::Relaxed)
+    Sched::Static.triangle(g, threads)
 }
 
 /// Greedy MIS by rounds with static ranges (symmetric graphs).
